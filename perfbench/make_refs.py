@@ -1,20 +1,20 @@
 """Regenerate refs.json: the reference output of every command a plan can hold.
 
-Usage (from the root of a checkout): python3 perfbench/make_refs.py [--jobs 2]
+Usage (from the root of a checkout): python3 perfbench/make_refs.py
 
-Runs the whole catalogue of workloads.py through `platoonsim.cli.main` and
-stores the parsed outputs the gate compares against. Run it only on a
-commit whose outputs are trusted; a change that alters outputs on purpose
-regenerates the file and says why.
+Runs the whole catalogue of workloads.py through `platoonsim.cli.main`, one
+pool process per available CPU, and stores the parsed outputs the gate
+compares against. Run it only on a commit whose outputs are trusted; a
+change that alters outputs on purpose regenerates the file and says why.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import json
 import multiprocessing
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -66,17 +66,15 @@ def _merge_rows(into: dict, rows: dict, label: str) -> None:
         into.setdefault(key, values)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=2)
-    args = parser.parse_args(argv)
+def main() -> int:
     shutil.rmtree(WORK, ignore_errors=True)
     WORK.mkdir(parents=True)
 
     refs = {"run": {}, "sweep": {}, "grid": {}, "tune": {}}
     jobs = list(enumerate(catalogue()))
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(args.jobs, initializer=_init, initargs=(str(ROOT / "src"),)) as pool:
+    procs = len(os.sched_getaffinity(0))
+    with ctx.Pool(procs, initializer=_init, initargs=(str(ROOT / "src"),)) as pool:
         for done, (cmd, parsed) in enumerate(pool.imap_unordered(_produce, jobs), 1):
             if cmd.kind in ("sweep", "grid"):
                 _merge_rows(refs[cmd.kind].setdefault(cmd.preset, {}), parsed, cmd.key)

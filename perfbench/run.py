@@ -42,7 +42,7 @@ ROOT = BENCH.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_run"
 
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 3
 TIME_LIMIT_S = 170.0
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -83,20 +83,12 @@ def cpu_model() -> str:
 
 def git_commit() -> str:
     """HEAD of the checkout, or "unknown" when it is not a git work tree."""
-    git = ROOT / ".git"
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).exists():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True)
     except OSError:
-        pass
-    return "unknown"
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def environment() -> dict:

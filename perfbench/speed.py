@@ -1,7 +1,8 @@
 """Host-speed sampler that turns wall times into reference-speed seconds.
 
 On a shared host the same command can take anywhere from 1x to 2x its
-fastest time, depending on what other tenants run on the same cores. A
+fastest time, depending on what other tenants run on the same cores, and
+process CPU time varies almost as much as wall time (README.md). A
 SIGALRM timer runs a fixed pure-Python kernel every PERIOD_S seconds on the
 benchmark's own (only) thread while a measured phase runs. Each sample
 gives the host's speed at that moment relative to REF_KERNEL_S, so a phase's
