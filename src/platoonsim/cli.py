@@ -20,6 +20,7 @@ from . import config as cfgmod
 from .controller import beta_upper_bound
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
 from .metrics import (
+    _MAX_EXPONENT,
     default_fuel_coefficients,
     load_fuel_coefficients,
     log_fuel_exponents,
@@ -27,7 +28,13 @@ from .metrics import (
     write_metrics_csv,
 )
 from .optimizer import optimize, write_trace_csv
-from .simulator import PlatoonEngine, check_safety, place_avs, simulate, write_trajectory_csv
+from .simulator import (
+    PlatoonEngine,
+    av_mask_for,
+    check_safety,
+    simulate,
+    write_trajectory_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -182,8 +189,15 @@ def _platoon_metrics_batch(scenario, raw, coeffs):
     a_fol = raw["a"][mask]
     asv_veh = np.trapezoid(np.abs(v_fol - scenario.v_star), tm, axis=0) / (t2 - t1)
     expo = log_fuel_exponents(v_fol, a_fol, coeffs)
-    fc_veh = np.trapezoid(np.exp(np.minimum(expo, 80.0)) * 1e3, tm, axis=0)
+    fc_veh = np.trapezoid(np.exp(np.minimum(expo, _MAX_EXPONENT)) * 1e3, tm, axis=0)
     return asv_veh.mean(axis=-1), fc_veh.mean(axis=-1)
+
+
+def _report_floor_hits(engine, labels) -> None:
+    """One stderr line per batch lane whose speeds were clamped at 0 m/s."""
+    for label, hits in zip(labels, engine.lane_floor_hits.tolist()):
+        if hits:
+            print(f"{label}: speed floor engaged {hits} times", file=sys.stderr)
 
 
 def cmd_sweep(args) -> int:
@@ -196,39 +210,65 @@ def cmd_sweep(args) -> int:
     if any(not 0.0 <= m <= 1.0 for m in mprs):
         raise ConfigError("--mprs values must lie in [0, 1]")
 
-    base = replace(scenario, mpr=0.0)
-    raw0 = PlatoonEngine(base).run(record=("v", "a"))
-    asv0, fc0 = _platoon_metrics_batch(base, raw0, coeffs)
+    # lane 0 is the AV-free baseline, lane k the k-th MPR; all lanes are
+    # integrated as one batch with their own AV mask and gains
+    masks = av_mask_for(scenario.n_followers, [0.0] + mprs)
+    betas = np.full(len(masks), scenario.controller.beta)
+    gammas = np.full(len(masks), scenario.controller.gamma)
+    labels = ["baseline"] + [f"mpr={mpr}" for mpr in mprs]
+    errors: dict[int, str] = {}
+    if args.tune_first:
+        for lane, mpr in enumerate(mprs, start=1):
+            point = replace(scenario, mpr=mpr)
+            if not point.av_indices:
+                continue
+            try:
+                theta, _ = optimize(point, cfgmod.build_optimizer_config(cp, point))
+            except OptimizeError as err:
+                errors[lane] = str(err)
+                continue
+            betas[lane], gammas[lane] = theta.beta, theta.gamma
 
-    rows = []
-    failures = 0
-    for mpr in mprs:
-        point = replace(scenario, mpr=mpr)
+    # a lane that blows up is dropped and the rest re-integrated; lanes are
+    # independent, so the surviving rows do not change
+    lanes = [lane for lane in range(len(masks)) if lane not in errors]
+    while True:
+        engine = PlatoonEngine(
+            scenario, beta=betas[lanes], gamma=gammas[lanes], av_mask=masks[lanes]
+        )
         try:
-            if args.tune_first and point.av_indices:
-                ocfg = cfgmod.build_optimizer_config(cp, point)
-                theta, _ = optimize(point, ocfg)
-                point = replace(
-                    point,
-                    controller=replace(
-                        point.controller, beta=theta.beta, gamma=theta.gamma
-                    ),
-                )
-            raw = PlatoonEngine(point).run(record=("v", "a"))
-            asv_m, fc_m = _platoon_metrics_batch(point, raw, coeffs)
-            rows.append(
-                (
-                    mpr,
-                    float(asv_m),
-                    float(fc_m),
-                    100.0 * (1.0 - asv_m / asv0),
-                    100.0 * (1.0 - fc_m / fc0),
-                )
+            raw = engine.run(record=("v", "a"), window=scenario.metric_window)
+            break
+        except NumericalBlowupError as err:
+            if lanes[err.lane] == 0:
+                raise
+            errors[lanes.pop(err.lane)] = str(err)
+    _report_floor_hits(engine, [labels[lane] for lane in lanes])
+
+    # metrics one lane at a time keep the fuel-model temporaries small
+    metrics = {
+        lane: _platoon_metrics_batch(
+            scenario, {"t": raw["t"], "v": raw["v"][:, col], "a": raw["a"][:, col]}, coeffs
+        )
+        for col, lane in enumerate(lanes)
+    }
+    asv0, fc0 = metrics[0]
+    rows = []
+    for lane, mpr in enumerate(mprs, start=1):
+        if lane in errors:
+            print(f"{labels[lane]}: {errors[lane]}", file=sys.stderr)
+            rows.append((mpr,) + (float("nan"),) * 4)
+            continue
+        asv_m, fc_m = metrics[lane]
+        rows.append(
+            (
+                mpr,
+                float(asv_m),
+                float(fc_m),
+                100.0 * (1.0 - asv_m / asv0),
+                100.0 * (1.0 - fc_m / fc0),
             )
-        except (NumericalBlowupError, OptimizeError) as err:
-            print(f"mpr={mpr}: {err}", file=sys.stderr)
-            rows.append((mpr, float("nan"),) + (float("nan"),) * 3)
-            failures += 1
+        )
 
     with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -240,7 +280,7 @@ def cmd_sweep(args) -> int:
             f"mpr={row[0]:.2f} asv={row[1]:.4f} fc={row[2]:.2f} "
             f"asv_impr={row[3]:.2f}% fc_impr={row[4]:.2f}%"
         )
-    return EXIT_NUMERICAL if failures else EXIT_OK
+    return EXIT_NUMERICAL if errors else EXIT_OK
 
 
 def _parse_range(raw: str) -> np.ndarray:
@@ -281,16 +321,14 @@ def cmd_grid(args) -> int:
     chunk = 64  # lanes integrated together; bounds the recording memory
     for start in range(0, flat_b.size, chunk):
         sl = slice(start, min(start + chunk, flat_b.size))
-        engine = PlatoonEngine(
-            scenario,
-            beta=flat_b[sl],
-            gamma=flat_g[sl],
-            av_mask=np.broadcast_to(
-                _mask_for(scenario), (sl.stop - sl.start, scenario.n_followers)
-            ),
-        )
-        raw = engine.run(record=("v", "a"))
+        # the scenario's AV mask is shared; the gains set the batch shape
+        engine = PlatoonEngine(scenario, beta=flat_b[sl], gamma=flat_g[sl])
+        raw = engine.run(record=("v", "a"), window=scenario.metric_window)
         asv_vals[sl], fc_vals[sl] = _platoon_metrics_batch(scenario, raw, coeffs)
+        _report_floor_hits(
+            engine,
+            [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b[sl], flat_g[sl])],
+        )
 
     with open(os.path.join(args.out, "grid.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -301,13 +339,6 @@ def cmd_grid(args) -> int:
             )
     print(f"grid of {flat_b.size} points written to grid.csv")
     return EXIT_OK
-
-
-def _mask_for(scenario) -> np.ndarray:
-    mask = np.zeros(scenario.n_followers, dtype=bool)
-    for i in place_avs(scenario.n_followers, scenario.mpr):
-        mask[i - 1] = True
-    return mask
 
 
 _COMMANDS = {

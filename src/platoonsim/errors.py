@@ -17,12 +17,15 @@ class NumericalBlowupError(RuntimeError):
     """Integration produced a non-finite state.
 
     Carries the first offending vehicle index and the simulation time so the
-    failure can be reported precisely.
+    failure can be reported precisely. `lane` is the first non-finite lane of
+    a batched run (flat index over the batch shape), or None when the run is
+    unbatched.
     """
 
-    def __init__(self, vehicle: int, time: float):
+    def __init__(self, vehicle: int, time: float, lane: int | None = None):
         self.vehicle = vehicle
         self.time = time
+        self.lane = lane
         super().__init__(
             f"non-finite state for vehicle {vehicle} at t={time:.3f} s"
         )

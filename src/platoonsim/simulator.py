@@ -40,6 +40,7 @@ __all__ = [
     "SafetyViolation",
     "lead_speed",
     "place_avs",
+    "av_mask_for",
     "step",
     "simulate",
     "check_safety",
@@ -112,6 +113,20 @@ def place_avs(n: int, mpr: float) -> tuple[int, ...]:
         raise DomainError(f"mpr must be in [0, 1], got {mpr}")
     m = int(round(mpr * n))
     return tuple(int(k * (n + 1) // (m + 1)) for k in range(1, m + 1))
+
+
+def av_mask_for(n: int, mprs) -> np.ndarray:
+    """Boolean AV mask over the n followers for one MPR or a sequence of them.
+
+    A scalar gives shape (n,); a sequence gives one row per MPR, ready to
+    integrate as a batch.
+    """
+    rates = np.asarray(mprs, dtype=float)
+    mask = np.zeros(rates.shape + (n,), dtype=bool)
+    for idx, mpr in np.ndenumerate(rates):
+        for i in place_avs(n, float(mpr)):
+            mask[idx + (i - 1,)] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -324,7 +339,8 @@ class PlatoonEngine:
     """Vectorized right-hand side and fixed-step integrator for one scenario.
 
     `beta`, `gamma` and `av_mask` may be overridden with batched arrays to
-    integrate a whole family of runs at once (leading batch axis).
+    integrate a whole family of runs at once (leading batch axis). Lanes are
+    independent: each one equals its own unbatched run bit for bit.
     """
 
     def __init__(
@@ -346,11 +362,8 @@ class PlatoonEngine:
         self.phi = (ctrl.phi1, ctrl.phi2, ctrl.phi3)
 
         if av_mask is None:
-            av_mask = np.zeros(self.n, dtype=bool)
-            for i in scenario.av_indices:
-                av_mask[i - 1] = True
+            av_mask = av_mask_for(self.n, scenario.mpr)
         self.av_mask = np.asarray(av_mask, dtype=bool)
-        self.batch_shape = self.av_mask.shape[:-1]
 
         def _gain(value, default):
             # batched gains get a trailing axis to broadcast over followers;
@@ -363,6 +376,9 @@ class PlatoonEngine:
 
         self.beta = _gain(beta, ctrl.beta)
         self.gamma = _gain(gamma, ctrl.gamma)
+        self.batch_shape = np.broadcast_shapes(
+            self.av_mask.shape, np.shape(self.beta), np.shape(self.gamma)
+        )[:-1]
 
         # leader + per-follower lengths; follower lengths follow the mask
         lengths = np.empty(self.av_mask.shape[:-1] + (self.n + 1,))
@@ -370,7 +386,13 @@ class PlatoonEngine:
         lengths[..., 1:] = np.where(self.av_mask, self.av.length, self.hv.length)
         self.lengths = lengths
         self.front_lengths = lengths[..., :-1]
-        self.floor_hits = 0
+        # clamps of a negative speed to 0, per lane (0-d when unbatched)
+        self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
+
+    @property
+    def floor_hits(self) -> int:
+        """Speed-floor clamps of the last run, summed over all lanes."""
+        return int(self.lane_floor_hits.sum())
 
     def initial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         sc = self.scenario
@@ -413,10 +435,12 @@ class PlatoonEngine:
         return v_all, acc, s, dv, u
 
     def _check_finite(self, v, t):
-        if not np.isfinite(v).all():
-            flat = np.isfinite(v).reshape(-1, self.n).all(axis=0)
-            vehicle = int(np.argmin(flat)) + 1
-            raise NumericalBlowupError(vehicle, t)
+        finite = np.isfinite(v)
+        if not finite.all():
+            rows = finite.reshape(-1, self.n)
+            lane = int(np.argmin(rows.all(axis=-1)))
+            vehicle = int(np.argmin(rows[lane])) + 1
+            raise NumericalBlowupError(vehicle, t, lane if v.ndim > 1 else None)
 
     def advance(self, t, x, v, dt, integrator, k1=None):
         """One integration step from t; k1 may reuse an rhs evaluation at t."""
@@ -432,38 +456,55 @@ class PlatoonEngine:
             k4x, k4v = self.rhs(t + dt, x + dt * k3x, v + dt * k3v)[:2]
             x_new = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
             v_new = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if (v_new < 0).any():
-            self.floor_hits += int((v_new < 0).sum())
+        below = v_new < 0
+        if below.any():
+            self.lane_floor_hits += below.sum(axis=-1)
             v_new = np.maximum(v_new, 0.0)
         return x_new, v_new
 
-    def run(self, record: Sequence[str] = ("x", "v", "a", "s", "dv", "u")) -> dict:
+    def run(
+        self,
+        record: Sequence[str] = ("x", "v", "a", "s", "dv", "u"),
+        window: tuple[float, float] | None = None,
+    ) -> dict:
         """Integrate the scenario horizon, recording the requested fields.
 
         Recorded arrays have a leading time axis; `x` and `v` include the
-        leader column, `a`, `s`, `dv`, `u` cover the followers only.
+        leader column, `a`, `s`, `dv`, `u` cover the followers only. With
+        `window=(t1, t2)` only the samples inside [t1, t2] are kept (the
+        same samples a metric window selects); the whole horizon is still
+        integrated, so blow-ups and floor hits after t2 count.
+
+        Unbatched runs log their speed-floor hits; batched callers report
+        `lane_floor_hits` per lane themselves.
         """
         sc = self.scenario
         dt = sc.dt
         steps = int(round(sc.t_f / dt))
         t_grid = np.arange(steps + 1) * dt
+        lo, hi = 0, steps + 1
+        if window is not None:
+            lo = int(np.searchsorted(t_grid, window[0] - 1e-9, side="left"))
+            hi = int(np.searchsorted(t_grid, window[1] + 1e-9, side="right"))
         x, v = self.initial_arrays()
-        self.floor_hits = 0
+        self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
-        out = {"t": t_grid}
+        out = {"t": t_grid[lo:hi]}
         leader_tail = self.batch_shape + (self.n + 1,)
         follower_tail = self.batch_shape + (self.n,)
         for name in record:
             tail = leader_tail if name in ("x", "v") else follower_tail
-            out[name] = np.empty((steps + 1,) + tail)
+            out[name] = np.empty((hi - lo,) + tail)
 
-        def record_sample(idx, x_k, stage):
+        def record_sample(k, x_k, stage):
+            if not lo <= k < hi:
+                return
             v_all, acc, s, dv, u = stage
             for name, arr in (
                 ("x", x_k), ("v", v_all), ("a", acc), ("s", s), ("dv", dv), ("u", u)
             ):
                 if name in out:
-                    out[name][idx] = arr
+                    out[name][k - lo] = arr
 
         t = 0.0
         for k in range(steps):
@@ -472,9 +513,10 @@ class PlatoonEngine:
             x, v = self.advance(t, x, v, dt, sc.integrator, k1=stage)
             t = t_grid[k + 1]
             self._check_finite(v, t)
-        record_sample(steps, x, self.rhs(t, x, v))
+        if hi > steps:
+            record_sample(steps, x, self.rhs(t, x, v))
 
-        if self.floor_hits:
+        if self.floor_hits and not self.batch_shape:
             logger.warning(
                 "speed floor at 0 m/s engaged %d times during the run",
                 self.floor_hits,

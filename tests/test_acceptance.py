@@ -17,7 +17,7 @@ from platoonsim.optimizer import (
     replayed_objective,
     simulate_with_sensitivity,
 )
-from platoonsim.simulator import PlatoonEngine, place_avs, simulate
+from platoonsim.simulator import PlatoonEngine, av_mask_for, simulate
 
 from conftest import FLAT_LEAD, IDM_1, IDM_2, OVRV_1, make_scenario, make_short_scenario
 
@@ -30,14 +30,6 @@ def criterion(num, description, passed, detail=""):
         line += f" | {detail}"
     print(line)
     assert passed, line
-
-
-def masks_for(n, mprs):
-    masks = np.zeros((len(mprs), n), dtype=bool)
-    for row, mpr in enumerate(mprs):
-        for i in place_avs(n, mpr):
-            masks[row, i - 1] = True
-    return masks
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +53,7 @@ def tuned2():
 
 def run_sweep(scenario, coeffs):
     """Metrics and minimum spacing per MPR lane, integrated as one batch."""
-    engine = PlatoonEngine(
-        scenario, av_mask=masks_for(scenario.n_followers, MPRS)
-    )
+    engine = PlatoonEngine(scenario, av_mask=av_mask_for(scenario.n_followers, MPRS))
     raw = engine.run(record=("v", "a", "s"))
     asv_arr, fc_arr = _platoon_metrics_batch(scenario, raw, coeffs)
     min_spacing = raw["s"].min(axis=(0, 2))

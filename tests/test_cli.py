@@ -1,9 +1,12 @@
 import csv
+import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from platoonsim.cli import main
+from platoonsim import cli, simulator
+from platoonsim.cli import _platoon_metrics_batch, main
 from platoonsim.config import (
     apply_overrides,
     build_optimizer_config,
@@ -11,6 +14,14 @@ from platoonsim.config import (
     load_config,
 )
 from platoonsim.errors import ConfigError
+from platoonsim.metrics import default_fuel_coefficients
+from platoonsim.optimizer import optimize
+
+
+def short_config(*overrides):
+    cp = load_config("scenario1")
+    apply_overrides(cp, SHORT[1::2] + list(overrides))
+    return cp
 
 
 def read_csv(path):
@@ -187,6 +198,89 @@ class TestSweep:
         rows = read_csv(tmp_path / "sweep.csv")
         assert len(rows) == 3
 
+    def test_batch_matches_one_engine_per_mpr(self, tmp_path):
+        mprs = [0.0, 0.3, 0.7, 1.0]
+        assert main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--mprs", ",".join(map(str, mprs))]) == 0
+        sc = build_scenario(short_config())
+        coeffs = default_fuel_coefficients()
+
+        def metrics(mpr):
+            point = replace(sc, mpr=mpr)
+            raw = simulator.PlatoonEngine(point).run(record=("v", "a"))
+            return _platoon_metrics_batch(point, raw, coeffs)
+
+        asv0, fc0 = metrics(0.0)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["mpr", "asv", "fc", "asv_impr_pct", "fc_impr_pct"])
+        for mpr in mprs:
+            asv_m, fc_m = metrics(mpr)
+            vals = (asv_m, fc_m, 100.0 * (1.0 - asv_m / asv0), 100.0 * (1.0 - fc_m / fc0))
+            writer.writerow([f"{mpr:.3f}"] + [f"{val:.6f}" for val in vals])
+        assert (tmp_path / "sweep.csv").read_bytes() == expected.getvalue().encode()
+
+    def test_tune_first_gains_per_lane(self, tmp_path, monkeypatch):
+        built = []
+
+        class SpyEngine(simulator.PlatoonEngine):
+            def __init__(self, scenario, **kw):
+                super().__init__(scenario, **kw)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "PlatoonEngine", SpyEngine)
+        tune = ["--set", "optimizer.n_max=2", "--set", "optimizer.epsilon=1e-4"]
+        assert main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--mprs", "0,0.5,1", "--tune-first", *tune]) == 0
+        assert len(built) == 1  # one batched run for the baseline and every MPR
+        engine = built[0]
+        cp = short_config(*tune[1::2])
+        sc = build_scenario(cp)
+        expected = [(sc.controller.beta, sc.controller.gamma)] * 2
+        for mpr in (0.5, 1.0):
+            point = replace(sc, mpr=mpr)
+            theta, _ = optimize(point, build_optimizer_config(cp, point))
+            expected.append((theta.beta, theta.gamma))
+        got = list(zip(engine.beta[:, 0].tolist(), engine.gamma[:, 0].tolist()))
+        assert got == expected
+        assert expected[2] != expected[3]
+        assert np.array_equal(engine.av_mask, simulator.av_mask_for(10, [0, 0, 0.5, 1]))
+
+    def test_blowup_gives_nan_rows(self, tmp_path, capsys, monkeypatch):
+        # lanes whose first follower is an AV go non-finite (MPR 0.5 and 1);
+        # the others must match a clean sweep exactly
+        args = ["sweep", "--scenario", "scenario1", *SHORT, "--mprs", "0,0.5,0.2,1"]
+        assert main(args + ["--out", str(tmp_path / "clean")]) == 0
+        clean = read_csv(tmp_path / "clean" / "sweep.csv")
+        capsys.readouterr()
+        real = simulator.ovrv_accel_arrays
+
+        def first_follower_nan(s, dv, v, p):
+            acc = real(s, dv, v, p)
+            acc[..., 0] = np.nan
+            return acc
+
+        monkeypatch.setattr(simulator, "ovrv_accel_arrays", first_follower_nan)
+        assert main(args + ["--out", str(tmp_path / "bad")]) == 2
+        rows = read_csv(tmp_path / "bad" / "sweep.csv")
+        assert rows[1] == clean[1] and rows[3] == clean[3]
+        assert float(rows[1][3]) == 0.0
+        for row in (rows[2], rows[4]):
+            assert np.isnan([float(val) for val in row[1:]]).all()
+        err = capsys.readouterr().err
+        assert "mpr=0.5: non-finite state for vehicle 1" in err
+        assert "mpr=1.0: non-finite state for vehicle 1" in err
+        assert "mpr=0.0:" not in err and "mpr=0.2:" not in err
+
+    def test_floor_hits_reported_per_mpr(self, tmp_path, capsys):
+        code = main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "scenario.lead_profile=0:21 5:21 9:0", "--mprs", "0.5,1"])
+        assert code == 0
+        err = capsys.readouterr().err
+        for label in ("baseline", "mpr=0.5", "mpr=1.0"):
+            assert f"{label}: speed floor engaged" in err
+        assert "during the run" not in err  # no aggregate over the batch
+
     def test_outputs_deterministic(self, tmp_path):
         args = ["sweep", "--scenario", "scenario1", *SHORT, "--mprs", "0,1"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -233,6 +327,14 @@ class TestGrid:
         drop_beta = asv_col[0, -1] - asv_col[-1, -1]  # along beta at max gamma
         drop_gamma = asv_col[-1, 0] - asv_col[-1, -1]  # along gamma at max beta
         assert drop_beta > drop_gamma > 0
+
+    def test_floor_hits_reported_per_point(self, tmp_path, capsys):
+        assert main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "scenario.lead_profile=0:21 5:21 9:0",
+                     "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"]) == 0
+        err = capsys.readouterr().err
+        assert "beta=0 gamma=1: speed floor engaged" in err
+        assert "beta=0.05 gamma=1: speed floor engaged" in err
 
     def test_single_point_matches_run_metrics(self, tmp_path):
         beta, gamma = 0.05, 0.8

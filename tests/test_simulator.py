@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from platoonsim.errors import DomainError
+from platoonsim import simulator
+from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
+    PlatoonEngine,
     PlatoonState,
     Scenario,
     Trajectory,
     check_safety,
     lead_speed,
+    av_mask_for,
     place_avs,
     simulate,
     step,
@@ -27,6 +30,7 @@ from conftest import (
     SHORT_LEAD,
     TUNED_1,
     make_scenario,
+    make_short_scenario,
 )
 
 
@@ -83,6 +87,74 @@ class TestPlaceAvs:
             place_avs(0, 0.5)
         with pytest.raises(DomainError):
             place_avs(10, 1.5)
+
+
+class TestAvMask:
+    def test_scalar_matches_place_avs(self):
+        mask = av_mask_for(10, 0.2)
+        assert mask.shape == (10,) and mask.dtype == bool
+        assert tuple(np.flatnonzero(mask) + 1) == place_avs(10, 0.2)
+
+    def test_sequence_stacks_one_row_per_mpr(self):
+        mprs = [0.0, 0.1, 0.5, 1.0]
+        masks = av_mask_for(10, mprs)
+        assert masks.shape == (4, 10)
+        for row, mpr in zip(masks, mprs):
+            assert np.array_equal(row, av_mask_for(10, mpr))
+
+    def test_engine_default_mask(self):
+        sc = make_short_scenario(mpr=0.3)
+        assert np.array_equal(PlatoonEngine(sc).av_mask, av_mask_for(10, 0.3))
+
+
+# the lead stops within 4 s, so the followers' speeds undershoot 0
+STOP_LEAD = LeadProfile((0.0, 5.0, 9.0), (21.0, 21.0, 0.0))
+
+
+class TestEngine:
+    # inside the horizon, the whole horizon, and a window holding no sample
+    @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), (12.34, 12.36)])
+    def test_window_equals_slice_of_full_run(self, window):
+        sc = make_short_scenario(mpr=0.5)
+        full = PlatoonEngine(sc).run()
+        part = PlatoonEngine(sc).run(window=window)
+        keep = (full["t"] >= window[0] - 1e-9) & (full["t"] <= window[1] + 1e-9)
+        assert set(part) == set(full)
+        for name in full:
+            assert np.array_equal(part[name], full[name][keep]), name
+
+    def test_lane_floor_hits_match_single_runs(self):
+        mprs = [0.0, 0.5, 1.0]
+        sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0),
+                           kind="ts-ops", beta=0.05)
+        batched = PlatoonEngine(sc, av_mask=av_mask_for(10, mprs))
+        batched.run(record=())
+        singles = []
+        for mpr in mprs:
+            engine = PlatoonEngine(make_scenario(
+                lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0), kind="ts-ops",
+                beta=0.05, mpr=mpr))
+            engine.run(record=())
+            singles.append(engine.floor_hits)
+        assert batched.lane_floor_hits.shape == (3,)
+        assert batched.lane_floor_hits.tolist() == singles
+        assert all(hits > 0 for hits in singles)
+        assert batched.floor_hits == sum(singles)
+        assert isinstance(batched.floor_hits, int)
+
+    def test_blowup_names_first_lane(self, monkeypatch):
+        monkeypatch.setattr(
+            simulator, "ovrv_accel_arrays", lambda s, dv, v, p: np.full(np.shape(s), np.nan)
+        )
+        sc = make_short_scenario()
+        with pytest.raises(NumericalBlowupError) as batched:
+            PlatoonEngine(sc, av_mask=av_mask_for(10, [0.0, 0.0, 0.3, 1.0])).run()
+        assert batched.value.lane == 2
+        assert batched.value.vehicle == 2  # first AV of the 0.3 lane
+        with pytest.raises(NumericalBlowupError) as single:
+            PlatoonEngine(sc).run()
+        assert single.value.lane is None
+        assert single.value.vehicle == 5
 
 
 class TestStep:
