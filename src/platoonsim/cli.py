@@ -193,6 +193,21 @@ def _platoon_metrics_batch(scenario, raw, coeffs):
     return asv_veh.mean(axis=-1), fc_veh.mean(axis=-1)
 
 
+def _metrics_per_lane(scenario, raw, coeffs):
+    """(lanes, 2) array of ASV and FC over a batched (time, lane, ...) record.
+
+    Each lane's metrics are computed on its own, so the fuel-model
+    temporaries stay one lane wide whatever the batch size.
+    """
+    per_lane = [
+        _platoon_metrics_batch(
+            scenario, {"t": raw["t"], "v": raw["v"][:, col], "a": raw["a"][:, col]}, coeffs
+        )
+        for col in range(raw["v"].shape[1])
+    ]
+    return np.array(per_lane)
+
+
 def _report_floor_hits(engine, labels) -> None:
     """One stderr line per batch lane whose speeds were clamped at 0 m/s."""
     for label, hits in zip(labels, engine.lane_floor_hits.tolist()):
@@ -245,13 +260,7 @@ def cmd_sweep(args) -> int:
             errors[lanes.pop(err.lane)] = str(err)
     _report_floor_hits(engine, [labels[lane] for lane in lanes])
 
-    # metrics one lane at a time keep the fuel-model temporaries small
-    metrics = {
-        lane: _platoon_metrics_batch(
-            scenario, {"t": raw["t"], "v": raw["v"][:, col], "a": raw["a"][:, col]}, coeffs
-        )
-        for col, lane in enumerate(lanes)
-    }
+    metrics = dict(zip(lanes, _metrics_per_lane(scenario, raw, coeffs)))
     asv0, fc0 = metrics[0]
     rows = []
     for lane, mpr in enumerate(mprs, start=1):
@@ -324,7 +333,7 @@ def cmd_grid(args) -> int:
         # the scenario's AV mask is shared; the gains set the batch shape
         engine = PlatoonEngine(scenario, beta=flat_b[sl], gamma=flat_g[sl])
         raw = engine.run(record=("v", "a"), window=scenario.metric_window)
-        asv_vals[sl], fc_vals[sl] = _platoon_metrics_batch(scenario, raw, coeffs)
+        asv_vals[sl], fc_vals[sl] = _metrics_per_lane(scenario, raw, coeffs).T
         _report_floor_hits(
             engine,
             [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b[sl], flat_g[sl])],

@@ -2,9 +2,10 @@
 
 The objective is the integrated squared speed gap between each controlled AV
 and its predecessor. Its gradient with respect to the gains (beta, gamma) is
-obtained from a two-component sensitivity ODE co-integrated with the platoon:
-the sensitivity treats the AV's spacing and its predecessor's speed as
-exogenous signals, so it differentiates exactly the AV's own speed equation.
+obtained from a two-component sensitivity ODE co-integrated with the platoon
+in the engine's state: the sensitivity treats the AV's spacing and its
+predecessor's speed as exogenous signals, so it differentiates exactly the
+AV's own speed equation.
 A projected fixed-step descent clamps beta to its safety bound and gamma to
 non-negative values.
 """
@@ -19,7 +20,13 @@ import numpy as np
 from .controller import ControllerParams, get_kernel
 from .dynamics import CarFollowingInput, OvrvParams, ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
-from .simulator import PlatoonEngine, Scenario, Trajectory, assemble_trajectory
+from .simulator import (
+    PlatoonEngine,
+    Scenario,
+    Trajectory,
+    _sensitivity_terms,
+    assemble_trajectory,
+)
 
 __all__ = [
     "SensitivityState",
@@ -118,17 +125,6 @@ def objective_j(traj: Trajectory, av_indices) -> float:
     return float(total)
 
 
-def _sensitivity_terms(s, dv, beta, gamma, av_model: OvrvParams, kernel):
-    """Coefficients of the exogenous-signal sensitivity ODE (vectorized)."""
-    w = gamma * s * dv
-    kp = kernel.deriv(w)
-    d_dv = av_model.k2 + beta * gamma * s * kp
-    drdv = -av_model.k1 * av_model.tau - d_dv
-    drdb = kernel.fn(w)
-    drdg = beta * s * dv * kp
-    return drdv, drdb, drdg
-
-
 def sensitivity_rhs(
     z: SensitivityState,
     state: CarFollowingInput,
@@ -196,93 +192,22 @@ def simulate_with_sensitivity(
 ) -> tuple[Trajectory, np.ndarray]:
     """Integrate the platoon and the per-AV gain sensitivities together.
 
-    theta_av has one (beta, gamma) row per AV. Returns the trajectory and
-    the sensitivity series with shape (n_samples, n_av, 2), z(0) = 0.
+    theta_av has one (beta, gamma) row per AV. The sensitivities ride in the
+    engine's flat state (`PlatoonEngine(sensitivity=mode)`). Returns the
+    trajectory and the sensitivity series with shape (n_samples, n_av, 2),
+    z(0) = 0.
     """
     av_indices = scenario.av_indices
     if not av_indices:
         raise DomainError("scenario has no AV to differentiate")
     theta_av = np.asarray(theta_av, dtype=float).reshape(len(av_indices), 2)
     beta_f, gamma_f = _per_follower_gains(scenario, theta_av)
-    engine = PlatoonEngine(scenario, beta=beta_f, gamma=gamma_f, per_follower_gains=True)
-    kernel = engine.kernel
-    av_model = scenario.av_model
-    av_pos = np.array([i - 1 for i in av_indices])
-    beta_av = theta_av[:, 0]
-    gamma_av = theta_av[:, 1]
-    coupled = mode == "coupled"
-
-    def z_rhs(stage, z, zs):
-        s = stage[2][av_pos]
-        dv = stage[3][av_pos]
-        drdv, drdb, drdg = _sensitivity_terms(s, dv, beta_av, gamma_av, av_model, kernel)
-        forcing = np.stack([drdb, drdg], axis=-1)
-        zdot = drdv[:, None] * z + forcing
-        if not coupled:
-            return zdot, None
-        # coupled mode: also track spacing sensitivity w = ds/dtheta with
-        # wdot = -z; it feeds back through dr/ds
-        w_arg = gamma_av * s * dv
-        kp = kernel.deriv(w_arg)
-        drds = av_model.k1 + beta_av * gamma_av * dv * kp
-        return zdot + drds[:, None] * zs, -z
-
-    dt = scenario.dt
-    steps = int(round(scenario.t_f / dt))
-    t_grid = np.arange(steps + 1) * dt
-    x, v = engine.initial_arrays()
-    z = np.zeros((len(av_indices), 2))
-    zs = np.zeros_like(z)
-
-    record = ("x", "v", "a", "s", "dv", "u")
-    out = {"t": t_grid}
-    for name in record:
-        tail = (engine.n + 1,) if name in ("x", "v") else (engine.n,)
-        out[name] = np.empty((steps + 1,) + tail)
-    z_out = np.empty((steps + 1, len(av_indices), 2))
-
-    def record_sample(idx, x_k, z_k, stage):
-        v_all, acc, s, dv, u = stage
-        for name, arr in (
-            ("x", x_k), ("v", v_all), ("a", acc), ("s", s), ("dv", dv), ("u", u)
-        ):
-            out[name][idx] = arr
-        z_out[idx] = z_k
-
-    rk4 = scenario.integrator == "rk4"
-    t = 0.0
-    for k in range(steps):
-        stage1 = engine.rhs(t, x, v)
-        record_sample(k, x, z, stage1)
-        k1z, k1zs = z_rhs(stage1, z, zs)
-        k1x, k1v = stage1[0], stage1[1]
-        if rk4:
-            h = dt
-            s2 = engine.rhs(t + h / 2, x + h / 2 * k1x, v + h / 2 * k1v)
-            k2z, k2zs = z_rhs(s2, z + h / 2 * k1z, zs + (h / 2 * k1zs if coupled else 0))
-            s3 = engine.rhs(t + h / 2, x + h / 2 * s2[0], v + h / 2 * s2[1])
-            k3z, k3zs = z_rhs(s3, z + h / 2 * k2z, zs + (h / 2 * k2zs if coupled else 0))
-            s4 = engine.rhs(t + h, x + h * s3[0], v + h * s3[1])
-            k4z, k4zs = z_rhs(s4, z + h * k3z, zs + (h * k3zs if coupled else 0))
-            x = x + h / 6 * (k1x + 2 * s2[0] + 2 * s3[0] + s4[0])
-            v = v + h / 6 * (k1v + 2 * s2[1] + 2 * s3[1] + s4[1])
-            z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-            if coupled:
-                zs = zs + h / 6 * (k1zs + 2 * k2zs + 2 * k3zs + k4zs)
-        else:
-            x = x + dt * k1x
-            v = v + dt * k1v
-            z = z + dt * k1z
-            if coupled:
-                zs = zs + dt * k1zs
-        v = np.maximum(v, 0.0)
-        t = t_grid[k + 1]
-        engine._check_finite(v, t)
-        if not np.isfinite(z).all():
-            raise NumericalBlowupError(int(av_indices[0]), t)
-    record_sample(steps, x, z, engine.rhs(t, x, v))
-
-    return assemble_trajectory(scenario, out), z_out
+    engine = PlatoonEngine(
+        scenario, beta=beta_f, gamma=gamma_f, per_follower_gains=True, sensitivity=mode
+    )
+    raw = engine.run(record=("x", "v", "a", "s", "dv", "u", "z"))
+    z_series = raw.pop("z")
+    return assemble_trajectory(scenario, raw), z_series
 
 
 def replayed_objective(

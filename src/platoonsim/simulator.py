@@ -7,12 +7,12 @@ by default, with explicit Euler available for oracle tests.
 
 The stepping core is batch-aware: parameter studies (controller-gain grids,
 penetration sweeps) stack along a leading batch axis and integrate together,
-which keeps independent runs independent while vectorizing the work.
+which keeps independent runs independent while vectorizing the work. On
+request it also integrates the AVs' gain sensitivities in the same state.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -77,6 +77,18 @@ class LeadProfile:
 
     def speed(self, t):
         return np.interp(t, self.times, self.speeds)
+
+    def stage_speeds(self, dt: float, steps: int) -> tuple[np.ndarray, ...]:
+        """Speeds at every stage time of a fixed-step run with t_k = k*dt.
+
+        Returns the speeds at t_k (k = 0..steps) and at t_k + dt/2 and
+        t_k + dt (k < steps). The stage times are formed as a stepper forms
+        them from t_k (t_k + dt, not t_{k+1}), so each entry equals
+        `speed` at that time bit for bit.
+        """
+        t_grid = np.arange(steps + 1) * dt
+        t_k = t_grid[:-1]
+        return self.speed(t_grid), self.speed(t_k + dt / 2), self.speed(t_k + dt)
 
     def slope(self, t):
         """Acceleration of the profile (piecewise constant, 0 past the end)."""
@@ -335,12 +347,34 @@ class SafetyViolation:
     spacing: float
 
 
+def _sensitivity_terms(s, dv, beta, gamma, av_model: OvrvParams, kernel):
+    """Coefficients of the exogenous-signal sensitivity ODE (vectorized).
+
+    For the AV speed equation r = k1*(s - eta - tau*v) + k2*dv +
+    beta*kernel(gamma*s*dv) with s and the predecessor speed held exogenous,
+    returns dr/dv, dr/dbeta and dr/dgamma.
+    """
+    w = gamma * s * dv
+    kp = kernel.deriv(w)
+    d_dv = av_model.k2 + beta * gamma * s * kp
+    drdv = -av_model.k1 * av_model.tau - d_dv
+    drdb = kernel.fn(w)
+    drdg = beta * s * dv * kp
+    return drdv, drdb, drdg
+
+
 class PlatoonEngine:
     """Vectorized right-hand side and fixed-step integrator for one scenario.
 
     `beta`, `gamma` and `av_mask` may be overridden with batched arrays to
     integrate a whole family of runs at once (leading batch axis). Lanes are
     independent: each one equals its own unbatched run bit for bit.
+
+    Each lane advances one flat state `[x (n+1) | v (n) | z | zs]`. With
+    `sensitivity="exogenous"` the state carries the per-AV gain sensitivities
+    `z = dv/d(beta, gamma)` (two per AV) of the forward sensitivity method;
+    `"coupled"` adds the spacing sensitivities `zs`, which feed back into
+    `z`. Sensitivities are integrated for unbatched runs only.
     """
 
     def __init__(
@@ -350,9 +384,10 @@ class PlatoonEngine:
         gamma=None,
         av_mask: np.ndarray | None = None,
         per_follower_gains: bool = False,
+        sensitivity: str | None = None,
     ):
         self.scenario = scenario
-        self.n = scenario.n_followers
+        self.n = n = scenario.n_followers
         self.hv = scenario.hv_model
         self.av = scenario.av_model
         ctrl = scenario.controller
@@ -389,6 +424,34 @@ class PlatoonEngine:
         # clamps of a negative speed to 0, per lane (0-d when unbatched)
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
+        # flat state layout; dx/dt = [v_lead | v] shares the x slots
+        self._x = np.s_[..., : n + 1]
+        self._v = np.s_[..., n + 1 : 2 * n + 1]
+        width = 2 * n + 1
+        n_z = 0
+        if sensitivity not in (None, "exogenous", "coupled"):
+            raise DomainError(
+                f"sensitivity mode must be 'exogenous' or 'coupled', got {sensitivity!r}"
+            )
+        self.sensitivity = sensitivity
+        if sensitivity is not None:
+            if self.batch_shape:
+                raise DomainError("sensitivities are integrated for unbatched runs only")
+            self.av_pos = np.flatnonzero(self.av_mask)
+            if not self.av_pos.size:
+                raise DomainError("scenario has no AV to differentiate")
+            self.beta_av = np.broadcast_to(self.beta, (n,))[self.av_pos]
+            self.gamma_av = np.broadcast_to(self.gamma, (n,))[self.av_pos]
+            n_z = 2 * self.av_pos.size
+            self._z = slice(width, width + n_z)
+            width += n_z
+            if sensitivity == "coupled":
+                self._zs = slice(width, width + n_z)
+                width += n_z
+        self.width = width
+        # speeds and sensitivities are the entries the finite check covers
+        self._checked = np.s_[..., n + 1 : 2 * n + 1 + n_z]
+
     @property
     def floor_hits(self) -> int:
         """Speed-floor clamps of the last run, summed over all lanes."""
@@ -420,47 +483,84 @@ class PlatoonEngine:
             return np.zeros(np.broadcast_shapes(s.shape, self.av_mask.shape))
         return np.where(self.av_mask, u, 0.0)
 
-    def rhs(self, t, x, v):
-        """Derivatives plus the instantaneous (s, dv, u, accel) diagnostics."""
-        v_lead = float(self.scenario.lead.speed(t))
-        v_all = np.concatenate(
-            [np.broadcast_to(v_lead, v.shape[:-1] + (1,)), v], axis=-1
-        )
-        s = x[..., :-1] - x[..., 1:] - self.front_lengths
-        dv = v_all[..., :-1] - v_all[..., 1:]
-        u = self.control_input(s, dv, v_all[..., :-1])
-        acc_hv = idm_accel_arrays(s, dv, v, self.hv)
-        acc_av = ovrv_accel_arrays(s, dv, v, self.av) + u
-        acc = np.where(self.av_mask, acc_av, acc_hv)
-        return v_all, acc, s, dv, u
+    def rhs(self, v_lead, x, v):
+        """Flat derivative `f` plus the instantaneous (s, dv, u) diagnostics.
 
-    def _check_finite(self, v, t):
-        finite = np.isfinite(v)
+        `v_lead` is the leader's speed at the stage time. `f` has the state's
+        layout: dx/dt = [v_lead | v], then dv/dt; sensitivity slots are left
+        for `_stage` to fill.
+        """
+        f = np.empty(v.shape[:-1] + (self.width,))
+        v_all = f[self._x]
+        v_all[..., 0] = v_lead
+        v_all[..., 1:] = v
+        v_prev = v_all[..., :-1]
+        s = x[..., :-1] - x[..., 1:] - self.front_lengths
+        dv = v_prev - v
+        u = self.control_input(s, dv, v_prev)
+        acc = idm_accel_arrays(s, dv, v, self.hv)
+        np.copyto(acc, ovrv_accel_arrays(s, dv, v, self.av) + u, where=self.av_mask)
+        f[self._v] = acc
+        return f, s, dv, u
+
+    def _stage(self, v_lead, y):
+        """`rhs` at the flat state y, with the sensitivity entries filled in."""
+        stage = self.rhs(v_lead, y[self._x], y[self._v])
+        if self.sensitivity is not None:
+            self._sensitivity_rhs(y, *stage)
+        return stage
+
+    def _sensitivity_rhs(self, y, f, s, dv, u):
+        # zdot = (dr/dv) z + dr/dtheta, written into f's z slots
+        s_av = s[self.av_pos]
+        dv_av = dv[self.av_pos]
+        zdot = f[self._z].reshape(-1, 2)
+        drdv, zdot[:, 0], zdot[:, 1] = _sensitivity_terms(
+            s_av, dv_av, self.beta_av, self.gamma_av, self.av, self.kernel
+        )
+        zdot += drdv[:, None] * y[self._z].reshape(-1, 2)
+        if self.sensitivity == "coupled":
+            # spacing sensitivity zs = ds/dtheta with zsdot = -z; it feeds
+            # back through dr/ds
+            kp = self.kernel.deriv(self.gamma_av * s_av * dv_av)
+            drds = self.av.k1 + self.beta_av * self.gamma_av * dv_av * kp
+            zdot += drds[:, None] * y[self._zs].reshape(-1, 2)
+            np.negative(y[self._z], out=f[self._zs])
+
+    def _check_finite(self, y, t):
+        if np.isfinite(y[self._checked]).all():
+            return
+        finite = np.isfinite(y[self._v])
         if not finite.all():
             rows = finite.reshape(-1, self.n)
             lane = int(np.argmin(rows.all(axis=-1)))
             vehicle = int(np.argmin(rows[lane])) + 1
-            raise NumericalBlowupError(vehicle, t, lane if v.ndim > 1 else None)
+            raise NumericalBlowupError(vehicle, t, lane if finite.ndim > 1 else None)
+        raise NumericalBlowupError(int(self.av_pos[0]) + 1, t)
 
-    def advance(self, t, x, v, dt, integrator, k1=None):
-        """One integration step from t; k1 may reuse an rhs evaluation at t."""
-        if k1 is None:
-            k1 = self.rhs(t, x, v)
-        k1x, k1v = k1[0], k1[1]
-        if integrator == "euler":
-            x_new = x + dt * k1x
-            v_new = v + dt * k1v
+    def advance(self, y, f1, v_lead_mid, v_lead_end):
+        """One step of the flat state y from its derivative f1 at the step start.
+
+        `v_lead_mid` and `v_lead_end` are the leader's speeds at t + dt/2 and
+        t + dt. Speeds below 0 are clamped and counted per lane; the clamped
+        AV's sensitivities are zeroed, since d max(v, 0)/dv = 0 there.
+        """
+        dt = self.scenario.dt
+        if self.scenario.integrator == "euler":
+            y_new = y + dt * f1
         else:
-            k2x, k2v = self.rhs(t + dt / 2, x + dt / 2 * k1x, v + dt / 2 * k1v)[:2]
-            k3x, k3v = self.rhs(t + dt / 2, x + dt / 2 * k2x, v + dt / 2 * k2v)[:2]
-            k4x, k4v = self.rhs(t + dt, x + dt * k3x, v + dt * k3v)[:2]
-            x_new = x + dt / 6 * (k1x + 2 * k2x + 2 * k3x + k4x)
-            v_new = v + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+            f2 = self._stage(v_lead_mid, y + dt / 2 * f1)[0]
+            f3 = self._stage(v_lead_mid, y + dt / 2 * f2)[0]
+            f4 = self._stage(v_lead_end, y + dt * f3)[0]
+            y_new = y + dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+        v_new = y_new[self._v]
         below = v_new < 0
         if below.any():
             self.lane_floor_hits += below.sum(axis=-1)
-            v_new = np.maximum(v_new, 0.0)
-        return x_new, v_new
+            np.maximum(v_new, 0.0, out=v_new)
+            if self.sensitivity is not None:
+                y_new[self._z].reshape(-1, 2)[below[self.av_pos]] = 0.0
+        return y_new
 
     def run(
         self,
@@ -470,7 +570,8 @@ class PlatoonEngine:
         """Integrate the scenario horizon, recording the requested fields.
 
         Recorded arrays have a leading time axis; `x` and `v` include the
-        leader column, `a`, `s`, `dv`, `u` cover the followers only. With
+        leader column, `a`, `s`, `dv`, `u` cover the followers only, and `z`
+        (sensitivity runs) has shape (n_av, 2) per sample. With
         `window=(t1, t2)` only the samples inside [t1, t2] are kept (the
         same samples a metric window selects); the whole horizon is still
         integrated, so blow-ups and floor hits after t2 count.
@@ -486,36 +587,43 @@ class PlatoonEngine:
         if window is not None:
             lo = int(np.searchsorted(t_grid, window[0] - 1e-9, side="left"))
             hi = int(np.searchsorted(t_grid, window[1] + 1e-9, side="right"))
-        x, v = self.initial_arrays()
+        lead_t, lead_mid, lead_end = sc.lead.stage_speeds(dt, steps)
+        y = np.zeros(self.batch_shape + (self.width,))
+        y[self._x], y[self._v] = self.initial_arrays()
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
+        # each field is a slice of one stage part (y, f, s, dv, u): the
+        # part's index, the slice and its width
+        n = self.n
+        sources = {
+            "x": (0, self._x, n + 1), "v": (1, self._x, n + 1), "a": (1, self._v, n),
+            "s": (2, ..., n), "dv": (3, ..., n), "u": (4, ..., n),
+        }
+        if self.sensitivity is not None:
+            sources["z"] = (0, self._z, 2 * self.av_pos.size)
         out = {"t": t_grid[lo:hi]}
-        leader_tail = self.batch_shape + (self.n + 1,)
-        follower_tail = self.batch_shape + (self.n,)
+        fields = []
         for name in record:
-            tail = leader_tail if name in ("x", "v") else follower_tail
-            out[name] = np.empty((hi - lo,) + tail)
+            part, idx, width = sources[name]
+            out[name] = np.empty((hi - lo,) + self.batch_shape + (width,))
+            fields.append((out[name], part, idx))
 
-        def record_sample(k, x_k, stage):
-            if not lo <= k < hi:
-                return
-            v_all, acc, s, dv, u = stage
-            for name, arr in (
-                ("x", x_k), ("v", v_all), ("a", acc), ("s", s), ("dv", dv), ("u", u)
-            ):
-                if name in out:
-                    out[name][k - lo] = arr
+        def record_sample(k, y_k, stage):
+            parts = (y_k,) + stage
+            for buf, part, idx in fields:
+                buf[k - lo] = parts[part][idx]
 
-        t = 0.0
         for k in range(steps):
-            stage = self.rhs(t, x, v)
-            record_sample(k, x, stage)
-            x, v = self.advance(t, x, v, dt, sc.integrator, k1=stage)
-            t = t_grid[k + 1]
-            self._check_finite(v, t)
+            stage = self._stage(lead_t[k], y)
+            if lo <= k < hi:
+                record_sample(k, y, stage)
+            y = self.advance(y, stage[0], lead_mid[k], lead_end[k])
+            self._check_finite(y, t_grid[k + 1])
         if hi > steps:
-            record_sample(steps, x, self.rhs(t, x, v))
+            record_sample(steps, y, self._stage(lead_t[steps], y))
 
+        if "z" in out:
+            out["z"] = out["z"].reshape(hi - lo, -1, 2)
         if self.floor_hits and not self.batch_shape:
             logger.warning(
                 "speed floor at 0 m/s engaged %d times during the run",
@@ -527,10 +635,15 @@ class PlatoonEngine:
 def step(state: PlatoonState, t: float, scenario: Scenario) -> PlatoonState:
     """Advance one integration step of scenario.dt from the given state."""
     engine = PlatoonEngine(scenario)
-    x, v = state.x.copy(), state.v[1:].copy()
-    x_new, v_new = engine.advance(t, x, v, scenario.dt, scenario.integrator)
-    v_full = np.concatenate([[float(scenario.lead.speed(t + scenario.dt))], v_new])
-    return PlatoonState(x=x_new, v=v_full, kinds=state.kinds, lengths=state.lengths)
+    speed = scenario.lead.speed
+    dt = scenario.dt
+    y = np.concatenate([state.x, state.v[1:]])
+    f1 = engine.rhs(float(speed(t)), state.x, state.v[1:])[0]
+    y_new = engine.advance(y, f1, float(speed(t + dt / 2)), float(speed(t + dt)))
+    v_full = np.concatenate([[float(speed(t + dt))], y_new[engine._v]])
+    return PlatoonState(
+        x=y_new[engine._x], v=v_full, kinds=state.kinds, lengths=state.lengths
+    )
 
 
 def assemble_trajectory(scenario: Scenario, raw: dict) -> Trajectory:
@@ -582,16 +695,23 @@ def check_safety(traj: Trajectory, min_safe: float) -> list[SafetyViolation]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write one row per (time, vehicle) with fixed 6-decimal formatting."""
+    """Write one row per (time, vehicle) with fixed 6-decimal formatting.
+
+    Rows end in csv's "\\r\\n". Each row is one %-format over its values
+    (t, x, v, a, s, dv, u), with the vehicle index and kind fixed in that
+    vehicle's format string.
+    """
+    block = 32  # time samples formatted per write; keeps the row lists small
+    fmts = [
+        f"%.6f,{i},{kind}" + ",%.6f" * 6 + "\r\n"
+        for i, kind in enumerate(traj.kinds)
+    ]
+    t_col = np.broadcast_to(traj.t[:, None], traj.x.shape)
+    cols = (t_col, traj.x, traj.v, traj.a, traj.s, traj.dv, traj.u)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "vehicle", "kind", "x", "v", "a", "s", "dv", "u"])
-        for k in range(len(traj.t)):
-            for i in range(traj.n_vehicles):
-                writer.writerow(
-                    [f"{traj.t[k]:.6f}", i, traj.kinds[i]]
-                    + [
-                        f"{arr[k, i]:.6f}"
-                        for arr in (traj.x, traj.v, traj.a, traj.s, traj.dv, traj.u)
-                    ]
-                )
+        fh.write("t,vehicle,kind,x,v,a,s,dv,u\r\n")
+        for k0 in range(0, len(traj.t), block):
+            rows = np.stack([c[k0 : k0 + block] for c in cols], axis=-1).tolist()
+            fh.write(
+                "".join(fmt % tuple(r) for row in rows for fmt, r in zip(fmts, row))
+            )

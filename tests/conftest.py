@@ -16,6 +16,9 @@ FLAT_LEAD = LeadProfile((0.0,), (21.0,))
 # compressed version of the braking event for fast tests
 SHORT_LEAD = LeadProfile((0.0, 10.0, 20.0, 30.0, 40.0), (21.0, 21.0, 18.0, 18.0, 21.0))
 
+# the lead stops within 4 s, so the followers' speeds undershoot 0
+STOP_LEAD = LeadProfile((0.0, 5.0, 9.0), (21.0, 21.0, 0.0))
+
 TUNED_1 = (0.0642, 1.0011)
 TUNED_2 = (0.0642, 1.0017)
 

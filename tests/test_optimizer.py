@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -18,9 +19,21 @@ from platoonsim.optimizer import (
     simulate_with_sensitivity,
     write_trace_csv,
 )
-from platoonsim.simulator import Trajectory, simulate
+from platoonsim.simulator import (
+    PlatoonEngine,
+    Trajectory,
+    assemble_trajectory,
+    av_mask_for,
+    simulate,
+)
 
-from conftest import FLAT_LEAD, OVRV_1, make_short_scenario
+from conftest import (
+    FLAT_LEAD,
+    OVRV_1,
+    STOP_LEAD,
+    make_scenario,
+    make_short_scenario,
+)
 
 
 def toy_trajectory(t, v_columns):
@@ -90,6 +103,60 @@ class TestSensitivityRhs:
         drdv = -OVRV_1.k1 * OVRV_1.tau - OVRV_1.k2 - 0.05 * 50.0 / 2501.0
         assert at_ones.z1 - at_zero.z1 == pytest.approx(drdv, rel=1e-12)
         assert at_ones.z2 - at_zero.z2 == pytest.approx(drdv, rel=1e-12)
+
+
+class TestSimulateWithSensitivity:
+    THETA = np.array([[0.03, 0.5], [0.05, 1.0], [0.01, 2.0]])
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
+    def test_trajectory_equals_engine_run(self, mode, integrator):
+        # the sensitivities ride in the engine's state but never feed back
+        # into the platoon, so the trajectory is the plain run's bit for bit
+        sc = make_short_scenario(mpr=0.3, integrator=integrator)
+        traj, z = simulate_with_sensitivity(sc, self.THETA, mode=mode)
+        beta, gamma = np.zeros(10), np.zeros(10)
+        for row, i in enumerate(sc.av_indices):
+            beta[i - 1], gamma[i - 1] = self.THETA[row]
+        plain = assemble_trajectory(
+            sc,
+            PlatoonEngine(sc, beta=beta, gamma=gamma, per_follower_gains=True).run(),
+        )
+        for name in ("t", "x", "v", "a", "s", "dv", "u"):
+            assert np.array_equal(
+                getattr(traj, name), getattr(plain, name), equal_nan=True
+            ), name
+        assert z.shape == (len(traj.t), 3, 2)
+        assert np.isfinite(z).all()
+        assert not z[0].any() and z[-1].all()
+
+    def test_speed_floor_counted_and_clamped_z_zeroed(self, caplog):
+        sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0),
+                           kind="ts-ops", beta=0.05, mpr=0.5)
+        plain = PlatoonEngine(sc)
+        plain.run(record=())
+        engine = PlatoonEngine(sc, sensitivity="exogenous")
+        raw = engine.run(record=("v", "z"))
+        assert engine.floor_hits == plain.floor_hits > 0
+        # d max(v, 0)/dv = 0: a clamped AV speed carries no sensitivity
+        clamped_any = False
+        for row, i in enumerate(sc.av_indices):
+            clamped = raw["v"][1:, i] == 0.0
+            clamped_any |= clamped.any()
+            assert not raw["z"][1:][clamped, row].any()
+        assert clamped_any
+        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
+            simulate_with_sensitivity(sc, np.tile([0.05, 1.0], (5, 1)))
+        assert f"speed floor at 0 m/s engaged {plain.floor_hits} times" in caplog.text
+
+    def test_engine_rejects_unsupported_sensitivity_runs(self):
+        sc = make_short_scenario(mpr=0.3)
+        with pytest.raises(DomainError):
+            PlatoonEngine(sc, sensitivity="adjoint")
+        with pytest.raises(DomainError):
+            PlatoonEngine(sc, av_mask=av_mask_for(10, [0.1, 0.3]), sensitivity="exogenous")
+        with pytest.raises(DomainError):
+            PlatoonEngine(make_short_scenario(mpr=0.0), sensitivity="exogenous")
 
 
 class TestDescentDirection:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonsim import simulator
 from platoonsim.errors import DomainError, NumericalBlowupError
@@ -28,6 +30,7 @@ from conftest import (
     OVRV_1,
     PAPER_LEAD,
     SHORT_LEAD,
+    STOP_LEAD,
     TUNED_1,
     make_scenario,
     make_short_scenario,
@@ -60,6 +63,27 @@ class TestLeadProfile:
             LeadProfile((0.0, 10.0, 10.0), (21.0, 18.0, 19.0))
         with pytest.raises(DomainError):
             LeadProfile((0.0, 10.0), (21.0, -1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(0.05, 30.0), min_size=0, max_size=6),
+        speeds=st.lists(st.floats(0.0, 40.0), min_size=7, max_size=7),
+        dt=st.floats(0.001, 2.0),
+        steps=st.integers(1, 300),
+    )
+    def test_stage_speeds_equal_scalar_speed(self, gaps, speeds, dt, steps):
+        # the table must hold exactly what a scalar stepper evaluates at
+        # t_k, t_k + dt/2 and t_k + dt (t_k = k*dt), not at t_{k+1}
+        times = tuple(np.cumsum([0.0] + gaps).tolist())
+        profile = LeadProfile(times, tuple(speeds[: len(times)]))
+        at_t, at_mid, at_end = profile.stage_speeds(dt, steps)
+        assert len(at_t) == steps + 1 and len(at_mid) == len(at_end) == steps
+        for k in range(steps + 1):
+            t = k * dt
+            assert at_t[k] == float(profile.speed(t))
+            if k < steps:
+                assert at_mid[k] == float(profile.speed(t + dt / 2))
+                assert at_end[k] == float(profile.speed(t + dt))
 
     def test_slope(self):
         assert PAPER_LEAD.slope(50.0) == 0.0
@@ -105,10 +129,6 @@ class TestAvMask:
     def test_engine_default_mask(self):
         sc = make_short_scenario(mpr=0.3)
         assert np.array_equal(PlatoonEngine(sc).av_mask, av_mask_for(10, 0.3))
-
-
-# the lead stops within 4 s, so the followers' speeds undershoot 0
-STOP_LEAD = LeadProfile((0.0, 5.0, 9.0), (21.0, 21.0, 0.0))
 
 
 class TestEngine:
