@@ -20,10 +20,9 @@ from . import config as cfgmod
 from .controller import beta_upper_bound
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
 from .metrics import (
-    _MAX_EXPONENT,
+    WindowSums,
     default_fuel_coefficients,
     load_fuel_coefficients,
-    log_fuel_exponents,
     summarize,
     write_metrics_csv,
 )
@@ -184,35 +183,19 @@ def _platoon_metrics_batch(scenario, raw, coeffs):
     t = raw["t"]
     t1, t2 = scenario.metric_window
     mask = (t >= t1 - 1e-9) & (t <= t2 + 1e-9)
-    tm = t[mask]
-    v_fol = raw["v"][mask][..., 1:]
-    a_fol = raw["a"][mask]
-    asv_veh = np.trapezoid(np.abs(v_fol - scenario.v_star), tm, axis=0) / (t2 - t1)
-    expo = log_fuel_exponents(v_fol, a_fol, coeffs)
-    fc_veh = np.trapezoid(np.exp(np.minimum(expo, _MAX_EXPONENT)) * 1e3, tm, axis=0)
-    return asv_veh.mean(axis=-1), fc_veh.mean(axis=-1)
+    sums = WindowSums(scenario, coeffs)
+    sums(t[mask], {"v": raw["v"][mask], "a": raw["a"][mask]})
+    return sums.platoon()
 
 
-def _metrics_per_lane(scenario, raw, coeffs):
-    """(lanes, 2) array of ASV and FC over a batched (time, lane, ...) record.
-
-    Each lane's metrics are computed on its own, so the fuel-model
-    temporaries stay one lane wide whatever the batch size.
-    """
-    per_lane = [
-        _platoon_metrics_batch(
-            scenario, {"t": raw["t"], "v": raw["v"][:, col], "a": raw["a"][:, col]}, coeffs
-        )
-        for col in range(raw["v"].shape[1])
-    ]
-    return np.array(per_lane)
-
-
-def _report_floor_hits(engine, labels) -> None:
-    """One stderr line per batch lane whose speeds were clamped at 0 m/s."""
-    for label, hits in zip(labels, engine.lane_floor_hits.tolist()):
+def _report_lanes(engine, sums, labels) -> None:
+    """stderr lines for batch lanes clamped at 0 m/s or at the fuel cap."""
+    floor = engine.lane_floor_hits.tolist()
+    for label, hits, saturated in zip(labels, floor, sums.saturated.tolist()):
         if hits:
             print(f"{label}: speed floor engaged {hits} times", file=sys.stderr)
+        if saturated:
+            print(f"{label}: fuel-rate saturation in {saturated} samples", file=sys.stderr)
 
 
 def cmd_sweep(args) -> int:
@@ -251,16 +234,17 @@ def cmd_sweep(args) -> int:
         engine = PlatoonEngine(
             scenario, beta=betas[lanes], gamma=gammas[lanes], av_mask=masks[lanes]
         )
+        sums = WindowSums(scenario, coeffs)
         try:
-            raw = engine.run(record=("v", "a"), window=scenario.metric_window)
+            engine.run(record=("v", "a"), window=scenario.metric_window, fold=sums)
             break
         except NumericalBlowupError as err:
             if lanes[err.lane] == 0:
                 raise
             errors[lanes.pop(err.lane)] = str(err)
-    _report_floor_hits(engine, [labels[lane] for lane in lanes])
+    _report_lanes(engine, sums, [labels[lane] for lane in lanes])
 
-    metrics = dict(zip(lanes, _metrics_per_lane(scenario, raw, coeffs)))
+    metrics = dict(zip(lanes, zip(*sums.platoon())))
     asv0, fc0 = metrics[0]
     rows = []
     for lane, mpr in enumerate(mprs, start=1):
@@ -325,19 +309,15 @@ def cmd_grid(args) -> int:
 
     bb, gg = np.meshgrid(betas, gammas, indexing="ij")
     flat_b, flat_g = bb.ravel(), gg.ravel()
-    asv_vals = np.empty(flat_b.size)
-    fc_vals = np.empty(flat_b.size)
-    chunk = 64  # lanes integrated together; bounds the recording memory
-    for start in range(0, flat_b.size, chunk):
-        sl = slice(start, min(start + chunk, flat_b.size))
-        # the scenario's AV mask is shared; the gains set the batch shape
-        engine = PlatoonEngine(scenario, beta=flat_b[sl], gamma=flat_g[sl])
-        raw = engine.run(record=("v", "a"), window=scenario.metric_window)
-        asv_vals[sl], fc_vals[sl] = _metrics_per_lane(scenario, raw, coeffs).T
-        _report_floor_hits(
-            engine,
-            [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b[sl], flat_g[sl])],
-        )
+    # one lane per point; the scenario's AV mask is shared and the gains set
+    # the batch shape
+    engine = PlatoonEngine(scenario, beta=flat_b, gamma=flat_g)
+    sums = WindowSums(scenario, coeffs)
+    engine.run(record=("v", "a"), window=scenario.metric_window, fold=sums)
+    asv_vals, fc_vals = sums.platoon()
+    _report_lanes(
+        engine, sums, [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b, flat_g)]
+    )
 
     with open(os.path.join(args.out, "grid.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

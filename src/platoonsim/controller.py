@@ -4,7 +4,7 @@ The primary controller adds u = beta * sigmoid(gamma * s * dv) to the AV's
 base car-following acceleration: it nudges the AV toward a softened copy of
 its predecessor's speed, is odd in the relative speed, and is bounded by
 beta times the sigmoid's supremum, which yields an explicit safety envelope
-on beta. Alternate sigmoid shapes can be registered; arctan is the default.
+on beta. The sigmoid is arctan by default; tanh and erf are built in too.
 
 A baseline controller that additionally requires the equilibrium traffic
 speed is included for comparison runs.
@@ -24,7 +24,6 @@ from .errors import DomainError
 __all__ = [
     "SigmoidKernel",
     "SIGMOID_KERNELS",
-    "register_sigmoid",
     "ControllerParams",
     "SafetyEnvelope",
     "TsTrcParams",
@@ -55,13 +54,6 @@ SIGMOID_KERNELS: dict[str, SigmoidKernel] = {
         erf, lambda w: (2.0 / math.sqrt(math.pi)) * np.exp(-(w * w)), 1.0
     ),
 }
-
-
-def register_sigmoid(name: str, fn: Callable, deriv: Callable, sup: float) -> None:
-    """Register an alternate odd, bounded, increasing shaping function."""
-    if sup <= 0:
-        raise DomainError(f"sigmoid supremum must be positive, got {sup}")
-    SIGMOID_KERNELS[name] = SigmoidKernel(fn, deriv, sup)
 
 
 def get_kernel(name: str) -> SigmoidKernel:

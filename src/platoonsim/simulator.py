@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,6 +52,8 @@ logger = logging.getLogger(__name__)
 
 CONTROLLER_KINDS = ("none", "ts-ops", "ts-trc")
 INTEGRATORS = ("rk4", "euler")
+# values a folded run's block buffer holds (see `PlatoonEngine.run`)
+_FOLD_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -566,7 +568,8 @@ class PlatoonEngine:
         self,
         record: Sequence[str] = ("x", "v", "a", "s", "dv", "u"),
         window: tuple[float, float] | None = None,
-    ) -> dict:
+        fold: Callable[[np.ndarray, dict], None] | None = None,
+    ) -> dict | None:
         """Integrate the scenario horizon, recording the requested fields.
 
         Recorded arrays have a leading time axis; `x` and `v` include the
@@ -575,6 +578,13 @@ class PlatoonEngine:
         `window=(t1, t2)` only the samples inside [t1, t2] are kept (the
         same samples a metric window selects); the whole horizon is still
         integrated, so blow-ups and floor hits after t2 count.
+
+        With `fold`, the samples go to a block buffer of at most
+        `_FOLD_VALUES` values (at least one sample) instead, and
+        `fold(t_block, fields)` is called each time it fills and once more
+        with what is left at the end, possibly nothing; `fields` maps each
+        recorded name to a view of the buffer, valid only during the call.
+        Nothing is returned then.
 
         Unbatched runs log their speed-floor hits; batched callers report
         `lane_floor_hits` per lane themselves.
@@ -601,17 +611,26 @@ class PlatoonEngine:
         }
         if self.sensitivity is not None:
             sources["z"] = (0, self._z, 2 * self.av_pos.size)
-        out = {"t": t_grid[lo:hi]}
+        block = hi - lo
+        if fold is not None:
+            per_sample = math.prod(self.batch_shape) * sum(
+                sources[name][2] for name in record
+            )
+            block = max(1, _FOLD_VALUES // per_sample)
+        bufs = {}
         fields = []
         for name in record:
             part, idx, width = sources[name]
-            out[name] = np.empty((hi - lo,) + self.batch_shape + (width,))
-            fields.append((out[name], part, idx))
+            bufs[name] = np.empty((block,) + self.batch_shape + (width,))
+            fields.append((bufs[name], part, idx))
 
         def record_sample(k, y_k, stage):
             parts = (y_k,) + stage
+            j = (k - lo) % block
             for buf, part, idx in fields:
-                buf[k - lo] = parts[part][idx]
+                buf[j] = parts[part][idx]
+            if fold is not None and j == block - 1:
+                fold(t_grid[k + 1 - block : k + 1], bufs)
 
         for k in range(steps):
             stage = self._stage(lead_t[k], y)
@@ -619,16 +638,21 @@ class PlatoonEngine:
                 record_sample(k, y, stage)
             y = self.advance(y, stage[0], lead_mid[k], lead_end[k])
             self._check_finite(y, t_grid[k + 1])
-        if hi > steps:
+        if lo <= steps < hi:
             record_sample(steps, y, self._stage(lead_t[steps], y))
 
-        if "z" in out:
-            out["z"] = out["z"].reshape(hi - lo, -1, 2)
         if self.floor_hits and not self.batch_shape:
             logger.warning(
                 "speed floor at 0 m/s engaged %d times during the run",
                 self.floor_hits,
             )
+        if fold is not None:
+            rest = (hi - lo) % block
+            fold(t_grid[hi - rest : hi], {name: buf[:rest] for name, buf in bufs.items()})
+            return None
+        out = {"t": t_grid[lo:hi], **bufs}
+        if "z" in out:
+            out["z"] = out["z"].reshape(hi - lo, -1, 2)
         return out
 
 

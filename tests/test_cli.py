@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 from dataclasses import replace
 
@@ -27,6 +28,20 @@ def short_config(*overrides):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+def saturating_table(path):
+    """The bundled fuel table with a constant term far above the exponent cap."""
+    coeffs = default_fuel_coefficients()
+    with open(path, "w") as fh:
+        fh.write("units: kmh\n")
+        for name, mat in (("accel", coeffs.k_accel), ("decel", coeffs.k_decel)):
+            mat = mat.copy()
+            mat[0, 0] = 100.0
+            fh.write(f"regime: {name}\n")
+            for row in mat:
+                fh.write(" ".join(f"{val:.17g}" for val in row) + "\n")
+    return path
 
 
 SHORT = [
@@ -281,6 +296,19 @@ class TestSweep:
             assert f"{label}: speed floor engaged" in err
         assert "during the run" not in err  # no aggregate over the batch
 
+    def test_saturation_reported_per_mpr(self, tmp_path, capsys):
+        table = saturating_table(tmp_path / "coeffs.txt")
+        code = main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", f"metrics.fuel_coefficients={table}", "--mprs", "0.5,1"])
+        assert code == 0
+        err = capsys.readouterr().err
+        # window 10..50 s at dt 0.1: 401 samples of 10 followers
+        for label in ("baseline", "mpr=0.5", "mpr=1.0"):
+            assert f"{label}: fuel-rate saturation in 4010 samples" in err
+        assert main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--mprs", "0.5,1"]) == 0
+        assert "saturation" not in capsys.readouterr().err
+
     def test_outputs_deterministic(self, tmp_path):
         args = ["sweep", "--scenario", "scenario1", *SHORT, "--mprs", "0,1"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -288,6 +316,24 @@ class TestSweep:
         a = (tmp_path / "a" / "sweep.csv").read_bytes()
         b = (tmp_path / "b" / "sweep.csv").read_bytes()
         assert a == b
+
+
+@functools.lru_cache(maxsize=None)
+def grid_per_point_csv():
+    """grid.csv bytes of the 9 x 9 short-scenario grid, one engine per point."""
+    sc = build_scenario(short_config())
+    coeffs = default_fuel_coefficients()
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["beta", "gamma", "asv", "fc"])
+    for b in np.linspace(0, 0.0642, 9):
+        for g in np.linspace(0.25, 1.5, 9):
+            raw = simulator.PlatoonEngine(sc, beta=b, gamma=g).run(
+                record=("v", "a"), window=sc.metric_window
+            )
+            asv_m, fc_m = _platoon_metrics_batch(sc, raw, coeffs)
+            writer.writerow([f"{b:.6g}", f"{g:.6g}", f"{asv_m:.6f}", f"{fc_m:.6f}"])
+    return out.getvalue().encode()
 
 
 class TestGrid:
@@ -335,6 +381,46 @@ class TestGrid:
         err = capsys.readouterr().err
         assert "beta=0 gamma=1: speed floor engaged" in err
         assert "beta=0.05 gamma=1: speed floor engaged" in err
+
+    def test_saturation_reported_per_point(self, tmp_path, capsys):
+        table = saturating_table(tmp_path / "coeffs.txt")
+        assert main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", f"metrics.fuel_coefficients={table}",
+                     "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"]) == 0
+        err = capsys.readouterr().err
+        assert "beta=0 gamma=1: fuel-rate saturation in 4010 samples" in err
+        assert "beta=0.05 gamma=1: fuel-rate saturation in 4010 samples" in err
+
+    # budget None keeps the engine's default block; 81 lanes x 21 values x 5
+    # gives five-sample blocks
+    @pytest.mark.parametrize("budget", [None, 81 * 21 * 5])
+    def test_one_engine_matches_engine_per_point(self, tmp_path, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(simulator, "_FOLD_VALUES", budget)
+        built, blocks = [], []
+
+        class SpyEngine(simulator.PlatoonEngine):
+            def __init__(self, scenario, **kw):
+                super().__init__(scenario, **kw)
+                built.append(self)
+
+        class SpySums(cli.WindowSums):
+            def __call__(self, t, fields):
+                blocks.append(len(t))
+                super().__call__(t, fields)
+
+        monkeypatch.setattr(cli, "PlatoonEngine", SpyEngine)
+        monkeypatch.setattr(cli, "WindowSums", SpySums)
+        # 9 x 9 points, one lane each
+        assert main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--beta-range", "0:0.0642:9", "--gamma-range", "0.25:1.5:9"]) == 0
+        assert len(built) == 1
+        assert built[0].batch_shape == (81,)
+        block = max(1, simulator._FOLD_VALUES // (81 * 21))
+        assert max(blocks) <= block and sum(blocks) == 401
+        if budget is not None:
+            assert block == 5 and len(blocks) == 81
+        assert (tmp_path / "grid.csv").read_bytes() == grid_per_point_csv()
 
     def test_single_point_matches_run_metrics(self, tmp_path):
         beta, gamma = 0.05, 0.8

@@ -1,21 +1,29 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from platoonsim import metrics
+from platoonsim.cli import _platoon_metrics_batch
 from platoonsim.errors import DomainError
 from platoonsim.metrics import (
     FuelCoefficients,
+    WindowSums,
     asv,
+    default_fuel_coefficients,
     fuel_rate,
     load_fuel_coefficients,
+    log_fuel_exponents,
     summarize,
     total_fuel,
     write_metrics_csv,
 )
-from platoonsim.simulator import Trajectory, simulate
+from platoonsim.simulator import PlatoonEngine, Trajectory, av_mask_for, simulate
 
-from conftest import FLAT_LEAD, make_scenario
+from conftest import FLAT_LEAD, make_scenario, make_short_scenario
 
 
 def speed_trajectory(t, v_profile_per_vehicle, a=None):
@@ -79,6 +87,131 @@ class TestFuelRate:
             fuel_rate(-1.0, 0.0, fuel_coeffs)
         with pytest.raises(DomainError):
             fuel_rate(math.nan, 0.0, fuel_coeffs)
+
+
+def einsum_exponents(v, a, coeffs):
+    """The fuel exponents as the two einsums the explicit sum replaced."""
+    sv, sa = metrics._UNIT_SCALES[coeffs.units]
+    v = np.asarray(v, dtype=float) * sv
+    a = np.asarray(a, dtype=float) * sa
+    a = np.where(np.abs(a) < metrics._ACCEL_DEADBAND, 0.0, a)
+    vp = np.stack([np.ones_like(v), v, v**2, v**3], axis=-1)
+    ap = np.stack([np.ones_like(a), a, a**2, a**3], axis=-1)
+    expo_acc = np.einsum("...i,ij,...j->...", vp, coeffs.k_accel, ap)
+    expo_dec = np.einsum("...i,ij,...j->...", vp, coeffs.k_decel, ap)
+    return np.where(a >= 0, expo_acc, expo_dec)
+
+
+class TestLogFuelExponents:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 7), max_size=3).map(tuple),
+        units=st.sampled_from(["kmh", "ms"]),
+        table=st.sampled_from(["default", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_einsum_bit_for_bit(self, shape, units, table, seed):
+        rng = np.random.default_rng(seed)
+        if table == "default":
+            base = default_fuel_coefficients()
+            k_accel, k_decel = base.k_accel, base.k_decel
+        else:
+            k_accel, k_decel = rng.normal(0.0, 1e-2, (2, 4, 4))
+        coeffs = FuelCoefficients(k_accel, k_decel, units)
+        v = rng.uniform(0.0, 40.0, shape)
+        a = rng.normal(0.0, 1.5, shape)
+        # about a third of the accelerations inside the dead band, both signs
+        dead = rng.random(shape) < 1 / 3
+        scale = metrics._UNIT_SCALES[units][1]
+        a = np.where(dead, rng.uniform(-1.0, 1.0, shape) * 1e-10 / scale, a)
+        got = log_fuel_exponents(v, a, coeffs)
+        assert got.shape == shape
+        assert np.array_equal(got, einsum_exponents(v, a, coeffs))
+
+    def test_scalar_inputs(self, fuel_coeffs):
+        for v, a in ((0.0, 0.0), (21.0, 0.7), (13.0, -1.2), (5.0, 3e-11)):
+            got = log_fuel_exponents(v, a, fuel_coeffs)
+            assert np.array_equal(got, einsum_exponents(v, a, fuel_coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def batched_record():
+    """A three-lane record over the whole horizon of a short scenario."""
+    sc = make_short_scenario(window=(10.0, 40.0))
+    raw = PlatoonEngine(sc, av_mask=av_mask_for(10, [0.0, 0.5, 1.0])).run(
+        record=("v", "a")
+    )
+    return sc, raw
+
+
+def trapezoid_per_lane(sc, raw, coeffs):
+    """Platoon ASV and FC of each lane with one `np.trapezoid` per integrand."""
+    t1, t2 = sc.metric_window
+    mask = (raw["t"] >= t1 - 1e-9) & (raw["t"] <= t2 + 1e-9)
+    tm = raw["t"][mask]
+    out = []
+    for lane in range(raw["v"].shape[1]):
+        v_fol = raw["v"][mask, lane, 1:]
+        a_fol = raw["a"][mask, lane]
+        asv_veh = np.trapezoid(np.abs(v_fol - sc.v_star), tm, axis=0) / (t2 - t1)
+        expo = einsum_exponents(v_fol, a_fol, coeffs)
+        rate = np.exp(np.minimum(expo, metrics._MAX_EXPONENT)) * 1e3
+        fc_veh = np.trapezoid(rate, tm, axis=0)
+        out.append((asv_veh.mean(), fc_veh.mean()))
+    return np.array(out).T
+
+
+class TestWindowSums:
+    def test_whole_record_equals_trapezoids(self, fuel_coeffs):
+        sc, raw = batched_record()
+        asv_lanes, fc_lanes = _platoon_metrics_batch(sc, raw, fuel_coeffs)
+        expected = trapezoid_per_lane(sc, raw, fuel_coeffs)
+        assert np.array_equal(asv_lanes, expected[0])
+        assert np.array_equal(fc_lanes, expected[1])
+        assert asv_lanes[2] < asv_lanes[0]  # full penetration smooths the wave
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.integers(1, 301))
+    def test_any_blocking_gives_the_whole_window_bits(self, block):
+        sc, raw = batched_record()
+        coeffs = default_fuel_coefficients()
+        t1, t2 = sc.metric_window
+        keep = np.flatnonzero((raw["t"] >= t1 - 1e-9) & (raw["t"] <= t2 + 1e-9))
+        assert keep.size == 301
+        sums = WindowSums(sc, coeffs)
+        for k0 in range(0, keep.size, block):
+            idx = keep[k0 : k0 + block]
+            sums(raw["t"][idx], {"v": raw["v"][idx], "a": raw["a"][idx]})
+        sums(raw["t"][:0], {"v": raw["v"][:0], "a": raw["a"][:0]})
+        asv_whole, fc_whole = _platoon_metrics_batch(sc, raw, coeffs)
+        asv_lanes, fc_lanes = sums.platoon()
+        assert np.array_equal(asv_lanes, asv_whole)
+        assert np.array_equal(fc_lanes, fc_whole)
+        assert sums.saturated.tolist() == [0, 0, 0]
+
+    def test_unbatched_record(self, fuel_coeffs):
+        sc = make_short_scenario()
+        raw = PlatoonEngine(sc).run(record=("v", "a"))
+        asv_m, fc_m = _platoon_metrics_batch(sc, raw, fuel_coeffs)
+        report = summarize(simulate(sc), sc, fuel_coeffs)
+        assert asv_m.shape == fc_m.shape == ()
+        assert asv_m == pytest.approx(report.platoon_asv, rel=1e-12)
+        assert fc_m == pytest.approx(report.platoon_fc, rel=1e-12)
+
+    def test_counts_saturated_samples_per_lane(self, fuel_coeffs):
+        sc, raw = batched_record()
+        k_accel = fuel_coeffs.k_accel.copy()
+        k_accel[0, 0] = 100.0  # every accelerating sample saturates
+        coeffs = FuelCoefficients(k_accel, fuel_coeffs.k_decel, fuel_coeffs.units)
+        sums = WindowSums(sc, coeffs)
+        t1, t2 = sc.metric_window
+        keep = (raw["t"] >= t1 - 1e-9) & (raw["t"] <= t2 + 1e-9)
+        for half in np.array_split(np.flatnonzero(keep), 2):
+            sums(raw["t"][half], {"v": raw["v"][half], "a": raw["a"][half]})
+        expo = log_fuel_exponents(raw["v"][keep][..., 1:], raw["a"][keep], coeffs)
+        expected = (expo > metrics._MAX_EXPONENT).sum(axis=(0, 2))
+        assert sums.saturated.tolist() == expected.tolist()
+        assert expected.min() > 0
 
 
 class TestTotalFuel:

@@ -143,6 +143,29 @@ class TestEngine:
         for name in full:
             assert np.array_equal(part[name], full[name][keep]), name
 
+    @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), (12.34, 12.36)])
+    @pytest.mark.parametrize("budget", [1, 3 * 21 * 7, 1 << 16])
+    def test_fold_sees_the_window_record_in_blocks(self, monkeypatch, window, budget):
+        # budget 1 gives one-sample blocks, 3 lanes x 21 values x 7 seven
+        monkeypatch.setattr(simulator, "_FOLD_VALUES", budget)
+        sc = make_short_scenario()
+        mask = av_mask_for(10, [0.0, 0.5, 1.0])
+        whole = PlatoonEngine(sc, av_mask=mask).run(record=("v", "a"), window=window)
+        block = max(1, budget // (3 * 21))
+        seen = []
+
+        def fold(t, fields):
+            assert set(fields) == {"v", "a"}
+            seen.append((t.copy(), fields["v"].copy(), fields["a"].copy()))
+
+        engine = PlatoonEngine(sc, av_mask=mask)
+        assert engine.run(record=("v", "a"), window=window, fold=fold) is None
+        sizes = [len(t) for t, _, _ in seen]
+        assert all(size == block for size in sizes[:-1]) and sizes[-1] < block
+        for k, name in enumerate(("t", "v", "a")):
+            got = np.concatenate([part[k] for part in seen])
+            assert np.array_equal(got, whole[name]), name
+
     def test_lane_floor_hits_match_single_runs(self):
         mprs = [0.0, 0.5, 1.0]
         sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0),
