@@ -2,54 +2,39 @@
 
 from .controller import (
     ControllerParams,
-    SafetyEnvelope,
-    TsTrcParams,
-    additive_input,
     beta_upper_bound,
-    ts_trc_input,
     validate_controller_conditions,
-    virtual_speed,
 )
 from .dynamics import (
-    CarFollowingInput,
     IdmParams,
     OvrvParams,
     equilibrium_spacing,
-    idm_accel,
-    ovrv_accel,
     rdc_check,
 )
 from .metrics import (
     FuelCoefficients,
     MetricsReport,
-    asv,
     default_fuel_coefficients,
     fuel_rate,
     load_fuel_coefficients,
     summarize,
-    total_fuel,
 )
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
-    SensitivityState,
     descent_direction,
     objective_j,
     optimize,
     project_feasible,
-    sensitivity_rhs,
 )
 from .simulator import (
     ControllerConfig,
     LeadProfile,
-    PlatoonState,
     Scenario,
     Trajectory,
     check_safety,
-    lead_speed,
     place_avs,
     simulate,
-    step,
 )
 
 __version__ = "0.1.0"

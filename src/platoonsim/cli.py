@@ -232,7 +232,10 @@ def cmd_sweep(args) -> int:
     lanes = [lane for lane in range(len(masks)) if lane not in errors]
     while True:
         engine = PlatoonEngine(
-            scenario, beta=betas[lanes], gamma=gammas[lanes], av_mask=masks[lanes]
+            scenario,
+            beta=betas[lanes, None],
+            gamma=gammas[lanes, None],
+            av_mask=masks[lanes],
         )
         sums = WindowSums(scenario, coeffs)
         try:
@@ -311,7 +314,7 @@ def cmd_grid(args) -> int:
     flat_b, flat_g = bb.ravel(), gg.ravel()
     # one lane per point; the scenario's AV mask is shared and the gains set
     # the batch shape
-    engine = PlatoonEngine(scenario, beta=flat_b, gamma=flat_g)
+    engine = PlatoonEngine(scenario, beta=flat_b[:, None], gamma=flat_g[:, None])
     sums = WindowSums(scenario, coeffs)
     engine.run(record=("v", "a"), window=scenario.metric_window, fold=sums)
     asv_vals, fc_vals = sums.platoon()

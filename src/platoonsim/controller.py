@@ -1,13 +1,12 @@
-"""Additive feedback control inputs for automated vehicles.
+"""Gains, sigmoid kernels and admissibility checks of the AV controllers.
 
 The primary controller adds u = beta * sigmoid(gamma * s * dv) to the AV's
 base car-following acceleration: it nudges the AV toward a softened copy of
 its predecessor's speed, is odd in the relative speed, and is bounded by
 beta times the sigmoid's supremum, which yields an explicit safety envelope
 on beta. The sigmoid is arctan by default; tanh and erf are built in too.
-
-A baseline controller that additionally requires the equilibrium traffic
-speed is included for comparison runs.
+The inputs themselves, this one and the baseline that additionally needs
+the equilibrium traffic speed, are evaluated by `PlatoonEngine.control_input`.
 """
 
 from __future__ import annotations
@@ -25,12 +24,7 @@ __all__ = [
     "SigmoidKernel",
     "SIGMOID_KERNELS",
     "ControllerParams",
-    "SafetyEnvelope",
-    "TsTrcParams",
-    "additive_input",
-    "virtual_speed",
     "beta_upper_bound",
-    "ts_trc_input",
     "validate_controller_conditions",
     "ConditionReport",
     "ConditionResult",
@@ -82,90 +76,6 @@ class ControllerParams:
             )
 
 
-@dataclass(frozen=True)
-class SafetyEnvelope:
-    """Worst-case spacing budget for a controlled AV.
-
-    With the control magnitude bounded by `alpha`, the spacing can shrink by
-    at most alpha * horizon, so requiring
-    alpha <= (initial_spacing - min_safe_spacing) / horizon keeps the AV
-    above the minimum safe spacing for any disturbance history.
-    """
-
-    s0_av: float
-    min_safe_spacing: float
-    horizon: float
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.s0_av > self.min_safe_spacing > 0):
-            raise DomainError(
-                f"need initial spacing {self.s0_av} > min safe spacing "
-                f"{self.min_safe_spacing} > 0"
-            )
-        if self.horizon <= 0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
-        budget = (self.s0_av - self.min_safe_spacing) / self.horizon
-        if self.alpha > budget * (1.0 + 1e-12):
-            raise DomainError(
-                f"control bound alpha={self.alpha} exceeds the safe drain rate "
-                f"{budget}"
-            )
-
-    @classmethod
-    def for_controller(
-        cls,
-        params: ControllerParams,
-        s0_av: float,
-        min_safe_spacing: float,
-        horizon: float,
-        kernel: str = "arctan",
-    ) -> "SafetyEnvelope":
-        alpha = params.beta * get_kernel(kernel).sup
-        return cls(s0_av, min_safe_spacing, horizon, alpha)
-
-
-@dataclass(frozen=True)
-class TsTrcParams:
-    """Baseline controller gains; requires the equilibrium speed v_star."""
-
-    phi1: float
-    phi2: float
-    phi3: float
-    v_star: float
-
-    def __post_init__(self):
-        if min(self.phi1, self.phi2, self.phi3) < 0:
-            raise DomainError("ts-trc gains must be non-negative")
-        if self.v_star <= 0:
-            raise DomainError(f"v_star must be positive, got {self.v_star}")
-
-
-def additive_input(
-    s: float, dv: float, p: ControllerParams, kernel: str = "arctan"
-) -> float:
-    """Additive control acceleration beta * sigmoid(gamma * s * dv).
-
-    Zero exactly when dv is zero, same sign as dv otherwise, and bounded in
-    magnitude by beta times the kernel supremum.
-    """
-    if not (math.isfinite(s) and math.isfinite(dv)):
-        raise DomainError("additive_input requires finite s and dv")
-    if s <= 0:
-        raise DomainError(f"spacing must be positive, got {s}")
-    k = get_kernel(kernel)
-    return float(p.beta * k.fn(p.gamma * s * dv))
-
-
-def virtual_speed(
-    v_prev: float, s: float, dv: float, p: ControllerParams, kernel: str = "arctan"
-) -> float:
-    """Softened predecessor speed the controlled AV effectively tracks."""
-    if not math.isfinite(v_prev):
-        raise DomainError("v_prev must be finite")
-    return v_prev + additive_input(s, dv, p, kernel)
-
-
 def beta_upper_bound(s0_av: float, min_safe: float, t_f: float) -> float:
     """Largest arctan-controller beta whose worst case keeps spacing safe.
 
@@ -180,17 +90,6 @@ def beta_upper_bound(s0_av: float, min_safe: float, t_f: float) -> float:
     if t_f <= 0:
         raise DomainError(f"horizon must be positive, got {t_f}")
     return 2.0 * (s0_av - min_safe) / (math.pi * t_f)
-
-
-def ts_trc_input(s: float, dv: float, v_prev: float, p: TsTrcParams) -> float:
-    """Baseline additive input phi1*(dv + phi2*arctan(phi3*s*(v_star - v_prev)))."""
-    if not all(map(math.isfinite, (s, dv, v_prev))):
-        raise DomainError("ts_trc_input requires finite inputs")
-    if s <= 0:
-        raise DomainError(f"spacing must be positive, got {s}")
-    return float(
-        p.phi1 * (dv + p.phi2 * math.atan(p.phi3 * s * (p.v_star - v_prev)))
-    )
 
 
 # --- numerical verification of the controller-class conditions -------------

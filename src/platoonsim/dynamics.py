@@ -19,13 +19,9 @@ from scipy.optimize import brentq
 from .errors import DomainError, NoEquilibriumError
 
 __all__ = [
-    "CarFollowingInput",
     "IdmParams",
     "OvrvParams",
     "ModelKind",
-    "idm_accel",
-    "ovrv_accel",
-    "model_accel",
     "equilibrium_spacing",
     "rdc_check",
     "RdcReport",
@@ -37,26 +33,6 @@ def _require_finite(**values: float) -> None:
     for name, val in values.items():
         if not math.isfinite(val):
             raise DomainError(f"{name} must be finite, got {val!r}")
-
-
-@dataclass(frozen=True)
-class CarFollowingInput:
-    """Local state seen by one vehicle: spacing, relative speed, own speed.
-
-    `dv` is signed as predecessor speed minus own speed, so positive values
-    mean the gap is opening.
-    """
-
-    s: float
-    dv: float
-    v: float
-
-    def __post_init__(self):
-        _require_finite(s=self.s, dv=self.dv, v=self.v)
-        if self.s <= 0:
-            raise DomainError(f"spacing must be positive, got {self.s}")
-        if self.v < 0:
-            raise DomainError(f"speed must be non-negative, got {self.v}")
 
 
 @dataclass(frozen=True)
@@ -125,26 +101,6 @@ def idm_accel_arrays(s, dv, v, p: IdmParams):
 def ovrv_accel_arrays(s, dv, v, p: OvrvParams):
     """Vectorized linear-law acceleration (no input validation)."""
     return p.k1 * (s - p.eta - p.tau * v) + p.k2 * dv
-
-
-def idm_accel(inp: CarFollowingInput, p: IdmParams) -> float:
-    """Intelligent-driver acceleration for one vehicle state."""
-    return float(idm_accel_arrays(inp.s, inp.dv, inp.v, p))
-
-
-def ovrv_accel(inp: CarFollowingInput, p: OvrvParams) -> float:
-    """Linear gap-and-relative-speed acceleration for one vehicle state."""
-    return float(ovrv_accel_arrays(inp.s, inp.dv, inp.v, p))
-
-
-def model_accel(model: ModelKind, s: float, dv: float, v: float) -> float:
-    """Acceleration of either model at (s, dv, v), with input validation."""
-    inp = CarFollowingInput(s, dv, v)
-    if isinstance(model, IdmParams):
-        return idm_accel(inp, model)
-    if isinstance(model, OvrvParams):
-        return ovrv_accel(inp, model)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def equilibrium_spacing(model: ModelKind, v: float) -> float:

@@ -24,10 +24,8 @@ __all__ = [
     "MetricsReport",
     "load_fuel_coefficients",
     "default_fuel_coefficients",
-    "asv",
     "fuel_rate",
     "log_fuel_exponents",
-    "total_fuel",
     "WindowSums",
     "summarize",
     "write_metrics_csv",
@@ -113,17 +111,6 @@ def default_fuel_coefficients() -> FuelCoefficients:
         return load_fuel_coefficients(path)
 
 
-def asv(
-    traj: Trajectory, vehicle: int, v_star: float, window: tuple[float, float]
-) -> float:
-    """Time-averaged absolute deviation of one vehicle's speed from v_star."""
-    t1, t2 = window
-    mask = traj.window_mask(t1, t2)
-    t = traj.t[mask]
-    dev = np.abs(traj.v[mask, vehicle] - v_star)
-    return float(np.trapezoid(dev, t) / (t2 - t1))
-
-
 def _regime_exponents(vp, k, ap, shape):
     """sum_ij (vp[i] * k[i, j]) * ap[j], accumulated in C order of (i, j).
 
@@ -174,27 +161,6 @@ def fuel_rate(v: float, a: float, coeffs: FuelCoefficients) -> float:
         raise DomainError(f"speed must be non-negative, got {v}")
     expo = log_fuel_exponents(v, a, coeffs)
     return float(np.exp(np.minimum(expo, _MAX_EXPONENT))) * 1e3
-
-
-def _rate_series(traj: Trajectory, vehicle: int, mask, coeffs: FuelCoefficients):
-    expo = log_fuel_exponents(traj.v[mask, vehicle], traj.a[mask, vehicle], coeffs)
-    saturated = bool((expo > _MAX_EXPONENT).any())
-    return np.exp(np.minimum(expo, _MAX_EXPONENT)) * 1e3, saturated
-
-
-def total_fuel(
-    traj: Trajectory,
-    vehicle: int,
-    window: tuple[float, float],
-    coeffs: FuelCoefficients,
-) -> float:
-    """Fuel consumed (ml) by one vehicle over the window."""
-    t1, t2 = window
-    if t2 <= t1:
-        return 0.0
-    mask = traj.window_mask(t1, t2)
-    rates, _ = _rate_series(traj, vehicle, mask, coeffs)
-    return float(np.trapezoid(rates, traj.t[mask]))
 
 
 class WindowSums:
@@ -250,10 +216,14 @@ class WindowSums:
         self.sums = np.add.reduce(terms, axis=0)
         self._t, self._g = times[-1], g[-1].copy()
 
+    def per_vehicle(self):
+        """ASV (m/s) and FC (ml) of every follower, shaped (*lanes, n)."""
+        return self.sums[0] / self.span, self.sums[1]
+
     def platoon(self):
         """Platoon-mean ASV (m/s) and FC (ml) per lane."""
-        asv_veh = self.sums[0] / self.span
-        return asv_veh.mean(axis=-1), self.sums[1].mean(axis=-1)
+        asv_veh, fc_veh = self.per_vehicle()
+        return asv_veh.mean(axis=-1), fc_veh.mean(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -275,29 +245,24 @@ def summarize(
     """ASV and fuel for every follower plus platoon averages.
 
     The leader is excluded; the reference speed defaults to the scenario's
-    initial lead speed.
+    initial lead speed. The metric window is folded by `WindowSums` as one
+    block, as `sweep` and `grid` fold theirs.
     """
     if coeffs is None:
         coeffs = default_fuel_coefficients()
-    window = scenario.metric_window
-    v_star = scenario.v_star
-    mask = traj.window_mask(*window)
-    asv_per: dict[int, float] = {}
-    fc_per: dict[int, float] = {}
-    saturated = False
-    for i in traj.follower_indices:
-        asv_per[i] = asv(traj, i, v_star, window)
-        rates, sat = _rate_series(traj, i, mask, coeffs)
-        fc_per[i] = float(np.trapezoid(rates, traj.t[mask]))
-        saturated = saturated or sat
+    mask = traj.window_mask(*scenario.metric_window)
+    sums = WindowSums(scenario, coeffs)
+    sums(traj.t[mask], {"v": traj.v[mask], "a": traj.a[mask, 1:]})
+    asv_veh, fc_veh = sums.per_vehicle()
+    asv_m, fc_m = sums.platoon()
     return MetricsReport(
-        per_vehicle_asv=asv_per,
-        per_vehicle_fc=fc_per,
-        platoon_asv=float(np.mean(list(asv_per.values()))),
-        platoon_fc=float(np.mean(list(fc_per.values()))),
-        window=window,
-        v_star=v_star,
-        saturated=saturated,
+        per_vehicle_asv=dict(enumerate(asv_veh.tolist(), start=1)),
+        per_vehicle_fc=dict(enumerate(fc_veh.tolist(), start=1)),
+        platoon_asv=float(asv_m),
+        platoon_fc=float(fc_m),
+        window=scenario.metric_window,
+        v_star=scenario.v_star,
+        saturated=bool(sums.saturated),
     )
 
 

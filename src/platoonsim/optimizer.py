@@ -18,22 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import ControllerParams, get_kernel
-from .dynamics import CarFollowingInput, OvrvParams, ovrv_accel_arrays
+from .dynamics import ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
-from .simulator import (
-    PlatoonEngine,
-    Scenario,
-    Trajectory,
-    _sensitivity_terms,
-    assemble_trajectory,
-)
+from .simulator import PlatoonEngine, Scenario, Trajectory, assemble_trajectory
 
 __all__ = [
-    "SensitivityState",
     "OptimizerConfig",
     "OptimizationTrace",
     "objective_j",
-    "sensitivity_rhs",
     "descent_direction",
     "project_feasible",
     "simulate_with_sensitivity",
@@ -41,17 +33,6 @@ __all__ = [
     "optimize",
     "write_trace_csv",
 ]
-
-
-@dataclass(frozen=True)
-class SensitivityState:
-    """Sensitivities of the AV speed to beta (z1) and gamma (z2)."""
-
-    z1: float = 0.0
-    z2: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z1, self.z2])
 
 
 @dataclass(frozen=True)
@@ -125,29 +106,6 @@ def objective_j(traj: Trajectory, av_indices) -> float:
     return float(total)
 
 
-def sensitivity_rhs(
-    z: SensitivityState,
-    state: CarFollowingInput,
-    theta: ControllerParams,
-    av_model: OvrvParams,
-    kernel: str = "arctan",
-) -> SensitivityState:
-    """Time derivative of the gain sensitivities at one AV state.
-
-    Implements zdot = (dr/dv) z + dr/dtheta for the AV speed equation
-    r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(gamma*s*dv), with the
-    spacing and the predecessor speed held exogenous (so d(dv)/dv = -1).
-    """
-    k = get_kernel(kernel)
-    drdv, drdb, drdg = _sensitivity_terms(
-        state.s, state.dv, theta.beta, theta.gamma, av_model, k
-    )
-    return SensitivityState(
-        z1=float(drdv * z.z1 + drdb),
-        z2=float(drdv * z.z2 + drdg),
-    )
-
-
 def descent_direction(traj: Trajectory, z_series: np.ndarray, av_index: int) -> np.ndarray:
     """Gradient estimate: integral of z(t) times the AV speed gap."""
     z_series = np.asarray(z_series, dtype=float)
@@ -175,16 +133,6 @@ def project_feasible(theta, beta_max: float) -> ControllerParams:
     return ControllerParams(beta=min(max(b, 0.0), beta_max), gamma=max(g, 0.0))
 
 
-def _per_follower_gains(scenario: Scenario, theta_av: np.ndarray) -> tuple:
-    """Spread per-AV gain rows onto per-follower arrays (zeros for HVs)."""
-    beta = np.zeros(scenario.n_followers)
-    gamma = np.zeros(scenario.n_followers)
-    for row, i in enumerate(scenario.av_indices):
-        beta[i - 1] = theta_av[row, 0]
-        gamma[i - 1] = theta_av[row, 1]
-    return beta, gamma
-
-
 def simulate_with_sensitivity(
     scenario: Scenario,
     theta_av: np.ndarray,
@@ -201,10 +149,10 @@ def simulate_with_sensitivity(
     if not av_indices:
         raise DomainError("scenario has no AV to differentiate")
     theta_av = np.asarray(theta_av, dtype=float).reshape(len(av_indices), 2)
-    beta_f, gamma_f = _per_follower_gains(scenario, theta_av)
-    engine = PlatoonEngine(
-        scenario, beta=beta_f, gamma=gamma_f, per_follower_gains=True, sensitivity=mode
-    )
+    # per-follower (beta, gamma) rows, zero for the HVs
+    gains = np.zeros((2, scenario.n_followers))
+    gains[:, np.subtract(av_indices, 1)] = theta_av.T
+    engine = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1], sensitivity=mode)
     raw = engine.run(record=("x", "v", "a", "s", "dv", "u", "z"))
     z_series = raw.pop("z")
     return assemble_trajectory(scenario, raw), z_series

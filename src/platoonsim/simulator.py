@@ -20,10 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controller import ControllerParams, get_kernel
+from .controller import get_kernel
 from .dynamics import (
     IdmParams,
-    ModelKind,
     OvrvParams,
     equilibrium_spacing,
     idm_accel_arrays,
@@ -35,13 +34,11 @@ __all__ = [
     "LeadProfile",
     "ControllerConfig",
     "Scenario",
-    "PlatoonState",
     "Trajectory",
     "SafetyViolation",
-    "lead_speed",
     "place_avs",
     "av_mask_for",
-    "step",
+    "start_spacings",
     "simulate",
     "check_safety",
     "write_trajectory_csv",
@@ -105,15 +102,6 @@ class LeadProfile:
         return out if out.shape else float(out)
 
 
-def lead_speed(t: float, profile: LeadProfile, t_f: float | None = None) -> float:
-    """Leader speed at time t, with linear interpolation between knots."""
-    if not math.isfinite(t) or t < 0:
-        raise DomainError(f"time must be finite and non-negative, got {t}")
-    if t_f is not None and t > t_f:
-        raise DomainError(f"time {t} outside simulation horizon [0, {t_f}]")
-    return float(profile.speed(t))
-
-
 def place_avs(n: int, mpr: float) -> tuple[int, ...]:
     """Evenly spread follower indices (1-based) for the automated vehicles.
 
@@ -172,11 +160,10 @@ class ControllerConfig:
             raise DomainError("beta and gamma must be non-negative")
         if min(self.phi1, self.phi2, self.phi3) < 0:
             raise DomainError("phi gains must be non-negative")
+        v_star = self.v_star
+        if v_star is not None and not (math.isfinite(v_star) and v_star > 0):
+            raise DomainError(f"v_star must be positive and finite, got {v_star}")
         get_kernel(self.kernel)
-
-    @property
-    def params(self) -> ControllerParams:
-        return ControllerParams(self.beta, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -216,8 +203,13 @@ class Scenario:
             raise DomainError(
                 f"unknown integrator {self.integrator!r}; known: {INTEGRATORS}"
             )
-        if self.init_spacing is not None and len(self.init_spacing) != self.n_followers:
-            raise DomainError("init_spacing must list one spacing per follower")
+        if self.init_spacing is not None:
+            if len(self.init_spacing) != self.n_followers:
+                raise DomainError("init_spacing must list one spacing per follower")
+            if not all(math.isfinite(s) and s > 0 for s in self.init_spacing):
+                raise DomainError(
+                    f"init_spacing must be positive and finite, got {self.init_spacing}"
+                )
 
     @property
     def av_indices(self) -> tuple[int, ...]:
@@ -241,36 +233,6 @@ class Scenario:
     def speeds_initial(self) -> float:
         return float(self.lead.speeds[0])
 
-    def follower_model(self, i: int) -> ModelKind:
-        return self.av_model if i in self.av_indices else self.hv_model
-
-    def vehicle_lengths(self) -> np.ndarray:
-        out = np.empty(self.n_followers + 1)
-        out[0] = self.hv_model.length
-        avs = set(self.av_indices)
-        for i in range(1, self.n_followers + 1):
-            out[i] = self.av_model.length if i in avs else self.hv_model.length
-        return out
-
-    def initial_spacings(self) -> np.ndarray:
-        if self.init_spacing is not None:
-            return np.asarray(self.init_spacing, dtype=float)
-        v = self.speeds_initial
-        return np.array(
-            [
-                equilibrium_spacing(self.follower_model(i), v)
-                for i in range(1, self.n_followers + 1)
-            ]
-        )
-
-    def initial_state(self) -> "PlatoonState":
-        lengths = self.vehicle_lengths()
-        spacing = self.initial_spacings()
-        x = np.zeros(self.n_followers + 1)
-        x[1:] = -np.cumsum(lengths[:-1] + spacing)
-        v = np.full(self.n_followers + 1, self.speeds_initial)
-        return PlatoonState(x=x, v=v, kinds=self.kinds, lengths=tuple(lengths))
-
     def envelope_s0_effective(self) -> float:
         """Initial AV spacing used for the safety bound on beta.
 
@@ -279,32 +241,25 @@ class Scenario:
         """
         if self.controller.envelope_s0 is not None:
             return self.controller.envelope_s0
-        avs = self.av_indices
-        if not avs:
+        mask = av_mask_for(self.n_followers, self.mpr)
+        if not mask.any():
             raise DomainError("scenario has no AV, so no control envelope exists")
-        spacing = self.initial_spacings()
-        return float(min(spacing[i - 1] for i in avs))
+        return float(start_spacings(self, mask)[mask].min())
 
 
-@dataclass(frozen=True)
-class PlatoonState:
-    """Positions and speeds of the whole platoon (leader first)."""
+def start_spacings(scenario: Scenario, av_mask: np.ndarray) -> np.ndarray:
+    """Initial spacing of every follower, shaped like `av_mask`.
 
-    x: np.ndarray
-    v: np.ndarray
-    kinds: tuple[str, ...]
-    lengths: tuple[float, ...]
-
-    def __post_init__(self):
-        gaps = self.x[:-1] - self.x[1:] - np.asarray(self.lengths[:-1])
-        if (gaps <= 0).any():
-            i = int(np.argmax(gaps <= 0)) + 1
-            raise DomainError(
-                f"vehicle {i} overlaps its predecessor (gap {gaps[i - 1]:.3f} m)"
-            )
-
-    def spacings(self) -> np.ndarray:
-        return self.x[:-1] - self.x[1:] - np.asarray(self.lengths[:-1])
+    `scenario.init_spacing` when given, else each follower's equilibrium
+    spacing at the initial lead speed under its own model.
+    """
+    if scenario.init_spacing is not None:
+        spacing = np.asarray(scenario.init_spacing, dtype=float)
+        return np.broadcast_to(spacing, av_mask.shape)
+    v0 = scenario.speeds_initial
+    s_hv = equilibrium_spacing(scenario.hv_model, v0)
+    s_av = equilibrium_spacing(scenario.av_model, v0)
+    return np.where(av_mask, s_av, s_hv)
 
 
 @dataclass(frozen=True)
@@ -328,10 +283,6 @@ class Trajectory:
     @property
     def n_vehicles(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def follower_indices(self) -> range:
-        return range(1, self.n_vehicles)
 
     def window_mask(self, t1: float, t2: float) -> np.ndarray:
         if t1 < self.t[0] - 1e-9 or t2 > self.t[-1] + 1e-9:
@@ -368,8 +319,10 @@ def _sensitivity_terms(s, dv, beta, gamma, av_model: OvrvParams, kernel):
 class PlatoonEngine:
     """Vectorized right-hand side and fixed-step integrator for one scenario.
 
-    `beta`, `gamma` and `av_mask` may be overridden with batched arrays to
-    integrate a whole family of runs at once (leading batch axis). Lanes are
+    `beta`, `gamma` and `av_mask` may be overridden with arrays that
+    broadcast against the `(..., n)` follower axis, to give every follower
+    its own gains or to integrate a whole family of runs at once (leading
+    batch axes; one gain per lane is shaped `(lanes, 1)`). Lanes are
     independent: each one equals its own unbatched run bit for bit.
 
     Each lane advances one flat state `[x (n+1) | v (n) | z | zs]`. With
@@ -385,7 +338,6 @@ class PlatoonEngine:
         beta=None,
         gamma=None,
         av_mask: np.ndarray | None = None,
-        per_follower_gains: bool = False,
         sensitivity: str | None = None,
     ):
         self.scenario = scenario
@@ -403,13 +355,9 @@ class PlatoonEngine:
         self.av_mask = np.asarray(av_mask, dtype=bool)
 
         def _gain(value, default):
-            # batched gains get a trailing axis to broadcast over followers;
-            # per-follower gains are taken as given
-            value = default if value is None else value
-            arr = np.asarray(value, dtype=float)
-            if not arr.ndim:
-                return float(arr)
-            return arr if per_follower_gains else arr[..., None]
+            # arrays broadcast as given against the (..., n) follower axis
+            arr = np.asarray(default if value is None else value, dtype=float)
+            return arr if arr.ndim else float(arr)
 
         self.beta = _gain(beta, ctrl.beta)
         self.gamma = _gain(gamma, ctrl.gamma)
@@ -460,19 +408,10 @@ class PlatoonEngine:
         return int(self.lane_floor_hits.sum())
 
     def initial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        sc = self.scenario
-        v0 = sc.speeds_initial
-        if sc.init_spacing is not None:
-            spacing = np.broadcast_to(
-                np.asarray(sc.init_spacing, dtype=float), self.av_mask.shape
-            )
-        else:
-            s_hv = equilibrium_spacing(self.hv, v0)
-            s_av = equilibrium_spacing(self.av, v0)
-            spacing = np.where(self.av_mask, s_av, s_hv)
+        spacing = start_spacings(self.scenario, self.av_mask)
         x = np.zeros(self.batch_shape + (self.n + 1,))
         x[..., 1:] = -np.cumsum(self.front_lengths + spacing, axis=-1)
-        v = np.full(self.batch_shape + (self.n,), v0)
+        v = np.full(self.batch_shape + (self.n,), self.scenario.speeds_initial)
         return x, v
 
     def control_input(self, s, dv, v_prev):
@@ -654,20 +593,6 @@ class PlatoonEngine:
         if "z" in out:
             out["z"] = out["z"].reshape(hi - lo, -1, 2)
         return out
-
-
-def step(state: PlatoonState, t: float, scenario: Scenario) -> PlatoonState:
-    """Advance one integration step of scenario.dt from the given state."""
-    engine = PlatoonEngine(scenario)
-    speed = scenario.lead.speed
-    dt = scenario.dt
-    y = np.concatenate([state.x, state.v[1:]])
-    f1 = engine.rhs(float(speed(t)), state.x, state.v[1:])[0]
-    y_new = engine.advance(y, f1, float(speed(t + dt / 2)), float(speed(t + dt)))
-    v_full = np.concatenate([[float(speed(t + dt))], y_new[engine._v]])
-    return PlatoonState(
-        x=y_new[engine._x], v=v_full, kinds=state.kinds, lengths=state.lengths
-    )
 
 
 def assemble_trajectory(scenario: Scenario, raw: dict) -> Trajectory:

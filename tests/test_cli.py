@@ -103,6 +103,15 @@ class TestRun:
         assert code == 1
         assert "missing.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gap", ["0", "-3"])
+    def test_bad_init_spacing_exits_1(self, tmp_path, capsys, gap):
+        spacing = " ".join(["30"] * 4 + [gap] + ["30"] * 5)
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", f"scenario.init_spacing={spacing}"])
+        assert code == 1
+        assert "init_spacing must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_zero_beta_equals_none(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

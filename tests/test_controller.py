@@ -2,71 +2,103 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoonsim.controller import (
+    SIGMOID_KERNELS,
     ControllerParams,
-    SafetyEnvelope,
     SamplingBox,
-    TsTrcParams,
-    additive_input,
     beta_upper_bound,
-    ts_trc_input,
     validate_controller_conditions,
-    virtual_speed,
 )
 from platoonsim.errors import DomainError
+from platoonsim.optimizer import project_feasible
+from platoonsim.simulator import ControllerConfig, PlatoonEngine, Scenario
 
 PAPER_GAINS = ControllerParams(beta=0.0642, gamma=1.0011)
 
 
+def control(s, dv, v_prev=21.0, kind="ts-ops", **ctrl):
+    """`PlatoonEngine.control_input` of a one-AV platoon, elementwise."""
+    if kind == "ts-ops":
+        ctrl = {"beta": PAPER_GAINS.beta, "gamma": PAPER_GAINS.gamma, **ctrl}
+    sc = Scenario(n_followers=1, mpr=1.0, controller=ControllerConfig(kind=kind, **ctrl))
+    s, dv, v_prev = (np.asarray(x, dtype=float)[..., None] for x in (s, dv, v_prev))
+    return PlatoonEngine(sc).control_input(s, dv, v_prev)[..., 0]
+
+
 class TestAdditiveInput:
     def test_zero_at_zero_relative_speed(self):
-        assert additive_input(50.0, 0.0, PAPER_GAINS) == 0.0
+        assert control(50.0, 0.0) == 0.0
 
     def test_direct_evaluation(self):
-        u = additive_input(50.0, 1.0, PAPER_GAINS)
+        u = control(50.0, 1.0)
         assert u == pytest.approx(0.0642 * math.atan(50.055), rel=1e-12)
         assert u == pytest.approx(0.09957, abs=5e-5)
 
     def test_odd_symmetry(self):
-        u_pos = additive_input(50.0, 1.0, PAPER_GAINS)
-        u_neg = additive_input(50.0, -1.0, PAPER_GAINS)
-        assert u_neg == -u_pos
+        assert control(50.0, -1.0) == -control(50.0, 1.0)
 
     @pytest.mark.parametrize("s", [1.0, 20.0, 300.0])
     @pytest.mark.parametrize("dv", [-8.0, -0.3, 0.7, 15.0])
     def test_bounded_and_signed(self, s, dv):
-        u = additive_input(s, dv, PAPER_GAINS)
+        u = control(s, dv)
         assert abs(u) < PAPER_GAINS.beta * math.pi / 2
         assert u * dv > 0
 
     def test_alternate_kernels(self):
         # tanh/erf saturate to 1.0 in floating point at large arguments
         for kernel, sup in (("tanh", 1.0), ("erf", 1.0)):
-            u = additive_input(100.0, 5.0, PAPER_GAINS, kernel=kernel)
+            u = control(100.0, 5.0, kernel=kernel)
             assert 0 < u <= PAPER_GAINS.beta * sup
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
+        beta=st.floats(1e-4, 0.2),
+        gamma=st.floats(1e-2, 5.0),
+        points=st.lists(
+            st.tuples(st.floats(0.5, 300.0), st.floats(1e-3, 20.0), st.booleans()),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    def test_class_properties_for_every_kernel(self, kernel, beta, gamma, points):
+        # bounded by beta*sup, signed like dv, zero at dv = 0, odd in dv
+        s = np.array([p[0] for p in points])
+        dv = np.array([-p[1] if p[2] else p[1] for p in points])
+        gains = {"beta": beta, "gamma": gamma, "kernel": kernel}
+        u = control(s, dv, **gains)
+        assert (np.abs(u) <= beta * SIGMOID_KERNELS[kernel].sup).all()
+        assert (u * dv > 0).all()
+        assert not control(s, np.zeros_like(dv), **gains).any()
+        assert np.array_equal(control(s, -dv, **gains), -u)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            additive_input(-1.0, 0.5, PAPER_GAINS)
-        with pytest.raises(DomainError):
-            additive_input(math.inf, 0.5, PAPER_GAINS)
+            ControllerParams(beta=math.inf, gamma=1.0)
         with pytest.raises(DomainError):
             ControllerParams(beta=-0.1, gamma=1.0)
+        with pytest.raises(DomainError):
+            ControllerConfig(kind="ts-ops", gamma=-1.0)
+        with pytest.raises(DomainError):
+            ControllerConfig(kind="ts-ops", kernel="sigmoid")
 
 
 class TestVirtualSpeed:
+    # the AV tracks the virtual speed v_prev + u of its predecessor
+
     def test_equals_predecessor_when_matched(self):
-        assert virtual_speed(21.0, 57.42, 0.0, PAPER_GAINS) == 21.0
+        assert 21.0 + control(57.42, 0.0) == 21.0
 
     def test_offset_by_control(self):
-        v = virtual_speed(18.0, 50.0, 1.0, PAPER_GAINS)
+        v = 18.0 + control(50.0, 1.0, v_prev=18.0)
         assert v == pytest.approx(18.0 + 0.0642 * math.atan(50.055), rel=1e-12)
         assert v == pytest.approx(18.09957, abs=5e-5)
 
     def test_zero_beta_disables_control(self):
-        p = ControllerParams(beta=0.0, gamma=1.0)
-        assert virtual_speed(21.0, 50.0, -2.0, p) == 21.0
+        assert 21.0 + control(50.0, -2.0, beta=0.0, gamma=1.0) == 21.0
 
 
 class TestBetaUpperBound:
@@ -88,15 +120,18 @@ class TestBetaUpperBound:
 
 class TestSafetyEnvelope:
     def test_bound_gives_exact_envelope(self):
+        # at the bound, the engine's largest input drains exactly the slack
         beta_max = beta_upper_bound(52.42, 2.0, 500.0)
-        env = SafetyEnvelope.for_controller(
-            ControllerParams(beta_max, 1.0), 52.42, 2.0, 500.0
-        )
-        assert env.alpha == pytest.approx((52.42 - 2.0) / 500.0, rel=1e-12)
+        u_sup = control(1e3, 1e3, beta=beta_max, gamma=1e12)
+        assert u_sup == pytest.approx((52.42 - 2.0) / 500.0, rel=1e-12)
 
     def test_rejects_excess_alpha(self):
-        with pytest.raises(DomainError):
-            SafetyEnvelope(s0_av=52.42, min_safe_spacing=2.0, horizon=500.0, alpha=0.2)
+        # a beta above the bound can drain the slack within the horizon; the
+        # projected descent never leaves it there
+        beta_max = beta_upper_bound(52.42, 2.0, 500.0)
+        excess = 1.01 * beta_max
+        assert 52.42 - excess * math.pi / 2 * 500.0 < 2.0
+        assert project_feasible((excess, 1.0), beta_max).beta == beta_max
 
     def test_worst_case_drain_stays_safe(self):
         # sustained control at the supremum drains spacing linearly; any
@@ -112,24 +147,24 @@ class TestSafetyEnvelope:
 
 class TestTsTrc:
     def test_inactive_at_equilibrium(self):
-        p = TsTrcParams(phi1=1.0, phi2=0.1, phi3=0.01, v_star=21.0)
-        assert ts_trc_input(40.0, 0.0, 21.0, p) == 0.0
+        assert control(40.0, 0.0, 21.0, kind="ts-trc", v_star=21.0) == 0.0
 
     def test_scenario1_config(self):
-        p = TsTrcParams(phi1=1.0, phi2=0.1, phi3=0.01, v_star=21.0)
-        u = ts_trc_input(50.0, 0.0, 18.0, p)
+        u = control(50.0, 0.0, 18.0, kind="ts-trc", phi2=0.1, v_star=21.0)
         assert u == pytest.approx(0.1 * math.atan(1.5), rel=1e-12)
         assert u == pytest.approx(0.09828, abs=5e-5)
 
     def test_scenario2_config(self):
-        p = TsTrcParams(phi1=1.0, phi2=0.04, phi3=0.01, v_star=21.0)
-        assert ts_trc_input(50.0, 0.0, 18.0, p) == pytest.approx(0.03931, abs=5e-5)
+        u = control(50.0, 0.0, 18.0, kind="ts-trc", phi2=0.04, v_star=21.0)
+        assert u == pytest.approx(0.03931, abs=5e-5)
 
     def test_rejects_bad_params(self):
         with pytest.raises(DomainError):
-            TsTrcParams(phi1=-1.0, phi2=0.1, phi3=0.01, v_star=21.0)
+            ControllerConfig(kind="ts-trc", phi1=-1.0)
         with pytest.raises(DomainError):
-            TsTrcParams(phi1=1.0, phi2=0.1, phi3=0.01, v_star=0.0)
+            ControllerConfig(kind="ts-trc", phi3=-0.01)
+        with pytest.raises(DomainError):
+            ControllerConfig(kind="ts-trc", v_star=0.0)
 
 
 def arctan_controller(beta, gamma):

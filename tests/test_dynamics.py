@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from platoonsim.dynamics import (
-    CarFollowingInput,
     IdmParams,
     OvrvParams,
     equilibrium_spacing,
-    idm_accel,
-    model_accel,
-    ovrv_accel,
+    idm_accel_arrays,
+    ovrv_accel_arrays,
     rdc_check,
 )
 from platoonsim.errors import DomainError, NoEquilibriumError
@@ -25,54 +23,64 @@ def idm_equilibrium_oracle(p, v):
 
 class TestIdmAccel:
     def test_stationary_at_jam_spacing(self):
-        assert idm_accel(CarFollowingInput(s=IDM_1.s0, dv=0.0, v=0.0), IDM_1) == 0.0
+        assert idm_accel_arrays(IDM_1.s0, 0.0, 0.0, IDM_1) == 0.0
 
     def test_equilibrium_scenario1(self):
         s_eq = idm_equilibrium_oracle(IDM_1, 21.0)
         assert s_eq == pytest.approx(35.907, abs=1e-3)
-        assert abs(idm_accel(CarFollowingInput(s_eq, 0.0, 21.0), IDM_1)) < 1e-6
+        assert abs(idm_accel_arrays(s_eq, 0.0, 21.0, IDM_1)) < 1e-6
 
     def test_equilibrium_scenario2(self):
         s_eq = idm_equilibrium_oracle(IDM_2, 21.0)
         assert s_eq == pytest.approx(52.50, abs=5e-3)
-        assert abs(idm_accel(CarFollowingInput(s_eq, 0.0, 21.0), IDM_2)) < 1e-6
+        assert abs(idm_accel_arrays(s_eq, 0.0, 21.0, IDM_2)) < 1e-6
 
     def test_desired_spacing_clamp(self):
         # large opening relative speed clamps the dynamic term to zero,
         # leaving the jam-spacing floor
         large_dv = 2.0 * math.sqrt(IDM_1.a * IDM_1.b) * IDM_1.T + 1.0
-        acc = idm_accel(CarFollowingInput(s=50.0, dv=large_dv, v=10.0), IDM_1)
+        acc = idm_accel_arrays(50.0, large_dv, 10.0, IDM_1)
         expected = IDM_1.a * (1 - (10.0 / IDM_1.v0) ** 4 - (IDM_1.s0 / 50.0) ** 2)
         assert acc == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_bad_inputs(self):
+        # the laws themselves are unchecked array code; the equilibrium that
+        # seeds every run validates its speed
         with pytest.raises(DomainError):
-            CarFollowingInput(s=-1.0, dv=0.0, v=5.0)
+            equilibrium_spacing(IDM_1, -0.1)
         with pytest.raises(DomainError):
-            CarFollowingInput(s=0.0, dv=0.0, v=5.0)
+            equilibrium_spacing(IDM_1, math.nan)
         with pytest.raises(DomainError):
-            CarFollowingInput(s=10.0, dv=math.nan, v=5.0)
-        with pytest.raises(DomainError):
-            CarFollowingInput(s=10.0, dv=0.0, v=-0.1)
+            equilibrium_spacing(OVRV_1, math.inf)
+
+    def test_elementwise_over_arrays(self):
+        s = np.array([[10.0, 35.0], [60.0, 120.0]])
+        dv = np.array([[-2.0, 0.0], [1.5, 9.0]])
+        v = np.array([[3.0, 21.0], [18.0, 30.0]])
+        for law, p in ((idm_accel_arrays, IDM_2), (ovrv_accel_arrays, OVRV_1)):
+            acc = law(s, dv, v, p)
+            assert acc.shape == s.shape
+            for idx in np.ndindex(s.shape):
+                assert acc[idx] == law(s[idx], dv[idx], v[idx], p)
 
 
 class TestOvrvAccel:
     def test_equilibrium(self):
         # equilibrium spacing eta + tau*v
-        acc = ovrv_accel(CarFollowingInput(s=57.42, dv=0.0, v=21.0), OVRV_1)
+        acc = ovrv_accel_arrays(57.42, 0.0, 21.0, OVRV_1)
         assert acc == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_speed_fixed_point(self):
-        assert ovrv_accel(CarFollowingInput(s=OVRV_1.eta, dv=0.0, v=0.0), OVRV_1) == 0.0
+        assert ovrv_accel_arrays(OVRV_1.eta, 0.0, 0.0, OVRV_1) == 0.0
 
     def test_one_meter_surplus(self):
-        acc = ovrv_accel(CarFollowingInput(s=58.42, dv=0.0, v=21.0), OVRV_1)
+        acc = ovrv_accel_arrays(58.42, 0.0, 21.0, OVRV_1)
         assert acc == pytest.approx(0.02, abs=1e-12)
 
     @pytest.mark.parametrize("delta", [0.5, 2.0, -3.0])
     def test_linearity_in_spacing(self, delta):
-        base = ovrv_accel(CarFollowingInput(40.0, 1.2, 19.0), OVRV_1)
-        shifted = ovrv_accel(CarFollowingInput(40.0 + delta, 1.2, 19.0), OVRV_1)
+        base = ovrv_accel_arrays(40.0, 1.2, 19.0, OVRV_1)
+        shifted = ovrv_accel_arrays(40.0 + delta, 1.2, 19.0, OVRV_1)
         assert shifted - base == pytest.approx(OVRV_1.k1 * delta, rel=1e-9)
 
 
@@ -88,8 +96,13 @@ class TestModelParams:
             OvrvParams(k1=0.02, k2=0.13, eta=-1.0, tau=1.71, length=5.0)
 
     def test_dispatch(self):
-        assert model_accel(OVRV_1, 57.42, 0.0, 21.0) == pytest.approx(0.0, abs=1e-12)
-        assert model_accel(IDM_1, IDM_1.s0, 0.0, 0.0) == 0.0
+        # equilibria and the sign audit dispatch on the parameter type
+        assert equilibrium_spacing(OVRV_1, 21.0) == OVRV_1.eta + OVRV_1.tau * 21.0
+        assert equilibrium_spacing(IDM_1, 0.0) == IDM_1.s0
+        with pytest.raises(TypeError):
+            equilibrium_spacing((0.02, 0.13), 21.0)
+        with pytest.raises(TypeError):
+            rdc_check((0.02, 0.13))
 
 
 class TestEquilibriumSpacing:
@@ -104,8 +117,6 @@ class TestEquilibriumSpacing:
 
     def test_matches_bisection(self):
         from scipy.optimize import brentq
-
-        from platoonsim.dynamics import idm_accel_arrays
 
         for params, v in ((IDM_1, 21.0), (IDM_2, 21.0), (IDM_1, 5.0)):
             s_root = brentq(
@@ -128,7 +139,7 @@ class TestEquilibriumSpacing:
     @pytest.mark.parametrize("v", np.linspace(0.0, 0.95 * IDM_1.v0, 12))
     def test_idm_residual_over_speed_range(self, v):
         s_eq = equilibrium_spacing(IDM_1, float(v))
-        assert abs(idm_accel(CarFollowingInput(s_eq, 0.0, float(v)), IDM_1)) < 1e-6
+        assert abs(idm_accel_arrays(s_eq, 0.0, float(v), IDM_1)) < 1e-6
 
 
 class TestRdcCheck:

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,21 +10,20 @@ from hypothesis import strategies as st
 from platoonsim import metrics
 from platoonsim.cli import _platoon_metrics_batch
 from platoonsim.errors import DomainError
+from platoonsim.config import build_scenario, load_config
 from platoonsim.metrics import (
     FuelCoefficients,
     WindowSums,
-    asv,
     default_fuel_coefficients,
     fuel_rate,
     load_fuel_coefficients,
     log_fuel_exponents,
     summarize,
-    total_fuel,
     write_metrics_csv,
 )
 from platoonsim.simulator import PlatoonEngine, Trajectory, av_mask_for, simulate
 
-from conftest import FLAT_LEAD, make_scenario, make_short_scenario
+from conftest import FLAT_LEAD, IDM_2, make_scenario, make_short_scenario
 
 
 def speed_trajectory(t, v_profile_per_vehicle, a=None):
@@ -37,36 +37,41 @@ def speed_trajectory(t, v_profile_per_vehicle, a=None):
     )
 
 
+def report_for(traj, window, coeffs=None):
+    """`summarize` over `window` with the 21 m/s reference speed."""
+    return summarize(traj, make_scenario(window=window), coeffs)
+
+
 class TestAsv:
     def test_zero_at_reference_speed(self):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0)] * 2)
-        assert asv(traj, 1, 21.0, (10.0, 90.0)) == 0.0
+        assert report_for(traj, (10.0, 90.0)).per_vehicle_asv[1] == 0.0
 
     def test_unit_offset(self):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0), np.full(201, 22.0)])
-        assert asv(traj, 1, 21.0, (10.0, 90.0)) == pytest.approx(1.0, rel=1e-12)
+        asv_1 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[1]
+        assert asv_1 == pytest.approx(1.0, rel=1e-12)
 
     def test_window_outside_span_rejected(self):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0)] * 2)
         with pytest.raises(DomainError):
-            asv(traj, 1, 21.0, (50.0, 150.0))
+            report_for(traj, (50.0, 150.0))
 
     def test_time_shift_invariance(self):
         t = np.linspace(0, 100, 501)
         wave = 21.0 + np.sin(0.2 * t)
         traj = speed_trajectory(t, [np.full(501, 21.0), wave])
         shifted = speed_trajectory(t + 37.0, [np.full(501, 21.0), wave])
-        a0 = asv(traj, 1, 21.0, (10.0, 90.0))
-        a1 = asv(shifted, 1, 21.0, (47.0, 127.0))
+        a0 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[1]
+        a1 = report_for(shifted, (47.0, 127.0)).per_vehicle_asv[1]
         assert a1 == pytest.approx(a0, rel=1e-12)
 
     def test_instability_raises_upstream_asv(self, s1_mpr0_traj):
-        a_first = asv(s1_mpr0_traj, 1, 21.0, (100.0, 250.0))
-        a_last = asv(s1_mpr0_traj, 10, 21.0, (100.0, 250.0))
-        assert a_last > a_first
+        per_vehicle = report_for(s1_mpr0_traj, (100.0, 250.0)).per_vehicle_asv
+        assert per_vehicle[10] > per_vehicle[1]
 
 
 class TestFuelRate:
@@ -195,8 +200,9 @@ class TestWindowSums:
         asv_m, fc_m = _platoon_metrics_batch(sc, raw, fuel_coeffs)
         report = summarize(simulate(sc), sc, fuel_coeffs)
         assert asv_m.shape == fc_m.shape == ()
-        assert asv_m == pytest.approx(report.platoon_asv, rel=1e-12)
-        assert fc_m == pytest.approx(report.platoon_fc, rel=1e-12)
+        # `summarize` is the same fold over the same samples
+        assert asv_m == report.platoon_asv
+        assert fc_m == report.platoon_fc
 
     def test_counts_saturated_samples_per_lane(self, fuel_coeffs):
         sc, raw = batched_record()
@@ -216,15 +222,68 @@ class TestWindowSums:
 
 class TestTotalFuel:
     def test_zero_length_window(self, fuel_coeffs):
+        # a window between two samples holds none, so nothing is integrated
         t = np.linspace(0, 100, 201)
-        traj = speed_trajectory(t, [np.full(201, 21.0)] * 2)
-        assert total_fuel(traj, 1, (50.0, 50.0), fuel_coeffs) == 0.0
+        traj = speed_trajectory(t, [np.full(201, 21.0), np.full(201, 25.0)])
+        report = report_for(traj, (50.1, 50.4), fuel_coeffs)
+        assert report.per_vehicle_fc == {1: 0.0}
+        assert report.per_vehicle_asv == {1: 0.0}
 
     def test_constant_cruise(self, fuel_coeffs):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 20.0)] * 2)
-        total = total_fuel(traj, 1, (10.0, 90.0), fuel_coeffs)
+        total = report_for(traj, (10.0, 90.0), fuel_coeffs).per_vehicle_fc[1]
         assert total == pytest.approx(fuel_rate(20.0, 0.0, fuel_coeffs) * 80.0, rel=1e-9)
+
+
+def trapezoid_per_vehicle(traj, sc, coeffs):
+    """Per-follower ASV and FC with one 1-D `np.trapezoid` per vehicle."""
+    t1, t2 = sc.metric_window
+    mask = (traj.t >= t1 - 1e-9) & (traj.t <= t2 + 1e-9)
+    tm = traj.t[mask]
+    asv_veh, fc_veh = {}, {}
+    for i in range(1, traj.n_vehicles):
+        dev = np.abs(traj.v[mask, i] - sc.v_star)
+        asv_veh[i] = float(np.trapezoid(dev, tm) / (t2 - t1))
+        expo = einsum_exponents(traj.v[mask, i], traj.a[mask, i], coeffs)
+        rate = np.exp(np.minimum(expo, metrics._MAX_EXPONENT)) * 1e3
+        fc_veh[i] = float(np.trapezoid(rate, tm))
+    return asv_veh, fc_veh
+
+
+@functools.lru_cache(maxsize=None)
+def preset_run(name):
+    sc = build_scenario(load_config(name))
+    return sc, simulate(sc)
+
+
+class TestSummarizeOracle:
+    def assert_matches_oracle(self, traj, sc, coeffs):
+        report = summarize(traj, sc, coeffs)
+        asv_veh, fc_veh = trapezoid_per_vehicle(traj, sc, coeffs)
+        assert list(report.per_vehicle_asv) == list(asv_veh)
+        for i in asv_veh:
+            assert report.per_vehicle_asv[i] == pytest.approx(asv_veh[i], rel=1e-12, abs=0)
+            assert report.per_vehicle_fc[i] == pytest.approx(fc_veh[i], rel=1e-12, abs=0)
+        assert report.platoon_asv == pytest.approx(np.mean(list(asv_veh.values())), rel=1e-12)
+        assert report.platoon_fc == pytest.approx(np.mean(list(fc_veh.values())), rel=1e-12)
+
+    def test_single_follower(self, fuel_coeffs):
+        t = np.linspace(0, 100, 1001)
+        wave = 21.0 + 2.0 * np.sin(0.3 * t)
+        accel = 0.6 * np.cos(0.3 * t)
+        traj = speed_trajectory(t, [np.full(1001, 21.0), wave], a=[0.0 * t, accel])
+        sc = make_scenario(t_f=100.0, window=(12.3, 87.6))
+        self.assert_matches_oracle(traj, sc, fuel_coeffs)
+        with pytest.raises(DomainError):
+            summarize(traj, make_scenario(t_f=200.0, window=(50.0, 100.1)), fuel_coeffs)
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+    def test_presets(self, name, fuel_coeffs):
+        sc, traj = preset_run(name)
+        self.assert_matches_oracle(traj, sc, fuel_coeffs)
+        with pytest.raises(DomainError):
+            summarize(traj, replace(sc, t_f=600.0, metric_window=(100.0, 550.0)), fuel_coeffs)
 
 
 class TestSummarize:
@@ -255,8 +314,6 @@ class TestSummarize:
     def test_scenario2_improves_both_metrics(
         self, s2_mpr0_traj, s2_mpr1_ops_traj, fuel_coeffs
     ):
-        from conftest import IDM_2
-
         sc = make_scenario(hv=IDM_2, mpr=0.0, window=(100.0, 300.0))
         base = summarize(s2_mpr0_traj, sc, fuel_coeffs)
         smooth = summarize(s2_mpr1_ops_traj, sc, fuel_coeffs)

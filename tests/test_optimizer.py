@@ -4,24 +4,22 @@ import math
 import numpy as np
 import pytest
 
-from platoonsim.controller import ControllerParams
-from platoonsim.dynamics import CarFollowingInput
+from platoonsim.controller import ControllerParams, get_kernel
 from platoonsim.errors import DomainError
 from platoonsim.optimizer import (
     OptimizerConfig,
-    SensitivityState,
     descent_direction,
     objective_j,
     optimize,
     project_feasible,
     replayed_objective,
-    sensitivity_rhs,
     simulate_with_sensitivity,
     write_trace_csv,
 )
 from platoonsim.simulator import (
     PlatoonEngine,
     Trajectory,
+    _sensitivity_terms,
     assemble_trajectory,
     av_mask_for,
     simulate,
@@ -73,36 +71,40 @@ class TestObjective:
         assert j_opt < j_ref
 
 
+def sensitivity_terms(s, dv, beta=0.05, gamma=1.0):
+    """dr/dv, dr/dbeta and dr/dgamma of the arctan AV's speed equation."""
+    return _sensitivity_terms(s, dv, beta, gamma, OVRV_1, get_kernel("arctan"))
+
+
 class TestSensitivityRhs:
     def test_zero_forcing_at_zero_relative_speed(self):
-        zdot = sensitivity_rhs(
-            SensitivityState(),
-            CarFollowingInput(s=50.0, dv=0.0, v=21.0),
-            ControllerParams(0.05, 1.0),
-            OVRV_1,
-        )
-        assert zdot.z1 == 0.0 and zdot.z2 == 0.0
+        _, drdb, drdg = sensitivity_terms(50.0, 0.0)
+        assert drdb == 0.0 and drdg == 0.0
 
     def test_hand_evaluated_partials(self):
-        zdot = sensitivity_rhs(
-            SensitivityState(),
-            CarFollowingInput(s=50.0, dv=1.0, v=21.0),
-            ControllerParams(0.05, 1.0),
-            OVRV_1,
-        )
-        assert zdot.z1 == pytest.approx(math.atan(50.0), rel=1e-12)
-        assert zdot.z1 == pytest.approx(1.55080, abs=1e-5)
+        _, drdb, drdg = sensitivity_terms(50.0, 1.0)
+        assert drdb == pytest.approx(math.atan(50.0), rel=1e-12)
+        assert drdb == pytest.approx(1.55080, abs=1e-5)
         # d/dgamma of beta*arctan(gamma*s*dv) carries the beta factor
-        assert zdot.z2 == pytest.approx(0.05 * 50.0 / 2501.0, rel=1e-12)
+        assert drdg == pytest.approx(0.05 * 50.0 / 2501.0, rel=1e-12)
 
     def test_linear_term(self):
-        state = CarFollowingInput(s=50.0, dv=1.0, v=21.0)
-        theta = ControllerParams(0.05, 1.0)
-        at_zero = sensitivity_rhs(SensitivityState(), state, theta, OVRV_1)
-        at_ones = sensitivity_rhs(SensitivityState(1.0, 1.0), state, theta, OVRV_1)
+        # zdot = (dr/dv) z + dr/dtheta: the engine's z slots at z = 0 and
+        # z = 1 differ by dr/dv
         drdv = -OVRV_1.k1 * OVRV_1.tau - OVRV_1.k2 - 0.05 * 50.0 / 2501.0
-        assert at_ones.z1 - at_zero.z1 == pytest.approx(drdv, rel=1e-12)
-        assert at_ones.z2 - at_zero.z2 == pytest.approx(drdv, rel=1e-12)
+        assert sensitivity_terms(50.0, 1.0)[0] == pytest.approx(drdv, rel=1e-12)
+        sc = make_short_scenario(mpr=0.1, beta=0.05, gamma=1.0)
+        engine = PlatoonEngine(sc, sensitivity="exogenous")
+        x, v = engine.initial_arrays()
+        av = sc.av_indices[0]
+        x[av:] -= 50.0 - (x[av - 1] - x[av] - 5.0)  # AV spacing 50 m
+        v[av - 1] = 20.0  # dv = 1 m/s behind a 21 m/s predecessor
+        zdot = []
+        for z in (0.0, 1.0):
+            y = np.concatenate([x, v, [z, z]])
+            zdot.append(engine._stage(21.0, y)[0][-2:])
+        assert zdot[1] - zdot[0] == pytest.approx([drdv, drdv], rel=1e-12)
+        assert zdot[0] == pytest.approx(sensitivity_terms(50.0, 1.0)[1:], rel=1e-12)
 
 
 class TestSimulateWithSensitivity:
@@ -120,7 +122,7 @@ class TestSimulateWithSensitivity:
             beta[i - 1], gamma[i - 1] = self.THETA[row]
         plain = assemble_trajectory(
             sc,
-            PlatoonEngine(sc, beta=beta, gamma=gamma, per_follower_gains=True).run(),
+            PlatoonEngine(sc, beta=beta, gamma=gamma).run(),
         )
         for name in ("t", "x", "v", "a", "s", "dv", "u"):
             assert np.array_equal(

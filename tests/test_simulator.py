@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,20 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platoonsim import simulator
+from platoonsim.dynamics import IdmParams, OvrvParams, equilibrium_spacing
 from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
     PlatoonEngine,
-    PlatoonState,
     Scenario,
     Trajectory,
     check_safety,
-    lead_speed,
     av_mask_for,
     place_avs,
     simulate,
-    step,
     write_trajectory_csv,
 )
 
@@ -39,22 +38,23 @@ from conftest import (
 
 class TestLeadProfile:
     def test_cruise_phase(self):
-        assert lead_speed(50.0, PAPER_LEAD, t_f=500.0) == 21.0
+        assert PAPER_LEAD.speed(50.0) == 21.0
 
     def test_ramp_midpoint(self):
-        assert lead_speed(110.0, PAPER_LEAD, t_f=500.0) == pytest.approx(19.5)
+        assert PAPER_LEAD.speed(110.0) == pytest.approx(19.5)
 
     def test_low_plateau(self):
-        assert lead_speed(140.0, PAPER_LEAD, t_f=500.0) == 18.0
+        assert PAPER_LEAD.speed(140.0) == 18.0
 
     def test_constant_extrapolation(self):
-        assert lead_speed(400.0, PAPER_LEAD, t_f=500.0) == 21.0
+        assert PAPER_LEAD.speed(400.0) == 21.0
 
     def test_domain_errors(self):
+        # the profile is only sampled on a scenario's time grid [0, t_f]
         with pytest.raises(DomainError):
-            lead_speed(-1.0, PAPER_LEAD)
+            make_scenario(dt=0.0)
         with pytest.raises(DomainError):
-            lead_speed(501.0, PAPER_LEAD, t_f=500.0)
+            make_scenario(t_f=-1.0)
 
     def test_invalid_profiles(self):
         with pytest.raises(DomainError):
@@ -200,17 +200,56 @@ class TestEngine:
         assert single.value.vehicle == 5
 
 
+def one_av_scenario(**kw):
+    """Leader, AV and HV (mpr 0.5 of two followers puts the AV first)."""
+    return Scenario(
+        n_followers=2,
+        mpr=0.5,
+        hv_model=IDM_1,
+        av_model=OVRV_1,
+        controller=ControllerConfig(kind="ts-ops", beta=0.05, gamma=1.0),
+        lead=LeadProfile((0.0, 10.0), (20.0, 16.0)),
+        t_f=1.0,
+        dt=0.1,
+        metric_window=(0.0, 1.0),
+        **kw,
+    )
+
+
 class TestStep:
-    def test_equilibrium_is_fixed_point(self):
-        sc = make_scenario(mpr=0.2, kind="ts-ops", beta=0.05, lead=FLAT_LEAD)
-        state = sc.initial_state()
-        spacings0 = state.spacings().copy()
-        t = 0.0
+    @settings(max_examples=40, deadline=None)
+    @given(
+        idm=st.tuples(
+            st.floats(0.3, 2.0), st.floats(1.0, 6.0), st.floats(25.0, 45.0),
+            st.floats(1.0, 8.0), st.floats(0.8, 2.5), st.floats(2.0, 16.0),
+        ),
+        ovrv=st.tuples(
+            st.floats(0.005, 0.1), st.floats(0.05, 0.5), st.floats(0.0, 30.0),
+            st.floats(0.5, 2.5),
+        ),
+        mpr=st.sampled_from([round(0.1 * k, 1) for k in range(11)]),
+        kind=st.sampled_from(["none", "ts-ops", "ts-trc"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+    )
+    def test_equilibrium_is_fixed_point(self, idm, ovrv, mpr, kind, integrator):
+        # every follower starts at its model's equilibrium behind a leader
+        # cruising below the IDM free speed: advance keeps speeds and spacings
+        v0 = 0.6 * idm[2]
+        sc = make_scenario(
+            hv=IdmParams(*idm, length=5.0), mpr=mpr, kind=kind, beta=0.05,
+            lead=LeadProfile((0.0,), (v0,)), t_f=1.0, window=(0.0, 1.0),
+            integrator=integrator,
+        )
+        engine = PlatoonEngine(replace(sc, av_model=OvrvParams(*ovrv, length=4.0)))
+        x0, v_init = engine.initial_arrays()
+        y = np.concatenate([x0, v_init])
         for _ in range(10):
-            state = step(state, t, sc)
-            t += sc.dt
-        assert np.abs(state.v - 21.0).max() < 1e-9
-        assert np.abs(state.spacings() - spacings0).max() < 1e-9
+            f1 = engine.rhs(v0, y[: sc.n_followers + 1], y[sc.n_followers + 1 :])[0]
+            y = engine.advance(y, f1, v0, v0)
+        x, v = y[: sc.n_followers + 1], y[sc.n_followers + 1 :]
+        assert np.abs(v - v0).max() < 1e-8
+        assert np.abs(np.diff(x) - np.diff(x0)).max() < 1e-8
+        assert engine.floor_hits == 0
 
     def test_zero_beta_matches_uncontrolled(self):
         sc_none = make_scenario(mpr=0.5, kind="none", t_f=60.0, window=(10, 50), lead=SHORT_LEAD)
@@ -224,23 +263,13 @@ class TestStep:
 
     def test_euler_step_matches_hand_computation(self):
         # leader + AV + HV with hand-set perturbed speeds; one explicit-Euler
-        # update recomputed here from the raw model formulas
-        sc = Scenario(
-            n_followers=2,
-            mpr=0.5,
-            hv_model=IDM_1,
-            av_model=OVRV_1,
-            controller=ControllerConfig(kind="ts-ops", beta=0.05, gamma=1.0),
-            lead=LeadProfile((0.0, 10.0), (20.0, 16.0)),
-            t_f=1.0,
-            dt=0.1,
-            metric_window=(0.0, 1.0),
-            integrator="euler",
-        )
+        # update of the flat state [x | v] recomputed here from the raw model
+        # formulas
+        engine = PlatoonEngine(one_av_scenario(integrator="euler"))
         x = np.array([0.0, -40.0, -85.0])
-        v = np.array([20.0, 18.0, 19.0])
-        state = PlatoonState(x=x, v=v, kinds=sc.kinds, lengths=(5.0, 5.0, 5.0))
-        new = step(state, 0.0, sc)
+        v = np.array([18.0, 19.0])
+        f1 = engine.rhs(20.0, x, v)[0]
+        new = engine.advance(np.concatenate([x, v]), f1, 19.98, 19.96)
 
         s1 = 0.0 - (-40.0) - 5.0
         dv1 = 20.0 - 18.0
@@ -254,21 +283,19 @@ class TestStep:
         sstar = 2.0 + max(0.0, 19.0 * 1.5 - 19.0 * dv2 / (2 * math.sqrt(0.6 * 2.5)))
         acc2 = 0.6 * (1 - (19.0 / 35.0) ** 4 - (sstar / s2) ** 2)
 
-        assert new.x[0] == pytest.approx(0.0 + 0.1 * 20.0, rel=1e-12)
-        assert new.x[1] == pytest.approx(-40.0 + 0.1 * 18.0, rel=1e-12)
-        assert new.x[2] == pytest.approx(-85.0 + 0.1 * 19.0, rel=1e-12)
-        assert new.v[1] == pytest.approx(18.0 + 0.1 * acc1, rel=1e-12)
-        assert new.v[2] == pytest.approx(19.0 + 0.1 * acc2, rel=1e-12)
-        assert new.v[0] == pytest.approx(20.0 - 0.4 * 0.1, rel=1e-12)
+        assert new.shape == (5,)
+        assert new[0] == pytest.approx(0.0 + 0.1 * 20.0, rel=1e-12)
+        assert new[1] == pytest.approx(-40.0 + 0.1 * 18.0, rel=1e-12)
+        assert new[2] == pytest.approx(-85.0 + 0.1 * 19.0, rel=1e-12)
+        assert new[3] == pytest.approx(18.0 + 0.1 * acc1, rel=1e-12)
+        assert new[4] == pytest.approx(19.0 + 0.1 * acc2, rel=1e-12)
 
     def test_state_rejects_overlap(self):
-        with pytest.raises(DomainError):
-            PlatoonState(
-                x=np.array([0.0, -4.0]),
-                v=np.array([20.0, 20.0]),
-                kinds=("lead", "hv"),
-                lengths=(5.0, 5.0),
-            )
+        # a follower placed on (or into) its predecessor is rejected before
+        # any run; equilibrium spacings are positive by construction
+        for gap in (0.0, -3.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="init_spacing"):
+                one_av_scenario(init_spacing=(30.0, gap))
 
 
 class TestSimulate:
@@ -350,6 +377,20 @@ class TestScenarioValidation:
     def test_init_spacing_length_checked(self):
         with pytest.raises(DomainError):
             make_scenario(init_spacing=(30.0, 30.0))
+
+    def test_envelope_uses_the_engines_initial_spacing(self):
+        # the beta bound's s0 is the smallest AV entry of the spacings the
+        # engine starts from
+        sc = replace(make_scenario(mpr=0.3), controller=ControllerConfig(kind="ts-ops"))
+        assert sc.envelope_s0_effective() == equilibrium_spacing(OVRV_1, 21.0)
+        x, _ = PlatoonEngine(sc).initial_arrays()
+        gaps = x[:-1] - x[1:] - 5.0
+        av_gaps = gaps[np.subtract(sc.av_indices, 1)]
+        assert sc.envelope_s0_effective() == pytest.approx(av_gaps.min())
+        custom = replace(sc, init_spacing=tuple(float(k) for k in range(30, 40)))
+        assert custom.envelope_s0_effective() == 30.0 + min(custom.av_indices) - 1
+        with pytest.raises(DomainError):
+            replace(sc, mpr=0.0).envelope_s0_effective()
 
     def test_controller_config_validation(self):
         with pytest.raises(DomainError):
