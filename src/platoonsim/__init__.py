@@ -15,7 +15,6 @@ from .metrics import (
     FuelCoefficients,
     MetricsReport,
     default_fuel_coefficients,
-    fuel_rate,
     load_fuel_coefficients,
     summarize,
 )

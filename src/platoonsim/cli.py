@@ -19,19 +19,14 @@ import numpy as np
 from . import config as cfgmod
 from .controller import beta_upper_bound
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
-from .metrics import (
-    WindowSums,
-    default_fuel_coefficients,
-    load_fuel_coefficients,
-    summarize,
-    write_metrics_csv,
-)
+from .metrics import WindowSums, summarize, write_metrics_csv
 from .optimizer import optimize, write_trace_csv
 from .simulator import (
     PlatoonEngine,
     av_mask_for,
     check_safety,
     simulate,
+    window_slice,
     write_trajectory_csv,
 )
 
@@ -119,16 +114,9 @@ def _prepare(args):
     return cp, scenario
 
 
-def _fuel_coeffs(cp):
-    path = None
-    if cp.has_option("metrics", "fuel_coefficients"):
-        path = cp.get("metrics", "fuel_coefficients")
-    return load_fuel_coefficients(path) if path else default_fuel_coefficients()
-
-
 def cmd_run(args) -> int:
     cp, scenario = _prepare(args)
-    coeffs = _fuel_coeffs(cp)
+    coeffs = cfgmod.build_fuel_coefficients(cp)
     traj = simulate(scenario)
     violations = check_safety(traj, scenario.min_safe_spacing)
     report = summarize(traj, scenario, coeffs)
@@ -180,11 +168,9 @@ def cmd_tune(args) -> int:
 
 def _platoon_metrics_batch(scenario, raw, coeffs):
     """Platoon-mean ASV and FC per batch lane from raw engine arrays."""
-    t = raw["t"]
-    t1, t2 = scenario.metric_window
-    mask = (t >= t1 - 1e-9) & (t <= t2 + 1e-9)
+    keep = window_slice(raw["t"], scenario.metric_window)
     sums = WindowSums(scenario, coeffs)
-    sums(t[mask], {"v": raw["v"][mask], "a": raw["a"][mask]})
+    sums(raw["t"][keep], {"v": raw["v"][keep], "a": raw["a"][keep]})
     return sums.platoon()
 
 
@@ -200,7 +186,7 @@ def _report_lanes(engine, sums, labels) -> None:
 
 def cmd_sweep(args) -> int:
     cp, scenario = _prepare(args)
-    coeffs = _fuel_coeffs(cp)
+    coeffs = cfgmod.build_fuel_coefficients(cp)
     try:
         mprs = [float(tok) for tok in args.mprs.split(",") if tok.strip()]
     except ValueError as err:
@@ -292,7 +278,7 @@ def _parse_range(raw: str) -> np.ndarray:
 
 def cmd_grid(args) -> int:
     cp, scenario = _prepare(args)
-    coeffs = _fuel_coeffs(cp)
+    coeffs = cfgmod.build_fuel_coefficients(cp)
     betas = _parse_range(args.beta_range)
     gammas = _parse_range(args.gamma_range)
     bound = beta_upper_bound(

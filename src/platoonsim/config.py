@@ -14,6 +14,11 @@ from importlib import resources
 from .controller import ControllerParams, beta_upper_bound
 from .dynamics import IdmParams, OvrvParams
 from .errors import ConfigError
+from .metrics import (
+    FuelCoefficients,
+    default_fuel_coefficients,
+    load_fuel_coefficients,
+)
 from .optimizer import OptimizerConfig
 from .simulator import ControllerConfig, LeadProfile, Scenario
 
@@ -22,11 +27,29 @@ __all__ = [
     "apply_overrides",
     "build_scenario",
     "build_optimizer_config",
+    "build_fuel_coefficients",
     "dump_config",
     "preset_names",
 ]
 
 _PRESETS = ("scenario1", "scenario2")
+
+# every key a config may set, per section; `_get` reads no other key and
+# `build_scenario` rejects any option not listed here
+_KEYS = {
+    "scenario": (
+        "n_followers", "mpr", "lead_profile", "t_f", "dt", "metric_window",
+        "min_safe_spacing", "integrator", "init_spacing",
+    ),
+    "hv_model": ("a", "b", "v0", "s0", "t", "delta", "length"),
+    "av_model": ("k1", "k2", "eta", "tau", "length"),
+    "controller": (
+        "kind", "beta", "gamma", "kernel", "phi1", "phi2", "phi3", "v_star",
+        "envelope_s0",
+    ),
+    "optimizer": ("beta_max", "beta0", "gamma0", "epsilon", "phi", "n_max", "sensitivity"),
+    "metrics": ("fuel_coefficients",),
+}
 
 
 def preset_names() -> tuple[str, ...]:
@@ -70,6 +93,8 @@ def dump_config(cp: configparser.ConfigParser, path) -> None:
 
 
 def _get(cp, section, key, cast, fallback=None, required=False):
+    if key not in _KEYS[section]:
+        raise KeyError(f"[{section}] {key} is missing from the table of known keys")
     try:
         if not cp.has_option(section, key):
             if required:
@@ -79,15 +104,6 @@ def _get(cp, section, key, cast, fallback=None, required=False):
         return cast(raw)
     except (ValueError, configparser.Error) as err:
         raise ConfigError(f"bad value for [{section}] {key}: {err}") from err
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_profile(raw: str) -> LeadProfile:
@@ -106,7 +122,15 @@ def _parse_floats(raw: str) -> tuple[float, ...]:
 
 
 def build_scenario(cp: configparser.ConfigParser) -> Scenario:
-    """Construct a validated Scenario from a parsed config."""
+    """Construct a validated Scenario from a parsed config.
+
+    Any option outside the table of known keys is a ConfigError, in every
+    section, so a misspelt or retired key cannot be silently ignored.
+    """
+    for section in cp.sections():
+        for key in cp.options(section):
+            if key not in _KEYS.get(section, ()):
+                raise ConfigError(f"unknown config key [{section}] {key}")
     try:
         hv = IdmParams(
             a=_get(cp, "hv_model", "a", float, required=True),
@@ -191,10 +215,15 @@ def build_optimizer_config(
             epsilon=_get(cp, "optimizer", "epsilon", float, fallback=1e-5),
             phi=_get(cp, "optimizer", "phi", float, fallback=1e-6),
             n_max=_get(cp, "optimizer", "n_max", int, fallback=300),
-            per_av=_get(cp, "optimizer", "per_av", _parse_bool, fallback=False),
             sensitivity=_get(
                 cp, "optimizer", "sensitivity", str, fallback="exogenous"
             ),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
+
+
+def build_fuel_coefficients(cp: configparser.ConfigParser) -> FuelCoefficients:
+    """The table `metrics.fuel_coefficients` names, else the bundled one."""
+    path = _get(cp, "metrics", "fuel_coefficients", str)
+    return load_fuel_coefficients(path) if path else default_fuel_coefficients()

@@ -10,21 +10,19 @@ ships as a data file whose header declares its unit convention.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .errors import DomainError
-from .simulator import Scenario, Trajectory
+from .simulator import Scenario, Trajectory, window_slice
 
 __all__ = [
     "FuelCoefficients",
     "MetricsReport",
     "load_fuel_coefficients",
     "default_fuel_coefficients",
-    "fuel_rate",
     "log_fuel_exponents",
     "WindowSums",
     "summarize",
@@ -52,7 +50,7 @@ class FuelCoefficients:
 
     `units` declares the speed/acceleration convention the matrices were
     fitted in: "kmh" (km/h and km/h/s) or "ms" (m/s and m/s^2). Rates are
-    liters per second before the milliliter conversion in `fuel_rate`.
+    liters per second before the milliliter conversion in `WindowSums`.
     """
 
     k_accel: np.ndarray
@@ -149,20 +147,6 @@ def log_fuel_exponents(v, a, coeffs: FuelCoefficients):
     )
 
 
-def fuel_rate(v: float, a: float, coeffs: FuelCoefficients) -> float:
-    """Instantaneous fuel rate in ml/s for speed v (m/s) and accel a (m/s^2).
-
-    Exponents above the saturation cap are clamped; `summarize` flags any run
-    where that happened.
-    """
-    if not (math.isfinite(v) and math.isfinite(a)):
-        raise DomainError("fuel_rate requires finite speed and acceleration")
-    if v < 0:
-        raise DomainError(f"speed must be non-negative, got {v}")
-    expo = log_fuel_exponents(v, a, coeffs)
-    return float(np.exp(np.minimum(expo, _MAX_EXPONENT))) * 1e3
-
-
 class WindowSums:
     """Per-lane ASV and fuel over a metric window, folded block by block.
 
@@ -234,8 +218,6 @@ class MetricsReport:
     per_vehicle_fc: dict[int, float]
     platoon_asv: float
     platoon_fc: float
-    window: tuple[float, float]
-    v_star: float
     saturated: bool = False
 
 
@@ -250,9 +232,9 @@ def summarize(
     """
     if coeffs is None:
         coeffs = default_fuel_coefficients()
-    mask = traj.window_mask(*scenario.metric_window)
+    keep = window_slice(traj.t, scenario.metric_window)
     sums = WindowSums(scenario, coeffs)
-    sums(traj.t[mask], {"v": traj.v[mask], "a": traj.a[mask, 1:]})
+    sums(traj.t[keep], {"v": traj.v[keep], "a": traj.a[keep, 1:]})
     asv_veh, fc_veh = sums.per_vehicle()
     asv_m, fc_m = sums.platoon()
     return MetricsReport(
@@ -260,8 +242,6 @@ def summarize(
         per_vehicle_fc=dict(enumerate(fc_veh.tolist(), start=1)),
         platoon_asv=float(asv_m),
         platoon_fc=float(fc_m),
-        window=scenario.metric_window,
-        v_star=scenario.v_star,
         saturated=bool(sums.saturated),
     )
 

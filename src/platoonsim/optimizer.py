@@ -13,7 +13,8 @@ non-negative values.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -39,11 +40,11 @@ __all__ = [
 class OptimizerConfig:
     """Settings for the projected descent.
 
-    epsilon is the fixed step size; phi the convergence threshold on the
-    change of the objective between iterations; beta_max the feasibility
-    ceiling on beta. per_av switches to one gain pair per AV instead of a
-    shared pair; sensitivity="coupled" additionally propagates the spacing
-    sensitivity (experimental comparison mode).
+    The descent tunes one (beta, gamma) pair shared by every AV. epsilon is
+    the fixed step size; phi the convergence threshold on the change of the
+    objective between iterations; beta_max the feasibility ceiling on beta.
+    sensitivity="coupled" additionally propagates the spacing sensitivity
+    (experimental comparison mode).
     """
 
     beta_max: float
@@ -51,18 +52,19 @@ class OptimizerConfig:
     epsilon: float = 1e-5
     phi: float = 1e-6
     n_max: int = 300
-    per_av: bool = False
     sensitivity: str = "exogenous"
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.phi <= 0:
-            raise DomainError(f"phi must be positive, got {self.phi}")
+        if not (math.isfinite(self.phi) and self.phi > 0):
+            raise DomainError(f"phi must be positive and finite, got {self.phi}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be at least 1, got {self.n_max}")
-        if self.beta_max <= 0:
-            raise DomainError(f"beta_max must be positive, got {self.beta_max}")
+        if not (math.isfinite(self.beta_max) and self.beta_max > 0):
+            raise DomainError(
+                f"beta_max must be positive and finite, got {self.beta_max}"
+            )
         if self.sensitivity not in ("exogenous", "coupled"):
             raise DomainError(
                 f"sensitivity mode must be 'exogenous' or 'coupled', "
@@ -74,15 +76,14 @@ class OptimizerConfig:
 class OptimizationTrace:
     """Per-iteration history of the descent.
 
-    thetas and lambdas have shape (iterations, 2) for the shared-gain mode
-    and (iterations, n_av, 2) for the per-AV mode.
+    thetas and lambdas have shape (iterations, 2): the shared (beta, gamma)
+    pair and the descent direction summed over the AVs.
     """
 
     thetas: np.ndarray
     objectives: np.ndarray
     lambdas: np.ndarray
     reason: str
-    per_av: bool = False
 
     def __len__(self) -> int:
         return len(self.objectives)
@@ -140,15 +141,15 @@ def simulate_with_sensitivity(
 ) -> tuple[Trajectory, np.ndarray]:
     """Integrate the platoon and the per-AV gain sensitivities together.
 
-    theta_av has one (beta, gamma) row per AV. The sensitivities ride in the
-    engine's flat state (`PlatoonEngine(sensitivity=mode)`). Returns the
-    trajectory and the sensitivity series with shape (n_samples, n_av, 2),
-    z(0) = 0.
+    theta_av is one (beta, gamma) row per AV, or one pair shared by all. The
+    sensitivities ride in the engine's flat state
+    (`PlatoonEngine(sensitivity=mode)`). Returns the trajectory and the
+    sensitivity series with shape (n_samples, n_av, 2), z(0) = 0.
     """
     av_indices = scenario.av_indices
     if not av_indices:
         raise DomainError("scenario has no AV to differentiate")
-    theta_av = np.asarray(theta_av, dtype=float).reshape(len(av_indices), 2)
+    theta_av = np.broadcast_to(np.asarray(theta_av, dtype=float), (len(av_indices), 2))
     # per-follower (beta, gamma) rows, zero for the HVs
     gains = np.zeros((2, scenario.n_followers))
     gains[:, np.subtract(av_indices, 1)] = theta_av.T
@@ -206,14 +207,15 @@ def replayed_objective(
 
 def optimize(
     scenario: Scenario, cfg: OptimizerConfig
-) -> tuple[ControllerParams | list[ControllerParams], OptimizationTrace]:
-    """Projected descent on the controller gains.
+) -> tuple[ControllerParams, OptimizationTrace]:
+    """Projected descent on the (beta, gamma) pair shared by the AVs.
 
     Each iteration simulates the platoon with the current gains, co-integrates
-    the sensitivities, forms the descent direction, and updates the gains with
-    a fixed step, projecting onto the feasible box. Stops when the objective
-    change drops to the threshold, the direction vanishes, or the iteration
-    cap is reached. Returns the best-objective gains and the full trace.
+    the sensitivities, sums the descent direction over the AVs, and updates
+    the gains with a fixed step, projecting onto the feasible box. Stops when
+    the objective change drops to the threshold, the direction vanishes, or
+    the iteration cap is reached. Returns the best-objective gains and the
+    full trace.
     """
     av_indices = scenario.av_indices
     if not av_indices:
@@ -223,77 +225,57 @@ def optimize(
             f"only the 'ts-ops' controller is tunable, got "
             f"{scenario.controller.kind!r}"
         )
-    n_av = len(av_indices)
-    theta0 = project_feasible(cfg.theta0, cfg.beta_max)
-    theta_av = np.tile([theta0.beta, theta0.gamma], (n_av, 1))
+    theta = np.array(astuple(project_feasible(cfg.theta0, cfg.beta_max)))
 
     thetas, objectives, lambdas = [], [], []
     reason = "max-iterations"
 
     def make_trace():
-        if cfg.per_av:
-            th = np.array(thetas)
-            lm = np.array(lambdas)
-        else:
-            th = np.array([t[0] for t in thetas])
-            lm = np.array(lambdas)
         return OptimizationTrace(
-            thetas=th,
+            thetas=np.array(thetas),
             objectives=np.array(objectives),
-            lambdas=lm,
+            lambdas=np.array(lambdas),
             reason=reason,
-            per_av=cfg.per_av,
         )
 
     for kappa in range(1, cfg.n_max + 1):
         try:
             traj, z_series = simulate_with_sensitivity(
-                scenario, theta_av, mode=cfg.sensitivity
+                scenario, theta, mode=cfg.sensitivity
             )
         except NumericalBlowupError as err:
             reason = "blow-up"
             raise OptimizeError(str(err), make_trace()) from err
         j_val = objective_j(traj, av_indices)
-        lam_av = np.stack(
+        lam = np.stack(
             [
-                descent_direction(traj, z_series[:, row, :2], i)
+                descent_direction(traj, z_series[:, row], i)
                 for row, i in enumerate(av_indices)
             ]
-        )
-        thetas.append(theta_av.copy())
+        ).sum(axis=0)
+        thetas.append(theta)
         objectives.append(j_val)
-        lambdas.append(lam_av if cfg.per_av else lam_av.sum(axis=0))
+        lambdas.append(lam)
 
         if kappa > 1 and abs(objectives[-1] - objectives[-2]) <= cfg.phi:
             reason = "converged"
             break
-        lam_step = lam_av if cfg.per_av else np.tile(lam_av.sum(axis=0), (n_av, 1))
-        if not lam_step.any():
+        if not lam.any():
             reason = "converged"
             break
         if kappa == cfg.n_max:
             break
-        new_rows = []
-        for row in range(n_av):
-            proj = project_feasible(
-                theta_av[row] - cfg.epsilon * lam_step[row], cfg.beta_max
-            )
-            new_rows.append([proj.beta, proj.gamma])
-        theta_av = np.array(new_rows)
+        theta = np.array(
+            astuple(project_feasible(theta - cfg.epsilon * lam, cfg.beta_max))
+        )
 
     trace = make_trace()
     best = trace.thetas[trace.best_index]
-    if cfg.per_av:
-        result = [ControllerParams(beta=row[0], gamma=row[1]) for row in best]
-    else:
-        result = ControllerParams(beta=float(best[0]), gamma=float(best[1]))
-    return result, trace
+    return ControllerParams(beta=float(best[0]), gamma=float(best[1])), trace
 
 
 def write_trace_csv(trace: OptimizationTrace, path) -> None:
-    """Export a shared-gain trace as iter,beta,gamma,J,lambda_beta,lambda_gamma."""
-    if trace.per_av:
-        raise DomainError("CSV trace export covers the shared-gain mode only")
+    """Export a trace as iter,beta,gamma,J,lambda_beta,lambda_gamma."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "beta", "gamma", "J", "lambda_beta", "lambda_gamma"])

@@ -39,6 +39,7 @@ __all__ = [
     "place_avs",
     "av_mask_for",
     "start_spacings",
+    "window_slice",
     "simulate",
     "check_safety",
     "write_trajectory_csv",
@@ -156,10 +157,10 @@ class ControllerConfig:
             raise DomainError(
                 f"unknown controller kind {self.kind!r}; known: {CONTROLLER_KINDS}"
             )
-        if self.beta < 0 or self.gamma < 0:
-            raise DomainError("beta and gamma must be non-negative")
-        if min(self.phi1, self.phi2, self.phi3) < 0:
-            raise DomainError("phi gains must be non-negative")
+        if not all(math.isfinite(g) and g >= 0 for g in (self.beta, self.gamma)):
+            raise DomainError("beta and gamma must be non-negative and finite")
+        if not all(math.isfinite(p) and p >= 0 for p in (self.phi1, self.phi2, self.phi3)):
+            raise DomainError("phi gains must be non-negative and finite")
         v_star = self.v_star
         if v_star is not None and not (math.isfinite(v_star) and v_star > 0):
             raise DomainError(f"v_star must be positive and finite, got {v_star}")
@@ -190,15 +191,15 @@ class Scenario:
             raise DomainError("need at least one follower")
         if not 0.0 <= self.mpr <= 1.0:
             raise DomainError(f"mpr must be in [0, 1], got {self.mpr}")
-        if self.dt <= 0 or self.t_f <= 0:
-            raise DomainError("dt and t_f must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.dt, self.t_f)):
+            raise DomainError("dt and t_f must be positive and finite")
         t1, t2 = self.metric_window
         if not (0.0 <= t1 < t2 <= self.t_f):
             raise DomainError(
                 f"metric window {self.metric_window} must satisfy 0 <= t1 < t2 <= t_f"
             )
-        if self.min_safe_spacing <= 0:
-            raise DomainError("min_safe_spacing must be positive")
+        if not (math.isfinite(self.min_safe_spacing) and self.min_safe_spacing > 0):
+            raise DomainError("min_safe_spacing must be positive and finite")
         if self.integrator not in INTEGRATORS:
             raise DomainError(
                 f"unknown integrator {self.integrator!r}; known: {INTEGRATORS}"
@@ -284,13 +285,22 @@ class Trajectory:
     def n_vehicles(self) -> int:
         return self.x.shape[1]
 
-    def window_mask(self, t1: float, t2: float) -> np.ndarray:
-        if t1 < self.t[0] - 1e-9 or t2 > self.t[-1] + 1e-9:
-            raise DomainError(
-                f"window ({t1}, {t2}) outside trajectory span "
-                f"({self.t[0]}, {self.t[-1]})"
-            )
-        return (self.t >= t1 - 1e-9) & (self.t <= t2 + 1e-9)
+
+def window_slice(t: np.ndarray, window: tuple[float, float]) -> slice:
+    """The samples of the sorted times `t` that a metric window selects.
+
+    This is the one window rule: a sample counts when it lies within 1e-9 s
+    of [t1, t2]. A window that leaves the sampled span is a DomainError.
+    """
+    t1, t2 = window
+    tol = 1e-9
+    if t1 < t[0] - tol or t2 > t[-1] + tol:
+        raise DomainError(
+            f"window ({t1}, {t2}) outside trajectory span ({t[0]}, {t[-1]})"
+        )
+    lo = np.searchsorted(t, t1 - tol, side="left")
+    hi = np.searchsorted(t, t2 + tol, side="right")
+    return slice(int(lo), int(hi))
 
 
 @dataclass(frozen=True)
@@ -514,9 +524,10 @@ class PlatoonEngine:
         Recorded arrays have a leading time axis; `x` and `v` include the
         leader column, `a`, `s`, `dv`, `u` cover the followers only, and `z`
         (sensitivity runs) has shape (n_av, 2) per sample. With
-        `window=(t1, t2)` only the samples inside [t1, t2] are kept (the
-        same samples a metric window selects); the whole horizon is still
-        integrated, so blow-ups and floor hits after t2 count.
+        `window=(t1, t2)` only the samples `window_slice` selects are kept,
+        and a window outside the horizon fails before the first step; the
+        whole horizon is still integrated, so blow-ups and floor hits after
+        t2 count.
 
         With `fold`, the samples go to a block buffer of at most
         `_FOLD_VALUES` values (at least one sample) instead, and
@@ -532,10 +543,8 @@ class PlatoonEngine:
         dt = sc.dt
         steps = int(round(sc.t_f / dt))
         t_grid = np.arange(steps + 1) * dt
-        lo, hi = 0, steps + 1
-        if window is not None:
-            lo = int(np.searchsorted(t_grid, window[0] - 1e-9, side="left"))
-            hi = int(np.searchsorted(t_grid, window[1] + 1e-9, side="right"))
+        keep = slice(0, steps + 1) if window is None else window_slice(t_grid, window)
+        lo, hi = keep.start, keep.stop
         lead_t, lead_mid, lead_end = sc.lead.stage_speeds(dt, steps)
         y = np.zeros(self.batch_shape + (self.width,))
         y[self._x], y[self._v] = self.initial_arrays()

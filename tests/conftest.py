@@ -23,6 +23,12 @@ TUNED_1 = (0.0642, 1.0011)
 TUNED_2 = (0.0642, 1.0017)
 
 
+def window_mask(t, window):
+    """The metric-window rule as a boolean mask: samples within 1e-9 s of
+    [t1, t2]. The independent reference for `window_slice`."""
+    return (t >= window[0] - 1e-9) & (t <= window[1] + 1e-9)
+
+
 def make_scenario(
     hv=IDM_1,
     mpr=0.0,

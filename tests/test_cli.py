@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platoonsim import cli, simulator
+from platoonsim import cli, config, simulator
 from platoonsim.cli import _platoon_metrics_batch, main
 from platoonsim.config import (
     apply_overrides,
@@ -88,6 +88,26 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[hv_model\] a"):
             build_scenario(cp)
 
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("controller.betta=0.5", r"\[controller\] betta"),
+            ("optimizer.per_av=true", r"\[optimizer\] per_av"),
+            ("scenario.Metric_Windows=1 2", r"\[scenario\] metric_windows"),
+            ("solver.dt=0.1", r"\[solver\] dt"),
+        ],
+    )
+    def test_unknown_key_rejected(self, override, named):
+        cp = load_config("scenario1")
+        apply_overrides(cp, [override])
+        with pytest.raises(ConfigError, match="unknown config key " + named):
+            build_scenario(cp)
+
+    def test_readers_stay_inside_the_key_table(self):
+        cp = load_config("scenario1")
+        with pytest.raises(KeyError):
+            config._get(cp, "optimizer", "per_av", str)
+
 
 class TestRun:
     def test_writes_artifacts(self, tmp_path, capsys):
@@ -120,6 +140,20 @@ class TestRun:
         assert main(["run", "--scenario", "scenario1", "--out", str(out_b), *SHORT,
                      "--set", "controller.kind=none"]) == 0
         assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
+
+    def test_unknown_key_exits_1(self, tmp_path, capsys):
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "controller.betta=0.5"])
+        assert code == 1
+        assert "unknown config key [controller] betta" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_nan_safe_spacing_exits_1(self, tmp_path, capsys):
+        # NaN would compare False against every spacing and pass the audit
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "scenario.min_safe_spacing=nan", "--strict-safety"])
+        assert code == 1
+        assert "min_safe_spacing must be positive and finite" in capsys.readouterr().err
 
     def test_strict_safety_exit_code(self, tmp_path):
         # an absurd safe-spacing threshold guarantees violations
@@ -168,6 +202,25 @@ class TestRun:
                                    "scenario.lead_profile=0:21 10:21 20:18 30:18 40:21",
                                    "scenario.mpr=0.5"])
         assert build_scenario(load_config(str(dumped))) == build_scenario(original)
+
+
+class TestWindowPolicy:
+    def test_window_past_the_grid_fails_every_command(self, tmp_path, capsys):
+        # dt 0.7 ends the 500 s grid at 499.8 s, short of the window's end
+        window = ["--set", "scenario.dt=0.7", "--set", "scenario.metric_window=100 500"]
+        commands = [
+            ["run"],
+            ["sweep", "--mprs", "0,1"],
+            ["grid", "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"],
+        ]
+        errors = []
+        for cmd in commands:
+            out = tmp_path / cmd[0]
+            assert main([*cmd, "--scenario", "scenario1", "--out", str(out), *window]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not [p for p in out.iterdir() if p.suffix == ".csv"]
+        assert "outside trajectory span" in errors[0]
+        assert errors == [errors[0]] * 3
 
 
 class TestTune:

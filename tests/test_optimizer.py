@@ -265,19 +265,24 @@ class TestOptimize:
         with pytest.raises(DomainError):
             optimize(make_short_scenario(kind="ts-trc"), cfg)
 
-    def test_per_av_mode(self):
+    def test_several_avs_share_one_pair(self):
+        # two AVs at mpr 0.2: one ControllerParams, one (beta, gamma) row and
+        # one AV-summed direction per iteration
         sc = make_short_scenario(mpr=0.2, beta=0.03, gamma=1.0)
         cfg = OptimizerConfig(
             beta_max=0.05,
             theta0=ControllerParams(0.03, 1.0),
             epsilon=1e-4,
             n_max=5,
-            per_av=True,
         )
-        thetas, trace = optimize(sc, cfg)
-        assert isinstance(thetas, list) and len(thetas) == 2
-        assert trace.per_av
-        assert trace.thetas.shape[1:] == (2, 2)
+        theta, trace = optimize(sc, cfg)
+        assert len(sc.av_indices) == 2
+        assert isinstance(theta, ControllerParams)
+        assert trace.thetas.shape == trace.lambdas.shape == (len(trace), 2)
+        traj, z = simulate_with_sensitivity(sc, trace.thetas[0])
+        lam = sum(descent_direction(traj, z[:, row], i) for row, i in enumerate(sc.av_indices))
+        assert trace.lambdas[0] == pytest.approx(lam, rel=1e-12)
+        assert (theta.beta, theta.gamma) == tuple(trace.thetas[trace.best_index])
 
     def test_coupled_sensitivity_mode_runs(self):
         sc = make_short_scenario(beta=0.03, gamma=0.5)
@@ -308,3 +313,8 @@ class TestOptimizerConfig:
             OptimizerConfig(beta_max=-1.0)
         with pytest.raises(DomainError):
             OptimizerConfig(beta_max=0.0642, sensitivity="adjoint")
+        # NaN passes a `<= 0` test; with phi = NaN the descent never converges
+        for field in ("phi", "beta_max"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(DomainError, match=field):
+                    OptimizerConfig(**{"beta_max": 0.0642, field: value})

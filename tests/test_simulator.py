@@ -33,6 +33,7 @@ from conftest import (
     TUNED_1,
     make_scenario,
     make_short_scenario,
+    window_mask,
 )
 
 
@@ -138,7 +139,7 @@ class TestEngine:
         sc = make_short_scenario(mpr=0.5)
         full = PlatoonEngine(sc).run()
         part = PlatoonEngine(sc).run(window=window)
-        keep = (full["t"] >= window[0] - 1e-9) & (full["t"] <= window[1] + 1e-9)
+        keep = window_mask(full["t"], window)
         assert set(part) == set(full)
         for name in full:
             assert np.array_equal(part[name], full[name][keep]), name
@@ -165,6 +166,43 @@ class TestEngine:
         for k, name in enumerate(("t", "v", "a")):
             got = np.concatenate([part[k] for part in seen])
             assert np.array_equal(got, whole[name]), name
+
+    def test_window_outside_span_fails_before_the_first_step(self, monkeypatch):
+        # dt 0.7 ends the grid at 499.8 s, so a window up to 500 s leaves it
+        sc = make_scenario(dt=0.7, window=(100.0, 500.0))
+        engine = PlatoonEngine(sc)
+        monkeypatch.setattr(engine, "advance", None)  # any step would fail
+        with pytest.raises(DomainError, match="outside trajectory span"):
+            engine.run(window=sc.metric_window)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=10, max_size=10),
+                st.floats(0.0, 0.0642),
+                st.floats(0.0, 2.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        kind=st.sampled_from(["ts-ops", "ts-trc"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+    )
+    def test_every_lane_equals_its_unbatched_run(self, lanes, kind, integrator):
+        sc = make_short_scenario(kind=kind, t_f=20.0, window=(0.0, 20.0),
+                                 integrator=integrator)
+        masks = np.array([mask for mask, _, _ in lanes])
+        betas = np.array([[beta] for _, beta, _ in lanes])
+        gammas = np.array([[gamma] for _, _, gamma in lanes])
+        batched = PlatoonEngine(sc, beta=betas, gamma=gammas, av_mask=masks)
+        whole = batched.run()
+        for lane, (mask, beta, gamma) in enumerate(lanes):
+            single = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=np.array(mask))
+            raw = single.run()
+            for name in ("x", "v", "a", "s", "dv", "u"):
+                assert np.array_equal(whole[name][:, lane], raw[name]), (lane, name)
+            assert batched.lane_floor_hits[lane] == single.floor_hits
 
     def test_lane_floor_hits_match_single_runs(self):
         mprs = [0.0, 0.5, 1.0]
@@ -361,6 +399,50 @@ class TestSimulate:
             assert band[0] < ratio < band[1], (integrator, ratio)
 
 
+def assert_slice_matches_mask(t, window):
+    """`window_slice` selects the mask's samples, or rejects an out-of-span window."""
+    if window[0] < t[0] - 1e-9 or window[1] > t[-1] + 1e-9:
+        with pytest.raises(DomainError, match="outside trajectory span"):
+            simulator.window_slice(t, window)
+        return
+    keep = simulator.window_slice(t, window)
+    assert np.array_equal(np.arange(len(t))[keep], np.flatnonzero(window_mask(t, window)))
+
+
+class TestWindowSlice:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.integers(1, 60),
+        dt=st.sampled_from([0.1, 0.05, 0.7, 0.25]),
+        ends=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+        shifts=st.tuples(*[st.sampled_from([-1e-10, 0.0, 1e-10, 0.5])] * 2),
+    )
+    def test_equals_the_boolean_mask_on_a_grid(self, steps, dt, ends, shifts):
+        # windows on grid points and 1e-10 s around them, as the engine's
+        # t_k = k*dt grid gives them
+        t = np.arange(steps + 1) * dt
+        k1, k2 = sorted(min(k, steps) for k in ends)
+        window = (k1 * dt + shifts[0], k2 * dt + shifts[1])
+        assert_slice_matches_mask(t, window)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-6, 10.0), min_size=1, max_size=40),
+        start=st.floats(-50.0, 50.0),
+        picks=st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        shifts=st.tuples(*[st.sampled_from([-1e-10, 0.0, 1e-10])] * 2),
+        between=st.floats(0.0, 1.0),
+    )
+    def test_equals_the_boolean_mask_on_uneven_times(self, gaps, start, picks, shifts, between):
+        t = start + np.concatenate(([0.0], np.cumsum(gaps)))
+        i1, i2 = sorted(min(i, len(t) - 1) for i in picks)
+        t2 = t[i2] + shifts[1]
+        # the lower end either near a sample or between two samples
+        t1 = t[i1] + shifts[0] if i1 == i2 else t[i1] + between * (t[i1 + 1] - t[i1])
+        window = (min(t1, t2), t2)
+        assert_slice_matches_mask(t, window)
+
+
 class TestScenarioValidation:
     def test_bad_metric_window(self):
         with pytest.raises(DomainError):
@@ -397,6 +479,18 @@ class TestScenarioValidation:
             ControllerConfig(kind="pid")
         with pytest.raises(DomainError):
             ControllerConfig(kind="ts-ops", beta=-0.1)
+        for field in ("beta", "gamma", "phi1", "phi2", "phi3"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(DomainError, match="finite"):
+                    ControllerConfig(kind="ts-ops", **{field: value})
+
+    # NaN passes a `<= 0` test: a NaN min_safe_spacing would switch the
+    # safety audit off
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["dt", "t_f", "min_safe_spacing"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            replace(make_scenario(), **{field: value})
 
 
 class TestCheckSafety:
