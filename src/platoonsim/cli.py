@@ -107,10 +107,10 @@ def _prepare(args):
         cfgmod.apply_overrides(cp, [f"scenario.dt={args.dt}"])
     if args.integrator:
         cfgmod.apply_overrides(cp, [f"scenario.integrator={args.integrator}"])
+    os.makedirs(args.out, exist_ok=True)
     scenario = cfgmod.build_scenario(cp)
     if args.dump_config:
         cfgmod.dump_config(cp, args.dump_config)
-    os.makedirs(args.out, exist_ok=True)
     return cp, scenario
 
 

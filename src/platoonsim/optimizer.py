@@ -93,6 +93,19 @@ class OptimizationTrace:
         return int(np.argmin(self.objectives))
 
 
+def _objective(t, v, av_indices) -> float:
+    total = 0.0
+    for i in av_indices:
+        gap = v[:, i] - v[:, i - 1]
+        total += 0.5 * np.trapezoid(gap**2, t)
+    return float(total)
+
+
+def _direction(t, v, z_series, av_index) -> np.ndarray:
+    gap = v[:, av_index] - v[:, av_index - 1]
+    return np.trapezoid(z_series * gap[:, None], t, axis=0)
+
+
 def objective_j(traj: Trajectory, av_indices) -> float:
     """Integrated half squared speed gap, summed over the controlled AVs."""
     av_indices = tuple(av_indices)
@@ -100,11 +113,7 @@ def objective_j(traj: Trajectory, av_indices) -> float:
         raise DomainError("objective needs at least one controlled AV")
     if min(av_indices) < 1 or max(av_indices) >= traj.n_vehicles:
         raise DomainError(f"AV indices {av_indices} out of range")
-    total = 0.0
-    for i in av_indices:
-        gap = traj.v[:, i] - traj.v[:, i - 1]
-        total += 0.5 * np.trapezoid(gap**2, traj.t)
-    return float(total)
+    return _objective(traj.t, traj.v, av_indices)
 
 
 def descent_direction(traj: Trajectory, z_series: np.ndarray, av_index: int) -> np.ndarray:
@@ -115,8 +124,7 @@ def descent_direction(traj: Trajectory, z_series: np.ndarray, av_index: int) -> 
             f"sensitivity series length {z_series.shape[0]} does not match "
             f"trajectory grid {len(traj.t)}"
         )
-    gap = traj.v[:, av_index] - traj.v[:, av_index - 1]
-    return np.trapezoid(z_series * gap[:, None], traj.t, axis=0)
+    return _direction(traj.t, traj.v, z_series, av_index)
 
 
 def project_feasible(theta, beta_max: float) -> ControllerParams:
@@ -134,6 +142,19 @@ def project_feasible(theta, beta_max: float) -> ControllerParams:
     return ControllerParams(beta=min(max(b, 0.0), beta_max), gamma=max(g, 0.0))
 
 
+def _sensitivity_run(scenario: Scenario, theta_av, mode: str, record) -> dict:
+    """`PlatoonEngine.run` with the AV gains `theta_av` and the sensitivities."""
+    av_indices = scenario.av_indices
+    if not av_indices:
+        raise DomainError("scenario has no AV to differentiate")
+    theta_av = np.broadcast_to(np.asarray(theta_av, dtype=float), (len(av_indices), 2))
+    # per-follower (beta, gamma) rows, zero for the HVs
+    gains = np.zeros((2, scenario.n_followers))
+    gains[:, np.subtract(av_indices, 1)] = theta_av.T
+    engine = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1], sensitivity=mode)
+    return engine.run(record=record)
+
+
 def simulate_with_sensitivity(
     scenario: Scenario,
     theta_av: np.ndarray,
@@ -146,15 +167,9 @@ def simulate_with_sensitivity(
     (`PlatoonEngine(sensitivity=mode)`). Returns the trajectory and the
     sensitivity series with shape (n_samples, n_av, 2), z(0) = 0.
     """
-    av_indices = scenario.av_indices
-    if not av_indices:
-        raise DomainError("scenario has no AV to differentiate")
-    theta_av = np.broadcast_to(np.asarray(theta_av, dtype=float), (len(av_indices), 2))
-    # per-follower (beta, gamma) rows, zero for the HVs
-    gains = np.zeros((2, scenario.n_followers))
-    gains[:, np.subtract(av_indices, 1)] = theta_av.T
-    engine = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1], sensitivity=mode)
-    raw = engine.run(record=("x", "v", "a", "s", "dv", "u", "z"))
+    raw = _sensitivity_run(
+        scenario, theta_av, mode, ("x", "v", "a", "s", "dv", "u", "z")
+    )
     z_series = raw.pop("z")
     return assemble_trajectory(scenario, raw), z_series
 
@@ -211,7 +226,8 @@ def optimize(
     """Projected descent on the (beta, gamma) pair shared by the AVs.
 
     Each iteration simulates the platoon with the current gains, co-integrates
-    the sensitivities, sums the descent direction over the AVs, and updates
+    the sensitivities (recording only `v` and `z`, all the objective and the
+    direction read), sums the descent direction over the AVs, and updates
     the gains with a fixed step, projecting onto the feasible box. Stops when
     the objective change drops to the threshold, the direction vanishes, or
     the iteration cap is reached. Returns the best-objective gains and the
@@ -240,18 +256,14 @@ def optimize(
 
     for kappa in range(1, cfg.n_max + 1):
         try:
-            traj, z_series = simulate_with_sensitivity(
-                scenario, theta, mode=cfg.sensitivity
-            )
+            raw = _sensitivity_run(scenario, theta, cfg.sensitivity, ("v", "z"))
         except NumericalBlowupError as err:
             reason = "blow-up"
             raise OptimizeError(str(err), make_trace()) from err
-        j_val = objective_j(traj, av_indices)
+        t, v, z_series = raw["t"], raw["v"], raw["z"]
+        j_val = _objective(t, v, av_indices)
         lam = np.stack(
-            [
-                descent_direction(traj, z_series[:, row], i)
-                for row, i in enumerate(av_indices)
-            ]
+            [_direction(t, v, z_series[:, row], i) for row, i in enumerate(av_indices)]
         ).sum(axis=0)
         thetas.append(theta)
         objectives.append(j_val)

@@ -8,7 +8,7 @@ by default, with explicit Euler available for oracle tests.
 The stepping core is batch-aware: parameter studies (controller-gain grids,
 penetration sweeps) stack along a leading batch axis and integrate together,
 which keeps independent runs independent while vectorizing the work. On
-request it also integrates the AVs' gain sensitivities in the same state.
+request it also integrates the gain sensitivities in the same state.
 """
 
 from __future__ import annotations
@@ -204,6 +204,9 @@ class Scenario:
             raise DomainError(
                 f"unknown integrator {self.integrator!r}; known: {INTEGRATORS}"
             )
+        # the window must hold on the sampled grid too, so a bad window fails
+        # here rather than after any integration
+        window_slice(np.arange(self.steps + 1) * self.dt, self.metric_window)
         if self.init_spacing is not None:
             if len(self.init_spacing) != self.n_followers:
                 raise DomainError("init_spacing must list one spacing per follower")
@@ -211,6 +214,11 @@ class Scenario:
                 raise DomainError(
                     f"init_spacing must be positive and finite, got {self.init_spacing}"
                 )
+
+    @property
+    def steps(self) -> int:
+        """Fixed steps of a run over the horizon: t_k = k*dt, k = 0..steps."""
+        return int(round(self.t_f / self.dt))
 
     @property
     def av_indices(self) -> tuple[int, ...]:
@@ -310,22 +318,6 @@ class SafetyViolation:
     spacing: float
 
 
-def _sensitivity_terms(s, dv, beta, gamma, av_model: OvrvParams, kernel):
-    """Coefficients of the exogenous-signal sensitivity ODE (vectorized).
-
-    For the AV speed equation r = k1*(s - eta - tau*v) + k2*dv +
-    beta*kernel(gamma*s*dv) with s and the predecessor speed held exogenous,
-    returns dr/dv, dr/dbeta and dr/dgamma.
-    """
-    w = gamma * s * dv
-    kp = kernel.deriv(w)
-    d_dv = av_model.k2 + beta * gamma * s * kp
-    drdv = -av_model.k1 * av_model.tau - d_dv
-    drdb = kernel.fn(w)
-    drdg = beta * s * dv * kp
-    return drdv, drdb, drdg
-
-
 class PlatoonEngine:
     """Vectorized right-hand side and fixed-step integrator for one scenario.
 
@@ -336,10 +328,12 @@ class PlatoonEngine:
     independent: each one equals its own unbatched run bit for bit.
 
     Each lane advances one flat state `[x (n+1) | v (n) | z | zs]`. With
-    `sensitivity="exogenous"` the state carries the per-AV gain sensitivities
-    `z = dv/d(beta, gamma)` (two per AV) of the forward sensitivity method;
-    `"coupled"` adds the spacing sensitivities `zs`, which feed back into
-    `z`. Sensitivities are integrated for unbatched runs only.
+    `sensitivity="exogenous"` the state carries the gain sensitivities
+    `z = dv/d(beta, gamma)` of the forward sensitivity method, one per
+    follower and gain: `[z_beta (n) | z_gamma (n)]`, with the HV rows held
+    at 0. `"coupled"` adds the spacing sensitivities `zs` in the same
+    layout, which feed back into `z`. Sensitivities are integrated for
+    unbatched ts-ops runs only.
     """
 
     def __init__(
@@ -397,12 +391,17 @@ class PlatoonEngine:
         if sensitivity is not None:
             if self.batch_shape:
                 raise DomainError("sensitivities are integrated for unbatched runs only")
+            if self.kind != "ts-ops":
+                raise DomainError("sensitivities are defined for the ts-ops controller only")
             self.av_pos = np.flatnonzero(self.av_mask)
             if not self.av_pos.size:
                 raise DomainError("scenario has no AV to differentiate")
-            self.beta_av = np.broadcast_to(self.beta, (n,))[self.av_pos]
-            self.gamma_av = np.broadcast_to(self.gamma, (n,))[self.av_pos]
-            n_z = 2 * self.av_pos.size
+            # the gain factors of the sensitivity terms, zero on the HV rows
+            self._av_unit = self.av_mask.astype(float)
+            self._beta_av = np.where(self.av_mask, self.beta, 0.0)
+            self._beta_gamma = self.beta * self.gamma
+            self._neg_k1_tau = -self.av.k1 * self.av.tau
+            n_z = 2 * n
             self._z = slice(width, width + n_z)
             width += n_z
             if sensitivity == "coupled":
@@ -425,18 +424,26 @@ class PlatoonEngine:
         return x, v
 
     def control_input(self, s, dv, v_prev):
+        """Control input `u` of every follower (0 for the HVs), `w`, `fw`.
+
+        For ts-ops, `w = gamma*s*dv` is the kernel's argument and `fw` its
+        value, which the sensitivity terms reuse; both are None for the
+        other controllers.
+        """
         if self.kind == "ts-ops":
-            u = self.beta * self.kernel.fn(self.gamma * s * dv)
-        elif self.kind == "ts-trc":
+            w = self.gamma * s * dv
+            fw = self.kernel.fn(w)
+            return np.where(self.av_mask, self.beta * fw, 0.0), w, fw
+        if self.kind == "ts-trc":
             p1, p2, p3 = self.phi
             u = p1 * (dv + p2 * np.arctan(p3 * s * (self.v_star - v_prev)))
-        else:
-            return np.zeros(np.broadcast_shapes(s.shape, self.av_mask.shape))
-        return np.where(self.av_mask, u, 0.0)
+            return np.where(self.av_mask, u, 0.0), None, None
+        return np.zeros(np.broadcast_shapes(s.shape, self.av_mask.shape)), None, None
 
     def rhs(self, v_lead, x, v):
-        """Flat derivative `f` plus the instantaneous (s, dv, u) diagnostics.
+        """Flat derivative `f` plus the instantaneous diagnostics.
 
+        Returns `(f, s, dv, u, w, fw)`; the last three are `control_input`'s.
         `v_lead` is the leader's speed at the stage time. `f` has the state's
         layout: dx/dt = [v_lead | v], then dv/dt; sensitivity slots are left
         for `_stage` to fill.
@@ -448,11 +455,11 @@ class PlatoonEngine:
         v_prev = v_all[..., :-1]
         s = x[..., :-1] - x[..., 1:] - self.front_lengths
         dv = v_prev - v
-        u = self.control_input(s, dv, v_prev)
+        u, w, fw = self.control_input(s, dv, v_prev)
         acc = idm_accel_arrays(s, dv, v, self.hv)
         np.copyto(acc, ovrv_accel_arrays(s, dv, v, self.av) + u, where=self.av_mask)
         f[self._v] = acc
-        return f, s, dv, u
+        return f, s, dv, u, w, fw
 
     def _stage(self, v_lead, y):
         """`rhs` at the flat state y, with the sensitivity entries filled in."""
@@ -461,40 +468,44 @@ class PlatoonEngine:
             self._sensitivity_rhs(y, *stage)
         return stage
 
-    def _sensitivity_rhs(self, y, f, s, dv, u):
-        # zdot = (dr/dv) z + dr/dtheta, written into f's z slots
-        s_av = s[self.av_pos]
-        dv_av = dv[self.av_pos]
-        zdot = f[self._z].reshape(-1, 2)
-        drdv, zdot[:, 0], zdot[:, 1] = _sensitivity_terms(
-            s_av, dv_av, self.beta_av, self.gamma_av, self.av, self.kernel
-        )
-        zdot += drdv[:, None] * y[self._z].reshape(-1, 2)
+    def _sensitivity_rhs(self, y, f, s, dv, u, w, fw):
+        # zdot = (dr/dv) z + dr/dtheta, written into f's z slots, for the AV
+        # speed equation r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w)
+        # with s and the predecessor speed held exogenous; the HV rows get
+        # no forcing, so they stay 0
+        n = self.n
+        kp = self.kernel.deriv(w)
+        drdv = self._neg_k1_tau - (self.av.k2 + self._beta_gamma * s * kp)
+        zdot = f[self._z].reshape(2, n)
+        np.multiply(fw, self._av_unit, out=zdot[0])
+        zdot[1] = self._beta_av * s * dv * kp
+        zdot += drdv * y[self._z].reshape(2, n)
         if self.sensitivity == "coupled":
             # spacing sensitivity zs = ds/dtheta with zsdot = -z; it feeds
             # back through dr/ds
-            kp = self.kernel.deriv(self.gamma_av * s_av * dv_av)
-            drds = self.av.k1 + self.beta_av * self.gamma_av * dv_av * kp
-            zdot += drds[:, None] * y[self._zs].reshape(-1, 2)
+            drds = self.av.k1 + self._beta_gamma * dv * kp
+            zdot += drds * y[self._zs].reshape(2, n)
             np.negative(y[self._z], out=f[self._zs])
 
     def _check_finite(self, y, t):
         if np.isfinite(y[self._checked]).all():
             return
         finite = np.isfinite(y[self._v])
-        if not finite.all():
-            rows = finite.reshape(-1, self.n)
-            lane = int(np.argmin(rows.all(axis=-1)))
-            vehicle = int(np.argmin(rows[lane])) + 1
-            raise NumericalBlowupError(vehicle, t, lane if finite.ndim > 1 else None)
-        raise NumericalBlowupError(int(self.av_pos[0]) + 1, t)
+        if finite.all():
+            # only sensitivities went non-finite (unbatched): name the
+            # follower whose z row did
+            finite = np.isfinite(y[self._z].reshape(2, self.n)).all(axis=0)
+        rows = finite.reshape(-1, self.n)
+        lane = int(np.argmin(rows.all(axis=-1)))
+        vehicle = int(np.argmin(rows[lane])) + 1
+        raise NumericalBlowupError(vehicle, t, lane if finite.ndim > 1 else None)
 
     def advance(self, y, f1, v_lead_mid, v_lead_end):
         """One step of the flat state y from its derivative f1 at the step start.
 
         `v_lead_mid` and `v_lead_end` are the leader's speeds at t + dt/2 and
         t + dt. Speeds below 0 are clamped and counted per lane; the clamped
-        AV's sensitivities are zeroed, since d max(v, 0)/dv = 0 there.
+        follower's sensitivities are zeroed, since d max(v, 0)/dv = 0 there.
         """
         dt = self.scenario.dt
         if self.scenario.integrator == "euler":
@@ -510,7 +521,7 @@ class PlatoonEngine:
             self.lane_floor_hits += below.sum(axis=-1)
             np.maximum(v_new, 0.0, out=v_new)
             if self.sensitivity is not None:
-                y_new[self._z].reshape(-1, 2)[below[self.av_pos]] = 0.0
+                y_new[self._z].reshape(2, self.n)[:, below] = 0.0
         return y_new
 
     def run(
@@ -519,15 +530,16 @@ class PlatoonEngine:
         window: tuple[float, float] | None = None,
         fold: Callable[[np.ndarray, dict], None] | None = None,
     ) -> dict | None:
-        """Integrate the scenario horizon, recording the requested fields.
+        """Integrate the scenario, recording the requested fields.
 
         Recorded arrays have a leading time axis; `x` and `v` include the
         leader column, `a`, `s`, `dv`, `u` cover the followers only, and `z`
-        (sensitivity runs) has shape (n_av, 2) per sample. With
-        `window=(t1, t2)` only the samples `window_slice` selects are kept,
-        and a window outside the horizon fails before the first step; the
-        whole horizon is still integrated, so blow-ups and floor hits after
-        t2 count.
+        (sensitivity runs) has shape (n_av, 2) per sample: the AVs' rows of
+        the per-follower slots. Without a window the whole horizon is
+        integrated and recorded. With `window=(t1, t2)` only the samples
+        `window_slice` selects are kept, a window outside the horizon fails
+        before the first step, and the integration ends at the window's
+        last sample: blow-ups and floor hits after t2 are not seen.
 
         With `fold`, the samples go to a block buffer of at most
         `_FOLD_VALUES` values (at least one sample) instead, and
@@ -541,10 +553,11 @@ class PlatoonEngine:
         """
         sc = self.scenario
         dt = sc.dt
-        steps = int(round(sc.t_f / dt))
+        steps = sc.steps
         t_grid = np.arange(steps + 1) * dt
         keep = slice(0, steps + 1) if window is None else window_slice(t_grid, window)
         lo, hi = keep.start, keep.stop
+        last = hi - 1  # the last sample the run reaches
         lead_t, lead_mid, lead_end = sc.lead.stage_speeds(dt, steps)
         y = np.zeros(self.batch_shape + (self.width,))
         y[self._x], y[self._v] = self.initial_arrays()
@@ -558,7 +571,7 @@ class PlatoonEngine:
             "s": (2, ..., n), "dv": (3, ..., n), "u": (4, ..., n),
         }
         if self.sensitivity is not None:
-            sources["z"] = (0, self._z, 2 * self.av_pos.size)
+            sources["z"] = (0, self._z, 2 * n)
         block = hi - lo
         if fold is not None:
             per_sample = math.prod(self.batch_shape) * sum(
@@ -580,14 +593,14 @@ class PlatoonEngine:
             if fold is not None and j == block - 1:
                 fold(t_grid[k + 1 - block : k + 1], bufs)
 
-        for k in range(steps):
+        for k in range(last):
             stage = self._stage(lead_t[k], y)
-            if lo <= k < hi:
+            if k >= lo:
                 record_sample(k, y, stage)
             y = self.advance(y, stage[0], lead_mid[k], lead_end[k])
             self._check_finite(y, t_grid[k + 1])
-        if lo <= steps < hi:
-            record_sample(steps, y, self._stage(lead_t[steps], y))
+        if lo <= last:
+            record_sample(last, y, self._stage(lead_t[last], y))
 
         if self.floor_hits and not self.batch_shape:
             logger.warning(
@@ -600,7 +613,8 @@ class PlatoonEngine:
             return None
         out = {"t": t_grid[lo:hi], **bufs}
         if "z" in out:
-            out["z"] = out["z"].reshape(hi - lo, -1, 2)
+            z = out["z"].reshape(hi - lo, 2, n)[:, :, self.av_pos]
+            out["z"] = np.ascontiguousarray(z.transpose(0, 2, 1))
         return out
 
 

@@ -1,6 +1,7 @@
 import csv
 import functools
 import io
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -221,6 +222,54 @@ class TestWindowPolicy:
             assert not [p for p in out.iterdir() if p.suffix == ".csv"]
         assert "outside trajectory span" in errors[0]
         assert errors == [errors[0]] * 3
+
+
+    def test_bad_window_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # the window is checked when the scenario is built: no command tunes
+        # or integrates anything first
+        def fail(*args, **kw):
+            raise AssertionError("work done before the window was checked")
+
+        monkeypatch.setattr(cli, "optimize", fail)
+        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        monkeypatch.setattr(cli, "simulate", fail)
+        window = ["--set", "scenario.dt=0.7", "--set", "scenario.metric_window=100 500"]
+        commands = [
+            ["run"],
+            ["tune"],
+            ["sweep", "--mprs", "0.1,0.5"],
+            ["sweep", "--mprs", "0.1,0.5", "--tune-first"],
+            ["grid", "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"],
+        ]
+        for cmd in commands:
+            out = tmp_path / cmd[0]
+            assert main([*cmd, "--scenario", "scenario1", "--out", str(out), *window]) == 1
+            err = capsys.readouterr().err
+            assert err == (
+                "config error: window (100.0, 500.0) outside trajectory span "
+                "(0.0, 499.79999999999995)\n"
+            ), cmd
+
+
+class TestWindowEnd:
+    # the lead stops within 4 s after 51 s, so every lane clamps at 0 m/s
+    # only after the metric window's end at 50 s
+    LATE_STOP = [*SHORT, "--set",
+                 "scenario.lead_profile=0:21 10:21 20:18 30:18 40:21 51:21 55:0"]
+
+    def test_sweep_and_grid_ignore_clamps_after_t2(self, tmp_path, capsys):
+        assert main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path),
+                     *self.LATE_STOP, "--mprs", "0.5,1"]) == 0
+        assert main(["grid", "--scenario", "scenario1", "--out", str(tmp_path),
+                     *self.LATE_STOP, "--beta-range", "0:0.05:2",
+                     "--gamma-range", "1:1:1"]) == 0
+        assert "speed floor" not in capsys.readouterr().err
+
+    def test_run_still_reports_the_clamp(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
+            assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path),
+                         *self.LATE_STOP]) == 0
+        assert "speed floor at 0 m/s engaged" in caplog.text
 
 
 class TestTune:

@@ -1,11 +1,12 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from platoonsim.controller import ControllerParams, get_kernel
-from platoonsim.errors import DomainError
+from platoonsim.controller import ControllerParams
+from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.optimizer import (
     OptimizerConfig,
     descent_direction,
@@ -19,7 +20,6 @@ from platoonsim.optimizer import (
 from platoonsim.simulator import (
     PlatoonEngine,
     Trajectory,
-    _sensitivity_terms,
     assemble_trajectory,
     av_mask_for,
     simulate,
@@ -71,40 +71,46 @@ class TestObjective:
         assert j_opt < j_ref
 
 
-def sensitivity_terms(s, dv, beta=0.05, gamma=1.0):
-    """dr/dv, dr/dbeta and dr/dgamma of the arctan AV's speed equation."""
-    return _sensitivity_terms(s, dv, beta, gamma, OVRV_1, get_kernel("arctan"))
+def stage_zdot(z_av, dv, beta=0.05, gamma=1.0, s=50.0):
+    """The engine's z-slot derivatives, shaped (2, n): rows dbeta and dgamma,
+    one column per follower. The one arctan AV of an MPR 0.1 platoon sits at
+    spacing `s` and relative speed `dv` behind a 21 m/s predecessor, with
+    `z_av` in both of its slots and every other slot 0."""
+    sc = make_short_scenario(mpr=0.1, beta=beta, gamma=gamma)
+    engine = PlatoonEngine(sc, sensitivity="exogenous")
+    x, v = engine.initial_arrays()
+    av = sc.av_indices[0]
+    x[av:] -= s - (x[av - 1] - x[av] - 5.0)
+    v[av - 1] = 21.0 - dv
+    z = np.zeros((2, sc.n_followers))
+    z[:, av - 1] = z_av
+    y = np.concatenate([x, v, z.ravel()])
+    return engine._stage(21.0, y)[0][engine._z].reshape(2, -1), av - 1
 
 
 class TestSensitivityRhs:
     def test_zero_forcing_at_zero_relative_speed(self):
-        _, drdb, drdg = sensitivity_terms(50.0, 0.0)
-        assert drdb == 0.0 and drdg == 0.0
+        zdot, _ = stage_zdot(0.0, dv=0.0)
+        assert not zdot.any()
 
     def test_hand_evaluated_partials(self):
-        _, drdb, drdg = sensitivity_terms(50.0, 1.0)
+        zdot, col = stage_zdot(0.0, dv=1.0)
+        drdb, drdg = zdot[:, col]
         assert drdb == pytest.approx(math.atan(50.0), rel=1e-12)
         assert drdb == pytest.approx(1.55080, abs=1e-5)
         # d/dgamma of beta*arctan(gamma*s*dv) carries the beta factor
         assert drdg == pytest.approx(0.05 * 50.0 / 2501.0, rel=1e-12)
+        # the HV rows have no forcing
+        assert not np.delete(zdot, col, axis=1).any()
 
     def test_linear_term(self):
-        # zdot = (dr/dv) z + dr/dtheta: the engine's z slots at z = 0 and
-        # z = 1 differ by dr/dv
+        # zdot = (dr/dv) z + dr/dtheta: the AV's slots at z = (1, 2) and at
+        # z = 0 differ by (dr/dv, 2 dr/dv), and the HV slots stay 0
         drdv = -OVRV_1.k1 * OVRV_1.tau - OVRV_1.k2 - 0.05 * 50.0 / 2501.0
-        assert sensitivity_terms(50.0, 1.0)[0] == pytest.approx(drdv, rel=1e-12)
-        sc = make_short_scenario(mpr=0.1, beta=0.05, gamma=1.0)
-        engine = PlatoonEngine(sc, sensitivity="exogenous")
-        x, v = engine.initial_arrays()
-        av = sc.av_indices[0]
-        x[av:] -= 50.0 - (x[av - 1] - x[av] - 5.0)  # AV spacing 50 m
-        v[av - 1] = 20.0  # dv = 1 m/s behind a 21 m/s predecessor
-        zdot = []
-        for z in (0.0, 1.0):
-            y = np.concatenate([x, v, [z, z]])
-            zdot.append(engine._stage(21.0, y)[0][-2:])
-        assert zdot[1] - zdot[0] == pytest.approx([drdv, drdv], rel=1e-12)
-        assert zdot[0] == pytest.approx(sensitivity_terms(50.0, 1.0)[1:], rel=1e-12)
+        zdot = [stage_zdot(z, dv=1.0)[0] for z in (0.0, (1.0, 2.0))]
+        col = stage_zdot(0.0, dv=1.0)[1]
+        assert zdot[1][:, col] - zdot[0][:, col] == pytest.approx([drdv, 2 * drdv], rel=1e-12)
+        assert not np.delete(zdot[1], col, axis=1).any()
 
 
 class TestSimulateWithSensitivity:
@@ -159,6 +165,39 @@ class TestSimulateWithSensitivity:
             PlatoonEngine(sc, av_mask=av_mask_for(10, [0.1, 0.3]), sensitivity="exogenous")
         with pytest.raises(DomainError):
             PlatoonEngine(make_short_scenario(mpr=0.0), sensitivity="exogenous")
+        with pytest.raises(DomainError, match="ts-ops"):
+            PlatoonEngine(make_short_scenario(kind="ts-trc"), sensitivity="exogenous")
+
+    @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
+    def test_hv_rows_stay_zero(self, mode):
+        # an engine built with the scenario's scalar gains gives the HVs
+        # gains too; their sensitivity slots must still stay exactly 0
+        sc = make_short_scenario(mpr=0.3, beta=0.05, gamma=1.0)
+        engine = PlatoonEngine(sc, sensitivity=mode)
+        seen = []
+        engine.run(record=("z",), fold=lambda t, fields: seen.append(fields["z"].copy()))
+        slots = np.concatenate(seen).reshape(-1, 2, sc.n_followers)
+        av = np.subtract(sc.av_indices, 1)
+        assert not np.delete(slots, av, axis=2).any()
+        z = PlatoonEngine(sc, sensitivity=mode).run(record=("z",))["z"]
+        assert np.array_equal(z, slots[:, :, av].transpose(0, 2, 1))
+        assert z[-1].all()
+
+    def test_blowup_names_the_follower_whose_z_failed(self, monkeypatch):
+        # a NaN in the third AV's kernel derivative (follower 5 at MPR 0.5)
+        # leaves every speed finite and only that z row non-finite
+        sc = make_short_scenario(mpr=0.5)
+        assert sc.av_indices == (1, 3, 5, 7, 9)
+        engine = PlatoonEngine(sc, sensitivity="exogenous")
+        deriv = engine.kernel.deriv
+        bad = np.arange(sc.n_followers) == 4
+        monkeypatch.setattr(
+            engine, "kernel", replace(engine.kernel, deriv=lambda w: np.where(bad, np.nan, deriv(w)))
+        )
+        with pytest.raises(NumericalBlowupError) as err:
+            engine.run(record=())
+        assert err.value.vehicle == 5
+        assert err.value.lane is None
 
 
 class TestDescentDirection:

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import simulator
 from platoonsim.dynamics import IdmParams, OvrvParams, equilibrium_spacing
 from platoonsim.errors import DomainError, NumericalBlowupError
+from platoonsim.metrics import WindowSums
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
@@ -169,11 +170,67 @@ class TestEngine:
 
     def test_window_outside_span_fails_before_the_first_step(self, monkeypatch):
         # dt 0.7 ends the grid at 499.8 s, so a window up to 500 s leaves it
-        sc = make_scenario(dt=0.7, window=(100.0, 500.0))
-        engine = PlatoonEngine(sc)
+        engine = PlatoonEngine(make_scenario(dt=0.7))
         monkeypatch.setattr(engine, "advance", None)  # any step would fail
         with pytest.raises(DomainError, match="outside trajectory span"):
-            engine.run(window=sc.metric_window)
+            engine.run(window=(100.0, 500.0))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=10, max_size=10),
+                st.floats(0.0, 0.0642),
+                st.floats(0.0, 2.0),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
+        t2_step=st.integers(31, 300),
+        kind=st.sampled_from(["ts-ops", "ts-trc"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+    )
+    def test_windowed_run_equals_run_to_t2(
+        self, fuel_coeffs, lanes, lead, t2_step, kind, integrator
+    ):
+        # a windowed run stops at the window's last sample: its sums and
+        # floor hits are those of the same scenario integrated to t_f = t2
+        t2 = t2_step * 0.1
+        sc = make_short_scenario(kind=kind, window=(3.0, t2), integrator=integrator,
+                                 lead=lead, t_f=30.0)
+        gains = {
+            "av_mask": np.array([mask for mask, _, _ in lanes]),
+            "beta": np.array([[beta] for _, beta, _ in lanes]),
+            "gamma": np.array([[gamma] for _, _, gamma in lanes]),
+        }
+        windowed = PlatoonEngine(sc, **gains)
+        folded = WindowSums(sc, fuel_coeffs)
+        windowed.run(record=("v", "a"), window=sc.metric_window, fold=folded)
+
+        cut = replace(sc, t_f=t2)
+        whole = PlatoonEngine(cut, **gains)
+        raw = whole.run(record=("v", "a"))
+        assert raw["t"][-1] == t2
+        sums = WindowSums(cut, fuel_coeffs)
+        keep = simulator.window_slice(raw["t"], cut.metric_window)
+        sums(raw["t"][keep], {"v": raw["v"][keep], "a": raw["a"][keep]})
+        assert np.array_equal(folded.sums, sums.sums)
+        assert np.array_equal(folded.saturated, sums.saturated)
+        assert np.array_equal(windowed.lane_floor_hits, whole.lane_floor_hits)
+
+    def test_windowed_run_ignores_clamps_after_t2(self):
+        # the lead brakes to a stop between 5 s and 9 s; the followers clamp
+        # at 0 m/s only after a window that ends at 8 s
+        sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 8.0),
+                           kind="ts-ops", beta=0.05, mpr=0.5)
+        windowed = PlatoonEngine(sc, av_mask=av_mask_for(10, [0.0, 0.5]))
+        raw = windowed.run(record=("v",), window=sc.metric_window)
+        assert raw["t"][-1] == 8.0
+        assert windowed.floor_hits == 0
+        full = PlatoonEngine(sc, av_mask=av_mask_for(10, [0.0, 0.5]))
+        full.run(record=())
+        assert (full.lane_floor_hits > 0).all()
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -289,15 +346,30 @@ class TestStep:
         assert np.abs(np.diff(x) - np.diff(x0)).max() < 1e-8
         assert engine.floor_hits == 0
 
-    def test_zero_beta_matches_uncontrolled(self):
-        sc_none = make_scenario(mpr=0.5, kind="none", t_f=60.0, window=(10, 50), lead=SHORT_LEAD)
-        sc_zero = make_scenario(
-            mpr=0.5, kind="ts-ops", beta=0.0, gamma=2.0, t_f=60.0, window=(10, 50), lead=SHORT_LEAD
+    @settings(max_examples=12, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(st.lists(st.booleans(), min_size=10, max_size=10), st.floats(0.0, 5.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        kernel=st.sampled_from(["arctan", "tanh", "erf"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+    )
+    @example(lanes=[(list(av_mask_for(10, 0.5)), 2.0)], kernel="arctan", integrator="rk4")
+    def test_zero_beta_matches_uncontrolled(self, lanes, kernel, integrator):
+        # beta = 0 switches the ts-ops input off whatever gamma and kernel
+        sc = make_scenario(kind="none", t_f=60.0, window=(10, 50), lead=SHORT_LEAD,
+                           integrator=integrator)
+        sc_zero = replace(sc, controller=ControllerConfig(kind="ts-ops", kernel=kernel))
+        masks = np.array([mask for mask, _ in lanes])
+        gammas = np.array([[gamma] for _, gamma in lanes])
+        plain = PlatoonEngine(sc, av_mask=masks).run(record=("x", "v", "s", "dv"))
+        zero = PlatoonEngine(sc_zero, beta=0.0, gamma=gammas, av_mask=masks).run(
+            record=("x", "v", "s", "dv")
         )
-        t_none = simulate(sc_none)
-        t_zero = simulate(sc_zero)
-        assert np.array_equal(t_none.v, t_zero.v)
-        assert np.array_equal(t_none.x, t_zero.x)
+        for name in ("x", "v", "s", "dv"):
+            assert np.array_equal(plain[name], zero[name]), name
 
     def test_euler_step_matches_hand_computation(self):
         # leader + AV + HV with hand-set perturbed speeds; one explicit-Euler
@@ -455,6 +527,13 @@ class TestScenarioValidation:
             make_scenario(mpr=1.2)
         with pytest.raises(DomainError):
             make_scenario(integrator="rk45")
+
+    def test_window_must_hold_on_the_grid(self):
+        # dt 0.7 ends the 500 s grid at 499.8 s: the window fails when the
+        # scenario is built, before any run
+        with pytest.raises(DomainError, match=r"outside trajectory span \(0.0, 499.7"):
+            make_scenario(dt=0.7, window=(100.0, 500.0))
+        assert make_scenario(dt=0.7, window=(100.0, 499.8)).steps == 714
 
     def test_init_spacing_length_checked(self):
         with pytest.raises(DomainError):
