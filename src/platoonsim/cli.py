@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import replace
@@ -271,6 +272,8 @@ def _parse_range(raw: str) -> np.ndarray:
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as err:
         raise ConfigError(f"bad range {raw!r}, expected LO:HI:N") from err
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"bad range {raw!r}: LO and HI must be finite")
     if n < 1 or hi < lo:
         raise ConfigError(f"bad range {raw!r}: need HI >= LO and N >= 1")
     return np.linspace(lo, hi, n)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DomainError
 
@@ -41,11 +40,18 @@ class SigmoidKernel:
     sup: float
 
 
+def _erf(w):
+    # SciPy is imported on first use, so only erf-kernel runs pay for loading it.
+    from scipy.special import erf
+
+    return erf(w)
+
+
 SIGMOID_KERNELS: dict[str, SigmoidKernel] = {
     "arctan": SigmoidKernel(np.arctan, lambda w: 1.0 / (1.0 + w * w), math.pi / 2),
     "tanh": SigmoidKernel(np.tanh, lambda w: 1.0 - np.tanh(w) ** 2, 1.0),
     "erf": SigmoidKernel(
-        erf, lambda w: (2.0 / math.sqrt(math.pi)) * np.exp(-(w * w)), 1.0
+        _erf, lambda w: (2.0 / math.sqrt(math.pi)) * np.exp(-(w * w)), 1.0
     ),
 }
 

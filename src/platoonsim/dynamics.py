@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoEquilibriumError
 
@@ -106,9 +105,7 @@ def ovrv_accel_arrays(s, dv, v, p: OvrvParams):
 def equilibrium_spacing(model: ModelKind, v: float) -> float:
     """Spacing at which the model holds speed v behind an equally fast leader.
 
-    Closed forms are used for both models; the nonlinear one is additionally
-    refined by bracketing if the closed form leaves a residual acceleration
-    above 1e-9 m/s^2 (guards against large speed exponents).
+    Closed forms are used for both models.
     """
     _require_finite(v=v)
     if v < 0:
@@ -122,16 +119,7 @@ def equilibrium_spacing(model: ModelKind, v: float) -> float:
         raise NoEquilibriumError(
             f"no equilibrium spacing at v={v}: at or above free speed {model.v0}"
         )
-    s_eq = (model.s0 + v * model.T) / math.sqrt(1.0 - ratio)
-    if abs(idm_accel_arrays(s_eq, 0.0, v, model)) > 1e-9:
-        # accel is strictly decreasing in s, so a wide bracket is safe
-        s_eq = brentq(
-            lambda s: idm_accel_arrays(s, 0.0, v, model),
-            1e-6,
-            max(10.0 * s_eq, 1e3),
-            xtol=1e-12,
-        )
-    return float(s_eq)
+    return float((model.s0 + v * model.T) / math.sqrt(1.0 - ratio))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 import csv
 import functools
 import io
+import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -463,6 +467,25 @@ class TestGrid:
         assert code == 1
         assert "feasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, bad", [
+        ("--beta-range", "nan:nan:1"),
+        ("--beta-range", "-inf:0.05:2"),
+        ("--gamma-range", "0:inf:2"),
+        ("--gamma-range", "nan:1:2"),
+    ])
+    def test_non_finite_range_exits_1(self, tmp_path, capsys, monkeypatch, flag, bad):
+        def fail(*args, **kw):
+            raise AssertionError("integrated a non-finite range")
+
+        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        ranges = {"--beta-range": "0:0.05:2", "--gamma-range": "0.5:1.0:2", flag: bad}
+        code = main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     *(f"{key}={val}" for key, val in ranges.items())])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: bad range {bad!r}: LO and HI must be finite\n"
+        )
+
     def test_corner_minimum_at_ten_percent(self, tmp_path):
         # over the feasible box, both metrics bottom out at the largest
         # beta/gamma corner (full horizon, single middle AV)
@@ -549,3 +572,67 @@ class TestGrid:
         platoon = metr_rows[-1]
         assert asv_grid == pytest.approx(float(platoon[1]), abs=1e-6)
         assert fc_grid == pytest.approx(float(platoon[2]), abs=1e-6)
+
+
+def fresh_env():
+    """This process's environment with the tested platoonsim's source first on
+    PYTHONPATH, for a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+# runs each argv of the JSON list through `main`, then prints the exit codes
+# and the SciPy modules the process has loaded as the last line
+STARTUP_PROBE = """
+import json, sys
+from platoonsim.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+class TestFreshInterpreter:
+    def probe(self, tmp_path, *extra):
+        commands = [
+            ["run"],
+            ["tune", "--set", "optimizer.n_max=1"],
+            ["sweep", "--mprs", "1.0"],
+            ["grid", "--beta-range", "0:0.05:2", "--gamma-range", "0.5:1.0:2"],
+        ]
+        argvs = [[cmd, "--scenario", "scenario1", "--out", str(tmp_path / cmd),
+                  *SHORT, *rest, *extra] for cmd, *rest in commands]
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, json.dumps(argvs)],
+            env=fresh_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_commands_never_load_scipy(self, tmp_path):
+        result = self.probe(tmp_path)
+        assert result == {"codes": [0, 0, 0, 0], "scipy": []}
+
+    def test_erf_kernel_loads_scipy_special(self, tmp_path):
+        result = self.probe(tmp_path, "--set", "controller.kernel=erf")
+        assert result["codes"] == [0, 0, 0, 0]
+        assert "scipy.special" in result["scipy"]
+
+    def test_python_m_platoonsim(self, tmp_path, capsys):
+        def python_m(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "platoonsim", *argv],
+                env=fresh_env(), capture_output=True, text=True, timeout=120,
+            )
+
+        proc = python_m("run", "--scenario", "scenario1", "--out", str(tmp_path / "m"),
+                        *SHORT)
+        assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path / "main"),
+                     *SHORT]) == 0
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert proc.stdout.startswith("platoon ASV")
+        proc = python_m("run", "--scenario", "missing.cfg", "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1
+        assert "missing.cfg" in proc.stderr

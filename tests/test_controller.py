@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim.controller import (
@@ -85,6 +85,33 @@ class TestAdditiveInput:
             ControllerConfig(kind="ts-ops", gamma=-1.0)
         with pytest.raises(DomainError):
             ControllerConfig(kind="ts-ops", kernel="sigmoid")
+
+
+class TestSigmoidKernels:
+    # signed zeros, subnormals, erf's saturation edge near |w| = 5.9, huge,
+    # infinite and NaN arguments
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.5, -0.5, 2.0, 5.9, -5.9, 6.0,
+             27.0, -27.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+    def test_erf_kernel_is_scipy_erf(self):
+        from scipy.special import erf
+
+        fn = SIGMOID_KERNELS["erf"].fn
+        w = np.array(self.EDGES)
+        for arg in (w, np.stack([w, -w[::-1]])):
+            assert fn(arg).shape == arg.shape
+            assert fn(arg).tobytes() == erf(arg).tobytes()
+        for x in self.EDGES:
+            assert type(fn(x)) is type(erf(x))
+            assert np.float64(fn(x)).tobytes() == np.float64(erf(x)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.floats(allow_nan=True, allow_infinity=True))
+    @example(w=-0.0)
+    def test_erf_kernel_bits_on_any_float(self, w):
+        from scipy.special import erf
+
+        assert np.float64(SIGMOID_KERNELS["erf"].fn(w)).tobytes() == erf(w).tobytes()
 
 
 class TestVirtualSpeed:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from platoonsim.dynamics import (
     IdmParams,
@@ -135,6 +137,25 @@ class TestEquilibriumSpacing:
         speeds = np.linspace(0.0, 30.0, 25)
         spacings = [equilibrium_spacing(model, v) for v in speeds]
         assert all(b > a for a, b in zip(spacings, spacings[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(1e-3, 1e3),
+        b=st.floats(1e-3, 1e3),
+        v0=st.floats(0.1, 100.0),
+        s0=st.floats(1e-2, 100.0),
+        T=st.floats(1e-2, 10.0),
+        delta=st.floats(0.1, 1e3),
+        frac=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_idm_closed_form_is_a_fixed_point(self, a, b, v0, s0, T, delta, frac):
+        # the closed form has no fallback, so it must leave no residual
+        # acceleration anywhere below the free speed
+        p = IdmParams(a=a, b=b, v0=v0, s0=s0, T=T, delta=delta, length=5.0)
+        v = frac * v0
+        assume((v / v0) ** delta < 1.0)
+        s_eq = equilibrium_spacing(p, v)
+        assert abs(idm_accel_arrays(s_eq, 0.0, v, p)) <= 1e-9
 
     @pytest.mark.parametrize("v", np.linspace(0.0, 0.95 * IDM_1.v0, 12))
     def test_idm_residual_over_speed_range(self, v):
