@@ -37,8 +37,17 @@ EXIT_NUMERICAL = 2
 EXIT_SAFETY = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the config-error code;
+    argparse's own 2 is the code of a numerical failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="platoonsim",
         description="Simulate mixed platoons and tune traffic-smoothing AV gains.",
     )

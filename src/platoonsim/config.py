@@ -70,6 +70,8 @@ def load_config(source: str) -> configparser.ConfigParser:
             cp.read_file(fh, source=source)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse {source}: {err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {source}: {err}") from err
     return cp
 
 
@@ -226,4 +228,9 @@ def build_optimizer_config(
 def build_fuel_coefficients(cp: configparser.ConfigParser) -> FuelCoefficients:
     """The table `metrics.fuel_coefficients` names, else the bundled one."""
     path = _get(cp, "metrics", "fuel_coefficients", str)
-    return load_fuel_coefficients(path) if path else default_fuel_coefficients()
+    if not path:
+        return default_fuel_coefficients()
+    try:
+        return load_fuel_coefficients(path)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read fuel coefficients {path}: {err}") from err

@@ -139,7 +139,9 @@ def log_fuel_exponents(v, a, coeffs: FuelCoefficients):
     a = np.where(np.abs(a) < _ACCEL_DEADBAND, 0.0, a)
     shape = np.broadcast_shapes(v.shape, a.shape)
     vp = (None, v, v**2, v**3)
-    ap = (None, a, a**2, a**3)
+    # NumPy's a**3 is slow on negative bases; a**2 * a is within 1 ULP of it
+    a2 = a**2
+    ap = (None, a, a2, a2 * a)
     return np.where(
         a >= 0,
         _regime_exponents(vp, coeffs.k_accel, ap, shape),

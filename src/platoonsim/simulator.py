@@ -311,6 +311,39 @@ def window_slice(t: np.ndarray, window: tuple[float, float]) -> slice:
     return slice(int(lo), int(hi))
 
 
+def _av_index(av_mask: np.ndarray, batch_shape: tuple[int, ...]):
+    """Index of the AV entries of `batch_shape + (n,)` arrays, or None.
+
+    A mask that every lane shares gives a basic slice of the follower axis
+    when its AVs are evenly spaced, so the AV entries are a view, and their
+    positions otherwise; per-lane masks give one index array per axis.
+    """
+    n = av_mask.shape[-1]
+    rows = av_mask.reshape(-1, n)
+    if not rows.any():
+        return None
+    if not (rows == rows[:1]).all():
+        return np.nonzero(np.broadcast_to(av_mask, batch_shape + (n,)))
+    pos = np.flatnonzero(rows[0])
+    step = int(pos[1] - pos[0]) if pos.size > 1 else 1
+    if (np.diff(pos) == step).all():
+        pos = slice(int(pos[0]), int(pos[-1]) + 1, step)
+    # no Ellipsis: NumPy indexes a 1-D array with `(..., positions)` several
+    # times slower than with `(positions,)`
+    return (slice(None),) * len(batch_shape) + (pos,)
+
+
+def _shifted(index, k: int):
+    """`_av_index`'s `index` with its follower-axis part moved by k slots, to
+    address the same followers in another block of a flat state."""
+    *lanes, pos = index
+    if isinstance(pos, slice):
+        pos = slice(pos.start + k, pos.stop + k, pos.step)
+    else:
+        pos = pos + k
+    return (*lanes, pos)
+
+
 @dataclass(frozen=True)
 class SafetyViolation:
     vehicle: int
@@ -325,7 +358,9 @@ class PlatoonEngine:
     broadcast against the `(..., n)` follower axis, to give every follower
     its own gains or to integrate a whole family of runs at once (leading
     batch axes; one gain per lane is shaped `(lanes, 1)`). Lanes are
-    independent: each one equals its own unbatched run bit for bit.
+    independent: each one equals its own unbatched run bit for bit. The AV
+    law, the control input and the sensitivity forcing are evaluated at the
+    AV entries only (`_av_index`).
 
     Each lane advances one flat state `[x (n+1) | v (n) | z | zs]`. With
     `sensitivity="exogenous"` the state carries the gain sensitivities
@@ -368,6 +403,20 @@ class PlatoonEngine:
         self.batch_shape = np.broadcast_shapes(
             self.av_mask.shape, np.shape(self.beta), np.shape(self.gamma)
         )[:-1]
+        # the AV entries of the follower axis; the AV law and its gains are
+        # evaluated there only (None: no lane has an AV)
+        self._a = _av_index(self.av_mask, self.batch_shape)
+        # their dv/dt slots in the flat derivative
+        self._a_f = None if self._a is None else _shifted(self._a, n + 1)
+
+        def _at_av(gain):
+            # the gain at the AV entries, shaped to broadcast against them
+            if self._a is None or np.ndim(gain) == 0:
+                return gain
+            return np.broadcast_to(gain, self.batch_shape + (n,))[self._a]
+
+        self._beta_a = _at_av(self.beta)
+        self._gamma_a = _at_av(self.gamma)
 
         # leader + per-follower lengths; follower lengths follow the mask
         lengths = np.empty(self.av_mask.shape[:-1] + (self.n + 1,))
@@ -393,16 +442,15 @@ class PlatoonEngine:
                 raise DomainError("sensitivities are integrated for unbatched runs only")
             if self.kind != "ts-ops":
                 raise DomainError("sensitivities are defined for the ts-ops controller only")
-            self.av_pos = np.flatnonzero(self.av_mask)
-            if not self.av_pos.size:
+            if self._a is None:
                 raise DomainError("scenario has no AV to differentiate")
-            # the gain factors of the sensitivity terms, zero on the HV rows
-            self._av_unit = self.av_mask.astype(float)
-            self._beta_av = np.where(self.av_mask, self.beta, 0.0)
-            self._beta_gamma = self.beta * self.gamma
+            self._beta_gamma = self._beta_a * self._gamma_a
             self._neg_k1_tau = -self.av.k1 * self.av.tau
             n_z = 2 * n
             self._z = slice(width, width + n_z)
+            # the AVs' slots in the z_beta and z_gamma blocks; each zs block
+            # sits n_z slots after its z block
+            self._z_av = (_shifted(self._a, width), _shifted(self._a, width + n))
             width += n_z
             if sensitivity == "coupled":
                 self._zs = slice(width, width + n_z)
@@ -424,29 +472,40 @@ class PlatoonEngine:
         return x, v
 
     def control_input(self, s, dv, v_prev):
-        """Control input `u` of every follower (0 for the HVs), `w`, `fw`.
+        """Control input `u` at the AV entries, `w`, `fw`.
 
-        For ts-ops, `w = gamma*s*dv` is the kernel's argument and `fw` its
+        `s`, `dv` and `v_prev` are taken at the AV entries (`self._a`). For
+        ts-ops, `w = gamma*s*dv` is the kernel's argument and `fw` its
         value, which the sensitivity terms reuse; both are None for the
-        other controllers.
+        other controllers. Without a controller `u` is 0.0.
         """
         if self.kind == "ts-ops":
-            w = self.gamma * s * dv
+            w = self._gamma_a * s * dv
             fw = self.kernel.fn(w)
-            return np.where(self.av_mask, self.beta * fw, 0.0), w, fw
+            return self._beta_a * fw, w, fw
         if self.kind == "ts-trc":
             p1, p2, p3 = self.phi
             u = p1 * (dv + p2 * np.arctan(p3 * s * (self.v_star - v_prev)))
-            return np.where(self.av_mask, u, 0.0), None, None
-        return np.zeros(np.broadcast_shapes(s.shape, self.av_mask.shape)), None, None
+            return u, None, None
+        return 0.0, None, None
+
+    def _full_width_u(self, u, s):
+        """The AV-entry input `u` spread over the follower axis of `s`, +0.0
+        on every HV."""
+        out = np.zeros_like(s)
+        if self._a is not None:
+            out[self._a] = u
+        return out
 
     def rhs(self, v_lead, x, v):
         """Flat derivative `f` plus the instantaneous diagnostics.
 
-        Returns `(f, s, dv, u, w, fw)`; the last three are `control_input`'s.
-        `v_lead` is the leader's speed at the stage time. `f` has the state's
-        layout: dx/dt = [v_lead | v], then dv/dt; sensitivity slots are left
-        for `_stage` to fill.
+        Returns `(f, s, dv, u, w, fw)`; the last three are `control_input`'s
+        at the AV entries (all None without an AV). `v_lead` is the leader's
+        speed at the stage time. `f` has the state's layout: dx/dt =
+        [v_lead | v], then dv/dt; sensitivity slots are left for `_stage` to
+        fill. The HV law is written over every follower, then the AV law
+        plus `u` over the AV entries.
         """
         f = np.empty(v.shape[:-1] + (self.width,))
         v_all = f[self._x]
@@ -455,10 +514,15 @@ class PlatoonEngine:
         v_prev = v_all[..., :-1]
         s = x[..., :-1] - x[..., 1:] - self.front_lengths
         dv = v_prev - v
-        u, w, fw = self.control_input(s, dv, v_prev)
-        acc = idm_accel_arrays(s, dv, v, self.hv)
-        np.copyto(acc, ovrv_accel_arrays(s, dv, v, self.av) + u, where=self.av_mask)
-        f[self._v] = acc
+        f[self._v] = idm_accel_arrays(s, dv, v, self.hv)
+        a = self._a
+        if a is None:
+            return f, s, dv, None, None, None
+        s_a, dv_a = s[a], dv[a]
+        # only ts-trc reads the predecessor's speed
+        v_prev_a = v_prev[a] if self.kind == "ts-trc" else None
+        u, w, fw = self.control_input(s_a, dv_a, v_prev_a)
+        f[self._a_f] = ovrv_accel_arrays(s_a, dv_a, v[a], self.av) + u
         return f, s, dv, u, w, fw
 
     def _stage(self, v_lead, y):
@@ -473,22 +537,27 @@ class PlatoonEngine:
         # speed equation r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w)
         # with s and the predecessor speed held exogenous; the HV rows get
         # no forcing, so they stay 0
-        n = self.n
+        a, (zb, zg) = self._a, self._z_av
+        s, dv = s[a], dv[a]
         kp = self.kernel.deriv(w)
         drdv = self._neg_k1_tau - (self.av.k2 + self._beta_gamma * s * kp)
-        zdot = f[self._z].reshape(2, n)
-        np.multiply(fw, self._av_unit, out=zdot[0])
-        zdot[1] = self._beta_av * s * dv * kp
-        zdot += drdv * y[self._z].reshape(2, n)
+        # the forcing is added after the linear term; IEEE addition commutes
+        zdot_b = drdv * y[zb] + fw
+        zdot_g = drdv * y[zg] + self._beta_a * s * dv * kp
         if self.sensitivity == "coupled":
             # spacing sensitivity zs = ds/dtheta with zsdot = -z; it feeds
             # back through dr/ds
             drds = self.av.k1 + self._beta_gamma * dv * kp
-            zdot += drds * y[self._zs].reshape(2, n)
+            n_z = 2 * self.n
+            zdot_b = zdot_b + drds * y[_shifted(zb, n_z)]
+            zdot_g = zdot_g + drds * y[_shifted(zg, n_z)]
             np.negative(y[self._z], out=f[self._zs])
+        f[self._z] = 0.0
+        f[zb] = zdot_b
+        f[zg] = zdot_g
 
     def _check_finite(self, y, t):
-        if np.isfinite(y[self._checked]).all():
+        if np.logical_and.reduce(np.isfinite(y[self._checked]), axis=None):
             return
         finite = np.isfinite(y[self._v])
         if finite.all():
@@ -516,8 +585,9 @@ class PlatoonEngine:
             f4 = self._stage(v_lead_end, y + dt * f3)[0]
             y_new = y + dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
         v_new = y_new[self._v]
-        below = v_new < 0
-        if below.any():
+        # fmin skips NaN, as `v < 0` is False for it; `_check_finite` reports it
+        if np.fmin.reduce(v_new, axis=None) < 0:
+            below = v_new < 0
             self.lane_floor_hits += below.sum(axis=-1)
             np.maximum(v_new, 0.0, out=v_new)
             if self.sensitivity is not None:
@@ -564,7 +634,8 @@ class PlatoonEngine:
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
         # each field is a slice of one stage part (y, f, s, dv, u): the
-        # part's index, the slice and its width
+        # part's index, the slice and its width; the full-width u is built
+        # only when it is recorded
         n = self.n
         sources = {
             "x": (0, self._x, n + 1), "v": (1, self._x, n + 1), "a": (1, self._v, n),
@@ -585,8 +656,11 @@ class PlatoonEngine:
             bufs[name] = np.empty((block,) + self.batch_shape + (width,))
             fields.append((bufs[name], part, idx))
 
+        full_u = "u" in record
+
         def record_sample(k, y_k, stage):
-            parts = (y_k,) + stage
+            f, s, dv, u = stage[:4]
+            parts = (y_k, f, s, dv, self._full_width_u(u, s) if full_u else None)
             j = (k - lo) % block
             for buf, part, idx in fields:
                 buf[j] = parts[part][idx]
@@ -613,7 +687,7 @@ class PlatoonEngine:
             return None
         out = {"t": t_grid[lo:hi], **bufs}
         if "z" in out:
-            z = out["z"].reshape(hi - lo, 2, n)[:, :, self.av_pos]
+            z = out["z"].reshape(hi - lo, 2, n)[:, :, self._a[-1]]
             out["z"] = np.ascontiguousarray(z.transpose(0, 2, 1))
         return out
 

@@ -114,6 +114,67 @@ class TestConfig:
             config._get(cp, "optimizer", "per_av", str)
 
 
+class TestUsageErrors:
+    # argparse's usage errors exit 1, the config-error code; 2 stays the
+    # code of a numerical failure
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["run", "--scenario", "scenario1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["grid", "--scenario", "scenario1", "--beta-range", "-inf:0.05:2",
+          "--gamma-range", "0.5:1.0:2"], "argument --beta-range: expected one argument"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: platoonsim")
+        assert err.endswith(f"error: {message}\n")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: platoonsim")
+
+
+class TestUnreadableInputs:
+    # an input that cannot be read is one config-error line and exit 1,
+    # before any integration
+
+    @pytest.fixture(autouse=True)
+    def no_integration(self, monkeypatch):
+        def fail(*args, **kw):
+            raise AssertionError("integrated despite an unreadable input")
+
+        monkeypatch.setattr(cli, "simulate", fail)
+
+    def run_with(self, tmp_path, capsys, *argv):
+        code = main(["run", "--out", str(tmp_path / "out"), *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        return err
+
+    def test_missing_fuel_table(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        err = self.run_with(tmp_path, capsys, "--scenario", "scenario1",
+                            "--set", f"metrics.fuel_coefficients={missing}")
+        assert f"cannot read fuel coefficients {missing}" in err
+
+    def test_non_numeric_fuel_table(self, tmp_path, capsys):
+        table = tmp_path / "coeffs.txt"
+        table.write_text("units: kmh\nregime: accel\n1 2 x 4\n")
+        err = self.run_with(tmp_path, capsys, "--scenario", "scenario1",
+                            "--set", f"metrics.fuel_coefficients={table}")
+        assert "could not convert string to float: 'x'" in err
+
+    def test_scenario_is_a_directory(self, tmp_path, capsys):
+        err = self.run_with(tmp_path, capsys, "--scenario", str(tmp_path))
+        assert f"cannot read {tmp_path}" in err
+
+
 class TestRun:
     def test_writes_artifacts(self, tmp_path, capsys):
         code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT])
@@ -384,12 +445,21 @@ class TestSweep:
         clean = read_csv(tmp_path / "clean" / "sweep.csv")
         capsys.readouterr()
         real = simulator.ovrv_accel_arrays
+        real_index = simulator._av_index
+        columns = []
+
+        def spy_index(mask, batch_shape):
+            # the AV law sees the AV entries only; keep each entry's follower
+            index = real_index(mask, batch_shape)
+            columns.append(index[-1])
+            return index
 
         def first_follower_nan(s, dv, v, p):
             acc = real(s, dv, v, p)
-            acc[..., 0] = np.nan
+            acc[columns[-1] == 0] = np.nan
             return acc
 
+        monkeypatch.setattr(simulator, "_av_index", spy_index)
         monkeypatch.setattr(simulator, "ovrv_accel_arrays", first_follower_nan)
         assert main(args + ["--out", str(tmp_path / "bad")]) == 2
         rows = read_csv(tmp_path / "bad" / "sweep.csv")
@@ -636,3 +706,6 @@ class TestFreshInterpreter:
         proc = python_m("run", "--scenario", "missing.cfg", "--out", str(tmp_path / "x"))
         assert proc.returncode == 1
         assert "missing.cfg" in proc.stderr
+        proc = python_m()
+        assert proc.returncode == 1
+        assert "the following arguments are required: command" in proc.stderr

@@ -185,12 +185,13 @@ class TestSimulateWithSensitivity:
 
     def test_blowup_names_the_follower_whose_z_failed(self, monkeypatch):
         # a NaN in the third AV's kernel derivative (follower 5 at MPR 0.5)
-        # leaves every speed finite and only that z row non-finite
+        # leaves every speed finite and only that z row non-finite; the
+        # derivative is evaluated at the AV entries only
         sc = make_short_scenario(mpr=0.5)
         assert sc.av_indices == (1, 3, 5, 7, 9)
         engine = PlatoonEngine(sc, sensitivity="exogenous")
         deriv = engine.kernel.deriv
-        bad = np.arange(sc.n_followers) == 4
+        bad = np.arange(len(sc.av_indices)) == 2
         monkeypatch.setattr(
             engine, "kernel", replace(engine.kernel, deriv=lambda w: np.where(bad, np.nan, deriv(w)))
         )

@@ -8,7 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import simulator
-from platoonsim.dynamics import IdmParams, OvrvParams, equilibrium_spacing
+from platoonsim.controller import SIGMOID_KERNELS
+from platoonsim.dynamics import (
+    IdmParams,
+    OvrvParams,
+    equilibrium_spacing,
+    idm_accel_arrays,
+    ovrv_accel_arrays,
+)
 from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.metrics import WindowSums
 from platoonsim.simulator import (
@@ -309,6 +316,140 @@ def one_av_scenario(**kw):
         metric_window=(0.0, 1.0),
         **kw,
     )
+
+
+def full_width_input(engine, s, dv, v_prev, beta, gamma):
+    """The control input of every follower as if every one were an AV."""
+    ctrl = engine.scenario.controller
+    if ctrl.kind == "ts-ops":
+        return beta * SIGMOID_KERNELS[ctrl.kernel].fn(gamma * s * dv)
+    if ctrl.kind == "ts-trc":
+        v_star = engine.scenario.v_star
+        return ctrl.phi1 * (dv + ctrl.phi2 * np.arctan(ctrl.phi3 * s * (v_star - v_prev)))
+    return np.zeros_like(s)
+
+
+def av_mask_form(form, rows):
+    """A mask of the named index form: `rows` are drawn per-lane rows."""
+    if form == "slice":  # shared, evenly spaced AVs (MPR 0.3)
+        return av_mask_for(10, 0.3)
+    if form == "positions":  # shared, unevenly spaced AVs (MPR 0.6)
+        return av_mask_for(10, 0.6)
+    if form == "none":
+        return np.zeros(10, dtype=bool)
+    if form == "all":
+        return np.ones(10, dtype=bool)
+    # per lane: an AV-free first lane and an AV in the second make the rows differ
+    masks = np.array(rows)
+    masks[0] = False
+    masks[1, 4] = True
+    return masks
+
+
+class TestAvEntries:
+    # the AV law, its input and the sensitivity forcing are evaluated at the
+    # AV entries only, through a slice, a position array or per-lane index
+    # arrays; every follower's derivative must equal a full-width evaluation
+    # of both laws that keeps the AV law on the AV entries
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        form=st.sampled_from(["slice", "positions", "per-lane", "none", "all"]),
+        rows=st.lists(st.lists(st.booleans(), min_size=10, max_size=10), min_size=2, max_size=4),
+        gains=st.lists(st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+                       min_size=4, max_size=4),
+        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rhs_equals_a_full_width_reference(
+        self, form, rows, gains, kind, kernel, integrator, seed
+    ):
+        sc = make_short_scenario(kind=kind, t_f=20.0, window=(0.0, 20.0),
+                                 integrator=integrator)
+        sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
+        mask = av_mask_form(form, rows)
+        lanes = len(rows)
+        beta = np.array([[b] for b, _ in gains[:lanes]])
+        gamma = np.array([[g] for _, g in gains[:lanes]])
+        engine = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=mask)
+        index = engine._a
+        if form == "none":
+            assert index is None
+        elif form == "per-lane":
+            assert all(isinstance(i, np.ndarray) for i in index)
+        else:
+            assert isinstance(index[-1], slice if form != "positions" else np.ndarray)
+
+        # a perturbed state, so that spacings and relative speeds differ
+        rng = np.random.default_rng(seed)
+        x, v = engine.initial_arrays()
+        x[..., 1:] += rng.uniform(-3.0, 3.0, x[..., 1:].shape)
+        v += rng.uniform(-2.0, 2.0, v.shape)
+        f = engine.rhs(19.5, x, v)[0]
+        v_prev = np.concatenate([np.full(v.shape[:-1] + (1,), 19.5), v[..., :-1]], axis=-1)
+        s = x[..., :-1] - x[..., 1:] - engine.front_lengths
+        dv = v_prev - v
+        u = full_width_input(engine, s, dv, v_prev, beta, gamma)
+        acc = np.where(
+            mask,
+            ovrv_accel_arrays(s, dv, v, sc.av_model) + u,
+            idm_accel_arrays(s, dv, v, sc.hv_model),
+        )
+        assert f[..., sc.n_followers + 1 :].tobytes() == acc.tobytes()
+        assert f[..., 1 : sc.n_followers + 1].tobytes() == v.tobytes()
+
+        # the recorded input: the AV law's on the AV entries, +0.0 on the HVs
+        raw = engine.run(record=("v", "s", "dv", "u"))
+        u_ref = full_width_input(engine, raw["s"], raw["dv"], raw["v"][..., :-1], beta, gamma)
+        assert raw["u"].tobytes() == np.where(mask, u_ref, 0.0).tobytes()
+        hv = np.broadcast_to(~mask, raw["u"].shape)
+        assert not np.signbit(raw["u"][hv]).any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        form=st.sampled_from(["slice", "positions", "all"]),
+        mode=st.sampled_from(["exogenous", "coupled"]),
+        gains=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+        kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sensitivity_forcing_equals_a_full_width_reference(
+        self, form, mode, gains, kernel, seed
+    ):
+        sc = make_short_scenario(beta=gains[0], gamma=gains[1])
+        sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
+        mask = av_mask_form(form, None)
+        engine = PlatoonEngine(sc, av_mask=mask, sensitivity=mode)
+        rng = np.random.default_rng(seed)
+        n = sc.n_followers
+        y = np.zeros(engine.width)
+        y[: n + 1], y[n + 1 : 2 * n + 1] = engine.initial_arrays()
+        y[1 : n + 1] += rng.uniform(-3.0, 3.0, n)
+        y[n + 1 :] += rng.uniform(-2.0, 2.0, engine.width - n - 1)
+        y[2 * n + 1 : 4 * n + 1].reshape(2, n)[:, ~mask] = 0.0  # HV z rows hold 0
+        f = engine._stage(19.5, y)[0]
+
+        # zdot = (dr/dv) z + dr/dtheta over every follower, kept on the AVs
+        x, v = y[: n + 1], y[n + 1 : 2 * n + 1]
+        v_prev = np.concatenate([[19.5], v[:-1]])
+        s = x[:-1] - x[1:] - engine.front_lengths
+        dv = v_prev - v
+        beta, gamma = gains
+        kern = SIGMOID_KERNELS[kernel]
+        w = gamma * s * dv
+        kp = kern.deriv(w)
+        beta_gamma = beta * gamma
+        z = y[2 * n + 1 : 4 * n + 1].reshape(2, n)
+        drdv = -sc.av_model.k1 * sc.av_model.tau - (sc.av_model.k2 + beta_gamma * s * kp)
+        zdot = np.stack([kern.fn(w), beta * s * dv * kp]) + drdv * z
+        if mode == "coupled":
+            zs = y[4 * n + 1 :].reshape(2, n)
+            zdot += (sc.av_model.k1 + beta_gamma * dv * kp) * zs
+            assert f[4 * n + 1 :].tobytes() == (-y[2 * n + 1 : 4 * n + 1]).tobytes()
+        expected = np.where(mask, zdot, 0.0)
+        assert f[2 * n + 1 : 4 * n + 1].tobytes() == expected.ravel().tobytes()
 
 
 class TestStep:
