@@ -156,7 +156,12 @@ def cmd_tune(args) -> int:
     if not scenario.av_indices:
         raise ConfigError("no AV to tune: scenario has zero penetration")
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
-    theta, trace = optimize(scenario, ocfg)
+    try:
+        theta, trace = optimize(scenario, ocfg)
+    except OptimizeError as err:
+        # the completed iterations stay on disk; `main` reports the failure
+        write_trace_csv(err.trace, os.path.join(args.out, "trace.csv"))
+        raise
     write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
     with open(os.path.join(args.out, "theta_opt.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -2,10 +2,14 @@
 
 The objective is the integrated squared speed gap between each controlled AV
 and its predecessor. Its gradient with respect to the gains (beta, gamma) is
-obtained from a two-component sensitivity ODE co-integrated with the platoon
-in the engine's state: the sensitivity treats the AV's spacing and its
-predecessor's speed as exogenous signals, so it differentiates exactly the
-AV's own speed equation.
+obtained from a two-component sensitivity ODE per AV: the sensitivity treats
+the AV's spacing and its predecessor's speed as exogenous signals, so it
+differentiates exactly the AV's own speed equation. That ODE is linear and
+never feeds back into the platoon, so it is solved after a plain engine run:
+the run records x and v, every integrator stage is rebuilt from the record
+in blocks of steps, and z follows by a short linear recurrence over the
+stage values with the same operations, in the same order, as a
+co-integration in the engine's state would use.
 A projected fixed-step descent clamps beta to its safety bound and gamma to
 non-negative values.
 """
@@ -21,7 +25,14 @@ import numpy as np
 from .controller import ControllerParams, get_kernel
 from .dynamics import ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
-from .simulator import PlatoonEngine, Scenario, Trajectory, assemble_trajectory
+from .simulator import (
+    PlatoonEngine,
+    Scenario,
+    Trajectory,
+    assemble_trajectory,
+    av_mask_for,
+    rk4_step,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -34,6 +45,9 @@ __all__ = [
     "optimize",
     "write_trace_csv",
 ]
+
+# steps per block of the sensitivity post-pass; bounds its stage arrays
+_Z_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -65,11 +79,7 @@ class OptimizerConfig:
             raise DomainError(
                 f"beta_max must be positive and finite, got {self.beta_max}"
             )
-        if self.sensitivity not in ("exogenous", "coupled"):
-            raise DomainError(
-                f"sensitivity mode must be 'exogenous' or 'coupled', "
-                f"got {self.sensitivity!r}"
-            )
+        _check_mode(self.sensitivity)
 
 
 @dataclass
@@ -142,17 +152,133 @@ def project_feasible(theta, beta_max: float) -> ControllerParams:
     return ControllerParams(beta=min(max(b, 0.0), beta_max), gamma=max(g, 0.0))
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("exogenous", "coupled"):
+        raise DomainError(
+            f"sensitivity mode must be 'exogenous' or 'coupled', got {mode!r}"
+        )
+
+
+def _z_terms(stage, beta, gamma, kernel, p, cols):
+    """The linear sensitivity rate at one `rhs` tuple, at the AV entries.
+
+    zdot = drdv*z + forcing (+ drds*zs for "coupled") for the AV speed
+    equation r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w). `beta` and
+    `gamma` are the AV gains, `cols` the AV columns of the follower axis.
+    Returns drdv and drds shaped (..., n_av) and the forcing
+    [dr/dbeta, dr/dgamma] shaped (..., n_av, 2).
+    """
+    _, s, dv, _, w, fw = stage
+    s, dv = s[..., cols], dv[..., cols]
+    kp = kernel.deriv(w)
+    beta_gamma = beta * gamma
+    drdv = -p.k1 * p.tau - (p.k2 + beta_gamma * s * kp)
+    forcing = np.stack([fw, beta * s * dv * kp], axis=-1)
+    drds = p.k1 + beta_gamma * dv * kp
+    return drdv, forcing, drds
+
+
+def _z_steps(z, rows, dt: float, rk4: bool, coupled: bool):
+    """Advance one (AV, gain) entry of the sensitivities through a block.
+
+    `z` is the entry's z, a float, or its [z, zs] pair for "coupled". Each
+    of `rows` holds one step's drdv, forcing and drds, one value per stage,
+    and whether the step clamped the AV's speed. The entries are independent
+    and few, so plain floats are cheaper here than arrays, with the same
+    bits. Returns z after each step and the last state.
+    """
+    # stage i's rate at y, with the coefficients of the step in progress
+    def rate(i, y):
+        if coupled:
+            return np.array([d[i] * y[0] + f[i] + c[i] * y[1], -y[0]])
+        return d[i] * y + f[i]
+
+    out = []
+    for d, f, c, clamp in rows:
+        f1 = rate(0, z)
+        z = rk4_step(z, dt, f1, rate) if rk4 else z + dt * f1
+        if clamp:
+            # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
+            z = np.array([0.0, z[1]]) if coupled else 0.0
+        out.append(z[0] if coupled else z)
+    return out, z
+
+
+def _sensitivities(scenario: Scenario, gains: np.ndarray, raw: dict, mode: str) -> np.ndarray:
+    """The AV gain sensitivities z = dv/d(beta, gamma) of a recorded run.
+
+    `gains` holds the run's per-follower (beta, gamma) rows and `raw` its
+    record of `x` and `v` over the whole horizon. Each block of `_Z_BLOCK`
+    steps rebuilds its states' stages in one engine whose batch axis is the
+    step index, then advances z step by step through the linear rate at
+    those stages. "coupled" adds the spacing sensitivity zs, zsdot = -z,
+    which feeds back through dr/ds. Returns z with shape (n_samples, n_av,
+    2), z(0) = 0; a non-finite z raises NumericalBlowupError naming the
+    lowest AV whose row failed at the first such step.
+    """
+    av = np.subtract(scenario.av_indices, 1)
+    n = scenario.n_followers
+    coupled = mode == "coupled"
+    rk4 = scenario.integrator == "rk4"
+    dt, steps = scenario.dt, scenario.steps
+    beta, gamma = gains[:, av]
+    kernel = get_kernel(scenario.controller.kernel)
+    engine = PlatoonEngine(
+        scenario, beta=gains[0], gamma=gains[1],
+        av_mask=av_mask_for(n, scenario.mpr)[None],
+    )
+    lead_t, lead_mid, lead_end = scenario.lead.stage_speeds(dt, steps)
+    x, v = raw["x"], raw["v"][:, 1:]
+    z_series = np.zeros((steps + 1, len(av), 2))
+    # one state per (AV, gain) entry
+    states = [[np.zeros(2) if coupled else 0.0 for _ in range(2)] for _ in av]
+    for k0 in range(0, steps, _Z_BLOCK):
+        k1 = min(k0 + _Z_BLOCK, steps)
+        first = engine.rhs(lead_t[k0:k1], x[k0:k1], v[k0:k1])
+        y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
+        later = []
+        y_new = engine.step(y, first[0], lead_mid[k0:k1], lead_end[k0:k1], later)
+        # (step, stage, AV[, gain]) coefficients
+        drdv, forcing, drds = (
+            np.stack(terms, axis=1)
+            for terms in zip(*(
+                _z_terms(stage, beta, gamma, kernel, scenario.av_model, av)
+                for stage in [first, *later]
+            ))
+        )
+        clamped = y_new[:, n + 1 + av] < 0
+        block = z_series[k0 + 1 : k1 + 1]
+        for col, state in enumerate(states):
+            for g in range(2):
+                rows = zip(
+                    drdv[:, :, col].tolist(), forcing[:, :, col, g].tolist(),
+                    drds[:, :, col].tolist(), clamped[:, col].tolist(),
+                )
+                block[:, col, g], state[g] = _z_steps(state[g], rows, dt, rk4, coupled)
+        finite = np.isfinite(block)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=(1, 2))))
+            col = int(np.argmin(finite[row].all(axis=-1)))
+            raise NumericalBlowupError(int(av[col]) + 1, raw["t"][k0 + 1 + row])
+    return z_series
+
+
 def _sensitivity_run(scenario: Scenario, theta_av, mode: str, record) -> dict:
-    """`PlatoonEngine.run` with the AV gains `theta_av` and the sensitivities."""
+    """A plain `PlatoonEngine.run` with the AV gains `theta_av`, plus the AV
+    sensitivities `z` integrated from its record; `record` must hold x and v."""
     av_indices = scenario.av_indices
     if not av_indices:
         raise DomainError("scenario has no AV to differentiate")
+    if scenario.controller.kind != "ts-ops":
+        raise DomainError("sensitivities are defined for the ts-ops controller only")
+    _check_mode(mode)
     theta_av = np.broadcast_to(np.asarray(theta_av, dtype=float), (len(av_indices), 2))
     # per-follower (beta, gamma) rows, zero for the HVs
     gains = np.zeros((2, scenario.n_followers))
     gains[:, np.subtract(av_indices, 1)] = theta_av.T
-    engine = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1], sensitivity=mode)
-    return engine.run(record=record)
+    raw = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1]).run(record=record)
+    raw["z"] = _sensitivities(scenario, gains, raw, mode)
+    return raw
 
 
 def simulate_with_sensitivity(
@@ -160,16 +286,14 @@ def simulate_with_sensitivity(
     theta_av: np.ndarray,
     mode: str = "exogenous",
 ) -> tuple[Trajectory, np.ndarray]:
-    """Integrate the platoon and the per-AV gain sensitivities together.
+    """Integrate the platoon, then the per-AV gain sensitivities from its record.
 
-    theta_av is one (beta, gamma) row per AV, or one pair shared by all. The
-    sensitivities ride in the engine's flat state
-    (`PlatoonEngine(sensitivity=mode)`). Returns the trajectory and the
-    sensitivity series with shape (n_samples, n_av, 2), z(0) = 0.
+    theta_av is one (beta, gamma) row per AV, or one pair shared by all.
+    Returns the trajectory and the sensitivity series with shape
+    (n_samples, n_av, 2), z(0) = 0. A non-finite z raises
+    NumericalBlowupError naming the lowest AV whose row failed.
     """
-    raw = _sensitivity_run(
-        scenario, theta_av, mode, ("x", "v", "a", "s", "dv", "u", "z")
-    )
+    raw = _sensitivity_run(scenario, theta_av, mode, ("x", "v", "a", "s", "dv", "u"))
     z_series = raw.pop("z")
     return assemble_trajectory(scenario, raw), z_series
 
@@ -220,18 +344,30 @@ def replayed_objective(
     return float(0.5 * np.trapezoid((v_series - vp_sig) ** 2, t))
 
 
+def _descent_terms(scenario: Scenario, theta, mode: str) -> tuple[float, np.ndarray]:
+    """J and the AV-summed direction at the shared gains theta. The run's
+    record dies with this call, before the next iteration's run."""
+    raw = _sensitivity_run(scenario, theta, mode, ("x", "v"))
+    t, v, z_series = raw["t"], raw["v"], raw["z"]
+    av_indices = scenario.av_indices
+    j_val = _objective(t, v, av_indices)
+    lam = np.stack(
+        [_direction(t, v, z_series[:, row], i) for row, i in enumerate(av_indices)]
+    ).sum(axis=0)
+    return j_val, lam
+
+
 def optimize(
     scenario: Scenario, cfg: OptimizerConfig
 ) -> tuple[ControllerParams, OptimizationTrace]:
     """Projected descent on the (beta, gamma) pair shared by the AVs.
 
-    Each iteration simulates the platoon with the current gains, co-integrates
-    the sensitivities (recording only `v` and `z`, all the objective and the
-    direction read), sums the descent direction over the AVs, and updates
-    the gains with a fixed step, projecting onto the feasible box. Stops when
-    the objective change drops to the threshold, the direction vanishes, or
-    the iteration cap is reached. Returns the best-objective gains and the
-    full trace.
+    Each iteration simulates the platoon with the current gains (recording
+    only `x` and `v`), integrates the sensitivities from that record, sums
+    the descent direction over the AVs, and updates the gains with a fixed
+    step, projecting onto the feasible box. Stops when the objective change
+    drops to the threshold, the direction vanishes, or the iteration cap is
+    reached. Returns the best-objective gains and the full trace.
     """
     av_indices = scenario.av_indices
     if not av_indices:
@@ -256,15 +392,10 @@ def optimize(
 
     for kappa in range(1, cfg.n_max + 1):
         try:
-            raw = _sensitivity_run(scenario, theta, cfg.sensitivity, ("v", "z"))
+            j_val, lam = _descent_terms(scenario, theta, cfg.sensitivity)
         except NumericalBlowupError as err:
             reason = "blow-up"
             raise OptimizeError(str(err), make_trace()) from err
-        t, v, z_series = raw["t"], raw["v"], raw["z"]
-        j_val = _objective(t, v, av_indices)
-        lam = np.stack(
-            [_direction(t, v, z_series[:, row], i) for row, i in enumerate(av_indices)]
-        ).sum(axis=0)
         thetas.append(theta)
         objectives.append(j_val)
         lambdas.append(lam)

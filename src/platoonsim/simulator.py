@@ -7,8 +7,7 @@ by default, with explicit Euler available for oracle tests.
 
 The stepping core is batch-aware: parameter studies (controller-gain grids,
 penetration sweeps) stack along a leading batch axis and integrate together,
-which keeps independent runs independent while vectorizing the work. On
-request it also integrates the gain sensitivities in the same state.
+which keeps independent runs independent while vectorizing the work.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ __all__ = [
     "check_safety",
     "write_trajectory_csv",
     "PlatoonEngine",
+    "rk4_step",
 ]
 
 logger = logging.getLogger(__name__)
@@ -359,16 +359,14 @@ class PlatoonEngine:
     its own gains or to integrate a whole family of runs at once (leading
     batch axes; one gain per lane is shaped `(lanes, 1)`). Lanes are
     independent: each one equals its own unbatched run bit for bit. The AV
-    law, the control input and the sensitivity forcing are evaluated at the
-    AV entries only (`_av_index`).
+    law and the control input are evaluated at the AV entries only
+    (`_av_index`).
 
-    Each lane advances one flat state `[x (n+1) | v (n) | z | zs]`. With
-    `sensitivity="exogenous"` the state carries the gain sensitivities
-    `z = dv/d(beta, gamma)` of the forward sensitivity method, one per
-    follower and gain: `[z_beta (n) | z_gamma (n)]`, with the HV rows held
-    at 0. `"coupled"` adds the spacing sensitivities `zs` in the same
-    layout, which feed back into `z`. Sensitivities are integrated for
-    unbatched ts-ops runs only.
+    Each lane advances one flat state `[x (n+1) | v (n)]`; the engine knows
+    nothing of gain sensitivities. `step` evaluates the later stages of one
+    step: `advance` calls it in the run loop, and the optimizer calls it on
+    a recorded run's states, with the step index as the batch axis, to
+    rebuild the stage values its sensitivities need.
     """
 
     def __init__(
@@ -377,7 +375,6 @@ class PlatoonEngine:
         beta=None,
         gamma=None,
         av_mask: np.ndarray | None = None,
-        sensitivity: str | None = None,
     ):
         self.scenario = scenario
         self.n = n = scenario.n_followers
@@ -430,34 +427,7 @@ class PlatoonEngine:
         # flat state layout; dx/dt = [v_lead | v] shares the x slots
         self._x = np.s_[..., : n + 1]
         self._v = np.s_[..., n + 1 : 2 * n + 1]
-        width = 2 * n + 1
-        n_z = 0
-        if sensitivity not in (None, "exogenous", "coupled"):
-            raise DomainError(
-                f"sensitivity mode must be 'exogenous' or 'coupled', got {sensitivity!r}"
-            )
-        self.sensitivity = sensitivity
-        if sensitivity is not None:
-            if self.batch_shape:
-                raise DomainError("sensitivities are integrated for unbatched runs only")
-            if self.kind != "ts-ops":
-                raise DomainError("sensitivities are defined for the ts-ops controller only")
-            if self._a is None:
-                raise DomainError("scenario has no AV to differentiate")
-            self._beta_gamma = self._beta_a * self._gamma_a
-            self._neg_k1_tau = -self.av.k1 * self.av.tau
-            n_z = 2 * n
-            self._z = slice(width, width + n_z)
-            # the AVs' slots in the z_beta and z_gamma blocks; each zs block
-            # sits n_z slots after its z block
-            self._z_av = (_shifted(self._a, width), _shifted(self._a, width + n))
-            width += n_z
-            if sensitivity == "coupled":
-                self._zs = slice(width, width + n_z)
-                width += n_z
-        self.width = width
-        # speeds and sensitivities are the entries the finite check covers
-        self._checked = np.s_[..., n + 1 : 2 * n + 1 + n_z]
+        self.width = 2 * n + 1
 
     @property
     def floor_hits(self) -> int:
@@ -476,8 +446,8 @@ class PlatoonEngine:
 
         `s`, `dv` and `v_prev` are taken at the AV entries (`self._a`). For
         ts-ops, `w = gamma*s*dv` is the kernel's argument and `fw` its
-        value, which the sensitivity terms reuse; both are None for the
-        other controllers. Without a controller `u` is 0.0.
+        value, which the optimizer's sensitivity terms reuse; both are None
+        for the other controllers. Without a controller `u` is 0.0.
         """
         if self.kind == "ts-ops":
             w = self._gamma_a * s * dv
@@ -503,9 +473,8 @@ class PlatoonEngine:
         Returns `(f, s, dv, u, w, fw)`; the last three are `control_input`'s
         at the AV entries (all None without an AV). `v_lead` is the leader's
         speed at the stage time. `f` has the state's layout: dx/dt =
-        [v_lead | v], then dv/dt; sensitivity slots are left for `_stage` to
-        fill. The HV law is written over every follower, then the AV law
-        plus `u` over the AV entries.
+        [v_lead | v], then dv/dt. The HV law is written over every follower,
+        then the AV law plus `u` over the AV entries.
         """
         f = np.empty(v.shape[:-1] + (self.width,))
         v_all = f[self._x]
@@ -525,73 +494,48 @@ class PlatoonEngine:
         f[self._a_f] = ovrv_accel_arrays(s_a, dv_a, v[a], self.av) + u
         return f, s, dv, u, w, fw
 
-    def _stage(self, v_lead, y):
-        """`rhs` at the flat state y, with the sensitivity entries filled in."""
-        stage = self.rhs(v_lead, y[self._x], y[self._v])
-        if self.sensitivity is not None:
-            self._sensitivity_rhs(y, *stage)
-        return stage
-
-    def _sensitivity_rhs(self, y, f, s, dv, u, w, fw):
-        # zdot = (dr/dv) z + dr/dtheta, written into f's z slots, for the AV
-        # speed equation r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w)
-        # with s and the predecessor speed held exogenous; the HV rows get
-        # no forcing, so they stay 0
-        a, (zb, zg) = self._a, self._z_av
-        s, dv = s[a], dv[a]
-        kp = self.kernel.deriv(w)
-        drdv = self._neg_k1_tau - (self.av.k2 + self._beta_gamma * s * kp)
-        # the forcing is added after the linear term; IEEE addition commutes
-        zdot_b = drdv * y[zb] + fw
-        zdot_g = drdv * y[zg] + self._beta_a * s * dv * kp
-        if self.sensitivity == "coupled":
-            # spacing sensitivity zs = ds/dtheta with zsdot = -z; it feeds
-            # back through dr/ds
-            drds = self.av.k1 + self._beta_gamma * dv * kp
-            n_z = 2 * self.n
-            zdot_b = zdot_b + drds * y[_shifted(zb, n_z)]
-            zdot_g = zdot_g + drds * y[_shifted(zg, n_z)]
-            np.negative(y[self._z], out=f[self._zs])
-        f[self._z] = 0.0
-        f[zb] = zdot_b
-        f[zg] = zdot_g
-
     def _check_finite(self, y, t):
-        if np.logical_and.reduce(np.isfinite(y[self._checked]), axis=None):
-            return
         finite = np.isfinite(y[self._v])
-        if finite.all():
-            # only sensitivities went non-finite (unbatched): name the
-            # follower whose z row did
-            finite = np.isfinite(y[self._z].reshape(2, self.n)).all(axis=0)
+        if np.logical_and.reduce(finite, axis=None):
+            return
         rows = finite.reshape(-1, self.n)
         lane = int(np.argmin(rows.all(axis=-1)))
         vehicle = int(np.argmin(rows[lane])) + 1
         raise NumericalBlowupError(vehicle, t, lane if finite.ndim > 1 else None)
 
+    def step(self, y, f1, v_lead_mid, v_lead_end, stages=None):
+        """The unclamped state one step after the flat state y.
+
+        `f1` is `rhs`'s derivative at y; `v_lead_mid` and `v_lead_end` are
+        the leader's speeds at t + dt/2 and t + dt. A list `stages` receives
+        `rhs`'s tuples at RK4 stages 2, 3 and 4 (none for Euler); the run
+        loop passes none, so they are freed stage by stage.
+        """
+        dt = self.scenario.dt
+        if self.scenario.integrator == "euler":
+            return y + dt * f1
+
+        def rate(i, y_i):
+            v_lead = v_lead_end if i == 3 else v_lead_mid
+            stage = self.rhs(v_lead, y_i[self._x], y_i[self._v])
+            if stages is not None:
+                stages.append(stage)
+            return stage[0]
+
+        return rk4_step(y, dt, f1, rate)
+
     def advance(self, y, f1, v_lead_mid, v_lead_end):
         """One step of the flat state y from its derivative f1 at the step start.
 
         `v_lead_mid` and `v_lead_end` are the leader's speeds at t + dt/2 and
-        t + dt. Speeds below 0 are clamped and counted per lane; the clamped
-        follower's sensitivities are zeroed, since d max(v, 0)/dv = 0 there.
+        t + dt. Speeds below 0 are clamped and counted per lane.
         """
-        dt = self.scenario.dt
-        if self.scenario.integrator == "euler":
-            y_new = y + dt * f1
-        else:
-            f2 = self._stage(v_lead_mid, y + dt / 2 * f1)[0]
-            f3 = self._stage(v_lead_mid, y + dt / 2 * f2)[0]
-            f4 = self._stage(v_lead_end, y + dt * f3)[0]
-            y_new = y + dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+        y_new = self.step(y, f1, v_lead_mid, v_lead_end)
         v_new = y_new[self._v]
         # fmin skips NaN, as `v < 0` is False for it; `_check_finite` reports it
         if np.fmin.reduce(v_new, axis=None) < 0:
-            below = v_new < 0
-            self.lane_floor_hits += below.sum(axis=-1)
+            self.lane_floor_hits += (v_new < 0).sum(axis=-1)
             np.maximum(v_new, 0.0, out=v_new)
-            if self.sensitivity is not None:
-                y_new[self._z].reshape(2, self.n)[:, below] = 0.0
         return y_new
 
     def run(
@@ -603,13 +547,12 @@ class PlatoonEngine:
         """Integrate the scenario, recording the requested fields.
 
         Recorded arrays have a leading time axis; `x` and `v` include the
-        leader column, `a`, `s`, `dv`, `u` cover the followers only, and `z`
-        (sensitivity runs) has shape (n_av, 2) per sample: the AVs' rows of
-        the per-follower slots. Without a window the whole horizon is
-        integrated and recorded. With `window=(t1, t2)` only the samples
-        `window_slice` selects are kept, a window outside the horizon fails
-        before the first step, and the integration ends at the window's
-        last sample: blow-ups and floor hits after t2 are not seen.
+        leader column, `a`, `s`, `dv`, `u` cover the followers only. Without
+        a window the whole horizon is integrated and recorded. With
+        `window=(t1, t2)` only the samples `window_slice` selects are kept,
+        a window outside the horizon fails before the first step, and the
+        integration ends at the window's last sample: blow-ups and floor
+        hits after t2 are not seen.
 
         With `fold`, the samples go to a block buffer of at most
         `_FOLD_VALUES` values (at least one sample) instead, and
@@ -641,8 +584,6 @@ class PlatoonEngine:
             "x": (0, self._x, n + 1), "v": (1, self._x, n + 1), "a": (1, self._v, n),
             "s": (2, ..., n), "dv": (3, ..., n), "u": (4, ..., n),
         }
-        if self.sensitivity is not None:
-            sources["z"] = (0, self._z, 2 * n)
         block = hi - lo
         if fold is not None:
             per_sample = math.prod(self.batch_shape) * sum(
@@ -668,13 +609,13 @@ class PlatoonEngine:
                 fold(t_grid[k + 1 - block : k + 1], bufs)
 
         for k in range(last):
-            stage = self._stage(lead_t[k], y)
+            stage = self.rhs(lead_t[k], y[self._x], y[self._v])
             if k >= lo:
                 record_sample(k, y, stage)
             y = self.advance(y, stage[0], lead_mid[k], lead_end[k])
             self._check_finite(y, t_grid[k + 1])
         if lo <= last:
-            record_sample(last, y, self._stage(lead_t[last], y))
+            record_sample(last, y, self.rhs(lead_t[last], y[self._x], y[self._v]))
 
         if self.floor_hits and not self.batch_shape:
             logger.warning(
@@ -685,11 +626,21 @@ class PlatoonEngine:
             rest = (hi - lo) % block
             fold(t_grid[hi - rest : hi], {name: buf[:rest] for name, buf in bufs.items()})
             return None
-        out = {"t": t_grid[lo:hi], **bufs}
-        if "z" in out:
-            z = out["z"].reshape(hi - lo, 2, n)[:, :, self._a[-1]]
-            out["z"] = np.ascontiguousarray(z.transpose(0, 2, 1))
-        return out
+        return {"t": t_grid[lo:hi], **bufs}
+
+
+def rk4_step(y, dt: float, f1, rate):
+    """One classic RK4 step from the state y, whose derivative is f1.
+
+    `rate(i, y_i)` is the derivative at the stage state y_i, for i = 1 and 2
+    (the half step) and 3 (the full step). The engine and the optimizer's
+    sensitivity post-pass both step through here, so the stage formulas
+    exist once; the `replayed_objective` oracle keeps its own loop.
+    """
+    f2 = rate(1, y + dt / 2 * f1)
+    f3 = rate(2, y + dt / 2 * f2)
+    f4 = rate(3, y + dt * f3)
+    return y + dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
 
 
 def assemble_trajectory(scenario: Scenario, raw: dict) -> Trajectory:

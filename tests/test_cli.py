@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from platoonsim import cli, config, simulator
+from platoonsim import cli, config, optimizer, simulator
 from platoonsim.cli import _platoon_metrics_batch, main
 from platoonsim.config import (
     apply_overrides,
@@ -19,7 +19,7 @@ from platoonsim.config import (
     build_scenario,
     load_config,
 )
-from platoonsim.errors import ConfigError
+from platoonsim.errors import ConfigError, NumericalBlowupError
 from platoonsim.metrics import default_fuel_coefficients
 from platoonsim.optimizer import optimize
 
@@ -355,6 +355,31 @@ class TestTune:
                      "--set", "scenario.mpr=0"])
         assert code == 1
         assert "no AV to tune" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failing_call", [1, 3])
+    def test_failed_descent_keeps_its_trace(self, tmp_path, capsys, monkeypatch, failing_call):
+        # the descent's run blows up on its third (first) call: the two
+        # completed iterations (none) are written before the exit 2
+        run = optimizer._sensitivity_run
+        calls = []
+
+        def failing_run(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise NumericalBlowupError(4, 12.3)
+            return run(*args)
+
+        monkeypatch.setattr(optimizer, "_sensitivity_run", failing_run)
+        code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "optimizer.n_max=5", "--set", "optimizer.epsilon=1e-4"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite state for vehicle 4 at t=12.300 s\n"
+        )
+        trace = read_csv(tmp_path / "trace.csv")
+        assert trace[0] == ["iter", "beta", "gamma", "J", "lambda_beta", "lambda_gamma"]
+        assert [row[0] for row in trace[1:]] == [str(k) for k in range(1, failing_call)]
+        assert not (tmp_path / "theta_opt.csv").exists()
 
 
 class TestSweep:

@@ -1,14 +1,20 @@
 import logging
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from platoonsim.controller import ControllerParams
-from platoonsim.errors import DomainError, NumericalBlowupError
+from platoonsim import optimizer
+from platoonsim.controller import SIGMOID_KERNELS, ControllerParams
+from platoonsim.errors import DomainError, NumericalBlowupError, OptimizeError
 from platoonsim.optimizer import (
     OptimizerConfig,
+    _sensitivities,
+    _z_terms,
     descent_direction,
     objective_j,
     optimize,
@@ -27,7 +33,10 @@ from platoonsim.simulator import (
 
 from conftest import (
     FLAT_LEAD,
+    IDM_1,
+    IDM_2,
     OVRV_1,
+    SHORT_LEAD,
     STOP_LEAD,
     make_scenario,
     make_short_scenario,
@@ -72,45 +81,92 @@ class TestObjective:
 
 
 def stage_zdot(z_av, dv, beta=0.05, gamma=1.0, s=50.0):
-    """The engine's z-slot derivatives, shaped (2, n): rows dbeta and dgamma,
-    one column per follower. The one arctan AV of an MPR 0.1 platoon sits at
-    spacing `s` and relative speed `dv` behind a 21 m/s predecessor, with
-    `z_av` in both of its slots and every other slot 0."""
+    """The post-pass's sensitivity rate (dbeta, dgamma) of the one arctan AV
+    of an MPR 0.1 platoon, at spacing `s` and relative speed `dv` behind a
+    21 m/s predecessor, with `z_av` in both of its entries."""
     sc = make_short_scenario(mpr=0.1, beta=beta, gamma=gamma)
-    engine = PlatoonEngine(sc, sensitivity="exogenous")
+    engine = PlatoonEngine(sc)
     x, v = engine.initial_arrays()
     av = sc.av_indices[0]
     x[av:] -= s - (x[av - 1] - x[av] - 5.0)
     v[av - 1] = 21.0 - dv
-    z = np.zeros((2, sc.n_followers))
-    z[:, av - 1] = z_av
-    y = np.concatenate([x, v, z.ravel()])
-    return engine._stage(21.0, y)[0][engine._z].reshape(2, -1), av - 1
+    drdv, forcing, _ = _z_terms(
+        engine.rhs(21.0, x, v), beta, gamma, SIGMOID_KERNELS["arctan"], OVRV_1, [av - 1]
+    )
+    return (drdv[:, None] * np.asarray(z_av, dtype=float) + forcing)[0]
 
 
 class TestSensitivityRhs:
     def test_zero_forcing_at_zero_relative_speed(self):
-        zdot, _ = stage_zdot(0.0, dv=0.0)
-        assert not zdot.any()
+        assert not stage_zdot(0.0, dv=0.0).any()
 
     def test_hand_evaluated_partials(self):
-        zdot, col = stage_zdot(0.0, dv=1.0)
-        drdb, drdg = zdot[:, col]
+        drdb, drdg = stage_zdot(0.0, dv=1.0)
         assert drdb == pytest.approx(math.atan(50.0), rel=1e-12)
         assert drdb == pytest.approx(1.55080, abs=1e-5)
         # d/dgamma of beta*arctan(gamma*s*dv) carries the beta factor
         assert drdg == pytest.approx(0.05 * 50.0 / 2501.0, rel=1e-12)
-        # the HV rows have no forcing
-        assert not np.delete(zdot, col, axis=1).any()
 
     def test_linear_term(self):
-        # zdot = (dr/dv) z + dr/dtheta: the AV's slots at z = (1, 2) and at
-        # z = 0 differ by (dr/dv, 2 dr/dv), and the HV slots stay 0
+        # zdot = (dr/dv) z + dr/dtheta: the rates at z = (1, 2) and at z = 0
+        # differ by (dr/dv, 2 dr/dv)
         drdv = -OVRV_1.k1 * OVRV_1.tau - OVRV_1.k2 - 0.05 * 50.0 / 2501.0
-        zdot = [stage_zdot(z, dv=1.0)[0] for z in (0.0, (1.0, 2.0))]
-        col = stage_zdot(0.0, dv=1.0)[1]
-        assert zdot[1][:, col] - zdot[0][:, col] == pytest.approx([drdv, 2 * drdv], rel=1e-12)
-        assert not np.delete(zdot[1], col, axis=1).any()
+        zdot = [stage_zdot(z, dv=1.0) for z in (0.0, (1.0, 2.0))]
+        assert zdot[1] - zdot[0] == pytest.approx([drdv, 2 * drdv], rel=1e-12)
+
+
+def per_follower_gains(sc, theta):
+    """(beta, gamma) rows over the followers: theta on the AVs, 0 on the HVs."""
+    gains = np.zeros((2, sc.n_followers))
+    gains[:, np.subtract(sc.av_indices, 1)] = np.reshape(theta, (2, 1))
+    return gains
+
+
+def co_integrated_z(sc, gains, mode):
+    """Reference sensitivities: one flat state [x | v | z | zs] integrated
+    step by step, with z = [z_beta | z_gamma] over every follower, the HV
+    rows held at 0 and zs only for "coupled". Returns z per sample, shaped
+    (n_samples, 2, n)."""
+    n = sc.n_followers
+    engine = PlatoonEngine(sc, beta=gains[0], gamma=gains[1])
+    mask = av_mask_for(n, sc.mpr)
+    kern = SIGMOID_KERNELS[sc.controller.kernel]
+    p = sc.av_model
+    beta, gamma = gains
+    coupled = mode == "coupled"
+    X, V = slice(0, n + 1), slice(n + 1, 2 * n + 1)
+    Z, ZS = slice(2 * n + 1, 4 * n + 1), slice(4 * n + 1, 6 * n + 1)
+
+    def deriv(v_lead, y):
+        f, s, dv = engine.rhs(v_lead, y[X], y[V])[:3]
+        w = gamma * s * dv
+        kp = kern.deriv(w)
+        drdv = -p.k1 * p.tau - (p.k2 + beta * gamma * s * kp)
+        zdot = drdv * y[Z].reshape(2, n) + np.stack([kern.fn(w), beta * s * dv * kp])
+        if not coupled:
+            return np.concatenate([f, np.where(mask, zdot, 0.0).ravel()])
+        zdot = zdot + (p.k1 + beta * gamma * dv * kp) * y[ZS].reshape(2, n)
+        return np.concatenate([f, np.where(mask, zdot, 0.0).ravel(), -y[Z]])
+
+    dt = sc.dt
+    lead_t, lead_mid, lead_end = sc.lead.stage_speeds(dt, sc.steps)
+    y = np.zeros(6 * n + 1 if coupled else 4 * n + 1)
+    y[X], y[V] = engine.initial_arrays()
+    out = [y[Z].reshape(2, n).copy()]
+    for k in range(sc.steps):
+        f1 = deriv(lead_t[k], y)
+        if sc.integrator == "euler":
+            y = y + dt * f1
+        else:
+            f2 = deriv(lead_mid[k], y + dt / 2 * f1)
+            f3 = deriv(lead_mid[k], y + dt / 2 * f2)
+            f4 = deriv(lead_end[k], y + dt * f3)
+            y = y + dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+        below = y[V] < 0
+        y[V] = np.maximum(y[V], 0.0)
+        y[Z].reshape(2, n)[:, below] = 0.0
+        out.append(y[Z].reshape(2, n).copy())
+    return np.array(out)
 
 
 class TestSimulateWithSensitivity:
@@ -119,8 +175,8 @@ class TestSimulateWithSensitivity:
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
     def test_trajectory_equals_engine_run(self, mode, integrator):
-        # the sensitivities ride in the engine's state but never feed back
-        # into the platoon, so the trajectory is the plain run's bit for bit
+        # the sensitivities never feed back into the platoon, so the
+        # trajectory is the plain run's bit for bit
         sc = make_short_scenario(mpr=0.3, integrator=integrator)
         traj, z = simulate_with_sensitivity(sc, self.THETA, mode=mode)
         beta, gamma = np.zeros(10), np.zeros(10)
@@ -138,67 +194,118 @@ class TestSimulateWithSensitivity:
         assert np.isfinite(z).all()
         assert not z[0].any() and z[-1].all()
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        mode=st.sampled_from(["exogenous", "coupled"]),
+        # scenario 1's platoon behind a lead that stops (speeds clamp at 0),
+        # or either preset's behind a braking one; scenario 2's IDM blows up
+        # behind the stopping lead
+        case=st.sampled_from([(IDM_1, STOP_LEAD), (IDM_1, SHORT_LEAD), (IDM_2, SHORT_LEAD)]),
+        # 0.6-0.8 put the AVs at positions, not a slice
+        mpr=st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0]),
+        theta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+        # 250 steps: blocks that leave a partial last one, or exceed the run
+        block=st.integers(1, 400).filter(lambda b: 250 % b),
+    )
+    def test_post_pass_equals_co_integration(
+        self, kernel, integrator, mode, case, mpr, theta, block
+    ):
+        hv, lead = case
+        sc = make_scenario(
+            hv=hv, mpr=mpr, kind="ts-ops", beta=theta[0], gamma=theta[1],
+            lead=lead, t_f=25.0, window=(0.0, 25.0), integrator=integrator,
+        )
+        sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
+        with mock.patch.object(optimizer, "_Z_BLOCK", block):
+            _, z = simulate_with_sensitivity(sc, theta, mode=mode)
+        reference = co_integrated_z(sc, per_follower_gains(sc, theta), mode)
+        av = np.subtract(sc.av_indices, 1)
+        assert z.tobytes() == np.ascontiguousarray(
+            reference[:, :, av].transpose(0, 2, 1)
+        ).tobytes()
+
     def test_speed_floor_counted_and_clamped_z_zeroed(self, caplog):
         sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0),
                            kind="ts-ops", beta=0.05, mpr=0.5)
         plain = PlatoonEngine(sc)
         plain.run(record=())
-        engine = PlatoonEngine(sc, sensitivity="exogenous")
-        raw = engine.run(record=("v", "z"))
-        assert engine.floor_hits == plain.floor_hits > 0
+        assert plain.floor_hits > 0
+        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
+            traj, z = simulate_with_sensitivity(sc, [0.05, 1.0])
+        assert f"speed floor at 0 m/s engaged {plain.floor_hits} times" in caplog.text
         # d max(v, 0)/dv = 0: a clamped AV speed carries no sensitivity
         clamped_any = False
         for row, i in enumerate(sc.av_indices):
-            clamped = raw["v"][1:, i] == 0.0
+            clamped = traj.v[1:, i] == 0.0
             clamped_any |= clamped.any()
-            assert not raw["z"][1:][clamped, row].any()
+            assert not z[1:][clamped, row].any()
         assert clamped_any
-        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
-            simulate_with_sensitivity(sc, np.tile([0.05, 1.0], (5, 1)))
-        assert f"speed floor at 0 m/s engaged {plain.floor_hits} times" in caplog.text
 
-    def test_engine_rejects_unsupported_sensitivity_runs(self):
+    def test_rejects_unsupported_sensitivity_runs(self, monkeypatch):
+        # each is rejected before the platoon is integrated
+        monkeypatch.setattr(optimizer, "PlatoonEngine", None)
         sc = make_short_scenario(mpr=0.3)
         with pytest.raises(DomainError):
-            PlatoonEngine(sc, sensitivity="adjoint")
+            simulate_with_sensitivity(sc, [0.03, 0.5], mode="adjoint")
         with pytest.raises(DomainError):
-            PlatoonEngine(sc, av_mask=av_mask_for(10, [0.1, 0.3]), sensitivity="exogenous")
-        with pytest.raises(DomainError):
-            PlatoonEngine(make_short_scenario(mpr=0.0), sensitivity="exogenous")
+            simulate_with_sensitivity(make_short_scenario(mpr=0.0), [0.03, 0.5])
         with pytest.raises(DomainError, match="ts-ops"):
-            PlatoonEngine(make_short_scenario(kind="ts-trc"), sensitivity="exogenous")
+            simulate_with_sensitivity(make_short_scenario(kind="ts-trc"), [0.03, 0.5])
 
     @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
     def test_hv_rows_stay_zero(self, mode):
         # an engine built with the scenario's scalar gains gives the HVs
-        # gains too; their sensitivity slots must still stay exactly 0
+        # gains too; they must not reach the sensitivities, and the
+        # reference's HV rows must stay exactly 0
         sc = make_short_scenario(mpr=0.3, beta=0.05, gamma=1.0)
-        engine = PlatoonEngine(sc, sensitivity=mode)
-        seen = []
-        engine.run(record=("z",), fold=lambda t, fields: seen.append(fields["z"].copy()))
-        slots = np.concatenate(seen).reshape(-1, 2, sc.n_followers)
+        raw = PlatoonEngine(sc).run(record=("x", "v"))
+        every = np.array([[0.05] * 10, [1.0] * 10])
+        on_avs = per_follower_gains(sc, (0.05, 1.0))
+        z = _sensitivities(sc, on_avs, raw, mode)
+        assert z.tobytes() == _sensitivities(sc, every, raw, mode).tobytes()
+        reference = co_integrated_z(sc, on_avs, mode)
         av = np.subtract(sc.av_indices, 1)
-        assert not np.delete(slots, av, axis=2).any()
-        z = PlatoonEngine(sc, sensitivity=mode).run(record=("z",))["z"]
-        assert np.array_equal(z, slots[:, :, av].transpose(0, 2, 1))
+        assert not np.delete(reference, av, axis=2).any()
+        assert np.array_equal(z, reference[:, :, av].transpose(0, 2, 1))
         assert z[-1].all()
 
     def test_blowup_names_the_follower_whose_z_failed(self, monkeypatch):
-        # a NaN in the third AV's kernel derivative (follower 5 at MPR 0.5)
-        # leaves every speed finite and only that z row non-finite; the
-        # derivative is evaluated at the AV entries only
+        # a NaN in the kernel derivative of the third and fifth AVs
+        # (followers 5 and 9 at MPR 0.5) at step 110 leaves every speed
+        # finite and only their z rows non-finite from t = 11.1 s on; the
+        # derivative is evaluated at the AV entries only, once per stage of
+        # each 100-step block
         sc = make_short_scenario(mpr=0.5)
         assert sc.av_indices == (1, 3, 5, 7, 9)
-        engine = PlatoonEngine(sc, sensitivity="exogenous")
-        deriv = engine.kernel.deriv
-        bad = np.arange(len(sc.av_indices)) == 2
-        monkeypatch.setattr(
-            engine, "kernel", replace(engine.kernel, deriv=lambda w: np.where(bad, np.nan, deriv(w)))
-        )
+        kernel = SIGMOID_KERNELS["arctan"]
+        calls = []
+
+        def deriv(w):
+            calls.append(w.shape)
+            out = kernel.deriv(w)
+            if len(calls) == 5:  # stage 1 of the second block
+                out[10, [2, 4]] = np.nan
+            return out
+
+        monkeypatch.setitem(SIGMOID_KERNELS, "arctan", replace(kernel, deriv=deriv))
+        monkeypatch.setattr(optimizer, "_Z_BLOCK", 100)
         with pytest.raises(NumericalBlowupError) as err:
-            engine.run(record=())
+            simulate_with_sensitivity(sc, [0.03, 0.5])
+        assert calls[4] == (100, 5)
         assert err.value.vehicle == 5
+        assert err.value.time == pytest.approx(11.1, abs=1e-12)
         assert err.value.lane is None
+
+        # inside the descent it stops the run with reason "blow-up"
+        calls.clear()
+        cfg = OptimizerConfig(beta_max=0.0642, theta0=ControllerParams(0.03, 0.5))
+        with pytest.raises(OptimizeError) as failed:
+            optimize(sc, cfg)
+        assert str(failed.value) == str(err.value)
+        assert failed.value.trace.reason == "blow-up"
+        assert len(failed.value.trace) == 0
 
 
 class TestDescentDirection:

@@ -18,6 +18,7 @@ from platoonsim.dynamics import (
 )
 from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.metrics import WindowSums
+from platoonsim.optimizer import _z_terms
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
@@ -347,7 +348,7 @@ def av_mask_form(form, rows):
 
 
 class TestAvEntries:
-    # the AV law, its input and the sensitivity forcing are evaluated at the
+    # the AV law, its input and the sensitivity terms are evaluated at the
     # AV entries only, through a slice, a position array or per-lane index
     # arrays; every follower's derivative must equal a full-width evaluation
     # of both laws that keeps the AV law on the AV entries
@@ -418,38 +419,40 @@ class TestAvEntries:
     def test_sensitivity_forcing_equals_a_full_width_reference(
         self, form, mode, gains, kernel, seed
     ):
+        # the optimizer's sensitivity rate at an `rhs` tuple, read at the AV
+        # entries, against one evaluated over every follower
         sc = make_short_scenario(beta=gains[0], gamma=gains[1])
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
         mask = av_mask_form(form, None)
-        engine = PlatoonEngine(sc, av_mask=mask, sensitivity=mode)
+        engine = PlatoonEngine(sc, av_mask=mask)
         rng = np.random.default_rng(seed)
         n = sc.n_followers
-        y = np.zeros(engine.width)
-        y[: n + 1], y[n + 1 : 2 * n + 1] = engine.initial_arrays()
-        y[1 : n + 1] += rng.uniform(-3.0, 3.0, n)
-        y[n + 1 :] += rng.uniform(-2.0, 2.0, engine.width - n - 1)
-        y[2 * n + 1 : 4 * n + 1].reshape(2, n)[:, ~mask] = 0.0  # HV z rows hold 0
-        f = engine._stage(19.5, y)[0]
+        x, v = engine.initial_arrays()
+        x[1:] += rng.uniform(-3.0, 3.0, n)
+        v += rng.uniform(-2.0, 2.0, n)
+        z, zs = rng.uniform(-2.0, 2.0, (2, 2, n))
+        beta, gamma = gains
+        kern = SIGMOID_KERNELS[kernel]
+        cols = np.flatnonzero(mask)
+        drdv, forcing, drds = _z_terms(
+            engine.rhs(19.5, x, v), beta, gamma, kern, sc.av_model, cols
+        )
+        zdot = drdv[:, None] * z[:, cols].T + forcing
+        if mode == "coupled":
+            zdot = zdot + drds[:, None] * zs[:, cols].T
 
         # zdot = (dr/dv) z + dr/dtheta over every follower, kept on the AVs
-        x, v = y[: n + 1], y[n + 1 : 2 * n + 1]
         v_prev = np.concatenate([[19.5], v[:-1]])
         s = x[:-1] - x[1:] - engine.front_lengths
         dv = v_prev - v
-        beta, gamma = gains
-        kern = SIGMOID_KERNELS[kernel]
         w = gamma * s * dv
         kp = kern.deriv(w)
         beta_gamma = beta * gamma
-        z = y[2 * n + 1 : 4 * n + 1].reshape(2, n)
         drdv = -sc.av_model.k1 * sc.av_model.tau - (sc.av_model.k2 + beta_gamma * s * kp)
-        zdot = np.stack([kern.fn(w), beta * s * dv * kp]) + drdv * z
+        expected = np.stack([kern.fn(w), beta * s * dv * kp]) + drdv * z
         if mode == "coupled":
-            zs = y[4 * n + 1 :].reshape(2, n)
-            zdot += (sc.av_model.k1 + beta_gamma * dv * kp) * zs
-            assert f[4 * n + 1 :].tobytes() == (-y[2 * n + 1 : 4 * n + 1]).tobytes()
-        expected = np.where(mask, zdot, 0.0)
-        assert f[2 * n + 1 : 4 * n + 1].tobytes() == expected.ravel().tobytes()
+            expected += (sc.av_model.k1 + beta_gamma * dv * kp) * zs
+        assert zdot.tobytes() == np.ascontiguousarray(expected[:, cols].T).tobytes()
 
 
 class TestStep:
