@@ -9,7 +9,11 @@ never feeds back into the platoon, so it is solved after a plain engine run:
 the run records x and v, every integrator stage is rebuilt from the record
 in blocks of steps, and z follows by a short linear recurrence over the
 stage values with the same operations, in the same order, as a
-co-integration in the engine's state would use.
+co-integration in the engine's state would use. Neither J nor z reads a
+follower ahead of the first AV, which does not depend on the gains, or one
+behind the last AV, so the descent integrates those ahead once per call and
+then, each iteration, only the AV block from the first AV to the last,
+behind a leader that replays the prefix's last follower stage by stage.
 A projected fixed-step descent clamps beta to its safety bound and gamma to
 non-negative values.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -30,7 +34,6 @@ from .simulator import (
     Scenario,
     Trajectory,
     assemble_trajectory,
-    av_mask_for,
     rk4_step,
 )
 
@@ -204,19 +207,113 @@ def _z_steps(z, rows, dt: float, rk4: bool, coupled: bool):
     return out, z
 
 
-def _sensitivities(scenario: Scenario, gains: np.ndarray, raw: dict, mode: str) -> np.ndarray:
+@dataclass(frozen=True)
+class _AvBlock:
+    """The followers from the first AV to the last, as a platoon of their own.
+
+    Followers ahead of the first AV do not depend on the gains, and J and z
+    read nothing behind the last AV, so the descent integrates only this
+    block. `scenario` holds its followers only; `first` is the platoon index
+    of its leader, the first AV's predecessor, whose four-stage speed table
+    is `lead`; `initial` holds the block's columns of the whole platoon's
+    initial state, so a run of the block equals those columns of the
+    platoon's run bit for bit. `av` lists the AV followers, block-relative;
+    `scenario.mpr` is still the platoon's, so every engine of the block is
+    given `av_mask`.
+    """
+
+    scenario: Scenario
+    first: int
+    av: tuple[int, ...]
+    lead: tuple[np.ndarray, ...]
+    initial: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def av_mask(self) -> np.ndarray:
+        mask = np.zeros(self.scenario.n_followers, dtype=bool)
+        mask[np.subtract(self.av, 1)] = True
+        return mask
+
+    @property
+    def followers(self) -> slice:
+        """The block's followers on the platoon's follower axis."""
+        return slice(self.first, self.first + self.scenario.n_followers)
+
+    def columns(self, raw: dict) -> dict:
+        """The block's columns of a whole-platoon record of x and v."""
+        cols = slice(self.first, self.followers.stop + 1)
+        return {"t": raw["t"], "x": raw["x"][:, cols], "v": raw["v"][:, cols]}
+
+
+def _stage_blocks(engine: PlatoonEngine, lead, x, v):
+    """The steps of a recorded run, rebuilt in blocks of `_Z_BLOCK` steps.
+
+    `x` and `v` are the record's states (`v` without the leader column) and
+    `lead` the leader's four-stage table; `engine` evaluates each block with
+    the step index as its batch axis. Yields the block's first and end step,
+    `rhs`'s tuples at each of its stages and the unclamped states after it.
+    """
+    steps = len(x) - 1
+    for k0 in range(0, steps, _Z_BLOCK):
+        k1 = min(k0 + _Z_BLOCK, steps)
+        first = engine.rhs(lead[0][k0:k1], x[k0:k1], v[k0:k1])
+        y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
+        later = []
+        y_new = engine.step(y, first[0], [s[k0:k1] for s in lead[1:]], later)
+        yield k0, k1, [first, *later], y_new
+
+
+def _av_block(scenario: Scenario, raw: dict | None = None) -> _AvBlock:
+    """The AV block of `scenario`.
+
+    Its leader's stage speeds are rebuilt from the record of the prefix, the
+    all-HV followers ahead of the first AV, in one step-batched `rhs`/`step`:
+    from the prefix columns of `raw`, a whole-platoon record of x and v over
+    the horizon, or, without `raw`, from a run of the prefix alone.
+    """
+    av = scenario.av_indices
+    first = av[0] - 1
+    x0, v0 = PlatoonEngine(scenario).initial_arrays()
+    lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
+    if first:
+        prefix = PlatoonEngine(
+            replace(scenario, n_followers=first, init_spacing=None),
+            av_mask=np.zeros(first, dtype=bool),
+        )
+        if raw is None:
+            raw = prefix.run(record=("x", "v"), initial=(x0[: first + 1], v0[:first]))
+        x, v = raw["x"][:, : first + 1], raw["v"][:, 1 : first + 1]
+        # the prefix's last follower: its recorded speeds, then its speeds
+        # at the later stages, which are the x slots of those stages' rates
+        later = []
+        if scenario.integrator == "rk4":
+            later = [np.empty(scenario.steps) for _ in range(3)]
+            for k0, k1, stages, _ in _stage_blocks(prefix, lead, x, v):
+                for out, stage in zip(later, stages[1:]):
+                    out[k0:k1] = stage[0][:, first]
+        lead = (v[:, -1].copy(), *later)
+    block = replace(scenario, n_followers=av[-1] - first, init_spacing=None)
+    return _AvBlock(
+        block, first, tuple(i - first for i in av), lead,
+        (x0[first : av[-1] + 1], v0[first : av[-1]]),
+    )
+
+
+def _sensitivities(block: _AvBlock, gains: np.ndarray, raw: dict, mode: str) -> np.ndarray:
     """The AV gain sensitivities z = dv/d(beta, gamma) of a recorded run.
 
-    `gains` holds the run's per-follower (beta, gamma) rows and `raw` its
-    record of `x` and `v` over the whole horizon. Each block of `_Z_BLOCK`
-    steps rebuilds its states' stages in one engine whose batch axis is the
-    step index, then advances z step by step through the linear rate at
-    those stages. "coupled" adds the spacing sensitivity zs, zsdot = -z,
-    which feeds back through dr/ds. Returns z with shape (n_samples, n_av,
-    2), z(0) = 0; a non-finite z raises NumericalBlowupError naming the
-    lowest AV whose row failed at the first such step.
+    `gains` holds the per-follower (beta, gamma) rows of the AV block and
+    `raw` its record of `x` and `v` over the whole horizon (`_AvBlock.columns`
+    of a whole-platoon record, or a run of the block). Each block of
+    `_Z_BLOCK` steps rebuilds its states' stages in one engine whose batch
+    axis is the step index, then advances z step by step through the linear
+    rate at those stages. "coupled" adds the spacing sensitivity zs, zsdot =
+    -z, which feeds back through dr/ds. Returns z with shape (n_samples,
+    n_av, 2), z(0) = 0; a non-finite z raises NumericalBlowupError naming
+    the lowest AV whose row failed at the first such step.
     """
-    av = np.subtract(scenario.av_indices, 1)
+    scenario = block.scenario
+    av = np.subtract(block.av, 1)
     n = scenario.n_followers
     coupled = mode == "coupled"
     rk4 = scenario.integrator == "rk4"
@@ -224,60 +321,60 @@ def _sensitivities(scenario: Scenario, gains: np.ndarray, raw: dict, mode: str) 
     beta, gamma = gains[:, av]
     kernel = get_kernel(scenario.controller.kernel)
     engine = PlatoonEngine(
-        scenario, beta=gains[0], gamma=gains[1],
-        av_mask=av_mask_for(n, scenario.mpr)[None],
+        scenario, beta=gains[0], gamma=gains[1], av_mask=block.av_mask[None]
     )
-    lead_t, lead_mid, lead_end = scenario.lead.stage_speeds(dt, steps)
-    x, v = raw["x"], raw["v"][:, 1:]
     z_series = np.zeros((steps + 1, len(av), 2))
     # one state per (AV, gain) entry
     states = [[np.zeros(2) if coupled else 0.0 for _ in range(2)] for _ in av]
-    for k0 in range(0, steps, _Z_BLOCK):
-        k1 = min(k0 + _Z_BLOCK, steps)
-        first = engine.rhs(lead_t[k0:k1], x[k0:k1], v[k0:k1])
-        y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
-        later = []
-        y_new = engine.step(y, first[0], lead_mid[k0:k1], lead_end[k0:k1], later)
+    for k0, k1, stages, y_new in _stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:]):
         # (step, stage, AV[, gain]) coefficients
         drdv, forcing, drds = (
             np.stack(terms, axis=1)
             for terms in zip(*(
                 _z_terms(stage, beta, gamma, kernel, scenario.av_model, av)
-                for stage in [first, *later]
+                for stage in stages
             ))
         )
         clamped = y_new[:, n + 1 + av] < 0
-        block = z_series[k0 + 1 : k1 + 1]
+        z_block = z_series[k0 + 1 : k1 + 1]
         for col, state in enumerate(states):
             for g in range(2):
                 rows = zip(
                     drdv[:, :, col].tolist(), forcing[:, :, col, g].tolist(),
                     drds[:, :, col].tolist(), clamped[:, col].tolist(),
                 )
-                block[:, col, g], state[g] = _z_steps(state[g], rows, dt, rk4, coupled)
-        finite = np.isfinite(block)
+                z_block[:, col, g], state[g] = _z_steps(state[g], rows, dt, rk4, coupled)
+        finite = np.isfinite(z_block)
         if not finite.all():
             row = int(np.argmin(finite.all(axis=(1, 2))))
             col = int(np.argmin(finite[row].all(axis=-1)))
-            raise NumericalBlowupError(int(av[col]) + 1, raw["t"][k0 + 1 + row])
+            raise NumericalBlowupError(
+                block.first + int(av[col]) + 1, raw["t"][k0 + 1 + row]
+            )
     return z_series
 
 
-def _sensitivity_run(scenario: Scenario, theta_av, mode: str, record) -> dict:
-    """A plain `PlatoonEngine.run` with the AV gains `theta_av`, plus the AV
-    sensitivities `z` integrated from its record; `record` must hold x and v."""
-    av_indices = scenario.av_indices
-    if not av_indices:
-        raise DomainError("scenario has no AV to differentiate")
-    if scenario.controller.kind != "ts-ops":
-        raise DomainError("sensitivities are defined for the ts-ops controller only")
-    _check_mode(mode)
+def _follower_gains(n: int, av_indices, theta_av) -> np.ndarray:
+    """Per-follower (beta, gamma) rows over n followers: one row of
+    `theta_av` (or the one pair it holds) on each AV, zero on the HVs."""
     theta_av = np.broadcast_to(np.asarray(theta_av, dtype=float), (len(av_indices), 2))
-    # per-follower (beta, gamma) rows, zero for the HVs
-    gains = np.zeros((2, scenario.n_followers))
+    gains = np.zeros((2, n))
     gains[:, np.subtract(av_indices, 1)] = theta_av.T
-    raw = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1]).run(record=record)
-    raw["z"] = _sensitivities(scenario, gains, raw, mode)
+    return gains
+
+
+def _sensitivity_run(block: _AvBlock, theta_av, mode: str) -> dict:
+    """A plain `PlatoonEngine.run` of the AV block with the AV gains
+    `theta_av`, recording x and v, plus the AV sensitivities `z` integrated
+    from its record. Vehicles in errors are numbered in the whole platoon."""
+    sc = block.scenario
+    gains = _follower_gains(sc.n_followers, block.av, theta_av)
+    engine = PlatoonEngine(sc, beta=gains[0], gamma=gains[1], av_mask=block.av_mask)
+    try:
+        raw = engine.run(record=("x", "v"), lead=block.lead, initial=block.initial)
+    except NumericalBlowupError as err:
+        raise NumericalBlowupError(block.first + err.vehicle, err.time) from None
+    raw["z"] = _sensitivities(block, gains, raw, mode)
     return raw
 
 
@@ -290,11 +387,19 @@ def simulate_with_sensitivity(
 
     theta_av is one (beta, gamma) row per AV, or one pair shared by all.
     Returns the trajectory and the sensitivity series with shape
-    (n_samples, n_av, 2), z(0) = 0. A non-finite z raises
-    NumericalBlowupError naming the lowest AV whose row failed.
+    (n_samples, n_av, 2), z(0) = 0, integrated from the AV block's columns
+    of the record. A non-finite z raises NumericalBlowupError naming the
+    lowest AV whose row failed.
     """
-    raw = _sensitivity_run(scenario, theta_av, mode, ("x", "v", "a", "s", "dv", "u"))
-    z_series = raw.pop("z")
+    if not scenario.av_indices:
+        raise DomainError("scenario has no AV to differentiate")
+    if scenario.controller.kind != "ts-ops":
+        raise DomainError("sensitivities are defined for the ts-ops controller only")
+    _check_mode(mode)
+    gains = _follower_gains(scenario.n_followers, scenario.av_indices, theta_av)
+    raw = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1]).run()
+    block = _av_block(scenario, raw)
+    z_series = _sensitivities(block, gains[:, block.followers], block.columns(raw), mode)
     return assemble_trajectory(scenario, raw), z_series
 
 
@@ -344,15 +449,15 @@ def replayed_objective(
     return float(0.5 * np.trapezoid((v_series - vp_sig) ** 2, t))
 
 
-def _descent_terms(scenario: Scenario, theta, mode: str) -> tuple[float, np.ndarray]:
-    """J and the AV-summed direction at the shared gains theta. The run's
-    record dies with this call, before the next iteration's run."""
-    raw = _sensitivity_run(scenario, theta, mode, ("x", "v"))
+def _descent_terms(block: _AvBlock, theta, mode: str) -> tuple[float, np.ndarray]:
+    """J and the AV-summed direction at the shared gains theta, from a run of
+    the AV block. The run's record dies with this call, before the next
+    iteration's run."""
+    raw = _sensitivity_run(block, theta, mode)
     t, v, z_series = raw["t"], raw["v"], raw["z"]
-    av_indices = scenario.av_indices
-    j_val = _objective(t, v, av_indices)
+    j_val = _objective(t, v, block.av)
     lam = np.stack(
-        [_direction(t, v, z_series[:, row], i) for row, i in enumerate(av_indices)]
+        [_direction(t, v, z_series[:, row], i) for row, i in enumerate(block.av)]
     ).sum(axis=0)
     return j_val, lam
 
@@ -362,12 +467,14 @@ def optimize(
 ) -> tuple[ControllerParams, OptimizationTrace]:
     """Projected descent on the (beta, gamma) pair shared by the AVs.
 
-    Each iteration simulates the platoon with the current gains (recording
-    only `x` and `v`), integrates the sensitivities from that record, sums
-    the descent direction over the AVs, and updates the gains with a fixed
-    step, projecting onto the feasible box. Stops when the objective change
-    drops to the threshold, the direction vanishes, or the iteration cap is
-    reached. Returns the best-objective gains and the full trace.
+    The followers ahead of the first AV are integrated once (`_av_block`).
+    Each iteration then simulates the AV block with the current gains
+    (recording only `x` and `v`), integrates the sensitivities from that
+    record, sums the descent direction over the AVs, and updates the gains
+    with a fixed step, projecting onto the feasible box. Stops when the
+    objective change drops to the threshold, the direction vanishes, or the
+    iteration cap is reached. Returns the best-objective gains and the full
+    trace.
     """
     av_indices = scenario.av_indices
     if not av_indices:
@@ -390,27 +497,30 @@ def optimize(
             reason=reason,
         )
 
-    for kappa in range(1, cfg.n_max + 1):
-        try:
-            j_val, lam = _descent_terms(scenario, theta, cfg.sensitivity)
-        except NumericalBlowupError as err:
-            reason = "blow-up"
-            raise OptimizeError(str(err), make_trace()) from err
-        thetas.append(theta)
-        objectives.append(j_val)
-        lambdas.append(lam)
+    try:
+        # the prefix ahead of the first AV does not depend on theta, so it
+        # is integrated once, here
+        block = _av_block(scenario)
+        for kappa in range(1, cfg.n_max + 1):
+            j_val, lam = _descent_terms(block, theta, cfg.sensitivity)
+            thetas.append(theta)
+            objectives.append(j_val)
+            lambdas.append(lam)
 
-        if kappa > 1 and abs(objectives[-1] - objectives[-2]) <= cfg.phi:
-            reason = "converged"
-            break
-        if not lam.any():
-            reason = "converged"
-            break
-        if kappa == cfg.n_max:
-            break
-        theta = np.array(
-            astuple(project_feasible(theta - cfg.epsilon * lam, cfg.beta_max))
-        )
+            if kappa > 1 and abs(objectives[-1] - objectives[-2]) <= cfg.phi:
+                reason = "converged"
+                break
+            if not lam.any():
+                reason = "converged"
+                break
+            if kappa == cfg.n_max:
+                break
+            theta = np.array(
+                astuple(project_feasible(theta - cfg.epsilon * lam, cfg.beta_max))
+            )
+    except NumericalBlowupError as err:
+        reason = "blow-up"
+        raise OptimizeError(str(err), make_trace()) from err
 
     trace = make_trace()
     best = trace.thetas[trace.best_index]

@@ -12,6 +12,7 @@ which keeps independent runs independent while vectorizing the work.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -72,6 +73,9 @@ class LeadProfile:
             raise DomainError(f"first knot must be at t=0, got {self.times[0]}")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise DomainError("knot times must be strictly increasing")
+        # NaN passes both tests above; inf would reach the engine
+        if not all(map(math.isfinite, (*self.times, *self.speeds))):
+            raise DomainError("profile knots must be finite")
         if min(self.speeds) < 0:
             raise DomainError("profile speeds must be non-negative")
 
@@ -79,16 +83,18 @@ class LeadProfile:
         return np.interp(t, self.times, self.speeds)
 
     def stage_speeds(self, dt: float, steps: int) -> tuple[np.ndarray, ...]:
-        """Speeds at every stage time of a fixed-step run with t_k = k*dt.
+        """The leader's four-stage table of a fixed-step run with t_k = k*dt.
 
-        Returns the speeds at t_k (k = 0..steps) and at t_k + dt/2 and
-        t_k + dt (k < steps). The stage times are formed as a stepper forms
-        them from t_k (t_k + dt, not t_{k+1}), so each entry equals
-        `speed` at that time bit for bit.
+        Returns the speeds at RK4 stage 1, t_k (k = 0..steps), and at
+        stages 2, 3 and 4, t_k + dt/2 twice (the same array) and t_k + dt
+        (k < steps). The stage times are formed as a stepper forms them from
+        t_k (t_k + dt, not t_{k+1}), so each entry equals `speed` at that
+        time bit for bit.
         """
         t_grid = np.arange(steps + 1) * dt
         t_k = t_grid[:-1]
-        return self.speed(t_grid), self.speed(t_k + dt / 2), self.speed(t_k + dt)
+        mid = self.speed(t_k + dt / 2)
+        return self.speed(t_grid), mid, mid, self.speed(t_k + dt)
 
     def slope(self, t):
         """Acceleration of the profile (piecewise constant, 0 past the end)."""
@@ -403,6 +409,9 @@ class PlatoonEngine:
         # the AV entries of the follower axis; the AV law and its gains are
         # evaluated there only (None: no lane has an AV)
         self._a = _av_index(self.av_mask, self.batch_shape)
+        # whether any follower is an HV; without one the IDM is skipped, as
+        # the AV law overwrites every entry
+        self._hv = not self.av_mask.all()
         # their dv/dt slots in the flat derivative
         self._a_f = None if self._a is None else _shifted(self._a, n + 1)
 
@@ -473,8 +482,8 @@ class PlatoonEngine:
         Returns `(f, s, dv, u, w, fw)`; the last three are `control_input`'s
         at the AV entries (all None without an AV). `v_lead` is the leader's
         speed at the stage time. `f` has the state's layout: dx/dt =
-        [v_lead | v], then dv/dt. The HV law is written over every follower,
-        then the AV law plus `u` over the AV entries.
+        [v_lead | v], then dv/dt. The HV law is written over every follower
+        (if any is an HV), then the AV law plus `u` over the AV entries.
         """
         f = np.empty(v.shape[:-1] + (self.width,))
         v_all = f[self._x]
@@ -483,7 +492,8 @@ class PlatoonEngine:
         v_prev = v_all[..., :-1]
         s = x[..., :-1] - x[..., 1:] - self.front_lengths
         dv = v_prev - v
-        f[self._v] = idm_accel_arrays(s, dv, v, self.hv)
+        if self._hv:
+            f[self._v] = idm_accel_arrays(s, dv, v, self.hv)
         a = self._a
         if a is None:
             return f, s, dv, None, None, None
@@ -503,34 +513,34 @@ class PlatoonEngine:
         vehicle = int(np.argmin(rows[lane])) + 1
         raise NumericalBlowupError(vehicle, t, lane if finite.ndim > 1 else None)
 
-    def step(self, y, f1, v_lead_mid, v_lead_end, stages=None):
+    def step(self, y, f1, v_lead, stages=None):
         """The unclamped state one step after the flat state y.
 
-        `f1` is `rhs`'s derivative at y; `v_lead_mid` and `v_lead_end` are
-        the leader's speeds at t + dt/2 and t + dt. A list `stages` receives
-        `rhs`'s tuples at RK4 stages 2, 3 and 4 (none for Euler); the run
-        loop passes none, so they are freed stage by stage.
+        `f1` is `rhs`'s derivative at y; `v_lead` holds the leader's speeds
+        at RK4 stages 2, 3 and 4 of the step (a row of the later stages of
+        `LeadProfile.stage_speeds`' table; Euler reads none). A list
+        `stages` receives `rhs`'s tuples at those stages; the run loop
+        passes none, so they are freed stage by stage.
         """
         dt = self.scenario.dt
         if self.scenario.integrator == "euler":
             return y + dt * f1
 
         def rate(i, y_i):
-            v_lead = v_lead_end if i == 3 else v_lead_mid
-            stage = self.rhs(v_lead, y_i[self._x], y_i[self._v])
+            stage = self.rhs(v_lead[i - 1], y_i[self._x], y_i[self._v])
             if stages is not None:
                 stages.append(stage)
             return stage[0]
 
         return rk4_step(y, dt, f1, rate)
 
-    def advance(self, y, f1, v_lead_mid, v_lead_end):
+    def advance(self, y, f1, v_lead):
         """One step of the flat state y from its derivative f1 at the step start.
 
-        `v_lead_mid` and `v_lead_end` are the leader's speeds at t + dt/2 and
-        t + dt. Speeds below 0 are clamped and counted per lane.
+        `v_lead` holds the leader's speeds at RK4 stages 2, 3 and 4, as for
+        `step`. Speeds below 0 are clamped and counted per lane.
         """
-        y_new = self.step(y, f1, v_lead_mid, v_lead_end)
+        y_new = self.step(y, f1, v_lead)
         v_new = y_new[self._v]
         # fmin skips NaN, as `v < 0` is False for it; `_check_finite` reports it
         if np.fmin.reduce(v_new, axis=None) < 0:
@@ -543,6 +553,8 @@ class PlatoonEngine:
         record: Sequence[str] = ("x", "v", "a", "s", "dv", "u"),
         window: tuple[float, float] | None = None,
         fold: Callable[[np.ndarray, dict], None] | None = None,
+        lead: Sequence[np.ndarray] | None = None,
+        initial: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> dict | None:
         """Integrate the scenario, recording the requested fields.
 
@@ -561,6 +573,15 @@ class PlatoonEngine:
         recorded name to a view of the buffer, valid only during the call.
         Nothing is returned then.
 
+        The leader follows `lead`, its four-stage speed table (stage 1 at
+        every sample, then stages 2, 3 and 4 of every step; an Euler run
+        needs stage 1 only), by default the scenario's profile
+        (`LeadProfile.stage_speeds`). A table rebuilt from a recorded
+        vehicle makes that vehicle the leader, so a run of the followers
+        behind it, started from `initial` (the `x` and `v` columns of the
+        whole platoon's `initial_arrays`; by default this engine's own),
+        equals those columns of the whole platoon's run bit for bit.
+
         Unbatched runs log their speed-floor hits; batched callers report
         `lane_floor_hits` per lane themselves.
         """
@@ -571,9 +592,14 @@ class PlatoonEngine:
         keep = slice(0, steps + 1) if window is None else window_slice(t_grid, window)
         lo, hi = keep.start, keep.stop
         last = hi - 1  # the last sample the run reaches
-        lead_t, lead_mid, lead_end = sc.lead.stage_speeds(dt, steps)
+        if lead is None:
+            lead = sc.lead.stage_speeds(dt, steps)
+        lead_t = lead[0]
+        # the leader's later stage speeds, one row per step, made as the
+        # loop reaches them
+        lead_later = zip(*lead[1:]) if len(lead) > 1 else itertools.repeat(())
         y = np.zeros(self.batch_shape + (self.width,))
-        y[self._x], y[self._v] = self.initial_arrays()
+        y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
         # each field is a slice of one stage part (y, f, s, dv, u): the
@@ -608,11 +634,11 @@ class PlatoonEngine:
             if fold is not None and j == block - 1:
                 fold(t_grid[k + 1 - block : k + 1], bufs)
 
-        for k in range(last):
+        for k, v_lead in zip(range(last), lead_later):
             stage = self.rhs(lead_t[k], y[self._x], y[self._v])
             if k >= lo:
                 record_sample(k, y, stage)
-            y = self.advance(y, stage[0], lead_mid[k], lead_end[k])
+            y = self.advance(y, stage[0], v_lead)
             self._check_finite(y, t_grid[k + 1])
         if lo <= last:
             record_sample(last, y, self.rhs(lead_t[last], y[self._x], y[self._v]))

@@ -198,6 +198,16 @@ class TestRun:
         assert "init_spacing must be positive" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("profile", ["0:21 100:inf", "0:21 inf:18", "0:21 nan:18"])
+    def test_non_finite_lead_knot_exits_1(self, tmp_path, capsys, profile):
+        # these used to run: ASV 12.6555 m/s, ASV 0.0000, and a blow-up at
+        # t = 0.1 s (exit 2)
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path),
+                     "--set", f"scenario.lead_profile={profile}"])
+        assert code == 1
+        assert "profile knots must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_zero_beta_equals_none(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -413,6 +423,36 @@ class TestSweep:
         assert code == 0
         rows = read_csv(tmp_path / "sweep.csv")
         assert len(rows) == 3
+
+    # sweep.csv and stdout of `sweep --tune-first --mprs 0.1,1.0 --set
+    # optimizer.n_max=3`, as the descent over the whole platoon wrote them:
+    # the AV block starts behind a 4-follower prefix at MPR 0.1 and at the
+    # first follower at MPR 1.0
+    TUNE_FIRST_ENDS = {
+        "scenario1": (
+            "mpr,asv,fc,asv_impr_pct,fc_impr_pct\r\n"
+            "0.100,0.959853,242.458228,1.693777,0.092266\r\n"
+            "1.000,0.802317,240.836921,17.828269,0.760344\r\n",
+            "mpr=0.10 asv=0.9599 fc=242.46 asv_impr=1.69% fc_impr=0.09%\n"
+            "mpr=1.00 asv=0.8023 fc=240.84 asv_impr=17.83% fc_impr=0.76%\n",
+        ),
+        "scenario2": (
+            "mpr,asv,fc,asv_impr_pct,fc_impr_pct\r\n"
+            "0.100,1.041431,330.130408,7.129632,0.455142\r\n"
+            "1.000,0.602887,322.945989,46.237162,2.621474\r\n",
+            "mpr=0.10 asv=1.0414 fc=330.13 asv_impr=7.13% fc_impr=0.46%\n"
+            "mpr=1.00 asv=0.6029 fc=322.95 asv_impr=46.24% fc_impr=2.62%\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(TUNE_FIRST_ENDS))
+    def test_tune_first_at_both_ends_of_the_prefix(self, tmp_path, capsys, preset):
+        assert main(["sweep", "--scenario", preset, "--out", str(tmp_path),
+                     "--tune-first", "--mprs", "0.1,1.0",
+                     "--set", "optimizer.n_max=3"]) == 0
+        csv_text, stdout = self.TUNE_FIRST_ENDS[preset]
+        assert (tmp_path / "sweep.csv").read_bytes() == csv_text.encode()
+        assert capsys.readouterr() == (stdout, "")
 
     def test_batch_matches_one_engine_per_mpr(self, tmp_path):
         mprs = [0.0, 0.3, 0.7, 1.0]

@@ -5,14 +5,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import optimizer
+from platoonsim import optimizer, simulator
 from platoonsim.controller import SIGMOID_KERNELS, ControllerParams
 from platoonsim.errors import DomainError, NumericalBlowupError, OptimizeError
 from platoonsim.optimizer import (
     OptimizerConfig,
+    _av_block,
+    _descent_terms,
     _sensitivities,
     _z_terms,
     descent_direction,
@@ -149,7 +151,7 @@ def co_integrated_z(sc, gains, mode):
         return np.concatenate([f, np.where(mask, zdot, 0.0).ravel(), -y[Z]])
 
     dt = sc.dt
-    lead_t, lead_mid, lead_end = sc.lead.stage_speeds(dt, sc.steps)
+    lead_t, lead_mid, _, lead_end = sc.lead.stage_speeds(dt, sc.steps)
     y = np.zeros(6 * n + 1 if coupled else 4 * n + 1)
     y[X], y[V] = engine.initial_arrays()
     out = [y[Z].reshape(2, n).copy()]
@@ -261,10 +263,16 @@ class TestSimulateWithSensitivity:
         # reference's HV rows must stay exactly 0
         sc = make_short_scenario(mpr=0.3, beta=0.05, gamma=1.0)
         raw = PlatoonEngine(sc).run(record=("x", "v"))
+        # the AV block is followers 2-8, with HVs at 3, 4, 6 and 7
+        block = _av_block(sc, raw)
+        assert (block.first, block.av) == (1, (1, 4, 7))
+        cols = block.columns(raw)
         every = np.array([[0.05] * 10, [1.0] * 10])
         on_avs = per_follower_gains(sc, (0.05, 1.0))
-        z = _sensitivities(sc, on_avs, raw, mode)
-        assert z.tobytes() == _sensitivities(sc, every, raw, mode).tobytes()
+        z = _sensitivities(block, on_avs[:, block.followers], cols, mode)
+        assert z.tobytes() == _sensitivities(
+            block, every[:, block.followers], cols, mode
+        ).tobytes()
         reference = co_integrated_z(sc, on_avs, mode)
         av = np.subtract(sc.av_indices, 1)
         assert not np.delete(reference, av, axis=2).any()
@@ -306,6 +314,69 @@ class TestSimulateWithSensitivity:
         assert str(failed.value) == str(err.value)
         assert failed.value.trace.reason == "blow-up"
         assert len(failed.value.trace) == 0
+
+
+class TestAvBlock:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mpr=st.floats(0.1, 1.0),
+        hv=st.sampled_from([IDM_1, IDM_2]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        mode=st.sampled_from(["exogenous", "coupled"]),
+        theta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+        spacing=st.none() | st.lists(st.floats(30.0, 70.0), min_size=10, max_size=10),
+    )
+    # the first AV is follower 1, so the prefix is empty
+    @example(mpr=0.5, hv=IDM_2, integrator="rk4", mode="exogenous", theta=(0.03, 0.5),
+             spacing=None)
+    @example(mpr=1.0, hv=IDM_1, integrator="euler", mode="coupled", theta=(0.0642, 1.0),
+             spacing=None)
+    # the paper's single AV at follower 5, behind set spacings
+    @example(mpr=0.1, hv=IDM_2, integrator="rk4", mode="exogenous", theta=(0.05, 1.0),
+             spacing=[40.0, 55.0, 35.0, 60.0, 45.0, 50.0, 38.0, 65.0, 42.0, 58.0])
+    def test_descent_terms_equal_the_whole_platoon(
+        self, mpr, hv, integrator, mode, theta, spacing
+    ):
+        # J and lambda from a run of the AV block alone, behind the prefix's
+        # rebuilt stage speeds, against the whole platoon's run
+        init = None if spacing is None else tuple(spacing)
+        sc = make_short_scenario(mpr=mpr, hv=hv, integrator=integrator, init_spacing=init)
+        traj, z = simulate_with_sensitivity(sc, theta, mode=mode)
+        av_indices = sc.av_indices
+        j_ref = optimizer._objective(traj.t, traj.v, av_indices)
+        lam_ref = np.stack(
+            [optimizer._direction(traj.t, traj.v, z[:, row], i)
+             for row, i in enumerate(av_indices)]
+        ).sum(axis=0)
+        block = _av_block(sc)
+        assert block.first == av_indices[0] - 1
+        j_val, lam = _descent_terms(block, np.array(theta), mode)
+        assert j_val == j_ref
+        assert lam.tobytes() == lam_ref.tobytes()
+
+    @pytest.mark.parametrize("where", ["run", "z"])
+    def test_errors_name_the_platoon_vehicle(self, monkeypatch, where):
+        # the one AV of MPR 0.1 is follower 5, follower 1 of its block; a
+        # NaN in its acceleration during the block's run, or in its z in the
+        # post-pass's second block of steps, is reported as vehicle 5
+        sc = make_short_scenario(mpr=0.1)
+        block = _av_block(sc)
+        assert (block.first, block.av) == (4, (1,))
+        kernel = SIGMOID_KERNELS["arctan"]
+        fn = simulator.ovrv_accel_arrays if where == "run" else kernel.deriv
+        calls = []
+
+        def poisoned(*args):
+            calls.append(None)
+            return fn(*args) * (np.nan if len(calls) > 4 else 1.0)
+
+        if where == "run":
+            monkeypatch.setattr(simulator, "ovrv_accel_arrays", poisoned)
+        else:
+            monkeypatch.setitem(SIGMOID_KERNELS, "arctan", replace(kernel, deriv=poisoned))
+        with pytest.raises(NumericalBlowupError) as err:
+            _descent_terms(block, np.array([0.03, 0.5]), "exogenous")
+        assert err.value.vehicle == 5
 
 
 class TestDescentDirection:

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from platoonsim.simulator import (
 from conftest import (
     FLAT_LEAD,
     IDM_1,
+    IDM_2,
     OVRV_1,
     PAPER_LEAD,
     SHORT_LEAD,
@@ -74,6 +76,20 @@ class TestLeadProfile:
         with pytest.raises(DomainError):
             LeadProfile((0.0, 10.0), (21.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "times, speeds",
+        [
+            ((0.0, 100.0), (21.0, math.inf)),
+            ((0.0, math.inf), (21.0, 18.0)),
+            ((0.0, math.nan), (21.0, 18.0)),  # NaN passes the ordering test
+            ((0.0, 100.0), (21.0, math.nan)),  # and the sign test
+            ((0.0, 100.0), (-math.inf, 18.0)),
+        ],
+    )
+    def test_non_finite_knots_rejected(self, times, speeds):
+        with pytest.raises(DomainError, match="knots must be finite"):
+            LeadProfile(times, speeds)
+
     @settings(max_examples=60, deadline=None)
     @given(
         gaps=st.lists(st.floats(0.05, 30.0), min_size=0, max_size=6),
@@ -83,10 +99,12 @@ class TestLeadProfile:
     )
     def test_stage_speeds_equal_scalar_speed(self, gaps, speeds, dt, steps):
         # the table must hold exactly what a scalar stepper evaluates at
-        # t_k, t_k + dt/2 and t_k + dt (t_k = k*dt), not at t_{k+1}
+        # t_k, t_k + dt/2 (RK4 stages 2 and 3) and t_k + dt (t_k = k*dt),
+        # not at t_{k+1}
         times = tuple(np.cumsum([0.0] + gaps).tolist())
         profile = LeadProfile(times, tuple(speeds[: len(times)]))
-        at_t, at_mid, at_end = profile.stage_speeds(dt, steps)
+        at_t, at_mid, at_mid3, at_end = profile.stage_speeds(dt, steps)
+        assert at_mid3 is at_mid
         assert len(at_t) == steps + 1 and len(at_mid) == len(at_end) == steps
         for k in range(steps + 1):
             t = k * dt
@@ -454,6 +472,23 @@ class TestAvEntries:
             expected += (sc.av_model.k1 + beta_gamma * dv * kp) * zs
         assert zdot.tobytes() == np.ascontiguousarray(expected[:, cols].T).tobytes()
 
+    def test_all_av_run_skips_the_idm(self):
+        # behind STOP_LEAD the RK4 stage speeds go negative, where scenario
+        # 2's delta = 15.5 makes the IDM's (v/v0)**delta NaN; with no HV the
+        # IDM is not evaluated, so no warning, and since the AV law wrote
+        # over every entry the run keeps its bits
+        sc = make_scenario(hv=IDM_2, mpr=1.0, kind="ts-ops", beta=0.05, lead=STOP_LEAD,
+                           t_f=25.0, window=(0.0, 25.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raw = PlatoonEngine(sc).run()
+        with_idm = PlatoonEngine(sc)
+        with_idm._hv = True
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in power"):
+            reference = with_idm.run()
+        for name, arr in raw.items():
+            assert arr.tobytes() == reference[name].tobytes(), name
+
 
 class TestStep:
     @settings(max_examples=40, deadline=None)
@@ -484,7 +519,7 @@ class TestStep:
         y = np.concatenate([x0, v_init])
         for _ in range(10):
             f1 = engine.rhs(v0, y[: sc.n_followers + 1], y[sc.n_followers + 1 :])[0]
-            y = engine.advance(y, f1, v0, v0)
+            y = engine.advance(y, f1, (v0, v0, v0))
         x, v = y[: sc.n_followers + 1], y[sc.n_followers + 1 :]
         assert np.abs(v - v0).max() < 1e-8
         assert np.abs(np.diff(x) - np.diff(x0)).max() < 1e-8
@@ -523,7 +558,7 @@ class TestStep:
         x = np.array([0.0, -40.0, -85.0])
         v = np.array([18.0, 19.0])
         f1 = engine.rhs(20.0, x, v)[0]
-        new = engine.advance(np.concatenate([x, v]), f1, 19.98, 19.96)
+        new = engine.advance(np.concatenate([x, v]), f1, (19.98, 19.98, 19.96))
 
         s1 = 0.0 - (-40.0) - 5.0
         dv1 = 20.0 - 18.0
