@@ -18,7 +18,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
-from .controller import beta_upper_bound
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
 from .metrics import WindowSums, summarize, write_metrics_csv
 from .optimizer import optimize, write_trace_csv
@@ -240,7 +239,7 @@ def cmd_sweep(args) -> int:
         )
         sums = WindowSums(scenario, coeffs)
         try:
-            engine.run(record=("v", "a"), window=scenario.metric_window, fold=sums)
+            engine.run(record=("v", "a"), fold=sums)
             break
         except NumericalBlowupError as err:
             if lanes[err.lane] == 0:
@@ -298,11 +297,7 @@ def cmd_grid(args) -> int:
     coeffs = cfgmod.build_fuel_coefficients(cp)
     betas = _parse_range(args.beta_range)
     gammas = _parse_range(args.gamma_range)
-    bound = beta_upper_bound(
-        scenario.envelope_s0_effective(),
-        scenario.min_safe_spacing,
-        scenario.t_f,
-    )
+    bound = scenario.beta_bound()
     # small relative slack so ranges quoted at display precision (e.g. the
     # bound rounded to three significant figures) are not rejected
     if betas.min() < 0 or betas.max() > bound * (1 + 1e-4) + 1e-12:
@@ -319,7 +314,7 @@ def cmd_grid(args) -> int:
     # the batch shape
     engine = PlatoonEngine(scenario, beta=flat_b[:, None], gamma=flat_g[:, None])
     sums = WindowSums(scenario, coeffs)
-    engine.run(record=("v", "a"), window=scenario.metric_window, fold=sums)
+    engine.run(record=("v", "a"), fold=sums)
     asv_vals, fc_vals = sums.platoon()
     _report_lanes(
         engine, sums, [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b, flat_g)]

@@ -214,10 +214,10 @@ class WindowSums:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-follower and platoon-aggregated metrics over one window."""
+    """Per-follower (shaped (n,)) and platoon-aggregated metrics over one window."""
 
-    per_vehicle_asv: dict[int, float]
-    per_vehicle_fc: dict[int, float]
+    per_vehicle_asv: np.ndarray
+    per_vehicle_fc: np.ndarray
     platoon_asv: float
     platoon_fc: float
     saturated: bool = False
@@ -237,11 +237,9 @@ def summarize(
     keep = window_slice(traj.t, scenario.metric_window)
     sums = WindowSums(scenario, coeffs)
     sums(traj.t[keep], {"v": traj.v[keep], "a": traj.a[keep, 1:]})
-    asv_veh, fc_veh = sums.per_vehicle()
     asv_m, fc_m = sums.platoon()
     return MetricsReport(
-        per_vehicle_asv=dict(enumerate(asv_veh.tolist(), start=1)),
-        per_vehicle_fc=dict(enumerate(fc_veh.tolist(), start=1)),
+        *sums.per_vehicle(),
         platoon_asv=float(asv_m),
         platoon_fc=float(fc_m),
         saturated=bool(sums.saturated),
@@ -249,14 +247,13 @@ def summarize(
 
 
 def write_metrics_csv(report: MetricsReport, path) -> None:
-    """Export per-vehicle rows plus a platoon aggregate row."""
+    """Export per-vehicle rows, numbered from 1, plus a platoon aggregate row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["vehicle", "asv", "fc"])
-        for i in sorted(report.per_vehicle_asv):
-            writer.writerow(
-                [i, f"{report.per_vehicle_asv[i]:.6f}", f"{report.per_vehicle_fc[i]:.6f}"]
-            )
+        rows = zip(report.per_vehicle_asv.tolist(), report.per_vehicle_fc.tolist())
+        for i, (asv, fc) in enumerate(rows, start=1):
+            writer.writerow([i, f"{asv:.6f}", f"{fc:.6f}"])
         writer.writerow(
             ["platoon", f"{report.platoon_asv:.6f}", f"{report.platoon_fc:.6f}"]
         )

@@ -14,6 +14,8 @@ follower ahead of the first AV, which does not depend on the gains, or one
 behind the last AV, so the descent integrates those ahead once per call and
 then, each iteration, only the AV block from the first AV to the last,
 behind a leader that replays the prefix's last follower stage by stage.
+That run of the block is the one path to z: `simulate_with_sensitivity`
+takes its z from it too, and runs the whole platoon for the trajectory only.
 A projected fixed-step descent clamps beta to its safety bound and gamma to
 non-negative values.
 """
@@ -234,16 +236,6 @@ class _AvBlock:
         mask[np.subtract(self.av, 1)] = True
         return mask
 
-    @property
-    def followers(self) -> slice:
-        """The block's followers on the platoon's follower axis."""
-        return slice(self.first, self.first + self.scenario.n_followers)
-
-    def columns(self, raw: dict) -> dict:
-        """The block's columns of a whole-platoon record of x and v."""
-        cols = slice(self.first, self.followers.stop + 1)
-        return {"t": raw["t"], "x": raw["x"][:, cols], "v": raw["v"][:, cols]}
-
 
 def _stage_blocks(engine: PlatoonEngine, lead, x, v):
     """The steps of a recorded run, rebuilt in blocks of `_Z_BLOCK` steps.
@@ -263,15 +255,21 @@ def _stage_blocks(engine: PlatoonEngine, lead, x, v):
         yield k0, k1, [first, *later], y_new
 
 
-def _av_block(scenario: Scenario, raw: dict | None = None) -> _AvBlock:
+def _av_block(scenario: Scenario) -> _AvBlock:
     """The AV block of `scenario`.
 
-    Its leader's stage speeds are rebuilt from the record of the prefix, the
-    all-HV followers ahead of the first AV, in one step-batched `rhs`/`step`:
-    from the prefix columns of `raw`, a whole-platoon record of x and v over
-    the horizon, or, without `raw`, from a run of the prefix alone.
+    Its leader's stage speeds are rebuilt from a run of the prefix, the
+    all-HV followers ahead of the first AV, in one step-batched
+    `rhs`/`step`. Only a ts-ops platoon with an AV has a block.
     """
     av = scenario.av_indices
+    if not av:
+        raise DomainError("scenario has no AV to tune")
+    if scenario.controller.kind != "ts-ops":
+        raise DomainError(
+            f"only the 'ts-ops' controller is tunable, got "
+            f"{scenario.controller.kind!r}"
+        )
     first = av[0] - 1
     x0, v0 = PlatoonEngine(scenario).initial_arrays()
     lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
@@ -280,9 +278,8 @@ def _av_block(scenario: Scenario, raw: dict | None = None) -> _AvBlock:
             replace(scenario, n_followers=first, init_spacing=None),
             av_mask=np.zeros(first, dtype=bool),
         )
-        if raw is None:
-            raw = prefix.run(record=("x", "v"), initial=(x0[: first + 1], v0[:first]))
-        x, v = raw["x"][:, : first + 1], raw["v"][:, 1 : first + 1]
+        raw = prefix.run(record=("x", "v"), initial=(x0[: first + 1], v0[:first]))
+        x, v = raw["x"], raw["v"][:, 1:]
         # the prefix's last follower: its recorded speeds, then its speeds
         # at the later stages, which are the x slots of those stages' rates
         later = []
@@ -303,8 +300,7 @@ def _sensitivities(block: _AvBlock, gains: np.ndarray, raw: dict, mode: str) -> 
     """The AV gain sensitivities z = dv/d(beta, gamma) of a recorded run.
 
     `gains` holds the per-follower (beta, gamma) rows of the AV block and
-    `raw` its record of `x` and `v` over the whole horizon (`_AvBlock.columns`
-    of a whole-platoon record, or a run of the block). Each block of
+    `raw` a run's record of its `x` and `v` over the whole horizon. Each block of
     `_Z_BLOCK` steps rebuilds its states' stages in one engine whose batch
     axis is the step index, then advances z step by step through the linear
     rate at those stages. "coupled" adds the spacing sensitivity zs, zsdot =
@@ -383,23 +379,20 @@ def simulate_with_sensitivity(
     theta_av: np.ndarray,
     mode: str = "exogenous",
 ) -> tuple[Trajectory, np.ndarray]:
-    """Integrate the platoon, then the per-AV gain sensitivities from its record.
+    """Integrate the platoon, and the per-AV gain sensitivities as the descent does.
 
     theta_av is one (beta, gamma) row per AV, or one pair shared by all.
     Returns the trajectory and the sensitivity series with shape
-    (n_samples, n_av, 2), z(0) = 0, integrated from the AV block's columns
-    of the record. A non-finite z raises NumericalBlowupError naming the
+    (n_samples, n_av, 2), z(0) = 0, from a run of the AV block
+    (`_sensitivity_run`), which equals the block's columns of the platoon
+    bit for bit. A non-finite z raises NumericalBlowupError naming the
     lowest AV whose row failed.
     """
-    if not scenario.av_indices:
-        raise DomainError("scenario has no AV to differentiate")
-    if scenario.controller.kind != "ts-ops":
-        raise DomainError("sensitivities are defined for the ts-ops controller only")
     _check_mode(mode)
+    block = _av_block(scenario)
     gains = _follower_gains(scenario.n_followers, scenario.av_indices, theta_av)
     raw = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1]).run()
-    block = _av_block(scenario, raw)
-    z_series = _sensitivities(block, gains[:, block.followers], block.columns(raw), mode)
+    z_series = _sensitivity_run(block, theta_av, mode)["z"]
     return assemble_trajectory(scenario, raw), z_series
 
 
@@ -476,14 +469,6 @@ def optimize(
     iteration cap is reached. Returns the best-objective gains and the full
     trace.
     """
-    av_indices = scenario.av_indices
-    if not av_indices:
-        raise DomainError("scenario has no AV to tune")
-    if scenario.controller.kind != "ts-ops":
-        raise DomainError(
-            f"only the 'ts-ops' controller is tunable, got "
-            f"{scenario.controller.kind!r}"
-        )
     theta = np.array(astuple(project_feasible(cfg.theta0, cfg.beta_max)))
 
     thetas, objectives, lambdas = [], [], []

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controller import get_kernel
+from .controller import beta_upper_bound, get_kernel
 from .dynamics import (
     IdmParams,
     OvrvParams,
@@ -260,6 +260,10 @@ class Scenario:
         if not mask.any():
             raise DomainError("scenario has no AV, so no control envelope exists")
         return float(start_spacings(self, mask)[mask].min())
+
+    def beta_bound(self) -> float:
+        """The safety ceiling on beta (`beta_upper_bound`) from the envelope."""
+        return beta_upper_bound(self.envelope_s0_effective(), self.min_safe_spacing, self.t_f)
 
 
 def start_spacings(scenario: Scenario, av_mask: np.ndarray) -> np.ndarray:
@@ -551,7 +555,6 @@ class PlatoonEngine:
     def run(
         self,
         record: Sequence[str] = ("x", "v", "a", "s", "dv", "u"),
-        window: tuple[float, float] | None = None,
         fold: Callable[[np.ndarray, dict], None] | None = None,
         lead: Sequence[np.ndarray] | None = None,
         initial: tuple[np.ndarray, np.ndarray] | None = None,
@@ -560,14 +563,13 @@ class PlatoonEngine:
 
         Recorded arrays have a leading time axis; `x` and `v` include the
         leader column, `a`, `s`, `dv`, `u` cover the followers only. Without
-        a window the whole horizon is integrated and recorded. With
-        `window=(t1, t2)` only the samples `window_slice` selects are kept,
-        a window outside the horizon fails before the first step, and the
-        integration ends at the window's last sample: blow-ups and floor
-        hits after t2 are not seen.
+        `fold` the whole horizon is integrated and recorded.
 
-        With `fold`, the samples go to a block buffer of at most
-        `_FOLD_VALUES` values (at least one sample) instead, and
+        With `fold`, the run covers the scenario's metric window: only the
+        samples `window_slice` selects are kept, and the integration ends at
+        the window's last sample, so blow-ups and floor hits after t2 are
+        not seen. The samples go to a block buffer of at most
+        `_FOLD_VALUES` values (at least one sample), and
         `fold(t_block, fields)` is called each time it fills and once more
         with what is left at the end, possibly nothing; `fields` maps each
         recorded name to a view of the buffer, valid only during the call.
@@ -589,9 +591,6 @@ class PlatoonEngine:
         dt = sc.dt
         steps = sc.steps
         t_grid = np.arange(steps + 1) * dt
-        keep = slice(0, steps + 1) if window is None else window_slice(t_grid, window)
-        lo, hi = keep.start, keep.stop
-        last = hi - 1  # the last sample the run reaches
         if lead is None:
             lead = sc.lead.stage_speeds(dt, steps)
         lead_t = lead[0]
@@ -610,12 +609,19 @@ class PlatoonEngine:
             "x": (0, self._x, n + 1), "v": (1, self._x, n + 1), "a": (1, self._v, n),
             "s": (2, ..., n), "dv": (3, ..., n), "u": (4, ..., n),
         }
-        block = hi - lo
+        # the samples kept, lo to hi, and the buffer's length in samples: a
+        # folded run covers the metric window in bounded blocks, any other
+        # the whole horizon at once
+        lo, hi = 0, steps + 1
+        block = hi
         if fold is not None:
+            keep = window_slice(t_grid, sc.metric_window)
+            lo, hi = keep.start, keep.stop
             per_sample = math.prod(self.batch_shape) * sum(
                 sources[name][2] for name in record
             )
             block = max(1, _FOLD_VALUES // per_sample)
+        last = hi - 1  # the last sample the run reaches
         bufs = {}
         fields = []
         for name in record:
@@ -652,7 +658,7 @@ class PlatoonEngine:
             rest = (hi - lo) % block
             fold(t_grid[hi - rest : hi], {name: buf[:rest] for name, buf in bufs.items()})
             return None
-        return {"t": t_grid[lo:hi], **bufs}
+        return {"t": t_grid, **bufs}
 
 
 def rk4_step(y, dt: float, f1, rate):

@@ -1,5 +1,8 @@
 import csv
+import dataclasses
 import functools
+import importlib.util
+import inspect
 import io
 import json
 import logging
@@ -19,9 +22,11 @@ from platoonsim.config import (
     build_scenario,
     load_config,
 )
+from platoonsim.controller import beta_upper_bound
 from platoonsim.errors import ConfigError, NumericalBlowupError
-from platoonsim.metrics import default_fuel_coefficients
-from platoonsim.optimizer import optimize
+from platoonsim.metrics import WindowSums, default_fuel_coefficients, load_fuel_coefficients
+from platoonsim.optimizer import OptimizerConfig, optimize
+from platoonsim.simulator import LeadProfile, Scenario
 
 
 def short_config(*overrides):
@@ -100,18 +105,49 @@ class TestConfig:
             ("optimizer.per_av=true", r"\[optimizer\] per_av"),
             ("scenario.Metric_Windows=1 2", r"\[scenario\] metric_windows"),
             ("solver.dt=0.1", r"\[solver\] dt"),
+            # an unknown section without keys
+            ("solver", r"\[solver\]$"),
         ],
     )
     def test_unknown_key_rejected(self, override, named):
         cp = load_config("scenario1")
-        apply_overrides(cp, [override])
-        with pytest.raises(ConfigError, match="unknown config key " + named):
+        if "=" in override:
+            apply_overrides(cp, [override])
+            named = "key " + named
+        else:
+            cp.add_section(override)
+            named = "section " + named
+        with pytest.raises(ConfigError, match="unknown config " + named):
             build_scenario(cp)
 
-    def test_readers_stay_inside_the_key_table(self):
+    def test_key_table_names_builder_fields(self):
+        # each key sets a field of what it builds, so a typo in the table
+        # fails here rather than when a config sets that key
+        for section, keys in config._KEYS.items():
+            for key, (builder, field, parse) in keys.items():
+                assert field in inspect.signature(builder).parameters, (section, key)
+                assert callable(parse), (section, key)
+        builders = {builder for keys in config._KEYS.values() for builder, _, _ in keys.values()}
+        assert all(map(dataclasses.is_dataclass, builders - {load_fuel_coefficients}))
+
+    def test_missing_required_key_names_it(self, tmp_path, capsys):
+        path = tmp_path / "no_hv.cfg"
+        path.write_text("[av_model]\nk1 = 0.02\nk2 = 0.13\neta = 21.51\ntau = 1.71\nlength = 5\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: missing required key [hv_model] a\n"
+
+    def test_left_out_keys_take_the_dataclass_defaults(self):
         cp = load_config("scenario1")
-        with pytest.raises(KeyError):
-            config._get(cp, "optimizer", "per_av", str)
+        for section in ("scenario", "controller", "optimizer"):
+            cp.remove_section(section)
+        sc = build_scenario(cp)
+        assert sc == Scenario(
+            hv_model=sc.hv_model, av_model=sc.av_model, lead=LeadProfile((0.0,), (21.0,))
+        )
+        point = replace(sc, mpr=0.1)
+        assert build_optimizer_config(cp, point) == OptimizerConfig(
+            beta_max=beta_upper_bound(point.envelope_s0_effective(), 2.0, 500.0)
+        )
 
 
 class TestUsageErrors:
@@ -578,10 +614,9 @@ def grid_per_point_csv():
     writer.writerow(["beta", "gamma", "asv", "fc"])
     for b in np.linspace(0, 0.0642, 9):
         for g in np.linspace(0.25, 1.5, 9):
-            raw = simulator.PlatoonEngine(sc, beta=b, gamma=g).run(
-                record=("v", "a"), window=sc.metric_window
-            )
-            asv_m, fc_m = _platoon_metrics_batch(sc, raw, coeffs)
+            sums = WindowSums(sc, coeffs)
+            simulator.PlatoonEngine(sc, beta=b, gamma=g).run(record=("v", "a"), fold=sums)
+            asv_m, fc_m = sums.platoon()
             writer.writerow([f"{b:.6g}", f"{g:.6g}", f"{asv_m:.6f}", f"{fc_m:.6f}"])
     return out.getvalue().encode()
 
@@ -774,3 +809,17 @@ class TestFreshInterpreter:
         proc = python_m()
         assert proc.returncode == 1
         assert "the following arguments are required: command" in proc.stderr
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps these names; one renamed or deleted here
+    # would make a traced benchmark run raise AttributeError
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for span, (module, attr, cls) in tracer.TARGETS.items():
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), span

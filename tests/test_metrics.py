@@ -51,12 +51,12 @@ class TestAsv:
     def test_zero_at_reference_speed(self):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0)] * 2)
-        assert report_for(traj, (10.0, 90.0)).per_vehicle_asv[1] == 0.0
+        assert report_for(traj, (10.0, 90.0)).per_vehicle_asv[0] == 0.0
 
     def test_unit_offset(self):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0), np.full(201, 22.0)])
-        asv_1 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[1]
+        asv_1 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[0]
         assert asv_1 == pytest.approx(1.0, rel=1e-12)
 
     def test_window_outside_span_rejected(self):
@@ -70,13 +70,13 @@ class TestAsv:
         wave = 21.0 + np.sin(0.2 * t)
         traj = speed_trajectory(t, [np.full(501, 21.0), wave])
         shifted = speed_trajectory(t + 37.0, [np.full(501, 21.0), wave])
-        a0 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[1]
-        a1 = report_for(shifted, (47.0, 127.0)).per_vehicle_asv[1]
+        a0 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[0]
+        a1 = report_for(shifted, (47.0, 127.0)).per_vehicle_asv[0]
         assert a1 == pytest.approx(a0, rel=1e-12)
 
     def test_instability_raises_upstream_asv(self, s1_mpr0_traj):
         per_vehicle = report_for(s1_mpr0_traj, (100.0, 250.0)).per_vehicle_asv
-        assert per_vehicle[10] > per_vehicle[1]
+        assert per_vehicle[9] > per_vehicle[0]  # follower 10 against follower 1
 
 
 class TestFuelRate:
@@ -216,7 +216,7 @@ class TestCube:
                 old(t, fields)
 
         engine = PlatoonEngine(sc, beta=betas.reshape(-1, 1), gamma=gammas.reshape(-1, 1))
-        engine.run(record=("v", "a"), window=sc.metric_window, fold=fold)
+        engine.run(record=("v", "a"), fold=fold)
         assert max(worst) <= 2
         fc_new, fc_old = new.per_vehicle()[1], old.per_vehicle()[1]
         assert (np.abs(fc_new - fc_old) <= 1.8e-16 * fc_old).all()
@@ -309,13 +309,13 @@ class TestTotalFuel:
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0), np.full(201, 25.0)])
         report = report_for(traj, (50.1, 50.4), fuel_coeffs)
-        assert report.per_vehicle_fc == {1: 0.0}
-        assert report.per_vehicle_asv == {1: 0.0}
+        assert report.per_vehicle_fc.tolist() == [0.0]
+        assert report.per_vehicle_asv.tolist() == [0.0]
 
     def test_constant_cruise(self, fuel_coeffs):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 20.0)] * 2)
-        total = report_for(traj, (10.0, 90.0), fuel_coeffs).per_vehicle_fc[1]
+        total = report_for(traj, (10.0, 90.0), fuel_coeffs).per_vehicle_fc[0]
         assert total == pytest.approx(fuel_rate(20.0, 0.0, fuel_coeffs) * 80.0, rel=1e-9)
 
 
@@ -344,10 +344,11 @@ class TestSummarizeOracle:
     def assert_matches_oracle(self, traj, sc, coeffs):
         report = summarize(traj, sc, coeffs)
         asv_veh, fc_veh = trapezoid_per_vehicle(traj, sc, coeffs)
-        assert list(report.per_vehicle_asv) == list(asv_veh)
+        # follower i is entry i - 1
+        assert report.per_vehicle_asv.shape == report.per_vehicle_fc.shape == (len(asv_veh),)
         for i in asv_veh:
-            assert report.per_vehicle_asv[i] == pytest.approx(asv_veh[i], rel=1e-12, abs=0)
-            assert report.per_vehicle_fc[i] == pytest.approx(fc_veh[i], rel=1e-12, abs=0)
+            assert report.per_vehicle_asv[i - 1] == pytest.approx(asv_veh[i], rel=1e-12, abs=0)
+            assert report.per_vehicle_fc[i - 1] == pytest.approx(fc_veh[i], rel=1e-12, abs=0)
         assert report.platoon_asv == pytest.approx(np.mean(list(asv_veh.values())), rel=1e-12)
         assert report.platoon_fc == pytest.approx(np.mean(list(fc_veh.values())), rel=1e-12)
 
@@ -378,12 +379,12 @@ class TestSummarize:
         cruise = fuel_rate(21.0, 0.0, fuel_coeffs) * 100.0
         assert report.platoon_fc == pytest.approx(cruise, rel=1e-6)
         assert not report.saturated
-        assert set(report.per_vehicle_asv) == set(range(1, 11))
+        assert report.per_vehicle_asv.shape == (10,)
 
     def test_leader_excluded(self, s1_mpr0_traj, fuel_coeffs):
         sc = make_scenario(mpr=0.0)
         report = summarize(s1_mpr0_traj, sc, fuel_coeffs)
-        assert 0 not in report.per_vehicle_asv
+        assert report.per_vehicle_asv.shape == (s1_mpr0_traj.n_vehicles - 1,)
 
     def test_smoothing_improves_both_metrics(
         self, s1_mpr0_traj, s1_mpr1_ops_traj, fuel_coeffs

@@ -16,6 +16,7 @@ from platoonsim.optimizer import (
     _av_block,
     _descent_terms,
     _sensitivities,
+    _sensitivity_run,
     _z_terms,
     descent_direction,
     objective_j,
@@ -262,17 +263,16 @@ class TestSimulateWithSensitivity:
         # gains too; they must not reach the sensitivities, and the
         # reference's HV rows must stay exactly 0
         sc = make_short_scenario(mpr=0.3, beta=0.05, gamma=1.0)
-        raw = PlatoonEngine(sc).run(record=("x", "v"))
         # the AV block is followers 2-8, with HVs at 3, 4, 6 and 7
-        block = _av_block(sc, raw)
+        block = _av_block(sc)
         assert (block.first, block.av) == (1, (1, 4, 7))
-        cols = block.columns(raw)
-        every = np.array([[0.05] * 10, [1.0] * 10])
+        raw = PlatoonEngine(block.scenario, av_mask=block.av_mask).run(
+            record=("x", "v"), lead=block.lead, initial=block.initial
+        )
+        every = np.array([[0.05] * 7, [1.0] * 7])
         on_avs = per_follower_gains(sc, (0.05, 1.0))
-        z = _sensitivities(block, on_avs[:, block.followers], cols, mode)
-        assert z.tobytes() == _sensitivities(
-            block, every[:, block.followers], cols, mode
-        ).tobytes()
+        z = _sensitivities(block, on_avs[:, 1:8], raw, mode)
+        assert z.tobytes() == _sensitivities(block, every, raw, mode).tobytes()
         reference = co_integrated_z(sc, on_avs, mode)
         av = np.subtract(sc.av_indices, 1)
         assert not np.delete(reference, av, axis=2).any()
@@ -353,6 +353,12 @@ class TestAvBlock:
         j_val, lam = _descent_terms(block, np.array(theta), mode)
         assert j_val == j_ref
         assert lam.tobytes() == lam_ref.tobytes()
+        # the block's record is the platoon's columns from the block's leader
+        raw = _sensitivity_run(block, np.array(theta), mode)
+        cols = slice(block.first, av_indices[-1] + 1)
+        for name in ("x", "v"):
+            whole = np.ascontiguousarray(getattr(traj, name)[:, cols])
+            assert raw[name].tobytes() == whole.tobytes(), name
 
     @pytest.mark.parametrize("where", ["run", "z"])
     def test_errors_name_the_platoon_vehicle(self, monkeypatch, where):

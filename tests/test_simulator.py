@@ -163,22 +163,27 @@ class TestEngine:
     # inside the horizon, the whole horizon, and a window holding no sample
     @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), (12.34, 12.36)])
     def test_window_equals_slice_of_full_run(self, window):
-        sc = make_short_scenario(mpr=0.5)
+        # a folded run sees exactly the metric window's samples of a full run
+        sc = make_short_scenario(mpr=0.5, window=window)
         full = PlatoonEngine(sc).run()
-        part = PlatoonEngine(sc).run(window=window)
+        parts = []
+        PlatoonEngine(sc).run(fold=lambda t, fields: parts.append(
+            {"t": t.copy(), **{name: buf.copy() for name, buf in fields.items()}}))
         keep = window_mask(full["t"], window)
-        assert set(part) == set(full)
+        assert set(parts[0]) == set(full)
         for name in full:
-            assert np.array_equal(part[name], full[name][keep]), name
+            got = np.concatenate([part[name] for part in parts])
+            assert np.array_equal(got, full[name][keep]), name
 
     @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), (12.34, 12.36)])
     @pytest.mark.parametrize("budget", [1, 3 * 21 * 7, 1 << 16])
     def test_fold_sees_the_window_record_in_blocks(self, monkeypatch, window, budget):
         # budget 1 gives one-sample blocks, 3 lanes x 21 values x 7 seven
         monkeypatch.setattr(simulator, "_FOLD_VALUES", budget)
-        sc = make_short_scenario()
+        sc = make_short_scenario(window=window)
         mask = av_mask_for(10, [0.0, 0.5, 1.0])
-        whole = PlatoonEngine(sc, av_mask=mask).run(record=("v", "a"), window=window)
+        whole = PlatoonEngine(sc, av_mask=mask).run(record=("v", "a"))
+        keep = simulator.window_slice(whole["t"], window)
         block = max(1, budget // (3 * 21))
         seen = []
 
@@ -187,19 +192,22 @@ class TestEngine:
             seen.append((t.copy(), fields["v"].copy(), fields["a"].copy()))
 
         engine = PlatoonEngine(sc, av_mask=mask)
-        assert engine.run(record=("v", "a"), window=window, fold=fold) is None
+        assert engine.run(record=("v", "a"), fold=fold) is None
         sizes = [len(t) for t, _, _ in seen]
         assert all(size == block for size in sizes[:-1]) and sizes[-1] < block
         for k, name in enumerate(("t", "v", "a")):
             got = np.concatenate([part[k] for part in seen])
-            assert np.array_equal(got, whole[name]), name
+            assert np.array_equal(got, whole[name][keep]), name
 
     def test_window_outside_span_fails_before_the_first_step(self, monkeypatch):
-        # dt 0.7 ends the grid at 499.8 s, so a window up to 500 s leaves it
-        engine = PlatoonEngine(make_scenario(dt=0.7))
+        # dt 0.7 ends the grid at 499.8 s, so a window up to 500 s leaves it;
+        # a Scenario refuses such a window, and a folded run checks it again
+        sc = make_scenario(dt=0.7)
+        object.__setattr__(sc, "metric_window", (100.0, 500.0))
+        engine = PlatoonEngine(sc)
         monkeypatch.setattr(engine, "advance", None)  # any step would fail
         with pytest.raises(DomainError, match="outside trajectory span"):
-            engine.run(window=(100.0, 500.0))
+            engine.run(fold=lambda t, fields: None)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -232,7 +240,7 @@ class TestEngine:
         }
         windowed = PlatoonEngine(sc, **gains)
         folded = WindowSums(sc, fuel_coeffs)
-        windowed.run(record=("v", "a"), window=sc.metric_window, fold=folded)
+        windowed.run(record=("v", "a"), fold=folded)
 
         cut = replace(sc, t_f=t2)
         whole = PlatoonEngine(cut, **gains)
@@ -251,8 +259,9 @@ class TestEngine:
         sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 8.0),
                            kind="ts-ops", beta=0.05, mpr=0.5)
         windowed = PlatoonEngine(sc, av_mask=av_mask_for(10, [0.0, 0.5]))
-        raw = windowed.run(record=("v",), window=sc.metric_window)
-        assert raw["t"][-1] == 8.0
+        seen = []
+        windowed.run(record=("v",), fold=lambda t, fields: seen.extend(t))
+        assert seen[-1] == 8.0
         assert windowed.floor_hits == 0
         full = PlatoonEngine(sc, av_mask=av_mask_for(10, [0.0, 0.5]))
         full.run(record=())
