@@ -152,8 +152,6 @@ def cmd_run(args) -> int:
 
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
-    if not scenario.av_indices:
-        raise ConfigError("no AV to tune: scenario has zero penetration")
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
     try:
         theta, trace = optimize(scenario, ocfg)

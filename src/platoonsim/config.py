@@ -127,9 +127,12 @@ def apply_overrides(cp: configparser.ConfigParser, overrides) -> None:
             )
         dotted, value = item.split("=", 1)
         section, key = dotted.split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key.strip(), value.strip())
+        try:
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp.set(section, key.strip(), value.strip())
+        except ValueError as err:  # e.g. a stray '%' or the DEFAULT section
+            raise ConfigError(f"override {item!r}: {err}") from err
 
 
 def dump_config(cp: configparser.ConfigParser, path) -> None:

@@ -141,12 +141,10 @@ class ConditionReport:
         return self.all_passed
 
 
-def _check_monotonicity(u_fn, s_grid, dv_grid, tol) -> ConditionResult:
+def _check_monotonicity(S, D, U, tol) -> ConditionResult:
     # increasing in dv at fixed s; increasing in s in the direction that
     # increases s*dv (equivalently, increasing in s for dv > 0 and
     # decreasing for dv < 0)
-    S, D = np.meshgrid(s_grid, dv_grid, indexing="ij")
-    U = u_fn(S, D)
     ddv = np.diff(U, axis=1)
     if (ddv < -tol).any():
         i, j = np.unravel_index(np.argmin(ddv), ddv.shape)
@@ -167,16 +165,14 @@ def _check_monotonicity(u_fn, s_grid, dv_grid, tol) -> ConditionResult:
     return ConditionResult(True, "monotone in dv and in s along sign(dv)")
 
 
-def _check_sign(u_fn, s_grid, dv_grid) -> ConditionResult:
-    S, D = np.meshgrid(s_grid, dv_grid, indexing="ij")
-    U = u_fn(S, D)
+def _check_sign(S, D, U) -> ConditionResult:
     at_zero = np.abs(U[:, D[0] == 0.0])
     if at_zero.size and at_zero.max() > 0.0:
         i = int(np.argmax(at_zero[:, 0]))
         return ConditionResult(
             False,
-            f"u != 0 at dv=0 (s={s_grid[i]:.3f}, u={at_zero[i, 0]:.3e})",
-            (float(s_grid[i]), 0.0),
+            f"u != 0 at dv=0 (s={S[i, 0]:.3f}, u={at_zero[i, 0]:.3e})",
+            (float(S[i, 0]), 0.0),
         )
     off = D != 0.0
     prod = U[off] * D[off]
@@ -226,9 +222,8 @@ def _check_smoothness(u_fn, s_grid, ratio_limit=1.6) -> ConditionResult:
     )
 
 
-def _check_boundedness(u_fn, s_grid, dv_grid, alpha_claim, tol) -> ConditionResult:
-    S, D = np.meshgrid(s_grid, dv_grid, indexing="ij")
-    U = np.abs(u_fn(S, D))
+def _check_boundedness(S, D, U, alpha_claim, tol) -> ConditionResult:
+    U = np.abs(U)
     sup = float(U.max())
     if sup > alpha_claim + tol:
         i, j = np.unravel_index(np.argmax(U), U.shape)
@@ -257,9 +252,12 @@ def validate_controller_conditions(
     """
     s_grid, dv_grid = box.grids()
     u_fn = lambda s, dv: np.asarray(ctrl(s, dv), dtype=float)  # noqa: E731
+    # conditions (1), (2) and (4) read one sample of u over the (s, dv) grid
+    S, D = np.meshgrid(s_grid, dv_grid, indexing="ij")
+    U = u_fn(S, D)
     return ConditionReport(
-        monotonicity=_check_monotonicity(u_fn, s_grid, dv_grid, tol),
-        sign=_check_sign(u_fn, s_grid, dv_grid),
+        monotonicity=_check_monotonicity(S, D, U, tol),
+        sign=_check_sign(S, D, U),
         smoothness=_check_smoothness(u_fn, s_grid),
-        boundedness=_check_boundedness(u_fn, s_grid, dv_grid, alpha_claim, tol),
+        boundedness=_check_boundedness(S, D, U, alpha_claim, tol),
     )

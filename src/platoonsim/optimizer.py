@@ -9,15 +9,16 @@ never feeds back into the platoon, so it is solved after a plain engine run:
 the run records x and v, every integrator stage is rebuilt from the record
 in blocks of steps, and z follows by a short linear recurrence over the
 stage values with the same operations, in the same order, as a
-co-integration in the engine's state would use. Neither J nor z reads a
-follower ahead of the first AV, which does not depend on the gains, or one
-behind the last AV, so the descent integrates those ahead once per call and
-then, each iteration, only the AV block from the first AV to the last,
-behind a leader that replays the prefix's last follower stage by stage.
-That run of the block is the one path to z: `simulate_with_sensitivity`
-takes its z from it too, and runs the whole platoon for the trajectory only.
-A projected fixed-step descent clamps beta to its safety bound and gamma to
-non-negative values.
+co-integration in the engine's state would use; the rate's terms, the
+kernel's value among them, are formed here from each stage's s and dv.
+Neither J nor z reads a follower ahead of the first AV, which does not
+depend on the gains, or one behind the last AV, so the descent integrates
+those ahead once per call and then, each iteration, only the AV block from
+the first AV to the last, behind a leader that replays the prefix's last
+follower stage by stage. That run of the block is the one path to z:
+`simulate_with_sensitivity` takes its z from it too, and runs the whole
+platoon for the trajectory only. A projected fixed-step descent clamps beta
+to its safety bound and gamma to non-negative values.
 """
 
 from __future__ import annotations
@@ -168,17 +169,19 @@ def _z_terms(stage, beta, gamma, kernel, p, cols):
     """The linear sensitivity rate at one `rhs` tuple, at the AV entries.
 
     zdot = drdv*z + forcing (+ drds*zs for "coupled") for the AV speed
-    equation r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w). `beta` and
-    `gamma` are the AV gains, `cols` the AV columns of the follower axis.
+    equation r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w), w = gamma*s*dv
+    formed as `PlatoonEngine.control_input` forms it. `beta` and `gamma` are
+    the gains every AV shares, `cols` the AV columns of the follower axis.
     Returns drdv and drds shaped (..., n_av) and the forcing
     [dr/dbeta, dr/dgamma] shaped (..., n_av, 2).
     """
-    _, s, dv, _, w, fw = stage
+    _, s, dv, _ = stage
     s, dv = s[..., cols], dv[..., cols]
+    w = gamma * s * dv
     kp = kernel.deriv(w)
     beta_gamma = beta * gamma
     drdv = -p.k1 * p.tau - (p.k2 + beta_gamma * s * kp)
-    forcing = np.stack([fw, beta * s * dv * kp], axis=-1)
+    forcing = np.stack([kernel.fn(w), beta * s * dv * kp], axis=-1)
     drds = p.k1 + beta_gamma * dv * kp
     return drdv, forcing, drds
 
@@ -296,11 +299,11 @@ def _av_block(scenario: Scenario) -> _AvBlock:
     )
 
 
-def _sensitivities(block: _AvBlock, gains: np.ndarray, raw: dict, mode: str) -> np.ndarray:
+def _sensitivities(block: _AvBlock, theta, raw: dict, mode: str) -> np.ndarray:
     """The AV gain sensitivities z = dv/d(beta, gamma) of a recorded run.
 
-    `gains` holds the per-follower (beta, gamma) rows of the AV block and
-    `raw` a run's record of its `x` and `v` over the whole horizon. Each block of
+    `theta` is the (beta, gamma) pair every AV shares and `raw` a run's
+    record of the AV block's `x` and `v` over the whole horizon. Each block of
     `_Z_BLOCK` steps rebuilds its states' stages in one engine whose batch
     axis is the step index, then advances z step by step through the linear
     rate at those stages. "coupled" adds the spacing sensitivity zs, zsdot =
@@ -314,11 +317,9 @@ def _sensitivities(block: _AvBlock, gains: np.ndarray, raw: dict, mode: str) -> 
     coupled = mode == "coupled"
     rk4 = scenario.integrator == "rk4"
     dt, steps = scenario.dt, scenario.steps
-    beta, gamma = gains[:, av]
+    beta, gamma = np.reshape(theta, (2, 1))
     kernel = get_kernel(scenario.controller.kernel)
-    engine = PlatoonEngine(
-        scenario, beta=gains[0], gamma=gains[1], av_mask=block.av_mask[None]
-    )
+    engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=block.av_mask[None])
     z_series = np.zeros((steps + 1, len(av), 2))
     # one state per (AV, gain) entry
     states = [[np.zeros(2) if coupled else 0.0 for _ in range(2)] for _ in av]
@@ -350,27 +351,19 @@ def _sensitivities(block: _AvBlock, gains: np.ndarray, raw: dict, mode: str) -> 
     return z_series
 
 
-def _follower_gains(n: int, av_indices, theta_av) -> np.ndarray:
-    """Per-follower (beta, gamma) rows over n followers: one row of
-    `theta_av` (or the one pair it holds) on each AV, zero on the HVs."""
-    theta_av = np.broadcast_to(np.asarray(theta_av, dtype=float), (len(av_indices), 2))
-    gains = np.zeros((2, n))
-    gains[:, np.subtract(av_indices, 1)] = theta_av.T
-    return gains
-
-
-def _sensitivity_run(block: _AvBlock, theta_av, mode: str) -> dict:
-    """A plain `PlatoonEngine.run` of the AV block with the AV gains
-    `theta_av`, recording x and v, plus the AV sensitivities `z` integrated
-    from its record. Vehicles in errors are numbered in the whole platoon."""
-    sc = block.scenario
-    gains = _follower_gains(sc.n_followers, block.av, theta_av)
-    engine = PlatoonEngine(sc, beta=gains[0], gamma=gains[1], av_mask=block.av_mask)
+def _sensitivity_run(block: _AvBlock, theta, mode: str) -> dict:
+    """A plain `PlatoonEngine.run` of the AV block with the (beta, gamma)
+    pair `theta` on every AV, recording x and v, plus the AV sensitivities
+    `z` integrated from its record. Vehicles in errors are numbered in the
+    whole platoon."""
+    # 1-element arrays, not floats: NumPy multiplies them faster
+    beta, gamma = np.reshape(theta, (2, 1))
+    engine = PlatoonEngine(block.scenario, beta=beta, gamma=gamma, av_mask=block.av_mask)
     try:
         raw = engine.run(record=("x", "v"), lead=block.lead, initial=block.initial)
     except NumericalBlowupError as err:
         raise NumericalBlowupError(block.first + err.vehicle, err.time) from None
-    raw["z"] = _sensitivities(block, gains, raw, mode)
+    raw["z"] = _sensitivities(block, theta, raw, mode)
     return raw
 
 
@@ -381,18 +374,21 @@ def simulate_with_sensitivity(
 ) -> tuple[Trajectory, np.ndarray]:
     """Integrate the platoon, and the per-AV gain sensitivities as the descent does.
 
-    theta_av is one (beta, gamma) row per AV, or one pair shared by all.
-    Returns the trajectory and the sensitivity series with shape
+    theta_av is the (beta, gamma) pair every AV shares, as a pair or as one
+    (1, 2) row. Returns the trajectory and the sensitivity series with shape
     (n_samples, n_av, 2), z(0) = 0, from a run of the AV block
     (`_sensitivity_run`), which equals the block's columns of the platoon
     bit for bit. A non-finite z raises NumericalBlowupError naming the
     lowest AV whose row failed.
     """
+    theta = np.asarray(theta_av, dtype=float)
+    if theta.shape not in ((2,), (1, 2)):
+        raise DomainError(f"theta_av must be one (beta, gamma) pair, not shape {theta.shape}")
     _check_mode(mode)
     block = _av_block(scenario)
-    gains = _follower_gains(scenario.n_followers, scenario.av_indices, theta_av)
-    raw = PlatoonEngine(scenario, beta=gains[0], gamma=gains[1]).run()
-    z_series = _sensitivity_run(block, theta_av, mode)["z"]
+    beta, gamma = np.reshape(theta, (2, 1))
+    raw = PlatoonEngine(scenario, beta=beta, gamma=gamma).run()
+    z_series = _sensitivity_run(block, theta, mode)["z"]
     return assemble_trajectory(scenario, raw), z_series
 
 
@@ -492,10 +488,9 @@ def optimize(
             objectives.append(j_val)
             lambdas.append(lam)
 
-            if kappa > 1 and abs(objectives[-1] - objectives[-2]) <= cfg.phi:
-                reason = "converged"
-                break
-            if not lam.any():
+            if not lam.any() or (
+                kappa > 1 and abs(objectives[-1] - objectives[-2]) <= cfg.phi
+            ):
                 reason = "converged"
                 break
             if kappa == cfg.n_max:

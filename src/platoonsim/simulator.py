@@ -455,22 +455,15 @@ class PlatoonEngine:
         return x, v
 
     def control_input(self, s, dv, v_prev):
-        """Control input `u` at the AV entries, `w`, `fw`.
-
-        `s`, `dv` and `v_prev` are taken at the AV entries (`self._a`). For
-        ts-ops, `w = gamma*s*dv` is the kernel's argument and `fw` its
-        value, which the optimizer's sensitivity terms reuse; both are None
-        for the other controllers. Without a controller `u` is 0.0.
+        """Control input `u` at the AV entries (`self._a`), where `s`, `dv`
+        and `v_prev` are taken. Without a controller `u` is 0.0.
         """
         if self.kind == "ts-ops":
-            w = self._gamma_a * s * dv
-            fw = self.kernel.fn(w)
-            return self._beta_a * fw, w, fw
+            return self._beta_a * self.kernel.fn(self._gamma_a * s * dv)
         if self.kind == "ts-trc":
             p1, p2, p3 = self.phi
-            u = p1 * (dv + p2 * np.arctan(p3 * s * (self.v_star - v_prev)))
-            return u, None, None
-        return 0.0, None, None
+            return p1 * (dv + p2 * np.arctan(p3 * s * (self.v_star - v_prev)))
+        return 0.0
 
     def _full_width_u(self, u, s):
         """The AV-entry input `u` spread over the follower axis of `s`, +0.0
@@ -483,11 +476,11 @@ class PlatoonEngine:
     def rhs(self, v_lead, x, v):
         """Flat derivative `f` plus the instantaneous diagnostics.
 
-        Returns `(f, s, dv, u, w, fw)`; the last three are `control_input`'s
-        at the AV entries (all None without an AV). `v_lead` is the leader's
-        speed at the stage time. `f` has the state's layout: dx/dt =
-        [v_lead | v], then dv/dt. The HV law is written over every follower
-        (if any is an HV), then the AV law plus `u` over the AV entries.
+        Returns `(f, s, dv, u)`, `u` at the AV entries (None without an
+        AV). `v_lead` is the leader's speed at the stage time. `f` has the
+        state's layout: dx/dt = [v_lead | v], then dv/dt. The HV law is
+        written over every follower (if any is an HV), then the AV law plus
+        `u` over the AV entries.
         """
         f = np.empty(v.shape[:-1] + (self.width,))
         v_all = f[self._x]
@@ -500,13 +493,13 @@ class PlatoonEngine:
             f[self._v] = idm_accel_arrays(s, dv, v, self.hv)
         a = self._a
         if a is None:
-            return f, s, dv, None, None, None
+            return f, s, dv, None
         s_a, dv_a = s[a], dv[a]
         # only ts-trc reads the predecessor's speed
         v_prev_a = v_prev[a] if self.kind == "ts-trc" else None
-        u, w, fw = self.control_input(s_a, dv_a, v_prev_a)
+        u = self.control_input(s_a, dv_a, v_prev_a)
         f[self._a_f] = ovrv_accel_arrays(s_a, dv_a, v[a], self.av) + u
-        return f, s, dv, u, w, fw
+        return f, s, dv, u
 
     def _check_finite(self, y, t):
         finite = np.isfinite(y[self._v])
@@ -632,7 +625,7 @@ class PlatoonEngine:
         full_u = "u" in record
 
         def record_sample(k, y_k, stage):
-            f, s, dv, u = stage[:4]
+            f, s, dv, u = stage
             parts = (y_k, f, s, dv, self._full_width_u(u, s) if full_u else None)
             j = (k - lo) % block
             for buf, part, idx in fields:

@@ -92,6 +92,21 @@ class TestConfig:
         apply_overrides(cp, ["scenario.dt=0.2"])
         assert build_scenario(cp).dt == 0.2
 
+    @pytest.mark.parametrize(
+        "override, reason",
+        [
+            ("controller.kind=%(x)", "invalid interpolation syntax in '%(x)' at position 0"),
+            ("DEFAULT.mpr=0.2", "Invalid section name: 'DEFAULT'"),
+        ],
+    )
+    def test_override_that_configparser_rejects_exits_1(self, tmp_path, capsys, override, reason):
+        # ConfigParser.set raises ValueError here; it is a config error that
+        # names the override, not a traceback
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), "--set", override])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: override {override!r}: {reason}\n"
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_bad_value_reports_key(self):
         cp = load_config("scenario1")
         apply_overrides(cp, ["hv_model.a=fast"])
@@ -397,10 +412,25 @@ class TestTune:
         assert "beta=" in out and "gamma=" in out
 
     def test_no_av_exits_1(self, tmp_path, capsys):
+        # the preset states its envelope, so the descent's own check stops it
         code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
                      "--set", "scenario.mpr=0"])
         assert code == 1
-        assert "no AV to tune" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: scenario has no AV to tune\n"
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_no_av_without_envelope_exits_1(self, tmp_path, capsys):
+        # without controller.envelope_s0 the beta bound has no AV to read
+        cp = load_config("scenario1")
+        cp.remove_option("controller", "envelope_s0")
+        config.dump_config(cp, tmp_path / "no_envelope.cfg")
+        code = main(["tune", "--scenario", str(tmp_path / "no_envelope.cfg"),
+                     "--out", str(tmp_path), "--set", "scenario.mpr=0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: scenario has no AV, so no control envelope exists\n"
+        )
+        assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("failing_call", [1, 3])
     def test_failed_descent_keeps_its_trace(self, tmp_path, capsys, monkeypatch, failing_call):

@@ -26,7 +26,7 @@ def control(s, dv, v_prev=21.0, kind="ts-ops", **ctrl):
         ctrl = {"beta": PAPER_GAINS.beta, "gamma": PAPER_GAINS.gamma, **ctrl}
     sc = Scenario(n_followers=1, mpr=1.0, controller=ControllerConfig(kind=kind, **ctrl))
     s, dv, v_prev = (np.asarray(x, dtype=float)[..., None] for x in (s, dv, v_prev))
-    return PlatoonEngine(sc).control_input(s, dv, v_prev)[0][..., 0]
+    return PlatoonEngine(sc).control_input(s, dv, v_prev)[..., 0]
 
 
 class TestAdditiveInput:

@@ -173,18 +173,17 @@ def co_integrated_z(sc, gains, mode):
 
 
 class TestSimulateWithSensitivity:
-    THETA = np.array([[0.03, 0.5], [0.05, 1.0], [0.01, 2.0]])
+    THETA = (0.045, 1.3)
 
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
     def test_trajectory_equals_engine_run(self, mode, integrator):
         # the sensitivities never feed back into the platoon, so the
-        # trajectory is the plain run's bit for bit
+        # trajectory is the plain run's bit for bit, here one whose
+        # per-follower gains hold the shared pair on the AVs and 0 on the HVs
         sc = make_short_scenario(mpr=0.3, integrator=integrator)
         traj, z = simulate_with_sensitivity(sc, self.THETA, mode=mode)
-        beta, gamma = np.zeros(10), np.zeros(10)
-        for row, i in enumerate(sc.av_indices):
-            beta[i - 1], gamma[i - 1] = self.THETA[row]
+        beta, gamma = per_follower_gains(sc, self.THETA)
         plain = assemble_trajectory(
             sc,
             PlatoonEngine(sc, beta=beta, gamma=gamma).run(),
@@ -256,12 +255,16 @@ class TestSimulateWithSensitivity:
             simulate_with_sensitivity(make_short_scenario(mpr=0.0), [0.03, 0.5])
         with pytest.raises(DomainError, match="ts-ops"):
             simulate_with_sensitivity(make_short_scenario(kind="ts-trc"), [0.03, 0.5])
+        # every AV shares one pair: several rows, or not a pair
+        for theta in ([[0.03, 0.5]] * 3, [[0.03, 0.5], [0.05, 1.0]], [0.03], [0.03, 0.5, 1.0]):
+            with pytest.raises(DomainError, match=r"one \(beta, gamma\) pair"):
+                simulate_with_sensitivity(sc, theta)
 
     @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
     def test_hv_rows_stay_zero(self, mode):
-        # an engine built with the scenario's scalar gains gives the HVs
-        # gains too; they must not reach the sensitivities, and the
-        # reference's HV rows must stay exactly 0
+        # the block's engines spread the shared pair over every follower,
+        # the HVs too; those gains must not reach the sensitivities, and the
+        # reference's HV rows, whose gains are 0, must stay exactly 0
         sc = make_short_scenario(mpr=0.3, beta=0.05, gamma=1.0)
         # the AV block is followers 2-8, with HVs at 3, 4, 6 and 7
         block = _av_block(sc)
@@ -269,11 +272,9 @@ class TestSimulateWithSensitivity:
         raw = PlatoonEngine(block.scenario, av_mask=block.av_mask).run(
             record=("x", "v"), lead=block.lead, initial=block.initial
         )
-        every = np.array([[0.05] * 7, [1.0] * 7])
-        on_avs = per_follower_gains(sc, (0.05, 1.0))
-        z = _sensitivities(block, on_avs[:, 1:8], raw, mode)
-        assert z.tobytes() == _sensitivities(block, every, raw, mode).tobytes()
-        reference = co_integrated_z(sc, on_avs, mode)
+        z = _sensitivities(block, (0.05, 1.0), raw, mode)
+        assert z.tobytes() == _sensitivities(block, [[0.05, 1.0]], raw, mode).tobytes()
+        reference = co_integrated_z(sc, per_follower_gains(sc, (0.05, 1.0)), mode)
         av = np.subtract(sc.av_indices, 1)
         assert not np.delete(reference, av, axis=2).any()
         assert np.array_equal(z, reference[:, :, av].transpose(0, 2, 1))
