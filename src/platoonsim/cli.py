@@ -68,9 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SECTION.KEY=VALUE",
             help="config override, repeatable",
         )
-        p.add_argument("--controller", choices=("ts-ops", "ts-trc", "none"))
-        p.add_argument("--dt", type=float)
-        p.add_argument("--integrator", choices=("rk4", "euler"))
         p.add_argument(
             "--dump-config", metavar="PATH", help="write the effective config"
         )
@@ -110,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _prepare(args):
     cp = cfgmod.load_config(args.scenario)
     cfgmod.apply_overrides(cp, args.overrides)
-    if args.controller:
-        cfgmod.apply_overrides(cp, [f"controller.kind={args.controller}"])
-    if args.dt is not None:
-        cfgmod.apply_overrides(cp, [f"scenario.dt={args.dt}"])
-    if args.integrator:
-        cfgmod.apply_overrides(cp, [f"scenario.integrator={args.integrator}"])
     os.makedirs(args.out, exist_ok=True)
     scenario = cfgmod.build_scenario(cp)
     if args.dump_config:
@@ -285,8 +276,8 @@ def _parse_range(raw: str) -> np.ndarray:
         raise ConfigError(f"bad range {raw!r}, expected LO:HI:N") from err
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"bad range {raw!r}: LO and HI must be finite")
-    if n < 1 or hi < lo:
-        raise ConfigError(f"bad range {raw!r}: need HI >= LO and N >= 1")
+    if n < 1 or hi < lo or (n == 1 and hi != lo):
+        raise ConfigError(f"bad range {raw!r}: need HI >= LO, N >= 1, and N >= 2 if HI > LO")
     return np.linspace(lo, hi, n)
 
 
@@ -343,6 +334,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ConfigError, DomainError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:  # inputs are read as ConfigErrors; this is an output
+        print(f"config error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalBlowupError, OptimizeError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -87,7 +87,6 @@ _KEYS = {
         t_f=float, dt=float, min_safe_spacing=float, integrator=str,
     ),
     "optimizer": {
-        **_keys(OptimizerConfig, beta_max=float),
         **_keys(ControllerParams, beta0=("beta", float), gamma0=("gamma", float)),
         **_keys(OptimizerConfig, epsilon=float, phi=float, n_max=int, sensitivity=str),
     },
@@ -187,14 +186,11 @@ def build_scenario(cp: configparser.ConfigParser) -> Scenario:
 def build_optimizer_config(
     cp: configparser.ConfigParser, scenario: Scenario
 ) -> OptimizerConfig:
-    """Optimizer settings; beta_max defaults to the scenario's safety bound."""
+    """Optimizer settings; the ceiling on beta is the scenario's safety bound."""
     fields = _fields(cp, "optimizer")
-    settings = fields[OptimizerConfig]
-    if "beta_max" not in settings:
-        settings["beta_max"] = scenario.beta_bound()
     try:
         theta0 = replace(OptimizerConfig.theta0, **fields[ControllerParams])
-        return OptimizerConfig(theta0=theta0, **settings)
+        return OptimizerConfig(scenario.beta_bound(), theta0, **fields[OptimizerConfig])
     except ValueError as err:
         raise ConfigError(str(err)) from err
 

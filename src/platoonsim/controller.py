@@ -42,8 +42,10 @@ class SigmoidKernel:
 
 def _erf(w):
     # SciPy is imported on first use, so only erf-kernel runs pay for loading it.
-    from scipy.special import erf
-
+    try:
+        from scipy.special import erf
+    except ImportError as err:
+        raise DomainError("the erf kernel needs SciPy (the 'erf' extra)") from err
     return erf(w)
 
 

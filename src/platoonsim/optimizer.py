@@ -220,11 +220,11 @@ class _AvBlock:
     read nothing behind the last AV, so the descent integrates only this
     block. `scenario` holds its followers only; `first` is the platoon index
     of its leader, the first AV's predecessor, whose four-stage speed table
-    is `lead`; `initial` holds the block's columns of the whole platoon's
-    initial state, so a run of the block equals those columns of the
-    platoon's run bit for bit. `av` lists the AV followers, block-relative;
-    `scenario.mpr` is still the platoon's, so every engine of the block is
-    given `av_mask`.
+    is `lead`; `initial` and `av_mask` hold the block's columns of the whole
+    platoon's initial state and AV mask, so a run of the block equals those
+    columns of the platoon's run bit for bit. `av` lists the AV followers,
+    block-relative; `scenario.mpr` is still the platoon's, so every engine
+    of the block is given `av_mask`.
     """
 
     scenario: Scenario
@@ -232,12 +232,7 @@ class _AvBlock:
     av: tuple[int, ...]
     lead: tuple[np.ndarray, ...]
     initial: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def av_mask(self) -> np.ndarray:
-        mask = np.zeros(self.scenario.n_followers, dtype=bool)
-        mask[np.subtract(self.av, 1)] = True
-        return mask
+    av_mask: np.ndarray
 
 
 def _stage_blocks(engine: PlatoonEngine, lead, x, v):
@@ -273,13 +268,14 @@ def _av_block(scenario: Scenario) -> _AvBlock:
             f"only the 'ts-ops' controller is tunable, got "
             f"{scenario.controller.kind!r}"
         )
-    first = av[0] - 1
-    x0, v0 = PlatoonEngine(scenario).initial_arrays()
+    first, last = av[0] - 1, av[-1]
+    platoon = PlatoonEngine(scenario)
+    x0, v0 = platoon.initial_arrays()
     lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
     if first:
         prefix = PlatoonEngine(
             replace(scenario, n_followers=first, init_spacing=None),
-            av_mask=np.zeros(first, dtype=bool),
+            av_mask=platoon.av_mask[:first],
         )
         raw = prefix.run(record=("x", "v"), initial=(x0[: first + 1], v0[:first]))
         x, v = raw["x"], raw["v"][:, 1:]
@@ -292,10 +288,10 @@ def _av_block(scenario: Scenario) -> _AvBlock:
                 for out, stage in zip(later, stages[1:]):
                     out[k0:k1] = stage[0][:, first]
         lead = (v[:, -1].copy(), *later)
-    block = replace(scenario, n_followers=av[-1] - first, init_spacing=None)
+    block = replace(scenario, n_followers=last - first, init_spacing=None)
     return _AvBlock(
         block, first, tuple(i - first for i in av), lead,
-        (x0[first : av[-1] + 1], v0[first : av[-1]]),
+        (x0[first : last + 1], v0[first:last]), platoon.av_mask[first:last],
     )
 
 

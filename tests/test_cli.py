@@ -174,6 +174,12 @@ class TestUsageErrors:
         (["run", "--scenario", "scenario1", "--bogus"], "unrecognized arguments: --bogus"),
         (["grid", "--scenario", "scenario1", "--beta-range", "-inf:0.05:2",
           "--gamma-range", "0.5:1.0:2"], "argument --beta-range: expected one argument"),
+        # controller.kind, scenario.dt and scenario.integrator are set with --set only
+        (["run", "--scenario", "scenario1", "--controller", "ts-trc"],
+         "unrecognized arguments: --controller ts-trc"),
+        (["run", "--scenario", "scenario1", "--dt", "0.05"], "unrecognized arguments: --dt 0.05"),
+        (["run", "--scenario", "scenario1", "--integrator", "euler"],
+         "unrecognized arguments: --integrator euler"),
     ])
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -315,10 +321,40 @@ class TestRun:
         fc_default = float(read_csv(out_default / "metrics.csv")[-1][2])
         assert fc_custom > 10 * fc_default
 
-    def test_integrator_flag(self, tmp_path):
+    def test_integrator_and_dt_set_through_config(self, tmp_path):
+        dumped = tmp_path / "effective.cfg"
         code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
-                     "--integrator", "euler", "--dt", "0.05"])
+                     "--set", "scenario.integrator=euler", "--set", "scenario.dt=0.05",
+                     "--dump-config", str(dumped)])
         assert code == 0
+        sc = build_scenario(load_config(str(dumped)))
+        assert (sc.integrator, sc.dt) == ("euler", 0.05)
+
+    def test_erf_kernel_without_scipy_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a NumPy-only install: importing scipy.special fails
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "controller.kernel=erf"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: the erf kernel needs SciPy (the 'erf' extra)\n"
+        )
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["run", "--scenario", "scenario1", "--out", str(out), *SHORT]) == 1
+        assert capsys.readouterr().err == f"config error: cannot write {out}: File exists\n"
+
+    def test_dump_config_into_missing_dir_exits_1(self, tmp_path, capsys):
+        dumped = tmp_path / "missing" / "x.cfg"
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--dump-config", str(dumped)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot write {dumped}: No such file or directory\n"
+        )
 
     def test_dump_config_roundtrip(self, tmp_path):
         dumped = tmp_path / "effective.cfg"
@@ -419,6 +455,23 @@ class TestTune:
         assert capsys.readouterr().err == "config error: scenario has no AV to tune\n"
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_beta_max_is_not_a_key(self, tmp_path, capsys):
+        # the ceiling on beta is the envelope bound; a config cannot raise it
+        code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
+                     "--set", "optimizer.beta_max=1.0"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: unknown config key [optimizer] beta_max\n"
+        )
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_start_above_the_bound_is_projected_onto_it(self, tmp_path):
+        # full 500 s horizon, so the bound is 0.0641967
+        code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
+                     "--set", "optimizer.beta0=0.5", "--set", "optimizer.n_max=1"])
+        assert code == 0
+        assert read_csv(tmp_path / "theta_opt.csv")[1][0] == "0.0641967"
+
     def test_no_av_without_envelope_exits_1(self, tmp_path, capsys):
         # without controller.envelope_s0 the beta bound has no AV to read
         cp = load_config("scenario1")
@@ -475,9 +528,9 @@ class TestSweep:
         assert main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path),
                      "--mprs", "0,1.5"]) == 1
 
-    def test_controller_flag_switches_baseline(self, tmp_path):
+    def test_controller_kind_switches_baseline(self, tmp_path):
         code = main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
-                     "--mprs", "0,1", "--controller", "ts-trc"])
+                     "--mprs", "0,1", "--set", "controller.kind=ts-trc"])
         assert code == 0
         rows = read_csv(tmp_path / "sweep.csv")
         assert float(rows[2][3]) > 0.0
@@ -684,6 +737,20 @@ class TestGrid:
         assert code == 1
         assert capsys.readouterr().err == (
             f"config error: bad range {bad!r}: LO and HI must be finite\n"
+        )
+
+    def test_one_point_range_needs_hi_equal_lo(self, tmp_path, capsys, monkeypatch):
+        # linspace with N = 1 would drop HI and run LO alone
+        def fail(*args, **kw):
+            raise AssertionError("integrated a range that drops HI")
+
+        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        code = main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--beta-range", "0.03:0.05:1", "--gamma-range", "0.5:1.0:2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: bad range '0.03:0.05:1': need HI >= LO, N >= 1, "
+            "and N >= 2 if HI > LO\n"
         )
 
     def test_corner_minimum_at_ten_percent(self, tmp_path):
