@@ -276,8 +276,8 @@ def _parse_range(raw: str) -> np.ndarray:
         raise ConfigError(f"bad range {raw!r}, expected LO:HI:N") from err
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"bad range {raw!r}: LO and HI must be finite")
-    if n < 1 or hi < lo or (n == 1 and hi != lo):
-        raise ConfigError(f"bad range {raw!r}: need HI >= LO, N >= 1, and N >= 2 if HI > LO")
+    if n < 1 or hi < lo or (n == 1) != (hi == lo):
+        raise ConfigError(f"bad range {raw!r}: need HI >= LO, N = 1 if HI = LO, else N >= 2")
     return np.linspace(lo, hi, n)
 
 

@@ -84,12 +84,12 @@ class ControllerParams:
             )
 
 
-def beta_upper_bound(s0_av: float, min_safe: float, t_f: float) -> float:
-    """Largest arctan-controller beta whose worst case keeps spacing safe.
+def beta_upper_bound(s0_av: float, min_safe: float, t_f: float, sup: float) -> float:
+    """Largest beta whose worst case keeps spacing safe.
 
-    Equals 2 * (s0_av - min_safe) / (pi * t_f): the control magnitude is
-    below beta*pi/2, so spacing cannot drain below min_safe within t_f.
-    Zero slack means zero control authority.
+    Equals (s0_av - min_safe) / (sup * t_f), `sup` the kernel's supremum:
+    the control magnitude is below beta*sup, so spacing cannot drain below
+    min_safe within t_f. Zero slack means zero control authority.
     """
     if not (s0_av >= min_safe):
         raise DomainError(
@@ -97,7 +97,7 @@ def beta_upper_bound(s0_av: float, min_safe: float, t_f: float) -> float:
         )
     if t_f <= 0:
         raise DomainError(f"horizon must be positive, got {t_f}")
-    return 2.0 * (s0_av - min_safe) / (math.pi * t_f)
+    return (s0_av - min_safe) / (sup * t_f)
 
 
 # --- numerical verification of the controller-class conditions -------------

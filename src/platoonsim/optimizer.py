@@ -1,24 +1,25 @@
 """Gradient-based selection of the additive controller gains.
 
-The objective is the integrated squared speed gap between each controlled AV
-and its predecessor. Its gradient with respect to the gains (beta, gamma) is
-obtained from a two-component sensitivity ODE per AV: the sensitivity treats
-the AV's spacing and its predecessor's speed as exogenous signals, so it
-differentiates exactly the AV's own speed equation. That ODE is linear and
-never feeds back into the platoon, so it is solved after a plain engine run:
-the run records x and v, every integrator stage is rebuilt from the record
-in blocks of steps, and z follows by a short linear recurrence over the
-stage values with the same operations, in the same order, as a
-co-integration in the engine's state would use; the rate's terms, the
-kernel's value among them, are formed here from each stage's s and dv.
+The objective J is the integrated squared speed gap between each controlled
+AV and its predecessor; J, the trajectory and every blow-up come from a
+plain real engine run. Its gradient with respect to the gains (beta, gamma)
+has two modes. "exogenous" (the default) solves a linear sensitivity ODE per
+AV that treats the AV's spacing and its predecessor's speed as exogenous
+signals after the run: every integrator stage is rebuilt from its record in
+blocks of steps, and z follows by a recurrence over the stage values with
+the operations, in the order, of a co-integration in the engine's state.
+"closed-loop" lets the engine differentiate itself: a second run in two
+complex lanes steps gain g by i*h in lane g, so z = Im v / h and Im J / h
+are the exact derivatives of the discrete closed loop (complex-step
+differentiation; Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
+
 Neither J nor z reads a follower ahead of the first AV, which does not
 depend on the gains, or one behind the last AV, so the descent integrates
 those ahead once per call and then, each iteration, only the AV block from
 the first AV to the last, behind a leader that replays the prefix's last
-follower stage by stage. That run of the block is the one path to z:
-`simulate_with_sensitivity` takes its z from it too, and runs the whole
-platoon for the trajectory only. A projected fixed-step descent clamps beta
-to its safety bound and gamma to non-negative values.
+follower stage by stage; `simulate_with_sensitivity` takes its z from that
+run too. A projected fixed-step descent clamps beta to its safety bound and
+gamma to non-negative values.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ __all__ = [
 
 # steps per block of the sensitivity post-pass; bounds its stage arrays
 _Z_BLOCK = 128
+# the imaginary step of a closed-loop run's gains; no difference is taken,
+# so it cancels nothing and may sit far below rounding
+_H = 1e-30
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,9 @@ class OptimizerConfig:
 
     The descent tunes one (beta, gamma) pair shared by every AV. epsilon is
     the fixed step size; phi the convergence threshold on the change of the
-    objective between iterations; beta_max the feasibility ceiling on beta.
-    sensitivity="coupled" additionally propagates the spacing sensitivity
-    (experimental comparison mode).
+    objective between iterations; beta_max the feasibility ceiling on beta;
+    sensitivity the gradient's mode, "exogenous" or "closed-loop" (exact, at
+    about twice the cost per iteration; see the module docstring).
     """
 
     beta_max: float
@@ -109,12 +113,13 @@ class OptimizationTrace:
         return int(np.argmin(self.objectives))
 
 
-def _objective(t, v, av_indices) -> float:
+def _objective(t, v, av_indices):
+    """J of the speeds `v` (time, [lanes,] vehicle), one value per lane."""
     total = 0.0
     for i in av_indices:
-        gap = v[:, i] - v[:, i - 1]
-        total += 0.5 * np.trapezoid(gap**2, t)
-    return float(total)
+        gap = v[..., i] - v[..., i - 1]
+        total += 0.5 * np.trapezoid(gap**2, t, axis=0)
+    return total
 
 
 def _direction(t, v, z_series, av_index) -> np.ndarray:
@@ -159,21 +164,19 @@ def project_feasible(theta, beta_max: float) -> ControllerParams:
 
 
 def _check_mode(mode: str) -> None:
-    if mode not in ("exogenous", "coupled"):
-        raise DomainError(
-            f"sensitivity mode must be 'exogenous' or 'coupled', got {mode!r}"
-        )
+    if mode not in ("exogenous", "closed-loop"):
+        raise DomainError(f"sensitivity mode must be 'exogenous' or 'closed-loop', got {mode!r}")
 
 
 def _z_terms(stage, beta, gamma, kernel, p, cols):
-    """The linear sensitivity rate at one `rhs` tuple, at the AV entries.
+    """The exogenous sensitivity rate at one `rhs` tuple, at the AV entries.
 
-    zdot = drdv*z + forcing (+ drds*zs for "coupled") for the AV speed
-    equation r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w), w = gamma*s*dv
+    zdot = drdv*z + forcing for the AV speed equation
+    r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w), w = gamma*s*dv
     formed as `PlatoonEngine.control_input` forms it. `beta` and `gamma` are
     the gains every AV shares, `cols` the AV columns of the follower axis.
-    Returns drdv and drds shaped (..., n_av) and the forcing
-    [dr/dbeta, dr/dgamma] shaped (..., n_av, 2).
+    Returns drdv shaped (..., n_av) and the forcing [dr/dbeta, dr/dgamma]
+    shaped (..., n_av, 2).
     """
     _, s, dv, _ = stage
     s, dv = s[..., cols], dv[..., cols]
@@ -182,34 +185,7 @@ def _z_terms(stage, beta, gamma, kernel, p, cols):
     beta_gamma = beta * gamma
     drdv = -p.k1 * p.tau - (p.k2 + beta_gamma * s * kp)
     forcing = np.stack([kernel.fn(w), beta * s * dv * kp], axis=-1)
-    drds = p.k1 + beta_gamma * dv * kp
-    return drdv, forcing, drds
-
-
-def _z_steps(z, rows, dt: float, rk4: bool, coupled: bool):
-    """Advance one (AV, gain) entry of the sensitivities through a block.
-
-    `z` is the entry's z, a float, or its [z, zs] pair for "coupled". Each
-    of `rows` holds one step's drdv, forcing and drds, one value per stage,
-    and whether the step clamped the AV's speed. The entries are independent
-    and few, so plain floats are cheaper here than arrays, with the same
-    bits. Returns z after each step and the last state.
-    """
-    # stage i's rate at y, with the coefficients of the step in progress
-    def rate(i, y):
-        if coupled:
-            return np.array([d[i] * y[0] + f[i] + c[i] * y[1], -y[0]])
-        return d[i] * y + f[i]
-
-    out = []
-    for d, f, c, clamp in rows:
-        f1 = rate(0, z)
-        z = rk4_step(z, dt, f1, rate) if rk4 else z + dt * f1
-        if clamp:
-            # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
-            z = np.array([0.0, z[1]]) if coupled else 0.0
-        out.append(z[0] if coupled else z)
-    return out, z
+    return drdv, forcing
 
 
 @dataclass(frozen=True)
@@ -295,33 +271,36 @@ def _av_block(scenario: Scenario) -> _AvBlock:
     )
 
 
-def _sensitivities(block: _AvBlock, theta, raw: dict, mode: str) -> np.ndarray:
-    """The AV gain sensitivities z = dv/d(beta, gamma) of a recorded run.
+def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
+    """The exogenous AV gain sensitivities z = dv/d(beta, gamma) of a run.
 
     `theta` is the (beta, gamma) pair every AV shares and `raw` a run's
     record of the AV block's `x` and `v` over the whole horizon. Each block of
     `_Z_BLOCK` steps rebuilds its states' stages in one engine whose batch
-    axis is the step index, then advances z step by step through the linear
-    rate at those stages. "coupled" adds the spacing sensitivity zs, zsdot =
-    -z, which feeds back through dr/ds. Returns z with shape (n_samples,
-    n_av, 2), z(0) = 0; a non-finite z raises NumericalBlowupError naming
-    the lowest AV whose row failed at the first such step.
+    axis is the step index, then advances each (AV, gain) entry of z step by
+    step through the linear rate at those stages; the entries are
+    independent and few, so plain floats are cheaper here than arrays, with
+    the same bits. Returns z with shape (n_samples, n_av, 2), z(0) = 0; a
+    non-finite z raises NumericalBlowupError naming the lowest AV whose row
+    failed at the first such step.
     """
     scenario = block.scenario
     av = np.subtract(block.av, 1)
     n = scenario.n_followers
-    coupled = mode == "coupled"
     rk4 = scenario.integrator == "rk4"
     dt, steps = scenario.dt, scenario.steps
     beta, gamma = np.reshape(theta, (2, 1))
     kernel = get_kernel(scenario.controller.kernel)
     engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=block.av_mask[None])
     z_series = np.zeros((steps + 1, len(av), 2))
-    # one state per (AV, gain) entry
-    states = [[np.zeros(2) if coupled else 0.0 for _ in range(2)] for _ in av]
+
+    # stage i's rate at y, with the coefficients of the step in progress
+    def rate(i, y):
+        return d[i] * y + f[i]
+
     for k0, k1, stages, y_new in _stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:]):
         # (step, stage, AV[, gain]) coefficients
-        drdv, forcing, drds = (
+        drdv, forcing = (
             np.stack(terms, axis=1)
             for terms in zip(*(
                 _z_terms(stage, beta, gamma, kernel, scenario.av_model, av)
@@ -330,13 +309,16 @@ def _sensitivities(block: _AvBlock, theta, raw: dict, mode: str) -> np.ndarray:
         )
         clamped = y_new[:, n + 1 + av] < 0
         z_block = z_series[k0 + 1 : k1 + 1]
-        for col, state in enumerate(states):
-            for g in range(2):
-                rows = zip(
-                    drdv[:, :, col].tolist(), forcing[:, :, col, g].tolist(),
-                    drds[:, :, col].tolist(), clamped[:, col].tolist(),
-                )
-                z_block[:, col, g], state[g] = _z_steps(state[g], rows, dt, rk4, coupled)
+        for col, g in np.ndindex(len(av), 2):
+            z, out = float(z_series[k0, col, g]), []
+            coefficients = drdv[:, :, col], forcing[:, :, col, g], clamped[:, col]
+            for d, f, clamp in zip(*(c.tolist() for c in coefficients)):
+                f1 = rate(0, z)
+                z = rk4_step(z, dt, f1, rate) if rk4 else z + dt * f1
+                # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
+                z = 0.0 if clamp else z
+                out.append(z)
+            z_block[:, col, g] = out
         finite = np.isfinite(z_block)
         if not finite.all():
             row = int(np.argmin(finite.all(axis=(1, 2))))
@@ -350,16 +332,26 @@ def _sensitivities(block: _AvBlock, theta, raw: dict, mode: str) -> np.ndarray:
 def _sensitivity_run(block: _AvBlock, theta, mode: str) -> dict:
     """A plain `PlatoonEngine.run` of the AV block with the (beta, gamma)
     pair `theta` on every AV, recording x and v, plus the AV sensitivities
-    `z` integrated from its record. Vehicles in errors are numbered in the
-    whole platoon."""
+    `z`, from the record ("exogenous") or, after it, from a complex run
+    whose lane g steps gain g by i*h ("closed-loop"; its speeds are `v_c`,
+    shaped (time, lane, vehicle)). Errors number vehicles in the platoon."""
+    def run(beta, gamma, record):
+        engine = PlatoonEngine(block.scenario, beta=beta, gamma=gamma, av_mask=block.av_mask)
+        return engine.run(record=record, lead=block.lead, initial=block.initial)
+
     # 1-element arrays, not floats: NumPy multiplies them faster
-    beta, gamma = np.reshape(theta, (2, 1))
-    engine = PlatoonEngine(block.scenario, beta=beta, gamma=gamma, av_mask=block.av_mask)
+    gains = np.reshape(theta, (2, 1))
     try:
-        raw = engine.run(record=("x", "v"), lead=block.lead, initial=block.initial)
+        raw = run(*gains, ("x", "v"))
+        if mode == "closed-loop":
+            # lane g holds gain g + i*h; each gain is shaped (lanes, 1)
+            raw["v_c"] = run(*(gains + 1j * _H * np.eye(2))[..., None], ("v",))["v"]
     except NumericalBlowupError as err:
         raise NumericalBlowupError(block.first + err.vehicle, err.time) from None
-    raw["z"] = _sensitivities(block, theta, raw, mode)
+    if mode == "closed-loop":
+        raw["z"] = raw["v_c"][..., list(block.av)].imag.swapaxes(1, 2) / _H
+    else:
+        raw["z"] = _sensitivities(block, theta, raw)
     return raw
 
 
@@ -375,7 +367,7 @@ def simulate_with_sensitivity(
     (n_samples, n_av, 2), z(0) = 0, from a run of the AV block
     (`_sensitivity_run`), which equals the block's columns of the platoon
     bit for bit. A non-finite z raises NumericalBlowupError naming the
-    lowest AV whose row failed.
+    lowest AV whose row failed ("closed-loop": the vehicle whose speed did).
     """
     theta = np.asarray(theta_av, dtype=float)
     if theta.shape not in ((2,), (1, 2)):
@@ -436,11 +428,13 @@ def replayed_objective(
 
 def _descent_terms(block: _AvBlock, theta, mode: str) -> tuple[float, np.ndarray]:
     """J and the AV-summed direction at the shared gains theta, from a run of
-    the AV block. The run's record dies with this call, before the next
-    iteration's run."""
+    the AV block ("closed-loop": Im J / h of the complex lanes). The run's
+    record dies with this call, before the next iteration's run."""
     raw = _sensitivity_run(block, theta, mode)
     t, v, z_series = raw["t"], raw["v"], raw["z"]
     j_val = _objective(t, v, block.av)
+    if mode == "closed-loop":
+        return j_val, _objective(t, raw["v_c"], block.av).imag / _H
     lam = np.stack(
         [_direction(t, v, z_series[:, row], i) for row, i in enumerate(block.av)]
     ).sum(axis=0)

@@ -262,8 +262,9 @@ class Scenario:
         return float(start_spacings(self, mask)[mask].min())
 
     def beta_bound(self) -> float:
-        """The safety ceiling on beta (`beta_upper_bound`) from the envelope."""
-        return beta_upper_bound(self.envelope_s0_effective(), self.min_safe_spacing, self.t_f)
+        """The safety ceiling on beta (`beta_upper_bound`) of the envelope and kernel."""
+        sup = get_kernel(self.controller.kernel).sup
+        return beta_upper_bound(self.envelope_s0_effective(), self.min_safe_spacing, self.t_f, sup)
 
 
 def start_spacings(scenario: Scenario, av_mask: np.ndarray) -> np.ndarray:
@@ -373,7 +374,9 @@ class PlatoonEngine:
     (`_av_index`).
 
     Each lane advances one flat state `[x (n+1) | v (n)]`; the engine knows
-    nothing of gain sensitivities. `step` evaluates the later stages of one
+    nothing of gain sensitivities, but complex gains make the state, `rhs`'s
+    derivative and the record complex, so a gain stepped by i*h gives each
+    speed's derivative as Im v / h. `step` evaluates the later stages of one
     step: `advance` calls it in the run loop, and the optimizer calls it on
     a recorded run's states, with the step index as the batch axis, to
     rebuild the stage values its sensitivities need.
@@ -402,11 +405,13 @@ class PlatoonEngine:
 
         def _gain(value, default):
             # arrays broadcast as given against the (..., n) follower axis
-            arr = np.asarray(default if value is None else value, dtype=float)
-            return arr if arr.ndim else float(arr)
+            arr = np.asarray(default if value is None else value)
+            arr = arr.astype(np.result_type(arr, float), copy=False)  # complex stays
+            return arr if arr.ndim else arr.item()
 
         self.beta = _gain(beta, ctrl.beta)
         self.gamma = _gain(gamma, ctrl.gamma)
+        self.dtype = np.result_type(self.beta, self.gamma)  # of the state and record
         self.batch_shape = np.broadcast_shapes(
             self.av_mask.shape, np.shape(self.beta), np.shape(self.gamma)
         )[:-1]
@@ -482,7 +487,7 @@ class PlatoonEngine:
         written over every follower (if any is an HV), then the AV law plus
         `u` over the AV entries.
         """
-        f = np.empty(v.shape[:-1] + (self.width,))
+        f = np.empty(v.shape[:-1] + (self.width,), self.dtype)
         v_all = f[self._x]
         v_all[..., 0] = v_lead
         v_all[..., 1:] = v
@@ -590,7 +595,7 @@ class PlatoonEngine:
         # the leader's later stage speeds, one row per step, made as the
         # loop reaches them
         lead_later = zip(*lead[1:]) if len(lead) > 1 else itertools.repeat(())
-        y = np.zeros(self.batch_shape + (self.width,))
+        y = np.zeros(self.batch_shape + (self.width,), self.dtype)
         y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
@@ -619,7 +624,7 @@ class PlatoonEngine:
         fields = []
         for name in record:
             part, idx, width = sources[name]
-            bufs[name] = np.empty((block,) + self.batch_shape + (width,))
+            bufs[name] = np.empty((block,) + self.batch_shape + (width,), self.dtype)
             fields.append((bufs[name], part, idx))
 
         full_u = "u" in record

@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -161,7 +162,7 @@ class TestConfig:
         )
         point = replace(sc, mpr=0.1)
         assert build_optimizer_config(cp, point) == OptimizerConfig(
-            beta_max=beta_upper_bound(point.envelope_s0_effective(), 2.0, 500.0)
+            beta_max=beta_upper_bound(point.envelope_s0_effective(), 2.0, 500.0, math.pi / 2)
         )
 
 
@@ -455,6 +456,23 @@ class TestTune:
         assert capsys.readouterr().err == "config error: scenario has no AV to tune\n"
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_closed_loop_sensitivity(self, tmp_path):
+        code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "optimizer.n_max=2", "--set", "optimizer.sensitivity=closed-loop"])
+        assert code == 0
+        assert len(read_csv(tmp_path / "trace.csv")) == 3
+
+    def test_coupled_sensitivity_is_gone(self, tmp_path, capsys):
+        # the hand-derived "coupled" mode gave way to "closed-loop"
+        code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
+                     "--set", "optimizer.sensitivity=coupled"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: sensitivity mode must be 'exogenous' or 'closed-loop', "
+            "got 'coupled'\n"
+        )
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_beta_max_is_not_a_key(self, tmp_path, capsys):
         # the ceiling on beta is the envelope bound; a config cannot raise it
         code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
@@ -745,12 +763,33 @@ class TestGrid:
             raise AssertionError("integrated a range that drops HI")
 
         monkeypatch.setattr(cli, "PlatoonEngine", fail)
-        code = main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
-                     "--beta-range", "0.03:0.05:1", "--gamma-range", "0.5:1.0:2"])
-        assert code == 1
+        # N > 1 with HI = LO would run N identical lanes
+        for bad in ("0.03:0.05:1", "0.05:0.05:3"):
+            code = main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                         "--beta-range", bad, "--gamma-range", "0.5:1.0:2"])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"config error: bad range '{bad}': need HI >= LO, N = 1 if HI = LO, "
+                "else N >= 2\n"
+            )
+
+    def test_tanh_range_reaches_its_own_bound(self, tmp_path, capsys, monkeypatch):
+        # tanh is bounded by 1, not by arctan's pi/2, so on the full 500 s
+        # horizon its bound is (52.42 - 2) / 500 = 0.10084
+        args = ["grid", "--scenario", "scenario1", "--out", str(tmp_path),
+                "--set", "controller.kernel=tanh", "--gamma-range", "1:1:1", "--beta-range"]
+        assert main([*args, "0.1:0.10084:2"]) == 0
+        assert len(read_csv(tmp_path / "grid.csv")) == 3
+
+        def fail(*args, **kw):
+            raise AssertionError("integrated a range above the bound")
+
+        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        capsys.readouterr()
+        assert main([*args, "0.1:0.101:2"]) == 1
         assert capsys.readouterr().err == (
-            "config error: bad range '0.03:0.05:1': need HI >= LO, N >= 1, "
-            "and N >= 2 if HI > LO\n"
+            "config error: beta range [0.1, 0.101] leaves the feasible interval "
+            "[0, 0.10084]\n"
         )
 
     def test_corner_minimum_at_ten_percent(self, tmp_path):

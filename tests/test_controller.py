@@ -129,34 +129,59 @@ class TestVirtualSpeed:
         assert 21.0 + control(50.0, -2.0, beta=0.0, gamma=1.0) == 21.0
 
 
+ARCTAN_SUP = SIGMOID_KERNELS["arctan"].sup
+
+
 class TestBetaUpperBound:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        s_min=st.floats(0.1, 50.0),
+        slack=st.floats(0.0, 200.0),
+        t_f=st.floats(1.0, 5000.0),
+    )
+    @example(s_min=2.0, slack=50.42, t_f=500.0)
+    def test_arctan_bound_keeps_its_bits(self, s_min, slack, t_f):
+        # (s0 - s_min) / ((pi/2) t_f) and 2 (s0 - s_min) / (pi t_f) scale the
+        # same quotient by an exact factor 2, so they round alike
+        s0 = s_min + slack
+        assert beta_upper_bound(s0, s_min, t_f, ARCTAN_SUP) == (
+            2.0 * (s0 - s_min) / (math.pi * t_f)
+        )
+
+    @pytest.mark.parametrize("kernel", sorted(SIGMOID_KERNELS))
+    def test_scenario_bound_reads_the_kernels_supremum(self, kernel):
+        # tanh and erf are bounded by 1, so their bound is pi/2 times arctan's
+        sc = Scenario(t_f=500.0, controller=ControllerConfig(
+            kind="ts-ops", kernel=kernel, envelope_s0=52.42))
+        assert sc.beta_bound() == (52.42 - 2.0) / (SIGMOID_KERNELS[kernel].sup * 500.0)
+
     def test_paper_value(self):
-        assert beta_upper_bound(52.42, 2.0, 500.0) == pytest.approx(0.0642, abs=5e-5)
+        assert beta_upper_bound(52.42, 2.0, 500.0, ARCTAN_SUP) == pytest.approx(0.0642, abs=5e-5)
 
     def test_zero_slack(self):
-        assert beta_upper_bound(30.0, 30.0, 100.0) == 0.0
+        assert beta_upper_bound(30.0, 30.0, 100.0, ARCTAN_SUP) == 0.0
 
     def test_ovrv_equilibrium_spacing(self):
-        assert beta_upper_bound(57.42, 2.0, 500.0) == pytest.approx(0.07056, abs=1e-5)
+        assert beta_upper_bound(57.42, 2.0, 500.0, ARCTAN_SUP) == pytest.approx(0.07056, abs=1e-5)
 
     def test_rejects_negative_slack(self):
         with pytest.raises(DomainError):
-            beta_upper_bound(1.0, 2.0, 500.0)
+            beta_upper_bound(1.0, 2.0, 500.0, ARCTAN_SUP)
         with pytest.raises(DomainError):
-            beta_upper_bound(52.42, 2.0, 0.0)
+            beta_upper_bound(52.42, 2.0, 0.0, ARCTAN_SUP)
 
 
 class TestSafetyEnvelope:
     def test_bound_gives_exact_envelope(self):
         # at the bound, the engine's largest input drains exactly the slack
-        beta_max = beta_upper_bound(52.42, 2.0, 500.0)
+        beta_max = beta_upper_bound(52.42, 2.0, 500.0, ARCTAN_SUP)
         u_sup = control(1e3, 1e3, beta=beta_max, gamma=1e12)
         assert u_sup == pytest.approx((52.42 - 2.0) / 500.0, rel=1e-12)
 
     def test_rejects_excess_alpha(self):
         # a beta above the bound can drain the slack within the horizon; the
         # projected descent never leaves it there
-        beta_max = beta_upper_bound(52.42, 2.0, 500.0)
+        beta_max = beta_upper_bound(52.42, 2.0, 500.0, ARCTAN_SUP)
         excess = 1.01 * beta_max
         assert 52.42 - excess * math.pi / 2 * 500.0 < 2.0
         assert project_feasible((excess, 1.0), beta_max).beta == beta_max
@@ -165,7 +190,7 @@ class TestSafetyEnvelope:
         # sustained control at the supremum drains spacing linearly; any
         # beta below the bound keeps the worst case above the safe minimum
         s0, s_min, t_f = 52.42, 2.0, 500.0
-        beta_max = beta_upper_bound(s0, s_min, t_f)
+        beta_max = beta_upper_bound(s0, s_min, t_f, ARCTAN_SUP)
         for frac in (0.25, 0.6, 1.0):
             alpha = frac * beta_max * math.pi / 2
             t = np.linspace(0.0, t_f, 2001)

@@ -93,7 +93,7 @@ def stage_zdot(z_av, dv, beta=0.05, gamma=1.0, s=50.0):
     av = sc.av_indices[0]
     x[av:] -= s - (x[av - 1] - x[av] - 5.0)
     v[av - 1] = 21.0 - dv
-    drdv, forcing, _ = _z_terms(
+    drdv, forcing = _z_terms(
         engine.rhs(21.0, x, v), beta, gamma, SIGMOID_KERNELS["arctan"], OVRV_1, [av - 1]
     )
     return (drdv[:, None] * np.asarray(z_av, dtype=float) + forcing)[0]
@@ -172,11 +172,17 @@ def co_integrated_z(sc, gains, mode):
     return np.array(out)
 
 
+def complex_gains(theta):
+    """(beta, gamma) of a closed-loop run's two lanes: lane g holds the pair
+    with gain g stepped by i*h. Each is shaped (lanes, 1)."""
+    return (np.reshape(theta, (2, 1)) + 1j * optimizer._H * np.eye(2))[..., None]
+
+
 class TestSimulateWithSensitivity:
     THETA = (0.045, 1.3)
 
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-    @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
+    @pytest.mark.parametrize("mode", ["exogenous", "closed-loop"])
     def test_trajectory_equals_engine_run(self, mode, integrator):
         # the sensitivities never feed back into the platoon, so the
         # trajectory is the plain run's bit for bit, here one whose
@@ -200,7 +206,6 @@ class TestSimulateWithSensitivity:
     @given(
         kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
         integrator=st.sampled_from(["rk4", "euler"]),
-        mode=st.sampled_from(["exogenous", "coupled"]),
         # scenario 1's platoon behind a lead that stops (speeds clamp at 0),
         # or either preset's behind a braking one; scenario 2's IDM blows up
         # behind the stopping lead
@@ -212,7 +217,7 @@ class TestSimulateWithSensitivity:
         block=st.integers(1, 400).filter(lambda b: 250 % b),
     )
     def test_post_pass_equals_co_integration(
-        self, kernel, integrator, mode, case, mpr, theta, block
+        self, kernel, integrator, case, mpr, theta, block
     ):
         hv, lead = case
         sc = make_scenario(
@@ -221,8 +226,8 @@ class TestSimulateWithSensitivity:
         )
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
         with mock.patch.object(optimizer, "_Z_BLOCK", block):
-            _, z = simulate_with_sensitivity(sc, theta, mode=mode)
-        reference = co_integrated_z(sc, per_follower_gains(sc, theta), mode)
+            _, z = simulate_with_sensitivity(sc, theta)
+        reference = co_integrated_z(sc, per_follower_gains(sc, theta), "exogenous")
         av = np.subtract(sc.av_indices, 1)
         assert z.tobytes() == np.ascontiguousarray(
             reference[:, :, av].transpose(0, 2, 1)
@@ -260,25 +265,36 @@ class TestSimulateWithSensitivity:
             with pytest.raises(DomainError, match=r"one \(beta, gamma\) pair"):
                 simulate_with_sensitivity(sc, theta)
 
-    @pytest.mark.parametrize("mode", ["exogenous", "coupled"])
+    @pytest.mark.parametrize("mode", ["exogenous", "closed-loop"])
     def test_hv_rows_stay_zero(self, mode):
         # the block's engines spread the shared pair over every follower,
-        # the HVs too; those gains must not reach the sensitivities, and the
-        # reference's HV rows, whose gains are 0, must stay exactly 0
+        # the HVs too; those gains must not reach the sensitivities
         sc = make_short_scenario(mpr=0.3, beta=0.05, gamma=1.0)
         # the AV block is followers 2-8, with HVs at 3, 4, 6 and 7
         block = _av_block(sc)
         assert (block.first, block.av) == (1, (1, 4, 7))
+        z = _sensitivity_run(block, (0.05, 1.0), mode)["z"]
+        assert z[-1].all()
+        if mode == "closed-loop":
+            # complex lanes with 0 on the HVs; the HVs behind an AV still
+            # respond to the gains through the loop, so only their gains are 0
+            gains = np.zeros((2, 2, block.scenario.n_followers), dtype=complex)
+            gains[..., np.subtract(block.av, 1)] = complex_gains((0.05, 1.0))
+            v_c = PlatoonEngine(
+                block.scenario, beta=gains[0], gamma=gains[1], av_mask=block.av_mask
+            ).run(record=("v",), lead=block.lead, initial=block.initial)["v"]
+            reference = v_c[..., list(block.av)].imag.swapaxes(1, 2) / optimizer._H
+            assert z.tobytes() == reference.tobytes()
+            return
+        # the co-integrated reference's HV rows, whose gains are 0, stay 0
         raw = PlatoonEngine(block.scenario, av_mask=block.av_mask).run(
             record=("x", "v"), lead=block.lead, initial=block.initial
         )
-        z = _sensitivities(block, (0.05, 1.0), raw, mode)
-        assert z.tobytes() == _sensitivities(block, [[0.05, 1.0]], raw, mode).tobytes()
+        assert z.tobytes() == _sensitivities(block, [[0.05, 1.0]], raw).tobytes()
         reference = co_integrated_z(sc, per_follower_gains(sc, (0.05, 1.0)), mode)
         av = np.subtract(sc.av_indices, 1)
         assert not np.delete(reference, av, axis=2).any()
         assert np.array_equal(z, reference[:, :, av].transpose(0, 2, 1))
-        assert z[-1].all()
 
     def test_blowup_names_the_follower_whose_z_failed(self, monkeypatch):
         # a NaN in the kernel derivative of the third and fifth AVs
@@ -323,14 +339,14 @@ class TestAvBlock:
         mpr=st.floats(0.1, 1.0),
         hv=st.sampled_from([IDM_1, IDM_2]),
         integrator=st.sampled_from(["rk4", "euler"]),
-        mode=st.sampled_from(["exogenous", "coupled"]),
+        mode=st.sampled_from(["exogenous", "closed-loop"]),
         theta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
         spacing=st.none() | st.lists(st.floats(30.0, 70.0), min_size=10, max_size=10),
     )
     # the first AV is follower 1, so the prefix is empty
     @example(mpr=0.5, hv=IDM_2, integrator="rk4", mode="exogenous", theta=(0.03, 0.5),
              spacing=None)
-    @example(mpr=1.0, hv=IDM_1, integrator="euler", mode="coupled", theta=(0.0642, 1.0),
+    @example(mpr=1.0, hv=IDM_1, integrator="euler", mode="closed-loop", theta=(0.0642, 1.0),
              spacing=None)
     # the paper's single AV at follower 5, behind set spacings
     @example(mpr=0.1, hv=IDM_2, integrator="rk4", mode="exogenous", theta=(0.05, 1.0),
@@ -345,15 +361,26 @@ class TestAvBlock:
         traj, z = simulate_with_sensitivity(sc, theta, mode=mode)
         av_indices = sc.av_indices
         j_ref = optimizer._objective(traj.t, traj.v, av_indices)
-        lam_ref = np.stack(
-            [optimizer._direction(traj.t, traj.v, z[:, row], i)
-             for row, i in enumerate(av_indices)]
-        ).sum(axis=0)
+        if mode == "closed-loop":
+            # Im J / h of the whole platoon's complex lanes; its prefix rounds
+            # complex arithmetic where the block's leader table holds the
+            # real run's, so the two agree to rounding, not bit for bit
+            gains = complex_gains(theta)
+            v_c = PlatoonEngine(sc, beta=gains[0], gamma=gains[1]).run(record=("v",))["v"]
+            lam_ref = optimizer._objective(traj.t, v_c, av_indices).imag / optimizer._H
+        else:
+            lam_ref = np.stack(
+                [optimizer._direction(traj.t, traj.v, z[:, row], i)
+                 for row, i in enumerate(av_indices)]
+            ).sum(axis=0)
         block = _av_block(sc)
         assert block.first == av_indices[0] - 1
         j_val, lam = _descent_terms(block, np.array(theta), mode)
         assert j_val == j_ref
-        assert lam.tobytes() == lam_ref.tobytes()
+        if mode == "closed-loop":
+            assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0)
+        else:
+            assert lam.tobytes() == lam_ref.tobytes()
         # the block's record is the platoon's columns from the block's leader
         raw = _sensitivity_run(block, np.array(theta), mode)
         cols = slice(block.first, av_indices[-1] + 1)
@@ -384,6 +411,96 @@ class TestAvBlock:
         with pytest.raises(NumericalBlowupError) as err:
             _descent_terms(block, np.array([0.03, 0.5]), "exogenous")
         assert err.value.vehicle == 5
+
+
+class TestClosedLoop:
+    """The closed-loop gradient against the simulated objective itself."""
+
+    THETA = (0.03, 1.0)
+    # the central FD steps of the printed study, one row per gain. Down to
+    # the middle column the FD's truncation error falls as h^2, and below
+    # it rounding lifts the error again; there the worst error over MPR
+    # 0.1, 0.5 and 1.0 with RK4 and Euler was 1.1e-9 (beta) and 1.9e-8
+    # (gamma) relative, which FD_RTOL bounds with a margin of 5
+    FD_STEPS = ((1e-4, 1e-5, 1e-6, 1e-7, 1e-8), (1e-2, 1e-3, 1e-4, 1e-5, 1e-6))
+    FD_RTOL = 1e-7
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("mpr", [0.1, 0.5, 1.0])
+    def test_direction_matches_central_differences(self, mpr, integrator, capsys):
+        sc = make_short_scenario(mpr=mpr, integrator=integrator)
+        block = _av_block(sc)
+        theta = np.array(self.THETA)
+        _, lam = _descent_terms(block, theta, "closed-loop")
+        # every FD point theta +- h e_g is a lane of one run of the platoon
+        h = np.array(self.FD_STEPS)
+        step = h[..., None] * np.eye(2)[:, None]
+        points = np.concatenate([theta + step, theta - step]).reshape(-1, 2)
+        raw = PlatoonEngine(sc, beta=points[:, :1], gamma=points[:, 1:]).run(record=("v",))
+        j_up, j_down = optimizer._objective(raw["t"], raw["v"], sc.av_indices).reshape(2, 2, -1)
+        fd = (j_up - j_down) / (2 * h)
+        error = (lam[:, None] - fd) / np.abs(fd)
+        # a measurement, not a bound: how far the exogenous direction is off
+        bias = (_descent_terms(block, theta, "exogenous")[1] - fd[:, 2]) / np.abs(fd[:, 2])
+        with capsys.disabled():
+            print(f"\nMPR {mpr} {integrator}: closed-loop vs FD at steps {h.tolist()}:\n"
+                  f"  {np.array2string(error, precision=1)}\n  exogenous bias {bias}")
+        assert (np.abs(error[:, 2]) <= self.FD_RTOL).all()
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("lead", [SHORT_LEAD, STOP_LEAD], ids=["brake", "stop"])
+    def test_one_av_equals_the_coupled_reference(self, lead, integrator):
+        # with one AV behind HVs, only its own spacing and speed respond to
+        # the gains: the [z, zs] system the reference co-integrates
+        sc = make_scenario(mpr=0.1, kind="ts-ops", beta=0.03, lead=lead, t_f=30.0,
+                           window=(0.0, 30.0), integrator=integrator)
+        traj, z = simulate_with_sensitivity(sc, self.THETA, mode="closed-loop")
+        av = sc.av_indices[0]
+        reference = co_integrated_z(sc, per_follower_gains(sc, self.THETA), "coupled")
+        reference = reference[:, :, [av - 1]].transpose(0, 2, 1)
+        scale = np.abs(reference).max(axis=(0, 1))
+        assert (np.abs(z - reference) <= 8 * np.finfo(float).eps * scale).all()
+        # behind the stopping lead the AV's speed clamps, and its z with it
+        clamped = traj.v[1:, av] == 0.0
+        assert clamped.any() == (lead is STOP_LEAD)
+        assert not z[1:][clamped].any()
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        mpr=st.floats(0.1, 1.0),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        theta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+    )
+    def test_objective_keeps_its_bits(self, mpr, integrator, theta):
+        # J comes from the real run in both modes
+        block = _av_block(make_short_scenario(mpr=mpr, integrator=integrator))
+        j_exo, j_closed = (
+            _descent_terms(block, np.array(theta), mode)[0]
+            for mode in ("exogenous", "closed-loop")
+        )
+        assert j_closed.tobytes() == j_exo.tobytes()
+
+    def test_blowup_is_the_real_runs_in_both_modes(self):
+        # scenario 2 behind the stopping lead: RK4 stage speeds go negative,
+        # where scenario 2's (v/v0)**delta is NaN in real arithmetic
+        sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
+                           t_f=25.0, window=(0.0, 25.0))
+        block = _av_block(sc)
+        errors = []
+        with np.errstate(invalid="ignore"):
+            for mode in ("exogenous", "closed-loop"):
+                with pytest.raises(NumericalBlowupError) as err:
+                    _descent_terms(block, np.array(self.THETA), mode)
+                errors.append((err.value.vehicle, err.value.time, str(err.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == (2, pytest.approx(19.4, abs=1e-9))
+        # a complex power of a negative speed is finite, so the complex
+        # lanes alone would run to the end: the real run must stay
+        gains = complex_gains(self.THETA)
+        v_c = PlatoonEngine(
+            block.scenario, beta=gains[0], gamma=gains[1], av_mask=block.av_mask
+        ).run(record=("v",), lead=block.lead, initial=block.initial)["v"]
+        assert np.isfinite(v_c).all()
 
 
 class TestDescentDirection:
@@ -509,9 +626,9 @@ class TestOptimize:
         assert trace.lambdas[0] == pytest.approx(lam, rel=1e-12)
         assert (theta.beta, theta.gamma) == tuple(trace.thetas[trace.best_index])
 
-    def test_coupled_sensitivity_mode_runs(self):
+    def test_closed_loop_sensitivity_mode_runs(self):
         sc = make_short_scenario(beta=0.03, gamma=0.5)
-        traj, z = simulate_with_sensitivity(sc, np.array([[0.03, 0.5]]), mode="coupled")
+        traj, z = simulate_with_sensitivity(sc, np.array([[0.03, 0.5]]), mode="closed-loop")
         assert np.isfinite(z).all()
         assert z.shape == (len(traj.t), 1, 2)
 
@@ -538,6 +655,9 @@ class TestOptimizerConfig:
             OptimizerConfig(beta_max=-1.0)
         with pytest.raises(DomainError):
             OptimizerConfig(beta_max=0.0642, sensitivity="adjoint")
+        # the hand-derived "coupled" mode is gone; its message names both modes
+        with pytest.raises(DomainError, match="'exogenous' or 'closed-loop', got 'coupled'"):
+            OptimizerConfig(beta_max=0.0642, sensitivity="coupled")
         # NaN passes a `<= 0` test; with phi = NaN the descent never converges
         for field in ("phi", "beta_max"):
             for value in (math.nan, math.inf):

@@ -438,13 +438,12 @@ class TestAvEntries:
     @settings(max_examples=40, deadline=None)
     @given(
         form=st.sampled_from(["slice", "positions", "all"]),
-        mode=st.sampled_from(["exogenous", "coupled"]),
         gains=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
         kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_sensitivity_forcing_equals_a_full_width_reference(
-        self, form, mode, gains, kernel, seed
+        self, form, gains, kernel, seed
     ):
         # the optimizer's sensitivity rate at an `rhs` tuple, read at the AV
         # entries, against one evaluated over every follower
@@ -457,16 +456,14 @@ class TestAvEntries:
         x, v = engine.initial_arrays()
         x[1:] += rng.uniform(-3.0, 3.0, n)
         v += rng.uniform(-2.0, 2.0, n)
-        z, zs = rng.uniform(-2.0, 2.0, (2, 2, n))
+        z = rng.uniform(-2.0, 2.0, (2, n))
         beta, gamma = gains
         kern = SIGMOID_KERNELS[kernel]
         cols = np.flatnonzero(mask)
-        drdv, forcing, drds = _z_terms(
+        drdv, forcing = _z_terms(
             engine.rhs(19.5, x, v), beta, gamma, kern, sc.av_model, cols
         )
         zdot = drdv[:, None] * z[:, cols].T + forcing
-        if mode == "coupled":
-            zdot = zdot + drds[:, None] * zs[:, cols].T
 
         # zdot = (dr/dv) z + dr/dtheta over every follower, kept on the AVs
         v_prev = np.concatenate([[19.5], v[:-1]])
@@ -477,8 +474,6 @@ class TestAvEntries:
         beta_gamma = beta * gamma
         drdv = -sc.av_model.k1 * sc.av_model.tau - (sc.av_model.k2 + beta_gamma * s * kp)
         expected = np.stack([kern.fn(w), beta * s * dv * kp]) + drdv * z
-        if mode == "coupled":
-            expected += (sc.av_model.k1 + beta_gamma * dv * kp) * zs
         assert zdot.tobytes() == np.ascontiguousarray(expected[:, cols].T).tobytes()
 
     def test_all_av_run_skips_the_idm(self):
