@@ -13,13 +13,17 @@ complex lanes steps gain g by i*h in lane g, so z = Im v / h and Im J / h
 are the exact derivatives of the discrete closed loop (complex-step
 differentiation; Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 
-Neither J nor z reads a follower ahead of the first AV, which does not
-depend on the gains, or one behind the last AV, so the descent integrates
-those ahead once per call and then, each iteration, only the AV block from
-the first AV to the last, behind a leader that replays the prefix's last
-follower stage by stage; `simulate_with_sensitivity` takes its z from that
-run too. A projected fixed-step descent clamps beta to its safety bound and
-gamma to non-negative values.
+Neither J nor z reads a follower behind the last AV, and the followers
+ahead of the first AV do not depend on the gains; nor does any step before
+an AV first sees a nonzero relative speed (the head), where the control
+input is 0 for every gain pair. So the descent integrates each such step
+once per call: its first iteration runs the followers up to the last AV,
+and that record gives the AV block, from the first AV to the last, behind
+a leader that replays the prefix's last follower stage by stage, plus the
+head; every later iteration runs only the block, resumed at the head's
+end. `simulate_with_sensitivity` builds the block from its own run of the
+platoon and takes z as the descent does. A projected fixed-step descent
+clamps beta to its safety bound and gamma to non-negative values.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .simulator import (
     Scenario,
     Trajectory,
     assemble_trajectory,
+    av_mask_for,
     rk4_step,
 )
 
@@ -189,6 +194,22 @@ def _z_terms(stage, beta, gamma, kernel, p, cols):
 
 
 @dataclass(frozen=True)
+class _Head:
+    """The first steps of the AV block's runs, which no gain pair changes.
+
+    While every AV's dv is exactly 0 at every stage, u = beta*k(gamma*s*0)
+    is 0 for any gains and the exogenous z stays exactly 0, so these steps
+    are the same in every run of the block. `steps` counts them; `rows`
+    holds the record rows 0..steps (`t`, and `x` and `v` with the leader
+    column) and `hits` the speed clamps before step `steps`, per lane.
+    """
+
+    steps: int
+    rows: dict
+    hits: np.ndarray
+
+
+@dataclass
 class _AvBlock:
     """The followers from the first AV to the last, as a platoon of their own.
 
@@ -200,7 +221,10 @@ class _AvBlock:
     platoon's initial state and AV mask, so a run of the block equals those
     columns of the platoon's run bit for bit. `av` lists the AV followers,
     block-relative; `scenario.mpr` is still the platoon's, so every engine
-    of the block is given `av_mask`.
+    of the block is given `av_mask`. `head` is the block's gain-free head,
+    which every real run resumes from; `head_c` the complex lanes' own,
+    found by the first closed-loop run, as complex arithmetic may round the
+    real parts differently.
     """
 
     scenario: Scenario
@@ -209,33 +233,99 @@ class _AvBlock:
     lead: tuple[np.ndarray, ...]
     initial: tuple[np.ndarray, np.ndarray]
     av_mask: np.ndarray
+    head: _Head
+    head_c: _Head | None = None
+
+    def columns(self, raw: dict) -> dict:
+        """The block's `t`, `x` and `v` from a record of the platoon that
+        covers at least the followers up to the last AV, as arrays of their
+        own, so the platoon's record can be freed."""
+        cols = slice(self.first, self.first + self.scenario.n_followers + 1)
+        return {
+            "t": raw["t"],
+            **{name: np.ascontiguousarray(raw[name][:, cols]) for name in ("x", "v")},
+        }
+
+    def run(self, beta, gamma, record, head: _Head | None = None) -> dict:
+        """A `PlatoonEngine.run` of the block with these gains, from step 0
+        or resumed at the end of `head`, whose rows then lead the record."""
+        engine = PlatoonEngine(self.scenario, beta=beta, gamma=gamma, av_mask=self.av_mask)
+        if head is None:
+            return engine.run(record=record, lead=self.lead, initial=self.initial)
+        k, rows = head.steps, head.rows
+        raw = engine.run(
+            record=record, lead=self.lead, initial=(rows["x"][k], rows["v"][k, ..., 1:]),
+            start=k, hits=head.hits,
+        )
+        return {name: np.concatenate([rows[name][:k], arr]) for name, arr in raw.items()}
 
 
-def _stage_blocks(engine: PlatoonEngine, lead, x, v):
-    """The steps of a recorded run, rebuilt in blocks of `_Z_BLOCK` steps.
+def _head(raw: dict, cols, steps: int, hits) -> _Head:
+    """A `_Head` of `steps` steps from the record `raw`, in columns `cols`."""
+    rows = {"t": raw["t"][: steps + 1]}
+    for name in ("x", "v"):
+        rows[name] = np.ascontiguousarray(raw[name][: steps + 1, ..., cols])
+    return _Head(steps, rows, hits)
+
+
+def _stage_blocks(engine: PlatoonEngine, lead, x, v, start: int = 0):
+    """The steps of a recorded run, from step `start`, rebuilt in blocks of
+    `_Z_BLOCK` steps.
 
     `x` and `v` are the record's states (`v` without the leader column) and
     `lead` the leader's four-stage table; `engine` evaluates each block with
-    the step index as its batch axis. Yields the block's first and end step,
-    `rhs`'s tuples at each of its stages and the unclamped states after it.
+    the step index as its first batch axis (any lanes follow it), so its
+    AV mask must be one that every lane shares, as per-lane masks index
+    their own batch axes. Yields the block's first and end step, `rhs`'s
+    tuples at each of its stages and the unclamped states after it.
     """
     steps = len(x) - 1
-    for k0 in range(0, steps, _Z_BLOCK):
+    # the leader's speeds, one per step, against any lane axis
+    shape = (-1,) + (1,) * (x.ndim - 2)
+    for k0 in range(start, steps, _Z_BLOCK):
         k1 = min(k0 + _Z_BLOCK, steps)
-        first = engine.rhs(lead[0][k0:k1], x[k0:k1], v[k0:k1])
+        first = engine.rhs(lead[0][k0:k1].reshape(shape), x[k0:k1], v[k0:k1])
         y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
         later = []
-        y_new = engine.step(y, first[0], [s[k0:k1] for s in lead[1:]], later)
+        y_new = engine.step(y, first[0], [s[k0:k1].reshape(shape) for s in lead[1:]], later)
         yield k0, k1, [first, *later], y_new
 
 
-def _av_block(scenario: Scenario) -> _AvBlock:
-    """The AV block of `scenario`.
+def _scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
+    """One `_stage_blocks` pass over a recorded run: its gain-free head and,
+    with `column`, that vehicle's speeds at RK4 stages 2, 3 and 4.
 
-    Its leader's stage speeds are rebuilt from a run of the prefix, the
-    all-HV followers ahead of the first AV, in one step-batched
-    `rhs`/`step`. Only a ts-ops platoon with an AV has a block.
+    The head ends at the first step where any AV follower (`av`, indices of
+    the follower axis) has a nonzero dv at any stage, by exact comparison;
+    a dv of 0 leaves u at 0 for every gain pair. Returns the head's length
+    in steps, the speed clamps of the followers `counted` (a slice of the
+    follower axis) before its end, per lane, and the three stage columns
+    (empty without `column`). The pass stops at the head's end unless the
+    stage columns need the whole run.
     """
+    steps = len(x) - 1
+    n = engine.n
+    head, hits = None, 0
+    later = [] if column is None else [np.empty(steps, x.dtype) for _ in range(3)]
+    for k0, k1, stages, y_new in _stage_blocks(engine, lead, x, v):
+        if head is None:
+            moved = np.logical_or.reduce([stage[2][..., av] != 0 for stage in stages])
+            moved = moved.any(axis=tuple(range(1, moved.ndim)))
+            end = k0 + int(np.argmax(moved)) if moved.any() else k1
+            # the clamps `advance` counts, in the steps before the end
+            v_new = y_new[: end - k0, ..., n + 1 :][..., counted]
+            hits = hits + (v_new < 0).sum(axis=(0, -1))
+            head = end if end < k1 else None
+        # the x slots of the later stages' rates are the speeds there
+        for out, stage in zip(later, stages[1:]):
+            out[k0:k1] = stage[0][:, column]
+        if head is not None and not later:
+            break
+    return steps if head is None else head, hits, later
+
+
+def _tunable(scenario: Scenario) -> tuple[int, ...]:
+    """The AVs of `scenario`; a DomainError unless a ts-ops platoon has one."""
     av = scenario.av_indices
     if not av:
         raise DomainError("scenario has no AV to tune")
@@ -244,30 +334,51 @@ def _av_block(scenario: Scenario) -> _AvBlock:
             f"only the 'ts-ops' controller is tunable, got "
             f"{scenario.controller.kind!r}"
         )
-    first, last = av[0] - 1, av[-1]
+    return av
+
+
+def _seeding_run(scenario: Scenario, theta) -> dict:
+    """`x` and `v` of a run of the followers up to the last AV with the
+    (beta, gamma) pair `theta` on every AV, which equal the platoon's."""
+    last = _tunable(scenario)[-1]
     platoon = PlatoonEngine(scenario)
     x0, v0 = platoon.initial_arrays()
+    beta, gamma = np.reshape(theta, (2, 1))
+    engine = PlatoonEngine(
+        replace(scenario, n_followers=last, init_spacing=None), beta=beta, gamma=gamma,
+        av_mask=platoon.av_mask[:last],
+    )
+    return engine.run(record=("x", "v"), initial=(x0[: last + 1], v0[:last]))
+
+
+def _av_block(scenario: Scenario, raw: dict) -> _AvBlock:
+    """The AV block of `scenario`, from `raw`, a record of `x` and `v` of
+    the platoon, or of its followers up to the last AV, at any gains.
+
+    One step-batched `_stage_blocks` pass over the record's followers up to
+    the last AV gives the leader's stage speeds, those of the prefix's last
+    follower (the prefix is the all-HV followers ahead of the first AV, so
+    any gains give the same ones), and the head, which no gains change
+    either. Only a ts-ops platoon with an AV has a block.
+    """
+    av = _tunable(scenario)
+    first, last = av[0] - 1, av[-1]
+    mask = av_mask_for(scenario.n_followers, scenario.mpr)[:last]
     lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
+    rk4 = scenario.integrator == "rk4"
+    x, v = raw["x"][:, : last + 1], raw["v"][:, 1 : last + 1]
+    steps, hits, later = _scan(
+        PlatoonEngine(replace(scenario, n_followers=last, init_spacing=None), av_mask=mask[None]),
+        lead, x, v, np.subtract(av, 1), slice(first, None), first if first and rk4 else None,
+    )
     if first:
-        prefix = PlatoonEngine(
-            replace(scenario, n_followers=first, init_spacing=None),
-            av_mask=platoon.av_mask[:first],
-        )
-        raw = prefix.run(record=("x", "v"), initial=(x0[: first + 1], v0[:first]))
-        x, v = raw["x"], raw["v"][:, 1:]
-        # the prefix's last follower: its recorded speeds, then its speeds
-        # at the later stages, which are the x slots of those stages' rates
-        later = []
-        if scenario.integrator == "rk4":
-            later = [np.empty(scenario.steps) for _ in range(3)]
-            for k0, k1, stages, _ in _stage_blocks(prefix, lead, x, v):
-                for out, stage in zip(later, stages[1:]):
-                    out[k0:k1] = stage[0][:, first]
-        lead = (v[:, -1].copy(), *later)
-    block = replace(scenario, n_followers=last - first, init_spacing=None)
+        lead = (raw["v"][:, first].copy(), *later)
+    # the record's first row is the platoon's initial state
+    cols = slice(first, last + 1)
+    initial = (raw["x"][0, cols].copy(), raw["v"][0, first + 1 : last + 1].copy())
     return _AvBlock(
-        block, first, tuple(i - first for i in av), lead,
-        (x0[first : last + 1], v0[first:last]), platoon.av_mask[first:last],
+        replace(scenario, n_followers=last - first, init_spacing=None), first,
+        tuple(i - first for i in av), lead, initial, mask[first:], _head(raw, cols, steps, hits),
     )
 
 
@@ -275,7 +386,8 @@ def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
     """The exogenous AV gain sensitivities z = dv/d(beta, gamma) of a run.
 
     `theta` is the (beta, gamma) pair every AV shares and `raw` a run's
-    record of the AV block's `x` and `v` over the whole horizon. Each block of
+    record of the AV block's `x` and `v` over the whole horizon. z is
+    exactly 0 through the block's head; from its end, each block of
     `_Z_BLOCK` steps rebuilds its states' stages in one engine whose batch
     axis is the step index, then advances each (AV, gain) entry of z step by
     step through the linear rate at those stages; the entries are
@@ -298,7 +410,8 @@ def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
     def rate(i, y):
         return d[i] * y + f[i]
 
-    for k0, k1, stages, y_new in _stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:]):
+    blocks = _stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:], block.head.steps)
+    for k0, k1, stages, y_new in blocks:
         # (step, stage, AV[, gain]) coefficients
         drdv, forcing = (
             np.stack(terms, axis=1)
@@ -329,23 +442,37 @@ def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
     return z_series
 
 
-def _sensitivity_run(block: _AvBlock, theta, mode: str) -> dict:
+def _sensitivity_run(block: _AvBlock, theta, mode: str, raw: dict | None = None) -> dict:
     """A plain `PlatoonEngine.run` of the AV block with the (beta, gamma)
-    pair `theta` on every AV, recording x and v, plus the AV sensitivities
-    `z`, from the record ("exogenous") or, after it, from a complex run
-    whose lane g steps gain g by i*h ("closed-loop"; its speeds are `v_c`,
-    shaped (time, lane, vehicle)). Errors number vehicles in the platoon."""
-    def run(beta, gamma, record):
-        engine = PlatoonEngine(block.scenario, beta=beta, gamma=gamma, av_mask=block.av_mask)
-        return engine.run(record=record, lead=block.lead, initial=block.initial)
-
+    pair `theta` on every AV, resumed at the end of its head and recording
+    x and v, plus the AV sensitivities `z`, from the record ("exogenous")
+    or, after it, from a complex run whose lane g steps gain g by i*h
+    ("closed-loop"; its speeds are `v_c`, shaped (time, lane, vehicle)).
+    `raw`, the block's record of a run at `theta` already made, takes the
+    real run's place. The first closed-loop run of a block runs from step 0
+    and finds the complex lanes' head, which later ones resume from. Errors
+    number vehicles in the platoon."""
     # 1-element arrays, not floats: NumPy multiplies them faster
     gains = np.reshape(theta, (2, 1))
     try:
-        raw = run(*gains, ("x", "v"))
+        if raw is None:
+            raw = block.run(*gains, ("x", "v"), block.head)
         if mode == "closed-loop":
             # lane g holds gain g + i*h; each gain is shaped (lanes, 1)
-            raw["v_c"] = run(*(gains + 1j * _H * np.eye(2))[..., None], ("v",))["v"]
+            lanes = (gains + 1j * _H * np.eye(2))[..., None]
+            if block.head_c is None:
+                raw_c = block.run(*lanes, ("x", "v"))
+                engine = PlatoonEngine(
+                    block.scenario, beta=lanes[0], gamma=lanes[1], av_mask=block.av_mask[None, None]
+                )
+                steps, hits, _ = _scan(
+                    engine, block.lead, raw_c["x"], raw_c["v"][..., 1:],
+                    np.subtract(block.av, 1), slice(None),
+                )
+                block.head_c = _head(raw_c, slice(None), steps, hits)
+            else:
+                raw_c = block.run(*lanes, ("v",), block.head_c)
+            raw["v_c"] = raw_c["v"]
     except NumericalBlowupError as err:
         raise NumericalBlowupError(block.first + err.vehicle, err.time) from None
     if mode == "closed-loop":
@@ -364,19 +491,22 @@ def simulate_with_sensitivity(
 
     theta_av is the (beta, gamma) pair every AV shares, as a pair or as one
     (1, 2) row. Returns the trajectory and the sensitivity series with shape
-    (n_samples, n_av, 2), z(0) = 0, from a run of the AV block
-    (`_sensitivity_run`), which equals the block's columns of the platoon
-    bit for bit. A non-finite z raises NumericalBlowupError naming the
-    lowest AV whose row failed ("closed-loop": the vehicle whose speed did).
+    (n_samples, n_av, 2), z(0) = 0. The platoon is integrated once; its
+    record gives the AV block (`_av_block`) and that block's columns, from
+    which `_sensitivity_run` takes z as the descent does ("closed-loop": a
+    complex run of the block). A non-finite z raises NumericalBlowupError
+    naming the lowest AV whose row failed ("closed-loop": the vehicle whose
+    speed did).
     """
     theta = np.asarray(theta_av, dtype=float)
     if theta.shape not in ((2,), (1, 2)):
         raise DomainError(f"theta_av must be one (beta, gamma) pair, not shape {theta.shape}")
     _check_mode(mode)
-    block = _av_block(scenario)
+    _tunable(scenario)
     beta, gamma = np.reshape(theta, (2, 1))
     raw = PlatoonEngine(scenario, beta=beta, gamma=gamma).run()
-    z_series = _sensitivity_run(block, theta, mode)["z"]
+    block = _av_block(scenario, raw)
+    z_series = _sensitivity_run(block, theta, mode, block.columns(raw))["z"]
     return assemble_trajectory(scenario, raw), z_series
 
 
@@ -426,11 +556,14 @@ def replayed_objective(
     return float(0.5 * np.trapezoid((v_series - vp_sig) ** 2, t))
 
 
-def _descent_terms(block: _AvBlock, theta, mode: str) -> tuple[float, np.ndarray]:
+def _descent_terms(
+    block: _AvBlock, theta, mode: str, raw: dict | None = None
+) -> tuple[float, np.ndarray]:
     """J and the AV-summed direction at the shared gains theta, from a run of
-    the AV block ("closed-loop": Im J / h of the complex lanes). The run's
-    record dies with this call, before the next iteration's run."""
-    raw = _sensitivity_run(block, theta, mode)
+    the AV block, or from `raw`, its record at theta ("closed-loop": Im J / h
+    of the complex lanes). The record dies with this call, before the next
+    iteration's run."""
+    raw = _sensitivity_run(block, theta, mode, raw)
     t, v, z_series = raw["t"], raw["v"], raw["z"]
     j_val = _objective(t, v, block.av)
     if mode == "closed-loop":
@@ -446,14 +579,17 @@ def optimize(
 ) -> tuple[ControllerParams, OptimizationTrace]:
     """Projected descent on the (beta, gamma) pair shared by the AVs.
 
-    The followers ahead of the first AV are integrated once (`_av_block`).
-    Each iteration then simulates the AV block with the current gains
-    (recording only `x` and `v`), integrates the sensitivities from that
-    record, sums the descent direction over the AVs, and updates the gains
-    with a fixed step, projecting onto the feasible box. Stops when the
-    objective change drops to the threshold, the direction vanishes, or the
-    iteration cap is reached. Returns the best-objective gains and the full
-    trace.
+    Every step that the gains cannot change is integrated once per call.
+    The first iteration runs the followers up to the last AV with `theta0`
+    (`_seeding_run`); that record gives the AV block (`_av_block`: the
+    prefix's stage speeds and the gain-free head) and the first iteration's
+    J and direction. Each later iteration simulates the AV block with the
+    current gains from the end of its head (recording only `x` and `v`),
+    integrates the sensitivities from there, sums the descent direction
+    over the AVs, and updates the gains with a fixed step, projecting onto
+    the feasible box. Stops when the objective change drops to the
+    threshold, the direction vanishes, or the iteration cap is reached.
+    Returns the best-objective gains and the full trace.
     """
     theta = np.array(astuple(project_feasible(cfg.theta0, cfg.beta_max)))
 
@@ -469,11 +605,12 @@ def optimize(
         )
 
     try:
-        # the prefix ahead of the first AV does not depend on theta, so it
-        # is integrated once, here
-        block = _av_block(scenario)
+        raw = _seeding_run(scenario, theta)
+        block = _av_block(scenario, raw)
+        raw = block.columns(raw)
         for kappa in range(1, cfg.n_max + 1):
-            j_val, lam = _descent_terms(block, theta, cfg.sensitivity)
+            j_val, lam = _descent_terms(block, theta, cfg.sensitivity, raw)
+            raw = None
             thetas.append(theta)
             objectives.append(j_val)
             lambdas.append(lam)

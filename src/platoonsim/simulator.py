@@ -371,7 +371,7 @@ class PlatoonEngine:
     batch axes; one gain per lane is shaped `(lanes, 1)`). Lanes are
     independent: each one equals its own unbatched run bit for bit. The AV
     law and the control input are evaluated at the AV entries only
-    (`_av_index`).
+    (`_av_index`), on the whole arrays when every follower is an AV.
 
     Each lane advances one flat state `[x (n+1) | v (n)]`; the engine knows
     nothing of gain sensitivities, but complex gains make the state, `rhs`'s
@@ -421,12 +421,15 @@ class PlatoonEngine:
         # whether any follower is an HV; without one the IDM is skipped, as
         # the AV law overwrites every entry
         self._hv = not self.av_mask.all()
+        # whether every follower of every lane is an AV; then the AV law and
+        # `u` take the whole arrays, not views through `_a`
+        self._all_av = not self._hv
         # their dv/dt slots in the flat derivative
         self._a_f = None if self._a is None else _shifted(self._a, n + 1)
 
         def _at_av(gain):
             # the gain at the AV entries, shaped to broadcast against them
-            if self._a is None or np.ndim(gain) == 0:
+            if self._a is None or np.ndim(gain) == 0 or self._all_av:
                 return gain
             return np.broadcast_to(gain, self.batch_shape + (n,))[self._a]
 
@@ -460,8 +463,9 @@ class PlatoonEngine:
         return x, v
 
     def control_input(self, s, dv, v_prev):
-        """Control input `u` at the AV entries (`self._a`), where `s`, `dv`
-        and `v_prev` are taken. Without a controller `u` is 0.0.
+        """Control input `u` at the AV entries (`self._a`, or the whole
+        arrays when every follower is an AV), where `s`, `dv` and `v_prev`
+        are taken. Without a controller `u` is 0.0.
         """
         if self.kind == "ts-ops":
             return self._beta_a * self.kernel.fn(self._gamma_a * s * dv)
@@ -485,7 +489,8 @@ class PlatoonEngine:
         AV). `v_lead` is the leader's speed at the stage time. `f` has the
         state's layout: dx/dt = [v_lead | v], then dv/dt. The HV law is
         written over every follower (if any is an HV), then the AV law plus
-        `u` over the AV entries.
+        `u` over the AV entries (over whole arrays when every follower is
+        an AV).
         """
         f = np.empty(v.shape[:-1] + (self.width,), self.dtype)
         v_all = f[self._x]
@@ -499,6 +504,10 @@ class PlatoonEngine:
         a = self._a
         if a is None:
             return f, s, dv, None
+        if self._all_av:
+            u = self.control_input(s, dv, v_prev if self.kind == "ts-trc" else None)
+            f[self._v] = ovrv_accel_arrays(s, dv, v, self.av) + u
+            return f, s, dv, u
         s_a, dv_a = s[a], dv[a]
         # only ts-trc reads the predecessor's speed
         v_prev_a = v_prev[a] if self.kind == "ts-trc" else None
@@ -556,6 +565,8 @@ class PlatoonEngine:
         fold: Callable[[np.ndarray, dict], None] | None = None,
         lead: Sequence[np.ndarray] | None = None,
         initial: tuple[np.ndarray, np.ndarray] | None = None,
+        start: int = 0,
+        hits: int | np.ndarray = 0,
     ) -> dict | None:
         """Integrate the scenario, recording the requested fields.
 
@@ -582,6 +593,14 @@ class PlatoonEngine:
         whole platoon's `initial_arrays`; by default this engine's own),
         equals those columns of the whole platoon's run bit for bit.
 
+        `start` resumes a run at step `start`: `initial` is then the state
+        at t_start that a run from step 0 reached (the `x` and `v` record
+        rows at `start`, `v` without the leader column) and `hits` the
+        clamps it counted before, per lane. The loop steps from there, so
+        the record, whose `t` and rows begin at sample `start` (a fold sees
+        the window's samples from there), and every count, log line and
+        error equal those of a run from step 0.
+
         Unbatched runs log their speed-floor hits; batched callers report
         `lane_floor_hits` per lane themselves.
         """
@@ -594,10 +613,12 @@ class PlatoonEngine:
         lead_t = lead[0]
         # the leader's later stage speeds, one row per step, made as the
         # loop reaches them
-        lead_later = zip(*lead[1:]) if len(lead) > 1 else itertools.repeat(())
+        lead_later = (
+            zip(*(s[start:] for s in lead[1:])) if len(lead) > 1 else itertools.repeat(())
+        )
         y = np.zeros(self.batch_shape + (self.width,), self.dtype)
         y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
-        self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
+        self.lane_floor_hits = np.full(self.batch_shape, hits, dtype=np.int64)
 
         # each field is a slice of one stage part (y, f, s, dv, u): the
         # part's index, the slice and its width; the full-width u is built
@@ -609,12 +630,12 @@ class PlatoonEngine:
         }
         # the samples kept, lo to hi, and the buffer's length in samples: a
         # folded run covers the metric window in bounded blocks, any other
-        # the whole horizon at once
-        lo, hi = 0, steps + 1
-        block = hi
+        # the rest of the horizon at once
+        lo, hi = start, steps + 1
+        block = hi - lo
         if fold is not None:
             keep = window_slice(t_grid, sc.metric_window)
-            lo, hi = keep.start, keep.stop
+            lo, hi = max(keep.start, start), max(keep.stop, start)
             per_sample = math.prod(self.batch_shape) * sum(
                 sources[name][2] for name in record
             )
@@ -638,7 +659,7 @@ class PlatoonEngine:
             if fold is not None and j == block - 1:
                 fold(t_grid[k + 1 - block : k + 1], bufs)
 
-        for k, v_lead in zip(range(last), lead_later):
+        for k, v_lead in zip(range(start, last), lead_later):
             stage = self.rhs(lead_t[k], y[self._x], y[self._v])
             if k >= lo:
                 record_sample(k, y, stage)
@@ -656,7 +677,7 @@ class PlatoonEngine:
             rest = (hi - lo) % block
             fold(t_grid[hi - rest : hi], {name: buf[:rest] for name, buf in bufs.items()})
             return None
-        return {"t": t_grid, **bufs}
+        return {"t": t_grid[lo:], **bufs}
 
 
 def rk4_step(y, dt: float, f1, rate):

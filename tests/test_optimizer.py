@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import optimizer, simulator
@@ -15,6 +15,7 @@ from platoonsim.optimizer import (
     OptimizerConfig,
     _av_block,
     _descent_terms,
+    _seeding_run,
     _sensitivities,
     _sensitivity_run,
     _z_terms,
@@ -39,6 +40,7 @@ from conftest import (
     IDM_1,
     IDM_2,
     OVRV_1,
+    PAPER_LEAD,
     SHORT_LEAD,
     STOP_LEAD,
     make_scenario,
@@ -116,6 +118,11 @@ class TestSensitivityRhs:
         drdv = -OVRV_1.k1 * OVRV_1.tau - OVRV_1.k2 - 0.05 * 50.0 / 2501.0
         zdot = [stage_zdot(z, dv=1.0) for z in (0.0, (1.0, 2.0))]
         assert zdot[1] - zdot[0] == pytest.approx([drdv, 2 * drdv], rel=1e-12)
+
+
+def av_block(sc):
+    """The AV block of `sc`, from a seeding run at the scenario's own gains."""
+    return _av_block(sc, _seeding_run(sc, (sc.controller.beta, sc.controller.gamma)))
 
 
 def per_follower_gains(sc, theta):
@@ -271,7 +278,7 @@ class TestSimulateWithSensitivity:
         # the HVs too; those gains must not reach the sensitivities
         sc = make_short_scenario(mpr=0.3, beta=0.05, gamma=1.0)
         # the AV block is followers 2-8, with HVs at 3, 4, 6 and 7
-        block = _av_block(sc)
+        block = av_block(sc)
         assert (block.first, block.av) == (1, (1, 4, 7))
         z = _sensitivity_run(block, (0.05, 1.0), mode)["z"]
         assert z[-1].all()
@@ -301,16 +308,17 @@ class TestSimulateWithSensitivity:
         # (followers 5 and 9 at MPR 0.5) at step 110 leaves every speed
         # finite and only their z rows non-finite from t = 11.1 s on; the
         # derivative is evaluated at the AV entries only, once per stage of
-        # each 100-step block
+        # each 100-step block from the end of the gain-free head, step 100
         sc = make_short_scenario(mpr=0.5)
         assert sc.av_indices == (1, 3, 5, 7, 9)
+        assert av_block(sc).head.steps == 100
         kernel = SIGMOID_KERNELS["arctan"]
         calls = []
 
         def deriv(w):
             calls.append(w.shape)
             out = kernel.deriv(w)
-            if len(calls) == 5:  # stage 1 of the second block
+            if len(calls) == 1:  # stage 1 of the first block, steps 100-199
                 out[10, [2, 4]] = np.nan
             return out
 
@@ -318,7 +326,7 @@ class TestSimulateWithSensitivity:
         monkeypatch.setattr(optimizer, "_Z_BLOCK", 100)
         with pytest.raises(NumericalBlowupError) as err:
             simulate_with_sensitivity(sc, [0.03, 0.5])
-        assert calls[4] == (100, 5)
+        assert calls[0] == (100, 5)
         assert err.value.vehicle == 5
         assert err.value.time == pytest.approx(11.1, abs=1e-12)
         assert err.value.lane is None
@@ -373,7 +381,7 @@ class TestAvBlock:
                 [optimizer._direction(traj.t, traj.v, z[:, row], i)
                  for row, i in enumerate(av_indices)]
             ).sum(axis=0)
-        block = _av_block(sc)
+        block = av_block(sc)
         assert block.first == av_indices[0] - 1
         j_val, lam = _descent_terms(block, np.array(theta), mode)
         assert j_val == j_ref
@@ -394,7 +402,7 @@ class TestAvBlock:
         # NaN in its acceleration during the block's run, or in its z in the
         # post-pass's second block of steps, is reported as vehicle 5
         sc = make_short_scenario(mpr=0.1)
-        block = _av_block(sc)
+        block = av_block(sc)
         assert (block.first, block.av) == (4, (1,))
         kernel = SIGMOID_KERNELS["arctan"]
         fn = simulator.ovrv_accel_arrays if where == "run" else kernel.deriv
@@ -413,6 +421,155 @@ class TestAvBlock:
         assert err.value.vehicle == 5
 
 
+def block_run(block, theta, head=None):
+    """A run of the AV block recording every field, from step 0 or resumed
+    at the end of `head`: ("ran", record, clamps per lane) or ("failed",
+    vehicle, time, lane)."""
+    beta, gamma = np.reshape(theta, (2, 1))
+    engine = PlatoonEngine(block.scenario, beta=beta, gamma=gamma, av_mask=block.av_mask)
+    kw = {"initial": block.initial}
+    if head is not None:
+        k, rows = head.steps, head.rows
+        kw = {"initial": (rows["x"][k], rows["v"][k, 1:]), "start": k, "hits": head.hits}
+    try:
+        with np.errstate(invalid="ignore"):
+            raw = engine.run(record=RECORD, lead=block.lead, **kw)
+    except NumericalBlowupError as err:
+        return "failed", err.vehicle, err.time, err.lane
+    return "ran", raw, engine.lane_floor_hits
+
+
+def descent_outcome(block, theta, mode):
+    """J and lambda of `_descent_terms` as bytes, or the failure."""
+    try:
+        with np.errstate(invalid="ignore"):
+            j_val, lam = _descent_terms(block, np.array(theta), mode)
+    except NumericalBlowupError as err:
+        return "failed", err.vehicle, err.time, err.lane
+    return "ran", j_val.tobytes(), lam.tobytes()
+
+
+RECORD = ("x", "v", "a", "s", "dv", "u")
+
+
+class TestHead:
+    """The gain-free head: the steps before any AV's dv is nonzero at any
+    stage, which the descent integrates once per call."""
+
+    SCENARIOS = {
+        "short": dict(lead=SHORT_LEAD, t_f=50.0, window=(10.0, 40.0)),
+        # the paper's dip from 100 s on, which every head ends before
+        "paper": dict(lead=PAPER_LEAD, t_f=130.0, window=(100.0, 130.0)),
+        # speeds clamp at 0; scenario 2's IDM blows up at MPR 0.5 with RK4
+        "stop": dict(lead=STOP_LEAD, t_f=25.0, window=(0.0, 25.0)),
+    }
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        hv=st.sampled_from([IDM_1, IDM_2]),
+        mpr=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
+        lead=st.sampled_from(sorted(SCENARIOS)),
+        mode=st.sampled_from(["exogenous", "closed-loop"]),
+        thetas=st.lists(st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+                        min_size=2, max_size=2),
+    )
+    @example(hv=IDM_2, mpr=0.5, integrator="rk4", kernel="arctan", lead="stop",
+             mode="closed-loop", thetas=[(0.03, 1.0), (0.0642, 1.7)])
+    @example(hv=IDM_1, mpr=0.5, integrator="euler", kernel="tanh", lead="stop",
+             mode="exogenous", thetas=[(0.05, 1.0), (0.0, 0.0)])
+    @example(hv=IDM_2, mpr=0.1, integrator="rk4", kernel="erf", lead="paper",
+             mode="exogenous", thetas=[(0.05, 1.0), (0.0642, 1.7)])
+    def test_gains_cannot_change_the_head(
+        self, hv, mpr, integrator, kernel, lead, mode, thetas
+    ):
+        sc = make_scenario(hv=hv, mpr=mpr, kind="ts-ops", beta=0.05, integrator=integrator,
+                           **self.SCENARIOS[lead])
+        sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
+        cut = sc.steps
+        try:
+            with np.errstate(invalid="ignore"):
+                raw = _seeding_run(sc, thetas[0])
+        except NumericalBlowupError:
+            # every run of this platoon fails: when the first AV is follower
+            # 1, the block's leader is the lead profile and a record of the
+            # first 15 s, which the head ends within, builds the block
+            assume(sc.av_indices[0] == 1)
+            early = replace(sc, t_f=15.0, metric_window=(0.0, 15.0))
+            raw = PlatoonEngine(early).run(record=("x", "v"))
+            cut = early.steps
+        block = _av_block(sc, raw)
+        k = block.head.steps
+        assert k < cut or cut == sc.steps
+
+        # a resumed run equals the full run: every field from the head's end
+        # on, the head's rows before it, the clamp counts, or the failure
+        full = []
+        for theta in thetas:
+            whole, resumed = block_run(block, theta), block_run(block, theta, block.head)
+            assert whole[0] == resumed[0]
+            if whole[0] == "failed":
+                assert whole == resumed
+                assert whole[2] > k * sc.dt
+                continue
+            for name in RECORD:
+                assert resumed[1][name].tobytes() == whole[1][name][k:].tobytes(), name
+            for name in ("t", "x", "v"):
+                assert block.head.rows[name].tobytes() == whole[1][name][: k + 1].tobytes()
+            assert resumed[2].tobytes() == whole[2].tobytes()
+            full.append(whole[1])
+        # two gain pairs agree through the head: the states up to its end,
+        # and the stage-1 values of the steps before it
+        if len(full) == 2:
+            for name in RECORD:
+                rows = k + 1 if name in ("x", "v", "s", "dv") else k
+                assert full[0][name][:rows].tobytes() == full[1][name][:rows].tobytes(), name
+
+        # J and lambda of the descent, resumed from the heads (the complex
+        # lanes find theirs in the first closed-loop run), against runs from
+        # step 0 with a head of no steps
+        rows = {name: arr[:1] for name, arr in block.head.rows.items()}
+        zero = replace(block, head=optimizer._Head(0, rows, 0))
+        ran = False
+        for theta in thetas:
+            got = descent_outcome(block, theta, mode)
+            assert got == descent_outcome(replace(zero, head_c=None), theta, mode)
+            ran |= got[0] == "ran"
+        assert (block.head_c is not None) == (mode == "closed-loop" and ran)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_scan_counts_the_runs_clamps(self, integrator):
+        # watching no AV, the head is the whole run, and the clamps the scan
+        # counts on the rebuilt steps are the run's own, per lane
+        sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0), kind="ts-ops",
+                           mpr=0.5, integrator=integrator)
+        beta = np.array([[0.0], [0.03], [0.0642]])
+        engine = PlatoonEngine(sc, beta=beta)
+        raw = engine.run(record=("x", "v"))
+        assert (engine.lane_floor_hits > 0).all()
+        lead = sc.lead.stage_speeds(sc.dt, sc.steps)
+        # the step axis first, then the lanes; the AV mask is shared
+        stage = PlatoonEngine(sc, beta=beta, av_mask=av_mask_for(10, 0.5)[None, None])
+        steps, hits, later = optimizer._scan(
+            stage, lead, raw["x"], raw["v"][..., 1:], [], slice(None)
+        )
+        assert (steps, later) == (sc.steps, [])
+        assert hits.tobytes() == engine.lane_floor_hits.tobytes()
+
+    @pytest.mark.parametrize("mpr", [0.1, 0.5, 1.0])
+    def test_head_is_empty_when_an_av_sees_dv_at_step_0(self, mpr):
+        # spacings off equilibrium: every follower accelerates at once, so
+        # an AV's dv is nonzero from the first stages on and the descent runs
+        # every step, as without a head
+        sc = make_short_scenario(mpr=mpr, init_spacing=(40.0, 55.0) * 5)
+        block = av_block(sc)
+        assert block.head.steps == 0
+        assert block.head.rows["x"].shape[0] == 1
+        # with the paper's equilibrium start the head is not empty
+        assert av_block(make_short_scenario(mpr=mpr)).head.steps > 0
+
+
 class TestClosedLoop:
     """The closed-loop gradient against the simulated objective itself."""
 
@@ -429,7 +586,7 @@ class TestClosedLoop:
     @pytest.mark.parametrize("mpr", [0.1, 0.5, 1.0])
     def test_direction_matches_central_differences(self, mpr, integrator, capsys):
         sc = make_short_scenario(mpr=mpr, integrator=integrator)
-        block = _av_block(sc)
+        block = av_block(sc)
         theta = np.array(self.THETA)
         _, lam = _descent_terms(block, theta, "closed-loop")
         # every FD point theta +- h e_g is a lane of one run of the platoon
@@ -473,7 +630,7 @@ class TestClosedLoop:
     )
     def test_objective_keeps_its_bits(self, mpr, integrator, theta):
         # J comes from the real run in both modes
-        block = _av_block(make_short_scenario(mpr=mpr, integrator=integrator))
+        block = av_block(make_short_scenario(mpr=mpr, integrator=integrator))
         j_exo, j_closed = (
             _descent_terms(block, np.array(theta), mode)[0]
             for mode in ("exogenous", "closed-loop")
@@ -485,7 +642,12 @@ class TestClosedLoop:
         # where scenario 2's (v/v0)**delta is NaN in real arithmetic
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
-        block = _av_block(sc)
+        # every run of this platoon blows up, so its block is built from a
+        # record of the first 15 s, which holds the gain-free head; the first
+        # AV is follower 1, so the block's leader is the lead profile itself
+        early = replace(sc, t_f=15.0, metric_window=(0.0, 15.0))
+        block = _av_block(sc, PlatoonEngine(early).run(record=("x", "v")))
+        assert block.first == 0 and block.head.steps < early.steps
         errors = []
         with np.errstate(invalid="ignore"):
             for mode in ("exogenous", "closed-loop"):

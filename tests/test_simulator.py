@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 import warnings
 from dataclasses import replace
@@ -160,6 +161,66 @@ class TestAvMask:
 
 
 class TestEngine:
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("start", [0, 1, 67, 250])
+    def test_resumed_run_equals_the_full_run(self, caplog, integrator, start):
+        # behind the stopping lead speeds clamp from about 9 s on; a run
+        # resumed at step `start` from the state and clamp counts a run of
+        # the first `start` steps reached records the full run's rows from
+        # there and ends with its counts and log line. Three lanes (MPR 0,
+        # 0.5, 1.0) and one unbatched run.
+        sc = make_scenario(lead=STOP_LEAD, t_f=25.0, window=(0.0, 25.0), kind="ts-ops",
+                           beta=0.05, mpr=0.5, integrator=integrator)
+        for mask in (av_mask_for(10, [0.0, 0.5, 1.0]), None):
+            full_engine = PlatoonEngine(sc, av_mask=mask)
+            with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
+                caplog.clear()
+                full = full_engine.run()
+                full_log = caplog.text
+                hits = 0
+                if start:
+                    t_start = start * sc.dt
+                    early = PlatoonEngine(
+                        replace(sc, t_f=t_start, metric_window=(0.0, t_start)), av_mask=mask
+                    )
+                    early.run(record=())
+                    hits = early.lane_floor_hits
+                engine = PlatoonEngine(sc, av_mask=mask)
+                caplog.clear()
+                resumed = engine.run(
+                    initial=(full["x"][start], full["v"][start, ..., 1:]), start=start, hits=hits
+                )
+            assert set(resumed) == set(full)
+            for name, arr in resumed.items():
+                assert arr.tobytes() == full[name][start:].tobytes(), name
+            assert engine.lane_floor_hits.tobytes() == full_engine.lane_floor_hits.tobytes()
+            assert full_engine.floor_hits > 0
+            assert caplog.text == full_log
+            # a fold of the window (10-20 s) sees its samples from `start` on
+            seen = []
+            windowed = PlatoonEngine(replace(sc, metric_window=(10.0, 20.0)), av_mask=mask)
+            windowed.run(record=("v",), initial=(full["x"][start], full["v"][start, ..., 1:]),
+                         start=start, hits=hits, fold=lambda t, fields: seen.append(
+                             fields["v"].copy()))
+            assert np.concatenate(seen).tobytes() == full["v"][max(start, 100):201].tobytes()
+
+    def test_resumed_run_fails_as_the_full_run(self):
+        # scenario 2's IDM behind the stopping lead: NaN at a negative RK4
+        # stage speed, the same vehicle and time from any start before it
+        sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
+                           t_f=25.0, window=(0.0, 25.0))
+        errors = []
+        with np.errstate(invalid="ignore"):
+            early = PlatoonEngine(replace(sc, t_f=12.0, metric_window=(0.0, 12.0))).run()
+            for start in (0, 120):
+                with pytest.raises(NumericalBlowupError) as err:
+                    PlatoonEngine(sc).run(
+                        initial=(early["x"][start], early["v"][start, 1:]), start=start
+                    )
+                errors.append((err.value.vehicle, err.value.time, err.value.lane))
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == (2, pytest.approx(19.4, abs=1e-9))
+
     # inside the horizon, the whole horizon, and a window holding no sample
     @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), (12.34, 12.36)])
     def test_window_equals_slice_of_full_run(self, window):
@@ -490,6 +551,47 @@ class TestAvEntries:
         with_idm._hv = True
         with pytest.warns(RuntimeWarning, match="invalid value encountered in power"):
             reference = with_idm.run()
+        for name, arr in raw.items():
+            assert arr.tobytes() == reference[name].tobytes(), name
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 10]),
+        lanes=st.sampled_from([None, 3]),
+        gains=st.lists(st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+                       min_size=3, max_size=3),
+        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_all_av_rhs_equals_the_indexed_path(
+        self, n, lanes, gains, kind, kernel, integrator, seed
+    ):
+        # with every follower an AV, rhs evaluates the AV law and u on the
+        # whole arrays; an engine forced onto the views through `_a` must
+        # give the same bytes in every part of rhs's tuple and of a run
+        sc = make_short_scenario(mpr=1.0, kind=kind, t_f=20.0, window=(0.0, 20.0),
+                                 integrator=integrator)
+        sc = replace(sc, n_followers=n, controller=replace(sc.controller, kernel=kernel))
+        if lanes is None:  # one pair as 1-element arrays, as the optimizer passes it
+            beta, gamma = np.reshape(gains[0], (2, 1))
+        else:
+            beta, gamma = (np.array(g)[:, None] for g in zip(*gains))
+        whole = PlatoonEngine(sc, beta=beta, gamma=gamma)
+        indexed = PlatoonEngine(sc, beta=beta, gamma=gamma)
+        indexed._all_av = False
+        assert whole._all_av and isinstance(indexed._a[-1], slice)
+
+        rng = np.random.default_rng(seed)
+        x, v = whole.initial_arrays()
+        x[..., 1:] += rng.uniform(-3.0, 3.0, x[..., 1:].shape)
+        v += rng.uniform(-2.0, 2.0, v.shape)
+        got, ref = whole.rhs(19.5, x, v), indexed.rhs(19.5, x, v)
+        for part, (a, b) in enumerate(zip(got, ref)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), part
+        raw, reference = whole.run(), indexed.run()
         for name, arr in raw.items():
             assert arr.tobytes() == reference[name].tobytes(), name
 
