@@ -10,7 +10,8 @@ rational-driving sign properties for verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "IdmParams",
     "OvrvParams",
     "ModelKind",
+    "operands",
     "equilibrium_spacing",
     "rdc_check",
     "RdcReport",
@@ -58,6 +60,11 @@ class IdmParams:
             if val <= 0:
                 raise DomainError(f"IdmParams.{name} must be positive, got {val}")
 
+    @property
+    def two_sqrt_ab(self) -> float:
+        """2*sqrt(a*b), the desired spacing's braking scale."""
+        return 2.0 * math.sqrt(self.a * self.b)
+
 
 @dataclass(frozen=True)
 class OvrvParams:
@@ -85,16 +92,23 @@ class OvrvParams:
 # One concrete car-following law; dispatch is by parameter type.
 ModelKind = Union[IdmParams, OvrvParams]
 
+_ZERO, _ONE = np.array(0.0), np.array(1.0)  # 0-d: NumPy applies them faster than floats
 
-def idm_desired_spacing(v, dv, p: IdmParams):
-    """Speed-dependent desired spacing, floored at the jam spacing term."""
-    return p.s0 + np.maximum(0.0, v * p.T - v * dv / (2.0 * math.sqrt(p.a * p.b)))
+
+def operands(p: ModelKind) -> SimpleNamespace:
+    """The fields of `p`, and an IDM's `two_sqrt_ab`, as float64 0-d arrays:
+    a twin that the laws read as they read `p`, with the same bits."""
+    names = [f.name for f in fields(p)] + (["two_sqrt_ab"] if isinstance(p, IdmParams) else [])
+    return SimpleNamespace(**{name: np.array(getattr(p, name), float) for name in names})
 
 
 def idm_accel_arrays(s, dv, v, p: IdmParams):
-    """Vectorized intelligent-driver acceleration (no input validation)."""
-    sstar = idm_desired_spacing(v, dv, p)
-    return p.a * (1.0 - (v / p.v0) ** p.delta - (sstar / s) ** 2)
+    """Vectorized intelligent-driver acceleration (no input validation).
+
+    The desired spacing is floored at the jam spacing term. The power is
+    NumPy's for any state, so floats and 0-d arrays in `p` give one result."""
+    sstar = p.s0 + np.maximum(_ZERO, v * p.T - v * dv / p.two_sqrt_ab)
+    return p.a * (_ONE - np.power(v / p.v0, p.delta) - (sstar / s) ** 2)
 
 
 def ovrv_accel_arrays(s, dv, v, p: OvrvParams):

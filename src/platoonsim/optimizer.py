@@ -43,8 +43,8 @@ from .simulator import (
     Trajectory,
     assemble_trajectory,
     av_mask_for,
-    rk4_step,
 )
+from .stepping import rk4_step, stage_blocks, step_coefficients
 
 __all__ = [
     "OptimizerConfig",
@@ -268,32 +268,11 @@ def _head(raw: dict, cols, steps: int, hits) -> _Head:
     return _Head(steps, rows, hits)
 
 
-def _stage_blocks(engine: PlatoonEngine, lead, x, v, start: int = 0):
-    """The steps of a recorded run, from step `start`, rebuilt in blocks of
-    `_Z_BLOCK` steps.
-
-    `x` and `v` are the record's states (`v` without the leader column) and
-    `lead` the leader's four-stage table; `engine` evaluates each block with
-    the step index as its first batch axis (any lanes follow it), so its
-    AV mask must be one that every lane shares, as per-lane masks index
-    their own batch axes. Yields the block's first and end step, `rhs`'s
-    tuples at each of its stages and the unclamped states after it.
-    """
-    steps = len(x) - 1
-    # the leader's speeds, one per step, against any lane axis
-    shape = (-1,) + (1,) * (x.ndim - 2)
-    for k0 in range(start, steps, _Z_BLOCK):
-        k1 = min(k0 + _Z_BLOCK, steps)
-        first = engine.rhs(lead[0][k0:k1].reshape(shape), x[k0:k1], v[k0:k1])
-        y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
-        later = []
-        y_new = engine.step(y, first[0], [s[k0:k1].reshape(shape) for s in lead[1:]], later)
-        yield k0, k1, [first, *later], y_new
-
-
 def _scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
-    """One `_stage_blocks` pass over a recorded run: its gain-free head and,
-    with `column`, that vehicle's speeds at RK4 stages 2, 3 and 4.
+    """One `stage_blocks` pass over a recorded run, in blocks of `_Z_BLOCK`
+    steps: its gain-free head and, with `column`, that vehicle's speeds at
+    RK4 stages 2, 3 and 4. `engine` has the step index as its first batch
+    axis.
 
     The head ends at the first step where any AV follower (`av`, indices of
     the follower axis) has a nonzero dv at any stage, by exact comparison;
@@ -307,7 +286,7 @@ def _scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
     n = engine.n
     head, hits = None, 0
     later = [] if column is None else [np.empty(steps, x.dtype) for _ in range(3)]
-    for k0, k1, stages, y_new in _stage_blocks(engine, lead, x, v):
+    for k0, k1, stages, y_new in stage_blocks(engine, lead, x, v, _Z_BLOCK):
         if head is None:
             moved = np.logical_or.reduce([stage[2][..., av] != 0 for stage in stages])
             moved = moved.any(axis=tuple(range(1, moved.ndim)))
@@ -355,7 +334,7 @@ def _av_block(scenario: Scenario, raw: dict) -> _AvBlock:
     """The AV block of `scenario`, from `raw`, a record of `x` and `v` of
     the platoon, or of its followers up to the last AV, at any gains.
 
-    One step-batched `_stage_blocks` pass over the record's followers up to
+    One step-batched `stage_blocks` pass over the record's followers up to
     the last AV gives the leader's stage speeds, those of the prefix's last
     follower (the prefix is the all-HV followers ahead of the first AV, so
     any gains give the same ones), and the head, which no gains change
@@ -401,6 +380,7 @@ def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
     n = scenario.n_followers
     rk4 = scenario.integrator == "rk4"
     dt, steps = scenario.dt, scenario.steps
+    rk4_c = step_coefficients(dt)
     beta, gamma = np.reshape(theta, (2, 1))
     kernel = get_kernel(scenario.controller.kernel)
     engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=block.av_mask[None])
@@ -410,7 +390,9 @@ def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
     def rate(i, y):
         return d[i] * y + f[i]
 
-    blocks = _stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:], block.head.steps)
+    blocks = stage_blocks(
+        engine, block.lead, raw["x"], raw["v"][:, 1:], _Z_BLOCK, block.head.steps
+    )
     for k0, k1, stages, y_new in blocks:
         # (step, stage, AV[, gain]) coefficients
         drdv, forcing = (
@@ -427,7 +409,7 @@ def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
             coefficients = drdv[:, :, col], forcing[:, :, col, g], clamped[:, col]
             for d, f, clamp in zip(*(c.tolist() for c in coefficients)):
                 f1 = rate(0, z)
-                z = rk4_step(z, dt, f1, rate) if rk4 else z + dt * f1
+                z = rk4_step(z, rk4_c, f1, rate) if rk4 else z + dt * f1
                 # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
                 z = 0.0 if clamp else z
                 out.append(z)
@@ -640,13 +622,5 @@ def write_trace_csv(trace: OptimizationTrace, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["iter", "beta", "gamma", "J", "lambda_beta", "lambda_gamma"])
         for k in range(len(trace)):
-            writer.writerow(
-                [
-                    k + 1,
-                    f"{trace.thetas[k, 0]:.10g}",
-                    f"{trace.thetas[k, 1]:.10g}",
-                    f"{trace.objectives[k]:.10g}",
-                    f"{trace.lambdas[k, 0]:.10g}",
-                    f"{trace.lambdas[k, 1]:.10g}",
-                ]
-            )
+            values = (*trace.thetas[k], trace.objectives[k], *trace.lambdas[k])
+            writer.writerow([k + 1, *(f"{val:.10g}" for val in values)])

@@ -26,9 +26,11 @@ from .dynamics import (
     OvrvParams,
     equilibrium_spacing,
     idm_accel_arrays,
+    operands,
     ovrv_accel_arrays,
 )
 from .errors import DomainError, NumericalBlowupError
+from .stepping import rk4_step, stage_blocks, step_coefficients
 
 __all__ = [
     "LeadProfile",
@@ -44,7 +46,6 @@ __all__ = [
     "check_safety",
     "write_trajectory_csv",
     "PlatoonEngine",
-    "rk4_step",
 ]
 
 logger = logging.getLogger(__name__)
@@ -53,6 +54,8 @@ CONTROLLER_KINDS = ("none", "ts-ops", "ts-trc")
 INTEGRATORS = ("rk4", "euler")
 # values a folded run's block buffer holds (see `PlatoonEngine.run`)
 _FOLD_VALUES = 1 << 16
+_STAGE_BLOCK = 64  # samples per block of a run's rebuild of s, dv and u
+_NO_INPUT = np.array(0.0)  # the input of an engine without a controller
 
 
 @dataclass(frozen=True)
@@ -327,14 +330,18 @@ def _av_index(av_mask: np.ndarray, batch_shape: tuple[int, ...]):
 
     A mask that every lane shares gives a basic slice of the follower axis
     when its AVs are evenly spaced, so the AV entries are a view, and their
-    positions otherwise; per-lane masks give one index array per axis.
+    positions otherwise; per-lane masks give one index array per axis, but
+    a full slice for each leading axis of size 1, so that such an axis may
+    take any length (the sample axis of `stage_blocks`).
     """
     n = av_mask.shape[-1]
     rows = av_mask.reshape(-1, n)
     if not rows.any():
         return None
     if not (rows == rows[:1]).all():
-        return np.nonzero(np.broadcast_to(av_mask, batch_shape + (n,)))
+        ones = next(i for i, size in enumerate(batch_shape) if size != 1)
+        mask = np.broadcast_to(av_mask, batch_shape + (n,))[(0,) * ones]
+        return (slice(None),) * ones + np.nonzero(mask)
     pos = np.flatnonzero(rows[0])
     step = int(pos[1] - pos[0]) if pos.size > 1 else 1
     if (np.diff(pos) == step).all():
@@ -342,17 +349,6 @@ def _av_index(av_mask: np.ndarray, batch_shape: tuple[int, ...]):
     # no Ellipsis: NumPy indexes a 1-D array with `(..., positions)` several
     # times slower than with `(positions,)`
     return (slice(None),) * len(batch_shape) + (pos,)
-
-
-def _shifted(index, k: int):
-    """`_av_index`'s `index` with its follower-axis part moved by k slots, to
-    address the same followers in another block of a flat state."""
-    *lanes, pos = index
-    if isinstance(pos, slice):
-        pos = slice(pos.start + k, pos.stop + k, pos.step)
-    else:
-        pos = pos + k
-    return (*lanes, pos)
 
 
 @dataclass(frozen=True)
@@ -377,9 +373,11 @@ class PlatoonEngine:
     nothing of gain sensitivities, but complex gains make the state, `rhs`'s
     derivative and the record complex, so a gain stepped by i*h gives each
     speed's derivative as Im v / h. `step` evaluates the later stages of one
-    step: `advance` calls it in the run loop, and the optimizer calls it on
-    a recorded run's states, with the step index as the batch axis, to
-    rebuild the stage values its sensitivities need.
+    step: `advance` calls it in the run loop, and `stage_blocks` on a
+    recorded run's states, with the sample index as a batch axis, to rebuild
+    the stage values that `run` does not record and the optimizer's
+    sensitivities need. Every scalar operand of a step (model parameters,
+    controller constants, step coefficients) is a 0-d array made here.
     """
 
     def __init__(
@@ -391,13 +389,14 @@ class PlatoonEngine:
     ):
         self.scenario = scenario
         self.n = n = scenario.n_followers
-        self.hv = scenario.hv_model
-        self.av = scenario.av_model
+        self.hv = operands(scenario.hv_model)
+        self.av = operands(scenario.av_model)
         ctrl = scenario.controller
         self.kind = ctrl.kind
         self.kernel = get_kernel(ctrl.kernel)
-        self.v_star = scenario.v_star
-        self.phi = (ctrl.phi1, ctrl.phi2, ctrl.phi3)
+        self.v_star = np.array(scenario.v_star)
+        self.phi = tuple(map(np.array, (ctrl.phi1, ctrl.phi2, ctrl.phi3)))
+        self._c = tuple(map(np.array, step_coefficients(scenario.dt)))
 
         if av_mask is None:
             av_mask = av_mask_for(self.n, scenario.mpr)
@@ -406,8 +405,7 @@ class PlatoonEngine:
         def _gain(value, default):
             # arrays broadcast as given against the (..., n) follower axis
             arr = np.asarray(default if value is None else value)
-            arr = arr.astype(np.result_type(arr, float), copy=False)  # complex stays
-            return arr if arr.ndim else arr.item()
+            return arr.astype(np.result_type(arr, float), copy=False)  # complex stays
 
         self.beta = _gain(beta, ctrl.beta)
         self.gamma = _gain(gamma, ctrl.gamma)
@@ -424,8 +422,6 @@ class PlatoonEngine:
         # whether every follower of every lane is an AV; then the AV law and
         # `u` take the whole arrays, not views through `_a`
         self._all_av = not self._hv
-        # their dv/dt slots in the flat derivative
-        self._a_f = None if self._a is None else _shifted(self._a, n + 1)
 
         def _at_av(gain):
             # the gain at the AV entries, shaped to broadcast against them
@@ -465,14 +461,14 @@ class PlatoonEngine:
     def control_input(self, s, dv, v_prev):
         """Control input `u` at the AV entries (`self._a`, or the whole
         arrays when every follower is an AV), where `s`, `dv` and `v_prev`
-        are taken. Without a controller `u` is 0.0.
+        are taken. Without a controller `u` is a 0-d 0.0.
         """
         if self.kind == "ts-ops":
             return self._beta_a * self.kernel.fn(self._gamma_a * s * dv)
         if self.kind == "ts-trc":
             p1, p2, p3 = self.phi
             return p1 * (dv + p2 * np.arctan(p3 * s * (self.v_star - v_prev)))
-        return 0.0
+        return _NO_INPUT
 
     def _full_width_u(self, u, s):
         """The AV-entry input `u` spread over the follower axis of `s`, +0.0
@@ -493,26 +489,26 @@ class PlatoonEngine:
         an AV).
         """
         f = np.empty(v.shape[:-1] + (self.width,), self.dtype)
-        v_all = f[self._x]
+        v_all, acc = f[self._x], f[self._v]
         v_all[..., 0] = v_lead
         v_all[..., 1:] = v
         v_prev = v_all[..., :-1]
         s = x[..., :-1] - x[..., 1:] - self.front_lengths
         dv = v_prev - v
         if self._hv:
-            f[self._v] = idm_accel_arrays(s, dv, v, self.hv)
+            acc[...] = idm_accel_arrays(s, dv, v, self.hv)
         a = self._a
         if a is None:
             return f, s, dv, None
         if self._all_av:
             u = self.control_input(s, dv, v_prev if self.kind == "ts-trc" else None)
-            f[self._v] = ovrv_accel_arrays(s, dv, v, self.av) + u
+            acc[...] = ovrv_accel_arrays(s, dv, v, self.av) + u
             return f, s, dv, u
         s_a, dv_a = s[a], dv[a]
         # only ts-trc reads the predecessor's speed
         v_prev_a = v_prev[a] if self.kind == "ts-trc" else None
         u = self.control_input(s_a, dv_a, v_prev_a)
-        f[self._a_f] = ovrv_accel_arrays(s_a, dv_a, v[a], self.av) + u
+        acc[a] = ovrv_accel_arrays(s_a, dv_a, v[a], self.av) + u
         return f, s, dv, u
 
     def _check_finite(self, y, t):
@@ -533,9 +529,8 @@ class PlatoonEngine:
         `stages` receives `rhs`'s tuples at those stages; the run loop
         passes none, so they are freed stage by stage.
         """
-        dt = self.scenario.dt
         if self.scenario.integrator == "euler":
-            return y + dt * f1
+            return y + self._c[1] * f1
 
         def rate(i, y_i):
             stage = self.rhs(v_lead[i - 1], y_i[self._x], y_i[self._v])
@@ -543,20 +538,22 @@ class PlatoonEngine:
                 stages.append(stage)
             return stage[0]
 
-        return rk4_step(y, dt, f1, rate)
+        return rk4_step(y, self._c, f1, rate)
 
     def advance(self, y, f1, v_lead):
         """One step of the flat state y from its derivative f1 at the step start.
 
         `v_lead` holds the leader's speeds at RK4 stages 2, 3 and 4, as for
-        `step`. Speeds below 0 are clamped and counted per lane.
+        `step`. Finite speeds below 0 are clamped and counted per lane.
         """
         y_new = self.step(y, f1, v_lead)
         v_new = y_new[self._v]
-        # fmin skips NaN, as `v < 0` is False for it; `_check_finite` reports it
+        # fmin skips NaN, as `v < 0` is False for it, and -inf is a blow-up,
+        # not a speed to clamp; `_check_finite` reports both
         if np.fmin.reduce(v_new, axis=None) < 0:
-            self.lane_floor_hits += (v_new < 0).sum(axis=-1)
-            np.maximum(v_new, 0.0, out=v_new)
+            finite = v_new != -np.inf
+            self.lane_floor_hits += ((v_new < 0) & finite).sum(axis=-1)
+            np.maximum(v_new, 0.0, out=v_new, where=finite)
         return y_new
 
     def run(
@@ -572,7 +569,9 @@ class PlatoonEngine:
 
         Recorded arrays have a leading time axis; `x` and `v` include the
         leader column, `a`, `s`, `dv`, `u` cover the followers only. Without
-        `fold` the whole horizon is integrated and recorded.
+        `fold` the whole horizon is integrated and recorded. The loop
+        records `x`, `v` and `a`; `s`, `dv` and `u` are rebuilt from `x` and
+        `v` after it, or per fold block, by `stage_blocks`.
 
         With `fold`, the run covers the scenario's metric window: only the
         samples `window_slice` selects are kept, and the integration ends at
@@ -620,14 +619,12 @@ class PlatoonEngine:
         y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.full(self.batch_shape, hits, dtype=np.int64)
 
-        # each field is a slice of one stage part (y, f, s, dv, u): the
-        # part's index, the slice and its width; the full-width u is built
-        # only when it is recorded
-        n = self.n
-        sources = {
-            "x": (0, self._x, n + 1), "v": (1, self._x, n + 1), "a": (1, self._v, n),
-            "s": (2, ..., n), "dv": (3, ..., n), "u": (4, ..., n),
-        }
+        # the loop records x, v and a, as (part, slice) of y and its
+        # derivative f; s, dv and u are rebuilt from x and v, kept for them
+        sources = {"x": (0, self._x), "v": (1, self._x), "a": (1, self._v)}
+        derived = [name for name in ("s", "dv", "u") if name in record]
+        stored = [name for name in sources if name in record or derived and name != "a"]
+        widths = {name: self.n + (name in ("x", "v")) for name in stored + derived}
         # the samples kept, lo to hi, and the buffer's length in samples: a
         # folded run covers the metric window in bounded blocks, any other
         # the rest of the horizon at once
@@ -636,90 +633,61 @@ class PlatoonEngine:
         if fold is not None:
             keep = window_slice(t_grid, sc.metric_window)
             lo, hi = max(keep.start, start), max(keep.stop, start)
-            per_sample = math.prod(self.batch_shape) * sum(
-                sources[name][2] for name in record
-            )
-            block = max(1, _FOLD_VALUES // per_sample)
+            block = max(1, _FOLD_VALUES // (math.prod(self.batch_shape) * sum(widths.values())))
         last = hi - 1  # the last sample the run reaches
-        bufs = {}
-        fields = []
-        for name in record:
-            part, idx, width = sources[name]
-            bufs[name] = np.empty((block,) + self.batch_shape + (width,), self.dtype)
-            fields.append((bufs[name], part, idx))
+        bufs = {name: np.empty((block, *self.batch_shape, w), self.dtype) for name, w in widths.items()}
+        fields = [(bufs[name], *sources[name]) for name in stored]
+        out = {name: bufs[name] for name in record}  # an unknown name fails here
 
-        full_u = "u" in record
+        def emit(end, rows):
+            # the buffer's first rows hold the samples up to `end`
+            if derived:
+                engine = PlatoonEngine(sc, self.beta[None], self.gamma[None], self.av_mask[None])
+                x, v = bufs["x"][:rows], bufs["v"][:rows, ..., 1:]
+                blocks = stage_blocks(engine, (lead_t[end - rows :],), x, v, _STAGE_BLOCK, later=False)
+                for k0, k1, [(_, s, dv, u)], _ in blocks:
+                    parts = {"s": s, "dv": dv, "u": engine._full_width_u(u, s)}
+                    for name in derived:
+                        bufs[name][k0:k1] = parts[name]
+            if fold is not None:
+                fold(t_grid[end - rows : end], {name: buf[:rows] for name, buf in out.items()})
 
-        def record_sample(k, y_k, stage):
-            f, s, dv, u = stage
-            parts = (y_k, f, s, dv, self._full_width_u(u, s) if full_u else None)
+        def record_sample(k, parts):
             j = (k - lo) % block
             for buf, part, idx in fields:
                 buf[j] = parts[part][idx]
             if fold is not None and j == block - 1:
-                fold(t_grid[k + 1 - block : k + 1], bufs)
+                emit(k + 1, block)
 
         for k, v_lead in zip(range(start, last), lead_later):
-            stage = self.rhs(lead_t[k], y[self._x], y[self._v])
+            f = self.rhs(lead_t[k], y[self._x], y[self._v])[0]
             if k >= lo:
-                record_sample(k, y, stage)
-            y = self.advance(y, stage[0], v_lead)
+                record_sample(k, (y, f))
+            y = self.advance(y, f, v_lead)
             self._check_finite(y, t_grid[k + 1])
         if lo <= last:
-            record_sample(last, y, self.rhs(lead_t[last], y[self._x], y[self._v]))
+            record_sample(last, (y, self.rhs(lead_t[last], y[self._x], y[self._v])[0]))
+        del lead, lead_later  # the rebuild reads stage 1 alone, so free the rest
 
         if self.floor_hits and not self.batch_shape:
-            logger.warning(
-                "speed floor at 0 m/s engaged %d times during the run",
-                self.floor_hits,
-            )
+            logger.warning("speed floor at 0 m/s engaged %d times during the run", self.floor_hits)
         if fold is not None:
-            rest = (hi - lo) % block
-            fold(t_grid[hi - rest : hi], {name: buf[:rest] for name, buf in bufs.items()})
+            emit(hi, (hi - lo) % block)
             return None
-        return {"t": t_grid[lo:], **bufs}
-
-
-def rk4_step(y, dt: float, f1, rate):
-    """One classic RK4 step from the state y, whose derivative is f1.
-
-    `rate(i, y_i)` is the derivative at the stage state y_i, for i = 1 and 2
-    (the half step) and 3 (the full step). The engine and the optimizer's
-    sensitivity post-pass both step through here, so the stage formulas
-    exist once; the `replayed_objective` oracle keeps its own loop.
-    """
-    f2 = rate(1, y + dt / 2 * f1)
-    f3 = rate(2, y + dt / 2 * f2)
-    f4 = rate(3, y + dt * f3)
-    return y + dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+        emit(hi, hi - lo)
+        return {"t": t_grid[lo:], **out}
 
 
 def assemble_trajectory(scenario: Scenario, raw: dict) -> Trajectory:
     """Build a Trajectory from raw engine output of a single (unbatched) run."""
     t = raw["t"]
-    n_samples = len(t)
-    n_veh = scenario.n_followers + 1
-
-    a = np.empty((n_samples, n_veh))
+    shape = (len(t), scenario.n_followers + 1)
+    a = np.empty(shape)
     a[:, 0] = scenario.lead.slope(t)
-    a[:, 1:] = raw["a"]
-    s = np.full((n_samples, n_veh), np.nan)
-    s[:, 1:] = raw["s"]
-    dv = np.full((n_samples, n_veh), np.nan)
-    dv[:, 1:] = raw["dv"]
-    u = np.zeros((n_samples, n_veh))
-    u[:, 1:] = raw["u"]
-
-    return Trajectory(
-        t=t,
-        x=raw["x"],
-        v=raw["v"],
-        a=a,
-        s=s,
-        dv=dv,
-        u=u,
-        kinds=scenario.kinds,
-    )
+    s, dv, u = np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape)
+    for arr, name in ((a, "a"), (s, "s"), (dv, "dv"), (u, "u")):
+        arr[:, 1:] = raw[name]
+    return Trajectory(t, raw["x"], raw["v"], a, s, dv, u, scenario.kinds)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -729,17 +697,11 @@ def simulate(scenario: Scenario) -> Trajectory:
 
 def check_safety(traj: Trajectory, min_safe: float) -> list[SafetyViolation]:
     """Every (vehicle, time) sample whose spacing is below the safe minimum."""
-    out = []
-    bad = traj.s[:, 1:] < min_safe
-    for k, i in zip(*np.nonzero(bad)):
-        out.append(
-            SafetyViolation(
-                vehicle=int(i) + 1,
-                time=float(traj.t[k]),
-                spacing=float(traj.s[k, i + 1]),
-            )
-        )
-    return out
+    rows, cols = np.nonzero(traj.s[:, 1:] < min_safe)
+    return [
+        SafetyViolation(vehicle=i + 1, time=float(traj.t[k]), spacing=float(traj.s[k, i + 1]))
+        for k, i in zip(rows.tolist(), cols.tolist())
+    ]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -266,6 +266,23 @@ class TestRun:
         assert "profile knots must be finite" in capsys.readouterr().err
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_minus_inf_speed_is_a_blowup(self, tmp_path, capsys, integrator):
+        # a first spacing that rounds to 0 gives follower 1 a = -inf; under
+        # Euler its speed was -inf, clamped to 0 and counted as a floor hit,
+        # and the run exited 0 with an FC of nan; both integrators now fail
+        spacing = " ".join(["1e-200"] + ["30"] * 9)
+        code = main(["run", "--scenario", "scenario1", "--out", str(tmp_path),
+                     "--set", f"scenario.init_spacing={spacing}",
+                     "--set", f"scenario.integrator={integrator}", "--set", "scenario.t_f=20",
+                     "--set", "scenario.metric_window=0 20"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite state for vehicle 1 at t=0.100 s" in err
+        assert "speed floor" not in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_zero_beta_equals_none(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

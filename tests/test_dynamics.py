@@ -10,6 +10,7 @@ from platoonsim.dynamics import (
     OvrvParams,
     equilibrium_spacing,
     idm_accel_arrays,
+    operands,
     ovrv_accel_arrays,
     rdc_check,
 )
@@ -161,6 +162,75 @@ class TestEquilibriumSpacing:
     def test_idm_residual_over_speed_range(self, v):
         s_eq = equilibrium_spacing(IDM_1, float(v))
         assert abs(idm_accel_arrays(s_eq, 0.0, float(v), IDM_1)) < 1e-6
+
+
+# valid parameters; delta also takes the values with fast NumPy paths (1, 2)
+# and the two presets' (4, 15.5)
+IDM_PARAMS = st.builds(
+    IdmParams, a=st.floats(1e-3, 1e3), b=st.floats(1e-3, 1e3), v0=st.floats(0.1, 100.0),
+    s0=st.floats(1e-2, 100.0), T=st.floats(1e-2, 10.0),
+    delta=st.sampled_from([1.0, 2.0, 4.0, 15.5]) | st.floats(0.1, 1e3), length=st.floats(0.1, 20.0),
+)
+OVRV_PARAMS = st.builds(
+    OvrvParams, k1=st.floats(1e-4, 10.0), k2=st.floats(1e-4, 10.0), eta=st.floats(0.0, 100.0),
+    tau=st.floats(1e-2, 10.0), length=st.floats(0.1, 20.0),
+)
+# Python-float, 0-d, 1-element and (lanes, n) states
+STATE_SHAPES = st.sampled_from([None, (), (1,), (3, 10)])
+
+
+def draw_state(rng, shape, lo, hi):
+    value = np.asarray(rng.uniform(lo, hi, shape or ()))
+    return float(value) if shape is None else value
+
+
+class TestOperands:
+    # an engine evaluates the laws with `operands(p)`, 0-d arrays built once;
+    # they must give the bits of the dataclass call and of the formula
+    # written out with Python-float parameters
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=IDM_PARAMS, shape=STATE_SHAPES, seed=st.integers(0, 2**32 - 1))
+    def test_idm_twin_keeps_the_bits(self, p, shape, seed):
+        rng = np.random.default_rng(seed)
+        s = draw_state(rng, shape, 1e-3, 200.0)
+        dv = draw_state(rng, shape, -10.0, 10.0)
+        v = draw_state(rng, shape, 0.0, 1.5 * p.v0)
+        sstar = p.s0 + np.maximum(0.0, v * p.T - v * dv / (2.0 * math.sqrt(p.a * p.b)))
+        with np.errstate(over="ignore"):
+            written = p.a * (1.0 - np.power(v / p.v0, p.delta) - (sstar / s) ** 2)
+            for params in (p, operands(p)):
+                got = idm_accel_arrays(s, dv, v, params)
+                assert np.shape(got) == np.shape(written)
+                assert np.asarray(got).tobytes() == np.asarray(written).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=OVRV_PARAMS, shape=STATE_SHAPES, complex_state=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ovrv_twin_keeps_the_bits(self, p, shape, complex_state, seed):
+        # complex states are those of a closed-loop run, with tiny imaginary
+        # parts as a complex step makes them, or large ones
+        rng = np.random.default_rng(seed)
+        s, dv, v = (draw_state(rng, shape, lo, hi)
+                    for lo, hi in ((1e-3, 200.0), (-10.0, 10.0), (0.0, 40.0)))
+        if complex_state:
+            scale = 10.0 ** rng.integers(-35, 2)
+            s, dv, v = (val + 1j * scale * draw_state(rng, shape, -1.0, 1.0)
+                        for val in (s, dv, v))
+        written = p.k1 * (s - p.eta - p.tau * v) + p.k2 * dv
+        for params in (p, operands(p)):
+            got = ovrv_accel_arrays(s, dv, v, params)
+            assert np.asarray(got).dtype == np.asarray(written).dtype
+            assert np.asarray(got).tobytes() == np.asarray(written).tobytes()
+
+    def test_twin_holds_every_field_as_a_0d_float64(self):
+        for p in (IDM_1, OVRV_1):
+            twin = operands(p)
+            for name in p.__dataclass_fields__:
+                value = getattr(twin, name)
+                assert value.shape == () and value.dtype == np.float64
+                assert value == getattr(p, name)
+        assert operands(IDM_1).two_sqrt_ab == 2.0 * math.sqrt(IDM_1.a * IDM_1.b)
 
 
 class TestRdcCheck:

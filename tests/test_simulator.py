@@ -21,6 +21,7 @@ from platoonsim.dynamics import (
 from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.metrics import WindowSums
 from platoonsim.optimizer import _z_terms
+from platoonsim.stepping import rk4_step, stage_blocks, step_coefficients
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
@@ -391,6 +392,79 @@ class TestEngine:
         assert single.value.vehicle == 5
 
 
+class TestStageRebuild:
+    # `run` records x, v and a, and rebuilds s, dv and u with `stage_blocks`,
+    # whose engine takes the sample index as a leading batch axis of length
+    # 1 in front of any lanes. With per-lane masks that axis must not be read
+    # as a lane axis: every stage's rhs tuple and the state after each step
+    # must keep the bytes of the loop, which evaluates one sample at a time.
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=10, max_size=10),
+                st.floats(0.0, 0.0642),
+                st.floats(0.0, 2.0),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
+        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        block=st.integers(1, 70),
+    )
+    # three lanes with different masks behind the stopping lead, whose
+    # clamp counts once came out wrong from a step-batched rebuild
+    @example(lanes=[(list(av_mask_for(10, mpr)), 0.05, 1.0) for mpr in (0.0, 0.5, 1.0)],
+             lead=STOP_LEAD, kind="ts-ops", integrator="rk4", block=64)
+    def test_step_batched_rebuild_equals_the_loop(self, lanes, lead, kind, integrator, block):
+        sc = make_short_scenario(kind=kind, lead=lead, t_f=15.0, window=(0.0, 15.0),
+                                 integrator=integrator)
+        n = sc.n_followers
+        masks = np.array([mask for mask, _, _ in lanes])
+        beta = np.array([[b] for _, b, _ in lanes])
+        gamma = np.array([[g] for _, _, g in lanes])
+        engine = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=masks)
+        raw = engine.run()
+        x, v = raw["x"], raw["v"][..., 1:]
+        table = sc.lead.stage_speeds(sc.dt, sc.steps)
+        stepwise = PlatoonEngine(sc, beta=beta[None], gamma=gamma[None], av_mask=masks[None])
+
+        def check_sample(k, got, ref):
+            # rhs tuples of the rebuild (row k of a block) and of the loop
+            for part, (a, b) in enumerate(zip(got[:3], ref[:3])):
+                assert a[k].tobytes() == b.tobytes(), part
+            u_got = stepwise._full_width_u(got[3], got[1])
+            assert u_got[k].tobytes() == engine._full_width_u(ref[3], ref[1]).tobytes()
+
+        clamps = 0
+        for k0, k1, stages, y_new in stage_blocks(stepwise, table, x, v, block):
+            for k in range(k0, k1):
+                loop = [engine.rhs(table[0][k], x[k], v[k])]
+                y_next = engine.step(np.concatenate([x[k], v[k]], axis=-1), loop[0][0],
+                                     [s[k] for s in table[1:]], loop)
+                assert len(stages) == len(loop) == (4 if integrator == "rk4" else 1)
+                for got, ref in zip(stages, loop):
+                    check_sample(k - k0, got, ref)
+                assert y_new[k - k0].tobytes() == y_next.tobytes()
+                # the record holds the loop's diagnostics and clamped state
+                f, s, dv, u = loop[0]
+                assert raw["a"][k].tobytes() == f[..., n + 1 :].tobytes()
+                for name, ref in (("s", s), ("dv", dv), ("u", engine._full_width_u(u, s))):
+                    assert raw[name][k].tobytes() == ref.tobytes(), name
+                assert raw["v"][k + 1, ..., 1:].tobytes() == np.maximum(
+                    y_next[..., n + 1 :], 0.0).tobytes()
+            clamps = clamps + (y_new[..., n + 1 :] < 0).sum(axis=(0, -1))
+        assert np.array_equal(clamps, engine.lane_floor_hits)
+        # the last sample, which no step starts from
+        f, s, dv, u = engine.rhs(table[0][-1], x[-1], v[-1])
+        for name, ref in (("a", f[..., n + 1 :]), ("s", s), ("dv", dv),
+                          ("u", engine._full_width_u(u, s))):
+            assert raw[name][-1].tobytes() == ref.tobytes(), name
+
+
 def one_av_scenario(**kw):
     """Leader, AV and HV (mpr 0.5 of two followers puts the AV first)."""
     return Scenario(
@@ -435,6 +509,17 @@ def av_mask_form(form, rows):
     return masks
 
 
+# IDM parameters whose free speed lies above the leads' 21 m/s, and OVRV
+# parameters, as (a, b, v0, s0, T, delta) and (k1, k2, eta, tau)
+IDM_DRAWS = st.tuples(
+    st.floats(0.3, 2.0), st.floats(1.0, 6.0), st.floats(25.0, 45.0),
+    st.floats(1.0, 8.0), st.floats(0.8, 2.5), st.sampled_from([1.0, 2.0, 4.0, 15.5]) | st.floats(2.0, 16.0),
+)
+OVRV_DRAWS = st.tuples(
+    st.floats(0.005, 0.1), st.floats(0.05, 0.5), st.floats(0.0, 30.0), st.floats(0.5, 2.5),
+)
+
+
 class TestAvEntries:
     # the AV law, its input and the sensitivity terms are evaluated at the
     # AV entries only, through a slice, a position array or per-lane index
@@ -451,13 +536,18 @@ class TestAvEntries:
         kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
         integrator=st.sampled_from(["rk4", "euler"]),
         seed=st.integers(0, 2**32 - 1),
+        idm=IDM_DRAWS,
+        ovrv=OVRV_DRAWS,
     )
     def test_rhs_equals_a_full_width_reference(
-        self, form, rows, gains, kind, kernel, integrator, seed
+        self, form, rows, gains, kind, kernel, integrator, seed, idm, ovrv
     ):
+        # the engine evaluates the laws with 0-d operand twins of the drawn
+        # parameters; the reference calls them with the dataclasses
         sc = make_short_scenario(kind=kind, t_f=20.0, window=(0.0, 20.0),
                                  integrator=integrator)
-        sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
+        sc = replace(sc, controller=replace(sc.controller, kernel=kernel),
+                     hv_model=IdmParams(*idm, length=5.0), av_model=OvrvParams(*ovrv, length=5.0))
         mask = av_mask_form(form, rows)
         lanes = len(rows)
         beta = np.array([[b] for b, _ in gains[:lanes]])
@@ -684,6 +774,50 @@ class TestStep:
         assert new[2] == pytest.approx(-85.0 + 0.1 * 19.0, rel=1e-12)
         assert new[3] == pytest.approx(18.0 + 0.1 * acc1, rel=1e-12)
         assert new[4] == pytest.approx(19.0 + 0.1 * acc2, rel=1e-12)
+
+    def test_advance_leaves_minus_inf_to_the_finite_check(self):
+        # an Euler step with a = -inf gives a speed of -inf: a blow-up for
+        # `_check_finite`, not a speed to clamp to 0 and count; a finite
+        # negative speed in the other lane is clamped and counted
+        engine = PlatoonEngine(one_av_scenario(integrator="euler"), beta=np.full((2, 1), 0.05))
+        y = np.array([[0.0, -40.0, -85.0, 18.0, 19.0]] * 2)
+        f1 = np.array([[20.0, 18.0, 19.0, -np.inf, -1.0], [20.0, 18.0, 19.0, -1.0, -300.0]])
+        new = engine.advance(y, f1, ())
+        assert new[0, 3] == -np.inf and new[0, 4] == 19.0 - 0.1
+        assert new[1, 3] == 18.0 - 0.1 and new[1, 4] == 0.0
+        assert engine.lane_floor_hits.tolist() == [0, 1]
+        with pytest.raises(NumericalBlowupError) as err:
+            engine._check_finite(new, 0.1)
+        assert (err.value.vehicle, err.value.lane) == (1, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dt=st.floats(1e-3, 1.0),
+        shape=st.sampled_from([None, (3,), (4, 7)]),
+        complex_state=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rk4_step_takes_float_or_0d_coefficients(self, dt, shape, complex_state, seed):
+        # the engine passes `step_coefficients` as 0-d arrays and the
+        # sensitivity post-pass as floats (on float states); both give the
+        # bits of the classic step written out with dt
+        rng = np.random.default_rng(seed)
+        d, e, g = rng.normal(size=3).tolist()
+        y = float(rng.normal()) if shape is None else rng.normal(size=shape)
+        if complex_state and shape is not None:
+            y = y + 1j * 10.0 ** rng.integers(-35, 1) * rng.normal(size=shape)
+
+        def rate(i, y_i):
+            return d * y_i + e * y_i * y_i + g
+
+        f1 = rate(0, y)
+        f2 = rate(1, y + dt / 2 * f1)
+        f3 = rate(2, y + dt / 2 * f2)
+        f4 = rate(3, y + dt * f3)
+        written = y + dt / 6 * (f1 + 2 * f2 + 2 * f3 + f4)
+        for c in (step_coefficients(dt), tuple(map(np.array, step_coefficients(dt)))):
+            got = rk4_step(y, c, f1, rate)
+            assert np.asarray(got).tobytes() == np.asarray(written).tobytes()
 
     def test_state_rejects_overlap(self):
         # a follower placed on (or into) its predecessor is rejected before
