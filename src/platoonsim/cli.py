@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
+from .avblock import av_block, seeding_run
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
 from .metrics import WindowSums, summarize, write_metrics_csv
 from .optimizer import optimize, write_trace_csv
@@ -177,10 +178,9 @@ def _platoon_metrics_batch(scenario, raw, coeffs):
     return sums.platoon()
 
 
-def _report_lanes(engine, sums, labels) -> None:
+def _report_lanes(floor_hits, sums, labels) -> None:
     """stderr lines for batch lanes clamped at 0 m/s or at the fuel cap."""
-    floor = engine.lane_floor_hits.tolist()
-    for label, hits, saturated in zip(labels, floor, sums.saturated.tolist()):
+    for label, hits, saturated in zip(labels, floor_hits.tolist(), sums.saturated.tolist()):
         if hits:
             print(f"{label}: speed floor engaged {hits} times", file=sys.stderr)
         if saturated:
@@ -234,7 +234,7 @@ def cmd_sweep(args) -> int:
             if lanes[err.lane] == 0:
                 raise
             errors[lanes.pop(err.lane)] = str(err)
-    _report_lanes(engine, sums, [labels[lane] for lane in lanes])
+    _report_lanes(engine.lane_floor_hits, sums, [labels[lane] for lane in lanes])
 
     metrics = dict(zip(lanes, zip(*sums.platoon())))
     asv0, fc0 = metrics[0]
@@ -281,6 +281,50 @@ def _parse_range(raw: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _grid_sums(scenario, coeffs, betas, gammas):
+    """The folded window sums of a grid, one lane per (beta, gamma) point
+    (`betas` and `gammas` shaped (lanes, 1)), and each lane's clamps.
+
+    A seeding lane runs the whole platoon at the first point's gains to the
+    window's last sample; it is every point where no gains act (no AV, a
+    controller other than ts-ops, or a window of sample 0 alone). Else its
+    record gives the prefix's sums and the AV block of every follower, whose
+    one batched run, resumed at the head's end or the window's start if
+    earlier, gives each lane's; a lane's clamps are the seeding lane's plus
+    its block's, less the first lane's. A failing seeding lane fails the
+    batch too, maybe earlier in another lane, so that batch runs to say.
+    """
+    lanes, n = (len(betas),), scenario.n_followers
+    sums = WindowSums(scenario, coeffs)
+    seed = betas[:1], gammas[:1]
+    keep = window_slice(np.arange(scenario.steps + 1) * scenario.dt, scenario.metric_window)
+    if scenario.controller.kind != "ts-ops" or not scenario.av_indices or keep.stop == 1:
+        engine = PlatoonEngine(scenario, *seed)
+        engine.run(record=("v", "a"), fold=sums)
+        sums.sums = np.broadcast_to(sums.sums, (2, *lanes, n))
+        sums.saturated = np.broadcast_to(sums.saturated, lanes)
+        return sums, np.broadcast_to(engine.lane_floor_hits, lanes)
+    try:
+        raw, seed_hits = seeding_run(scenario, *seed, n, ("x", "v", "a"), keep.stop - 1)
+    except NumericalBlowupError:
+        PlatoonEngine(scenario, beta=betas, gamma=gammas).run(record=("v",), fold=lambda *_: None)
+        raise
+    for name in ("x", "v", "a"):
+        raw[name] = raw[name][:, 0]
+    block = av_block(scenario, raw, n)
+    first, rows = block.first, slice(keep.start, None)
+    prefix = WindowSums(scenario, coeffs)
+    prefix(raw["t"][rows], {"v": raw["v"][rows, : first + 1], "a": raw["a"][rows, :first]})
+    del raw  # the block's run holds the most memory; free the record first
+    tail = WindowSums(scenario, coeffs)
+    hits = block.fold(betas, gammas, tail, min(block.head.steps, keep.start))
+    sums.sums = np.concatenate(
+        [np.broadcast_to(prefix.sums[:, None], (2, *lanes, first)), tail.sums], axis=-1
+    )
+    sums.saturated = prefix.saturated + tail.saturated
+    return sums, seed_hits + hits - hits[0]
+
+
 def cmd_grid(args) -> int:
     cp, scenario = _prepare(args)
     coeffs = cfgmod.build_fuel_coefficients(cp)
@@ -299,15 +343,14 @@ def cmd_grid(args) -> int:
 
     bb, gg = np.meshgrid(betas, gammas, indexing="ij")
     flat_b, flat_g = bb.ravel(), gg.ravel()
-    # one lane per point; the scenario's AV mask is shared and the gains set
-    # the batch shape
-    engine = PlatoonEngine(scenario, beta=flat_b[:, None], gamma=flat_g[:, None])
-    sums = WindowSums(scenario, coeffs)
-    engine.run(record=("v", "a"), fold=sums)
+    labels = [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b, flat_g)]
+    try:
+        sums, floor_hits = _grid_sums(scenario, coeffs, flat_b[:, None], flat_g[:, None])
+    except NumericalBlowupError as err:
+        print(f"numerical failure: {labels[err.lane]}: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     asv_vals, fc_vals = sums.platoon()
-    _report_lanes(
-        engine, sums, [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b, flat_g)]
-    )
+    _report_lanes(floor_hits, sums, labels)
 
     with open(os.path.join(args.out, "grid.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -13,15 +13,11 @@ complex lanes steps gain g by i*h in lane g, so z = Im v / h and Im J / h
 are the exact derivatives of the discrete closed loop (complex-step
 differentiation; Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 
-Neither J nor z reads a follower behind the last AV, and the followers
-ahead of the first AV do not depend on the gains; nor does any step before
-an AV first sees a nonzero relative speed (the head), where the control
-input is 0 for every gain pair. So the descent integrates each such step
-once per call: its first iteration runs the followers up to the last AV,
-and that record gives the AV block, from the first AV to the last, behind
-a leader that replays the prefix's last follower stage by stage, plus the
-head; every later iteration runs only the block, resumed at the head's
-end. `simulate_with_sensitivity` builds the block from its own run of the
+Neither J nor z reads a follower behind the last AV, so the descent
+integrates each step the gains cannot change once per call (`avblock`): its
+first iteration runs the followers up to the last AV, and every later one
+only the AV block up to it, resumed at the head's end.
+`simulate_with_sensitivity` builds the block from its own run of the
 platoon and takes z as the descent does. A projected fixed-step descent
 clamps beta to its safety bound and gamma to non-negative values.
 """
@@ -30,20 +26,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from .avblock import AvBlock, av_block, head_rows, scan, seeding_run
 from .controller import ControllerParams, get_kernel
 from .dynamics import ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
-from .simulator import (
-    PlatoonEngine,
-    Scenario,
-    Trajectory,
-    assemble_trajectory,
-    av_mask_for,
-)
+from .simulator import PlatoonEngine, Scenario, Trajectory, assemble_trajectory
 from .stepping import rk4_step, stage_blocks, step_coefficients
 
 __all__ = [
@@ -193,116 +184,6 @@ def _z_terms(stage, beta, gamma, kernel, p, cols):
     return drdv, forcing
 
 
-@dataclass(frozen=True)
-class _Head:
-    """The first steps of the AV block's runs, which no gain pair changes.
-
-    While every AV's dv is exactly 0 at every stage, u = beta*k(gamma*s*0)
-    is 0 for any gains and the exogenous z stays exactly 0, so these steps
-    are the same in every run of the block. `steps` counts them; `rows`
-    holds the record rows 0..steps (`t`, and `x` and `v` with the leader
-    column) and `hits` the speed clamps before step `steps`, per lane.
-    """
-
-    steps: int
-    rows: dict
-    hits: np.ndarray
-
-
-@dataclass
-class _AvBlock:
-    """The followers from the first AV to the last, as a platoon of their own.
-
-    Followers ahead of the first AV do not depend on the gains, and J and z
-    read nothing behind the last AV, so the descent integrates only this
-    block. `scenario` holds its followers only; `first` is the platoon index
-    of its leader, the first AV's predecessor, whose four-stage speed table
-    is `lead`; `initial` and `av_mask` hold the block's columns of the whole
-    platoon's initial state and AV mask, so a run of the block equals those
-    columns of the platoon's run bit for bit. `av` lists the AV followers,
-    block-relative; `scenario.mpr` is still the platoon's, so every engine
-    of the block is given `av_mask`. `head` is the block's gain-free head,
-    which every real run resumes from; `head_c` the complex lanes' own,
-    found by the first closed-loop run, as complex arithmetic may round the
-    real parts differently.
-    """
-
-    scenario: Scenario
-    first: int
-    av: tuple[int, ...]
-    lead: tuple[np.ndarray, ...]
-    initial: tuple[np.ndarray, np.ndarray]
-    av_mask: np.ndarray
-    head: _Head
-    head_c: _Head | None = None
-
-    def columns(self, raw: dict) -> dict:
-        """The block's `t`, `x` and `v` from a record of the platoon that
-        covers at least the followers up to the last AV, as arrays of their
-        own, so the platoon's record can be freed."""
-        cols = slice(self.first, self.first + self.scenario.n_followers + 1)
-        return {
-            "t": raw["t"],
-            **{name: np.ascontiguousarray(raw[name][:, cols]) for name in ("x", "v")},
-        }
-
-    def run(self, beta, gamma, record, head: _Head | None = None) -> dict:
-        """A `PlatoonEngine.run` of the block with these gains, from step 0
-        or resumed at the end of `head`, whose rows then lead the record."""
-        engine = PlatoonEngine(self.scenario, beta=beta, gamma=gamma, av_mask=self.av_mask)
-        if head is None:
-            return engine.run(record=record, lead=self.lead, initial=self.initial)
-        k, rows = head.steps, head.rows
-        raw = engine.run(
-            record=record, lead=self.lead, initial=(rows["x"][k], rows["v"][k, ..., 1:]),
-            start=k, hits=head.hits,
-        )
-        return {name: np.concatenate([rows[name][:k], arr]) for name, arr in raw.items()}
-
-
-def _head(raw: dict, cols, steps: int, hits) -> _Head:
-    """A `_Head` of `steps` steps from the record `raw`, in columns `cols`."""
-    rows = {"t": raw["t"][: steps + 1]}
-    for name in ("x", "v"):
-        rows[name] = np.ascontiguousarray(raw[name][: steps + 1, ..., cols])
-    return _Head(steps, rows, hits)
-
-
-def _scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
-    """One `stage_blocks` pass over a recorded run, in blocks of `_Z_BLOCK`
-    steps: its gain-free head and, with `column`, that vehicle's speeds at
-    RK4 stages 2, 3 and 4. `engine` has the step index as its first batch
-    axis.
-
-    The head ends at the first step where any AV follower (`av`, indices of
-    the follower axis) has a nonzero dv at any stage, by exact comparison;
-    a dv of 0 leaves u at 0 for every gain pair. Returns the head's length
-    in steps, the speed clamps of the followers `counted` (a slice of the
-    follower axis) before its end, per lane, and the three stage columns
-    (empty without `column`). The pass stops at the head's end unless the
-    stage columns need the whole run.
-    """
-    steps = len(x) - 1
-    n = engine.n
-    head, hits = None, 0
-    later = [] if column is None else [np.empty(steps, x.dtype) for _ in range(3)]
-    for k0, k1, stages, y_new in stage_blocks(engine, lead, x, v, _Z_BLOCK):
-        if head is None:
-            moved = np.logical_or.reduce([stage[2][..., av] != 0 for stage in stages])
-            moved = moved.any(axis=tuple(range(1, moved.ndim)))
-            end = k0 + int(np.argmax(moved)) if moved.any() else k1
-            # the clamps `advance` counts, in the steps before the end
-            v_new = y_new[: end - k0, ..., n + 1 :][..., counted]
-            hits = hits + (v_new < 0).sum(axis=(0, -1))
-            head = end if end < k1 else None
-        # the x slots of the later stages' rates are the speeds there
-        for out, stage in zip(later, stages[1:]):
-            out[k0:k1] = stage[0][:, column]
-        if head is not None and not later:
-            break
-    return steps if head is None else head, hits, later
-
-
 def _tunable(scenario: Scenario) -> tuple[int, ...]:
     """The AVs of `scenario`; a DomainError unless a ts-ops platoon has one."""
     av = scenario.av_indices
@@ -316,52 +197,7 @@ def _tunable(scenario: Scenario) -> tuple[int, ...]:
     return av
 
 
-def _seeding_run(scenario: Scenario, theta) -> dict:
-    """`x` and `v` of a run of the followers up to the last AV with the
-    (beta, gamma) pair `theta` on every AV, which equal the platoon's."""
-    last = _tunable(scenario)[-1]
-    platoon = PlatoonEngine(scenario)
-    x0, v0 = platoon.initial_arrays()
-    beta, gamma = np.reshape(theta, (2, 1))
-    engine = PlatoonEngine(
-        replace(scenario, n_followers=last, init_spacing=None), beta=beta, gamma=gamma,
-        av_mask=platoon.av_mask[:last],
-    )
-    return engine.run(record=("x", "v"), initial=(x0[: last + 1], v0[:last]))
-
-
-def _av_block(scenario: Scenario, raw: dict) -> _AvBlock:
-    """The AV block of `scenario`, from `raw`, a record of `x` and `v` of
-    the platoon, or of its followers up to the last AV, at any gains.
-
-    One step-batched `stage_blocks` pass over the record's followers up to
-    the last AV gives the leader's stage speeds, those of the prefix's last
-    follower (the prefix is the all-HV followers ahead of the first AV, so
-    any gains give the same ones), and the head, which no gains change
-    either. Only a ts-ops platoon with an AV has a block.
-    """
-    av = _tunable(scenario)
-    first, last = av[0] - 1, av[-1]
-    mask = av_mask_for(scenario.n_followers, scenario.mpr)[:last]
-    lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
-    rk4 = scenario.integrator == "rk4"
-    x, v = raw["x"][:, : last + 1], raw["v"][:, 1 : last + 1]
-    steps, hits, later = _scan(
-        PlatoonEngine(replace(scenario, n_followers=last, init_spacing=None), av_mask=mask[None]),
-        lead, x, v, np.subtract(av, 1), slice(first, None), first if first and rk4 else None,
-    )
-    if first:
-        lead = (raw["v"][:, first].copy(), *later)
-    # the record's first row is the platoon's initial state
-    cols = slice(first, last + 1)
-    initial = (raw["x"][0, cols].copy(), raw["v"][0, first + 1 : last + 1].copy())
-    return _AvBlock(
-        replace(scenario, n_followers=last - first, init_spacing=None), first,
-        tuple(i - first for i in av), lead, initial, mask[first:], _head(raw, cols, steps, hits),
-    )
-
-
-def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
+def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     """The exogenous AV gain sensitivities z = dv/d(beta, gamma) of a run.
 
     `theta` is the (beta, gamma) pair every AV shares and `raw` a run's
@@ -424,7 +260,7 @@ def _sensitivities(block: _AvBlock, theta, raw: dict) -> np.ndarray:
     return z_series
 
 
-def _sensitivity_run(block: _AvBlock, theta, mode: str, raw: dict | None = None) -> dict:
+def _sensitivity_run(block: AvBlock, theta, mode: str, raw: dict | None = None) -> dict:
     """A plain `PlatoonEngine.run` of the AV block with the (beta, gamma)
     pair `theta` on every AV, resumed at the end of its head and recording
     x and v, plus the AV sensitivities `z`, from the record ("exogenous")
@@ -436,27 +272,24 @@ def _sensitivity_run(block: _AvBlock, theta, mode: str, raw: dict | None = None)
     number vehicles in the platoon."""
     # 1-element arrays, not floats: NumPy multiplies them faster
     gains = np.reshape(theta, (2, 1))
-    try:
-        if raw is None:
-            raw = block.run(*gains, ("x", "v"), block.head)
-        if mode == "closed-loop":
-            # lane g holds gain g + i*h; each gain is shaped (lanes, 1)
-            lanes = (gains + 1j * _H * np.eye(2))[..., None]
-            if block.head_c is None:
-                raw_c = block.run(*lanes, ("x", "v"))
-                engine = PlatoonEngine(
-                    block.scenario, beta=lanes[0], gamma=lanes[1], av_mask=block.av_mask[None, None]
-                )
-                steps, hits, _ = _scan(
-                    engine, block.lead, raw_c["x"], raw_c["v"][..., 1:],
-                    np.subtract(block.av, 1), slice(None),
-                )
-                block.head_c = _head(raw_c, slice(None), steps, hits)
-            else:
-                raw_c = block.run(*lanes, ("v",), block.head_c)
-            raw["v_c"] = raw_c["v"]
-    except NumericalBlowupError as err:
-        raise NumericalBlowupError(block.first + err.vehicle, err.time) from None
+    if raw is None:
+        raw = block.run(*gains, ("x", "v"), block.head)
+    if mode == "closed-loop":
+        # lane g holds gain g + i*h; each gain is shaped (lanes, 1)
+        lanes = (gains + 1j * _H * np.eye(2))[..., None]
+        if block.head_c is None:
+            raw_c = block.run(*lanes, ("x", "v"))
+            engine = PlatoonEngine(
+                block.scenario, beta=lanes[0], gamma=lanes[1], av_mask=block.av_mask[None, None]
+            )
+            steps, hits, _ = scan(
+                engine, block.lead, raw_c["x"], raw_c["v"][..., 1:],
+                np.subtract(block.av, 1), slice(None),
+            )
+            block.head_c = head_rows(raw_c, slice(None), steps, hits)
+        else:
+            raw_c = block.run(*lanes, ("v",), block.head_c)
+        raw["v_c"] = raw_c["v"]
     if mode == "closed-loop":
         raw["z"] = raw["v_c"][..., list(block.av)].imag.swapaxes(1, 2) / _H
     else:
@@ -474,7 +307,7 @@ def simulate_with_sensitivity(
     theta_av is the (beta, gamma) pair every AV shares, as a pair or as one
     (1, 2) row. Returns the trajectory and the sensitivity series with shape
     (n_samples, n_av, 2), z(0) = 0. The platoon is integrated once; its
-    record gives the AV block (`_av_block`) and that block's columns, from
+    record gives the AV block (`av_block`) and that block's columns, from
     which `_sensitivity_run` takes z as the descent does ("closed-loop": a
     complex run of the block). A non-finite z raises NumericalBlowupError
     naming the lowest AV whose row failed ("closed-loop": the vehicle whose
@@ -487,7 +320,7 @@ def simulate_with_sensitivity(
     _tunable(scenario)
     beta, gamma = np.reshape(theta, (2, 1))
     raw = PlatoonEngine(scenario, beta=beta, gamma=gamma).run()
-    block = _av_block(scenario, raw)
+    block = av_block(scenario, raw, scenario.av_indices[-1])
     z_series = _sensitivity_run(block, theta, mode, block.columns(raw))["z"]
     return assemble_trajectory(scenario, raw), z_series
 
@@ -539,7 +372,7 @@ def replayed_objective(
 
 
 def _descent_terms(
-    block: _AvBlock, theta, mode: str, raw: dict | None = None
+    block: AvBlock, theta, mode: str, raw: dict | None = None
 ) -> tuple[float, np.ndarray]:
     """J and the AV-summed direction at the shared gains theta, from a run of
     the AV block, or from `raw`, its record at theta ("closed-loop": Im J / h
@@ -563,7 +396,7 @@ def optimize(
 
     Every step that the gains cannot change is integrated once per call.
     The first iteration runs the followers up to the last AV with `theta0`
-    (`_seeding_run`); that record gives the AV block (`_av_block`: the
+    (`seeding_run`); that record gives the AV block (`av_block`: the
     prefix's stage speeds and the gain-free head) and the first iteration's
     J and direction. Each later iteration simulates the AV block with the
     current gains from the end of its head (recording only `x` and `v`),
@@ -587,8 +420,9 @@ def optimize(
         )
 
     try:
-        raw = _seeding_run(scenario, theta)
-        block = _av_block(scenario, raw)
+        last = _tunable(scenario)[-1]
+        raw, _ = seeding_run(scenario, *np.reshape(theta, (2, 1)), last)
+        block = av_block(scenario, raw, last)
         raw = block.columns(raw)
         for kappa in range(1, cfg.n_max + 1):
             j_val, lam = _descent_terms(block, theta, cfg.sensitivity, raw)

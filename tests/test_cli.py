@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import dataclasses
 import functools
 import importlib.util
 import inspect
 import io
+import itertools
 import json
 import logging
 import math
@@ -14,8 +16,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from platoonsim import cli, config, optimizer, simulator
+from platoonsim import avblock, cli, config, optimizer, simulator
 from platoonsim.cli import _platoon_metrics_batch, main
 from platoonsim.config import (
     apply_overrides,
@@ -411,7 +415,7 @@ class TestWindowPolicy:
             raise AssertionError("work done before the window was checked")
 
         monkeypatch.setattr(cli, "optimize", fail)
-        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
         monkeypatch.setattr(cli, "simulate", fail)
         window = ["--set", "scenario.dt=0.7", "--set", "scenario.metric_window=100 500"]
         commands = [
@@ -723,20 +727,66 @@ class TestSweep:
 
 
 @functools.lru_cache(maxsize=None)
-def grid_per_point_csv():
-    """grid.csv bytes of the 9 x 9 short-scenario grid, one engine per point."""
-    sc = build_scenario(short_config())
-    coeffs = default_fuel_coefficients()
+def grid_per_point(preset, overrides, beta_range, gamma_range):
+    """grid.csv bytes (None after a failure), stderr and exit code of a `grid`
+    of `preset` with the `section.key=value` strings `overrides`, from one
+    engine per point. A blow-up names the point that fails first: at the
+    earliest time, the lowest lane."""
+    cp = load_config(preset)
+    apply_overrides(cp, list(overrides))
+    sc = build_scenario(cp)
+    coeffs = config.build_fuel_coefficients(cp)
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(["beta", "gamma", "asv", "fc"])
-    for b in np.linspace(0, 0.0642, 9):
-        for g in np.linspace(0.25, 1.5, 9):
-            sums = WindowSums(sc, coeffs)
-            simulator.PlatoonEngine(sc, beta=b, gamma=g).run(record=("v", "a"), fold=sums)
-            asv_m, fc_m = sums.platoon()
-            writer.writerow([f"{b:.6g}", f"{g:.6g}", f"{asv_m:.6f}", f"{fc_m:.6f}"])
-    return out.getvalue().encode()
+    lines, failures = [], []
+    points = itertools.product(cli._parse_range(beta_range), cli._parse_range(gamma_range))
+    for lane, (b, g) in enumerate(points):
+        label = f"beta={b:.6g} gamma={g:.6g}"
+        engine, sums = simulator.PlatoonEngine(sc, beta=b, gamma=g), WindowSums(sc, coeffs)
+        try:
+            engine.run(record=("v", "a"), fold=sums)
+        except NumericalBlowupError as err:
+            failures.append((err.time, lane, f"numerical failure: {label}: {err}\n"))
+            continue
+        asv_m, fc_m = sums.platoon()
+        writer.writerow([f"{b:.6g}", f"{g:.6g}", f"{asv_m:.6f}", f"{fc_m:.6f}"])
+        if engine.floor_hits:
+            lines.append(f"{label}: speed floor engaged {engine.floor_hits} times\n")
+        if sums.saturated:
+            lines.append(f"{label}: fuel-rate saturation in {sums.saturated} samples\n")
+    if failures:
+        return None, min(failures)[2], 2
+    return out.getvalue().encode(), "".join(lines), 0
+
+
+def check_grid(tmp_path, preset, overrides, beta_range, gamma_range):
+    """Run `grid` and compare grid.csv, stdout, stderr and the exit code
+    with `grid_per_point`'s; returns the stderr."""
+    out, stdout, stderr = tmp_path / "grid", io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["grid", "--scenario", preset, "--out", str(out),
+                     *(arg for item in overrides for arg in ("--set", item)),
+                     "--beta-range", beta_range, "--gamma-range", gamma_range])
+    csv_bytes, err, exit_code = grid_per_point(preset, tuple(overrides), beta_range, gamma_range)
+    assert (code, stderr.getvalue()) == (exit_code, err)
+    if code:
+        assert stdout.getvalue() == "" and not (out / "grid.csv").exists()
+    else:
+        points = len(cli._parse_range(beta_range)) * len(cli._parse_range(gamma_range))
+        assert stdout.getvalue() == f"grid of {points} points written to grid.csv\n"
+        assert (out / "grid.csv").read_bytes() == csv_bytes
+    return stderr.getvalue()
+
+
+# the short scenario as `section.key=value` strings
+SHORT_SETS = tuple(SHORT[1::2])
+# leads of `SHORT`'s length: a brake from 10 s, and a stop from 5 s, where
+# every follower's speed clamps at 0 m/s
+GRID_LEADS = {"brake": "0:21 10:21 20:18 30:18 40:21", "stop": "0:21 5:21 9:0"}
+# metric windows: from 0 s, before the head's end; from 40 s, after it;
+# and sample 0 alone, where every dv is 0, so no gains act
+GRID_WINDOWS = {"early": "0 50", "late": "40 50", "first": "0 0.05"}
 
 
 class TestGrid:
@@ -765,7 +815,7 @@ class TestGrid:
         def fail(*args, **kw):
             raise AssertionError("integrated a non-finite range")
 
-        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
         ranges = {"--beta-range": "0:0.05:2", "--gamma-range": "0.5:1.0:2", flag: bad}
         code = main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
                      *(f"{key}={val}" for key, val in ranges.items())])
@@ -779,7 +829,7 @@ class TestGrid:
         def fail(*args, **kw):
             raise AssertionError("integrated a range that drops HI")
 
-        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
         # N > 1 with HI = LO would run N identical lanes
         for bad in ("0.03:0.05:1", "0.05:0.05:3"):
             code = main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
@@ -801,7 +851,7 @@ class TestGrid:
         def fail(*args, **kw):
             raise AssertionError("integrated a range above the bound")
 
-        monkeypatch.setattr(cli, "PlatoonEngine", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
         capsys.readouterr()
         assert main([*args, "0.1:0.101:2"]) == 1
         assert capsys.readouterr().err == (
@@ -831,13 +881,18 @@ class TestGrid:
         drop_gamma = asv_col[-1, 0] - asv_col[-1, -1]  # along gamma at max beta
         assert drop_beta > drop_gamma > 0
 
-    def test_floor_hits_reported_per_point(self, tmp_path, capsys):
-        assert main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
-                     "--set", "scenario.lead_profile=0:21 5:21 9:0",
-                     "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"]) == 0
-        err = capsys.readouterr().err
+    def test_floor_hits_reported_per_point(self, tmp_path):
+        # the lead stops, so the all-HV prefix ahead of the AV (followers
+        # 1-4) clamps on its own: its clamps count in every lane, and each
+        # lane's count equals its own engine's
+        overrides = (*SHORT_SETS, f"scenario.lead_profile={GRID_LEADS['stop']}")
+        err = check_grid(tmp_path, "scenario1", overrides, "0:0.05:2", "1:1:1")
         assert "beta=0 gamma=1: speed floor engaged" in err
         assert "beta=0.05 gamma=1: speed floor engaged" in err
+        sc = build_scenario(short_config(*overrides[len(SHORT_SETS):]))
+        assert sc.av_indices == (5,)
+        _, prefix_hits = avblock.seeding_run(sc, np.zeros((1, 1)), np.ones((1, 1)), 4)
+        assert prefix_hits[0] > 0
 
     def test_saturation_reported_per_point(self, tmp_path, capsys):
         table = saturating_table(tmp_path / "coeffs.txt")
@@ -848,36 +903,102 @@ class TestGrid:
         assert "beta=0 gamma=1: fuel-rate saturation in 4010 samples" in err
         assert "beta=0.05 gamma=1: fuel-rate saturation in 4010 samples" in err
 
-    # budget None keeps the engine's default block; 81 lanes x 21 values x 5
-    # gives five-sample blocks
-    @pytest.mark.parametrize("budget", [None, 81 * 21 * 5])
+    # budget None keeps the engine's default block; 8505 values, over 81
+    # lanes x 13 values (`v` of the AV block's six followers and its leader,
+    # and their `a`), give eight-sample blocks
+    @pytest.mark.parametrize("budget", [None, 8505])
     def test_one_engine_matches_engine_per_point(self, tmp_path, monkeypatch, budget):
+        ranges = "0:0.0642:9", "0.25:1.5:9"
+        grid_per_point("scenario1", SHORT_SETS, *ranges)  # cached, so not spied on
         if budget is not None:
             monkeypatch.setattr(simulator, "_FOLD_VALUES", budget)
-        built, blocks = [], []
+        runs, blocks = [], []
+        run = simulator.PlatoonEngine.run
 
-        class SpyEngine(simulator.PlatoonEngine):
-            def __init__(self, scenario, **kw):
-                super().__init__(scenario, **kw)
-                built.append(self)
+        def spy_run(engine, *args, fold=None, **kw):
+            runs.append((engine.n, engine.batch_shape, fold is not None))
 
-        class SpySums(cli.WindowSums):
-            def __call__(self, t, fields):
+            def counted(t, fields):
                 blocks.append(len(t))
-                super().__call__(t, fields)
+                fold(t, fields)
 
-        monkeypatch.setattr(cli, "PlatoonEngine", SpyEngine)
-        monkeypatch.setattr(cli, "WindowSums", SpySums)
-        # 9 x 9 points, one lane each
-        assert main(["grid", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
-                     "--beta-range", "0:0.0642:9", "--gamma-range", "0.25:1.5:9"]) == 0
-        assert len(built) == 1
-        assert built[0].batch_shape == (81,)
-        block = max(1, simulator._FOLD_VALUES // (81 * 21))
+            return run(engine, *args, fold=fold and counted, **kw)
+
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", spy_run)
+        # 9 x 9 points, one lane each: one seeding lane of the whole platoon
+        # and one batched, folded run of the AV block, followers 5-10
+        check_grid(tmp_path, "scenario1", SHORT_SETS, *ranges)
+        assert runs == [(10, (1,), False), (6, (81,), True)]
+        block = max(1, simulator._FOLD_VALUES // (81 * 13))
         assert max(blocks) <= block and sum(blocks) == 401
         if budget is not None:
-            assert block == 5 and len(blocks) == 81
-        assert (tmp_path / "grid.csv").read_bytes() == grid_per_point_csv()
+            assert block == 8 and len(blocks) == 51
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("preset, overrides, betas, gammas, message", [
+        # a first spacing that rounds to 0: follower 1, in the prefix, fails
+        # in every lane at the first step
+        ("scenario1", ("scenario.init_spacing=" + " ".join(["1e-200"] + ["30"] * 9),),
+         "0:0.05:2", "0.5:1:2", "beta=0 gamma=0.5: non-finite state for vehicle 1 at t=0.100 s"),
+        # the same for follower 6, right behind the AV at follower 5: the
+        # block fails in every lane
+        ("scenario1", ("scenario.init_spacing=" + " ".join(["30"] * 5 + ["1e-200"] + ["30"] * 4),),
+         "0:0.05:2", "0.5:1:2", "beta=0 gamma=0.5: non-finite state for vehicle 6 at t=0.100 s"),
+        # scenario 2's HVs behind a lead that slows to 2 m/s: negative RK4
+        # stage speeds give NaN powers, at times that depend on the gains.
+        # By t2 = 24 s only the lanes at beta = 1 fail, in follower 5 of the
+        # block behind the AV at follower 3, gamma = 4 first
+        ("scenario2", ("scenario.t_f=30", "scenario.metric_window=0 24", "scenario.mpr=0.2",
+                       "scenario.lead_profile=0:21 5:21 8:2"),
+         "0:1:4", "0.5:4:2", "beta=1 gamma=4: non-finite state for vehicle 5 at t=23.600 s"),
+    ], ids=["prefix", "behind-av", "some-lanes"])
+    def test_blowup_names_the_point(self, tmp_path, preset, overrides, betas, gammas, message):
+        err = check_grid(tmp_path, preset, overrides, betas, gammas)
+        assert err == f"numerical failure: {message}\n"
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        preset=st.sampled_from(["scenario1", "scenario2"]),
+        mpr=st.sampled_from(["0", "0.1", "0.2", "0.5", "1.0"]),
+        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        kernel=st.sampled_from(["arctan", "tanh"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        lead=st.sampled_from(sorted(GRID_LEADS)),
+        window=st.sampled_from(sorted(GRID_WINDOWS)),
+        beta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 0.0642)).map(sorted),
+    )
+    # no AV; an all-HV prefix (followers 1-4 ahead of the AV at 5); none
+    # (the AVs at 1, 3, 5, 7 and 9); every follower an AV
+    @example(preset="scenario1", mpr="0", kind="ts-ops", kernel="arctan", integrator="rk4",
+             lead="brake", window="early", beta=[0.0, 0.05])
+    @example(preset="scenario1", mpr="0.1", kind="ts-ops", kernel="tanh", integrator="euler",
+             lead="stop", window="early", beta=[0.0, 0.0642])
+    @example(preset="scenario2", mpr="0.1", kind="ts-ops", kernel="arctan", integrator="rk4",
+             lead="brake", window="late", beta=[0.01, 0.05])
+    @example(preset="scenario1", mpr="0.2", kind="ts-trc", kernel="arctan", integrator="rk4",
+             lead="brake", window="late", beta=[0.0, 0.05])
+    @example(preset="scenario1", mpr="0.5", kind="ts-ops", kernel="arctan", integrator="rk4",
+             lead="stop", window="late", beta=[0.02, 0.06])
+    @example(preset="scenario2", mpr="1.0", kind="none", kernel="tanh", integrator="euler",
+             lead="brake", window="early", beta=[0.0, 0.03])
+    @example(preset="scenario1", mpr="0.1", kind="ts-ops", kernel="arctan", integrator="rk4",
+             lead="brake", window="first", beta=[0.0, 0.05])
+    # scenario 2 behind the stopping lead blows up
+    @example(preset="scenario2", mpr="0.5", kind="ts-ops", kernel="arctan", integrator="rk4",
+             lead="stop", window="early", beta=[0.0, 0.0642])
+    def test_decomposed_grid_equals_engine_per_point(
+        self, tmp_path_factory, preset, mpr, kind, kernel, integrator, lead, window, beta
+    ):
+        # grid.csv, stdout, stderr and the exit code of the grid, which
+        # integrates each gain-free step once, against one engine per point
+        overrides = (*SHORT_SETS, f"scenario.mpr={mpr}", f"controller.kind={kind}",
+                     f"controller.kernel={kernel}", f"scenario.integrator={integrator}",
+                     f"scenario.lead_profile={GRID_LEADS[lead]}",
+                     f"scenario.metric_window={GRID_WINDOWS[window]}")
+        betas = f"{beta[0]!r}:{beta[1]!r}:2" if beta[0] < beta[1] else f"{beta[0]!r}:{beta[0]!r}:1"
+        with np.errstate(all="ignore"):
+            check_grid(tmp_path_factory.mktemp("grid"), preset, overrides, betas,
+                       "0.5:2:2")
 
     def test_single_point_matches_run_metrics(self, tmp_path):
         beta, gamma = 0.05, 0.8

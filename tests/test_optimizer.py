@@ -8,14 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import optimizer, simulator
+from platoonsim import avblock, optimizer, simulator
 from platoonsim.controller import SIGMOID_KERNELS, ControllerParams
 from platoonsim.errors import DomainError, NumericalBlowupError, OptimizeError
 from platoonsim.optimizer import (
     OptimizerConfig,
-    _av_block,
     _descent_terms,
-    _seeding_run,
     _sensitivities,
     _sensitivity_run,
     _z_terms,
@@ -121,8 +119,24 @@ class TestSensitivityRhs:
 
 
 def av_block(sc):
-    """The AV block of `sc`, from a seeding run at the scenario's own gains."""
-    return _av_block(sc, _seeding_run(sc, (sc.controller.beta, sc.controller.gamma)))
+    """The AV block of `sc` up to its last AV, as the descent builds it, from
+    a seeding run at the scenario's own gains."""
+    return block_of(sc, seed(sc, (sc.controller.beta, sc.controller.gamma)))
+
+
+def block_initial(block):
+    """The AV block's initial state: the first row of its head."""
+    return block.head.rows["x"][0], block.head.rows["v"][0, 1:]
+
+
+def seed(sc, theta):
+    """The descent's seeding record: the followers up to the last AV at `theta`."""
+    return avblock.seeding_run(sc, *np.reshape(theta, (2, 1)), sc.av_indices[-1])[0]
+
+
+def block_of(sc, raw):
+    """The AV block the descent builds from the record `raw`."""
+    return avblock.av_block(sc, raw, sc.av_indices[-1])
 
 
 def per_follower_gains(sc, theta):
@@ -232,7 +246,8 @@ class TestSimulateWithSensitivity:
             lead=lead, t_f=25.0, window=(0.0, 25.0), integrator=integrator,
         )
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
-        with mock.patch.object(optimizer, "_Z_BLOCK", block):
+        with mock.patch.object(optimizer, "_Z_BLOCK", block), \
+                mock.patch.object(avblock, "_SCAN_BLOCK", block):
             _, z = simulate_with_sensitivity(sc, theta)
         reference = co_integrated_z(sc, per_follower_gains(sc, theta), "exogenous")
         av = np.subtract(sc.av_indices, 1)
@@ -289,13 +304,13 @@ class TestSimulateWithSensitivity:
             gains[..., np.subtract(block.av, 1)] = complex_gains((0.05, 1.0))
             v_c = PlatoonEngine(
                 block.scenario, beta=gains[0], gamma=gains[1], av_mask=block.av_mask
-            ).run(record=("v",), lead=block.lead, initial=block.initial)["v"]
+            ).run(record=("v",), lead=block.lead, initial=block_initial(block))["v"]
             reference = v_c[..., list(block.av)].imag.swapaxes(1, 2) / optimizer._H
             assert z.tobytes() == reference.tobytes()
             return
         # the co-integrated reference's HV rows, whose gains are 0, stay 0
         raw = PlatoonEngine(block.scenario, av_mask=block.av_mask).run(
-            record=("x", "v"), lead=block.lead, initial=block.initial
+            record=("x", "v"), lead=block.lead, initial=block_initial(block)
         )
         assert z.tobytes() == _sensitivities(block, [[0.05, 1.0]], raw).tobytes()
         reference = co_integrated_z(sc, per_follower_gains(sc, (0.05, 1.0)), mode)
@@ -427,7 +442,7 @@ def block_run(block, theta, head=None):
     vehicle, time, lane)."""
     beta, gamma = np.reshape(theta, (2, 1))
     engine = PlatoonEngine(block.scenario, beta=beta, gamma=gamma, av_mask=block.av_mask)
-    kw = {"initial": block.initial}
+    kw = {"initial": block_initial(block)}
     if head is not None:
         k, rows = head.steps, head.rows
         kw = {"initial": (rows["x"][k], rows["v"][k, 1:]), "start": k, "hits": head.hits}
@@ -490,7 +505,7 @@ class TestHead:
         cut = sc.steps
         try:
             with np.errstate(invalid="ignore"):
-                raw = _seeding_run(sc, thetas[0])
+                raw = seed(sc, thetas[0])
         except NumericalBlowupError:
             # every run of this platoon fails: when the first AV is follower
             # 1, the block's leader is the lead profile and a record of the
@@ -499,7 +514,7 @@ class TestHead:
             early = replace(sc, t_f=15.0, metric_window=(0.0, 15.0))
             raw = PlatoonEngine(early).run(record=("x", "v"))
             cut = early.steps
-        block = _av_block(sc, raw)
+        block = block_of(sc, raw)
         k = block.head.steps
         assert k < cut or cut == sc.steps
 
@@ -530,7 +545,7 @@ class TestHead:
         # lanes find theirs in the first closed-loop run), against runs from
         # step 0 with a head of no steps
         rows = {name: arr[:1] for name, arr in block.head.rows.items()}
-        zero = replace(block, head=optimizer._Head(0, rows, 0))
+        zero = replace(block, head=avblock.Head(0, rows, 0))
         ran = False
         for theta in thetas:
             got = descent_outcome(block, theta, mode)
@@ -551,7 +566,7 @@ class TestHead:
         lead = sc.lead.stage_speeds(sc.dt, sc.steps)
         # the step axis first, then the lanes; the AV mask is shared
         stage = PlatoonEngine(sc, beta=beta, av_mask=av_mask_for(10, 0.5)[None, None])
-        steps, hits, later = optimizer._scan(
+        steps, hits, later = avblock.scan(
             stage, lead, raw["x"], raw["v"][..., 1:], [], slice(None)
         )
         assert (steps, later) == (sc.steps, [])
@@ -646,7 +661,7 @@ class TestClosedLoop:
         # record of the first 15 s, which holds the gain-free head; the first
         # AV is follower 1, so the block's leader is the lead profile itself
         early = replace(sc, t_f=15.0, metric_window=(0.0, 15.0))
-        block = _av_block(sc, PlatoonEngine(early).run(record=("x", "v")))
+        block = block_of(sc, PlatoonEngine(early).run(record=("x", "v")))
         assert block.first == 0 and block.head.steps < early.steps
         errors = []
         with np.errstate(invalid="ignore"):
@@ -661,7 +676,7 @@ class TestClosedLoop:
         gains = complex_gains(self.THETA)
         v_c = PlatoonEngine(
             block.scenario, beta=gains[0], gamma=gains[1], av_mask=block.av_mask
-        ).run(record=("v",), lead=block.lead, initial=block.initial)["v"]
+        ).run(record=("v",), lead=block.lead, initial=block_initial(block))["v"]
         assert np.isfinite(v_c).all()
 
 
