@@ -17,9 +17,6 @@ from .errors import NumericalBlowupError
 from .simulator import PlatoonEngine, Scenario, av_mask_for
 from .stepping import stage_blocks
 
-# steps per block of the pass over a seeding record; bounds its stage arrays
-_SCAN_BLOCK = 128
-
 
 @dataclass(frozen=True)
 class Head:
@@ -44,9 +41,9 @@ class AvBlock:
     platoon's mask); `first` is the platoon index of its leader, the first
     AV's predecessor, whose four-stage speed table is `lead`; `av` lists the
     AV followers, block-relative. `head` is the gain-free head, whose first
-    row is the block's initial state; `head_c` the complex lanes' own, found
-    by the first closed-loop run, as complex arithmetic may round the real
-    parts differently.
+    row is the block's initial state and whose end every run resumes at,
+    real or complex: a complex lane's J and direction from there equal
+    those of its run from step 0 bit for bit (`TestHead` checks it).
     """
 
     scenario: Scenario
@@ -55,7 +52,6 @@ class AvBlock:
     lead: tuple[np.ndarray, ...]
     av_mask: np.ndarray
     head: Head
-    head_c: Head | None = None
 
     def columns(self, raw: dict) -> dict:
         """The block's `t`, `x` and `v` from a record of the platoon that
@@ -67,24 +63,28 @@ class AvBlock:
             **{name: np.ascontiguousarray(raw[name][:, cols]) for name in ("x", "v")},
         }
 
-    def run(self, beta, gamma, record, head: Head | None = None) -> dict:
-        """A run of the block with these gains, from step 0 or resumed at
-        the end of `head`, whose rows then lead the record."""
-        if head is None:
-            return self._run(beta, gamma, self.head, 0, record=record)[0]
-        k = head.steps
-        raw = self._run(beta, gamma, head, k, record=record, hits=head.hits)[0]
-        return {name: np.concatenate([head.rows[name][:k], arr]) for name, arr in raw.items()}
+    def run(self, beta, gamma, record) -> dict:
+        """A run of the block with these gains, resumed at the end of its
+        head, whose rows, broadcast over the run's lanes, lead the record."""
+        k = self.head.steps
+        raw = self._run(beta, gamma, k, record=record, hits=self.head.hits)[0]
+        out = {}
+        for name, arr in raw.items():
+            rows = self.head.rows[name][:k]
+            # the run's lane axes sit between the time and vehicle axes
+            rows = np.expand_dims(rows, tuple(range(1, arr.ndim - rows.ndim + 1)))
+            out[name] = np.concatenate([np.broadcast_to(rows, (k, *arr.shape[1:])), arr])
+        return out
 
     def fold(self, beta, gamma, fold, start: int) -> np.ndarray:
         """A run of the block folding `v` and `a` into `fold`, resumed at
         step `start`, at most the head's end; each lane's clamps since."""
-        return self._run(beta, gamma, self.head, start, record=("v", "a"), fold=fold)[1]
+        return self._run(beta, gamma, start, record=("v", "a"), fold=fold)[1]
 
-    def _run(self, beta, gamma, head: Head, k: int, **kw):
-        """`PlatoonEngine.run` of the block from step `k` and `head`'s row
+    def _run(self, beta, gamma, k: int, **kw):
+        """`PlatoonEngine.run` of the block from step `k` and the head's row
         there, and its clamps per lane; errors number platoon vehicles."""
-        x, v = head.rows["x"][k], head.rows["v"][k, ..., 1:]
+        x, v = self.head.rows["x"][k], self.head.rows["v"][k, 1:]
         engine = PlatoonEngine(self.scenario, beta=beta, gamma=gamma, av_mask=self.av_mask)
         try:
             raw = engine.run(lead=self.lead, initial=(x, v), start=k, **kw)
@@ -93,19 +93,10 @@ class AvBlock:
         return raw, engine.lane_floor_hits
 
 
-def head_rows(raw: dict, cols, steps: int, hits) -> Head:
-    """A `Head` of `steps` steps from the record `raw`, in columns `cols`."""
-    rows = {"t": raw["t"][: steps + 1]}
-    for name in ("x", "v"):
-        rows[name] = np.ascontiguousarray(raw[name][: steps + 1, ..., cols])
-    return Head(steps, rows, hits)
-
-
 def scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
-    """One `stage_blocks` pass over a recorded run, in blocks of
-    `_SCAN_BLOCK` steps: its gain-free head and, with `column`, that
-    vehicle's speeds at RK4 stages 2, 3 and 4. `engine` has the step index
-    as its first batch axis.
+    """One `stage_blocks` pass over a recorded run: its gain-free head and,
+    with `column`, that vehicle's speeds at RK4 stages 2, 3 and 4. `engine`
+    has the step index as its first batch axis.
 
     The head ends at the first step where any AV follower (`av`, indices of
     the follower axis) has a nonzero dv at any stage, by exact comparison;
@@ -119,7 +110,7 @@ def scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
     n = engine.n
     head, hits = None, 0
     later = [] if column is None else [np.empty(steps, x.dtype) for _ in range(3)]
-    for k0, k1, stages, y_new in stage_blocks(engine, lead, x, v, _SCAN_BLOCK):
+    for k0, k1, stages, y_new in stage_blocks(engine, lead, x, v):
         if head is None:
             moved = np.logical_or.reduce([stage[2][..., av] != 0 for stage in stages])
             moved = moved.any(axis=tuple(range(1, moved.ndim)))
@@ -139,15 +130,16 @@ def scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
 def seeding_run(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=None):
     """The record of `record` and the clamps per lane of a run of the
     followers up to `last`, those columns of the platoon's run with the
-    gains `beta` and `gamma`, to step `end` (by default the horizon's)."""
-    platoon = PlatoonEngine(scenario)
-    x0, v0 = platoon.initial_arrays()
-    part = replace(scenario, n_followers=last, init_spacing=None)
+    gains `beta` and `gamma`, to step `end` (by default the horizon's). The
+    run builds its own start: `cumsum` adds the spacings in order, so the
+    first `last` followers' positions are the platoon's bit for bit."""
+    spacing = scenario.init_spacing
+    part = replace(scenario, n_followers=last, init_spacing=spacing and spacing[:last])
     if end is not None:
         part = replace(part, t_f=end * scenario.dt, metric_window=(0.0, end * scenario.dt))
-    engine = PlatoonEngine(part, beta=beta, gamma=gamma, av_mask=platoon.av_mask[:last])
-    raw = engine.run(record=record, initial=(x0[: last + 1], v0[:last]))
-    return raw, engine.lane_floor_hits
+    mask = av_mask_for(scenario.n_followers, scenario.mpr)[:last]
+    engine = PlatoonEngine(part, beta=beta, gamma=gamma, av_mask=mask)
+    return engine.run(record=record), engine.lane_floor_hits
 
 
 def av_block(scenario: Scenario, raw: dict, last: int) -> AvBlock:
@@ -169,8 +161,10 @@ def av_block(scenario: Scenario, raw: dict, last: int) -> AvBlock:
     )
     if first:
         lead = (raw["v"][:, first].copy(), *later)
-    cols = slice(first, last + 1)
+    rows = {"t": raw["t"][: steps + 1]}
+    for name in ("x", "v"):
+        rows[name] = np.ascontiguousarray(raw[name][: steps + 1, first : last + 1])
     return AvBlock(
         replace(scenario, n_followers=last - first, init_spacing=None), first,
-        tuple(i - first for i in av), lead, mask[first:], head_rows(raw, cols, steps, hits),
+        tuple(i - first for i in av), lead, mask[first:], Head(steps, rows, hits),
     )

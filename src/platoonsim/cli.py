@@ -194,6 +194,8 @@ def cmd_sweep(args) -> int:
         mprs = [float(tok) for tok in args.mprs.split(",") if tok.strip()]
     except ValueError as err:
         raise ConfigError(f"bad --mprs list: {err}") from err
+    if not mprs:
+        raise ConfigError("--mprs lists no penetration rate")
     if any(not 0.0 <= m <= 1.0 for m in mprs):
         raise ConfigError("--mprs values must lie in [0, 1]")
 

@@ -16,7 +16,8 @@ differentiation; Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 Neither J nor z reads a follower behind the last AV, so the descent
 integrates each step the gains cannot change once per call (`avblock`): its
 first iteration runs the followers up to the last AV, and every later one
-only the AV block up to it, resumed at the head's end.
+only the AV block up to it, resumed at the head's end; the closed-loop
+mode's complex lanes resume there too, from the same real rows.
 `simulate_with_sensitivity` builds the block from its own run of the
 platoon and takes z as the descent does. A projected fixed-step descent
 clamps beta to its safety bound and gamma to non-negative values.
@@ -30,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .avblock import AvBlock, av_block, head_rows, scan, seeding_run
+from .avblock import AvBlock, av_block, seeding_run
 from .controller import ControllerParams, get_kernel
 from .dynamics import ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
@@ -49,8 +50,6 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# steps per block of the sensitivity post-pass; bounds its stage arrays
-_Z_BLOCK = 128
 # the imaginary step of a closed-loop run's gains; no difference is taken,
 # so it cancels nothing and may sit far below rounding
 _H = 1e-30
@@ -203,7 +202,7 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     `theta` is the (beta, gamma) pair every AV shares and `raw` a run's
     record of the AV block's `x` and `v` over the whole horizon. z is
     exactly 0 through the block's head; from its end, each block of
-    `_Z_BLOCK` steps rebuilds its states' stages in one engine whose batch
+    `stage_blocks` steps rebuilds its states' stages in one engine whose batch
     axis is the step index, then advances each (AV, gain) entry of z step by
     step through the linear rate at those stages; the entries are
     independent and few, so plain floats are cheaper here than arrays, with
@@ -226,9 +225,7 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     def rate(i, y):
         return d[i] * y + f[i]
 
-    blocks = stage_blocks(
-        engine, block.lead, raw["x"], raw["v"][:, 1:], _Z_BLOCK, block.head.steps
-    )
+    blocks = stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:], block.head.steps)
     for k0, k1, stages, y_new in blocks:
         # (step, stage, AV[, gain]) coefficients
         drdv, forcing = (
@@ -267,30 +264,17 @@ def _sensitivity_run(block: AvBlock, theta, mode: str, raw: dict | None = None) 
     or, after it, from a complex run whose lane g steps gain g by i*h
     ("closed-loop"; its speeds are `v_c`, shaped (time, lane, vehicle)).
     `raw`, the block's record of a run at `theta` already made, takes the
-    real run's place. The first closed-loop run of a block runs from step 0
-    and finds the complex lanes' head, which later ones resume from. Errors
-    number vehicles in the platoon."""
+    real run's place. The complex lanes resume at the same head's end, and
+    its real rows lead their record too. Errors number vehicles in the
+    platoon."""
     # 1-element arrays, not floats: NumPy multiplies them faster
     gains = np.reshape(theta, (2, 1))
     if raw is None:
-        raw = block.run(*gains, ("x", "v"), block.head)
+        raw = block.run(*gains, ("x", "v"))
     if mode == "closed-loop":
         # lane g holds gain g + i*h; each gain is shaped (lanes, 1)
         lanes = (gains + 1j * _H * np.eye(2))[..., None]
-        if block.head_c is None:
-            raw_c = block.run(*lanes, ("x", "v"))
-            engine = PlatoonEngine(
-                block.scenario, beta=lanes[0], gamma=lanes[1], av_mask=block.av_mask[None, None]
-            )
-            steps, hits, _ = scan(
-                engine, block.lead, raw_c["x"], raw_c["v"][..., 1:],
-                np.subtract(block.av, 1), slice(None),
-            )
-            block.head_c = head_rows(raw_c, slice(None), steps, hits)
-        else:
-            raw_c = block.run(*lanes, ("v",), block.head_c)
-        raw["v_c"] = raw_c["v"]
-    if mode == "closed-loop":
+        raw["v_c"] = block.run(*lanes, ("v",))["v"]
         raw["z"] = raw["v_c"][..., list(block.av)].imag.swapaxes(1, 2) / _H
     else:
         raw["z"] = _sensitivities(block, theta, raw)

@@ -54,7 +54,6 @@ CONTROLLER_KINDS = ("none", "ts-ops", "ts-trc")
 INTEGRATORS = ("rk4", "euler")
 # values a folded run's block buffer holds (see `PlatoonEngine.run`)
 _FOLD_VALUES = 1 << 16
-_STAGE_BLOCK = 64  # samples per block of a run's rebuild of s, dv and u
 _NO_INPUT = np.array(0.0)  # the input of an engine without a controller
 
 
@@ -416,12 +415,10 @@ class PlatoonEngine:
         # the AV entries of the follower axis; the AV law and its gains are
         # evaluated there only (None: no lane has an AV)
         self._a = _av_index(self.av_mask, self.batch_shape)
-        # whether any follower is an HV; without one the IDM is skipped, as
-        # the AV law overwrites every entry
-        self._hv = not self.av_mask.all()
-        # whether every follower of every lane is an AV; then the AV law and
+        # whether every follower of every lane is an AV; then the IDM is
+        # skipped, as the AV law overwrites every entry, and the AV law and
         # `u` take the whole arrays, not views through `_a`
-        self._all_av = not self._hv
+        self._all_av = bool(self.av_mask.all())
 
         def _at_av(gain):
             # the gain at the AV entries, shaped to broadcast against them
@@ -495,7 +492,7 @@ class PlatoonEngine:
         v_prev = v_all[..., :-1]
         s = x[..., :-1] - x[..., 1:] - self.front_lengths
         dv = v_prev - v
-        if self._hv:
+        if not self._all_av:
             acc[...] = idm_accel_arrays(s, dv, v, self.hv)
         a = self._a
         if a is None:
@@ -644,7 +641,7 @@ class PlatoonEngine:
             if derived:
                 engine = PlatoonEngine(sc, self.beta[None], self.gamma[None], self.av_mask[None])
                 x, v = bufs["x"][:rows], bufs["v"][:rows, ..., 1:]
-                blocks = stage_blocks(engine, (lead_t[end - rows :],), x, v, _STAGE_BLOCK, later=False)
+                blocks = stage_blocks(engine, (lead_t[end - rows :],), x, v, later=False)
                 for k0, k1, [(_, s, dv, u)], _ in blocks:
                     parts = {"s": s, "dv": dv, "u": engine._full_width_u(u, s)}
                     for name in derived:

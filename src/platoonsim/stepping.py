@@ -6,8 +6,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def stage_blocks(engine, lead, x, v, block: int, start: int = 0, later=True):
-    """Rebuild a recorded run's samples from `start` in blocks of `block`.
+# samples per block of `stage_blocks`; bounds the stage arrays of a rebuild.
+# Blocks change no bits: stages are elementwise per sample and their
+# callers visit the blocks in step order.
+_STAGE_BLOCK = 128
+
+
+def stage_blocks(engine, lead, x, v, start: int = 0, later=True):
+    """Rebuild a recorded run's samples from `start` in blocks of
+    `_STAGE_BLOCK`.
 
     `x` and `v` are the record's states (`v` without the leader column),
     `lead` the leader's four-stage table (stage 1 alone without `later`);
@@ -19,8 +26,8 @@ def stage_blocks(engine, lead, x, v, block: int, start: int = 0, later=True):
     end = len(x) - 1 if later else len(x)
     # the leader's speeds, one per sample, against any lane axis
     shape = (-1,) + (1,) * (x.ndim - 2)
-    for k0 in range(start, end, block):
-        k1 = min(k0 + block, end)
+    for k0 in range(start, end, _STAGE_BLOCK):
+        k1 = min(k0 + _STAGE_BLOCK, end)
         stages = [engine.rhs(lead[0][k0:k1].reshape(shape), x[k0:k1], v[k0:k1])]
         y_new = None
         if later:

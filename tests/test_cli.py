@@ -567,6 +567,23 @@ class TestSweep:
         assert main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path),
                      "--mprs", "0,1.5"]) == 1
 
+    @pytest.mark.parametrize("mprs", [",", "", " , "], ids=["comma", "empty", "blanks"])
+    def test_empty_mprs_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, mprs):
+        # a list of no penetration rate is a config error, not a sweep of
+        # the baseline alone with a header-only sweep.csv
+        def fail(*args, **kw):
+            raise AssertionError("work done for an empty --mprs list")
+
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
+        monkeypatch.setattr(cli, "optimize", fail)
+        for extra in ([], ["--tune-first"]):
+            out = tmp_path / f"out{len(extra)}"
+            assert main(["sweep", "--scenario", "scenario1", "--out", str(out),
+                         "--mprs", mprs, *extra]) == 1
+            err = capsys.readouterr().err
+            assert err == "config error: --mprs lists no penetration rate\n"
+            assert not (out / "sweep.csv").exists()
+
     def test_controller_kind_switches_baseline(self, tmp_path):
         code = main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
                      "--mprs", "0,1", "--set", "controller.kind=ts-trc"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import avblock, optimizer, simulator
+from platoonsim import avblock, optimizer, simulator, stepping
 from platoonsim.controller import SIGMOID_KERNELS, ControllerParams
 from platoonsim.errors import DomainError, NumericalBlowupError, OptimizeError
 from platoonsim.optimizer import (
@@ -246,8 +246,7 @@ class TestSimulateWithSensitivity:
             lead=lead, t_f=25.0, window=(0.0, 25.0), integrator=integrator,
         )
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
-        with mock.patch.object(optimizer, "_Z_BLOCK", block), \
-                mock.patch.object(avblock, "_SCAN_BLOCK", block):
+        with mock.patch.object(stepping, "_STAGE_BLOCK", block):
             _, z = simulate_with_sensitivity(sc, theta)
         reference = co_integrated_z(sc, per_follower_gains(sc, theta), "exogenous")
         av = np.subtract(sc.av_indices, 1)
@@ -338,7 +337,7 @@ class TestSimulateWithSensitivity:
             return out
 
         monkeypatch.setitem(SIGMOID_KERNELS, "arctan", replace(kernel, deriv=deriv))
-        monkeypatch.setattr(optimizer, "_Z_BLOCK", 100)
+        monkeypatch.setattr(stepping, "_STAGE_BLOCK", 100)
         with pytest.raises(NumericalBlowupError) as err:
             simulate_with_sensitivity(sc, [0.03, 0.5])
         assert calls[0] == (100, 5)
@@ -541,17 +540,53 @@ class TestHead:
                 rows = k + 1 if name in ("x", "v", "s", "dv") else k
                 assert full[0][name][:rows].tobytes() == full[1][name][:rows].tobytes(), name
 
-        # J and lambda of the descent, resumed from the heads (the complex
-        # lanes find theirs in the first closed-loop run), against runs from
-        # step 0 with a head of no steps
+        # J and lambda of the descent, resumed from the head (the real and
+        # the complex lanes alike), against runs from step 0 with a head of
+        # no steps
         rows = {name: arr[:1] for name, arr in block.head.rows.items()}
         zero = replace(block, head=avblock.Head(0, rows, 0))
-        ran = False
         for theta in thetas:
-            got = descent_outcome(block, theta, mode)
-            assert got == descent_outcome(replace(zero, head_c=None), theta, mode)
-            ran |= got[0] == "ran"
-        assert (block.head_c is not None) == (mode == "closed-loop" and ran)
+            assert descent_outcome(block, theta, mode) == descent_outcome(zero, theta, mode)
+
+    @pytest.mark.parametrize("hv", [IDM_1, IDM_2], ids=["idm1", "idm2"])
+    def test_complex_lanes_resume_at_the_head(self, monkeypatch, hv):
+        # a closed-loop descent runs its complex lanes from the one real
+        # head's end, with the head's row and clamps, and builds no complex
+        # engine other than those lanes' (no step-batched rebuild of them)
+        sc = make_short_scenario(mpr=0.5, hv=hv)
+        blocks, built, runs = [], [], []
+        build_block = optimizer.av_block
+        init, run = PlatoonEngine.__init__, PlatoonEngine.run
+
+        def spy_block(*args):
+            blocks.append(build_block(*args))
+            return blocks[-1]
+
+        def spy_init(engine, *args, **kw):
+            init(engine, *args, **kw)
+            built.append(engine)
+
+        def spy_run(engine, *args, **kw):
+            runs.append((engine, kw))
+            return run(engine, *args, **kw)
+
+        monkeypatch.setattr(optimizer, "av_block", spy_block)
+        monkeypatch.setattr(PlatoonEngine, "__init__", spy_init)
+        monkeypatch.setattr(PlatoonEngine, "run", spy_run)
+        cfg = OptimizerConfig(beta_max=0.0642, n_max=4, sensitivity="closed-loop")
+        _, trace = optimize(sc, cfg)
+        [block] = blocks
+        k = block.head.steps
+        assert k > 0
+        complex_runs = [(e, kw) for e, kw in runs if e.dtype.kind == "c"]
+        assert len(complex_runs) == len(trace) > 1
+        for engine, kw in complex_runs:
+            assert kw["start"] == k
+            assert kw["hits"] is block.head.hits
+            x, v = kw["initial"]
+            assert x.tobytes() == block.head.rows["x"][k].tobytes()
+            assert v.tobytes() == block.head.rows["v"][k, 1:].tobytes()
+        assert [e for e in built if e.dtype.kind == "c"] == [e for e, _ in complex_runs]
 
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     def test_scan_counts_the_runs_clamps(self, integrator):

@@ -3,13 +3,14 @@ import logging
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import simulator
+from platoonsim import simulator, stepping
 from platoonsim.controller import SIGMOID_KERNELS
 from platoonsim.dynamics import (
     IdmParams,
@@ -440,7 +441,9 @@ class TestStageRebuild:
             assert u_got[k].tobytes() == engine._full_width_u(ref[3], ref[1]).tobytes()
 
         clamps = 0
-        for k0, k1, stages, y_new in stage_blocks(stepwise, table, x, v, block):
+        with mock.patch.object(stepping, "_STAGE_BLOCK", block):
+            blocks = list(stage_blocks(stepwise, table, x, v))
+        for k0, k1, stages, y_new in blocks:
             for k in range(k0, k1):
                 loop = [engine.rhs(table[0][k], x[k], v[k])]
                 y_next = engine.step(np.concatenate([x[k], v[k]], axis=-1), loop[0][0],
@@ -638,7 +641,7 @@ class TestAvEntries:
             warnings.simplefilter("error")
             raw = PlatoonEngine(sc).run()
         with_idm = PlatoonEngine(sc)
-        with_idm._hv = True
+        with_idm._all_av = False
         with pytest.warns(RuntimeWarning, match="invalid value encountered in power"):
             reference = with_idm.run()
         for name, arr in raw.items():
