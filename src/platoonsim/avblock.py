@@ -2,9 +2,11 @@
 
 No gains change the all-HV followers ahead of the first AV (the prefix) or
 the steps before any AV sees a nonzero relative speed (the head), so a
-caller of many gain pairs over one AV mask integrates those once. `last`,
-the last follower the caller reads, ends the block: the last AV for `tune`,
-whose J reads nothing behind it, and every follower for `grid`.
+caller of many gain pairs over one AV mask integrates those once.
+`av_block` builds the block in one call, from a seeding lane of its own.
+`last`, the last follower the caller reads, ends the block: the last AV for
+`tune`, whose J reads nothing behind it, and every follower for `grid` and
+`simulate_with_sensitivity`, which read the seeding lane's whole record.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ class Head:
     """The first `steps` steps of the AV block's runs, the same in all: while
     every AV's dv is 0 at every stage, u = beta*k(gamma*s*0) = 0 and z = 0.
     `rows` holds the record rows 0..steps (`t`, and `x` and `v` with the
-    leader column), `hits` the speed clamps before step `steps`, per lane.
+    leader column), `hits` the speed clamps before step `steps`.
     """
 
     steps: int
@@ -36,11 +38,11 @@ class AvBlock:
     """The followers from the first AV to the last one read, as a platoon of
     their own, which runs as those columns of the platoon's run bit for bit.
 
-    `scenario` holds its followers only (its `mpr` the platoon's, so each
-    engine of the block is given `av_mask`, the block's columns of the
-    platoon's mask); `first` is the platoon index of its leader, the first
-    AV's predecessor, whose four-stage speed table is `lead`; `av` lists the
-    AV followers, block-relative. `head` is the gain-free head, whose first
+    `av_block` builds it. `scenario` holds its followers only (its `mpr`
+    the platoon's, so each engine of the block is given `av_mask`, the
+    block's columns of the platoon's mask); `first` is the platoon index of
+    its leader, the first AV's predecessor, whose four-stage speed table is
+    `lead`; `av` lists the AV followers, block-relative. `head` is the gain-free head, whose first
     row is the block's initial state and whose end every run resumes at,
     real or complex: a complex lane's J and direction from there equal
     those of its run from step 0 bit for bit (`TestHead` checks it).
@@ -93,78 +95,60 @@ class AvBlock:
         return raw, engine.lane_floor_hits
 
 
-def scan(engine: PlatoonEngine, lead, x, v, av, counted, column=None):
-    """One `stage_blocks` pass over a recorded run: its gain-free head and,
-    with `column`, that vehicle's speeds at RK4 stages 2, 3 and 4. `engine`
-    has the step index as its first batch axis.
+def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=None):
+    """The AV block of `scenario`, which has an AV, up to follower `last`,
+    at least its last AV, from a seeding lane: one run of the followers up
+    to `last` with the gains `beta` and `gamma`, those columns of the
+    platoon's run, to step `end` (by default the horizon's). The lane
+    builds its own start: `cumsum` adds the spacings in order, so the first
+    `last` followers' positions are the platoon's bit for bit. Returns the
+    block, the lane's record of `record` (with `x` and `v`) and its clamps.
 
-    The head ends at the first step where any AV follower (`av`, indices of
-    the follower axis) has a nonzero dv at any stage, by exact comparison;
-    a dv of 0 leaves u at 0 for every gain pair. Returns the head's length
-    in steps, the speed clamps of the followers `counted` (a slice of the
-    follower axis) before its end, per lane, and the three stage columns
-    (empty without `column`). The pass stops at the head's end unless the
-    stage columns need the whole run.
+    One step-batched `stage_blocks` pass over the record gives the head and,
+    under RK4 behind an all-HV prefix, the prefix's last follower's speeds at
+    stages 2, 3 and 4, which no gains change either. The head ends at the
+    first step where any AV has a nonzero dv at any stage, by exact
+    comparison; a dv of 0 leaves u at 0 for every gain pair. Its clamps are
+    those of the block's followers before its end. The pass stops at the
+    head's end unless the stage table needs the whole run.
     """
-    steps = len(x) - 1
-    n = engine.n
-    head, hits = None, 0
-    later = [] if column is None else [np.empty(steps, x.dtype) for _ in range(3)]
-    for k0, k1, stages, y_new in stage_blocks(engine, lead, x, v):
-        if head is None:
-            moved = np.logical_or.reduce([stage[2][..., av] != 0 for stage in stages])
-            moved = moved.any(axis=tuple(range(1, moved.ndim)))
-            end = k0 + int(np.argmax(moved)) if moved.any() else k1
-            # the clamps `advance` counts, in the steps before the end
-            v_new = y_new[: end - k0, ..., n + 1 :][..., counted]
-            hits = hits + (v_new < 0).sum(axis=(0, -1))
-            head = end if end < k1 else None
-        # the x slots of the later stages' rates are the speeds there
-        for out, stage in zip(later, stages[1:]):
-            out[k0:k1] = stage[0][:, column]
-        if head is not None and not later:
-            break
-    return steps if head is None else head, hits, later
-
-
-def seeding_run(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=None):
-    """The record of `record` and the clamps per lane of a run of the
-    followers up to `last`, those columns of the platoon's run with the
-    gains `beta` and `gamma`, to step `end` (by default the horizon's). The
-    run builds its own start: `cumsum` adds the spacings in order, so the
-    first `last` followers' positions are the platoon's bit for bit."""
+    av = scenario.av_indices
+    first = av[0] - 1
     spacing = scenario.init_spacing
     part = replace(scenario, n_followers=last, init_spacing=spacing and spacing[:last])
     if end is not None:
         part = replace(part, t_f=end * scenario.dt, metric_window=(0.0, end * scenario.dt))
     mask = av_mask_for(scenario.n_followers, scenario.mpr)[:last]
     engine = PlatoonEngine(part, beta=beta, gamma=gamma, av_mask=mask)
-    return engine.run(record=record), engine.lane_floor_hits
-
-
-def av_block(scenario: Scenario, raw: dict, last: int) -> AvBlock:
-    """The AV block of `scenario`, which has an AV, up to follower `last`,
-    at least its last AV, from `raw`: an unbatched record from step 0 of `x`
-    and `v` of the platoon, or of its followers up to `last`, at any gains.
-    One step-batched pass over it (`scan`) gives the head and the stage
-    speeds of the prefix's last follower, which no gains change either.
-    """
-    av = scenario.av_indices
-    first = av[0] - 1
-    mask = av_mask_for(scenario.n_followers, scenario.mpr)[:last]
+    raw = engine.run(record=record)
+    # the seeding lane is one lane, batched or not
+    x, v = (raw[name].reshape(len(raw["t"]), -1) for name in ("x", "v"))
     lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
-    rk4 = scenario.integrator == "rk4"
-    x, v = raw["x"][:, : last + 1], raw["v"][:, 1 : last + 1]
-    steps, hits, later = scan(
-        PlatoonEngine(replace(scenario, n_followers=last, init_spacing=None), av_mask=mask[None]),
-        lead, x, v, np.subtract(av, 1), slice(first, None), first if first and rk4 else None,
-    )
+    # the step index is the stage engine's batch axis
+    stage = PlatoonEngine(part, av_mask=mask[None])
+    steps, head, hits = len(x) - 1, None, 0
+    # the stage table of a prefix's last follower: its later RK4 stages' speeds
+    later = [np.empty(steps) for _ in range(3)] if first and scenario.integrator == "rk4" else []
+    for k0, k1, stages, y_new in stage_blocks(stage, lead, x, v[:, 1:]):
+        if head is None:
+            moved = np.logical_or.reduce([dv[:, np.subtract(av, 1)] != 0 for _, _, dv, _ in stages])
+            stop = k0 + int(np.argmax(moved.any(axis=1))) if moved.any() else k1
+            # the clamps `advance` counts, in the steps before the head's end
+            hits = hits + (y_new[: stop - k0, last + 1 + first :] < 0).sum()
+            head = stop if stop < k1 else None
+        # the x slots of the later stages' rates are the speeds there
+        for out, (f, *_) in zip(later, stages[1:]):
+            out[k0:k1] = f[:, first]
+        if head is not None and not later:
+            break
+    steps = steps if head is None else head
     if first:
-        lead = (raw["v"][:, first].copy(), *later)
+        lead = (v[:, first].copy(), *later)
     rows = {"t": raw["t"][: steps + 1]}
-    for name in ("x", "v"):
-        rows[name] = np.ascontiguousarray(raw[name][: steps + 1, first : last + 1])
-    return AvBlock(
+    for name, arr in (("x", x), ("v", v)):
+        rows[name] = np.ascontiguousarray(arr[: steps + 1, first:])
+    block = AvBlock(
         replace(scenario, n_followers=last - first, init_spacing=None), first,
         tuple(i - first for i in av), lead, mask[first:], Head(steps, rows, hits),
     )
+    return block, raw, engine.lane_floor_hits

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import config as cfgmod
-from .avblock import av_block, seeding_run
+from .avblock import av_block
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
 from .metrics import WindowSums, summarize, write_metrics_csv
 from .optimizer import optimize, write_trace_csv
@@ -163,7 +163,7 @@ def cmd_tune(args) -> int:
             ]
         )
     print(
-        f"converged gains: beta={theta.beta:.4f} gamma={theta.gamma:.4f} "
+        f"best gains: beta={theta.beta:.4f} gamma={theta.gamma:.4f} "
         f"(J={trace.objectives[trace.best_index]:.6f}, "
         f"{len(trace)} iterations, {trace.reason})"
     )
@@ -289,12 +289,13 @@ def _grid_sums(scenario, coeffs, betas, gammas):
 
     A seeding lane runs the whole platoon at the first point's gains to the
     window's last sample; it is every point where no gains act (no AV, a
-    controller other than ts-ops, or a window of sample 0 alone). Else its
-    record gives the prefix's sums and the AV block of every follower, whose
-    one batched run, resumed at the head's end or the window's start if
-    earlier, gives each lane's; a lane's clamps are the seeding lane's plus
-    its block's, less the first lane's. A failing seeding lane fails the
-    batch too, maybe earlier in another lane, so that batch runs to say.
+    controller other than ts-ops, or a window of sample 0 alone). Else it is
+    `av_block`'s, whose record, with its lane axis, gives the prefix's sums,
+    and whose AV block of every follower, in one batched run resumed at the
+    head's end or the window's start if earlier, gives each lane's; a
+    lane's clamps are the seeding lane's plus its block's, less the first
+    lane's. A failing seeding lane fails the batch too, maybe earlier in
+    another lane, so that batch runs to say.
     """
     lanes, n = (len(betas),), scenario.n_followers
     sums = WindowSums(scenario, coeffs)
@@ -307,21 +308,18 @@ def _grid_sums(scenario, coeffs, betas, gammas):
         sums.saturated = np.broadcast_to(sums.saturated, lanes)
         return sums, np.broadcast_to(engine.lane_floor_hits, lanes)
     try:
-        raw, seed_hits = seeding_run(scenario, *seed, n, ("x", "v", "a"), keep.stop - 1)
+        block, raw, seed_hits = av_block(scenario, *seed, n, ("x", "v", "a"), keep.stop - 1)
     except NumericalBlowupError:
         PlatoonEngine(scenario, beta=betas, gamma=gammas).run(record=("v",), fold=lambda *_: None)
         raise
-    for name in ("x", "v", "a"):
-        raw[name] = raw[name][:, 0]
-    block = av_block(scenario, raw, n)
     first, rows = block.first, slice(keep.start, None)
     prefix = WindowSums(scenario, coeffs)
-    prefix(raw["t"][rows], {"v": raw["v"][rows, : first + 1], "a": raw["a"][rows, :first]})
+    prefix(raw["t"][rows], {"v": raw["v"][rows, :, : first + 1], "a": raw["a"][rows, :, :first]})
     del raw  # the block's run holds the most memory; free the record first
     tail = WindowSums(scenario, coeffs)
     hits = block.fold(betas, gammas, tail, min(block.head.steps, keep.start))
     sums.sums = np.concatenate(
-        [np.broadcast_to(prefix.sums[:, None], (2, *lanes, first)), tail.sums], axis=-1
+        [np.broadcast_to(prefix.sums, (2, *lanes, first)), tail.sums], axis=-1
     )
     sums.saturated = prefix.saturated + tail.saturated
     return sums, seed_hits + hits - hits[0]

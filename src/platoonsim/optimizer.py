@@ -31,7 +31,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .avblock import AvBlock, av_block, seeding_run
+from .avblock import AvBlock, av_block
 from .controller import ControllerParams, get_kernel
 from .dynamics import ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
@@ -290,21 +290,20 @@ def simulate_with_sensitivity(
 
     theta_av is the (beta, gamma) pair every AV shares, as a pair or as one
     (1, 2) row. Returns the trajectory and the sensitivity series with shape
-    (n_samples, n_av, 2), z(0) = 0. The platoon is integrated once; its
-    record gives the AV block (`av_block`) and that block's columns, from
-    which `_sensitivity_run` takes z as the descent does ("closed-loop": a
-    complex run of the block). A non-finite z raises NumericalBlowupError
-    naming the lowest AV whose row failed ("closed-loop": the vehicle whose
-    speed did).
+    (n_samples, n_av, 2), z(0) = 0. One `av_block` call to the last follower
+    integrates the platoon once, as its seeding lane, and gives the AV
+    block and the record, whose block columns `_sensitivity_run` takes z
+    from as the descent does ("closed-loop": a complex run of the block). A
+    non-finite z raises NumericalBlowupError naming the lowest AV whose row
+    failed ("closed-loop": the vehicle whose speed did).
     """
     theta = np.asarray(theta_av, dtype=float)
     if theta.shape not in ((2,), (1, 2)):
         raise DomainError(f"theta_av must be one (beta, gamma) pair, not shape {theta.shape}")
     _check_mode(mode)
     _tunable(scenario)
-    beta, gamma = np.reshape(theta, (2, 1))
-    raw = PlatoonEngine(scenario, beta=beta, gamma=gamma).run()
-    block = av_block(scenario, raw, scenario.av_indices[-1])
+    fields = ("x", "v", "a", "s", "dv", "u")
+    block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), scenario.n_followers, fields)
     z_series = _sensitivity_run(block, theta, mode, block.columns(raw))["z"]
     return assemble_trajectory(scenario, raw), z_series
 
@@ -379,10 +378,10 @@ def optimize(
     """Projected descent on the (beta, gamma) pair shared by the AVs.
 
     Every step that the gains cannot change is integrated once per call.
-    The first iteration runs the followers up to the last AV with `theta0`
-    (`seeding_run`); that record gives the AV block (`av_block`: the
-    prefix's stage speeds and the gain-free head) and the first iteration's
-    J and direction. Each later iteration simulates the AV block with the
+    One `av_block` call runs the followers up to the last AV with `theta0`
+    and builds the AV block from that record (the prefix's stage speeds and
+    the gain-free head); the record gives the first iteration's J and
+    direction. Each later iteration simulates the AV block with the
     current gains from the end of its head (recording only `x` and `v`),
     integrates the sensitivities from there, sums the descent direction
     over the AVs, and updates the gains with a fixed step, projecting onto
@@ -405,8 +404,7 @@ def optimize(
 
     try:
         last = _tunable(scenario)[-1]
-        raw, _ = seeding_run(scenario, *np.reshape(theta, (2, 1)), last)
-        block = av_block(scenario, raw, last)
+        block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), last)
         raw = block.columns(raw)
         for kappa in range(1, cfg.n_max + 1):
             j_val, lam = _descent_terms(block, theta, cfg.sensitivity, raw)

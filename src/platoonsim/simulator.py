@@ -429,12 +429,12 @@ class PlatoonEngine:
         self._beta_a = _at_av(self.beta)
         self._gamma_a = _at_av(self.gamma)
 
-        # leader + per-follower lengths; follower lengths follow the mask
-        lengths = np.empty(self.av_mask.shape[:-1] + (self.n + 1,))
-        lengths[..., 0] = self.hv.length
-        lengths[..., 1:] = np.where(self.av_mask, self.av.length, self.hv.length)
-        self.lengths = lengths
-        self.front_lengths = lengths[..., :-1]
+        # each follower's predecessor's length: the leader's, then the
+        # followers' but the last, which follow the mask
+        front = np.empty(self.av_mask.shape[:-1] + (self.n,))
+        front[..., 0] = self.hv.length
+        front[..., 1:] = np.where(self.av_mask[..., :-1], self.av.length, self.hv.length)
+        self.front_lengths = front
         # clamps of a negative speed to 0, per lane (0-d when unbatched)
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import avblock, cli, config, optimizer, simulator
+from platoonsim import cli, config, optimizer, simulator
 from platoonsim.cli import _platoon_metrics_batch, main
 from platoonsim.config import (
     apply_overrides,
@@ -469,6 +469,25 @@ class TestTune:
         out = capsys.readouterr().out
         assert "beta=" in out and "gamma=" in out
 
+    @pytest.mark.parametrize(
+        "sets, stop",
+        [
+            # behind a flat lead J is 0 at any gains, so the descent converges
+            (("scenario.lead_profile=0:21",), "2 iterations, converged"),
+            (("optimizer.n_max=1",), "1 iterations, max-iterations"),
+        ],
+        ids=["converged", "max-iterations"],
+    )
+    def test_prints_the_best_gains_whatever_the_stop(self, tmp_path, capsys, sets, stop):
+        # the gains shown are the best iterate's, which need not be where
+        # the descent stopped, so the line does not call them converged
+        sets = [arg for key in sets for arg in ("--set", key)]
+        assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT, *sets]) == 0
+        beta, gamma, _ = map(float, read_csv(tmp_path / "theta_opt.csv")[1])
+        out = capsys.readouterr().out
+        assert out.startswith(f"best gains: beta={beta:.4f} gamma={gamma:.4f} (J=")
+        assert out.endswith(f", {stop})\n")
+
     def test_no_av_exits_1(self, tmp_path, capsys):
         # the preset states its envelope, so the descent's own check stops it
         code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
@@ -908,8 +927,9 @@ class TestGrid:
         assert "beta=0.05 gamma=1: speed floor engaged" in err
         sc = build_scenario(short_config(*overrides[len(SHORT_SETS):]))
         assert sc.av_indices == (5,)
-        _, prefix_hits = avblock.seeding_run(sc, np.zeros((1, 1)), np.ones((1, 1)), 4)
-        assert prefix_hits[0] > 0
+        prefix = simulator.PlatoonEngine(replace(sc, n_followers=4), av_mask=np.zeros(4, bool))
+        prefix.run(record=("v",))
+        assert prefix.floor_hits > 0
 
     def test_saturation_reported_per_point(self, tmp_path, capsys):
         table = saturating_table(tmp_path / "coeffs.txt")

@@ -31,6 +31,7 @@ from platoonsim.simulator import (
     assemble_trajectory,
     av_mask_for,
     simulate,
+    start_spacings,
 )
 
 from conftest import (
@@ -118,25 +119,17 @@ class TestSensitivityRhs:
         assert zdot[1] - zdot[0] == pytest.approx([drdv, 2 * drdv], rel=1e-12)
 
 
-def av_block(sc):
+def av_block(sc, theta=None, end=None):
     """The AV block of `sc` up to its last AV, as the descent builds it, from
-    a seeding run at the scenario's own gains."""
-    return block_of(sc, seed(sc, (sc.controller.beta, sc.controller.gamma)))
+    a seeding lane at `theta` (by default the scenario's own gains) to step
+    `end` (by default the horizon's)."""
+    theta = (sc.controller.beta, sc.controller.gamma) if theta is None else theta
+    return avblock.av_block(sc, *np.reshape(theta, (2, 1)), sc.av_indices[-1], end=end)[0]
 
 
 def block_initial(block):
     """The AV block's initial state: the first row of its head."""
     return block.head.rows["x"][0], block.head.rows["v"][0, 1:]
-
-
-def seed(sc, theta):
-    """The descent's seeding record: the followers up to the last AV at `theta`."""
-    return avblock.seeding_run(sc, *np.reshape(theta, (2, 1)), sc.av_indices[-1])[0]
-
-
-def block_of(sc, raw):
-    """The AV block the descent builds from the record `raw`."""
-    return avblock.av_block(sc, raw, sc.av_indices[-1])
 
 
 def per_follower_gains(sc, theta):
@@ -222,6 +215,19 @@ class TestSimulateWithSensitivity:
         assert z.shape == (len(traj.t), 3, 2)
         assert np.isfinite(z).all()
         assert not z[0].any() and z[-1].all()
+
+    @pytest.mark.parametrize("mode", ["exogenous", "closed-loop"])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("mpr", [0.1, 0.3, 0.5, 0.6, 1.0])
+    def test_z_is_the_descents(self, mpr, integrator, mode):
+        # its AV block ends at the last follower, the descent's at the last
+        # AV; nothing behind an AV reaches its z, so the two agree bit for bit
+        sc = make_short_scenario(mpr=mpr, integrator=integrator)
+        _, z = simulate_with_sensitivity(sc, self.THETA, mode)
+        block, raw, _ = avblock.av_block(sc, *np.reshape(self.THETA, (2, 1)), sc.av_indices[-1])
+        assert block.scenario.n_followers < sc.n_followers or mpr == 1.0
+        descent = _sensitivity_run(block, self.THETA, mode, block.columns(raw))["z"]
+        assert z.tobytes() == descent.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -504,16 +510,14 @@ class TestHead:
         cut = sc.steps
         try:
             with np.errstate(invalid="ignore"):
-                raw = seed(sc, thetas[0])
+                block = av_block(sc, thetas[0])
         except NumericalBlowupError:
             # every run of this platoon fails: when the first AV is follower
-            # 1, the block's leader is the lead profile and a record of the
-            # first 15 s, which the head ends within, builds the block
+            # 1, the block's leader is the lead profile and a seeding lane of
+            # the first 15 s, which the head ends within, builds the block
             assume(sc.av_indices[0] == 1)
-            early = replace(sc, t_f=15.0, metric_window=(0.0, 15.0))
-            raw = PlatoonEngine(early).run(record=("x", "v"))
-            cut = early.steps
-        block = block_of(sc, raw)
+            cut = 150
+            block = av_block(sc, end=cut)
         k = block.head.steps
         assert k < cut or cut == sc.steps
 
@@ -575,7 +579,7 @@ class TestHead:
         monkeypatch.setattr(PlatoonEngine, "run", spy_run)
         cfg = OptimizerConfig(beta_max=0.0642, n_max=4, sensitivity="closed-loop")
         _, trace = optimize(sc, cfg)
-        [block] = blocks
+        [(block, _, _)] = blocks
         k = block.head.steps
         assert k > 0
         complex_runs = [(e, kw) for e, kw in runs if e.dtype.kind == "c"]
@@ -589,23 +593,23 @@ class TestHead:
         assert [e for e in built if e.dtype.kind == "c"] == [e for e, _ in complex_runs]
 
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-    def test_scan_counts_the_runs_clamps(self, integrator):
-        # watching no AV, the head is the whole run, and the clamps the scan
-        # counts on the rebuilt steps are the run's own, per lane
-        sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0), kind="ts-ops",
-                           mpr=0.5, integrator=integrator)
-        beta = np.array([[0.0], [0.03], [0.0642]])
-        engine = PlatoonEngine(sc, beta=beta)
-        raw = engine.run(record=("x", "v"))
-        assert (engine.lane_floor_hits > 0).all()
-        lead = sc.lead.stage_speeds(sc.dt, sc.steps)
-        # the step axis first, then the lanes; the AV mask is shared
-        stage = PlatoonEngine(sc, beta=beta, av_mask=av_mask_for(10, 0.5)[None, None])
-        steps, hits, later = avblock.scan(
-            stage, lead, raw["x"], raw["v"][..., 1:], [], slice(None)
-        )
-        assert (steps, later) == (sc.steps, [])
-        assert hits.tobytes() == engine.lane_floor_hits.tobytes()
+    def test_whole_run_head_counts_every_lanes_clamps(self, integrator):
+        # behind a flat lead only follower 7 starts off equilibrium, 0.5 m
+        # behind follower 6, so the AV (follower 5) never sees a dv and the
+        # head is the whole run; the clamps its pass counts on the rebuilt
+        # steps are the seeding lane's and those of a run at any gains
+        sc = make_scenario(lead=FLAT_LEAD, t_f=40.0, window=(0.0, 40.0), kind="ts-ops",
+                           mpr=0.1, integrator=integrator)
+        assert sc.av_indices == (5,)
+        spacing = start_spacings(sc, av_mask_for(10, 0.1)).copy()
+        spacing[6] = 0.5
+        sc = replace(sc, init_spacing=tuple(spacing))
+        block, _, hits = avblock.av_block(sc, 0.03, 1.0, sc.n_followers)
+        assert block.head.steps == sc.steps
+        assert block.head.hits > 0 and hits == block.head.hits
+        engine = PlatoonEngine(sc, beta=np.array([[0.0], [0.03], [0.0642]]))
+        engine.run(record=("v",))
+        assert (engine.lane_floor_hits == block.head.hits).all()
 
     @pytest.mark.parametrize("mpr", [0.1, 0.5, 1.0])
     def test_head_is_empty_when_an_av_sees_dv_at_step_0(self, mpr):
@@ -693,11 +697,10 @@ class TestClosedLoop:
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
         # every run of this platoon blows up, so its block is built from a
-        # record of the first 15 s, which holds the gain-free head; the first
+        # seeding lane of the first 15 s, which holds the gain-free head; the first
         # AV is follower 1, so the block's leader is the lead profile itself
-        early = replace(sc, t_f=15.0, metric_window=(0.0, 15.0))
-        block = block_of(sc, PlatoonEngine(early).run(record=("x", "v")))
-        assert block.first == 0 and block.head.steps < early.steps
+        block = av_block(sc, end=150)
+        assert block.first == 0 and block.head.steps < 150
         errors = []
         with np.errstate(invalid="ignore"):
             for mode in ("exogenous", "closed-loop"):
