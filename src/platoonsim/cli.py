@@ -288,20 +288,20 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     (`betas` and `gammas` shaped (lanes, 1)), and each lane's clamps.
 
     A seeding lane runs the whole platoon at the first point's gains to the
-    window's last sample; it is every point where no gains act (no AV, a
-    controller other than ts-ops, or a window of sample 0 alone). Else it is
-    `av_block`'s, whose record, with its lane axis, gives the prefix's sums,
-    and whose AV block of every follower, in one batched run resumed at the
-    head's end or the window's start if earlier, gives each lane's; a
-    lane's clamps are the seeding lane's plus its block's, less the first
-    lane's. A failing seeding lane fails the batch too, maybe earlier in
-    another lane, so that batch runs to say.
+    window's last sample; it is every point where no gains act (no AV, or a
+    controller other than ts-ops). Else it is `av_block`'s, whose record,
+    with its lane axis, gives the prefix's sums, and whose AV block of every
+    follower, in one batched run resumed at the head's end or the window's
+    start if earlier, gives each lane's; a lane's clamps are the seeding
+    lane's plus its block's, less the first lane's. A failing seeding lane
+    fails the batch too, maybe earlier in another lane, so that batch runs
+    to say.
     """
     lanes, n = (len(betas),), scenario.n_followers
     sums = WindowSums(scenario, coeffs)
     seed = betas[:1], gammas[:1]
     keep = window_slice(np.arange(scenario.steps + 1) * scenario.dt, scenario.metric_window)
-    if scenario.controller.kind != "ts-ops" or not scenario.av_indices or keep.stop == 1:
+    if scenario.controller.kind != "ts-ops" or not scenario.av_indices:
         engine = PlatoonEngine(scenario, *seed)
         engine.run(record=("v", "a"), fold=sums)
         sums.sums = np.broadcast_to(sums.sums, (2, *lanes, n))
@@ -317,7 +317,7 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     prefix(raw["t"][rows], {"v": raw["v"][rows, :, : first + 1], "a": raw["a"][rows, :, :first]})
     del raw  # the block's run holds the most memory; free the record first
     tail = WindowSums(scenario, coeffs)
-    hits = block.fold(betas, gammas, tail, min(block.head.steps, keep.start))
+    hits = block.run(betas, gammas, min(block.head, keep.start), ("v", "a"), tail)[1]
     sums.sums = np.concatenate(
         [np.broadcast_to(prefix.sums, (2, *lanes, first)), tail.sums], axis=-1
     )

@@ -16,8 +16,8 @@ differentiation; Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 Neither J nor z reads a follower behind the last AV, so the descent
 integrates each step the gains cannot change once per call (`avblock`): its
 first iteration runs the followers up to the last AV, and every later one
-only the AV block up to it, resumed at the head's end; the closed-loop
-mode's complex lanes resume there too, from the same real rows.
+is one `_descent_terms` call, which runs the AV block up to it from the
+head's end; the closed-loop mode's complex lanes resume there too.
 `simulate_with_sensitivity` builds the block from its own run of the
 platoon and takes z as the descent does. A projected fixed-step descent
 clamps beta to its safety bound and gamma to non-negative values.
@@ -212,7 +212,6 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     """
     scenario = block.scenario
     av = np.subtract(block.av, 1)
-    n = scenario.n_followers
     rk4 = scenario.integrator == "rk4"
     dt, steps = scenario.dt, scenario.steps
     rk4_c = step_coefficients(dt)
@@ -225,8 +224,8 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     def rate(i, y):
         return d[i] * y + f[i]
 
-    blocks = stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:], block.head.steps)
-    for k0, k1, stages, y_new in blocks:
+    blocks = stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:], block.head)
+    for k0, k1, stages, floored in blocks:
         # (step, stage, AV[, gain]) coefficients
         drdv, forcing = (
             np.stack(terms, axis=1)
@@ -235,7 +234,7 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
                 for stage in stages
             ))
         )
-        clamped = y_new[:, n + 1 + av] < 0
+        clamped = floored[:, av]
         z_block = z_series[k0 + 1 : k1 + 1]
         for col, g in np.ndindex(len(av), 2):
             z, out = float(z_series[k0, col, g]), []
@@ -257,30 +256,6 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     return z_series
 
 
-def _sensitivity_run(block: AvBlock, theta, mode: str, raw: dict | None = None) -> dict:
-    """A plain `PlatoonEngine.run` of the AV block with the (beta, gamma)
-    pair `theta` on every AV, resumed at the end of its head and recording
-    x and v, plus the AV sensitivities `z`, from the record ("exogenous")
-    or, after it, from a complex run whose lane g steps gain g by i*h
-    ("closed-loop"; its speeds are `v_c`, shaped (time, lane, vehicle)).
-    `raw`, the block's record of a run at `theta` already made, takes the
-    real run's place. The complex lanes resume at the same head's end, and
-    its real rows lead their record too. Errors number vehicles in the
-    platoon."""
-    # 1-element arrays, not floats: NumPy multiplies them faster
-    gains = np.reshape(theta, (2, 1))
-    if raw is None:
-        raw = block.run(*gains, ("x", "v"))
-    if mode == "closed-loop":
-        # lane g holds gain g + i*h; each gain is shaped (lanes, 1)
-        lanes = (gains + 1j * _H * np.eye(2))[..., None]
-        raw["v_c"] = block.run(*lanes, ("v",))["v"]
-        raw["z"] = raw["v_c"][..., list(block.av)].imag.swapaxes(1, 2) / _H
-    else:
-        raw["z"] = _sensitivities(block, theta, raw)
-    return raw
-
-
 def simulate_with_sensitivity(
     scenario: Scenario,
     theta_av: np.ndarray,
@@ -292,7 +267,7 @@ def simulate_with_sensitivity(
     (1, 2) row. Returns the trajectory and the sensitivity series with shape
     (n_samples, n_av, 2), z(0) = 0. One `av_block` call to the last follower
     integrates the platoon once, as its seeding lane, and gives the AV
-    block and the record, whose block columns `_sensitivity_run` takes z
+    block and the record, whose block columns `_descent_terms` takes z
     from as the descent does ("closed-loop": a complex run of the block). A
     non-finite z raises NumericalBlowupError naming the lowest AV whose row
     failed ("closed-loop": the vehicle whose speed did).
@@ -304,7 +279,7 @@ def simulate_with_sensitivity(
     _tunable(scenario)
     fields = ("x", "v", "a", "s", "dv", "u")
     block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), scenario.n_followers, fields)
-    z_series = _sensitivity_run(block, theta, mode, block.columns(raw))["z"]
+    z_series = _descent_terms(block, theta, mode, block.columns(raw))[2]
     return assemble_trajectory(scenario, raw), z_series
 
 
@@ -324,52 +299,61 @@ def replayed_objective(
     """
     k = get_kernel(kernel)
     t = traj.t
-    dt = float(t[1] - t[0])
     s_sig = traj.s[:, av_index]
     vp_sig = traj.v[:, av_index - 1]
     s_mid = 0.5 * (s_sig[:-1] + s_sig[1:])
     vp_mid = 0.5 * (vp_sig[:-1] + vp_sig[1:])
+    # the signals at each RK4 stage of a step: its start, the half step
+    # twice, its end
+    s_at = (s_sig, s_mid, s_mid, s_sig[1:])
+    vp_at = (vp_sig, vp_mid, vp_mid, vp_sig[1:])
     av = scenario.av_model
+    c = step_coefficients(float(t[1] - t[0]))
 
-    def rate(s, vp, v):
-        dv = vp - v
-        return ovrv_accel_arrays(s, dv, v, av) + theta.beta * k.fn(
-            theta.gamma * s * dv
-        )
+    def rate(j, v):
+        # the AV's acceleration at stage j of step i
+        s, dv = s_at[j][i], vp_at[j][i] - v
+        return ovrv_accel_arrays(s, dv, v, av) + theta.beta * k.fn(theta.gamma * s * dv)
 
     v = float(traj.v[0, av_index])
     v_series = np.empty_like(s_sig)
     v_series[0] = v
     rk4 = scenario.integrator == "rk4"
     for i in range(len(t) - 1):
-        k1 = rate(s_sig[i], vp_sig[i], v)
-        if rk4:
-            k2 = rate(s_mid[i], vp_mid[i], v + dt / 2 * k1)
-            k3 = rate(s_mid[i], vp_mid[i], v + dt / 2 * k2)
-            k4 = rate(s_sig[i + 1], vp_sig[i + 1], v + dt * k3)
-            v = v + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        else:
-            v = v + dt * k1
+        f1 = rate(0, v)
+        v = rk4_step(v, c, f1, rate) if rk4 else v + c[1] * f1
         v_series[i + 1] = v
     return float(0.5 * np.trapezoid((v_series - vp_sig) ** 2, t))
 
 
-def _descent_terms(
-    block: AvBlock, theta, mode: str, raw: dict | None = None
-) -> tuple[float, np.ndarray]:
-    """J and the AV-summed direction at the shared gains theta, from a run of
-    the AV block, or from `raw`, its record at theta ("closed-loop": Im J / h
-    of the complex lanes). The record dies with this call, before the next
-    iteration's run."""
-    raw = _sensitivity_run(block, theta, mode, raw)
-    t, v, z_series = raw["t"], raw["v"], raw["z"]
+def _descent_terms(block: AvBlock, theta, mode: str, raw: dict | None = None):
+    """J, the AV-summed direction and the AV sensitivities z at the shared
+    gains theta, from a `PlatoonEngine.run` of the AV block resumed at its
+    head's end and recording x and v, or from `raw`, its record at theta.
+
+    z comes from that record ("exogenous") or from a complex run after it,
+    resumed at the same head's end, whose lane g steps gain g by i*h
+    ("closed-loop"; the direction is then Im J / h of its lanes). z has
+    shape (n_samples, n_av, 2). The record dies with this call, before the
+    next iteration's run. Errors number vehicles in the platoon.
+    """
+    # 1-element arrays, not floats: NumPy multiplies them faster
+    gains = np.reshape(theta, (2, 1))
+    if raw is None:
+        raw = block.run(*gains, block.head, ("x", "v"))[0]
+    t, v = raw["t"], raw["v"]
     j_val = _objective(t, v, block.av)
     if mode == "closed-loop":
-        return j_val, _objective(t, raw["v_c"], block.av).imag / _H
+        # lane g holds gain g + i*h; each gain is shaped (lanes, 1)
+        lanes = (gains + 1j * _H * np.eye(2))[..., None]
+        v_c = block.run(*lanes, block.head, ("v",))[0]["v"]
+        z_series = v_c[..., list(block.av)].imag.swapaxes(1, 2) / _H
+        return j_val, _objective(t, v_c, block.av).imag / _H, z_series
+    z_series = _sensitivities(block, theta, raw)
     lam = np.stack(
         [_direction(t, v, z_series[:, row], i) for row, i in enumerate(block.av)]
     ).sum(axis=0)
-    return j_val, lam
+    return j_val, lam, z_series
 
 
 def optimize(
@@ -407,7 +391,7 @@ def optimize(
         block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), last)
         raw = block.columns(raw)
         for kappa in range(1, cfg.n_max + 1):
-            j_val, lam = _descent_terms(block, theta, cfg.sensitivity, raw)
+            j_val, lam, _ = _descent_terms(block, theta, cfg.sensitivity, raw)
             raw = None
             thetas.append(theta)
             objectives.append(j_val)

@@ -213,8 +213,12 @@ class Scenario:
                 f"unknown integrator {self.integrator!r}; known: {INTEGRATORS}"
             )
         # the window must hold on the sampled grid too, so a bad window fails
-        # here rather than after any integration
-        window_slice(np.arange(self.steps + 1) * self.dt, self.metric_window)
+        # here rather than after any integration; its metrics need 2 samples
+        keep = window_slice(np.arange(self.steps + 1) * self.dt, self.metric_window)
+        if keep.stop - keep.start < 2:
+            raise DomainError(
+                f"metric window {self.metric_window} holds fewer than 2 samples at dt {self.dt}"
+            )
         if self.init_spacing is not None:
             if len(self.init_spacing) != self.n_followers:
                 raise DomainError("init_spacing must list one spacing per follower")
@@ -545,13 +549,17 @@ class PlatoonEngine:
         """
         y_new = self.step(y, f1, v_lead)
         v_new = y_new[self._v]
-        # fmin skips NaN, as `v < 0` is False for it, and -inf is a blow-up,
-        # not a speed to clamp; `_check_finite` reports both
+        # fmin skips NaN, as `v < 0` is False for it
         if np.fmin.reduce(v_new, axis=None) < 0:
-            finite = v_new != -np.inf
-            self.lane_floor_hits += ((v_new < 0) & finite).sum(axis=-1)
-            np.maximum(v_new, 0.0, out=v_new, where=finite)
+            self.lane_floor_hits += self.floored(y_new).sum(axis=-1)
+            np.maximum(v_new, 0.0, out=v_new, where=v_new != -np.inf)
         return y_new
+
+    def floored(self, y_new):
+        """The speeds of the unclamped states `y_new` that `advance` floors at
+        0 and counts: the negative ones but -inf, a blow-up as NaN is."""
+        v_new = y_new[self._v]
+        return (v_new < 0) & (v_new != -np.inf)
 
     def run(
         self,
@@ -560,7 +568,6 @@ class PlatoonEngine:
         lead: Sequence[np.ndarray] | None = None,
         initial: tuple[np.ndarray, np.ndarray] | None = None,
         start: int = 0,
-        hits: int | np.ndarray = 0,
     ) -> dict | None:
         """Integrate the scenario, recording the requested fields.
 
@@ -589,13 +596,13 @@ class PlatoonEngine:
         whole platoon's `initial_arrays`; by default this engine's own),
         equals those columns of the whole platoon's run bit for bit.
 
-        `start` resumes a run at step `start`: `initial` is then the state
-        at t_start that a run from step 0 reached (the `x` and `v` record
-        rows at `start`, `v` without the leader column) and `hits` the
-        clamps it counted before, per lane. The loop steps from there, so
-        the record, whose `t` and rows begin at sample `start` (a fold sees
-        the window's samples from there), and every count, log line and
-        error equal those of a run from step 0.
+        `start` resumes a run from a state at step `start`: `initial` is
+        then the state at t_start that a run from step 0 reached (the `x`
+        and `v` record rows at `start`, `v` without the leader column). The
+        loop steps from there, so the record, whose `t` and rows begin at
+        sample `start` (a fold sees the window's samples from there), and
+        every error equal those of a run from step 0. Clamps are counted
+        from `start`.
 
         Unbatched runs log their speed-floor hits; batched callers report
         `lane_floor_hits` per lane themselves.
@@ -614,7 +621,7 @@ class PlatoonEngine:
         )
         y = np.zeros(self.batch_shape + (self.width,), self.dtype)
         y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
-        self.lane_floor_hits = np.full(self.batch_shape, hits, dtype=np.int64)
+        self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
         # the loop records x, v and a, as (part, slice) of y and its
         # derivative f; s, dv and u are rebuilt from x and v, kept for them

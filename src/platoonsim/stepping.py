@@ -22,18 +22,19 @@ def stage_blocks(engine, lead, x, v, start: int = 0, later=True):
     after it. Yields each block's first and end sample, the list of `rhs`'s
     tuples at its samples and None; with `later` the blocks cover the steps
     (not the last sample), the later RK4 stages' tuples join the list and
-    the unclamped states after the steps replace None."""
+    each step's floor mask (`PlatoonEngine.floored`) replaces None."""
     end = len(x) - 1 if later else len(x)
     # the leader's speeds, one per sample, against any lane axis
     shape = (-1,) + (1,) * (x.ndim - 2)
     for k0 in range(start, end, _STAGE_BLOCK):
         k1 = min(k0 + _STAGE_BLOCK, end)
         stages = [engine.rhs(lead[0][k0:k1].reshape(shape), x[k0:k1], v[k0:k1])]
-        y_new = None
+        floored = None
         if later:
             y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
-            y_new = engine.step(y, stages[0][0], [s[k0:k1].reshape(shape) for s in lead[1:]], stages)
-        yield k0, k1, stages, y_new
+            lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
+            floored = engine.floored(engine.step(y, stages[0][0], lead_later, stages))
+        yield k0, k1, stages, floored
 
 
 def step_coefficients(dt: float) -> tuple[float, ...]:
@@ -45,8 +46,8 @@ def rk4_step(y, c, f1, rate):
     """One classic RK4 step from the state y, whose derivative is f1.
 
     `c` holds `step_coefficients(dt)`, as 0-d arrays in the engine and as
-    floats in the optimizer's sensitivity post-pass, so the stage formulas
-    exist once; the `replayed_objective` oracle keeps its own loop.
+    floats in the optimizer's sensitivity post-pass and its
+    `replayed_objective` oracle, so the stage formulas exist once.
     `rate(i, y_i)` is the derivative at the stage state y_i, for i = 1 and 2
     (the half step) and 3 (the full step).
     """

@@ -435,6 +435,36 @@ class TestWindowPolicy:
             ), cmd
 
 
+    @pytest.mark.parametrize("window", ["0 0.05", "12.34 12.36"], ids=["first", "between"])
+    def test_window_of_fewer_than_two_samples_fails_every_command(
+        self, tmp_path, capsys, monkeypatch, window
+    ):
+        # sample 0 alone, or no sample at all: no metric has two samples to
+        # integrate, so every command exits 1 before any work
+        def fail(*args, **kw):
+            raise AssertionError("work done before the window was checked")
+
+        monkeypatch.setattr(cli, "optimize", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
+        monkeypatch.setattr(cli, "simulate", fail)
+        commands = [
+            ["run"],
+            ["tune"],
+            ["sweep", "--mprs", "0,0.5"],
+            ["grid", "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"],
+        ]
+        t1, t2 = map(float, window.split())
+        for cmd in commands:
+            out = tmp_path / cmd[0]
+            assert main([*cmd, "--scenario", "scenario1", "--out", str(out),
+                         "--set", f"scenario.metric_window={window}"]) == 1
+            assert capsys.readouterr() == ("", (
+                f"config error: metric window ({t1}, {t2}) holds fewer than 2 samples "
+                "at dt 0.1\n"
+            )), cmd
+            assert not [p for p in out.iterdir() if p.suffix == ".csv"]
+
+
 class TestWindowEnd:
     # the lead stops within 4 s after 51 s, so every lane clamps at 0 m/s
     # only after the metric window's end at 50 s
@@ -547,16 +577,16 @@ class TestTune:
     def test_failed_descent_keeps_its_trace(self, tmp_path, capsys, monkeypatch, failing_call):
         # the descent's run blows up on its third (first) call: the two
         # completed iterations (none) are written before the exit 2
-        run = optimizer._sensitivity_run
+        terms = optimizer._descent_terms
         calls = []
 
-        def failing_run(*args):
+        def failing_terms(*args):
             calls.append(args)
             if len(calls) == failing_call:
                 raise NumericalBlowupError(4, 12.3)
-            return run(*args)
+            return terms(*args)
 
-        monkeypatch.setattr(optimizer, "_sensitivity_run", failing_run)
+        monkeypatch.setattr(optimizer, "_descent_terms", failing_terms)
         code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
                      "--set", "optimizer.n_max=5", "--set", "optimizer.epsilon=1e-4"])
         assert code == 2
@@ -820,9 +850,9 @@ SHORT_SETS = tuple(SHORT[1::2])
 # leads of `SHORT`'s length: a brake from 10 s, and a stop from 5 s, where
 # every follower's speed clamps at 0 m/s
 GRID_LEADS = {"brake": "0:21 10:21 20:18 30:18 40:21", "stop": "0:21 5:21 9:0"}
-# metric windows: from 0 s, before the head's end; from 40 s, after it;
-# and sample 0 alone, where every dv is 0, so no gains act
-GRID_WINDOWS = {"early": "0 50", "late": "40 50", "first": "0 0.05"}
+# metric windows: from 0 s, before the head's end; from 40 s, after it.
+# Sample 0 alone is rejected (`TestWindowPolicy`)
+GRID_WINDOWS = {"early": "0 50", "late": "40 50"}
 
 
 class TestGrid:
@@ -1018,8 +1048,6 @@ class TestGrid:
              lead="stop", window="late", beta=[0.02, 0.06])
     @example(preset="scenario2", mpr="1.0", kind="none", kernel="tanh", integrator="euler",
              lead="brake", window="early", beta=[0.0, 0.03])
-    @example(preset="scenario1", mpr="0.1", kind="ts-ops", kernel="arctan", integrator="rk4",
-             lead="brake", window="first", beta=[0.0, 0.05])
     # scenario 2 behind the stopping lead blows up
     @example(preset="scenario2", mpr="0.5", kind="ts-ops", kernel="arctan", integrator="rk4",
              lead="stop", window="early", beta=[0.0, 0.0642])

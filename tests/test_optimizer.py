@@ -9,13 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import avblock, optimizer, simulator, stepping
+from platoonsim.cli import main
+from platoonsim.config import apply_overrides, build_scenario, load_config
 from platoonsim.controller import SIGMOID_KERNELS, ControllerParams
 from platoonsim.errors import DomainError, NumericalBlowupError, OptimizeError
 from platoonsim.optimizer import (
     OptimizerConfig,
     _descent_terms,
     _sensitivities,
-    _sensitivity_run,
     _z_terms,
     descent_direction,
     objective_j,
@@ -129,7 +130,7 @@ def av_block(sc, theta=None, end=None):
 
 def block_initial(block):
     """The AV block's initial state: the first row of its head."""
-    return block.head.rows["x"][0], block.head.rows["v"][0, 1:]
+    return block.rows["x"][0], block.rows["v"][0, 1:]
 
 
 def per_follower_gains(sc, theta):
@@ -226,7 +227,7 @@ class TestSimulateWithSensitivity:
         _, z = simulate_with_sensitivity(sc, self.THETA, mode)
         block, raw, _ = avblock.av_block(sc, *np.reshape(self.THETA, (2, 1)), sc.av_indices[-1])
         assert block.scenario.n_followers < sc.n_followers or mpr == 1.0
-        descent = _sensitivity_run(block, self.THETA, mode, block.columns(raw))["z"]
+        descent = _descent_terms(block, self.THETA, mode, block.columns(raw))[2]
         assert z.tobytes() == descent.tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -300,7 +301,7 @@ class TestSimulateWithSensitivity:
         # the AV block is followers 2-8, with HVs at 3, 4, 6 and 7
         block = av_block(sc)
         assert (block.first, block.av) == (1, (1, 4, 7))
-        z = _sensitivity_run(block, (0.05, 1.0), mode)["z"]
+        z = _descent_terms(block, (0.05, 1.0), mode)[2]
         assert z[-1].all()
         if mode == "closed-loop":
             # complex lanes with 0 on the HVs; the HVs behind an AV still
@@ -331,7 +332,7 @@ class TestSimulateWithSensitivity:
         # each 100-step block from the end of the gain-free head, step 100
         sc = make_short_scenario(mpr=0.5)
         assert sc.av_indices == (1, 3, 5, 7, 9)
-        assert av_block(sc).head.steps == 100
+        assert av_block(sc).head == 100
         kernel = SIGMOID_KERNELS["arctan"]
         calls = []
 
@@ -403,14 +404,14 @@ class TestAvBlock:
             ).sum(axis=0)
         block = av_block(sc)
         assert block.first == av_indices[0] - 1
-        j_val, lam = _descent_terms(block, np.array(theta), mode)
+        j_val, lam, _ = _descent_terms(block, np.array(theta), mode)
         assert j_val == j_ref
         if mode == "closed-loop":
             assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0)
         else:
             assert lam.tobytes() == lam_ref.tobytes()
         # the block's record is the platoon's columns from the block's leader
-        raw = _sensitivity_run(block, np.array(theta), mode)
+        raw = block.run(*np.reshape(theta, (2, 1)), block.head, ("x", "v"))[0]
         cols = slice(block.first, av_indices[-1] + 1)
         for name in ("x", "v"):
             whole = np.ascontiguousarray(getattr(traj, name)[:, cols])
@@ -441,19 +442,16 @@ class TestAvBlock:
         assert err.value.vehicle == 5
 
 
-def block_run(block, theta, head=None):
+def block_run(block, theta, start=0):
     """A run of the AV block recording every field, from step 0 or resumed
-    at the end of `head`: ("ran", record, clamps per lane) or ("failed",
-    vehicle, time, lane)."""
+    from its row at step `start`: ("ran", record, clamps per lane) or
+    ("failed", vehicle, time, lane)."""
     beta, gamma = np.reshape(theta, (2, 1))
     engine = PlatoonEngine(block.scenario, beta=beta, gamma=gamma, av_mask=block.av_mask)
-    kw = {"initial": block_initial(block)}
-    if head is not None:
-        k, rows = head.steps, head.rows
-        kw = {"initial": (rows["x"][k], rows["v"][k, 1:]), "start": k, "hits": head.hits}
+    initial = block.rows["x"][start], block.rows["v"][start, 1:]
     try:
         with np.errstate(invalid="ignore"):
-            raw = engine.run(record=RECORD, lead=block.lead, **kw)
+            raw = engine.run(record=RECORD, lead=block.lead, initial=initial, start=start)
     except NumericalBlowupError as err:
         return "failed", err.vehicle, err.time, err.lane
     return "ran", raw, engine.lane_floor_hits
@@ -463,7 +461,7 @@ def descent_outcome(block, theta, mode):
     """J and lambda of `_descent_terms` as bytes, or the failure."""
     try:
         with np.errstate(invalid="ignore"):
-            j_val, lam = _descent_terms(block, np.array(theta), mode)
+            j_val, lam, _ = _descent_terms(block, np.array(theta), mode)
     except NumericalBlowupError as err:
         return "failed", err.vehicle, err.time, err.lane
     return "ran", j_val.tobytes(), lam.tobytes()
@@ -474,7 +472,8 @@ RECORD = ("x", "v", "a", "s", "dv", "u")
 
 class TestHead:
     """The gain-free head: the steps before any AV's dv is nonzero at any
-    stage, which the descent integrates once per call."""
+    stage and before any speed of the block is floored, which the descent
+    integrates once per call."""
 
     SCENARIOS = {
         "short": dict(lead=SHORT_LEAD, t_f=50.0, window=(10.0, 40.0)),
@@ -518,14 +517,14 @@ class TestHead:
             assume(sc.av_indices[0] == 1)
             cut = 150
             block = av_block(sc, end=cut)
-        k = block.head.steps
+        k = block.head
         assert k < cut or cut == sc.steps
 
         # a resumed run equals the full run: every field from the head's end
         # on, the head's rows before it, the clamp counts, or the failure
         full = []
         for theta in thetas:
-            whole, resumed = block_run(block, theta), block_run(block, theta, block.head)
+            whole, resumed = block_run(block, theta), block_run(block, theta, k)
             assert whole[0] == resumed[0]
             if whole[0] == "failed":
                 assert whole == resumed
@@ -534,7 +533,7 @@ class TestHead:
             for name in RECORD:
                 assert resumed[1][name].tobytes() == whole[1][name][k:].tobytes(), name
             for name in ("t", "x", "v"):
-                assert block.head.rows[name].tobytes() == whole[1][name][: k + 1].tobytes()
+                assert block.rows[name].tobytes() == whole[1][name][: k + 1].tobytes()
             assert resumed[2].tobytes() == whole[2].tobytes()
             full.append(whole[1])
         # two gain pairs agree through the head: the states up to its end,
@@ -547,15 +546,14 @@ class TestHead:
         # J and lambda of the descent, resumed from the head (the real and
         # the complex lanes alike), against runs from step 0 with a head of
         # no steps
-        rows = {name: arr[:1] for name, arr in block.head.rows.items()}
-        zero = replace(block, head=avblock.Head(0, rows, 0))
+        zero = replace(block, head=0, rows={name: arr[:1] for name, arr in block.rows.items()})
         for theta in thetas:
             assert descent_outcome(block, theta, mode) == descent_outcome(zero, theta, mode)
 
     @pytest.mark.parametrize("hv", [IDM_1, IDM_2], ids=["idm1", "idm2"])
     def test_complex_lanes_resume_at_the_head(self, monkeypatch, hv):
         # a closed-loop descent runs its complex lanes from the one real
-        # head's end, with the head's row and clamps, and builds no complex
+        # head's end, with the head's row, and builds no complex
         # engine other than those lanes' (no step-batched rebuild of them)
         sc = make_short_scenario(mpr=0.5, hv=hv)
         blocks, built, runs = [], [], []
@@ -580,36 +578,71 @@ class TestHead:
         cfg = OptimizerConfig(beta_max=0.0642, n_max=4, sensitivity="closed-loop")
         _, trace = optimize(sc, cfg)
         [(block, _, _)] = blocks
-        k = block.head.steps
+        k = block.head
         assert k > 0
         complex_runs = [(e, kw) for e, kw in runs if e.dtype.kind == "c"]
         assert len(complex_runs) == len(trace) > 1
         for engine, kw in complex_runs:
             assert kw["start"] == k
-            assert kw["hits"] is block.head.hits
             x, v = kw["initial"]
-            assert x.tobytes() == block.head.rows["x"][k].tobytes()
-            assert v.tobytes() == block.head.rows["v"][k, 1:].tobytes()
+            assert x.tobytes() == block.rows["x"][k].tobytes()
+            assert v.tobytes() == block.rows["v"][k, 1:].tobytes()
         assert [e for e in built if e.dtype.kind == "c"] == [e for e, _ in complex_runs]
 
-    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
-    def test_whole_run_head_counts_every_lanes_clamps(self, integrator):
-        # behind a flat lead only follower 7 starts off equilibrium, 0.5 m
-        # behind follower 6, so the AV (follower 5) never sees a dv and the
-        # head is the whole run; the clamps its pass counts on the rebuilt
-        # steps are the seeding lane's and those of a run at any gains
+    # behind a flat lead the AV (follower 5) never sees a dv, but followers
+    # behind it that start off equilibrium clamp: follower 7 starting 0.5 m
+    # behind follower 6 at step 0; under Euler, with follower 7 starting 2 m
+    # and follower 8 3 m behind their predecessors, at step 1
+    @pytest.mark.parametrize("integrator, gaps, step", [
+        ("rk4", {7: 0.5}, 0), ("euler", {7: 0.5}, 0), ("euler", {7: 2.0, 8: 3.0}, 1),
+    ], ids=["rk4", "euler", "euler-step-1"])
+    def test_head_ends_at_the_first_floored_step(self, integrator, gaps, step):
         sc = make_scenario(lead=FLAT_LEAD, t_f=40.0, window=(0.0, 40.0), kind="ts-ops",
                            mpr=0.1, integrator=integrator)
         assert sc.av_indices == (5,)
         spacing = start_spacings(sc, av_mask_for(10, 0.1)).copy()
-        spacing[6] = 0.5
+        for follower, gap in gaps.items():
+            spacing[follower - 1] = gap
         sc = replace(sc, init_spacing=tuple(spacing))
-        block, _, hits = avblock.av_block(sc, 0.03, 1.0, sc.n_followers)
-        assert block.head.steps == sc.steps
-        assert block.head.hits > 0 and hits == block.head.hits
-        engine = PlatoonEngine(sc, beta=np.array([[0.0], [0.03], [0.0642]]))
+        block, raw, hits = avblock.av_block(sc, 0.03, 1.0, sc.n_followers)
+        # a floored speed is 0 after its step
+        floored = (raw["v"][1:, block.first + 1 :] == 0).any(axis=1)
+        assert block.head == step == np.argmax(floored)
+        # each lane's clamps, resumed at the head's end, are those of its
+        # run from step 0
+        betas = np.array([[0.0], [0.03], [0.0642]])
+        resumed = block.run(betas, np.ones((3, 1)), block.head, ("v",))[1]
+        engine = PlatoonEngine(sc, beta=betas)
         engine.run(record=("v",))
-        assert (engine.lane_floor_hits == block.head.hits).all()
+        assert hits > 0 and (engine.lane_floor_hits == resumed).all()
+
+    def test_a_clamp_at_step_0_leaves_no_head(self, tmp_path, caplog):
+        # scenario 1 under Euler at MPR 0.5, whose first AV is follower 1,
+        # with follower 4 starting 0.5 m behind follower 3: it clamps at
+        # step 0, so the head is empty and each run of the block counts and
+        # logs every clamp of its run from step 0
+        sets = ["scenario.t_f=40", "scenario.metric_window=0 40", "scenario.mpr=0.5",
+                "scenario.integrator=euler"]
+        cp = load_config("scenario1")
+        apply_overrides(cp, sets)
+        spacing = start_spacings(build_scenario(cp), av_mask_for(10, 0.5)).tolist()
+        spacing[3] = 0.5
+        sets.append("scenario.init_spacing=" + " ".join(map(repr, spacing)))
+        apply_overrides(cp, sets[-1:])
+        sc = build_scenario(cp)
+        line = "speed floor at 0 m/s engaged {} times during the run".format
+        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
+            # the descent's seeding lane, at its first gains
+            block, _, hits = avblock.av_block(sc, 0.05, 1.0, sc.av_indices[-1])
+            assert (block.first, block.head, hits) == (0, 0, 86)
+            caplog.clear()
+            assert block.run(0.05, 1.0, block.head, ("x", "v"))[1] == 86
+            assert caplog.messages == [line(86)]
+            caplog.clear()
+            assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
+                         *(arg for item in sets for arg in ("--set", item)),
+                         "--set", "optimizer.n_max=3"]) == 0
+        assert caplog.messages == [line(86), line(83), line(79)]
 
     @pytest.mark.parametrize("mpr", [0.1, 0.5, 1.0])
     def test_head_is_empty_when_an_av_sees_dv_at_step_0(self, mpr):
@@ -618,10 +651,10 @@ class TestHead:
         # every step, as without a head
         sc = make_short_scenario(mpr=mpr, init_spacing=(40.0, 55.0) * 5)
         block = av_block(sc)
-        assert block.head.steps == 0
-        assert block.head.rows["x"].shape[0] == 1
+        assert block.head == 0
+        assert block.rows["x"].shape[0] == 1
         # with the paper's equilibrium start the head is not empty
-        assert av_block(make_short_scenario(mpr=mpr)).head.steps > 0
+        assert av_block(make_short_scenario(mpr=mpr)).head > 0
 
 
 class TestClosedLoop:
@@ -642,7 +675,7 @@ class TestClosedLoop:
         sc = make_short_scenario(mpr=mpr, integrator=integrator)
         block = av_block(sc)
         theta = np.array(self.THETA)
-        _, lam = _descent_terms(block, theta, "closed-loop")
+        lam = _descent_terms(block, theta, "closed-loop")[1]
         # every FD point theta +- h e_g is a lane of one run of the platoon
         h = np.array(self.FD_STEPS)
         step = h[..., None] * np.eye(2)[:, None]
@@ -700,7 +733,7 @@ class TestClosedLoop:
         # seeding lane of the first 15 s, which holds the gain-free head; the first
         # AV is follower 1, so the block's leader is the lead profile itself
         block = av_block(sc, end=150)
-        assert block.first == 0 and block.head.steps < 150
+        assert block.first == 0 and block.head < 150
         errors = []
         with np.errstate(invalid="ignore"):
             for mode in ("exogenous", "closed-loop"):

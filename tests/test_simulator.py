@@ -162,15 +162,20 @@ class TestAvMask:
         assert np.array_equal(PlatoonEngine(sc).av_mask, av_mask_for(10, 0.3))
 
 
+# a metric window between two samples at dt 0.1, so it holds none
+NO_SAMPLE = (12.34, 12.36)
+
+
 class TestEngine:
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     @pytest.mark.parametrize("start", [0, 1, 67, 250])
     def test_resumed_run_equals_the_full_run(self, caplog, integrator, start):
         # behind the stopping lead speeds clamp from about 9 s on; a run
-        # resumed at step `start` from the state and clamp counts a run of
-        # the first `start` steps reached records the full run's rows from
-        # there and ends with its counts and log line. Three lanes (MPR 0,
-        # 0.5, 1.0) and one unbatched run.
+        # resumed at step `start` from the state a run of the first `start`
+        # steps reached records the full run's rows from there, and the two
+        # runs' clamp counts add up to the full run's; before any clamp, the
+        # resumed run logs the full run's line. Three lanes (MPR 0, 0.5,
+        # 1.0) and one unbatched run.
         sc = make_scenario(lead=STOP_LEAD, t_f=25.0, window=(0.0, 25.0), kind="ts-ops",
                            beta=0.05, mpr=0.5, integrator=integrator)
         for mask in (av_mask_for(10, [0.0, 0.5, 1.0]), None):
@@ -190,19 +195,21 @@ class TestEngine:
                 engine = PlatoonEngine(sc, av_mask=mask)
                 caplog.clear()
                 resumed = engine.run(
-                    initial=(full["x"][start], full["v"][start, ..., 1:]), start=start, hits=hits
+                    initial=(full["x"][start], full["v"][start, ..., 1:]), start=start
                 )
             assert set(resumed) == set(full)
             for name, arr in resumed.items():
                 assert arr.tobytes() == full[name][start:].tobytes(), name
-            assert engine.lane_floor_hits.tobytes() == full_engine.lane_floor_hits.tobytes()
+            counts = hits + engine.lane_floor_hits
+            assert counts.tobytes() == full_engine.lane_floor_hits.tobytes()
             assert full_engine.floor_hits > 0
-            assert caplog.text == full_log
+            assert caplog.text == ("" if np.any(hits) and mask is None else full_log)
+            assert np.any(hits) == (start == 250)
             # a fold of the window (10-20 s) sees its samples from `start` on
             seen = []
             windowed = PlatoonEngine(replace(sc, metric_window=(10.0, 20.0)), av_mask=mask)
             windowed.run(record=("v",), initial=(full["x"][start], full["v"][start, ..., 1:]),
-                         start=start, hits=hits, fold=lambda t, fields: seen.append(
+                         start=start, fold=lambda t, fields: seen.append(
                              fields["v"].copy()))
             assert np.concatenate(seen).tobytes() == full["v"][max(start, 100):201].tobytes()
 
@@ -223,10 +230,15 @@ class TestEngine:
         assert errors[0] == errors[1]
         assert errors[0][:2] == (2, pytest.approx(19.4, abs=1e-9))
 
-    # inside the horizon, the whole horizon, and a window holding no sample
-    @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), (12.34, 12.36)])
+    # inside the horizon, the whole horizon, and a window holding no sample,
+    # which the scenario rejects
+    @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), NO_SAMPLE])
     def test_window_equals_slice_of_full_run(self, window):
         # a folded run sees exactly the metric window's samples of a full run
+        if window == NO_SAMPLE:
+            with pytest.raises(DomainError, match="holds fewer than 2 samples"):
+                make_short_scenario(mpr=0.5, window=window)
+            return
         sc = make_short_scenario(mpr=0.5, window=window)
         full = PlatoonEngine(sc).run()
         parts = []
@@ -238,11 +250,15 @@ class TestEngine:
             got = np.concatenate([part[name] for part in parts])
             assert np.array_equal(got, full[name][keep]), name
 
-    @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), (12.34, 12.36)])
+    @pytest.mark.parametrize("window", [(10.0, 40.0), (0.0, 50.0), NO_SAMPLE])
     @pytest.mark.parametrize("budget", [1, 3 * 21 * 7, 1 << 16])
     def test_fold_sees_the_window_record_in_blocks(self, monkeypatch, window, budget):
         # budget 1 gives one-sample blocks, 3 lanes x 21 values x 7 seven
         monkeypatch.setattr(simulator, "_FOLD_VALUES", budget)
+        if window == NO_SAMPLE:
+            with pytest.raises(DomainError, match="holds fewer than 2 samples"):
+                make_short_scenario(window=window)
+            return
         sc = make_short_scenario(window=window)
         mask = av_mask_for(10, [0.0, 0.5, 1.0])
         whole = PlatoonEngine(sc, av_mask=mask).run(record=("v", "a"))
@@ -398,7 +414,8 @@ class TestStageRebuild:
     # whose engine takes the sample index as a leading batch axis of length
     # 1 in front of any lanes. With per-lane masks that axis must not be read
     # as a lane axis: every stage's rhs tuple and the state after each step
-    # must keep the bytes of the loop, which evaluates one sample at a time.
+    # must keep the bytes of the loop, which evaluates one sample at a time,
+    # and each step's floor mask must be the one `advance` counts with.
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -443,7 +460,7 @@ class TestStageRebuild:
         clamps = 0
         with mock.patch.object(stepping, "_STAGE_BLOCK", block):
             blocks = list(stage_blocks(stepwise, table, x, v))
-        for k0, k1, stages, y_new in blocks:
+        for k0, k1, stages, floored in blocks:
             for k in range(k0, k1):
                 loop = [engine.rhs(table[0][k], x[k], v[k])]
                 y_next = engine.step(np.concatenate([x[k], v[k]], axis=-1), loop[0][0],
@@ -451,7 +468,7 @@ class TestStageRebuild:
                 assert len(stages) == len(loop) == (4 if integrator == "rk4" else 1)
                 for got, ref in zip(stages, loop):
                     check_sample(k - k0, got, ref)
-                assert y_new[k - k0].tobytes() == y_next.tobytes()
+                assert floored[k - k0].tobytes() == engine.floored(y_next).tobytes()
                 # the record holds the loop's diagnostics and clamped state
                 f, s, dv, u = loop[0]
                 assert raw["a"][k].tobytes() == f[..., n + 1 :].tobytes()
@@ -459,7 +476,7 @@ class TestStageRebuild:
                     assert raw[name][k].tobytes() == ref.tobytes(), name
                 assert raw["v"][k + 1, ..., 1:].tobytes() == np.maximum(
                     y_next[..., n + 1 :], 0.0).tobytes()
-            clamps = clamps + (y_new[..., n + 1 :] < 0).sum(axis=(0, -1))
+            clamps = clamps + floored.sum(axis=(0, -1))
         assert np.array_equal(clamps, engine.lane_floor_hits)
         # the last sample, which no step starts from
         f, s, dv, u = engine.rhs(table[0][-1], x[-1], v[-1])
