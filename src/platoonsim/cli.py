@@ -240,6 +240,10 @@ def cmd_sweep(args) -> int:
 
     metrics = dict(zip(lanes, zip(*sums.platoon())))
     asv0, fc0 = metrics[0]
+    if asv0 < 1e-9:  # m/s: round-off of a platoon at equilibrium, no base for a ratio
+        print(f"baseline ASV {asv0:.3g} m/s is below 1e-09 m/s: asv_impr not computed",
+              file=sys.stderr)
+        asv0 = math.nan
     rows = []
     for lane, mpr in enumerate(mprs, start=1):
         if lane in errors:

@@ -267,8 +267,8 @@ def simulate_with_sensitivity(
     (1, 2) row. Returns the trajectory and the sensitivity series with shape
     (n_samples, n_av, 2), z(0) = 0. One `av_block` call to the last follower
     integrates the platoon once, as its seeding lane, and gives the AV
-    block and the record, whose block columns `_descent_terms` takes z
-    from as the descent does ("closed-loop": a complex run of the block). A
+    block and the record; `_descent_terms` takes z as the descent does, from
+    that block cut to the last AV ("closed-loop": a complex run of it). A
     non-finite z raises NumericalBlowupError naming the lowest AV whose row
     failed ("closed-loop": the vehicle whose speed did).
     """
@@ -276,9 +276,10 @@ def simulate_with_sensitivity(
     if theta.shape not in ((2,), (1, 2)):
         raise DomainError(f"theta_av must be one (beta, gamma) pair, not shape {theta.shape}")
     _check_mode(mode)
-    _tunable(scenario)
+    last = _tunable(scenario)[-1]
     fields = ("x", "v", "a", "s", "dv", "u")
     block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), scenario.n_followers, fields)
+    block = block.upto(last)  # z reads no follower behind the last AV
     z_series = _descent_terms(block, theta, mode, block.columns(raw))[2]
     return assemble_trajectory(scenario, raw), z_series
 

@@ -30,7 +30,7 @@ from .dynamics import (
     ovrv_accel_arrays,
 )
 from .errors import DomainError, NumericalBlowupError
-from .stepping import rk4_step, stage_blocks, step_coefficients
+from .stepping import FloatState, rk4_step, stage_blocks, step_coefficients
 
 __all__ = [
     "LeadProfile",
@@ -380,7 +380,10 @@ class PlatoonEngine:
     recorded run's states, with the sample index as a batch axis, to rebuild
     the stage values that `run` does not record and the optimizer's
     sensitivities need. Every scalar operand of a step (model parameters,
-    controller constants, step coefficients) is a 0-d array made here.
+    controller constants, step coefficients) is made here: a 0-d array,
+    which NumPy applies faster than a float, but a Python float in a lane
+    that `run` steps as a `FloatState` (`_floats`: one unbatched real lane
+    whose one follower is an AV), with `_rates` and `_advance_floats`.
     """
 
     def __init__(
@@ -392,14 +395,9 @@ class PlatoonEngine:
     ):
         self.scenario = scenario
         self.n = n = scenario.n_followers
-        self.hv = operands(scenario.hv_model)
-        self.av = operands(scenario.av_model)
         ctrl = scenario.controller
         self.kind = ctrl.kind
         self.kernel = get_kernel(ctrl.kernel)
-        self.v_star = np.array(scenario.v_star)
-        self.phi = tuple(map(np.array, (ctrl.phi1, ctrl.phi2, ctrl.phi3)))
-        self._c = tuple(map(np.array, step_coefficients(scenario.dt)))
 
         if av_mask is None:
             av_mask = av_mask_for(self.n, scenario.mpr)
@@ -423,9 +421,18 @@ class PlatoonEngine:
         # skipped, as the AV law overwrites every entry, and the AV law and
         # `u` take the whole arrays, not views through `_a`
         self._all_av = bool(self.av_mask.all())
+        self._floats = not self.batch_shape and n == 1 and self._all_av and self.dtype == float
+        scalar = float if self._floats else np.array
+        models = scenario.hv_model, scenario.av_model
+        self.hv, self.av = models if self._floats else map(operands, models)
+        self.v_star = scalar(scenario.v_star)
+        self.phi = tuple(map(scalar, (ctrl.phi1, ctrl.phi2, ctrl.phi3)))
+        self._c = tuple(map(scalar, step_coefficients(scenario.dt)))
 
         def _at_av(gain):
             # the gain at the AV entries, shaped to broadcast against them
+            if self._floats:
+                return gain.item()
             if self._a is None or np.ndim(gain) == 0 or self._all_av:
                 return gain
             return np.broadcast_to(gain, self.batch_shape + (n,))[self._a]
@@ -442,9 +449,9 @@ class PlatoonEngine:
         # clamps of a negative speed to 0, per lane (0-d when unbatched)
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
-        # flat state layout; dx/dt = [v_lead | v] shares the x slots
-        self._x = np.s_[..., : n + 1]
-        self._v = np.s_[..., n + 1 : 2 * n + 1]
+        # flat layout, dx/dt = [v_lead | v] in the x slots; plain slices index a FloatState
+        x, v = slice(None, n + 1), slice(n + 1, 2 * n + 1)
+        self._x, self._v = (x, v) if self._floats else (np.s_[..., x], np.s_[..., v])
         self.width = 2 * n + 1
 
     @property
@@ -512,7 +519,28 @@ class PlatoonEngine:
         acc[a] = ovrv_accel_arrays(s_a, dv_a, v[a], self.av) + u
         return f, s, dv, u
 
+    def _rates(self, v_lead, y):
+        """`rhs`'s derivative, by its operations, of a `_floats` lane's y."""
+        v_lead, (x_lead, x, v) = float(v_lead), y
+        s = x_lead - x - self.hv.length
+        dv = v_lead - v
+        u = self.control_input(s, dv, v_lead)
+        return FloatState((v_lead, v, float(ovrv_accel_arrays(s, dv, v, self.av) + u)))
+
+    def _advance_floats(self, y, f1, v_lead):
+        """`advance` of a `_floats` lane: the same step, clamp and count."""
+        if self.scenario.integrator == "euler":
+            y = y + self._c[1] * f1
+        else:
+            y = rk4_step(y, self._c, f1, lambda i, y_i: self._rates(v_lead[i - 1], y_i))
+        if -math.inf < y[2] < 0:
+            self.lane_floor_hits += 1
+            return FloatState((y[0], y[1], 0.0))
+        return y
+
     def _check_finite(self, y, t):
+        if self._floats and math.isfinite(y[2]):
+            return
         finite = np.isfinite(y[self._v])
         if np.logical_and.reduce(finite, axis=None):
             return
@@ -622,6 +650,11 @@ class PlatoonEngine:
         y = np.zeros(self.batch_shape + (self.width,), self.dtype)
         y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
+        if self._floats:  # the lane steps a FloatState
+            y, rate, advance = FloatState(y.tolist()), self._rates, self._advance_floats
+        else:
+            advance = self.advance
+            rate = lambda v_lead, y: self.rhs(v_lead, y[self._x], y[self._v])[0]  # noqa: E731
 
         # the loop records x, v and a, as (part, slice) of y and its
         # derivative f; s, dv and u are rebuilt from x and v, kept for them
@@ -664,13 +697,13 @@ class PlatoonEngine:
                 emit(k + 1, block)
 
         for k, v_lead in zip(range(start, last), lead_later):
-            f = self.rhs(lead_t[k], y[self._x], y[self._v])[0]
+            f = rate(lead_t[k], y)
             if k >= lo:
                 record_sample(k, (y, f))
-            y = self.advance(y, f, v_lead)
+            y = advance(y, f, v_lead)
             self._check_finite(y, t_grid[k + 1])
         if lo <= last:
-            record_sample(last, (y, self.rhs(lead_t[last], y[self._x], y[self._v])[0]))
+            record_sample(last, (y, rate(lead_t[last], y)))
         del lead, lead_later  # the rebuild reads stage 1 alone, so free the rest
 
         if self.floor_hits and not self.batch_shape:

@@ -42,11 +42,24 @@ def step_coefficients(dt: float) -> tuple[float, ...]:
     return dt / 2, dt, dt / 6, 2.0
 
 
+class FloatState(tuple):
+    """A one-AV lane's state (x_lead, x, v), or its rate, as Python floats
+    that step as an array does, bit for bit: `+` adds slot by slot, `k *` scales each slot."""
+
+    def __add__(self, other):
+        (a, b, c), (x, y, z) = self, other
+        return tuple.__new__(FloatState, (a + x, b + y, c + z))
+
+    def __rmul__(self, k):
+        a, b, c = self
+        return tuple.__new__(FloatState, (k * a, k * b, k * c))
+
+
 def rk4_step(y, c, f1, rate):
     """One classic RK4 step from the state y, whose derivative is f1.
 
     `c` holds `step_coefficients(dt)`, as 0-d arrays in the engine and as
-    floats in the optimizer's sensitivity post-pass and its
+    floats in `FloatState` steps, the sensitivity post-pass and the
     `replayed_objective` oracle, so the stage formulas exist once.
     `rate(i, y_i)` is the derivative at the stage state y_i, for i = 1 and 2
     (the half step) and 3 (the full step).

@@ -640,6 +640,23 @@ class TestSweep:
         rows = read_csv(tmp_path / "sweep.csv")
         assert float(rows[2][3]) > 0.0
 
+    def test_round_off_baseline_asv_gives_no_ratio(self, tmp_path, capsys):
+        # a flat lead holds the platoon at equilibrium: both ASVs are
+        # round-off (about 1e-16 m/s), and their ratio is no improvement
+        code = main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path),
+                     "--set", "scenario.lead_profile=0:21", "--set", "scenario.t_f=60",
+                     "--set", "scenario.metric_window=10 50", "--mprs", "0,0.5"])
+        assert code == 0
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("baseline ASV ") and line.endswith(
+            " m/s is below 1e-09 m/s: asv_impr not computed")
+        assert float(line.split()[2]) < 1e-9
+        rows = read_csv(tmp_path / "sweep.csv")[1:]
+        assert [row[3] for row in rows] == ["nan", "nan"]
+        assert all(float(row[1]) == 0.0 and float(row[4]) == 0.0 for row in rows)
+        assert captured.out.count("asv_impr=nan%") == 2
+
     def test_tune_first(self, tmp_path):
         code = main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
                      "--mprs", "0,0.5", "--tune-first",

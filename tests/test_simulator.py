@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import simulator, stepping
+from platoonsim import optimizer, simulator, stepping
 from platoonsim.controller import SIGMOID_KERNELS
 from platoonsim.dynamics import (
     IdmParams,
@@ -407,6 +407,141 @@ class TestEngine:
             PlatoonEngine(sc).run()
         assert single.value.lane is None
         assert single.value.vehicle == 5
+
+
+FLOOR_LINE = "speed floor at 0 m/s engaged %d times during the run"
+ALL_FIELDS = ("x", "v", "a", "s", "dv", "u")
+
+
+def run_outcome(engine, table, initial, start, record, fold):
+    """What a run shows: its record (or its folds' blocks), its blow-up as
+    (vehicle, time, lane), its clamps and its `logger.warning` calls."""
+    raw, error, blocks = None, None, []
+
+    def keep(t, fields):
+        blocks.append((t.copy(), {name: arr.copy() for name, arr in fields.items()}))
+
+    # the array path warns of the overflow of a blow-up start
+    with mock.patch.object(simulator.logger, "warning") as warn, np.errstate(all="ignore"):
+        try:
+            raw = engine.run(record=record, fold=keep if fold else None, lead=table,
+                             initial=initial, start=start)
+        except NumericalBlowupError as err:
+            error = (err.vehicle, err.time, err.lane)
+    return raw, blocks, error, engine.lane_floor_hits, warn.call_args_list
+
+
+class TestFloatLane:
+    # one unbatched real lane whose one follower is an AV steps on Python
+    # floats; the same run with gains shaped (1, 1) is batched, so it steps
+    # its arrays, and its lane equals its unbatched run bit for bit
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        kernel=st.sampled_from(["arctan", "tanh", "erf"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
+        gains=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 3.0)),
+        shape=st.sampled_from([(), (1,)]),
+        start=st.integers(0, 150),
+        window=st.tuples(st.integers(0, 100), st.integers(1, 100)),
+        record=st.sampled_from([ALL_FIELDS, ("x", "v"), ("v", "a", "u")]),
+        fold=st.booleans(),
+        blowup=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # behind the stopping lead the AV clamps from about 9 s on
+    @example(kind="ts-ops", kernel="arctan", integrator="rk4", lead=STOP_LEAD,
+             gains=(0.1, 1.0), shape=(1,), start=0, window=(0, 100), record=ALL_FIELDS,
+             fold=False, blowup=False, seed=0)
+    @example(kind="none", kernel="arctan", integrator="euler", lead=STOP_LEAD,
+             gains=(0.0, 1.0), shape=(), start=95, window=(60, 40), record=("v", "a", "u"),
+             fold=True, blowup=False, seed=1)
+    @example(kind="ts-trc", kernel="tanh", integrator="rk4", lead=SHORT_LEAD,
+             gains=(0.05, 1.0), shape=(), start=30, window=(0, 100), record=ALL_FIELDS,
+             fold=False, blowup=True, seed=2)
+    def test_float_lane_equals_its_array_lane(
+        self, kind, kernel, integrator, lead, gains, shape, start, window, record, fold,
+        blowup, seed,
+    ):
+        t1, samples = window
+        sc = Scenario(
+            n_followers=1, mpr=1.0, hv_model=IDM_1, av_model=OVRV_1,
+            controller=ControllerConfig(kind=kind, beta=gains[0], gamma=gains[1], kernel=kernel),
+            lead=lead, t_f=20.0, dt=0.1, integrator=integrator,
+            metric_window=(t1 * 0.1, min(t1 + samples, 200) * 0.1),
+        )
+        # stage 3's leader speeds differ from stage 2's, as in a table
+        # rebuilt from a recorded vehicle (`avblock`)
+        table = list(sc.lead.stage_speeds(sc.dt, sc.steps))
+        table[2] = table[2] + np.random.default_rng(seed).uniform(-0.5, 0.5, sc.steps)
+        oracle = PlatoonEngine(sc, beta=np.full((1, 1), gains[0]), gamma=np.full((1, 1), gains[1]))
+        full = oracle.run(record=("x", "v"), lead=table)
+        initial = full["x"][start, 0], full["v"][start, 0, 1:]
+        if blowup:  # a spacing that overflows at the first rate
+            initial = np.array([1e308, -1e308]), initial[1]
+        engine = PlatoonEngine(sc, beta=np.full(shape, gains[0]), gamma=np.full(shape, gains[1]))
+        assert engine._floats and not oracle._floats
+        with mock.patch.object(simulator, "_FOLD_VALUES", 37):  # blocks of 4 samples at most
+            raw, blocks, error, hits, log = run_outcome(engine, table, initial, start, record, fold)
+            ref, ref_blocks, ref_error, ref_hits, _ = run_outcome(
+                oracle, table, initial, start, record, fold)
+
+        assert error == (ref_error and ref_error[:2] + (None,))
+        # a folded run ends at the window's last sample, maybe before a step
+        if blowup and not fold:
+            assert error[:2] == (1, pytest.approx(start * 0.1 + 0.1))
+        assert hits.shape == () and hits == ref_hits[0]
+        assert log == ([mock.call(FLOOR_LINE, int(hits))] if hits else [])
+        if fold:  # the blocks folded up to a blow-up too
+            assert raw is ref is None and len(blocks) == len(ref_blocks)
+            pairs = list(zip(blocks, ref_blocks))
+        else:
+            pairs = [] if error else [((raw["t"], raw), (ref["t"], ref))]
+        for (t, fields), (t_ref, fields_ref) in pairs:
+            assert t.tobytes() == t_ref.tobytes()
+            assert set(fields) - {"t"} == set(record)
+            for name in record:
+                assert fields[name].tobytes() == fields_ref[name][:, 0].tobytes(), name
+
+    def test_the_stopping_lead_clamps_the_lane(self):
+        # so the first example above checks the clamp and its count
+        sc = Scenario(n_followers=1, mpr=1.0, hv_model=IDM_1, av_model=OVRV_1,
+                      controller=ControllerConfig(kind="ts-ops", beta=0.1),
+                      lead=STOP_LEAD, t_f=20.0, dt=0.1, metric_window=(0.0, 20.0))
+        engine = PlatoonEngine(sc)
+        engine.run(record=())
+        assert engine._floats and engine.floor_hits > 0
+
+    def test_descent_at_mpr_01_steps_no_array_after_its_seeding_lane(self):
+        # every `AvBlock.run` of the default descent at MPR 0.1 is one AV
+        # behind a tabulated leader, so no `advance` call follows the
+        # seeding lane's
+        sc = make_short_scenario(mpr=0.1)
+        calls, seeded, on_floats = [], [], []
+        advance, floats, av_block = (
+            PlatoonEngine.advance, PlatoonEngine._advance_floats, optimizer.av_block)
+
+        def spy_advance(self, *args):
+            calls.append(1)
+            return advance(self, *args)
+
+        def spy_floats(self, *args):
+            on_floats.append(1)
+            return floats(self, *args)
+
+        def spy_block(*args, **kw):
+            out = av_block(*args, **kw)
+            seeded.append(len(calls))
+            return out
+
+        with mock.patch.object(PlatoonEngine, "advance", spy_advance), \
+                mock.patch.object(PlatoonEngine, "_advance_floats", spy_floats), \
+                mock.patch.object(optimizer, "av_block", spy_block):
+            _, trace = optimizer.optimize(sc, optimizer.OptimizerConfig(sc.beta_bound(), n_max=4))
+        assert len(trace) == 4
+        assert seeded == [len(calls)] and calls
+        assert on_floats
 
 
 class TestStageRebuild:
