@@ -21,7 +21,7 @@ from . import config as cfgmod
 from .avblock import av_block
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
 from .metrics import WindowSums, summarize, write_metrics_csv
-from .optimizer import optimize, write_trace_csv
+from .optimizer import _tunable, optimize, write_trace_csv
 from .simulator import (
     PlatoonEngine,
     av_mask_for,
@@ -291,28 +291,19 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     """The folded window sums of a grid, one lane per (beta, gamma) point
     (`betas` and `gammas` shaped (lanes, 1)), and each lane's clamps.
 
-    A seeding lane runs the whole platoon at the first point's gains to the
-    window's last sample; it is every point where no gains act (no AV, or a
-    controller other than ts-ops). Else it is `av_block`'s, whose record,
-    with its lane axis, gives the prefix's sums, and whose AV block of every
-    follower, in one batched run resumed at the head's end or the window's
-    start if earlier, gives each lane's; a lane's clamps are the seeding
-    lane's plus its block's, less the first lane's. A failing seeding lane
-    fails the batch too, maybe earlier in another lane, so that batch runs
-    to say.
+    The scenario is a ts-ops platoon with an AV (`cmd_grid` checks). A
+    seeding lane, `av_block`'s, runs the whole platoon at the first point's
+    gains to the window's last sample; its record, with its lane axis,
+    gives the prefix's sums, and its AV block of every follower, in one
+    batched run resumed at the head's end or the window's start if earlier,
+    gives each lane's; a lane's clamps are the seeding lane's plus its
+    block's, less the first lane's. A failing seeding lane fails the batch
+    too, maybe earlier in another lane, so that batch runs to say.
     """
-    lanes, n = (len(betas),), scenario.n_followers
-    sums = WindowSums(scenario, coeffs)
-    seed = betas[:1], gammas[:1]
+    seed, last = (betas[:1], gammas[:1]), scenario.n_followers
     keep = window_slice(np.arange(scenario.steps + 1) * scenario.dt, scenario.metric_window)
-    if scenario.controller.kind != "ts-ops" or not scenario.av_indices:
-        engine = PlatoonEngine(scenario, *seed)
-        engine.run(record=("v", "a"), fold=sums)
-        sums.sums = np.broadcast_to(sums.sums, (2, *lanes, n))
-        sums.saturated = np.broadcast_to(sums.saturated, lanes)
-        return sums, np.broadcast_to(engine.lane_floor_hits, lanes)
     try:
-        block, raw, seed_hits = av_block(scenario, *seed, n, ("x", "v", "a"), keep.stop - 1)
+        block, raw, seed_hits = av_block(scenario, *seed, last, ("x", "v", "a"), keep.stop - 1)
     except NumericalBlowupError:
         PlatoonEngine(scenario, beta=betas, gamma=gammas).run(record=("v",), fold=lambda *_: None)
         raise
@@ -320,12 +311,11 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     prefix = WindowSums(scenario, coeffs)
     prefix(raw["t"][rows], {"v": raw["v"][rows, :, : first + 1], "a": raw["a"][rows, :, :first]})
     del raw  # the block's run holds the most memory; free the record first
-    tail = WindowSums(scenario, coeffs)
-    hits = block.run(betas, gammas, min(block.head, keep.start), ("v", "a"), tail)[1]
-    sums.sums = np.concatenate(
-        [np.broadcast_to(prefix.sums, (2, *lanes, first)), tail.sums], axis=-1
-    )
-    sums.saturated = prefix.saturated + tail.saturated
+    sums = WindowSums(scenario, coeffs)
+    hits = block.run(betas, gammas, min(block.head, keep.start), ("v", "a"), sums)[1]
+    prefix_sums = np.broadcast_to(prefix.sums, (2, len(betas), first))
+    sums.sums = np.concatenate([prefix_sums, sums.sums], axis=-1)
+    sums.saturated += prefix.saturated
     return sums, seed_hits + hits - hits[0]
 
 
@@ -342,6 +332,7 @@ def cmd_grid(args) -> int:
             f"beta range [{betas.min()}, {betas.max()}] leaves the feasible "
             f"interval [0, {bound:.6g}]"
         )
+    _tunable(scenario)  # gains act only on a ts-ops platoon's AVs
     if gammas.min() < 0:
         raise ConfigError("gamma range must be non-negative")
 

@@ -63,7 +63,9 @@ class OptimizerConfig:
     the fixed step size; phi the convergence threshold on the change of the
     objective between iterations; beta_max the feasibility ceiling on beta;
     sensitivity the gradient's mode, "exogenous" or "closed-loop" (exact, at
-    about twice the cost per iteration; see the module docstring).
+    five to six times the cost of a default iteration at the presets' MPR
+    0.1, where the real run steps on floats and the complex one does not;
+    see the module docstring).
     """
 
     beta_max: float
@@ -289,16 +291,16 @@ def replayed_objective(
     scenario: Scenario,
     av_index: int,
     theta: ControllerParams,
-    kernel: str = "arctan",
 ) -> float:
     """Objective with the AV speed re-solved against frozen exogenous signals.
 
     The spacing and predecessor-speed series are taken from `traj` as given
     functions of time; only the AV's own speed ODE is integrated for the
-    supplied gains. This matches the structure assumed by the sensitivity
-    ODE, so its finite differences are the reference for the gradient.
+    supplied gains, under the scenario's kernel. This matches the structure
+    assumed by the sensitivity ODE, so its finite differences are the
+    reference for the gradient.
     """
-    k = get_kernel(kernel)
+    k = get_kernel(scenario.controller.kernel)
     t = traj.t
     s_sig = traj.s[:, av_index]
     vp_sig = traj.v[:, av_index - 1]

@@ -383,7 +383,8 @@ class PlatoonEngine:
     controller constants, step coefficients) is made here: a 0-d array,
     which NumPy applies faster than a float, but a Python float in a lane
     that `run` steps as a `FloatState` (`_floats`: one unbatched real lane
-    whose one follower is an AV), with `_rates` and `_advance_floats`.
+    whose one follower is an AV), through the same `advance` and `step`
+    with `_rates` as its derivative.
     """
 
     def __init__(
@@ -527,17 +528,6 @@ class PlatoonEngine:
         u = self.control_input(s, dv, v_lead)
         return FloatState((v_lead, v, float(ovrv_accel_arrays(s, dv, v, self.av) + u)))
 
-    def _advance_floats(self, y, f1, v_lead):
-        """`advance` of a `_floats` lane: the same step, clamp and count."""
-        if self.scenario.integrator == "euler":
-            y = y + self._c[1] * f1
-        else:
-            y = rk4_step(y, self._c, f1, lambda i, y_i: self._rates(v_lead[i - 1], y_i))
-        if -math.inf < y[2] < 0:
-            self.lane_floor_hits += 1
-            return FloatState((y[0], y[1], 0.0))
-        return y
-
     def _check_finite(self, y, t):
         if self._floats and math.isfinite(y[2]):
             return
@@ -560,6 +550,8 @@ class PlatoonEngine:
         """
         if self.scenario.integrator == "euler":
             return y + self._c[1] * f1
+        if self._floats:
+            return rk4_step(y, self._c, f1, lambda i, y_i: self._rates(v_lead[i - 1], y_i))
 
         def rate(i, y_i):
             stage = self.rhs(v_lead[i - 1], y_i[self._x], y_i[self._v])
@@ -576,6 +568,11 @@ class PlatoonEngine:
         `step`. Finite speeds below 0 are clamped and counted per lane.
         """
         y_new = self.step(y, f1, v_lead)
+        if self._floats:
+            if -math.inf < y_new[2] < 0:
+                self.lane_floor_hits += 1
+                return FloatState((y_new[0], y_new[1], 0.0))
+            return y_new
         v_new = y_new[self._v]
         # fmin skips NaN, as `v < 0` is False for it
         if np.fmin.reduce(v_new, axis=None) < 0:
@@ -650,10 +647,10 @@ class PlatoonEngine:
         y = np.zeros(self.batch_shape + (self.width,), self.dtype)
         y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
+        advance = self.advance
         if self._floats:  # the lane steps a FloatState
-            y, rate, advance = FloatState(y.tolist()), self._rates, self._advance_floats
+            y, rate = FloatState(y.tolist()), self._rates
         else:
-            advance = self.advance
             rate = lambda v_lead, y: self.rhs(v_lead, y[self._x], y[self._v])[0]  # noqa: E731
 
         # the loop records x, v and a, as (part, slice) of y and its

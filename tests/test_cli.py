@@ -1040,41 +1040,61 @@ class TestGrid:
         err = check_grid(tmp_path, preset, overrides, betas, gammas)
         assert err == f"numerical failure: {message}\n"
 
+    # no AV; the AVs at 3 and 7 under ts-trc; every follower an
+    # AV without a controller
+    @pytest.mark.parametrize("preset, sets, message", [
+        ("scenario1", ("scenario.mpr=0",), "scenario has no AV to tune"),
+        ("scenario1", ("scenario.mpr=0.2", "controller.kind=ts-trc"),
+         "only the 'ts-ops' controller is tunable, got 'ts-trc'"),
+        ("scenario2", ("scenario.mpr=1.0", "controller.kind=none"),
+         "only the 'ts-ops' controller is tunable, got 'none'"),
+    ], ids=["no-av", "ts-trc", "none"])
+    def test_no_gains_act_exits_1_as_tune_does(self, tmp_path, capsys, monkeypatch, preset,
+                                               sets, message):
+        # every point of such a grid would be the same run
+        def fail(*args, **kw):
+            raise AssertionError("integrated a grid whose gains cannot act")
+
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
+        args = ["--scenario", preset, *SHORT, *(arg for key in sets for arg in ("--set", key))]
+        assert main(["tune", "--out", str(tmp_path / "tune"), *args]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert main(["grid", "--out", str(tmp_path / "grid"), *args,
+                     "--beta-range", "0:0.05:2", "--gamma-range", "0.5:2:2"]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not (tmp_path / "grid" / "grid.csv").exists()
+
     @settings(max_examples=12, deadline=None)
     @given(
         preset=st.sampled_from(["scenario1", "scenario2"]),
-        mpr=st.sampled_from(["0", "0.1", "0.2", "0.5", "1.0"]),
-        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        mpr=st.sampled_from(["0.1", "0.2", "0.5", "1.0"]),
         kernel=st.sampled_from(["arctan", "tanh"]),
         integrator=st.sampled_from(["rk4", "euler"]),
         lead=st.sampled_from(sorted(GRID_LEADS)),
         window=st.sampled_from(sorted(GRID_WINDOWS)),
         beta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 0.0642)).map(sorted),
     )
-    # no AV; an all-HV prefix (followers 1-4 ahead of the AV at 5); none
-    # (the AVs at 1, 3, 5, 7 and 9); every follower an AV
-    @example(preset="scenario1", mpr="0", kind="ts-ops", kernel="arctan", integrator="rk4",
-             lead="brake", window="early", beta=[0.0, 0.05])
-    @example(preset="scenario1", mpr="0.1", kind="ts-ops", kernel="tanh", integrator="euler",
+    # an all-HV prefix (followers 1-4 ahead of the AV at 5); none (the AVs
+    # at 1, 3, 5, 7 and 9); every follower an AV
+    @example(preset="scenario1", mpr="0.1", kernel="tanh", integrator="euler",
              lead="stop", window="early", beta=[0.0, 0.0642])
-    @example(preset="scenario2", mpr="0.1", kind="ts-ops", kernel="arctan", integrator="rk4",
+    @example(preset="scenario2", mpr="0.1", kernel="arctan", integrator="rk4",
              lead="brake", window="late", beta=[0.01, 0.05])
-    @example(preset="scenario1", mpr="0.2", kind="ts-trc", kernel="arctan", integrator="rk4",
-             lead="brake", window="late", beta=[0.0, 0.05])
-    @example(preset="scenario1", mpr="0.5", kind="ts-ops", kernel="arctan", integrator="rk4",
+    @example(preset="scenario1", mpr="0.5", kernel="arctan", integrator="rk4",
              lead="stop", window="late", beta=[0.02, 0.06])
-    @example(preset="scenario2", mpr="1.0", kind="none", kernel="tanh", integrator="euler",
+    @example(preset="scenario2", mpr="1.0", kernel="tanh", integrator="euler",
              lead="brake", window="early", beta=[0.0, 0.03])
     # scenario 2 behind the stopping lead blows up
-    @example(preset="scenario2", mpr="0.5", kind="ts-ops", kernel="arctan", integrator="rk4",
+    @example(preset="scenario2", mpr="0.5", kernel="arctan", integrator="rk4",
              lead="stop", window="early", beta=[0.0, 0.0642])
     def test_decomposed_grid_equals_engine_per_point(
-        self, tmp_path_factory, preset, mpr, kind, kernel, integrator, lead, window, beta
+        self, tmp_path_factory, preset, mpr, kernel, integrator, lead, window, beta
     ):
-        # grid.csv, stdout, stderr and the exit code of the grid, which
-        # integrates each gain-free step once, against one engine per point
-        overrides = (*SHORT_SETS, f"scenario.mpr={mpr}", f"controller.kind={kind}",
-                     f"controller.kernel={kernel}", f"scenario.integrator={integrator}",
+        # grid.csv, stdout, stderr and the exit code of the ts-ops grid,
+        # which integrates each gain-free step once, against one engine per
+        # point
+        overrides = (*SHORT_SETS, f"scenario.mpr={mpr}", f"controller.kernel={kernel}",
+                     f"scenario.integrator={integrator}",
                      f"scenario.lead_profile={GRID_LEADS[lead]}",
                      f"scenario.metric_window={GRID_WINDOWS[window]}")
         betas = f"{beta[0]!r}:{beta[1]!r}:2" if beta[0] < beta[1] else f"{beta[0]!r}:{beta[0]!r}:1"

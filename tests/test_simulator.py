@@ -515,33 +515,36 @@ class TestFloatLane:
 
     def test_descent_at_mpr_01_steps_no_array_after_its_seeding_lane(self):
         # every `AvBlock.run` of the default descent at MPR 0.1 is one AV
-        # behind a tabulated leader, so no `advance` call follows the
-        # seeding lane's
+        # behind a tabulated leader, so every `advance` call after the
+        # seeding lane's steps a float lane, one per step of those runs
         sc = make_short_scenario(mpr=0.1)
-        calls, seeded, on_floats = [], [], []
-        advance, floats, av_block = (
-            PlatoonEngine.advance, PlatoonEngine._advance_floats, optimizer.av_block)
+        calls, runs, seeded = [], [], []
+        advance, run, av_block = PlatoonEngine.advance, PlatoonEngine.run, optimizer.av_block
 
         def spy_advance(self, *args):
-            calls.append(1)
+            calls.append(self._floats)
             return advance(self, *args)
 
-        def spy_floats(self, *args):
-            on_floats.append(1)
-            return floats(self, *args)
+        def spy_run(self, *args, start=0, **kw):
+            runs.append((self._floats, self.scenario.steps - start))
+            return run(self, *args, start=start, **kw)
 
         def spy_block(*args, **kw):
             out = av_block(*args, **kw)
-            seeded.append(len(calls))
+            seeded.append((len(calls), len(runs)))
             return out
 
         with mock.patch.object(PlatoonEngine, "advance", spy_advance), \
-                mock.patch.object(PlatoonEngine, "_advance_floats", spy_floats), \
+                mock.patch.object(PlatoonEngine, "run", spy_run), \
                 mock.patch.object(optimizer, "av_block", spy_block):
             _, trace = optimizer.optimize(sc, optimizer.OptimizerConfig(sc.beta_bound(), n_max=4))
         assert len(trace) == 4
-        assert seeded == [len(calls)] and calls
-        assert on_floats
+        [(seed_calls, seed_runs)] = seeded
+        assert seed_calls and not any(calls[:seed_calls])
+        block_runs = runs[seed_runs:]
+        assert len(block_runs) == 3 and all(floats for floats, _ in block_runs)
+        assert all(calls[seed_calls:])
+        assert len(calls) - seed_calls == sum(steps for _, steps in block_runs)
 
 
 class TestStageRebuild:
