@@ -6,9 +6,9 @@ also ends where a speed of the block is floored), so a caller of many
 gain pairs over one AV mask integrates those once. `av_block` builds the
 block in one call, from a seeding lane of its own, and `AvBlock.run`
 resumes it from a state and a step. `last`, the last follower the caller
-reads, ends the block: the last AV for `tune`, whose J reads nothing
-behind it, and every follower for `grid` and `simulate_with_sensitivity`,
-which read the seeding lane's whole record (z: `AvBlock.upto` the last AV).
+reads, ends the block: the last AV for `tune` and
+`simulate_with_sensitivity`, whose J and z read nothing behind it, and
+every follower for `grid`, which reads the seeding lane's whole record.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ class AvBlock:
             "t": raw["t"],
             **{name: np.ascontiguousarray(raw[name][:, cols]) for name in ("x", "v")},
         }
-
-    def upto(self, last: int) -> AvBlock:
-        """The block up to platoon follower `last`, at least its last AV. Its
-        head stays exact: it ends at floors and AV dvs the cut block has."""
-        n = last - self.first
-        rows = dict(self.rows, x=self.rows["x"][:, : n + 1], v=self.rows["v"][:, : n + 1])
-        return replace(self, scenario=replace(self.scenario, n_followers=n),
-                       av_mask=self.av_mask[:n], rows=rows)
 
     def run(self, beta, gamma, start: int, record, fold=None):
         """`PlatoonEngine.run` of the block with these gains, resumed from

@@ -71,7 +71,7 @@ class FuelCoefficients:
 
 
 def load_fuel_coefficients(path) -> FuelCoefficients:
-    """Parse a coefficient file: a units header plus two labelled 4x4 blocks."""
+    """Parse a coefficient file: a units header plus two labelled 4x4 blocks, each given once."""
     units = None
     blocks: dict[str, list[list[float]]] = {}
     current = None
@@ -81,11 +81,15 @@ def load_fuel_coefficients(path) -> FuelCoefficients:
             if not line:
                 continue
             if line.startswith("units:"):
+                if units is not None:
+                    raise DomainError(f"coefficient file repeats its units: {line!r}")
                 units = line.split(":", 1)[1].strip()
             elif line.startswith("regimes:"):
                 continue
             elif line.startswith("regime:"):
                 current = line.split(":", 1)[1].strip()
+                if current in blocks:
+                    raise DomainError(f"coefficient file repeats regime {current!r}")
                 blocks[current] = []
             else:
                 if current is None:

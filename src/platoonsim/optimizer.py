@@ -18,16 +18,16 @@ integrates each step the gains cannot change once per call (`avblock`): its
 first iteration runs the followers up to the last AV, and every later one
 is one `_descent_terms` call, which runs the AV block up to it from the
 head's end; the closed-loop mode's complex lanes resume there too.
-`simulate_with_sensitivity` builds the block from its own run of the
-platoon and takes z as the descent does. A projected fixed-step descent
-clamps beta to its safety bound and gamma to non-negative values.
+`simulate_with_sensitivity` is `simulate` plus the descent's first
+iteration's z. A projected fixed-step descent clamps beta to its safety
+bound and gamma to non-negative values.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .avblock import AvBlock, av_block
 from .controller import ControllerParams, get_kernel
 from .dynamics import ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
-from .simulator import PlatoonEngine, Scenario, Trajectory, assemble_trajectory
+from .simulator import PlatoonEngine, Scenario, Trajectory, simulate
 from .stepping import rk4_step, stage_blocks, step_coefficients
 
 __all__ = [
@@ -267,23 +267,23 @@ def simulate_with_sensitivity(
 
     theta_av is the (beta, gamma) pair every AV shares, as a pair or as one
     (1, 2) row. Returns the trajectory and the sensitivity series with shape
-    (n_samples, n_av, 2), z(0) = 0. One `av_block` call to the last follower
-    integrates the platoon once, as its seeding lane, and gives the AV
-    block and the record; `_descent_terms` takes z as the descent does, from
-    that block cut to the last AV ("closed-loop": a complex run of it). A
-    non-finite z raises NumericalBlowupError naming the lowest AV whose row
-    failed ("closed-loop": the vehicle whose speed did).
+    (n_samples, n_av, 2), z(0) = 0. The trajectory is `simulate`'s, with
+    theta as the controller's gains, so a blow-up anywhere in the platoon is
+    raised first; z is the descent's first iteration's: `av_block` to the
+    last AV, then `_descent_terms` on its record ("closed-loop": a complex
+    run of the block). A non-finite z raises NumericalBlowupError naming the
+    lowest AV whose row failed ("closed-loop": the vehicle whose speed did).
     """
     theta = np.asarray(theta_av, dtype=float)
     if theta.shape not in ((2,), (1, 2)):
         raise DomainError(f"theta_av must be one (beta, gamma) pair, not shape {theta.shape}")
     _check_mode(mode)
     last = _tunable(scenario)[-1]
-    fields = ("x", "v", "a", "s", "dv", "u")
-    block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), scenario.n_followers, fields)
-    block = block.upto(last)  # z reads no follower behind the last AV
-    z_series = _descent_terms(block, theta, mode, block.columns(raw))[2]
-    return assemble_trajectory(scenario, raw), z_series
+    beta, gamma = theta.ravel().tolist()
+    ctrl = replace(scenario.controller, beta=beta, gamma=gamma)
+    traj = simulate(replace(scenario, controller=ctrl))
+    block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), last)
+    return traj, _descent_terms(block, theta, mode, block.columns(raw))[2]
 
 
 def replayed_objective(

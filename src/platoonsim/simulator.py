@@ -30,7 +30,7 @@ from .dynamics import (
     ovrv_accel_arrays,
 )
 from .errors import DomainError, NumericalBlowupError
-from .stepping import FloatState, rk4_step, stage_blocks, step_coefficients
+from .stepping import _STAGE_BLOCK, FloatState, rk4_step, step_coefficients
 
 __all__ = [
     "LeadProfile",
@@ -333,18 +333,15 @@ def _av_index(av_mask: np.ndarray, batch_shape: tuple[int, ...]):
 
     A mask that every lane shares gives a basic slice of the follower axis
     when its AVs are evenly spaced, so the AV entries are a view, and their
-    positions otherwise; per-lane masks give one index array per axis, but
-    a full slice for each leading axis of size 1, so that such an axis may
-    take any length (the sample axis of `stage_blocks`).
+    positions otherwise; per-lane masks give `np.nonzero` of the mask
+    broadcast over the lanes, one index array per axis.
     """
     n = av_mask.shape[-1]
     rows = av_mask.reshape(-1, n)
     if not rows.any():
         return None
     if not (rows == rows[:1]).all():
-        ones = next(i for i, size in enumerate(batch_shape) if size != 1)
-        mask = np.broadcast_to(av_mask, batch_shape + (n,))[(0,) * ones]
-        return (slice(None),) * ones + np.nonzero(mask)
+        return np.nonzero(np.broadcast_to(av_mask, batch_shape + (n,)))
     pos = np.flatnonzero(rows[0])
     step = int(pos[1] - pos[0]) if pos.size > 1 else 1
     if (np.diff(pos) == step).all():
@@ -377,8 +374,8 @@ class PlatoonEngine:
     derivative and the record complex, so a gain stepped by i*h gives each
     speed's derivative as Im v / h. `step` evaluates the later stages of one
     step: `advance` calls it in the run loop, and `stage_blocks` on a
-    recorded run's states, with the sample index as a batch axis, to rebuild
-    the stage values that `run` does not record and the optimizer's
+    recorded run's states, with the step index as a batch axis, to rebuild
+    the stage values that the AV block's head and the optimizer's
     sensitivities need. Every scalar operand of a step (model parameters,
     controller constants, step coefficients) is made here: a 0-d array,
     which NumPy applies faster than a float, but a Python float in a lane
@@ -478,14 +475,6 @@ class PlatoonEngine:
             p1, p2, p3 = self.phi
             return p1 * (dv + p2 * np.arctan(p3 * s * (self.v_star - v_prev)))
         return _NO_INPUT
-
-    def _full_width_u(self, u, s):
-        """The AV-entry input `u` spread over the follower axis of `s`, +0.0
-        on every HV."""
-        out = np.zeros_like(s)
-        if self._a is not None:
-            out[self._a] = u
-        return out
 
     def rhs(self, v_lead, x, v):
         """Flat derivative `f` plus the instantaneous diagnostics.
@@ -599,8 +588,10 @@ class PlatoonEngine:
         Recorded arrays have a leading time axis; `x` and `v` include the
         leader column, `a`, `s`, `dv`, `u` cover the followers only. Without
         `fold` the whole horizon is integrated and recorded. The loop
-        records `x`, `v` and `a`; `s`, `dv` and `u` are rebuilt from `x` and
-        `v` after it, or per fold block, by `stage_blocks`.
+        records `x`, `v` and `a`; `s`, `dv` and `u` are rebuilt from the
+        record of `x` and `v`, whose leader column is `rhs`'s `v_lead`,
+        after it or per fold block, by `rhs`'s own expressions, so with its
+        bits.
 
         With `fold`, the run covers the scenario's metric window: only the
         samples `window_slice` selects are kept, and the integration ends at
@@ -674,15 +665,19 @@ class PlatoonEngine:
         out = {name: bufs[name] for name in record}  # an unknown name fails here
 
         def emit(end, rows):
-            # the buffer's first rows hold the samples up to `end`
-            if derived:
-                engine = PlatoonEngine(sc, self.beta[None], self.gamma[None], self.av_mask[None])
-                x, v = bufs["x"][:rows], bufs["v"][:rows, ..., 1:]
-                blocks = stage_blocks(engine, (lead_t[end - rows :],), x, v, later=False)
-                for k0, k1, [(_, s, dv, u)], _ in blocks:
-                    parts = {"s": s, "dv": dv, "u": engine._full_width_u(u, s)}
-                    for name in derived:
-                        bufs[name][k0:k1] = parts[name]
+            # the buffer's first rows hold the samples up to `end`; s, dv and
+            # u are rebuilt by `rhs`'s expressions, in blocks of rows
+            for k0 in range(0, rows if derived else 0, _STAGE_BLOCK):
+                x, v = (bufs[name][k0 : min(k0 + _STAGE_BLOCK, rows)] for name in ("x", "v"))
+                s = x[..., :-1] - x[..., 1:] - self.front_lengths
+                dv = v[..., :-1] - v[..., 1:]
+                u = np.zeros_like(s)  # +0.0 on every HV
+                if self._a is not None:
+                    a = (slice(None), *self._a)  # the row axis leads the lanes
+                    u[a] = self.control_input(s[a], dv[a], v[..., :-1][a])
+                parts = {"s": s, "dv": dv, "u": u}
+                for name in derived:
+                    bufs[name][k0 : k0 + len(x)] = parts[name]
             if fold is not None:
                 fold(t_grid[end - rows : end], {name: buf[:rows] for name, buf in out.items()})
 
@@ -701,7 +696,7 @@ class PlatoonEngine:
             self._check_finite(y, t_grid[k + 1])
         if lo <= last:
             record_sample(last, (y, rate(lead_t[last], y)))
-        del lead, lead_later  # the rebuild reads stage 1 alone, so free the rest
+        del lead, lead_later  # free the leader's table before the rebuild
 
         if self.floor_hits and not self.batch_shape:
             logger.warning("speed floor at 0 m/s engaged %d times during the run", self.floor_hits)

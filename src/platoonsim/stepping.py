@@ -6,34 +6,30 @@ from __future__ import annotations
 import numpy as np
 
 
-# samples per block of `stage_blocks`; bounds the stage arrays of a rebuild.
-# Blocks change no bits: stages are elementwise per sample and their
-# callers visit the blocks in step order.
+# rows per block of a rebuild (`stage_blocks`, `PlatoonEngine.run`'s record
+# of s, dv and u); bounds its arrays. Blocks change no bits: the rebuilt
+# values are elementwise per row, and their callers visit the blocks in order.
 _STAGE_BLOCK = 128
 
 
-def stage_blocks(engine, lead, x, v, start: int = 0, later=True):
-    """Rebuild a recorded run's samples from `start` in blocks of
-    `_STAGE_BLOCK`.
+def stage_blocks(engine, lead, x, v, start: int = 0):
+    """Rebuild a recorded run's steps from `start` in blocks of `_STAGE_BLOCK`.
 
     `x` and `v` are the record's states (`v` without the leader column),
-    `lead` the leader's four-stage table (stage 1 alone without `later`);
-    `engine` takes the sample index as its first batch axis, any lanes
-    after it. Yields each block's first and end sample, the list of `rhs`'s
-    tuples at its samples and None; with `later` the blocks cover the steps
-    (not the last sample), the later RK4 stages' tuples join the list and
-    each step's floor mask (`PlatoonEngine.floored`) replaces None."""
-    end = len(x) - 1 if later else len(x)
-    # the leader's speeds, one per sample, against any lane axis
+    `lead` the leader's four-stage table; `engine` takes the step index as
+    its first batch axis, any lanes after it. Yields each block's first and
+    end step, the list of `rhs`'s tuples at its steps' RK4 stages (stage 1
+    alone under Euler) and each step's floor mask (`PlatoonEngine.floored`).
+    """
+    end = len(x) - 1
+    # the leader's speeds, one per step, against any lane axis
     shape = (-1,) + (1,) * (x.ndim - 2)
     for k0 in range(start, end, _STAGE_BLOCK):
         k1 = min(k0 + _STAGE_BLOCK, end)
         stages = [engine.rhs(lead[0][k0:k1].reshape(shape), x[k0:k1], v[k0:k1])]
-        floored = None
-        if later:
-            y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
-            lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
-            floored = engine.floored(engine.step(y, stages[0][0], lead_later, stages))
+        y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
+        lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
+        floored = engine.floored(engine.step(y, stages[0][0], lead_later, stages))
         yield k0, k1, stages, floored
 
 

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -231,6 +232,20 @@ class TestUnreadableInputs:
         err = self.run_with(tmp_path, capsys, "--scenario", "scenario1",
                             "--set", f"metrics.fuel_coefficients={table}")
         assert "could not convert string to float: 'x'" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ("regime: accel\n" + "0 0 0 0\n" * 4, "repeats regime 'accel'"),
+        ("units: ms\n", "repeats its units: 'units: ms'"),
+    ])
+    def test_fuel_table_repeating_a_label(self, tmp_path, capsys, extra, message):
+        # the bundled table plus a second block of a regime, or a second
+        # units line, which a reader keeping the last one would load silently
+        table = tmp_path / "coeffs.txt"
+        bundled = resources.files("platoonsim").joinpath("data/vt_micro_fuel.txt")
+        table.write_text(bundled.read_text() + extra)
+        err = self.run_with(tmp_path, capsys, "--scenario", "scenario1",
+                            "--set", f"metrics.fuel_coefficients={table}")
+        assert f"cannot read fuel coefficients {table}: coefficient file {message}" in err
 
     def test_scenario_is_a_directory(self, tmp_path, capsys):
         err = self.run_with(tmp_path, capsys, "--scenario", str(tmp_path))

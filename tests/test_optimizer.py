@@ -319,7 +319,7 @@ class TestSimulateWithSensitivity:
             record=("x", "v"), lead=block.lead, initial=block_initial(block)
         )
         assert z.tobytes() == _sensitivities(block, [[0.05, 1.0]], raw).tobytes()
-        reference = co_integrated_z(sc, per_follower_gains(sc, (0.05, 1.0)), mode)
+        reference = co_integrated_z(sc, per_follower_gains(sc, (0.05, 1.0)), "exogenous")
         av = np.subtract(sc.av_indices, 1)
         assert not np.delete(reference, av, axis=2).any()
         assert np.array_equal(z, reference[:, :, av].transpose(0, 2, 1))

@@ -547,57 +547,54 @@ class TestFloatLane:
         assert len(calls) - seed_calls == sum(steps for _, steps in block_runs)
 
 
+def full_width_u(engine, u, s):
+    """The AV-entry input `u` of an `rhs` tuple spread over the follower
+    axis of its `s`, +0.0 on every HV."""
+    out = np.zeros_like(s)
+    if engine._a is not None:
+        out[engine._a] = u
+    return out
+
+
 class TestStageRebuild:
-    # `run` records x, v and a, and rebuilds s, dv and u with `stage_blocks`,
-    # whose engine takes the sample index as a leading batch axis of length
-    # 1 in front of any lanes. With per-lane masks that axis must not be read
-    # as a lane axis: every stage's rhs tuple and the state after each step
-    # must keep the bytes of the loop, which evaluates one sample at a time,
-    # and each step's floor mask must be the one `advance` counts with.
+    # `stage_blocks` rebuilds a recorded run's steps in one engine whose
+    # first batch axis is the step index, in front of any lanes; every
+    # stage's rhs tuple and the state after each step must keep the bytes of
+    # the loop, which evaluates one step at a time, and each step's floor
+    # mask must be the one `advance` counts with. Its callers share one AV
+    # mask over their lanes.
 
     @settings(max_examples=15, deadline=None)
     @given(
-        lanes=st.lists(
-            st.tuples(
-                st.lists(st.booleans(), min_size=10, max_size=10),
-                st.floats(0.0, 0.0642),
-                st.floats(0.0, 2.0),
-            ),
-            min_size=2,
-            max_size=4,
-        ),
+        form=st.sampled_from(["slice", "positions", "all"]),
+        gains=st.lists(st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+                       min_size=1, max_size=4),
         lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
         kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
         integrator=st.sampled_from(["rk4", "euler"]),
         block=st.integers(1, 70),
     )
-    # three lanes with different masks behind the stopping lead, whose
-    # clamp counts once came out wrong from a step-batched rebuild
-    @example(lanes=[(list(av_mask_for(10, mpr)), 0.05, 1.0) for mpr in (0.0, 0.5, 1.0)],
-             lead=STOP_LEAD, kind="ts-ops", integrator="rk4", block=64)
-    def test_step_batched_rebuild_equals_the_loop(self, lanes, lead, kind, integrator, block):
+    # three lanes with their own gains behind the stopping lead, where
+    # speeds clamp and each lane's clamp count must come out of the masks
+    @example(form="slice", gains=[(0.0, 1.0), (0.05, 1.0), (0.0642, 2.0)], lead=STOP_LEAD,
+             kind="ts-ops", integrator="rk4", block=64)
+    def test_step_batched_rebuild_equals_the_loop(self, form, gains, lead, kind, integrator,
+                                                   block):
         sc = make_short_scenario(kind=kind, lead=lead, t_f=15.0, window=(0.0, 15.0),
                                  integrator=integrator)
         n = sc.n_followers
-        masks = np.array([mask for mask, _, _ in lanes])
-        beta = np.array([[b] for _, b, _ in lanes])
-        gamma = np.array([[g] for _, _, g in lanes])
-        engine = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=masks)
-        raw = engine.run()
+        mask = av_mask_form(form, None)
+        beta, gamma = (np.array(gain)[:, None] for gain in zip(*gains))
+        engine = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=mask)
+        raw = engine.run(record=("x", "v"))
         x, v = raw["x"], raw["v"][..., 1:]
         table = sc.lead.stage_speeds(sc.dt, sc.steps)
-        stepwise = PlatoonEngine(sc, beta=beta[None], gamma=gamma[None], av_mask=masks[None])
-
-        def check_sample(k, got, ref):
-            # rhs tuples of the rebuild (row k of a block) and of the loop
-            for part, (a, b) in enumerate(zip(got[:3], ref[:3])):
-                assert a[k].tobytes() == b.tobytes(), part
-            u_got = stepwise._full_width_u(got[3], got[1])
-            assert u_got[k].tobytes() == engine._full_width_u(ref[3], ref[1]).tobytes()
+        stepwise = PlatoonEngine(sc, beta=beta[None], gamma=gamma[None], av_mask=mask[None])
 
         clamps = 0
         with mock.patch.object(stepping, "_STAGE_BLOCK", block):
             blocks = list(stage_blocks(stepwise, table, x, v))
+        assert blocks[-1][1] == sc.steps  # no block starts at the last sample
         for k0, k1, stages, floored in blocks:
             for k in range(k0, k1):
                 loop = [engine.rhs(table[0][k], x[k], v[k])]
@@ -605,22 +602,72 @@ class TestStageRebuild:
                                      [s[k] for s in table[1:]], loop)
                 assert len(stages) == len(loop) == (4 if integrator == "rk4" else 1)
                 for got, ref in zip(stages, loop):
-                    check_sample(k - k0, got, ref)
+                    # rhs tuples of the rebuild (row k - k0 of a block) and
+                    # of the loop; u is a 0-d 0.0 without a controller
+                    for part, (a, b) in enumerate(zip(got, ref)):
+                        a = a[k - k0] if np.ndim(a) else a
+                        assert a.tobytes() == b.tobytes(), part
                 assert floored[k - k0].tobytes() == engine.floored(y_next).tobytes()
-                # the record holds the loop's diagnostics and clamped state
-                f, s, dv, u = loop[0]
-                assert raw["a"][k].tobytes() == f[..., n + 1 :].tobytes()
-                for name, ref in (("s", s), ("dv", dv), ("u", engine._full_width_u(u, s))):
-                    assert raw[name][k].tobytes() == ref.tobytes(), name
                 assert raw["v"][k + 1, ..., 1:].tobytes() == np.maximum(
                     y_next[..., n + 1 :], 0.0).tobytes()
             clamps = clamps + floored.sum(axis=(0, -1))
         assert np.array_equal(clamps, engine.lane_floor_hits)
-        # the last sample, which no step starts from
-        f, s, dv, u = engine.rhs(table[0][-1], x[-1], v[-1])
-        for name, ref in (("a", f[..., n + 1 :]), ("s", s), ("dv", dv),
-                          ("u", engine._full_width_u(u, s))):
-            assert raw[name][-1].tobytes() == ref.tobytes(), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        form=st.sampled_from(["slice", "positions", "per-lane", "none", "all", "float"]),
+        rows=st.lists(st.lists(st.booleans(), min_size=10, max_size=10), min_size=2, max_size=4),
+        gains=st.lists(st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+                       min_size=4, max_size=4),
+        lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
+        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        start=st.integers(0, 150),
+        fold=st.none() | st.integers(1, 20000),
+        block=st.integers(1, 200),
+    )
+    @example(form="per-lane", rows=[[True] * 10] * 3, gains=[(0.05, 1.0)] * 4, lead=STOP_LEAD,
+             kind="ts-ops", integrator="rk4", start=0, fold=None, block=128)
+    @example(form="float", rows=[[True] * 10] * 2, gains=[(0.1, 1.0)] * 4, lead=STOP_LEAD,
+             kind="ts-ops", integrator="rk4", start=40, fold=3000, block=7)
+    def test_run_record_equals_the_loop(self, form, rows, gains, lead, kind, integrator, start,
+                                        fold, block):
+        # `run` records x, v and a, and rebuilds s, dv and u from its record
+        # of x and v; each must equal the loop's rhs tuple at its sample, bit
+        # for bit, with u +0.0 on every HV
+        sc = make_short_scenario(kind=kind, lead=lead, t_f=15.0, window=(3.0, 12.0),
+                                 integrator=integrator)
+        if form == "float":  # one unbatched AV: the lane steps on floats
+            sc = replace(sc, n_followers=1, mpr=1.0)
+            engine = PlatoonEngine(sc, *gains[0])
+            assert engine._floats
+        else:
+            beta, gamma = (np.array(gain)[:, None] for gain in zip(*gains[: len(rows)]))
+            engine = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=av_mask_form(form, rows))
+        n = sc.n_followers
+        full = engine.run(record=("x", "v"))
+        initial = full["x"][start], full["v"][start, ..., 1:]
+        blocks = []
+
+        def keep(t, fields):
+            blocks.append((t.copy(), {name: arr.copy() for name, arr in fields.items()}))
+
+        with mock.patch.object(simulator, "_STAGE_BLOCK", block), \
+                mock.patch.object(simulator, "_FOLD_VALUES", fold or simulator._FOLD_VALUES):
+            raw = engine.run(record=ALL_FIELDS, fold=fold and keep, initial=initial, start=start)
+        if fold:
+            raw = {"t": np.concatenate([t for t, _ in blocks])} | {
+                name: np.concatenate([fields[name] for _, fields in blocks]) for name in ALL_FIELDS
+            }
+        table = sc.lead.stage_speeds(sc.dt, sc.steps)
+        for j, k in enumerate(np.rint(raw["t"] / sc.dt).astype(int)):
+            assert raw["x"][j].tobytes() == full["x"][k].tobytes()
+            f, s, dv, u = engine.rhs(table[0][k], raw["x"][j], raw["v"][j, ..., 1:])
+            assert raw["a"][j].tobytes() == f[..., n + 1 :].tobytes()
+            for name, ref in (("s", s), ("dv", dv), ("u", full_width_u(engine, u, s))):
+                assert raw[name][j].tobytes() == ref.tobytes(), (name, k)
+        hv = ~np.broadcast_to(engine.av_mask, raw["u"].shape[1:])
+        assert not np.signbit(raw["u"][:, hv]).any() and not raw["u"][:, hv].any()
 
 
 def one_av_scenario(**kw):
