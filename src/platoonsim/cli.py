@@ -20,8 +20,8 @@ import numpy as np
 from . import config as cfgmod
 from .avblock import av_block
 from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
-from .metrics import WindowSums, summarize, write_metrics_csv
-from .optimizer import _tunable, optimize, write_trace_csv
+from .metrics import WindowSums, summarize
+from .optimizer import _tunable, optimize
 from .simulator import (
     PlatoonEngine,
     av_mask_for,
@@ -105,6 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_csv(out, name, header, rows) -> None:
+    """Write `rows` under `header` to `out/name` in csv's "\\r\\n" rows: every
+    CSV a command leaves but `simulator.write_trajectory_csv`'s."""
+    with open(os.path.join(out, name), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _prepare(args):
     cp = cfgmod.load_config(args.scenario)
     cfgmod.apply_overrides(cp, args.overrides)
@@ -123,12 +132,13 @@ def cmd_run(args) -> int:
     report = summarize(traj, scenario, coeffs)
 
     write_trajectory_csv(traj, os.path.join(args.out, "trajectory.csv"))
-    write_metrics_csv(report, os.path.join(args.out, "metrics.csv"))
-    with open(os.path.join(args.out, "safety.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "vehicle", "spacing"])
-        for v in violations:
-            writer.writerow([f"{v.time:.6f}", v.vehicle, f"{v.spacing:.6f}"])
+    per_vehicle = zip(report.per_vehicle_asv.tolist(), report.per_vehicle_fc.tolist())
+    _write_csv(args.out, "metrics.csv", ["vehicle", "asv", "fc"], [
+        *([i, f"{asv:.6f}", f"{fc:.6f}"] for i, (asv, fc) in enumerate(per_vehicle, start=1)),
+        ["platoon", f"{report.platoon_asv:.6f}", f"{report.platoon_fc:.6f}"],
+    ])
+    _write_csv(args.out, "safety.csv", ["t", "vehicle", "spacing"],
+               ([f"{v.time:.6f}", v.vehicle, f"{v.spacing:.6f}"] for v in violations))
 
     print(
         f"platoon ASV {report.platoon_asv:.4f} m/s, "
@@ -142,6 +152,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _write_trace(out, trace) -> None:
+    """trace.csv: one row per iteration, numbered from 1."""
+    values = np.column_stack([trace.thetas, trace.objectives, trace.lambdas]).tolist()
+    _write_csv(out, "trace.csv", ["iter", "beta", "gamma", "J", "lambda_beta", "lambda_gamma"],
+               ([k, *(f"{val:.10g}" for val in row)] for k, row in enumerate(values, start=1)))
+
+
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
@@ -149,23 +166,15 @@ def cmd_tune(args) -> int:
         theta, trace = optimize(scenario, ocfg)
     except OptimizeError as err:
         # the completed iterations stay on disk; `main` reports the failure
-        write_trace_csv(err.trace, os.path.join(args.out, "trace.csv"))
+        _write_trace(args.out, err.trace)
         raise
-    write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
-    with open(os.path.join(args.out, "theta_opt.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "gamma", "J"])
-        writer.writerow(
-            [
-                f"{theta.beta:.6g}",
-                f"{theta.gamma:.6g}",
-                f"{trace.objectives[trace.best_index]:.6g}",
-            ]
-        )
+    _write_trace(args.out, trace)
+    j_best = trace.objectives[trace.best_index]
+    _write_csv(args.out, "theta_opt.csv", ["beta", "gamma", "J"],
+               [[f"{theta.beta:.6g}", f"{theta.gamma:.6g}", f"{j_best:.6g}"]])
     print(
         f"best gains: beta={theta.beta:.4f} gamma={theta.gamma:.4f} "
-        f"(J={trace.objectives[trace.best_index]:.6f}, "
-        f"{len(trace)} iterations, {trace.reason})"
+        f"(J={j_best:.6f}, {len(trace)} iterations, {trace.reason})"
     )
     return EXIT_OK
 
@@ -261,11 +270,8 @@ def cmd_sweep(args) -> int:
             )
         )
 
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mpr", "asv", "fc", "asv_impr_pct", "fc_impr_pct"])
-        for row in rows:
-            writer.writerow([f"{row[0]:.3f}"] + [f"{val:.6f}" for val in row[1:]])
+    _write_csv(args.out, "sweep.csv", ["mpr", "asv", "fc", "asv_impr_pct", "fc_impr_pct"],
+               ([f"{row[0]:.3f}"] + [f"{val:.6f}" for val in row[1:]] for row in rows))
     for row in rows:
         print(
             f"mpr={row[0]:.2f} asv={row[1]:.4f} fc={row[2]:.2f} "
@@ -347,13 +353,10 @@ def cmd_grid(args) -> int:
     asv_vals, fc_vals = sums.platoon()
     _report_lanes(floor_hits, sums, labels)
 
-    with open(os.path.join(args.out, "grid.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "gamma", "asv", "fc"])
-        for b, g, a_val, f_val in zip(flat_b, flat_g, asv_vals, fc_vals):
-            writer.writerow(
-                [f"{b:.6g}", f"{g:.6g}", f"{a_val:.6f}", f"{f_val:.6f}"]
-            )
+    _write_csv(args.out, "grid.csv", ["beta", "gamma", "asv", "fc"], (
+        [f"{b:.6g}", f"{g:.6g}", f"{a_val:.6f}", f"{f_val:.6f}"]
+        for b, g, a_val, f_val in zip(flat_b, flat_g, asv_vals, fc_vals)
+    ))
     print(f"grid of {flat_b.size} points written to grid.csv")
     return EXIT_OK
 

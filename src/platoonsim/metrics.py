@@ -9,7 +9,6 @@ ships as a data file whose header declares its unit convention.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 
@@ -26,7 +25,6 @@ __all__ = [
     "log_fuel_exponents",
     "WindowSums",
     "summarize",
-    "write_metrics_csv",
 ]
 
 # exponent cap: beyond this the regression is far outside its fitted range,
@@ -249,15 +247,3 @@ def summarize(
         saturated=bool(sums.saturated),
     )
 
-
-def write_metrics_csv(report: MetricsReport, path) -> None:
-    """Export per-vehicle rows, numbered from 1, plus a platoon aggregate row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vehicle", "asv", "fc"])
-        rows = zip(report.per_vehicle_asv.tolist(), report.per_vehicle_fc.tolist())
-        for i, (asv, fc) in enumerate(rows, start=1):
-            writer.writerow([i, f"{asv:.6f}", f"{fc:.6f}"])
-        writer.writerow(
-            ["platoon", f"{report.platoon_asv:.6f}", f"{report.platoon_fc:.6f}"]
-        )

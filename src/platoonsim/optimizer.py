@@ -25,7 +25,6 @@ bound and gamma to non-negative values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import astuple, dataclass, replace
 
@@ -47,7 +46,6 @@ __all__ = [
     "simulate_with_sensitivity",
     "replayed_objective",
     "optimize",
-    "write_trace_csv",
 ]
 
 # the imaginary step of a closed-loop run's gains; no difference is taken,
@@ -151,7 +149,7 @@ def project_feasible(theta, beta_max: float) -> ControllerParams:
     Accepts ControllerParams or a raw (beta, gamma) pair, since tentative
     descent updates may leave the feasible box before projection.
     """
-    if beta_max <= 0:
+    if not beta_max > 0:  # NaN too
         raise DomainError(f"beta_max must be positive, got {beta_max}")
     if isinstance(theta, ControllerParams):
         b, g = theta.beta, theta.gamma
@@ -418,12 +416,3 @@ def optimize(
     best = trace.thetas[trace.best_index]
     return ControllerParams(beta=float(best[0]), gamma=float(best[1])), trace
 
-
-def write_trace_csv(trace: OptimizationTrace, path) -> None:
-    """Export a trace as iter,beta,gamma,J,lambda_beta,lambda_gamma."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "beta", "gamma", "J", "lambda_beta", "lambda_gamma"])
-        for k in range(len(trace)):
-            values = (*trace.thetas[k], trace.objectives[k], *trace.lambdas[k])
-            writer.writerow([k + 1, *(f"{val:.10g}" for val in values)])

@@ -169,9 +169,10 @@ class ControllerConfig:
             raise DomainError("beta and gamma must be non-negative and finite")
         if not all(math.isfinite(p) and p >= 0 for p in (self.phi1, self.phi2, self.phi3)):
             raise DomainError("phi gains must be non-negative and finite")
-        v_star = self.v_star
-        if v_star is not None and not (math.isfinite(v_star) and v_star > 0):
-            raise DomainError(f"v_star must be positive and finite, got {v_star}")
+        for name in ("v_star", "envelope_s0"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         get_kernel(self.kernel)
 
 
@@ -606,11 +607,14 @@ class PlatoonEngine:
         The leader follows `lead`, its four-stage speed table (stage 1 at
         every sample, then stages 2, 3 and 4 of every step; an Euler run
         needs stage 1 only), by default the scenario's profile
-        (`LeadProfile.stage_speeds`). A table rebuilt from a recorded
-        vehicle makes that vehicle the leader, so a run of the followers
-        behind it, started from `initial` (the `x` and `v` columns of the
-        whole platoon's `initial_arrays`; by default this engine's own),
-        equals those columns of the whole platoon's run bit for bit.
+        (`LeadProfile.stage_speeds`). Tables stacked along a last lane axis
+        give each lane its own leader, and each lane then equals its own
+        unbatched run behind that profile bit for bit. A table rebuilt from
+        a recorded vehicle makes that vehicle the leader, so a run of the
+        followers behind it, started from `initial` (the `x` and `v`
+        columns of the whole platoon's `initial_arrays`; by default this
+        engine's own), equals those columns of the whole platoon's run bit
+        for bit.
 
         `start` resumes a run from a state at step `start`: `initial` is
         then the state at t_start that a run from step 0 reached (the `x`

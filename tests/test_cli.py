@@ -151,6 +151,20 @@ class TestConfig:
         builders = {builder for keys in config._KEYS.values() for builder, _, _ in keys.values()}
         assert all(map(dataclasses.is_dataclass, builders - {load_fuel_coefficients}))
 
+    @pytest.mark.parametrize("value, shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"),
+                                              ("-1", "-1.0")])
+    @pytest.mark.parametrize("command", [
+        ["run"], ["tune"], ["grid", "--beta-range", "0:5:2", "--gamma-range", "1:1:1"]])
+    def test_bad_envelope_s0_exits_1_naming_it(self, tmp_path, capsys, command, value, shown):
+        # an infinite envelope made the beta bound inf, so `grid` accepted
+        # any beta range and `tune` blamed beta_max, a key nobody set
+        code = main([command[0], "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", f"controller.envelope_s0={value}", *command[1:]])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"config error: envelope_s0 must be positive and finite, got {shown}\n")
+        assert os.listdir(tmp_path) == []
+
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         path = tmp_path / "no_hv.cfg"
         path.write_text("[av_model]\nk1 = 0.02\nk2 = 0.13\neta = 21.51\ntau = 1.71\nlength = 5\n")
@@ -402,6 +416,81 @@ class TestRun:
                                    "scenario.lead_profile=0:21 10:21 20:18 30:18 40:21",
                                    "scenario.mpr=0.5"])
         assert build_scenario(load_config(str(dumped))) == build_scenario(original)
+
+
+# three followers (HV, AV, HV) behind a lead that brakes from 21 to 15 m/s
+# within 1 s, over 2 s in steps of 0.5 s: small enough to pin every byte
+TINY = [
+    "--set", "scenario.n_followers=3", "--set", "scenario.mpr=0.4",
+    "--set", "scenario.t_f=2", "--set", "scenario.dt=0.5",
+    "--set", "scenario.metric_window=0 2", "--set", "scenario.lead_profile=0:21 1:15",
+]
+TINY_TRACE = (
+    "iter,beta,gamma,J,lambda_beta,lambda_gamma\r\n"
+    "1,0.05,1,1.819916959,-3.539152371,-0.00504538394\r\n"
+    "2,0.05035391524,1.000000505,1.818672884,-3.53784045,-0.005081166242\r\n"
+    "3,0.05070769928,1.000001013,1.81742973,-3.536528844,-0.005116937797\r\n"
+)
+
+
+class TestOutputBytes:
+    """Every CSV a command writes, byte for byte: the header, csv's "\\r\\n"
+    endings and each column's number format."""
+
+    def test_run_metrics_and_safety(self, tmp_path, capsys):
+        # the first HV's spacing drops below 32 m at 1.5 s and 2 s
+        assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *TINY,
+                     "--set", "scenario.min_safe_spacing=32"]) == 0
+        assert (tmp_path / "metrics.csv").read_bytes() == (
+            b"vehicle,asv,fc\r\n"
+            b"1,1.197407,0.947185\r\n"
+            b"2,0.155392,2.516375\r\n"
+            b"3,0.019959,3.137096\r\n"
+            b"platoon,0.457586,2.200219\r\n"
+        )
+        assert (tmp_path / "safety.csv").read_bytes() == (
+            b"t,vehicle,spacing\r\n"
+            b"1.500000,1,31.037966\r\n"
+            b"2.000000,1,29.273074\r\n"
+        )
+        assert capsys.readouterr() == (
+            "platoon ASV 0.4576 m/s, platoon FC 2.20 ml, safety violations: 2\n", "")
+
+    def test_run_without_violations_writes_the_header(self, tmp_path):
+        assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *TINY]) == 0
+        assert (tmp_path / "safety.csv").read_bytes() == b"t,vehicle,spacing\r\n"
+
+    def test_tune_trace_and_gains(self, tmp_path, capsys):
+        assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *TINY,
+                     "--set", "optimizer.n_max=3", "--set", "optimizer.epsilon=1e-4"]) == 0
+        assert (tmp_path / "trace.csv").read_bytes() == TINY_TRACE.encode()
+        assert (tmp_path / "theta_opt.csv").read_bytes() == (
+            b"beta,gamma,J\r\n"
+            b"0.0507077,1,1.81743\r\n"
+        )
+        assert capsys.readouterr() == (
+            "best gains: beta=0.0507 gamma=1.0000 (J=1.817430, 3 iterations, "
+            "max-iterations)\n", "")
+
+    def test_failed_tune_keeps_the_completed_rows(self, tmp_path, capsys, monkeypatch):
+        # the third iteration's run blows up: the trace holds the first two
+        # rows of the full descent's, and no gains are written
+        terms, calls = optimizer._descent_terms, []
+
+        def failing_terms(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericalBlowupError(2, 1.5)
+            return terms(*args)
+
+        monkeypatch.setattr(optimizer, "_descent_terms", failing_terms)
+        assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *TINY,
+                     "--set", "optimizer.n_max=3", "--set", "optimizer.epsilon=1e-4"]) == 2
+        rows = TINY_TRACE.split("\r\n")
+        assert (tmp_path / "trace.csv").read_bytes() == "\r\n".join(rows[:3] + [""]).encode()
+        assert not (tmp_path / "theta_opt.csv").exists()
+        assert capsys.readouterr() == (
+            "", "numerical failure: non-finite state for vehicle 2 at t=1.500 s\n")
 
 
 class TestWindowPolicy:

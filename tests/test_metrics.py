@@ -18,7 +18,6 @@ from platoonsim.metrics import (
     load_fuel_coefficients,
     log_fuel_exponents,
     summarize,
-    write_metrics_csv,
 )
 from platoonsim.simulator import PlatoonEngine, Trajectory, av_mask_for, simulate
 
@@ -403,16 +402,6 @@ class TestSummarize:
         smooth = summarize(s2_mpr1_ops_traj, sc, fuel_coeffs)
         assert smooth.platoon_asv < base.platoon_asv
         assert smooth.platoon_fc < base.platoon_fc
-
-    def test_csv_export(self, tmp_path, fuel_coeffs):
-        sc = make_scenario(mpr=0.0, lead=FLAT_LEAD, t_f=20.0, window=(0.0, 20.0))
-        report = summarize(simulate(sc), sc, fuel_coeffs)
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "vehicle,asv,fc"
-        assert len(lines) == 12  # 10 followers + aggregate
-        assert lines[-1].startswith("platoon,")
 
 
 class TestCoefficientFile:

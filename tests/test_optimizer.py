@@ -24,7 +24,6 @@ from platoonsim.optimizer import (
     project_feasible,
     replayed_objective,
     simulate_with_sensitivity,
-    write_trace_csv,
 )
 from platoonsim.simulator import (
     PlatoonEngine,
@@ -784,6 +783,12 @@ class TestProjectFeasible:
         p = ControllerParams(0.05, 2.0)
         assert project_feasible(p, beta_max=0.0642) == p
 
+    # NaN passes a `<= 0` test, and min(5.0, nan) is 5.0: nothing was clamped
+    @pytest.mark.parametrize("beta_max", [math.nan, 0.0, -1.0])
+    def test_rejects_a_bound_that_is_not_positive(self, beta_max):
+        with pytest.raises(DomainError, match="beta_max must be positive"):
+            project_feasible((5.0, 1.0), beta_max)
+
 
 def short_scenario_with(kernel):
     sc = make_short_scenario(beta=0.03, gamma=0.5)
@@ -888,18 +893,6 @@ class TestOptimize:
         traj, z = simulate_with_sensitivity(sc, np.array([[0.03, 0.5]]), mode="closed-loop")
         assert np.isfinite(z).all()
         assert z.shape == (len(traj.t), 1, 2)
-
-    def test_trace_csv(self, tmp_path):
-        sc = make_short_scenario(beta=0.03, gamma=1.0)
-        cfg = OptimizerConfig(
-            beta_max=0.05, theta0=ControllerParams(0.03, 1.0), epsilon=1e-4, n_max=3
-        )
-        _, trace = optimize(sc, cfg)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iter,beta,gamma,J,lambda_beta,lambda_gamma"
-        assert len(lines) == 1 + len(trace)
 
 
 class TestOptimizerConfig:

@@ -165,6 +165,9 @@ class TestAvMask:
 # a metric window between two samples at dt 0.1, so it holds none
 NO_SAMPLE = (12.34, 12.36)
 
+# a lead that slows from 21 to 17 m/s over 4 s and speeds up again
+DIP_LEAD = LeadProfile((0.0, 4.0, 8.0), (21.0, 17.0, 21.0))
+
 
 class TestEngine:
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
@@ -374,6 +377,58 @@ class TestEngine:
             for name in ("x", "v", "a", "s", "dv", "u"):
                 assert np.array_equal(whole[name][:, lane], raw[name]), (lane, name)
             assert batched.lane_floor_hits[lane] == single.floor_hits
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        lanes=st.lists(
+            st.tuples(
+                st.sampled_from([SHORT_LEAD, STOP_LEAD, FLAT_LEAD, DIP_LEAD]),
+                st.lists(st.booleans(), min_size=10, max_size=10),
+                st.floats(0.0, 0.0642),
+                st.floats(0.0, 2.0),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        start=st.integers(0, 140),
+        fold=st.booleans(),
+    )
+    @example(lanes=[(STOP_LEAD, [True] * 10, 0.05, 1.0), (SHORT_LEAD, [False] * 10, 0.0, 1.0)],
+             integrator="rk4", start=60, fold=True)
+    def test_every_lane_follows_its_own_lead(self, lanes, integrator, start, fold):
+        # the leads' stage tables stacked along a last lane axis drive one
+        # lane each: every lane's record, folds and clamps equal those of
+        # its own unbatched run behind that lead, resumed at `start` from
+        # the state its run from step 0 reached
+        sc = make_short_scenario(t_f=15.0, window=(3.0, 12.0), integrator=integrator)
+        singles = []
+        for lead, mask, beta, gamma in lanes:
+            engine = PlatoonEngine(replace(sc, lead=lead), beta=beta, gamma=gamma,
+                                   av_mask=np.array(mask))
+            full = engine.run(record=("x", "v"))
+            singles.append((engine, (full["x"][start], full["v"][start, 1:])))
+        tables = [lead.stage_speeds(sc.dt, sc.steps) for lead, *_ in lanes]
+        table = tuple(np.stack(stage, axis=-1) for stage in zip(*tables))
+        masks, betas, gammas = (np.array(col) for col in zip(*(lane[1:] for lane in lanes)))
+        batched = PlatoonEngine(sc, beta=betas[:, None], gamma=gammas[:, None], av_mask=masks)
+        initial = tuple(np.stack(col) for col in zip(*(init for _, init in singles)))
+
+        def outcome(engine, table, initial):
+            raw, blocks, error, hits, _ = run_outcome(engine, table, initial, start,
+                                                      ALL_FIELDS, fold)
+            assert error is None
+            if fold:
+                raw = {name: np.concatenate([f[name] for _, f in blocks]) for name in ALL_FIELDS}
+            return raw, hits
+
+        with mock.patch.object(simulator, "_FOLD_VALUES", 700):  # folds of several blocks
+            raw, hits = outcome(batched, table, initial)
+            for lane, (engine, init) in enumerate(singles):
+                ref, ref_hits = outcome(engine, None, init)
+                for name in ALL_FIELDS:
+                    assert raw[name][:, lane].tobytes() == ref[name].tobytes(), (lane, name)
+                assert hits[lane] == ref_hits
 
     def test_lane_floor_hits_match_single_runs(self):
         mprs = [0.0, 0.5, 1.0]
@@ -1185,6 +1240,10 @@ class TestScenarioValidation:
         for field in ("beta", "gamma", "phi1", "phi2", "phi3"):
             for value in (math.nan, math.inf):
                 with pytest.raises(DomainError, match="finite"):
+                    ControllerConfig(kind="ts-ops", **{field: value})
+        for field in ("v_star", "envelope_s0"):
+            for value in (math.nan, math.inf, 0.0, -1.0):
+                with pytest.raises(DomainError, match=f"{field} must be positive and finite"):
                     ControllerConfig(kind="ts-ops", **{field: value})
 
     # NaN passes a `<= 0` test: a NaN min_safe_spacing would switch the
