@@ -2,7 +2,9 @@
 
 Every command reads a scenario config (bundled preset name or file path),
 applies `--set section.key=value` overrides, and writes CSV artifacts into
-the output directory. Exit codes: 0 success, 1 config error, 2 numerical
+the output directory. A command creates that directory once its inputs
+have passed their checks and before any run, so a config error leaves no
+directory behind. Exit codes: 0 success, 1 config error, 2 numerical
 failure, 3 safety violation under --strict-safety.
 """
 
@@ -117,7 +119,6 @@ def _write_csv(out, name, header, rows) -> None:
 def _prepare(args):
     cp = cfgmod.load_config(args.scenario)
     cfgmod.apply_overrides(cp, args.overrides)
-    os.makedirs(args.out, exist_ok=True)
     scenario = cfgmod.build_scenario(cp)
     if args.dump_config:
         cfgmod.dump_config(cp, args.dump_config)
@@ -127,6 +128,7 @@ def _prepare(args):
 def cmd_run(args) -> int:
     cp, scenario = _prepare(args)
     coeffs = cfgmod.build_fuel_coefficients(cp)
+    os.makedirs(args.out, exist_ok=True)
     traj = simulate(scenario)
     violations = check_safety(traj, scenario.min_safe_spacing)
     report = summarize(traj, scenario, coeffs)
@@ -162,6 +164,7 @@ def _write_trace(out, trace) -> None:
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
+    os.makedirs(args.out, exist_ok=True)
     try:
         theta, trace = optimize(scenario, ocfg)
     except OptimizeError as err:
@@ -207,6 +210,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--mprs lists no penetration rate")
     if any(not 0.0 <= m <= 1.0 for m in mprs):
         raise ConfigError("--mprs values must lie in [0, 1]")
+    # --tune-first's descents, one per lane with an AV, checked before any runs
+    points = {lane: replace(scenario, mpr=mpr) for lane, mpr in enumerate(mprs, start=1)}
+    descents = {
+        lane: (point, cfgmod.build_optimizer_config(cp, point))
+        for lane, point in points.items() if args.tune_first and point.av_indices
+    }
+    os.makedirs(args.out, exist_ok=True)
 
     # lane 0 is the AV-free baseline, lane k the k-th MPR; all lanes are
     # integrated as one batch with their own AV mask and gains
@@ -215,17 +225,13 @@ def cmd_sweep(args) -> int:
     gammas = np.full(len(masks), scenario.controller.gamma)
     labels = ["baseline"] + [f"mpr={mpr}" for mpr in mprs]
     errors: dict[int, str] = {}
-    if args.tune_first:
-        for lane, mpr in enumerate(mprs, start=1):
-            point = replace(scenario, mpr=mpr)
-            if not point.av_indices:
-                continue
-            try:
-                theta, _ = optimize(point, cfgmod.build_optimizer_config(cp, point))
-            except OptimizeError as err:
-                errors[lane] = str(err)
-                continue
-            betas[lane], gammas[lane] = theta.beta, theta.gamma
+    for lane, (point, ocfg) in descents.items():
+        try:
+            theta, _ = optimize(point, ocfg)
+        except OptimizeError as err:
+            errors[lane] = str(err)
+            continue
+        betas[lane], gammas[lane] = theta.beta, theta.gamma
 
     # a lane that blows up is dropped and the rest re-integrated; lanes are
     # independent, so the surviving rows do not change
@@ -341,6 +347,7 @@ def cmd_grid(args) -> int:
     _tunable(scenario)  # gains act only on a ts-ops platoon's AVs
     if gammas.min() < 0:
         raise ConfigError("gamma range must be non-negative")
+    os.makedirs(args.out, exist_ok=True)
 
     bb, gg = np.meshgrid(betas, gammas, indexing="ij")
     flat_b, flat_g = bb.ravel(), gg.ravel()

@@ -61,7 +61,7 @@ class OptimizerConfig:
     the fixed step size; phi the convergence threshold on the change of the
     objective between iterations; beta_max the feasibility ceiling on beta;
     sensitivity the gradient's mode, "exogenous" or "closed-loop" (exact, at
-    five to six times the cost of a default iteration at the presets' MPR
+    about eight times the cost of a default iteration at the presets' MPR
     0.1, where the real run steps on floats and the complex one does not;
     see the module docstring).
     """

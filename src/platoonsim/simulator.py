@@ -30,7 +30,7 @@ from .dynamics import (
     ovrv_accel_arrays,
 )
 from .errors import DomainError, NumericalBlowupError
-from .stepping import _STAGE_BLOCK, FloatState, rk4_step, step_coefficients
+from .stepping import _STAGE_BLOCK, rk4_slots, rk4_step, step_coefficients
 
 __all__ = [
     "LeadProfile",
@@ -380,9 +380,10 @@ class PlatoonEngine:
     sensitivities need. Every scalar operand of a step (model parameters,
     controller constants, step coefficients) is made here: a 0-d array,
     which NumPy applies faster than a float, but a Python float in a lane
-    that `run` steps as a `FloatState` (`_floats`: one unbatched real lane
-    whose one follower is an AV), through the same `advance` and `step`
-    with `_rates` as its derivative.
+    that `run` steps as a tuple `(x_lead, x, v)` (`_floats`: one unbatched
+    real lane whose one follower is an AV), through the same `advance` and
+    `step`, with `_rates` as its derivative, `rk4_slots` as its RK4 step
+    and the Euler line and the floor clamp slot by slot.
     """
 
     def __init__(
@@ -448,7 +449,7 @@ class PlatoonEngine:
         # clamps of a negative speed to 0, per lane (0-d when unbatched)
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
-        # flat layout, dx/dt = [v_lead | v] in the x slots; plain slices index a FloatState
+        # flat layout, dx/dt = [v_lead | v] in the x slots; plain slices index a tuple
         x, v = slice(None, n + 1), slice(n + 1, 2 * n + 1)
         self._x, self._v = (x, v) if self._floats else (np.s_[..., x], np.s_[..., v])
         self.width = 2 * n + 1
@@ -516,7 +517,7 @@ class PlatoonEngine:
         s = x_lead - x - self.hv.length
         dv = v_lead - v
         u = self.control_input(s, dv, v_lead)
-        return FloatState((v_lead, v, float(ovrv_accel_arrays(s, dv, v, self.av) + u)))
+        return v_lead, v, float(ovrv_accel_arrays(s, dv, v, self.av) + u)
 
     def _check_finite(self, y, t):
         if self._floats and math.isfinite(y[2]):
@@ -539,9 +540,11 @@ class PlatoonEngine:
         passes none, so they are freed stage by stage.
         """
         if self.scenario.integrator == "euler":
+            if self._floats:
+                return tuple(p + self._c[1] * a for p, a in zip(y, f1))
             return y + self._c[1] * f1
         if self._floats:
-            return rk4_step(y, self._c, f1, lambda i, y_i: self._rates(v_lead[i - 1], y_i))
+            return rk4_slots(y, self._c, f1, lambda i, y_i: self._rates(v_lead[i - 1], y_i))
 
         def rate(i, y_i):
             stage = self.rhs(v_lead[i - 1], y_i[self._x], y_i[self._v])
@@ -561,7 +564,7 @@ class PlatoonEngine:
         if self._floats:
             if -math.inf < y_new[2] < 0:
                 self.lane_floor_hits += 1
-                return FloatState((y_new[0], y_new[1], 0.0))
+                return y_new[0], y_new[1], 0.0
             return y_new
         v_new = y_new[self._v]
         # fmin skips NaN, as `v < 0` is False for it
@@ -643,8 +646,8 @@ class PlatoonEngine:
         y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
         advance = self.advance
-        if self._floats:  # the lane steps a FloatState
-            y, rate = FloatState(y.tolist()), self._rates
+        if self._floats:  # the lane steps a tuple of Python floats
+            y, rate = tuple(y.tolist()), self._rates
         else:
             rate = lambda v_lead, y: self.rhs(v_lead, y[self._x], y[self._v])[0]  # noqa: E731
 

@@ -1,5 +1,7 @@
 """Fixed-step integration shared by the engine and the optimizer: the RK4
-step, its coefficients, and the rebuild of a recorded run's stages."""
+step of an array or scalar state (`rk4_step`), the same step slot by slot
+for a one-AV float lane's tuple (`rk4_slots`), their coefficients, and the
+rebuild of a recorded run's stages."""
 
 from __future__ import annotations
 
@@ -38,25 +40,12 @@ def step_coefficients(dt: float) -> tuple[float, ...]:
     return dt / 2, dt, dt / 6, 2.0
 
 
-class FloatState(tuple):
-    """A one-AV lane's state (x_lead, x, v), or its rate, as Python floats
-    that step as an array does, bit for bit: `+` adds slot by slot, `k *` scales each slot."""
-
-    def __add__(self, other):
-        (a, b, c), (x, y, z) = self, other
-        return tuple.__new__(FloatState, (a + x, b + y, c + z))
-
-    def __rmul__(self, k):
-        a, b, c = self
-        return tuple.__new__(FloatState, (k * a, k * b, k * c))
-
-
 def rk4_step(y, c, f1, rate):
     """One classic RK4 step from the state y, whose derivative is f1.
 
     `c` holds `step_coefficients(dt)`, as 0-d arrays in the engine and as
-    floats in `FloatState` steps, the sensitivity post-pass and the
-    `replayed_objective` oracle, so the stage formulas exist once.
+    floats in the sensitivity post-pass and the `replayed_objective`
+    oracle: the formula of every state that is an array or a scalar.
     `rate(i, y_i)` is the derivative at the stage state y_i, for i = 1 and 2
     (the half step) and 3 (the full step).
     """
@@ -65,3 +54,20 @@ def rk4_step(y, c, f1, rate):
     f3 = rate(2, y + half * f2)
     f4 = rate(3, y + full * f3)
     return y + sixth * (f1 + two * f2 + two * f3 + f4)
+
+
+def rk4_slots(y, c, f1, rate):
+    """`rk4_step` on a one-AV float lane's state `(x_lead, x, v)` and its
+    rates, as tuples of scalars: `rk4_step`'s operations in its order, slot
+    by slot, so the `(3,)` array step's bits (`TestStep` pins the two)."""
+    half, full, sixth, two = c
+    p, q, r = y
+    a1, b1, c1 = f1
+    a2, b2, c2 = rate(1, (p + half * a1, q + half * b1, r + half * c1))
+    a3, b3, c3 = rate(2, (p + half * a2, q + half * b2, r + half * c2))
+    a4, b4, c4 = rate(3, (p + full * a3, q + full * b3, r + full * c3))
+    return (
+        p + sixth * (a1 + two * a2 + two * a3 + a4),
+        q + sixth * (b1 + two * b2 + two * b3 + b4),
+        r + sixth * (c1 + two * c2 + two * c3 + c4),
+    )

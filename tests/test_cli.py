@@ -392,11 +392,45 @@ class TestRun:
         )
         assert not (tmp_path / "trajectory.csv").exists()
 
-    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys):
+    def test_out_that_is_a_file_exits_1(self, tmp_path, capsys, monkeypatch):
+        # every command creates --out before any work, so it fails fast
+        def fail(*args, **kw):
+            raise AssertionError("work done before --out was created")
+
+        monkeypatch.setattr(cli, "optimize", fail)
+        monkeypatch.setattr(cli, "simulate", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
         out = tmp_path / "taken"
         out.write_text("")
-        assert main(["run", "--scenario", "scenario1", "--out", str(out), *SHORT]) == 1
-        assert capsys.readouterr().err == f"config error: cannot write {out}: File exists\n"
+        for argv in (["run"], ["tune"], ["sweep", "--tune-first", "--mprs", "0.1"],
+                     ["grid", "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"]):
+            assert main([*argv, "--scenario", "scenario1", "--out", str(out), *SHORT]) == 1
+            assert capsys.readouterr() == (
+                "", f"config error: cannot write {out}: File exists\n"), argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--set", "controller.betta=1"], "unknown config key [controller] betta"),
+        (["tune", "--set", "optimizer.epsilon=2"], "epsilon must be in (0, 1), got 2.0"),
+        (["sweep", "--mprs", "0.1,x"],
+         "bad --mprs list: could not convert string to float: 'x'"),
+        (["sweep", "--mprs", "0,0.1", "--tune-first", "--set", "optimizer.epsilon=2"],
+         "epsilon must be in (0, 1), got 2.0"),
+        (["grid", "--beta-range", "0:1", "--gamma-range", "1:1:1"],
+         "bad range '0:1', expected LO:HI:N"),
+    ], ids=["run", "tune", "sweep", "sweep-tune-first", "grid"])
+    def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, message):
+        # --out is created once the command's inputs have passed their
+        # checks, so a config error leaves no directory behind
+        def fail(*args, **kw):
+            raise AssertionError("work done before the inputs were checked")
+
+        monkeypatch.setattr(cli, "optimize", fail)
+        monkeypatch.setattr(cli, "simulate", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
+        out = tmp_path / "new" / "sub"
+        assert main([*argv, "--scenario", "scenario1", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not (tmp_path / "new").exists()
 
     def test_dump_config_into_missing_dir_exits_1(self, tmp_path, capsys):
         dumped = tmp_path / "missing" / "x.cfg"
@@ -507,7 +541,7 @@ class TestWindowPolicy:
             out = tmp_path / cmd[0]
             assert main([*cmd, "--scenario", "scenario1", "--out", str(out), *window]) == 1
             errors.append(capsys.readouterr().err)
-            assert not [p for p in out.iterdir() if p.suffix == ".csv"]
+            assert not out.exists()  # no --out directory, so no CSV
         assert "outside trajectory span" in errors[0]
         assert errors == [errors[0]] * 3
 
@@ -566,7 +600,7 @@ class TestWindowPolicy:
                 f"config error: metric window ({t1}, {t2}) holds fewer than 2 samples "
                 "at dt 0.1\n"
             )), cmd
-            assert not [p for p in out.iterdir() if p.suffix == ".csv"]
+            assert not out.exists()  # no --out directory, so no CSV
 
 
 class TestWindowEnd:

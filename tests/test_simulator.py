@@ -22,7 +22,7 @@ from platoonsim.dynamics import (
 from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.metrics import WindowSums
 from platoonsim.optimizer import _z_terms
-from platoonsim.stepping import rk4_step, stage_blocks, step_coefficients
+from platoonsim.stepping import rk4_slots, rk4_step, stage_blocks, step_coefficients
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
@@ -1056,8 +1056,12 @@ class TestStep:
         shape=st.sampled_from([None, (3,), (4, 7)]),
         complex_state=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
+        # a float lane's slot: None draws a finite value from the seed
+        special=st.tuples(*[st.sampled_from([None] * 5 + [math.inf, -math.inf, math.nan])] * 3),
     )
-    def test_rk4_step_takes_float_or_0d_coefficients(self, dt, shape, complex_state, seed):
+    def test_rk4_step_takes_float_or_0d_coefficients(
+        self, dt, shape, complex_state, seed, special
+    ):
         # the engine passes `step_coefficients` as 0-d arrays and the
         # sensitivity post-pass as floats (on float states); both give the
         # bits of the classic step written out with dt
@@ -1078,6 +1082,26 @@ class TestStep:
         for c in (step_coefficients(dt), tuple(map(np.array, step_coefficients(dt)))):
             got = rk4_step(y, c, f1, rate)
             assert np.asarray(got).tobytes() == np.asarray(written).tobytes()
+
+        # `rk4_slots` on a float lane's tuple, against `rk4_step` on the
+        # (3,) array of its values, with the engine's 0-d coefficients; the
+        # rates mix the slots and read the stage. Finite slots of mixed
+        # magnitudes, 16 states an example, keep the increments' last bits
+        # in some sums
+        def slot_rates(i, p, q, r):
+            return d * q + g * i, e * r * r + p, d * p * q + e
+
+        finite = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-8, 1, size=(16, 3))
+        for row in finite.tolist():
+            slots = tuple(f if v is None else v for f, v in zip(row, special))
+            with np.errstate(all="ignore"):  # inf and nan slots
+                got = rk4_slots(slots, step_coefficients(dt), slot_rates(0, *slots),
+                                lambda i, y_i: slot_rates(i, *y_i))
+                ref = rk4_step(np.array(slots), tuple(map(np.array, step_coefficients(dt))),
+                               np.array(slot_rates(0, *slots)),
+                               lambda i, y_i: np.array(slot_rates(i, *y_i)))
+            assert type(got) is tuple and all(type(slot) is float for slot in got)
+            assert np.array(got).tobytes() == ref.tobytes()
 
     def test_state_rejects_overlap(self):
         # a follower placed on (or into) its predecessor is rejected before
