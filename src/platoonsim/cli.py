@@ -2,10 +2,10 @@
 
 Every command reads a scenario config (bundled preset name or file path),
 applies `--set section.key=value` overrides, and writes CSV artifacts into
-the output directory. A command creates that directory once its inputs
-have passed their checks and before any run, so a config error leaves no
-directory behind. Exit codes: 0 success, 1 config error, 2 numerical
-failure, 3 safety violation under --strict-safety.
+the output directory. A command writes `--dump-config` and creates that
+directory once its inputs have passed their checks and before any run, so
+a config error leaves neither behind. Exit codes: 0 success, 1 config
+error, 2 numerical failure, 3 safety violation under --strict-safety.
 """
 
 from __future__ import annotations
@@ -119,16 +119,21 @@ def _write_csv(out, name, header, rows) -> None:
 def _prepare(args):
     cp = cfgmod.load_config(args.scenario)
     cfgmod.apply_overrides(cp, args.overrides)
-    scenario = cfgmod.build_scenario(cp)
+    return cp, cfgmod.build_scenario(cp)
+
+
+def _make_out(args, cp) -> None:
+    """Write `--dump-config`, then create `--out`: a command calls this once
+    its inputs have passed their checks and before any run."""
     if args.dump_config:
         cfgmod.dump_config(cp, args.dump_config)
-    return cp, scenario
+    os.makedirs(args.out, exist_ok=True)
 
 
 def cmd_run(args) -> int:
     cp, scenario = _prepare(args)
     coeffs = cfgmod.build_fuel_coefficients(cp)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args, cp)
     traj = simulate(scenario)
     violations = check_safety(traj, scenario.min_safe_spacing)
     report = summarize(traj, scenario, coeffs)
@@ -164,7 +169,7 @@ def _write_trace(out, trace) -> None:
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args, cp)
     try:
         theta, trace = optimize(scenario, ocfg)
     except OptimizeError as err:
@@ -216,7 +221,7 @@ def cmd_sweep(args) -> int:
         lane: (point, cfgmod.build_optimizer_config(cp, point))
         for lane, point in points.items() if args.tune_first and point.av_indices
     }
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args, cp)
 
     # lane 0 is the AV-free baseline, lane k the k-th MPR; all lanes are
     # integrated as one batch with their own AV mask and gains
@@ -347,7 +352,7 @@ def cmd_grid(args) -> int:
     _tunable(scenario)  # gains act only on a ts-ops platoon's AVs
     if gammas.min() < 0:
         raise ConfigError("gamma range must be non-negative")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args, cp)
 
     bb, gg = np.meshgrid(betas, gammas, indexing="ij")
     flat_b, flat_g = bb.ravel(), gg.ravel()

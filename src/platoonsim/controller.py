@@ -27,7 +27,6 @@ __all__ = [
     "validate_controller_conditions",
     "ConditionReport",
     "ConditionResult",
-    "SamplingBox",
 ]
 
 
@@ -103,26 +102,18 @@ def beta_upper_bound(s0_av: float, min_safe: float, t_f: float, sup: float) -> f
 # --- numerical verification of the controller-class conditions -------------
 
 
-@dataclass(frozen=True)
-class SamplingBox:
-    """Grid over (s, dv) used by the condition checks."""
-
-    s: tuple[float, float, int] = (1.0, 150.0, 40)
-    dv: tuple[float, float, int] = (-6.0, 6.0, 41)
-
-    def grids(self):
-        s = np.linspace(*self.s)
-        dv = np.linspace(*self.dv)
-        if not np.any(dv == 0.0):
-            dv = np.sort(np.append(dv, 0.0))
-        return s, dv
+# the (s, dv) sampling box of the checks; the dv axis holds 0.0 exactly
+_S_GRID = np.linspace(1.0, 150.0, 40)
+_DV_GRID = np.linspace(-6.0, 6.0, 41)
+_TOL = 1e-12  # slack of the monotonicity and boundedness comparisons
+# largest growth of the sampled time-differences under dt halving
+_RATIO_LIMIT = 1.6
 
 
 @dataclass(frozen=True)
 class ConditionResult:
     passed: bool
-    detail: str
-    counterexample: tuple[float, float] | None = None
+    detail: str  # names the failing sample point, if any
 
 
 @dataclass(frozen=True)
@@ -143,26 +134,23 @@ class ConditionReport:
         return self.all_passed
 
 
-def _check_monotonicity(S, D, U, tol) -> ConditionResult:
+def _check_monotonicity(S, D, U) -> ConditionResult:
     # increasing in dv at fixed s; increasing in s in the direction that
     # increases s*dv (equivalently, increasing in s for dv > 0 and
     # decreasing for dv < 0)
     ddv = np.diff(U, axis=1)
-    if (ddv < -tol).any():
+    if (ddv < -_TOL).any():
         i, j = np.unravel_index(np.argmin(ddv), ddv.shape)
         return ConditionResult(
-            False,
-            f"u not increasing in dv near (s={S[i, j]:.3f}, dv={D[i, j]:.3f})",
-            (float(S[i, j]), float(D[i, j])),
+            False, f"u not increasing in dv near (s={S[i, j]:.3f}, dv={D[i, j]:.3f})"
         )
     ds = np.diff(U, axis=0) * np.sign(D[:-1, :])
-    if (ds < -tol).any():
+    if (ds < -_TOL).any():
         i, j = np.unravel_index(np.argmin(ds), ds.shape)
         return ConditionResult(
             False,
             f"u not monotone in s along sign(dv) near (s={S[i, j]:.3f}, "
             f"dv={D[i, j]:.3f})",
-            (float(S[i, j]), float(D[i, j])),
         )
     return ConditionResult(True, "monotone in dv and in s along sign(dv)")
 
@@ -172,31 +160,24 @@ def _check_sign(S, D, U) -> ConditionResult:
     if at_zero.size and at_zero.max() > 0.0:
         i = int(np.argmax(at_zero[:, 0]))
         return ConditionResult(
-            False,
-            f"u != 0 at dv=0 (s={S[i, 0]:.3f}, u={at_zero[i, 0]:.3e})",
-            (float(S[i, 0]), 0.0),
+            False, f"u != 0 at dv=0 (s={S[i, 0]:.3f}, u={at_zero[i, 0]:.3e})"
         )
     off = D != 0.0
     prod = U[off] * D[off]
     if (prod <= 0.0).any():
         k = int(np.argmin(prod))
-        s_bad, d_bad = S[off][k], D[off][k]
-        return ConditionResult(
-            False,
-            f"u*dv <= 0 at (s={s_bad:.3f}, dv={d_bad:.3f})",
-            (float(s_bad), float(d_bad)),
-        )
+        return ConditionResult(False, f"u*dv <= 0 at (s={S[off][k]:.3f}, dv={D[off][k]:.3f})")
     return ConditionResult(True, "u*dv > 0 off dv=0 and u(., 0) = 0")
 
 
-def _check_smoothness(u_fn, s_grid, ratio_limit=1.6) -> ConditionResult:
+def _check_smoothness(u_fn) -> ConditionResult:
     # Sample u along smooth synthetic trajectories and compare max first/second
     # time-differences under dt refinement: they stabilize for a smooth
     # controller but scale like 1/dt (1/dt^2) across a jump. The dt pair must
     # resolve the steepest transition a saturating controller can have on the
     # box, so it sits well below the sweep time scales used here.
-    s_mid = 0.5 * (s_grid[0] + s_grid[-1])
-    s_amp = 0.45 * (s_grid[-1] - s_grid[0])
+    s_mid = 0.5 * (_S_GRID[0] + _S_GRID[-1])
+    s_amp = 0.45 * (_S_GRID[-1] - _S_GRID[0])
 
     def trajectory_maxdiffs(dt):
         t = np.arange(0.0, 40.0, dt)
@@ -213,7 +194,7 @@ def _check_smoothness(u_fn, s_grid, ratio_limit=1.6) -> ConditionResult:
         return ConditionResult(False, "non-finite sampled time-differences")
     r1 = d1b / d1a if d1a > 0 else 1.0
     r2 = d2b / d2a if d2a > 0 else 1.0
-    if r1 > ratio_limit or r2 > ratio_limit:
+    if r1 > _RATIO_LIMIT or r2 > _RATIO_LIMIT:
         return ConditionResult(
             False,
             f"time-differences grow under dt refinement (ratios {r1:.2f}, "
@@ -224,42 +205,36 @@ def _check_smoothness(u_fn, s_grid, ratio_limit=1.6) -> ConditionResult:
     )
 
 
-def _check_boundedness(S, D, U, alpha_claim, tol) -> ConditionResult:
+def _check_boundedness(S, D, U, alpha_claim) -> ConditionResult:
     U = np.abs(U)
     sup = float(U.max())
-    if sup > alpha_claim + tol:
+    if sup > alpha_claim + _TOL:
         i, j = np.unravel_index(np.argmax(U), U.shape)
         return ConditionResult(
             False,
             f"sup |u| = {sup:.6g} exceeds claimed bound {alpha_claim:.6g} at "
             f"(s={S[i, j]:.3f}, dv={D[i, j]:.3f})",
-            (float(S[i, j]), float(D[i, j])),
         )
     return ConditionResult(True, f"sup |u| = {sup:.6g} <= {alpha_claim:.6g}")
 
 
-def validate_controller_conditions(
-    ctrl: Callable,
-    alpha_claim: float,
-    box: SamplingBox = SamplingBox(),
-    tol: float = 1e-12,
-) -> ConditionReport:
+def validate_controller_conditions(ctrl: Callable, alpha_claim: float) -> ConditionReport:
     """Check the four admissibility conditions of the additive controller class.
 
     `ctrl(s, dv)` must accept numpy arrays. The conditions, each verified
-    numerically on the sampling box: (1) monotone increasing in dv and in s
-    along the direction that increases s*dv; (2) u*dv > 0 for dv != 0 and
-    u = 0 at dv = 0; (3) bounded sampled first/second time-differences along
-    smooth test trajectories; (4) sup |u| <= alpha_claim.
+    numerically on the fixed box s in [1, 150] m (40 points), dv in [-6, 6]
+    m/s (41 points): (1) monotone increasing in dv and in s along the
+    direction that increases s*dv; (2) u*dv > 0 for dv != 0 and u = 0 at
+    dv = 0; (3) bounded sampled first/second time-differences along smooth
+    test trajectories; (4) sup |u| <= alpha_claim.
     """
-    s_grid, dv_grid = box.grids()
     u_fn = lambda s, dv: np.asarray(ctrl(s, dv), dtype=float)  # noqa: E731
     # conditions (1), (2) and (4) read one sample of u over the (s, dv) grid
-    S, D = np.meshgrid(s_grid, dv_grid, indexing="ij")
+    S, D = np.meshgrid(_S_GRID, _DV_GRID, indexing="ij")
     U = u_fn(S, D)
     return ConditionReport(
-        monotonicity=_check_monotonicity(S, D, U, tol),
+        monotonicity=_check_monotonicity(S, D, U),
         sign=_check_sign(S, D, U),
-        smoothness=_check_smoothness(u_fn, s_grid),
-        boundedness=_check_boundedness(S, D, U, alpha_claim, tol),
+        smoothness=_check_smoothness(u_fn),
+        boundedness=_check_boundedness(S, D, U, alpha_claim),
     )

@@ -159,26 +159,24 @@ class RdcReport:
         return self.passed
 
 
-def rdc_check(
-    model: ModelKind,
-    s_range: tuple[float, float] = (5.0, 100.0),
-    dv_range: tuple[float, float] = (-5.0, 5.0),
-    v_range: tuple[float, float] = (0.0, 30.0),
-    n: int = 15,
-    h: float = 1e-4,
-    tol: float = 1e-9,
-) -> RdcReport:
-    """Verify the rational-driving sign conditions on a state grid.
+# the sign audit's state box, (lo, hi) of s (m), dv (m/s) and v (m/s), its
+# points per axis, its central-difference step and its slack
+_RDC_BOX = ((5.0, 100.0), (-5.0, 5.0), (0.0, 30.0))
+_RDC_N, _RDC_H, _RDC_TOL = 15, 1e-4, 1e-9
+
+
+def rdc_check(model: ModelKind) -> RdcReport:
+    """Verify the rational-driving sign conditions on a fixed state grid.
 
     Central finite differences estimate the partials of acceleration at every
     grid point; the check requires d/ds >= 0, d/ddv >= 0, d/dv <= 0 (within
-    `tol`). Sample points are inset by `h` so the stencil stays inside the
-    physical box (s > 0, v >= 0).
+    `_RDC_TOL`). Sample points are inset by the step `_RDC_H` so the stencil
+    stays inside the physical box (s > 0, v >= 0).
     """
-    s_grid = np.linspace(s_range[0] + h, s_range[1] - h, n)
-    dv_grid = np.linspace(dv_range[0] + h, dv_range[1] - h, n)
-    v_grid = np.linspace(max(v_range[0], 0.0) + h, v_range[1] - h, n)
-    S, D, V = np.meshgrid(s_grid, dv_grid, v_grid, indexing="ij")
+    h, tol = _RDC_H, _RDC_TOL
+    S, D, V = np.meshgrid(
+        *(np.linspace(lo + h, hi - h, _RDC_N) for lo, hi in _RDC_BOX), indexing="ij"
+    )
 
     if isinstance(model, IdmParams):
         f = lambda s, dv, v: idm_accel_arrays(s, dv, v, model)  # noqa: E731

@@ -225,17 +225,13 @@ class MetricsReport:
     saturated: bool = False
 
 
-def summarize(
-    traj: Trajectory, scenario: Scenario, coeffs: FuelCoefficients | None = None
-) -> MetricsReport:
+def summarize(traj: Trajectory, scenario: Scenario, coeffs: FuelCoefficients) -> MetricsReport:
     """ASV and fuel for every follower plus platoon averages.
 
     The leader is excluded; the reference speed defaults to the scenario's
     initial lead speed. The metric window is folded by `WindowSums` as one
     block, as `sweep` and `grid` fold theirs.
     """
-    if coeffs is None:
-        coeffs = default_fuel_coefficients()
     keep = window_slice(traj.t, scenario.metric_window)
     sums = WindowSums(scenario, coeffs)
     sums(traj.t[keep], {"v": traj.v[keep], "a": traj.a[keep, 1:]})

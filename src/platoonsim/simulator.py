@@ -55,6 +55,7 @@ INTEGRATORS = ("rk4", "euler")
 # values a folded run's block buffer holds (see `PlatoonEngine.run`)
 _FOLD_VALUES = 1 << 16
 _NO_INPUT = np.array(0.0)  # the input of an engine without a controller
+_T_TOL = 1e-9  # s: how near a time must lie to count as on the grid or in a window
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,10 @@ class LeadProfile:
         return self.speed(t_grid), mid, mid, self.speed(t_k + dt)
 
     def slope(self, t):
-        """Acceleration of the profile (piecewise constant, 0 past the end)."""
-        t_arr = np.asarray(t, dtype=float)
-        times = np.asarray(self.times)
-        speeds = np.asarray(self.speeds)
-        seg = np.clip(np.searchsorted(times, t_arr, side="right") - 1, 0, None)
-        slopes = np.zeros(len(times))
-        if len(times) > 1:
-            slopes[:-1] = np.diff(speeds) / np.diff(times)
-        out = slopes[np.minimum(seg, len(times) - 1)]
-        return out if out.shape else float(out)
+        """Acceleration of the profile at times t >= 0 (piecewise constant,
+        0 past the last knot)."""
+        slopes = np.append(np.diff(self.speeds) / np.diff(self.times), 0.0)
+        return slopes[np.searchsorted(self.times, t, side="right") - 1]
 
 
 def place_avs(n: int, mpr: float) -> tuple[int, ...]:
@@ -202,6 +197,8 @@ class Scenario:
             raise DomainError(f"mpr must be in [0, 1], got {self.mpr}")
         if not all(math.isfinite(x) and x > 0 for x in (self.dt, self.t_f)):
             raise DomainError("dt and t_f must be positive and finite")
+        if abs(self.steps * self.dt - self.t_f) > _T_TOL:
+            raise DomainError(f"t_f {self.t_f} is not a whole number of dt {self.dt} steps")
         t1, t2 = self.metric_window
         if not (0.0 <= t1 < t2 <= self.t_f):
             raise DomainError(
@@ -315,17 +312,17 @@ class Trajectory:
 def window_slice(t: np.ndarray, window: tuple[float, float]) -> slice:
     """The samples of the sorted times `t` that a metric window selects.
 
-    This is the one window rule: a sample counts when it lies within 1e-9 s
-    of [t1, t2]. A window that leaves the sampled span is a DomainError.
+    This is the one window rule: a sample counts when it lies within
+    `_T_TOL` (1e-9 s) of [t1, t2]. A window that leaves the sampled span is
+    a DomainError.
     """
     t1, t2 = window
-    tol = 1e-9
-    if t1 < t[0] - tol or t2 > t[-1] + tol:
+    if t1 < t[0] - _T_TOL or t2 > t[-1] + _T_TOL:
         raise DomainError(
             f"window ({t1}, {t2}) outside trajectory span ({t[0]}, {t[-1]})"
         )
-    lo = np.searchsorted(t, t1 - tol, side="left")
-    hi = np.searchsorted(t, t2 + tol, side="right")
+    lo = np.searchsorted(t, t1 - _T_TOL, side="left")
+    hi = np.searchsorted(t, t2 + _T_TOL, side="right")
     return slice(int(lo), int(hi))
 
 

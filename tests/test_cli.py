@@ -410,6 +410,9 @@ class TestRun:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--set", "controller.betta=1"], "unknown config key [controller] betta"),
+        (["run", "--set", "metrics.fuel_coefficients=missing.txt"],
+         "cannot read fuel coefficients missing.txt: "
+         "[Errno 2] No such file or directory: 'missing.txt'"),
         (["tune", "--set", "optimizer.epsilon=2"], "epsilon must be in (0, 1), got 2.0"),
         (["sweep", "--mprs", "0.1,x"],
          "bad --mprs list: could not convert string to float: 'x'"),
@@ -417,20 +420,23 @@ class TestRun:
          "epsilon must be in (0, 1), got 2.0"),
         (["grid", "--beta-range", "0:1", "--gamma-range", "1:1:1"],
          "bad range '0:1', expected LO:HI:N"),
-    ], ids=["run", "tune", "sweep", "sweep-tune-first", "grid"])
+    ], ids=["run", "run-fuel-table", "tune", "sweep", "sweep-tune-first", "grid"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, message):
-        # --out is created once the command's inputs have passed their
-        # checks, so a config error leaves no directory behind
+        # --dump-config is written and --out created once the command's
+        # inputs have passed their checks, so a config error leaves neither
         def fail(*args, **kw):
             raise AssertionError("work done before the inputs were checked")
 
         monkeypatch.setattr(cli, "optimize", fail)
         monkeypatch.setattr(cli, "simulate", fail)
         monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
-        out = tmp_path / "new" / "sub"
-        assert main([*argv, "--scenario", "scenario1", "--out", str(out)]) == 1
+        monkeypatch.chdir(tmp_path)
+        out, dumped = tmp_path / "new" / "sub", tmp_path / "dumped.cfg"
+        assert main([*argv, "--scenario", "scenario1", "--out", str(out),
+                     "--dump-config", str(dumped)]) == 1
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert not (tmp_path / "new").exists()
+        assert not dumped.exists()
 
     def test_dump_config_into_missing_dir_exits_1(self, tmp_path, capsys):
         dumped = tmp_path / "missing" / "x.cfg"
@@ -529,7 +535,8 @@ class TestOutputBytes:
 
 class TestWindowPolicy:
     def test_window_past_the_grid_fails_every_command(self, tmp_path, capsys):
-        # dt 0.7 ends the 500 s grid at 499.8 s, short of the window's end
+        # dt 0.7 would end the 500 s grid at 499.8 s, short of the window's
+        # end; a horizon that is not a whole number of steps fails first
         window = ["--set", "scenario.dt=0.7", "--set", "scenario.metric_window=100 500"]
         commands = [
             ["run"],
@@ -542,7 +549,7 @@ class TestWindowPolicy:
             assert main([*cmd, "--scenario", "scenario1", "--out", str(out), *window]) == 1
             errors.append(capsys.readouterr().err)
             assert not out.exists()  # no --out directory, so no CSV
-        assert "outside trajectory span" in errors[0]
+        assert errors[0] == "config error: t_f 500.0 is not a whole number of dt 0.7 steps\n"
         assert errors == [errors[0]] * 3
 
 
@@ -567,11 +574,19 @@ class TestWindowPolicy:
             out = tmp_path / cmd[0]
             assert main([*cmd, "--scenario", "scenario1", "--out", str(out), *window]) == 1
             err = capsys.readouterr().err
-            assert err == (
-                "config error: window (100.0, 500.0) outside trajectory span "
-                "(0.0, 499.79999999999995)\n"
-            ), cmd
+            assert err == "config error: t_f 500.0 is not a whole number of dt 0.7 steps\n", cmd
 
+
+    @pytest.mark.parametrize("t_f, window", [("20", "0 15"), ("10", "0 10")])
+    def test_horizon_off_the_grid_exits_1(self, tmp_path, capsys, t_f, window):
+        # 0.3 s steps end at 20.1 s or 9.9 s, not at t_f: no run and no --out
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", "scenario1", "--out", str(out),
+                     "--set", f"scenario.t_f={t_f}", "--set", "scenario.dt=0.3",
+                     "--set", f"scenario.metric_window={window}"]) == 1
+        assert capsys.readouterr() == (
+            "", f"config error: t_f {t_f}.0 is not a whole number of dt 0.3 steps\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("window", ["0 0.05", "12.34 12.36"], ids=["first", "between"])
     def test_window_of_fewer_than_two_samples_fails_every_command(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from platoonsim.controller import (
     SIGMOID_KERNELS,
     ControllerParams,
-    SamplingBox,
     beta_upper_bound,
     validate_controller_conditions,
 )
@@ -261,8 +260,48 @@ class TestConditionSuite:
         assert not report.smoothness.passed
 
     def test_custom_box(self):
-        box = SamplingBox(s=(5.0, 80.0, 20), dv=(-3.0, 3.0, 21))
+        # a second arctan (beta 0.05, gamma 2) passes on the fixed box too
         report = validate_controller_conditions(
-            arctan_controller(0.05, 2.0), alpha_claim=0.05 * math.pi / 2, box=box
+            arctan_controller(0.05, 2.0), alpha_claim=0.05 * math.pi / 2
         )
-        assert report.all_passed
+        assert report.all_passed, report
+
+    # acceptance criterion 9's five controllers: every condition's verdict
+    # and detail line, as the fixed sampling box gives them
+    MONOTONE = (True, "monotone in dv and in s along sign(dv)")
+    SIGNED = (True, "u*dv > 0 off dv=0 and u(., 0) = 0")
+    ARCTAN_SMOOTH = (True, "sampled du/dt <= 5.08, d2u/dt2 <= 261, stable under refinement")
+
+    @pytest.mark.parametrize("ctrl, alpha_claim, expected", [
+        (arctan_controller(0.0642, 1.0), 0.0642 * math.pi / 2, [
+            MONOTONE, SIGNED, ARCTAN_SMOOTH, (True, "sup |u| = 0.100774 <= 0.100845"),
+        ]),
+        (lambda s, dv: np.full_like(np.asarray(s, dtype=float), 0.1), 0.2, [
+            MONOTONE,
+            (False, "u != 0 at dv=0 (s=1.000, u=1.000e-01)"),
+            (True, "sampled du/dt <= 0, d2u/dt2 <= 0, stable under refinement"),
+            (True, "sup |u| = 0.1 <= 0.2"),
+        ]),
+        (arctan_controller(0.0642, 1.0), 0.0642, [
+            MONOTONE, SIGNED, ARCTAN_SMOOTH,
+            (False, "sup |u| = 0.100774 exceeds claimed bound 0.0642 at (s=150.000, dv=-6.000)"),
+        ]),
+        (lambda s, dv: -0.01 * np.asarray(dv, dtype=float), 10.0, [
+            (False, "u not increasing in dv near (s=1.000, dv=-5.400)"),
+            (False, "u*dv <= 0 at (s=1.000, dv=-6.000)"),
+            (True, "sampled du/dt <= 0.00575, d2u/dt2 <= 0.00132, stable under refinement"),
+            (True, "sup |u| = 0.06 <= 10"),
+        ]),
+        (lambda s, dv: 0.1 * np.sign(dv), 0.1, [
+            MONOTONE, SIGNED,
+            (False, "time-differences grow under dt refinement (ratios 2.00, 4.00): "
+                    "derivative appears unbounded"),
+            (True, "sup |u| = 0.1 <= 0.1"),
+        ]),
+    ], ids=["arctan", "constant", "lowcap", "falling", "jump"])
+    def test_reports_are_pinned(self, ctrl, alpha_claim, expected):
+        report = validate_controller_conditions(ctrl, alpha_claim)
+        got = [(r.passed, r.detail) for r in
+               (report.monotonicity, report.sign, report.smoothness, report.boundedness)]
+        assert got == expected
+        assert bool(report) is all(passed for passed, _ in expected)

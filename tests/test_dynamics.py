@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from platoonsim.dynamics import (
     IdmParams,
     OvrvParams,
+    RdcReport,
+    RdcViolation,
     equilibrium_spacing,
     idm_accel_arrays,
     operands,
@@ -234,19 +236,25 @@ class TestOperands:
 
 
 class TestRdcCheck:
+    # acceptance criterion 10's three models pass on the fixed box
     def test_idm_table1_passes(self):
-        report = rdc_check(IDM_1)
-        assert report.passed and not report.violations
+        assert rdc_check(IDM_1) == RdcReport(passed=True, violations=())
 
     def test_idm_table2_passes(self):
-        assert rdc_check(IDM_2).passed
+        assert rdc_check(IDM_2) == RdcReport(passed=True, violations=())
 
     def test_ovrv_passes(self):
-        assert rdc_check(OVRV_1).passed
+        assert rdc_check(OVRV_1) == RdcReport(passed=True, violations=())
 
     def test_sign_flip_fails(self):
+        # the flipped spacing gain fails at the box's first inset corner,
+        # with these partials
         broken = OvrvParams(k1=0.02, k2=0.13, eta=21.51, tau=1.71, length=5.0)
         object.__setattr__(broken, "k1", -0.02)
         report = rdc_check(broken)
-        assert not report.passed
-        assert any("spacing" in v.condition for v in report.violations)
+        assert not report
+        corner = {"s": 5.0001, "dv": -4.9999, "v": 0.0001}
+        assert report == RdcReport(passed=False, violations=(
+            RdcViolation("d_accel/d_spacing >= 0", **corner, value=-0.020000000000020002),
+            RdcViolation("d_accel/d_speed <= 0", **corner, value=0.034200000000039754),
+        ))

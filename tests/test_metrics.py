@@ -41,40 +41,40 @@ def fuel_rate(v, a, coeffs):
     return float(np.exp(np.minimum(expo, metrics._MAX_EXPONENT))) * 1e3
 
 
-def report_for(traj, window, coeffs=None):
+def report_for(traj, window, coeffs):
     """`summarize` over `window` with the 21 m/s reference speed."""
     return summarize(traj, make_scenario(window=window), coeffs)
 
 
 class TestAsv:
-    def test_zero_at_reference_speed(self):
+    def test_zero_at_reference_speed(self, fuel_coeffs):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0)] * 2)
-        assert report_for(traj, (10.0, 90.0)).per_vehicle_asv[0] == 0.0
+        assert report_for(traj, (10.0, 90.0), fuel_coeffs).per_vehicle_asv[0] == 0.0
 
-    def test_unit_offset(self):
+    def test_unit_offset(self, fuel_coeffs):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0), np.full(201, 22.0)])
-        asv_1 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[0]
+        asv_1 = report_for(traj, (10.0, 90.0), fuel_coeffs).per_vehicle_asv[0]
         assert asv_1 == pytest.approx(1.0, rel=1e-12)
 
-    def test_window_outside_span_rejected(self):
+    def test_window_outside_span_rejected(self, fuel_coeffs):
         t = np.linspace(0, 100, 201)
         traj = speed_trajectory(t, [np.full(201, 21.0)] * 2)
         with pytest.raises(DomainError):
-            report_for(traj, (50.0, 150.0))
+            report_for(traj, (50.0, 150.0), fuel_coeffs)
 
-    def test_time_shift_invariance(self):
+    def test_time_shift_invariance(self, fuel_coeffs):
         t = np.linspace(0, 100, 501)
         wave = 21.0 + np.sin(0.2 * t)
         traj = speed_trajectory(t, [np.full(501, 21.0), wave])
         shifted = speed_trajectory(t + 37.0, [np.full(501, 21.0), wave])
-        a0 = report_for(traj, (10.0, 90.0)).per_vehicle_asv[0]
-        a1 = report_for(shifted, (47.0, 127.0)).per_vehicle_asv[0]
+        a0 = report_for(traj, (10.0, 90.0), fuel_coeffs).per_vehicle_asv[0]
+        a1 = report_for(shifted, (47.0, 127.0), fuel_coeffs).per_vehicle_asv[0]
         assert a1 == pytest.approx(a0, rel=1e-12)
 
-    def test_instability_raises_upstream_asv(self, s1_mpr0_traj):
-        per_vehicle = report_for(s1_mpr0_traj, (100.0, 250.0)).per_vehicle_asv
+    def test_instability_raises_upstream_asv(self, fuel_coeffs, s1_mpr0_traj):
+        per_vehicle = report_for(s1_mpr0_traj, (100.0, 250.0), fuel_coeffs).per_vehicle_asv
         assert per_vehicle[9] > per_vehicle[0]  # follower 10 against follower 1
 
 

@@ -284,7 +284,7 @@ class TestEngine:
     def test_window_outside_span_fails_before_the_first_step(self, monkeypatch):
         # dt 0.7 ends the grid at 499.8 s, so a window up to 500 s leaves it;
         # a Scenario refuses such a window, and a folded run checks it again
-        sc = make_scenario(dt=0.7)
+        sc = make_scenario(dt=0.7, t_f=499.8)
         object.__setattr__(sc, "metric_window", (100.0, 500.0))
         engine = PlatoonEngine(sc)
         monkeypatch.setattr(engine, "advance", None)  # any step would fail
@@ -1232,11 +1232,20 @@ class TestScenarioValidation:
             make_scenario(integrator="rk45")
 
     def test_window_must_hold_on_the_grid(self):
-        # dt 0.7 ends the 500 s grid at 499.8 s: the window fails when the
-        # scenario is built, before any run
-        with pytest.raises(DomainError, match=r"outside trajectory span \(0.0, 499.7"):
+        # dt 0.7 ends a 500 s grid at 499.8 s: the horizon fails when the
+        # scenario is built, before any run, and before its window
+        with pytest.raises(DomainError, match=r"t_f 500.0 is not a whole number of dt 0.7"):
             make_scenario(dt=0.7, window=(100.0, 500.0))
-        assert make_scenario(dt=0.7, window=(100.0, 499.8)).steps == 714
+        assert make_scenario(dt=0.7, t_f=499.8, window=(100.0, 499.8)).steps == 714
+
+    @pytest.mark.parametrize("t_f, window", [(20.0, (0.0, 15.0)), (10.0, (0.0, 10.0))])
+    def test_t_f_must_be_a_whole_number_of_steps(self, t_f, window):
+        # round(t_f / dt) steps of 0.3 s would end the run at 20.1 s or 9.9 s
+        with pytest.raises(DomainError) as err:
+            make_scenario(t_f=t_f, dt=0.3, window=window)
+        assert str(err.value) == f"t_f {t_f} is not a whole number of dt 0.3 steps"
+        # the presets' 500 s in steps of 0.1 s misses 5000 steps by round-off only
+        assert make_scenario(t_f=500.0, dt=0.1).steps == 5000
 
     def test_init_spacing_length_checked(self):
         with pytest.raises(DomainError):
