@@ -115,14 +115,15 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     # the stage table of a prefix's last follower: its later RK4 stages' speeds
     later = [np.empty(steps) for _ in range(3)] if first and scenario.integrator == "rk4" else []
     for k0, k1, stages, floored in stage_blocks(stage, lead, x, v[:, 1:]):
+        # vehicle rows, one column per step
         if head is None:
-            moved = floored[:, first:].any(axis=1)
+            moved = floored[first:].any(axis=0)
             for _, _, dv, _ in stages:
-                moved |= (dv[:, np.subtract(av, 1)] != 0).any(axis=1)
+                moved |= (dv[np.subtract(av, 1)] != 0).any(axis=0)
             head = k0 + int(np.argmax(moved)) if moved.any() else None
-        # the x slots of the later stages' rates are the speeds there
+        # the x rows of the later stages' rates are the speeds there
         for out, (f, *_) in zip(later, stages[1:]):
-            out[k0:k1] = f[:, first]
+            out[k0:k1] = f[first]
         if head is not None and not later:
             break
     head = steps if head is None else head

@@ -169,6 +169,7 @@ def _write_trace(out, trace) -> None:
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
+    _tunable(scenario)  # the descent acts only on a ts-ops platoon's AVs
     _make_out(args, cp)
     try:
         theta, trace = optimize(scenario, ocfg)
@@ -221,6 +222,8 @@ def cmd_sweep(args) -> int:
         lane: (point, cfgmod.build_optimizer_config(cp, point))
         for lane, point in points.items() if args.tune_first and point.av_indices
     }
+    for point, _ in descents.values():
+        _tunable(point)
     _make_out(args, cp)
 
     # lane 0 is the AV-free baseline, lane k the k-th MPR; all lanes are

@@ -61,9 +61,9 @@ class OptimizerConfig:
     the fixed step size; phi the convergence threshold on the change of the
     objective between iterations; beta_max the feasibility ceiling on beta;
     sensitivity the gradient's mode, "exogenous" or "closed-loop" (exact, at
-    about eight times the cost of a default iteration at the presets' MPR
-    0.1, where the real run steps on floats and the complex one does not;
-    see the module docstring).
+    8.0-8.2 times the cost of a default iteration at the presets' MPR 0.1,
+    where the real run steps on floats and the complex one does not, and
+    1.7-1.8 times at MPR 1.0; see the module docstring).
     """
 
     beta_max: float
@@ -169,12 +169,12 @@ def _z_terms(stage, beta, gamma, kernel, p, cols):
     zdot = drdv*z + forcing for the AV speed equation
     r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w), w = gamma*s*dv
     formed as `PlatoonEngine.control_input` forms it. `beta` and `gamma` are
-    the gains every AV shares, `cols` the AV columns of the follower axis.
-    Returns drdv shaped (..., n_av) and the forcing [dr/dbeta, dr/dgamma]
-    shaped (..., n_av, 2).
+    the gains every AV shares, `cols` the AV rows of the vehicle axis.
+    Returns drdv shaped (n_av, ...) and the forcing [dr/dbeta, dr/dgamma]
+    shaped (n_av, ..., 2).
     """
     _, s, dv, _ = stage
-    s, dv = s[..., cols], dv[..., cols]
+    s, dv = s[cols], dv[cols]
     w = gamma * s * dv
     kp = kernel.deriv(w)
     beta_gamma = beta * gamma
@@ -203,49 +203,57 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     record of the AV block's `x` and `v` over the whole horizon. z is
     exactly 0 through the block's head; from its end, each block of
     `stage_blocks` steps rebuilds its states' stages in one engine whose batch
-    axis is the step index, then advances each (AV, gain) entry of z step by
-    step through the linear rate at those stages; the entries are
-    independent and few, so plain floats are cheaper here than arrays, with
-    the same bits. Returns z with shape (n_samples, n_av, 2), z(0) = 0; a
+    axis is the step index, then advances both gains' z of each AV step by
+    step in plain floats (cheaper than arrays for so few entries): the RK4
+    of the linear rate d*z + f written out with `rk4_step`'s operations in
+    its order. Returns z with shape (n_samples, n_av, 2), z(0) = 0; a
     non-finite z raises NumericalBlowupError naming the lowest AV whose row
     failed at the first such step.
     """
     scenario = block.scenario
     av = np.subtract(block.av, 1)
     rk4 = scenario.integrator == "rk4"
-    dt, steps = scenario.dt, scenario.steps
-    rk4_c = step_coefficients(dt)
+    steps = scenario.steps
+    half, full, sixth, two = step_coefficients(scenario.dt)
     beta, gamma = np.reshape(theta, (2, 1))
     kernel = get_kernel(scenario.controller.kernel)
     engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=block.av_mask[None])
     z_series = np.zeros((steps + 1, len(av), 2))
 
-    # stage i's rate at y, with the coefficients of the step in progress
-    def rate(i, y):
-        return d[i] * y + f[i]
-
     blocks = stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:], block.head)
     for k0, k1, stages, floored in blocks:
-        # (step, stage, AV[, gain]) coefficients
+        # (stage, AV, step) rates and (stage, AV, step, gain) forcings
         drdv, forcing = (
-            np.stack(terms, axis=1)
+            np.stack(terms)
             for terms in zip(*(
                 _z_terms(stage, beta, gamma, kernel, scenario.av_model, av)
                 for stage in stages
             ))
         )
-        clamped = floored[:, av]
+        clamped = floored[av]
         z_block = z_series[k0 + 1 : k1 + 1]
-        for col, g in np.ndindex(len(av), 2):
-            z, out = float(z_series[k0, col, g]), []
-            coefficients = drdv[:, :, col], forcing[:, :, col, g], clamped[:, col]
-            for d, f, clamp in zip(*(c.tolist() for c in coefficients)):
-                f1 = rate(0, z)
-                z = rk4_step(z, rk4_c, f1, rate) if rk4 else z + dt * f1
-                # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
-                z = 0.0 if clamp else z
-                out.append(z)
-            z_block[:, col, g] = out
+        for col in range(len(av)):
+            (zb, zg), out = z_series[k0, col].tolist(), []
+            # per step: each stage's rate, beta's forcings, gamma's, the clamp
+            terms = zip(*drdv[:, col].tolist(), *forcing[:, col, :, 0].tolist(),
+                        *forcing[:, col, :, 1].tolist(), clamped[col].tolist())
+            # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
+            if rk4:
+                for d1, d2, d3, d4, b1, b2, b3, b4, g1, g2, g3, g4, clamp in terms:
+                    p1, q1 = d1 * zb + b1, d1 * zg + g1
+                    p2, q2 = d2 * (zb + half * p1) + b2, d2 * (zg + half * q1) + g2
+                    p3, q3 = d3 * (zb + half * p2) + b3, d3 * (zg + half * q2) + g3
+                    p4, q4 = d4 * (zb + full * p3) + b4, d4 * (zg + full * q3) + g4
+                    zb, zg = (0.0, 0.0) if clamp else (
+                        zb + sixth * (p1 + two * p2 + two * p3 + p4),
+                        zg + sixth * (q1 + two * q2 + two * q3 + q4))
+                    out.append((zb, zg))
+            else:
+                for d1, b1, g1, clamp in terms:
+                    zb, zg = (0.0, 0.0) if clamp else (
+                        zb + full * (d1 * zb + b1), zg + full * (d1 * zg + g1))
+                    out.append((zb, zg))
+            z_block[:, col] = out
         finite = np.isfinite(z_block)
         if not finite.all():
             row = int(np.argmin(finite.all(axis=(1, 2))))

@@ -327,26 +327,24 @@ def window_slice(t: np.ndarray, window: tuple[float, float]) -> slice:
 
 
 def _av_index(av_mask: np.ndarray, batch_shape: tuple[int, ...]):
-    """Index of the AV entries of `batch_shape + (n,)` arrays, or None.
+    """Index of the AV entries of `(n, *batch_shape)` arrays, or None.
 
-    A mask that every lane shares gives a basic slice of the follower axis
-    when its AVs are evenly spaced, so the AV entries are a view, and their
+    A mask that every lane shares gives a basic slice of the vehicle axis
+    when its AVs are evenly spaced, so the AV rows are a view, and their
     positions otherwise; per-lane masks give `np.nonzero` of the mask
-    broadcast over the lanes, one index array per axis.
+    broadcast over the lanes, vehicle axis first, one index array per axis.
     """
     n = av_mask.shape[-1]
     rows = av_mask.reshape(-1, n)
     if not rows.any():
         return None
     if not (rows == rows[:1]).all():
-        return np.nonzero(np.broadcast_to(av_mask, batch_shape + (n,)))
+        return np.nonzero(np.moveaxis(np.broadcast_to(av_mask, batch_shape + (n,)), -1, 0))
     pos = np.flatnonzero(rows[0])
     step = int(pos[1] - pos[0]) if pos.size > 1 else 1
     if (np.diff(pos) == step).all():
         pos = slice(int(pos[0]), int(pos[-1]) + 1, step)
-    # no Ellipsis: NumPy indexes a 1-D array with `(..., positions)` several
-    # times slower than with `(positions,)`
-    return (slice(None),) * len(batch_shape) + (pos,)
+    return (pos,)
 
 
 @dataclass(frozen=True)
@@ -367,20 +365,29 @@ class PlatoonEngine:
     law and the control input are evaluated at the AV entries only
     (`_av_index`), on the whole arrays when every follower is an AV.
 
-    Each lane advances one flat state `[x (n+1) | v (n)]`; the engine knows
-    nothing of gain sensitivities, but complex gains make the state, `rhs`'s
-    derivative and the record complex, so a gain stepped by i*h gives each
-    speed's derivative as Im v / h. `step` evaluates the later stages of one
-    step: `advance` calls it in the run loop, and `stage_blocks` on a
-    recorded run's states, with the step index as a batch axis, to rebuild
-    the stage values that the AV block's head and the optimizer's
-    sensitivities need. Every scalar operand of a step (model parameters,
-    controller constants, step coefficients) is made here: a 0-d array,
-    which NumPy applies faster than a float, but a Python float in a lane
-    that `run` steps as a tuple `(x_lead, x, v)` (`_floats`: one unbatched
-    real lane whose one follower is an AV), through the same `advance` and
-    `step`, with `_rates` as its derivative, `rk4_slots` as its RK4 step
-    and the Euler line and the floor clamp slot by slot.
+    The vehicle axis leads inside the engine: a lane's state
+    `[x (n+1) | v (n)]` lies along axis 0 of a `(2n+1, *batch)` array and
+    `rhs` takes `x` as `(n+1, *batch)`, `v` as `(n, *batch)`, so a vehicle's
+    row over all lanes is contiguous. Three seams keep the callers' layout,
+    vehicles last: `__init__` moves the follower axis of the gains, the mask
+    and `front_lengths` to the front once; `run` takes `initial` and returns
+    or folds C-contiguous `(time, *batch, vehicle)` records; `stage_blocks`
+    copies each block of a record into the engine's layout.
+
+    The engine knows nothing of gain sensitivities, but complex gains make
+    the state, `rhs`'s derivative and the record complex, so a gain stepped
+    by i*h gives each speed's derivative as Im v / h. `step` evaluates the
+    later stages of one step: `advance` calls it in the run loop, and
+    `stage_blocks` on a recorded run's states, with the step index as a
+    batch axis, to rebuild the stage values that the AV block's head and
+    the optimizer's sensitivities need. Every scalar operand of a step
+    (model parameters, controller constants, step coefficients) is made
+    here: a 0-d array, which NumPy applies faster than a float, but a
+    Python float in a lane that `run` steps as a tuple `(x_lead, x, v)`
+    (`_floats`: one unbatched real lane whose one follower is an AV),
+    through the same `advance` and `step`, with `_rates` as its derivative,
+    `rk4_slots` as its RK4 step and the Euler line and the floor clamp slot
+    by slot.
     """
 
     def __init__(
@@ -411,7 +418,15 @@ class PlatoonEngine:
         self.batch_shape = np.broadcast_shapes(
             self.av_mask.shape, np.shape(self.beta), np.shape(self.gamma)
         )[:-1]
-        # the AV entries of the follower axis; the AV law and its gains are
+        ndim = 1 + len(self.batch_shape)
+
+        def vehicle_first(arr):
+            # `arr`, vehicles last, padded to the batch's axes, with its
+            # vehicle axis first, as a contiguous array
+            arr = np.reshape(arr, (1,) * (ndim - np.ndim(arr)) + np.shape(arr))
+            return np.ascontiguousarray(np.moveaxis(arr, -1, 0))
+
+        # the AV entries of the vehicle axis; the AV law and its gains are
         # evaluated there only (None: no lane has an AV)
         self._a = _av_index(self.av_mask, self.batch_shape)
         # whether every follower of every lane is an AV; then the IDM is
@@ -430,9 +445,10 @@ class PlatoonEngine:
             # the gain at the AV entries, shaped to broadcast against them
             if self._floats:
                 return gain.item()
-            if self._a is None or np.ndim(gain) == 0 or self._all_av:
+            if self._a is None or gain.ndim == 0:
                 return gain
-            return np.broadcast_to(gain, self.batch_shape + (n,))[self._a]
+            gain = vehicle_first(gain)
+            return gain if self._all_av else np.broadcast_to(gain, (n, *self.batch_shape))[self._a]
 
         self._beta_a = _at_av(self.beta)
         self._gamma_a = _at_av(self.gamma)
@@ -442,13 +458,13 @@ class PlatoonEngine:
         front = np.empty(self.av_mask.shape[:-1] + (self.n,))
         front[..., 0] = self.hv.length
         front[..., 1:] = np.where(self.av_mask[..., :-1], self.av.length, self.hv.length)
-        self.front_lengths = front
+        self.front_lengths = vehicle_first(front)
         # clamps of a negative speed to 0, per lane (0-d when unbatched)
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
 
-        # flat layout, dx/dt = [v_lead | v] in the x slots; plain slices index a tuple
-        x, v = slice(None, n + 1), slice(n + 1, 2 * n + 1)
-        self._x, self._v = (x, v) if self._floats else (np.s_[..., x], np.s_[..., v])
+        # the state's rows, dx/dt = [v_lead | v] in the x rows; they index a
+        # float lane's tuple too
+        self._x, self._v = slice(None, n + 1), slice(n + 1, 2 * n + 1)
         self.width = 2 * n + 1
 
     @property
@@ -459,7 +475,7 @@ class PlatoonEngine:
     def initial_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         spacing = start_spacings(self.scenario, self.av_mask)
         x = np.zeros(self.batch_shape + (self.n + 1,))
-        x[..., 1:] = -np.cumsum(self.front_lengths + spacing, axis=-1)
+        x[..., 1:] = -np.cumsum(np.moveaxis(self.front_lengths, 0, -1) + spacing, axis=-1)
         v = np.full(self.batch_shape + (self.n,), self.scenario.speeds_initial)
         return x, v
 
@@ -479,18 +495,18 @@ class PlatoonEngine:
         """Flat derivative `f` plus the instantaneous diagnostics.
 
         Returns `(f, s, dv, u)`, `u` at the AV entries (None without an
-        AV). `v_lead` is the leader's speed at the stage time. `f` has the
-        state's layout: dx/dt = [v_lead | v], then dv/dt. The HV law is
-        written over every follower (if any is an HV), then the AV law plus
-        `u` over the AV entries (over whole arrays when every follower is
-        an AV).
+        AV), from `x` `(n+1, *batch)`, `v` `(n, *batch)` and `v_lead`, the
+        leader's speed at the stage time. `f` has the state's layout:
+        dx/dt = [v_lead | v], then dv/dt. The HV law is written over every
+        follower (if any is an HV), then the AV law plus `u` over the AV
+        entries (over whole arrays when every follower is an AV).
         """
-        f = np.empty(v.shape[:-1] + (self.width,), self.dtype)
+        f = np.empty((self.width, *v.shape[1:]), self.dtype)
         v_all, acc = f[self._x], f[self._v]
-        v_all[..., 0] = v_lead
-        v_all[..., 1:] = v
-        v_prev = v_all[..., :-1]
-        s = x[..., :-1] - x[..., 1:] - self.front_lengths
+        v_all[0] = v_lead
+        v_all[1:] = v
+        v_prev = v_all[:-1]
+        s = x[:-1] - x[1:] - self.front_lengths
         dv = v_prev - v
         if not self._all_av:
             acc[...] = idm_accel_arrays(s, dv, v, self.hv)
@@ -522,9 +538,9 @@ class PlatoonEngine:
         finite = np.isfinite(y[self._v])
         if np.logical_and.reduce(finite, axis=None):
             return
-        rows = finite.reshape(-1, self.n)
-        lane = int(np.argmin(rows.all(axis=-1)))
-        vehicle = int(np.argmin(rows[lane])) + 1
+        columns = finite.reshape(self.n, -1)  # one column per lane
+        lane = int(np.argmin(columns.all(axis=0)))
+        vehicle = int(np.argmin(columns[:, lane])) + 1
         raise NumericalBlowupError(vehicle, t, lane if finite.ndim > 1 else None)
 
     def step(self, y, f1, v_lead, stages=None):
@@ -566,7 +582,7 @@ class PlatoonEngine:
         v_new = y_new[self._v]
         # fmin skips NaN, as `v < 0` is False for it
         if np.fmin.reduce(v_new, axis=None) < 0:
-            self.lane_floor_hits += self.floored(y_new).sum(axis=-1)
+            self.lane_floor_hits += self.floored(y_new).sum(axis=0)
             np.maximum(v_new, 0.0, out=v_new, where=v_new != -np.inf)
         return y_new
 
@@ -639,8 +655,9 @@ class PlatoonEngine:
         lead_later = (
             zip(*(s[start:] for s in lead[1:])) if len(lead) > 1 else itertools.repeat(())
         )
-        y = np.zeros(self.batch_shape + (self.width,), self.dtype)
-        y[self._x], y[self._v] = self.initial_arrays() if initial is None else initial
+        y = np.zeros((self.width, *self.batch_shape), self.dtype)
+        rec = np.moveaxis(y, 0, -1)  # a view of y in the record's layout
+        rec[..., self._x], rec[..., self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
         advance = self.advance
         if self._floats:  # the lane steps a tuple of Python floats
@@ -664,24 +681,28 @@ class PlatoonEngine:
             lo, hi = max(keep.start, start), max(keep.stop, start)
             block = max(1, _FOLD_VALUES // (math.prod(self.batch_shape) * sum(widths.values())))
         last = hi - 1  # the last sample the run reaches
+        # the record's buffers, and views of them in the engine's layout,
+        # (sample, vehicle, *batch), through which the loop and the rebuild
+        # write: the transposition rides on those copies
         bufs = {name: np.empty((block, *self.batch_shape, w), self.dtype) for name, w in widths.items()}
-        fields = [(bufs[name], *sources[name]) for name in stored]
+        views = {name: np.moveaxis(buf, -1, 1) for name, buf in bufs.items()}
+        fields = [(views[name], *sources[name]) for name in stored]
         out = {name: bufs[name] for name in record}  # an unknown name fails here
 
         def emit(end, rows):
             # the buffer's first rows hold the samples up to `end`; s, dv and
             # u are rebuilt by `rhs`'s expressions, in blocks of rows
             for k0 in range(0, rows if derived else 0, _STAGE_BLOCK):
-                x, v = (bufs[name][k0 : min(k0 + _STAGE_BLOCK, rows)] for name in ("x", "v"))
-                s = x[..., :-1] - x[..., 1:] - self.front_lengths
-                dv = v[..., :-1] - v[..., 1:]
+                x, v = (views[name][k0 : min(k0 + _STAGE_BLOCK, rows)] for name in ("x", "v"))
+                s = x[:, :-1] - x[:, 1:] - self.front_lengths
+                dv = v[:, :-1] - v[:, 1:]
                 u = np.zeros_like(s)  # +0.0 on every HV
                 if self._a is not None:
-                    a = (slice(None), *self._a)  # the row axis leads the lanes
-                    u[a] = self.control_input(s[a], dv[a], v[..., :-1][a])
+                    a = (slice(None), *self._a)  # the row axis leads the vehicles
+                    u[a] = self.control_input(s[a], dv[a], v[:, :-1][a])
                 parts = {"s": s, "dv": dv, "u": u}
                 for name in derived:
-                    bufs[name][k0 : k0 + len(x)] = parts[name]
+                    views[name][k0 : k0 + len(x)] = parts[name]
             if fold is not None:
                 fold(t_grid[end - rows : end], {name: buf[:rows] for name, buf in out.items()})
 

@@ -19,17 +19,19 @@ def stage_blocks(engine, lead, x, v, start: int = 0):
 
     `x` and `v` are the record's states (`v` without the leader column),
     `lead` the leader's four-stage table; `engine` takes the step index as
-    its first batch axis, any lanes after it. Yields each block's first and
-    end step, the list of `rhs`'s tuples at its steps' RK4 stages (stage 1
-    alone under Euler) and each step's floor mask (`PlatoonEngine.floored`).
+    its first batch axis, any lanes after it, behind the vehicle axis. Yields
+    each block's first and end step, the list of `rhs`'s tuples at its steps'
+    RK4 stages (stage 1 alone under Euler) and each step's floor mask
+    (`PlatoonEngine.floored`), all in the engine's layout, from one copy of
+    the block's states in it.
     """
     end = len(x) - 1
     # the leader's speeds, one per step, against any lane axis
     shape = (-1,) + (1,) * (x.ndim - 2)
     for k0 in range(start, end, _STAGE_BLOCK):
         k1 = min(k0 + _STAGE_BLOCK, end)
-        stages = [engine.rhs(lead[0][k0:k1].reshape(shape), x[k0:k1], v[k0:k1])]
-        y = np.concatenate([x[k0:k1], v[k0:k1]], axis=-1)
+        y = np.concatenate([np.moveaxis(arr[k0:k1], -1, 0) for arr in (x, v)])
+        stages = [engine.rhs(lead[0][k0:k1].reshape(shape), y[engine._x], y[engine._v])]
         lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
         floored = engine.floored(engine.step(y, stages[0][0], lead_later, stages))
         yield k0, k1, stages, floored

@@ -420,7 +420,13 @@ class TestRun:
          "epsilon must be in (0, 1), got 2.0"),
         (["grid", "--beta-range", "0:1", "--gamma-range", "1:1:1"],
          "bad range '0:1', expected LO:HI:N"),
-    ], ids=["run", "run-fuel-table", "tune", "sweep", "sweep-tune-first", "grid"])
+        (["tune", "--set", "controller.kind=none"],
+         "only the 'ts-ops' controller is tunable, got 'none'"),
+        (["tune", "--set", "scenario.mpr=0"], "scenario has no AV to tune"),
+        (["sweep", "--tune-first", "--mprs", "0.1", "--set", "controller.kind=ts-trc"],
+         "only the 'ts-ops' controller is tunable, got 'ts-trc'"),
+    ], ids=["run", "run-fuel-table", "tune", "sweep", "sweep-tune-first", "grid",
+            "tune-untunable-kind", "tune-no-av", "sweep-tune-first-untunable-kind"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, message):
         # --dump-config is written and --out created once the command's
         # inputs have passed their checks, so a config error leaves neither
@@ -908,9 +914,10 @@ class TestSweep:
         columns = []
 
         def spy_index(mask, batch_shape):
-            # the AV law sees the AV entries only; keep each entry's follower
+            # the AV law sees the AV entries only; keep each entry's follower,
+            # the index of the vehicle axis, which leads in the engine
             index = real_index(mask, batch_shape)
-            columns.append(index[-1])
+            columns.append(index[0])
             return index
 
         def first_follower_nan(s, dv, v, p):

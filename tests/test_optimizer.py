@@ -339,14 +339,14 @@ class TestSimulateWithSensitivity:
             calls.append(w.shape)
             out = kernel.deriv(w)
             if len(calls) == 1:  # stage 1 of the first block, steps 100-199
-                out[10, [2, 4]] = np.nan
+                out[[2, 4], 10] = np.nan  # AV rows, one column per step
             return out
 
         monkeypatch.setitem(SIGMOID_KERNELS, "arctan", replace(kernel, deriv=deriv))
         monkeypatch.setattr(stepping, "_STAGE_BLOCK", 100)
         with pytest.raises(NumericalBlowupError) as err:
             simulate_with_sensitivity(sc, [0.03, 0.5])
-        assert calls[0] == (100, 5)
+        assert calls[0] == (5, 100)
         assert err.value.vehicle == 5
         assert err.value.time == pytest.approx(11.1, abs=1e-12)
         assert err.value.lane is None

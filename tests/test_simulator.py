@@ -360,22 +360,45 @@ class TestEngine:
             min_size=1,
             max_size=4,
         ),
+        shape=st.sampled_from(["lane", "follower", "0-d"]),
+        complex_gains=st.booleans(),
         kind=st.sampled_from(["ts-ops", "ts-trc"]),
         integrator=st.sampled_from(["rk4", "euler"]),
     )
-    def test_every_lane_equals_its_unbatched_run(self, lanes, kind, integrator):
+    # 64 lanes that share one mask: evenly spaced AVs (a slice of the
+    # vehicle axis) and unevenly spaced ones (a position array)
+    @example(lanes=[(list(av_mask_for(10, 0.3)), 0.001 * k, 0.03 * k) for k in range(64)],
+             shape="lane", complex_gains=False, kind="ts-ops", integrator="rk4")
+    @example(lanes=[(list(av_mask_for(10, 0.6)), 0.001 * k, 0.03 * k) for k in range(64)],
+             shape="follower", complex_gains=True, kind="ts-ops", integrator="rk4")
+    def test_every_lane_equals_its_unbatched_run(
+        self, lanes, shape, complex_gains, kind, integrator
+    ):
+        # every lane equals its own unbatched run bit for bit, with gains one
+        # per lane `(lanes, 1)`, one per follower `(lanes, n)` or one 0-d
+        # pair for every lane, real or complex as a closed-loop run's are
         sc = make_short_scenario(kind=kind, t_f=20.0, window=(0.0, 20.0),
                                  integrator=integrator)
         masks = np.array([mask for mask, _, _ in lanes])
-        betas = np.array([[beta] for _, beta, _ in lanes])
-        gammas = np.array([[gamma] for _, _, gamma in lanes])
-        batched = PlatoonEngine(sc, beta=betas, gamma=gammas, av_mask=masks)
+        beta = np.array([[beta] for _, beta, _ in lanes])
+        gamma = np.array([[gamma] for _, _, gamma in lanes])
+        if shape == "follower":
+            ramp = np.linspace(0.5, 1.0, 10)
+            beta, gamma = beta * ramp, gamma * ramp[::-1]
+        elif shape == "0-d":
+            beta, gamma = beta[0, 0], gamma[0, 0]
+        if complex_gains:
+            beta, gamma = beta + 1j * optimizer._H, gamma + 2j * optimizer._H
+        beta, gamma = np.asarray(beta), np.asarray(gamma)
+        batched = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=masks)
         whole = batched.run()
-        for lane, (mask, beta, gamma) in enumerate(lanes):
-            single = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=np.array(mask))
+        for lane, (mask, _, _) in enumerate(lanes):
+            single = PlatoonEngine(sc, beta=beta if beta.ndim == 0 else beta[lane],
+                                   gamma=gamma if gamma.ndim == 0 else gamma[lane],
+                                   av_mask=np.array(mask))
             raw = single.run()
-            for name in ("x", "v", "a", "s", "dv", "u"):
-                assert np.array_equal(whole[name][:, lane], raw[name]), (lane, name)
+            for name in ALL_FIELDS:
+                assert whole[name][:, lane].tobytes() == raw[name].tobytes(), (lane, name)
             assert batched.lane_floor_hits[lane] == single.floor_hits
 
     @settings(max_examples=12, deadline=None)
@@ -602,9 +625,19 @@ class TestFloatLane:
         assert len(calls) - seed_calls == sum(steps for _, steps in block_runs)
 
 
+def vehicles_first(arr):
+    """A record-layout array (vehicles last) in the engine's layout."""
+    return np.moveaxis(arr, -1, 0)
+
+
+def vehicles_last(arr):
+    """An engine-layout array (vehicles first) in the record's layout."""
+    return np.moveaxis(arr, 0, -1)
+
+
 def full_width_u(engine, u, s):
-    """The AV-entry input `u` of an `rhs` tuple spread over the follower
-    axis of its `s`, +0.0 on every HV."""
+    """The AV-entry input `u` of an `rhs` tuple spread over the vehicle
+    axis of its `s`, +0.0 on every HV, in the engine's layout."""
     out = np.zeros_like(s)
     if engine._a is not None:
         out[engine._a] = u
@@ -652,20 +685,22 @@ class TestStageRebuild:
         assert blocks[-1][1] == sc.steps  # no block starts at the last sample
         for k0, k1, stages, floored in blocks:
             for k in range(k0, k1):
-                loop = [engine.rhs(table[0][k], x[k], v[k])]
-                y_next = engine.step(np.concatenate([x[k], v[k]], axis=-1), loop[0][0],
+                x_k, v_k = vehicles_first(x[k]), vehicles_first(v[k])
+                loop = [engine.rhs(table[0][k], x_k, v_k)]
+                y_next = engine.step(np.concatenate([x_k, v_k]), loop[0][0],
                                      [s[k] for s in table[1:]], loop)
                 assert len(stages) == len(loop) == (4 if integrator == "rk4" else 1)
                 for got, ref in zip(stages, loop):
-                    # rhs tuples of the rebuild (row k - k0 of a block) and
-                    # of the loop; u is a 0-d 0.0 without a controller
+                    # rhs tuples of the rebuild (column k - k0 of a block,
+                    # behind the vehicle axis) and of the loop; u is a 0-d
+                    # 0.0 without a controller
                     for part, (a, b) in enumerate(zip(got, ref)):
-                        a = a[k - k0] if np.ndim(a) else a
+                        a = a[:, k - k0] if np.ndim(a) else a
                         assert a.tobytes() == b.tobytes(), part
-                assert floored[k - k0].tobytes() == engine.floored(y_next).tobytes()
-                assert raw["v"][k + 1, ..., 1:].tobytes() == np.maximum(
-                    y_next[..., n + 1 :], 0.0).tobytes()
-            clamps = clamps + floored.sum(axis=(0, -1))
+                assert floored[:, k - k0].tobytes() == engine.floored(y_next).tobytes()
+                assert raw["v"][k + 1, ..., 1:].tobytes() == vehicles_last(np.maximum(
+                    y_next[n + 1 :], 0.0)).tobytes()
+            clamps = clamps + floored.sum(axis=(0, 1))
         assert np.array_equal(clamps, engine.lane_floor_hits)
 
     @settings(max_examples=40, deadline=None)
@@ -717,10 +752,11 @@ class TestStageRebuild:
         table = sc.lead.stage_speeds(sc.dt, sc.steps)
         for j, k in enumerate(np.rint(raw["t"] / sc.dt).astype(int)):
             assert raw["x"][j].tobytes() == full["x"][k].tobytes()
-            f, s, dv, u = engine.rhs(table[0][k], raw["x"][j], raw["v"][j, ..., 1:])
-            assert raw["a"][j].tobytes() == f[..., n + 1 :].tobytes()
+            f, s, dv, u = engine.rhs(table[0][k], vehicles_first(raw["x"][j]),
+                                     vehicles_first(raw["v"][j, ..., 1:]))
+            assert raw["a"][j].tobytes() == vehicles_last(f[n + 1 :]).tobytes()
             for name, ref in (("s", s), ("dv", dv), ("u", full_width_u(engine, u, s))):
-                assert raw[name][j].tobytes() == ref.tobytes(), (name, k)
+                assert raw[name][j].tobytes() == vehicles_last(ref).tobytes(), (name, k)
         hv = ~np.broadcast_to(engine.av_mask, raw["u"].shape[1:])
         assert not np.signbit(raw["u"][:, hv]).any() and not raw["u"][:, hv].any()
 
@@ -826,9 +862,9 @@ class TestAvEntries:
         x, v = engine.initial_arrays()
         x[..., 1:] += rng.uniform(-3.0, 3.0, x[..., 1:].shape)
         v += rng.uniform(-2.0, 2.0, v.shape)
-        f = engine.rhs(19.5, x, v)[0]
+        f = vehicles_last(engine.rhs(19.5, vehicles_first(x), vehicles_first(v))[0])
         v_prev = np.concatenate([np.full(v.shape[:-1] + (1,), 19.5), v[..., :-1]], axis=-1)
-        s = x[..., :-1] - x[..., 1:] - engine.front_lengths
+        s = x[..., :-1] - x[..., 1:] - vehicles_last(engine.front_lengths)
         dv = v_prev - v
         u = full_width_input(engine, s, dv, v_prev, beta, gamma)
         acc = np.where(
@@ -938,6 +974,7 @@ class TestAvEntries:
         x, v = whole.initial_arrays()
         x[..., 1:] += rng.uniform(-3.0, 3.0, x[..., 1:].shape)
         v += rng.uniform(-2.0, 2.0, v.shape)
+        x, v = vehicles_first(x), vehicles_first(v)
         got, ref = whole.rhs(19.5, x, v), indexed.rhs(19.5, x, v)
         for part, (a, b) in enumerate(zip(got, ref)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), part
@@ -1039,12 +1076,13 @@ class TestStep:
         # an Euler step with a = -inf gives a speed of -inf: a blow-up for
         # `_check_finite`, not a speed to clamp to 0 and count; a finite
         # negative speed in the other lane is clamped and counted
+        # two lanes, one column each in the engine's layout
         engine = PlatoonEngine(one_av_scenario(integrator="euler"), beta=np.full((2, 1), 0.05))
-        y = np.array([[0.0, -40.0, -85.0, 18.0, 19.0]] * 2)
-        f1 = np.array([[20.0, 18.0, 19.0, -np.inf, -1.0], [20.0, 18.0, 19.0, -1.0, -300.0]])
+        y = np.array([[0.0, -40.0, -85.0, 18.0, 19.0]] * 2).T
+        f1 = np.array([[20.0, 18.0, 19.0, -np.inf, -1.0], [20.0, 18.0, 19.0, -1.0, -300.0]]).T
         new = engine.advance(y, f1, ())
-        assert new[0, 3] == -np.inf and new[0, 4] == 19.0 - 0.1
-        assert new[1, 3] == 18.0 - 0.1 and new[1, 4] == 0.0
+        assert new[3, 0] == -np.inf and new[4, 0] == 19.0 - 0.1
+        assert new[3, 1] == 18.0 - 0.1 and new[4, 1] == 0.0
         assert engine.lane_floor_hits.tolist() == [0, 1]
         with pytest.raises(NumericalBlowupError) as err:
             engine._check_finite(new, 0.1)
