@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NumericalBlowupError
 from .simulator import PlatoonEngine, Scenario, av_mask_for
-from .stepping import stage_blocks
 
 
 @dataclass
@@ -114,7 +113,7 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     steps, head = len(x) - 1, None
     # the stage table of a prefix's last follower: its later RK4 stages' speeds
     later = [np.empty(steps) for _ in range(3)] if first and scenario.integrator == "rk4" else []
-    for k0, k1, stages, floored in stage_blocks(stage, lead, x, v[:, 1:]):
+    for k0, k1, stages, floored in stage.stage_blocks(lead, x, v[:, 1:]):
         # vehicle rows, one column per step
         if head is None:
             moved = floored[first:].any(axis=0)

@@ -105,10 +105,12 @@ def operands(p: ModelKind) -> SimpleNamespace:
 def idm_accel_arrays(s, dv, v, p: IdmParams):
     """Vectorized intelligent-driver acceleration (no input validation).
 
-    The desired spacing is floored at the jam spacing term. The power is
-    NumPy's for any state, so floats and 0-d arrays in `p` give one result."""
+    The desired spacing is floored at the jam spacing term, and the
+    free-road term reads the speed floored at 0, as the state is: a negative
+    RK4 stage speed has no real power (v/v0)**delta. The power is NumPy's
+    for any state, so floats and 0-d arrays in `p` give one result."""
     sstar = p.s0 + np.maximum(_ZERO, v * p.T - v * dv / p.two_sqrt_ab)
-    return p.a * (_ONE - np.power(v / p.v0, p.delta) - (sstar / s) ** 2)
+    return p.a * (_ONE - np.power(np.maximum(v, _ZERO) / p.v0, p.delta) - (sstar / s) ** 2)
 
 
 def ovrv_accel_arrays(s, dv, v, p: OvrvParams):

@@ -35,7 +35,7 @@ from .controller import ControllerParams, get_kernel
 from .dynamics import ovrv_accel_arrays
 from .errors import DomainError, NumericalBlowupError, OptimizeError
 from .simulator import PlatoonEngine, Scenario, Trajectory, simulate
-from .stepping import rk4_step, stage_blocks, step_coefficients
+from .stepping import rk4_step, step_coefficients
 
 __all__ = [
     "OptimizerConfig",
@@ -60,10 +60,8 @@ class OptimizerConfig:
     The descent tunes one (beta, gamma) pair shared by every AV. epsilon is
     the fixed step size; phi the convergence threshold on the change of the
     objective between iterations; beta_max the feasibility ceiling on beta;
-    sensitivity the gradient's mode, "exogenous" or "closed-loop" (exact, at
-    8.0-8.2 times the cost of a default iteration at the presets' MPR 0.1,
-    where the real run steps on floats and the complex one does not, and
-    1.7-1.8 times at MPR 1.0; see the module docstring).
+    sensitivity the gradient's mode, "exogenous" or "closed-loop" (exact;
+    see the module docstring).
     """
 
     beta_max: float
@@ -134,6 +132,8 @@ def objective_j(traj: Trajectory, av_indices) -> float:
 
 def descent_direction(traj: Trajectory, z_series: np.ndarray, av_index: int) -> np.ndarray:
     """Gradient estimate: integral of z(t) times the AV speed gap."""
+    if not 1 <= av_index < traj.n_vehicles:
+        raise DomainError(f"AV index {av_index} out of range")
     z_series = np.asarray(z_series, dtype=float)
     if z_series.shape[0] != len(traj.t):
         raise DomainError(
@@ -163,24 +163,22 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"sensitivity mode must be 'exogenous' or 'closed-loop', got {mode!r}")
 
 
-def _z_terms(stage, beta, gamma, kernel, p, cols):
-    """The exogenous sensitivity rate at one `rhs` tuple, at the AV entries.
+def _z_terms(s, dv, beta, gamma, kernel, p):
+    """The exogenous sensitivity rate of every AV's complex sensitivity
+    zeta = z_beta + i*z_gamma at its spacings `s` and relative speeds `dv`.
 
-    zdot = drdv*z + forcing for the AV speed equation
+    zeta' = d*zeta + phi for the AV speed equation
     r = k1*(s - eta - tau*v) + k2*dv + beta*kernel(w), w = gamma*s*dv
-    formed as `PlatoonEngine.control_input` forms it. `beta` and `gamma` are
-    the gains every AV shares, `cols` the AV rows of the vehicle axis.
-    Returns drdv shaped (n_av, ...) and the forcing [dr/dbeta, dr/dgamma]
-    shaped (n_av, ..., 2).
+    formed as `PlatoonEngine.control_input` forms it: d = dr/dv is real and
+    shared by both gains, phi = dr/dbeta + i*dr/dgamma. `beta` and `gamma`
+    are the gains every AV shares. Returns d and phi shaped as `s`.
     """
-    _, s, dv, _ = stage
-    s, dv = s[cols], dv[cols]
     w = gamma * s * dv
     kp = kernel.deriv(w)
-    beta_gamma = beta * gamma
-    drdv = -p.k1 * p.tau - (p.k2 + beta_gamma * s * kp)
-    forcing = np.stack([kernel.fn(w), beta * s * dv * kp], axis=-1)
-    return drdv, forcing
+    d = -p.k1 * p.tau - (p.k2 + beta * gamma * s * kp)
+    # both parts as computed, with no complex arithmetic on them
+    phi = np.stack([kernel.fn(w), beta * s * dv * kp], axis=-1).view(complex)[..., 0]
+    return d, phi
 
 
 def _tunable(scenario: Scenario) -> tuple[int, ...]:
@@ -202,66 +200,56 @@ def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
     `theta` is the (beta, gamma) pair every AV shares and `raw` a run's
     record of the AV block's `x` and `v` over the whole horizon. z is
     exactly 0 through the block's head; from its end, each block of
-    `stage_blocks` steps rebuilds its states' stages in one engine whose batch
-    axis is the step index, then advances both gains' z of each AV step by
-    step in plain floats (cheaper than arrays for so few entries): the RK4
-    of the linear rate d*z + f written out with `rk4_step`'s operations in
-    its order. Returns z with shape (n_samples, n_av, 2), z(0) = 0; a
+    `PlatoonEngine.stage_blocks` steps rebuilds its states' stages in one
+    engine whose batch axis is the step index, then advances each AV's
+    zeta = z_beta + i*z_gamma step by step as one Python complex (cheaper
+    than arrays for so few entries): the RK4 of the linear rate
+    d*zeta + phi written out with `rk4_step`'s operations in its order,
+    which give both parts the bits of two real recurrences. Returns z with
+    shape (n_samples, n_av, 2), a view of the complex series, z(0) = 0; a
     non-finite z raises NumericalBlowupError naming the lowest AV whose row
     failed at the first such step.
     """
     scenario = block.scenario
     av = np.subtract(block.av, 1)
     rk4 = scenario.integrator == "rk4"
-    steps = scenario.steps
     half, full, sixth, two = step_coefficients(scenario.dt)
     beta, gamma = np.reshape(theta, (2, 1))
     kernel = get_kernel(scenario.controller.kernel)
     engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=block.av_mask[None])
-    z_series = np.zeros((steps + 1, len(av), 2))
+    z_series = np.zeros((scenario.steps + 1, len(av)), complex)
 
-    blocks = stage_blocks(engine, block.lead, raw["x"], raw["v"][:, 1:], block.head)
+    blocks = engine.stage_blocks(block.lead, raw["x"], raw["v"][:, 1:], block.head)
     for k0, k1, stages, floored in blocks:
-        # (stage, AV, step) rates and (stage, AV, step, gain) forcings
-        drdv, forcing = (
-            np.stack(terms)
-            for terms in zip(*(
-                _z_terms(stage, beta, gamma, kernel, scenario.av_model, av)
-                for stage in stages
-            ))
-        )
-        clamped = floored[av]
+        # (stage, AV, step) spacings and relative speeds, rates and forcings
+        s, dv = (np.stack([stage[i][av] for stage in stages]) for i in (1, 2))
+        d, phi = _z_terms(s, dv, beta, gamma, kernel, scenario.av_model)
         z_block = z_series[k0 + 1 : k1 + 1]
-        for col in range(len(av)):
-            (zb, zg), out = z_series[k0, col].tolist(), []
-            # per step: each stage's rate, beta's forcings, gamma's, the clamp
-            terms = zip(*drdv[:, col].tolist(), *forcing[:, col, :, 0].tolist(),
-                        *forcing[:, col, :, 1].tolist(), clamped[col].tolist())
+        for col, clamped in enumerate(floored[av].tolist()):
+            z, out = z_series[k0, col].item(), []
+            # per step: each stage's rate and forcing, the clamp
+            terms = zip(*d[:, col].tolist(), *phi[:, col].tolist(), clamped)
             # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
             if rk4:
-                for d1, d2, d3, d4, b1, b2, b3, b4, g1, g2, g3, g4, clamp in terms:
-                    p1, q1 = d1 * zb + b1, d1 * zg + g1
-                    p2, q2 = d2 * (zb + half * p1) + b2, d2 * (zg + half * q1) + g2
-                    p3, q3 = d3 * (zb + half * p2) + b3, d3 * (zg + half * q2) + g3
-                    p4, q4 = d4 * (zb + full * p3) + b4, d4 * (zg + full * q3) + g4
-                    zb, zg = (0.0, 0.0) if clamp else (
-                        zb + sixth * (p1 + two * p2 + two * p3 + p4),
-                        zg + sixth * (q1 + two * q2 + two * q3 + q4))
-                    out.append((zb, zg))
+                for d1, d2, d3, d4, f1, f2, f3, f4, clamp in terms:
+                    p1 = d1 * z + f1
+                    p2 = d2 * (z + half * p1) + f2
+                    p3 = d3 * (z + half * p2) + f3
+                    p4 = d4 * (z + full * p3) + f4
+                    z = 0j if clamp else z + sixth * (p1 + two * p2 + two * p3 + p4)
+                    out.append(z)
             else:
-                for d1, b1, g1, clamp in terms:
-                    zb, zg = (0.0, 0.0) if clamp else (
-                        zb + full * (d1 * zb + b1), zg + full * (d1 * zg + g1))
-                    out.append((zb, zg))
+                for d1, f1, clamp in terms:
+                    z = 0j if clamp else z + full * (d1 * z + f1)
+                    out.append(z)
             z_block[:, col] = out
         finite = np.isfinite(z_block)
         if not finite.all():
-            row = int(np.argmin(finite.all(axis=(1, 2))))
-            col = int(np.argmin(finite[row].all(axis=-1)))
+            row = int(np.argmin(finite.all(axis=1)))
             raise NumericalBlowupError(
-                block.first + int(av[col]) + 1, raw["t"][k0 + 1 + row]
+                block.first + int(av[np.argmin(finite[row])]) + 1, raw["t"][k0 + 1 + row]
             )
-    return z_series
+    return z_series[..., None].view(float)
 
 
 def simulate_with_sensitivity(

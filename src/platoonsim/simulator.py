@@ -30,7 +30,7 @@ from .dynamics import (
     ovrv_accel_arrays,
 )
 from .errors import DomainError, NumericalBlowupError
-from .stepping import _STAGE_BLOCK, rk4_slots, rk4_step, step_coefficients
+from .stepping import rk4_slots, rk4_step, step_coefficients
 
 __all__ = [
     "LeadProfile",
@@ -54,6 +54,10 @@ CONTROLLER_KINDS = ("none", "ts-ops", "ts-trc")
 INTEGRATORS = ("rk4", "euler")
 # values a folded run's block buffer holds (see `PlatoonEngine.run`)
 _FOLD_VALUES = 1 << 16
+# rows per block of a rebuild (`PlatoonEngine.stage_blocks`, `run`'s record
+# of s, dv and u); bounds its arrays. Blocks change no bits: the rebuilt
+# values are elementwise per row, and their callers visit the blocks in order.
+_STAGE_BLOCK = 128
 _NO_INPUT = np.array(0.0)  # the input of an engine without a controller
 _T_TOL = 1e-9  # s: how near a time must lie to count as on the grid or in a window
 
@@ -591,6 +595,27 @@ class PlatoonEngine:
         0 and counts: the negative ones but -inf, a blow-up as NaN is."""
         v_new = y_new[self._v]
         return (v_new < 0) & (v_new != -np.inf)
+
+    def stage_blocks(self, lead, x, v, start: int = 0):
+        """Rebuild a recorded run's steps from `start` in blocks of `_STAGE_BLOCK`.
+
+        `x` and `v` are the record's states (`v` without the leader column),
+        `lead` the leader's four-stage table; this engine takes the step
+        index as its first batch axis, any lanes after it, behind the
+        vehicle axis. Yields each block's first and end step, the list of
+        `rhs`'s tuples at its steps' RK4 stages (stage 1 alone under Euler)
+        and each step's floor mask (`floored`), all in the engine's layout,
+        from one copy of the block's states in it.
+        """
+        end = len(x) - 1
+        # the leader's speeds, one per step, against any lane axis
+        shape = (-1,) + (1,) * (x.ndim - 2)
+        for k0 in range(start, end, _STAGE_BLOCK):
+            k1 = min(k0 + _STAGE_BLOCK, end)
+            y = np.concatenate([np.moveaxis(arr[k0:k1], -1, 0) for arr in (x, v)])
+            stages = [self.rhs(lead[0][k0:k1].reshape(shape), y[self._x], y[self._v])]
+            lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
+            yield k0, k1, stages, self.floored(self.step(y, stages[0][0], lead_later, stages))
 
     def run(
         self,

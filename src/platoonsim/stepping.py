@@ -1,40 +1,8 @@
 """Fixed-step integration shared by the engine and the optimizer: the RK4
 step of an array or scalar state (`rk4_step`), the same step slot by slot
-for a one-AV float lane's tuple (`rk4_slots`), their coefficients, and the
-rebuild of a recorded run's stages."""
+for a one-AV float lane's tuple (`rk4_slots`), and their coefficients."""
 
 from __future__ import annotations
-
-import numpy as np
-
-
-# rows per block of a rebuild (`stage_blocks`, `PlatoonEngine.run`'s record
-# of s, dv and u); bounds its arrays. Blocks change no bits: the rebuilt
-# values are elementwise per row, and their callers visit the blocks in order.
-_STAGE_BLOCK = 128
-
-
-def stage_blocks(engine, lead, x, v, start: int = 0):
-    """Rebuild a recorded run's steps from `start` in blocks of `_STAGE_BLOCK`.
-
-    `x` and `v` are the record's states (`v` without the leader column),
-    `lead` the leader's four-stage table; `engine` takes the step index as
-    its first batch axis, any lanes after it, behind the vehicle axis. Yields
-    each block's first and end step, the list of `rhs`'s tuples at its steps'
-    RK4 stages (stage 1 alone under Euler) and each step's floor mask
-    (`PlatoonEngine.floored`), all in the engine's layout, from one copy of
-    the block's states in it.
-    """
-    end = len(x) - 1
-    # the leader's speeds, one per step, against any lane axis
-    shape = (-1,) + (1,) * (x.ndim - 2)
-    for k0 in range(start, end, _STAGE_BLOCK):
-        k1 = min(k0 + _STAGE_BLOCK, end)
-        y = np.concatenate([np.moveaxis(arr[k0:k1], -1, 0) for arr in (x, v)])
-        stages = [engine.rhs(lead[0][k0:k1].reshape(shape), y[engine._x], y[engine._v])]
-        lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
-        floored = engine.floored(engine.step(y, stages[0][0], lead_later, stages))
-        yield k0, k1, stages, floored
 
 
 def step_coefficients(dt: float) -> tuple[float, ...]:
@@ -46,8 +14,8 @@ def rk4_step(y, c, f1, rate):
     """One classic RK4 step from the state y, whose derivative is f1.
 
     `c` holds `step_coefficients(dt)`, as 0-d arrays in the engine and as
-    floats in the sensitivity post-pass and the `replayed_objective`
-    oracle: the formula of every state that is an array or a scalar.
+    floats in the `replayed_objective` oracle: the formula of every state
+    that is an array or a scalar.
     `rate(i, y_i)` is the derivative at the stage state y_i, for i = 1 and 2
     (the half step) and 3 (the full step).
     """

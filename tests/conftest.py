@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from platoonsim.dynamics import IdmParams, OvrvParams
@@ -21,6 +22,14 @@ STOP_LEAD = LeadProfile((0.0, 5.0, 9.0), (21.0, 21.0, 0.0))
 
 TUNED_1 = (0.0642, 1.0011)
 TUNED_2 = (0.0642, 1.0017)
+
+
+def unclamped_idm(s, dv, v, p):
+    """A test double of `idm_accel_arrays` whose free-road term reads the
+    raw speed: at a negative RK4 stage speed a non-integer delta makes
+    (v/v0)**delta NaN, a blow-up at a known vehicle and time."""
+    sstar = p.s0 + np.maximum(0.0, v * p.T - v * dv / p.two_sqrt_ab)
+    return p.a * (1.0 - np.power(v / p.v0, p.delta) - (sstar / s) ** 2)
 
 
 def window_mask(t, window):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import avblock, optimizer, simulator, stepping
+from platoonsim import avblock, optimizer, simulator
 from platoonsim.cli import main
 from platoonsim.config import apply_overrides, build_scenario, load_config
 from platoonsim.controller import SIGMOID_KERNELS, ControllerParams
@@ -44,6 +44,7 @@ from conftest import (
     STOP_LEAD,
     make_scenario,
     make_short_scenario,
+    unclamped_idm,
 )
 
 
@@ -94,10 +95,11 @@ def stage_zdot(z_av, dv, beta=0.05, gamma=1.0, s=50.0):
     av = sc.av_indices[0]
     x[av:] -= s - (x[av - 1] - x[av] - 5.0)
     v[av - 1] = 21.0 - dv
+    _, s_all, dv_all, _ = engine.rhs(21.0, x, v)
     drdv, forcing = _z_terms(
-        engine.rhs(21.0, x, v), beta, gamma, SIGMOID_KERNELS["arctan"], OVRV_1, [av - 1]
+        s_all[av - 1], dv_all[av - 1], beta, gamma, SIGMOID_KERNELS["arctan"], OVRV_1
     )
-    return (drdv[:, None] * np.asarray(z_av, dtype=float) + forcing)[0]
+    return drdv * np.asarray(z_av, dtype=float) + np.array([forcing.real, forcing.imag])
 
 
 class TestSensitivityRhs:
@@ -233,10 +235,10 @@ class TestSimulateWithSensitivity:
     @given(
         kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
         integrator=st.sampled_from(["rk4", "euler"]),
-        # scenario 1's platoon behind a lead that stops (speeds clamp at 0),
-        # or either preset's behind a braking one; scenario 2's IDM blows up
-        # behind the stopping lead
-        case=st.sampled_from([(IDM_1, STOP_LEAD), (IDM_1, SHORT_LEAD), (IDM_2, SHORT_LEAD)]),
+        # either preset's platoon behind a lead that stops (speeds clamp at
+        # 0, and scenario 2's RK4 stage speeds go negative) or a braking one
+        case=st.sampled_from([(IDM_1, STOP_LEAD), (IDM_1, SHORT_LEAD), (IDM_2, SHORT_LEAD),
+                              (IDM_2, STOP_LEAD)]),
         # 0.6-0.8 put the AVs at positions, not a slice
         mpr=st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0]),
         theta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
@@ -252,7 +254,7 @@ class TestSimulateWithSensitivity:
             lead=lead, t_f=25.0, window=(0.0, 25.0), integrator=integrator,
         )
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
-        with mock.patch.object(stepping, "_STAGE_BLOCK", block):
+        with mock.patch.object(simulator, "_STAGE_BLOCK", block):
             _, z = simulate_with_sensitivity(sc, theta)
         reference = co_integrated_z(sc, per_follower_gains(sc, theta), "exogenous")
         av = np.subtract(sc.av_indices, 1)
@@ -327,8 +329,9 @@ class TestSimulateWithSensitivity:
         # a NaN in the kernel derivative of the third and fifth AVs
         # (followers 5 and 9 at MPR 0.5) at step 110 leaves every speed
         # finite and only their z rows non-finite from t = 11.1 s on; the
-        # derivative is evaluated at the AV entries only, once per stage of
-        # each 100-step block from the end of the gain-free head, step 100
+        # derivative is evaluated at the AV entries only, once over the four
+        # RK4 stages of each 100-step block from the end of the gain-free
+        # head, step 100
         sc = make_short_scenario(mpr=0.5)
         assert sc.av_indices == (1, 3, 5, 7, 9)
         assert av_block(sc).head == 100
@@ -338,15 +341,15 @@ class TestSimulateWithSensitivity:
         def deriv(w):
             calls.append(w.shape)
             out = kernel.deriv(w)
-            if len(calls) == 1:  # stage 1 of the first block, steps 100-199
-                out[[2, 4], 10] = np.nan  # AV rows, one column per step
+            if len(calls) == 1:  # the first block, steps 100-199
+                out[0, [2, 4], 10] = np.nan  # stage 1's AV rows, one column per step
             return out
 
         monkeypatch.setitem(SIGMOID_KERNELS, "arctan", replace(kernel, deriv=deriv))
-        monkeypatch.setattr(stepping, "_STAGE_BLOCK", 100)
+        monkeypatch.setattr(simulator, "_STAGE_BLOCK", 100)
         with pytest.raises(NumericalBlowupError) as err:
             simulate_with_sensitivity(sc, [0.03, 0.5])
-        assert calls[0] == (5, 100)
+        assert calls[0] == (4, 5, 100)
         assert err.value.vehicle == 5
         assert err.value.time == pytest.approx(11.1, abs=1e-12)
         assert err.value.lane is None
@@ -426,11 +429,14 @@ class TestAvBlock:
         assert (block.first, block.av) == (4, (1,))
         kernel = SIGMOID_KERNELS["arctan"]
         fn = simulator.ovrv_accel_arrays if where == "run" else kernel.deriv
+        # the calls left clean: the run's first step's four stages, or the
+        # post-pass's first block, whose four stages are one call
+        clean = 4 if where == "run" else 1
         calls = []
 
         def poisoned(*args):
             calls.append(None)
-            return fn(*args) * (np.nan if len(calls) > 4 else 1.0)
+            return fn(*args) * (np.nan if len(calls) > clean else 1.0)
 
         if where == "run":
             monkeypatch.setattr(simulator, "ovrv_accel_arrays", poisoned)
@@ -723,9 +729,10 @@ class TestClosedLoop:
         )
         assert j_closed.tobytes() == j_exo.tobytes()
 
-    def test_blowup_is_the_real_runs_in_both_modes(self):
+    def test_blowup_is_the_real_runs_in_both_modes(self, monkeypatch):
         # scenario 2 behind the stopping lead: RK4 stage speeds go negative,
-        # where scenario 2's (v/v0)**delta is NaN in real arithmetic
+        # where the unclamped law's (v/v0)**delta is NaN in real arithmetic
+        monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
         # every run of this platoon blows up, so its block is built from a
@@ -768,6 +775,15 @@ class TestDescentDirection:
         traj = toy_trajectory(t, [np.full(11, 21.0), np.full(11, 22.0)])
         with pytest.raises(DomainError):
             descent_direction(traj, np.ones((7, 2)), 1)
+
+    # the leader, whose gap would wrap onto the last vehicle, and one past
+    # the last vehicle, as `objective_j` rejects them
+    @pytest.mark.parametrize("av_index", [0, 3, -1])
+    def test_av_index_out_of_range_rejected(self, av_index):
+        t = np.linspace(0, 10, 11)
+        traj = toy_trajectory(t, [np.full(11, 21.0), np.full(11, 22.0), np.full(11, 23.0)])
+        with pytest.raises(DomainError, match="out of range"):
+            descent_direction(traj, np.ones((11, 2)), av_index)
 
 
 class TestProjectFeasible:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import optimizer, simulator, stepping
+from platoonsim import optimizer, simulator
 from platoonsim.controller import SIGMOID_KERNELS
 from platoonsim.dynamics import (
     IdmParams,
@@ -22,7 +22,7 @@ from platoonsim.dynamics import (
 from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.metrics import WindowSums
 from platoonsim.optimizer import _z_terms
-from platoonsim.stepping import rk4_slots, rk4_step, stage_blocks, step_coefficients
+from platoonsim.stepping import rk4_slots, rk4_step, step_coefficients
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
@@ -47,6 +47,7 @@ from conftest import (
     TUNED_1,
     make_scenario,
     make_short_scenario,
+    unclamped_idm,
     window_mask,
 )
 
@@ -216,9 +217,11 @@ class TestEngine:
                              fields["v"].copy()))
             assert np.concatenate(seen).tobytes() == full["v"][max(start, 100):201].tobytes()
 
-    def test_resumed_run_fails_as_the_full_run(self):
-        # scenario 2's IDM behind the stopping lead: NaN at a negative RK4
-        # stage speed, the same vehicle and time from any start before it
+    def test_resumed_run_fails_as_the_full_run(self, monkeypatch):
+        # scenario 2's IDM behind the stopping lead, under the unclamped
+        # law: NaN at a negative RK4 stage speed, the same vehicle and time
+        # from any start before it
+        monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
         errors = []
@@ -232,6 +235,24 @@ class TestEngine:
                 errors.append((err.value.vehicle, err.value.time, err.value.lane))
         assert errors[0] == errors[1]
         assert errors[0][:2] == (2, pytest.approx(19.4, abs=1e-9))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        delta=st.floats(0.01, 40.0),
+        mpr=st.sampled_from([0.0, 0.1, 0.5]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+    )
+    @example(delta=15.5, mpr=0.5, integrator="rk4")  # the unclamped law's NaN
+    def test_stopping_lead_run_stays_finite_for_any_delta(self, delta, mpr, integrator):
+        # behind the stopping lead RK4 stage speeds go negative; the IDM's
+        # free-road term reads them floored at 0, so no power is NaN
+        sc = make_scenario(hv=replace(IDM_2, delta=delta), mpr=mpr, kind="ts-ops", beta=0.03,
+                           lead=STOP_LEAD, t_f=25.0, window=(0.0, 25.0), integrator=integrator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            raw = PlatoonEngine(sc).run()
+        for name, arr in raw.items():
+            assert np.isfinite(arr).all(), name
 
     # inside the horizon, the whole horizon, and a window holding no sample,
     # which the scenario rejects
@@ -645,12 +666,12 @@ def full_width_u(engine, u, s):
 
 
 class TestStageRebuild:
-    # `stage_blocks` rebuilds a recorded run's steps in one engine whose
-    # first batch axis is the step index, in front of any lanes; every
-    # stage's rhs tuple and the state after each step must keep the bytes of
-    # the loop, which evaluates one step at a time, and each step's floor
-    # mask must be the one `advance` counts with. Its callers share one AV
-    # mask over their lanes.
+    # `PlatoonEngine.stage_blocks` rebuilds a recorded run's steps in an
+    # engine whose first batch axis is the step index, in front of any
+    # lanes; every stage's rhs tuple and the state after each step must keep
+    # the bytes of the loop, which evaluates one step at a time, and each
+    # step's floor mask must be the one `advance` counts with. Its callers
+    # share one AV mask over their lanes.
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -680,8 +701,8 @@ class TestStageRebuild:
         stepwise = PlatoonEngine(sc, beta=beta[None], gamma=gamma[None], av_mask=mask[None])
 
         clamps = 0
-        with mock.patch.object(stepping, "_STAGE_BLOCK", block):
-            blocks = list(stage_blocks(stepwise, table, x, v))
+        with mock.patch.object(simulator, "_STAGE_BLOCK", block):
+            blocks = list(stepwise.stage_blocks(table, x, v))
         assert blocks[-1][1] == sc.steps  # no block starts at the last sample
         for k0, k1, stages, floored in blocks:
             for k in range(k0, k1):
@@ -907,10 +928,9 @@ class TestAvEntries:
         beta, gamma = gains
         kern = SIGMOID_KERNELS[kernel]
         cols = np.flatnonzero(mask)
-        drdv, forcing = _z_terms(
-            engine.rhs(19.5, x, v), beta, gamma, kern, sc.av_model, cols
-        )
-        zdot = drdv[:, None] * z[:, cols].T + forcing
+        _, s, dv, _ = engine.rhs(19.5, x, v)
+        drdv, forcing = _z_terms(s[cols], dv[cols], beta, gamma, kern, sc.av_model)
+        zdot = drdv[:, None] * z[:, cols].T + np.stack([forcing.real, forcing.imag], axis=-1)
 
         # zdot = (dr/dv) z + dr/dtheta over every follower, kept on the AVs
         v_prev = np.concatenate([[19.5], v[:-1]])
@@ -923,16 +943,24 @@ class TestAvEntries:
         expected = np.stack([kern.fn(w), beta * s * dv * kp]) + drdv * z
         assert zdot.tobytes() == np.ascontiguousarray(expected[:, cols].T).tobytes()
 
-    def test_all_av_run_skips_the_idm(self):
+    def test_all_av_run_skips_the_idm(self, monkeypatch):
         # behind STOP_LEAD the RK4 stage speeds go negative, where scenario
-        # 2's delta = 15.5 makes the IDM's (v/v0)**delta NaN; with no HV the
-        # IDM is not evaluated, so no warning, and since the AV law wrote
-        # over every entry the run keeps its bits
+        # 2's delta = 15.5 makes the unclamped IDM's (v/v0)**delta NaN; with
+        # no HV the IDM is never called, so no warning, and since the AV law
+        # wrote over every entry the run keeps its bits
+        calls = []
+
+        def idm(*args):
+            calls.append(args)
+            return unclamped_idm(*args)
+
+        monkeypatch.setattr(simulator, "idm_accel_arrays", idm)
         sc = make_scenario(hv=IDM_2, mpr=1.0, kind="ts-ops", beta=0.05, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             raw = PlatoonEngine(sc).run()
+        assert not calls
         with_idm = PlatoonEngine(sc)
         with_idm._all_av = False
         with pytest.warns(RuntimeWarning, match="invalid value encountered in power"):
