@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
+from numpy import add, divide, maximum, multiply, power, subtract
 
 from .errors import DomainError, NoEquilibriumError
 
@@ -95,22 +96,28 @@ ModelKind = Union[IdmParams, OvrvParams]
 _ZERO, _ONE = np.array(0.0), np.array(1.0)  # 0-d: NumPy applies them faster than floats
 
 
-def operands(p: ModelKind) -> SimpleNamespace:
-    """The fields of `p`, and an IDM's `two_sqrt_ab`, as float64 0-d arrays:
-    a twin that the laws read as they read `p`, with the same bits."""
+def operands(p: ModelKind, dtype=float) -> SimpleNamespace:
+    """The fields of `p`, and an IDM's `two_sqrt_ab`, as 0-d arrays of
+    `dtype`: a twin that the laws read as they read `p`, with the same bits."""
     names = [f.name for f in fields(p)] + (["two_sqrt_ab"] if isinstance(p, IdmParams) else [])
-    return SimpleNamespace(**{name: np.array(getattr(p, name), float) for name in names})
+    return SimpleNamespace(**{name: np.array(getattr(p, name), dtype) for name in names})
 
 
-def idm_accel_arrays(s, dv, v, p: IdmParams):
+def idm_accel_arrays(s, dv, v, p: IdmParams, out=None, tmp=None):
     """Vectorized intelligent-driver acceleration (no input validation).
 
     The desired spacing is floored at the jam spacing term, and the
     free-road term reads the speed floored at 0, as the state is: a negative
     RK4 stage speed has no real power (v/v0)**delta. The power is NumPy's
-    for any state, so floats and 0-d arrays in `p` give one result."""
-    sstar = p.s0 + np.maximum(_ZERO, v * p.T - v * dv / p.two_sqrt_ab)
-    return p.a * (_ONE - np.power(np.maximum(v, _ZERO) / p.v0, p.delta) - (sstar / s) ** 2)
+    for any state, so floats and 0-d arrays in `p` give one result. Arrays
+    `out` and `tmp` of the state's shape take the result and its scratch."""
+    brake = divide(multiply(v, dv, tmp), p.two_sqrt_ab, tmp)
+    gap = maximum(_ZERO, subtract(multiply(v, p.T, out), brake, out), out=out)
+    free = divide(maximum(v, _ZERO, out=tmp), p.v0, tmp)
+    free = subtract(_ONE, power(free, p.delta, tmp), tmp)
+    ratio = divide(add(p.s0, gap, out), s, out)  # sstar / s
+    ratio **= 2  # NumPy's square on arrays, the power of `** 2` on scalars
+    return multiply(p.a, subtract(free, ratio, out), out)
 
 
 def ovrv_accel_arrays(s, dv, v, p: OvrvParams):

@@ -16,9 +16,11 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy import add, multiply, subtract
 
 from .controller import beta_upper_bound, get_kernel
 from .dynamics import (
@@ -366,8 +368,7 @@ class PlatoonEngine:
     its own gains or to integrate a whole family of runs at once (leading
     batch axes; one gain per lane is shaped `(lanes, 1)`). Lanes are
     independent: each one equals its own unbatched run bit for bit. The AV
-    law and the control input are evaluated at the AV entries only
-    (`_av_index`), on the whole arrays when every follower is an AV.
+    law and the control input are evaluated at the AV entries (`_av_index`).
 
     The vehicle axis leads inside the engine: a lane's state
     `[x (n+1) | v (n)]` lies along axis 0 of a `(2n+1, *batch)` array and
@@ -384,14 +385,16 @@ class PlatoonEngine:
     later stages of one step: `advance` calls it in the run loop, and
     `stage_blocks` on a recorded run's states, with the step index as a
     batch axis, to rebuild the stage values that the AV block's head and
-    the optimizer's sensitivities need. Every scalar operand of a step
-    (model parameters, controller constants, step coefficients) is made
-    here: a 0-d array, which NumPy applies faster than a float, but a
-    Python float in a lane that `run` steps as a tuple `(x_lead, x, v)`
-    (`_floats`: one unbatched real lane whose one follower is an AV),
-    through the same `advance` and `step`, with `_rates` as its derivative,
-    `rk4_slots` as its RK4 step and the Euler line and the floor clamp slot
-    by slot.
+    the optimizer's sensitivities need. An array lane's stages write into
+    buffers and through views that `run` makes once per run (`_run_work`),
+    and `stage_blocks` once per stage and block (`work_set`). Every scalar
+    operand of a step (model parameters, controller constants, step
+    coefficients) is made here: a 0-d array of the state's dtype, which
+    NumPy applies faster than a float, but a Python float in a lane that
+    `run` steps as a tuple `(x_lead, x, v)` (`_floats`: one unbatched real
+    lane whose one follower is an AV), through the same `advance` and
+    `step`, with `_rates` as its derivative, `rk4_slots` as its RK4 step and
+    the Euler line and the floor clamp slot by slot.
     """
 
     def __init__(
@@ -434,13 +437,13 @@ class PlatoonEngine:
         # evaluated there only (None: no lane has an AV)
         self._a = _av_index(self.av_mask, self.batch_shape)
         # whether every follower of every lane is an AV; then the IDM is
-        # skipped, as the AV law overwrites every entry, and the AV law and
-        # `u` take the whole arrays, not views through `_a`
+        # skipped, as the AV law overwrites every entry
         self._all_av = bool(self.av_mask.all())
         self._floats = not self.batch_shape and n == 1 and self._all_av and self.dtype == float
-        scalar = float if self._floats else np.array
+        # of the state's dtype: a complex lane's ufuncs then cast no operand
+        scalar = float if self._floats else lambda value: np.array(value, self.dtype)
         models = scenario.hv_model, scenario.av_model
-        self.hv, self.av = models if self._floats else map(operands, models)
+        self.hv, self.av = models if self._floats else (operands(m, self.dtype) for m in models)
         self.v_star = scalar(scenario.v_star)
         self.phi = tuple(map(scalar, (ctrl.phi1, ctrl.phi2, ctrl.phi3)))
         self._c = tuple(map(scalar, step_coefficients(scenario.dt)))
@@ -460,8 +463,8 @@ class PlatoonEngine:
         # each follower's predecessor's length: the leader's, then the
         # followers' but the last, which follow the mask
         front = np.empty(self.av_mask.shape[:-1] + (self.n,))
-        front[..., 0] = self.hv.length
-        front[..., 1:] = np.where(self.av_mask[..., :-1], self.av.length, self.hv.length)
+        front[..., 0] = models[0].length
+        front[..., 1:] = np.where(self.av_mask[..., :-1], models[1].length, models[0].length)
         self.front_lengths = vehicle_first(front)
         # clamps of a negative speed to 0, per lane (0-d when unbatched)
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
@@ -495,7 +498,18 @@ class PlatoonEngine:
             return p1 * (dv + p2 * np.arctan(p3 * s * (self.v_star - v_prev)))
         return _NO_INPUT
 
-    def rhs(self, v_lead, x, v):
+    def work_set(self, x, v, like=None):
+        """`rhs`'s buffers at the state rows x and v: its derivative `f`, the
+        `rows` s, dv and IDM scratch (`like`'s, when given), and views made once
+        of `x[:-1]`, `x[1:]` and f's rows; `av`, the AV rows, `_run_work` adds."""
+        n = self.n
+        w = SimpleNamespace(x=x, v=v, x_front=x[:-1], x_back=x[1:], av=None)
+        w.f = np.empty((self.width, *v.shape[1:]), self.dtype)
+        w.v_next, w.v_prev, w.acc = w.f[1 : n + 1], w.f[:n], w.f[n + 1 :]
+        w.rows = like.rows if like else tuple(np.empty(v.shape, self.dtype) for _ in range(3))
+        return w
+
+    def rhs(self, v_lead, x, v, work=None):
         """Flat derivative `f` plus the instantaneous diagnostics.
 
         Returns `(f, s, dv, u)`, `u` at the AV entries (None without an
@@ -503,29 +517,26 @@ class PlatoonEngine:
         leader's speed at the stage time. `f` has the state's layout:
         dx/dt = [v_lead | v], then dv/dt. The HV law is written over every
         follower (if any is an HV), then the AV law plus `u` over the AV
-        entries (over whole arrays when every follower is an AV).
+        entries. `f`, `s` and `dv` are `work`'s (x and v's `work_set`) or new.
         """
-        f = np.empty((self.width, *v.shape[1:]), self.dtype)
-        v_all, acc = f[self._x], f[self._v]
-        v_all[0] = v_lead
-        v_all[1:] = v
-        v_prev = v_all[:-1]
-        s = x[:-1] - x[1:] - self.front_lengths
-        dv = v_prev - v
+        w = work or self.work_set(x, v)
+        f, (s, dv, tmp) = w.f, w.rows
+        f[0] = v_lead
+        w.v_next[...] = v
+        subtract(subtract(w.x_front, w.x_back, s), self.front_lengths, s)
+        subtract(w.v_prev, v, dv)
         if not self._all_av:
-            acc[...] = idm_accel_arrays(s, dv, v, self.hv)
+            idm_accel_arrays(s, dv, v, self.hv, out=w.acc, tmp=tmp)
         a = self._a
         if a is None:
             return f, s, dv, None
-        if self._all_av:
-            u = self.control_input(s, dv, v_prev if self.kind == "ts-trc" else None)
-            acc[...] = ovrv_accel_arrays(s, dv, v, self.av) + u
-            return f, s, dv, u
-        s_a, dv_a = s[a], dv[a]
         # only ts-trc reads the predecessor's speed
-        v_prev_a = v_prev[a] if self.kind == "ts-trc" else None
+        s_a, dv_a, v_a, v_prev_a, acc_a = w.av or (
+            s[a], dv[a], v[a], w.v_prev[a] if self.kind == "ts-trc" else None, None)
         u = self.control_input(s_a, dv_a, v_prev_a)
-        acc[a] = ovrv_accel_arrays(s_a, dv_a, v[a], self.av) + u
+        av = add(ovrv_accel_arrays(s_a, dv_a, v_a, self.av), u, acc_a)
+        if acc_a is None:
+            w.acc[a] = av
         return f, s, dv, u
 
     def _rates(self, v_lead, y):
@@ -547,54 +558,69 @@ class PlatoonEngine:
         vehicle = int(np.argmin(columns[:, lane])) + 1
         raise NumericalBlowupError(vehicle, t, lane if finite.ndim > 1 else None)
 
-    def step(self, y, f1, v_lead, stages=None):
+    def step(self, y, f1, v_lead, stages=None, work=None):
         """The unclamped state one step after the flat state y.
 
         `f1` is `rhs`'s derivative at y; `v_lead` holds the leader's speeds
         at RK4 stages 2, 3 and 4 of the step (a row of the later stages of
         `LeadProfile.stage_speeds`' table; Euler reads none). A list
         `stages` receives `rhs`'s tuples at those stages; the run loop
-        passes none, so they are freed stage by stage.
+        passes none, so they are freed stage by stage. With a run's `work`
+        (`_run_work`) it writes into its buffers, the new state into the other.
         """
+        out = work and work.y[y is work.y[0]]
         if self.scenario.integrator == "euler":
             if self._floats:
                 return tuple(p + self._c[1] * a for p, a in zip(y, f1))
-            return y + self._c[1] * f1
+            return add(y, multiply(self._c[1], f1, out), out)
         if self._floats:
             return rk4_slots(y, self._c, f1, lambda i, y_i: self._rates(v_lead[i - 1], y_i))
 
         def rate(i, y_i):
-            stage = self.rhs(v_lead[i - 1], y_i[self._x], y_i[self._v])
+            stage = self.rhs(v_lead[i - 1], *(work.stage if work else (y_i[self._x], y_i[self._v])))
             if stages is not None:
                 stages.append(stage)
             return stage[0]
 
-        return rk4_step(y, self._c, f1, rate)
+        return rk4_step(y, self._c, f1, rate, work and work.ys, out)
 
-    def advance(self, y, f1, v_lead):
+    def advance(self, y, f1, v_lead, work=None):
         """One step of the flat state y from its derivative f1 at the step start.
 
-        `v_lead` holds the leader's speeds at RK4 stages 2, 3 and 4, as for
-        `step`. Finite speeds below 0 are clamped and counted per lane.
+        `v_lead` and `work` are as for `step`. Finite speeds below 0 are
+        clamped to 0 and counted per lane; a complex speed by its real part.
         """
-        y_new = self.step(y, f1, v_lead)
+        y_new = self.step(y, f1, v_lead, None, work)
         if self._floats:
             if -math.inf < y_new[2] < 0:
                 self.lane_floor_hits += 1
                 return y_new[0], y_new[1], 0.0
             return y_new
-        v_new = y_new[self._v]
         # fmin skips NaN, as `v < 0` is False for it
-        if np.fmin.reduce(v_new, axis=None) < 0:
-            self.lane_floor_hits += self.floored(y_new).sum(axis=0)
-            np.maximum(v_new, 0.0, out=v_new, where=v_new != -np.inf)
+        if np.fmin.reduce(y_new[self._v].real, axis=None) < 0:
+            floored = self.floored(y_new)
+            self.lane_floor_hits += floored.sum(axis=0)
+            y_new[self._v][floored] = 0.0
         return y_new
 
     def floored(self, y_new):
         """The speeds of the unclamped states `y_new` that `advance` floors at
-        0 and counts: the negative ones but -inf, a blow-up as NaN is."""
-        v_new = y_new[self._v]
+        0 and counts: the real parts below 0 but -inf, a blow-up as NaN is."""
+        v_new = y_new[self._v].real
         return (v_new < 0) & (v_new != -np.inf)
+
+    def _run_work(self):
+        """A run's buffers, made once: two states, which its steps take in
+        turn, the RK4 stage state `ys`, and `rhs`'s arguments at each, whose
+        `work_set`s share their scratch rows and, under a slice index, view
+        the AV rows of s, dv, v, `v_prev` and dv/dt."""
+        *states, ys = (np.zeros((self.width, *self.batch_shape), self.dtype) for _ in range(3))
+        first = self.work_set(states[0][self._x], states[0][self._v])
+        sets = first, *(self.work_set(y[self._x], y[self._v], first) for y in (states[1], ys))
+        for w in sets if self._a is not None and isinstance(self._a[0], slice) else ():
+            w.av = tuple(arr[self._a] for arr in (*w.rows[:2], w.v, w.v_prev, w.acc))
+        at = [(w.x, w.v, w) for w in sets]
+        return SimpleNamespace(y=tuple(states), ys=ys, at=at[:2], stage=at[2])
 
     def stage_blocks(self, lead, x, v, start: int = 0):
         """Rebuild a recorded run's steps from `start` in blocks of `_STAGE_BLOCK`.
@@ -680,7 +706,8 @@ class PlatoonEngine:
         lead_later = (
             zip(*(s[start:] for s in lead[1:])) if len(lead) > 1 else itertools.repeat(())
         )
-        y = np.zeros((self.width, *self.batch_shape), self.dtype)
+        work = self._run_work()
+        y = work.y[0]
         rec = np.moveaxis(y, 0, -1)  # a view of y in the record's layout
         rec[..., self._x], rec[..., self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
@@ -688,7 +715,7 @@ class PlatoonEngine:
         if self._floats:  # the lane steps a tuple of Python floats
             y, rate = tuple(y.tolist()), self._rates
         else:
-            rate = lambda v_lead, y: self.rhs(v_lead, y[self._x], y[self._v])[0]  # noqa: E731
+            rate = lambda v_lead, y: self.rhs(v_lead, *work.at[y is work.y[1]])[0]  # noqa: E731
 
         # the loop records x, v and a, as (part, slice) of y and its
         # derivative f; s, dv and u are rebuilt from x and v, kept for them
@@ -742,7 +769,7 @@ class PlatoonEngine:
             f = rate(lead_t[k], y)
             if k >= lo:
                 record_sample(k, (y, f))
-            y = advance(y, f, v_lead)
+            y = advance(y, f, v_lead, work)
             self._check_finite(y, t_grid[k + 1])
         if lo <= last:
             record_sample(last, (y, rate(lead_t[last], y)))

@@ -4,26 +4,32 @@ for a one-AV float lane's tuple (`rk4_slots`), and their coefficients."""
 
 from __future__ import annotations
 
+from numpy import add, multiply
+
 
 def step_coefficients(dt: float) -> tuple[float, ...]:
     """`rk4_step`'s coefficients of the step dt; an Euler step takes dt."""
     return dt / 2, dt, dt / 6, 2.0
 
 
-def rk4_step(y, c, f1, rate):
+def rk4_step(y, c, f1, rate, ys=None, out=None):
     """One classic RK4 step from the state y, whose derivative is f1.
 
     `c` holds `step_coefficients(dt)`, as 0-d arrays in the engine and as
     floats in the `replayed_objective` oracle: the formula of every state
     that is an array or a scalar.
     `rate(i, y_i)` is the derivative at the stage state y_i, for i = 1 and 2
-    (the half step) and 3 (the full step).
+    (the half step) and 3 (the full step). Arrays `ys` and `out` (not y),
+    when given, take the stage states and the sum, which is formed in its
+    order as the rates come, so each rate may overwrite the last.
     """
     half, full, sixth, two = c
-    f2 = rate(1, y + half * f1)
-    f3 = rate(2, y + half * f2)
-    f4 = rate(3, y + full * f3)
-    return y + sixth * (f1 + two * f2 + two * f3 + f4)
+    f = rate(1, add(y, multiply(half, f1, ys), ys))
+    acc = add(f1, multiply(two, f, ys), out)
+    f = rate(2, add(y, multiply(half, f, ys), ys))
+    acc = add(acc, multiply(two, f, ys), out)
+    f = rate(3, add(y, multiply(full, f, ys), ys))
+    return add(y, multiply(sixth, add(acc, f, out), out), out)
 
 
 def rk4_slots(y, c, f1, rate):

@@ -24,12 +24,13 @@ TUNED_1 = (0.0642, 1.0011)
 TUNED_2 = (0.0642, 1.0017)
 
 
-def unclamped_idm(s, dv, v, p):
+def unclamped_idm(s, dv, v, p, out=None, tmp=None):
     """A test double of `idm_accel_arrays` whose free-road term reads the
     raw speed: at a negative RK4 stage speed a non-integer delta makes
-    (v/v0)**delta NaN, a blow-up at a known vehicle and time."""
+    (v/v0)**delta NaN, a blow-up at a known vehicle and time. As the law,
+    it writes its result into `out` when given (`tmp` is scratch)."""
     sstar = p.s0 + np.maximum(0.0, v * p.T - v * dv / p.two_sqrt_ab)
-    return p.a * (1.0 - np.power(v / p.v0, p.delta) - (sstar / s) ** 2)
+    return np.multiply(p.a, 1.0 - np.power(v / p.v0, p.delta) - (sstar / s) ** 2, out)
 
 
 def window_mask(t, window):

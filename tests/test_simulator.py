@@ -782,6 +782,73 @@ class TestStageRebuild:
         assert not np.signbit(raw["u"][:, hv]).any() and not raw["u"][:, hv].any()
 
 
+def stepped_by_hand(engine):
+    """`run`'s record of x, v and a and its clamps, from a loop that calls
+    `rhs` and `step` without a work set and floors the speeds by their real
+    part, as `advance` does."""
+    sc, n = engine.scenario, engine.n
+    lead = sc.lead.stage_speeds(sc.dt, sc.steps)
+    x, v = engine.initial_arrays()
+    y = np.concatenate([vehicles_first(x), vehicles_first(v)]).astype(engine.dtype)
+    rows, clamps = [], np.zeros(engine.batch_shape, dtype=np.int64)
+    for k in range(sc.steps + 1):
+        f = engine.rhs(lead[0][k], y[: n + 1], y[n + 1 :])[0]
+        rows.append([vehicles_last(part) for part in (y[: n + 1], f[: n + 1], f[n + 1 :])])
+        if k < sc.steps:
+            y = engine.step(y, f, [stage[k] for stage in lead[1:]])
+            speed = y[n + 1 :]
+            floored = (speed.real < 0) & (speed.real != -np.inf)
+            clamps += floored.sum(axis=0)
+            speed[floored] = 0.0
+    return {name: np.stack(parts) for name, parts in zip("xva", zip(*rows))}, clamps
+
+
+class TestRunBuffers:
+    # `run` steps an array lane in buffers and views that it makes once;
+    # its record and clamps must equal, byte for byte, those of a loop that
+    # makes fresh arrays at every stage, and a second run of the same engine
+    # must repeat the first (no buffer holds a stale value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        form=st.sampled_from(["unbatched", "slice", "positions", "per-lane", "all", "none"]),
+        mpr=st.sampled_from([0.1, 0.5, 0.7]),
+        rows=st.lists(st.lists(st.booleans(), min_size=10, max_size=10), min_size=2, max_size=3),
+        gains=st.lists(st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+                       min_size=3, max_size=3),
+        step=st.sampled_from([0.0, 1e-20, 1e-3]),  # the imaginary part of beta
+        lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
+        hv=st.sampled_from([IDM_1, IDM_2]),
+        kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
+        kernel=st.sampled_from(sorted(SIGMOID_KERNELS)),
+        integrator=st.sampled_from(["rk4", "euler"]),
+    )
+    @example(form="positions", mpr=0.7, rows=[[True] * 10] * 2, gains=[(0.0642, 1.0)] * 3,
+             step=1e-20, lead=STOP_LEAD, hv=IDM_2, kind="ts-ops", kernel="arctan",
+             integrator="rk4")
+    def test_run_equals_a_loop_without_buffers(self, form, mpr, rows, gains, step, lead, hv,
+                                               kind, kernel, integrator):
+        sc = make_short_scenario(hv=hv, mpr=mpr, kind=kind, lead=lead, t_f=15.0,
+                                 window=(0.0, 15.0), integrator=integrator)
+        sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
+        beta, gamma = (np.array(gain)[: len(rows), None] for gain in zip(*gains))
+        beta = beta + 1j * step if step else beta
+        if form == "unbatched":
+            engine = PlatoonEngine(sc, beta=beta[0, 0], gamma=gamma[0, 0])
+        else:
+            mask = av_mask_for(10, 0.7) if form == "positions" else av_mask_form(form, rows)
+            engine = PlatoonEngine(sc, beta=beta, gamma=gamma, av_mask=mask)
+        assert not engine._floats
+        ref, clamps = stepped_by_hand(engine)
+        raw = engine.run(record=("x", "v", "a"))
+        assert np.array_equal(engine.lane_floor_hits, clamps)
+        for name, arr in ref.items():
+            assert raw[name].tobytes() == arr.tobytes(), name
+        again = engine.run(record=("x", "v", "a"))
+        for name, arr in raw.items():
+            assert again[name].tobytes() == arr.tobytes(), name
+
+
 def one_av_scenario(**kw):
     """Leader, AV and HV (mpr 0.5 of two followers puts the AV first)."""
     return Scenario(
@@ -950,9 +1017,9 @@ class TestAvEntries:
         # wrote over every entry the run keeps its bits
         calls = []
 
-        def idm(*args):
+        def idm(*args, **buffers):
             calls.append(args)
-            return unclamped_idm(*args)
+            return unclamped_idm(*args, **buffers)
 
         monkeypatch.setattr(simulator, "idm_accel_arrays", idm)
         sc = make_scenario(hv=IDM_2, mpr=1.0, kind="ts-ops", beta=0.05, lead=STOP_LEAD,
@@ -1099,6 +1166,29 @@ class TestStep:
         assert new[2] == pytest.approx(-85.0 + 0.1 * 19.0, rel=1e-12)
         assert new[3] == pytest.approx(18.0 + 0.1 * acc1, rel=1e-12)
         assert new[4] == pytest.approx(19.0 + 0.1 * acc2, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-30j])
+    @pytest.mark.parametrize("speed", [0.1, 0.05])
+    def test_complex_lane_floors_by_the_real_part(self, monkeypatch, beta, speed):
+        # one Euler step at a = -1 from speeds 0.1 lands on 0.0, from 0.05 on
+        # -0.05; a complex lane's speed is 0 - eps*j or -0.05 - eps*j, which
+        # NumPy orders below 0. Only the real part is floored and counted, so
+        # the lane clamps as its real run does and keeps the sensitivity of a
+        # speed it does not clamp
+        monkeypatch.setattr(simulator, "ovrv_accel_arrays", lambda s, dv, v, p: -1.0)
+        sc = replace(make_scenario(mpr=1.0, kind="ts-ops", integrator="euler", t_f=10.0,
+                                   window=(0.0, 10.0)), n_followers=2)
+        engine = PlatoonEngine(sc, beta=np.array([[beta]]))
+        x = vehicles_first(engine.initial_arrays()[0])
+        v = np.full((2, 1), speed)
+        new = engine.advance(np.concatenate([x, v]), engine.rhs(0.0, x, v)[0], ())
+        clamped = speed < 0.1
+        assert engine.lane_floor_hits.tolist() == [2 if clamped else 0]
+        assert (new[3:].real == 0.0).all()
+        # the first follower's imaginary part, 0.1 * eps * arctan(gamma * s *
+        # -0.1), is below 0 unless clamped; the second's dv and input are 0
+        assert np.signbit(new[3].imag) == (bool(beta) and not clamped)
+        assert not new[4].imag.any()
 
     def test_advance_leaves_minus_inf_to_the_finite_check(self):
         # an Euler step with a = -inf gives a speed of -inf: a blow-up for
