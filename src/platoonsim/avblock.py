@@ -4,11 +4,12 @@ No gains change the all-HV followers ahead of the first AV (the prefix) or
 the steps before any AV sees a nonzero relative speed (the head, which
 also ends where a speed of the block is floored), so a caller of many
 gain pairs over one AV mask integrates those once. `av_block` builds the
-block in one call, from a seeding lane of its own, and `AvBlock.run`
-resumes it from a state and a step. `last`, the last follower the caller
-reads, ends the block: the last AV for `tune` and
+block in one call, integrating only those: the prefix as an all-HV lane
+of its own, and the block behind it until its head ends. `AvBlock.run`
+resumes the block from a state and a step. `last`, the last follower the
+caller reads, ends the block: the last AV for `tune` and
 `simulate_with_sensitivity`, whose J and z read nothing behind it, and
-every follower for `grid`, which reads the seeding lane's whole record.
+every follower for `grid`, which reads the prefix lane's record.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalBlowupError
-from .simulator import PlatoonEngine, Scenario, av_mask_for
+from .simulator import _STAGE_BLOCK, PlatoonEngine, Scenario, av_mask_for, logger
 
 
 @dataclass
@@ -47,16 +48,6 @@ class AvBlock:
     head: int
     rows: dict
 
-    def columns(self, raw: dict) -> dict:
-        """The block's `t`, `x` and `v` from a record of the platoon that
-        covers at least the block's followers, as arrays of their own, so
-        the platoon's record can be freed."""
-        cols = slice(self.first, self.first + self.scenario.n_followers + 1)
-        return {
-            "t": raw["t"],
-            **{name: np.ascontiguousarray(raw[name][:, cols]) for name in ("x", "v")},
-        }
-
     def run(self, beta, gamma, start: int, record, fold=None):
         """`PlatoonEngine.run` of the block with these gains, resumed from
         its row at step `start`, at most the head's end; errors number
@@ -80,21 +71,21 @@ class AvBlock:
 
 def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=None):
     """The AV block of `scenario`, which has an AV, up to follower `last`,
-    at least its last AV, from a seeding lane: one run of the followers up
-    to `last` with the gains `beta` and `gamma`, those columns of the
-    platoon's run, to step `end` (by default the horizon's). The lane
-    builds its own start: `cumsum` adds the spacings in order, so the first
-    `last` followers' positions are the platoon's bit for bit. Returns the
-    block, the lane's record of `record` (with `x` and `v`) and its clamps.
+    at least its last AV, to step `end` (by default the horizon's). Returns
+    the block, the prefix lane's record of `record` (with `x` and `v`; None
+    when the first AV is follower 1, and there is no prefix) and its clamps.
 
-    One step-batched `stage_blocks` pass over the record gives the head and,
-    under RK4 behind an all-HV prefix, the prefix's last follower's speeds at
-    stages 2, 3 and 4, which no gains change either. The head ends at the
-    first step where any AV has a nonzero dv at any stage, by exact
+    The prefix runs as an all-HV lane to `end`; under RK4 one step-batched
+    `stage_blocks` pass over its record gives its last follower's speeds at
+    stages 2, 3 and 4, the block leader's table. The block runs behind it
+    with the gains `beta` and `gamma`, `_STAGE_BLOCK` steps per `run`, each
+    resumed where the last ended and stage-passed, until the head ends: at
+    the first step where any AV has a nonzero dv at any stage, by exact
     comparison (a dv of 0 leaves u at 0 for every gain pair), or where a
     speed of the block is floored, so a run resumed there counts every
-    clamp. The pass stops at the head's end unless the stage table needs
-    the whole run.
+    clamp. Those runs log no clamps (past the head they are the gains').
+    Each lane builds its start as the platoon does: `cumsum` adds the
+    spacings in order, so its positions are the platoon's bit for bit.
     """
     av = scenario.av_indices
     first = av[0] - 1
@@ -102,37 +93,54 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     part = replace(scenario, n_followers=last, init_spacing=spacing and spacing[:last])
     if end is not None:
         part = replace(part, t_f=end * scenario.dt, metric_window=(0.0, end * scenario.dt))
+    steps = part.steps
     mask = av_mask_for(scenario.n_followers, scenario.mpr)[:last]
-    engine = PlatoonEngine(part, beta=beta, gamma=gamma, av_mask=mask)
-    raw = engine.run(record=record)
-    # the seeding lane is one lane, batched or not
-    x, v = (raw[name].reshape(len(raw["t"]), -1) for name in ("x", "v"))
+    x, v = PlatoonEngine(part, av_mask=mask).initial_arrays()
     lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
-    # the step index is the stage engine's batch axis
-    stage = PlatoonEngine(part, av_mask=mask[None])
-    steps, head = len(x) - 1, None
-    # the stage table of a prefix's last follower: its later RK4 stages' speeds
-    later = [np.empty(steps) for _ in range(3)] if first and scenario.integrator == "rk4" else []
-    for k0, k1, stages, floored in stage.stage_blocks(lead, x, v[:, 1:]):
-        # vehicle rows, one column per step
-        if head is None:
-            moved = floored[first:].any(axis=0)
-            for _, _, dv, _ in stages:
-                moved |= (dv[np.subtract(av, 1)] != 0).any(axis=0)
-            head = k0 + int(np.argmax(moved)) if moved.any() else None
-        # the x rows of the later stages' rates are the speeds there
-        for out, (f, *_) in zip(later, stages[1:]):
-            out[k0:k1] = f[first]
-        if head is not None and not later:
-            break
-    head = steps if head is None else head
+    raw, hits = None, 0
     if first:
-        lead = (v[:, first].copy(), *later)
-    rows = {"t": raw["t"][: head + 1]}
-    for name, arr in (("x", x), ("v", v)):
-        rows[name] = np.ascontiguousarray(arr[: head + 1, first:])
-    block = AvBlock(
-        replace(scenario, n_followers=last - first, init_spacing=None), first,
-        tuple(i - first for i in av), lead, mask[first:], head, rows,
-    )
-    return block, raw, engine.lane_floor_hits
+        prefix = replace(part, n_followers=first, init_spacing=spacing and spacing[:first])
+        engine = PlatoonEngine(prefix, beta=beta, gamma=gamma, av_mask=mask[:first])
+        try:
+            raw = engine.run(record=record)
+        except NumericalBlowupError:
+            # the prefix fails every run, the platoon's maybe earlier behind it
+            PlatoonEngine(part, beta=beta, gamma=gamma, av_mask=mask).run(record=())
+            raise
+        hits = engine.lane_floor_hits
+        # the prefix lane is one lane, batched or not
+        xp, vp = (raw[name].reshape(steps + 1, -1) for name in ("x", "v"))
+        later = [np.empty(steps) for _ in range(3)] if scenario.integrator == "rk4" else []
+        stage = PlatoonEngine(prefix, av_mask=mask[None, :first])
+        for k0, k1, stages, _ in stage.stage_blocks(lead, xp, vp[:, 1:]) if later else ():
+            # the x rows of the later stages' rates are the speeds there
+            for out, (f, *_) in zip(later, stages[1:]):
+                out[k0:k1] = f[first]
+        lead = (vp[:, first].copy(), *later)
+
+    # step 0's row; each run's record holds the rows to its end
+    rows = {"t": np.zeros(1), "x": x[None, first:], "v": np.append(lead[0][0], v[first:])[None]}
+    block = AvBlock(replace(scenario, n_followers=last - first, init_spacing=None), first,
+                    tuple(i - first for i in av), lead, mask[first:], steps, rows)
+    # the step index is the stage engine's batch axis; the runs take one
+    # unbatched lane of the gains, so their records are the block's rows
+    stage = PlatoonEngine(block.scenario, av_mask=mask[None, first:])
+    pair = np.ravel(beta)[:1], np.ravel(gamma)[:1]
+    quiet, logger.disabled = logger.disabled, True
+    try:
+        for k in range(0, steps, _STAGE_BLOCK):
+            k1 = min(k + _STAGE_BLOCK, steps)
+            cut = replace(block.scenario, t_f=k1 * part.dt, metric_window=(0.0, k1 * part.dt))
+            block.rows = replace(block, scenario=cut).run(*pair, k, ("x", "v"))[0]
+            x, v = block.rows["x"], block.rows["v"][:, 1:]
+            # steps k..k1-1 that floor a speed or give an AV a dv, at any stage
+            moved = np.concatenate([floored.any(axis=0) | np.any(
+                [dv[np.subtract(block.av, 1)] != 0 for _, _, dv, _ in stages], axis=(0, 1))
+                for _, _, stages, floored in stage.stage_blocks(lead, x, v, k)])
+            if moved.any():
+                block.head = k + int(np.argmax(moved))
+                break
+    finally:
+        logger.disabled = quiet
+    block.rows = {name: arr[: block.head + 1] for name, arr in block.rows.items()}
+    return block, raw, hits

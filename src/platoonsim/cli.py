@@ -311,14 +311,14 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     """The folded window sums of a grid, one lane per (beta, gamma) point
     (`betas` and `gammas` shaped (lanes, 1)), and each lane's clamps.
 
-    The scenario is a ts-ops platoon with an AV (`cmd_grid` checks). A
-    seeding lane, `av_block`'s, runs the whole platoon at the first point's
-    gains to the window's last sample; its record, with its lane axis,
-    gives the prefix's sums, and its AV block of every follower, in one
-    batched run resumed at the head's end or the window's start if earlier,
-    gives each lane's; a lane's clamps are the seeding lane's plus its
-    block's, less the first lane's. A failing seeding lane fails the batch
-    too, maybe earlier in another lane, so that batch runs to say.
+    The scenario is a ts-ops platoon with an AV (`cmd_grid` checks).
+    `av_block`, at the first point's gains, runs the all-HV prefix to the
+    window's last sample; its record, with its lane axis, gives the
+    prefix's sums, and its AV block of every follower, in one batched run
+    resumed at the head's end or the window's start if earlier, gives each
+    lane's; a lane's clamps are the prefix's plus its block's. A failure
+    in `av_block` may come from the first point's gains, and another lane
+    may fail earlier, so the whole batch runs to say.
     """
     seed, last = (betas[:1], gammas[:1]), scenario.n_followers
     keep = window_slice(np.arange(scenario.steps + 1) * scenario.dt, scenario.metric_window)
@@ -329,14 +329,16 @@ def _grid_sums(scenario, coeffs, betas, gammas):
         raise
     first, rows = block.first, slice(keep.start, None)
     prefix = WindowSums(scenario, coeffs)
-    prefix(raw["t"][rows], {"v": raw["v"][rows, :, : first + 1], "a": raw["a"][rows, :, :first]})
+    if first:
+        prefix(raw["t"][rows], {name: raw[name][rows] for name in ("v", "a")})
     del raw  # the block's run holds the most memory; free the record first
     sums = WindowSums(scenario, coeffs)
     hits = block.run(betas, gammas, min(block.head, keep.start), ("v", "a"), sums)[1]
-    prefix_sums = np.broadcast_to(prefix.sums, (2, len(betas), first))
-    sums.sums = np.concatenate([prefix_sums, sums.sums], axis=-1)
-    sums.saturated += prefix.saturated
-    return sums, seed_hits + hits - hits[0]
+    if first:
+        sums.sums = np.concatenate([np.broadcast_to(prefix.sums, (2, len(betas), first)),
+                                    sums.sums], axis=-1)
+        sums.saturated += prefix.saturated
+    return sums, seed_hits + hits
 
 
 def cmd_grid(args) -> int:

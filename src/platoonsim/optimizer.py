@@ -14,10 +14,10 @@ are the exact derivatives of the discrete closed loop (complex-step
 differentiation; Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 
 Neither J nor z reads a follower behind the last AV, so the descent
-integrates each step the gains cannot change once per call (`avblock`): its
-first iteration runs the followers up to the last AV, and every later one
-is one `_descent_terms` call, which runs the AV block up to it from the
-head's end; the closed-loop mode's complex lanes resume there too.
+integrates each step the gains cannot change once per call (`avblock`), and
+every iteration is one `_descent_terms` call, which runs the AV block up to
+the last AV from the head's end; the closed-loop mode's complex lanes
+resume there too.
 `simulate_with_sensitivity` is `simulate` plus the descent's first
 iteration's z. A projected fixed-step descent clamps beta to its safety
 bound and gamma to non-negative values.
@@ -264,8 +264,8 @@ def simulate_with_sensitivity(
     (n_samples, n_av, 2), z(0) = 0. The trajectory is `simulate`'s, with
     theta as the controller's gains, so a blow-up anywhere in the platoon is
     raised first; z is the descent's first iteration's: `av_block` to the
-    last AV, then `_descent_terms` on its record ("closed-loop": a complex
-    run of the block). A non-finite z raises NumericalBlowupError naming the
+    last AV, then `_descent_terms` ("closed-loop": a complex run of the
+    block). A non-finite z raises NumericalBlowupError naming the
     lowest AV whose row failed ("closed-loop": the vehicle whose speed did).
     """
     theta = np.asarray(theta_av, dtype=float)
@@ -276,8 +276,8 @@ def simulate_with_sensitivity(
     beta, gamma = theta.ravel().tolist()
     ctrl = replace(scenario.controller, beta=beta, gamma=gamma)
     traj = simulate(replace(scenario, controller=ctrl))
-    block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), last)
-    return traj, _descent_terms(block, theta, mode, block.columns(raw))[2]
+    block = av_block(scenario, *np.reshape(theta, (2, 1)), last)[0]
+    return traj, _descent_terms(block, theta, mode)[2]
 
 
 def replayed_objective(
@@ -323,10 +323,10 @@ def replayed_objective(
     return float(0.5 * np.trapezoid((v_series - vp_sig) ** 2, t))
 
 
-def _descent_terms(block: AvBlock, theta, mode: str, raw: dict | None = None):
+def _descent_terms(block: AvBlock, theta, mode: str):
     """J, the AV-summed direction and the AV sensitivities z at the shared
     gains theta, from a `PlatoonEngine.run` of the AV block resumed at its
-    head's end and recording x and v, or from `raw`, its record at theta.
+    head's end and recording x and v.
 
     z comes from that record ("exogenous") or from a complex run after it,
     resumed at the same head's end, whose lane g steps gain g by i*h
@@ -336,8 +336,7 @@ def _descent_terms(block: AvBlock, theta, mode: str, raw: dict | None = None):
     """
     # 1-element arrays, not floats: NumPy multiplies them faster
     gains = np.reshape(theta, (2, 1))
-    if raw is None:
-        raw = block.run(*gains, block.head, ("x", "v"))[0]
+    raw = block.run(*gains, block.head, ("x", "v"))[0]
     t, v = raw["t"], raw["v"]
     j_val = _objective(t, v, block.av)
     if mode == "closed-loop":
@@ -359,11 +358,9 @@ def optimize(
     """Projected descent on the (beta, gamma) pair shared by the AVs.
 
     Every step that the gains cannot change is integrated once per call.
-    One `av_block` call runs the followers up to the last AV with `theta0`
-    and builds the AV block from that record (the prefix's stage speeds and
-    the gain-free head); the record gives the first iteration's J and
-    direction. Each later iteration simulates the AV block with the
-    current gains from the end of its head (recording only `x` and `v`),
+    One `av_block` call builds the AV block up to the last AV (the prefix's
+    stage speeds and the gain-free head). Each iteration simulates the AV
+    block with the current gains from the end of its head (recording only `x` and `v`),
     integrates the sensitivities from there, sums the descent direction
     over the AVs, and updates the gains with a fixed step, projecting onto
     the feasible box. Stops when the objective change drops to the
@@ -385,11 +382,9 @@ def optimize(
 
     try:
         last = _tunable(scenario)[-1]
-        block, raw, _ = av_block(scenario, *np.reshape(theta, (2, 1)), last)
-        raw = block.columns(raw)
+        block = av_block(scenario, *np.reshape(theta, (2, 1)), last)[0]
         for kappa in range(1, cfg.n_max + 1):
-            j_val, lam, _ = _descent_terms(block, theta, cfg.sensitivity, raw)
-            raw = None
+            j_val, lam, _ = _descent_terms(block, theta, cfg.sensitivity)
             thetas.append(theta)
             objectives.append(j_val)
             lambdas.append(lam)

@@ -550,8 +550,12 @@ class PlatoonEngine:
     def _check_finite(self, y, t):
         if self._floats and math.isfinite(y[2]):
             return
+        # one reduction, no temporary: finite speeds have a finite sum (and modulus);
+        # a sum that is not (a speed that is not, or an overflow) is searched
+        if math.isfinite(abs(add.reduce(y[self._v], axis=None))):
+            return
         finite = np.isfinite(y[self._v])
-        if np.logical_and.reduce(finite, axis=None):
+        if finite.all():
             return
         columns = finite.reshape(self.n, -1)  # one column per lane
         lane = int(np.argmin(columns.all(axis=0)))

@@ -1171,10 +1171,13 @@ class TestGrid:
             return run(engine, *args, fold=fold and counted, **kw)
 
         monkeypatch.setattr(simulator.PlatoonEngine, "run", spy_run)
-        # 9 x 9 points, one lane each: one seeding lane of the whole platoon
-        # and one batched, folded run of the AV block, followers 5-10
+        # 9 x 9 points, one lane each: the all-HV prefix lane (followers
+        # 1-4); unbatched runs of the AV block (followers 5-10) at the
+        # first point's gains, `_STAGE_BLOCK` steps each, to the one that
+        # holds its head's end (step 101, so one run); and one batched,
+        # folded run of the block
         check_grid(tmp_path, "scenario1", SHORT_SETS, *ranges)
-        assert runs == [(10, (1,), False), (6, (81,), True)]
+        assert runs == [(4, (1,), False), (6, (), False), (6, (81,), True)]
         block = max(1, simulator._FOLD_VALUES // (81 * 13))
         assert max(blocks) <= block and sum(blocks) == 401
         if budget is not None:

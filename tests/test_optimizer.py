@@ -122,9 +122,9 @@ class TestSensitivityRhs:
 
 
 def av_block(sc, theta=None, end=None):
-    """The AV block of `sc` up to its last AV, as the descent builds it, from
-    a seeding lane at `theta` (by default the scenario's own gains) to step
-    `end` (by default the horizon's)."""
+    """The AV block of `sc` up to its last AV, as the descent builds it, its
+    runs to the head's end at `theta` (by default the scenario's own gains),
+    to step `end` (by default the horizon's)."""
     theta = (sc.controller.beta, sc.controller.gamma) if theta is None else theta
     return avblock.av_block(sc, *np.reshape(theta, (2, 1)), sc.av_indices[-1], end=end)[0]
 
@@ -222,13 +222,14 @@ class TestSimulateWithSensitivity:
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     @pytest.mark.parametrize("mpr", [0.1, 0.3, 0.5, 0.6, 1.0])
     def test_z_is_the_descents(self, mpr, integrator, mode):
-        # its AV block ends at the last follower, the descent's at the last
-        # AV; nothing behind an AV reaches its z, so the two agree bit for bit
+        # the descent's AV block ends at the last AV; one that ends at the
+        # last follower, as `grid`'s does, gives the same z bit for bit, as
+        # nothing behind an AV reaches it
         sc = make_short_scenario(mpr=mpr, integrator=integrator)
         _, z = simulate_with_sensitivity(sc, self.THETA, mode)
-        block, raw, _ = avblock.av_block(sc, *np.reshape(self.THETA, (2, 1)), sc.av_indices[-1])
-        assert block.scenario.n_followers < sc.n_followers or mpr == 1.0
-        descent = _descent_terms(block, self.THETA, mode, block.columns(raw))[2]
+        block = avblock.av_block(sc, *np.reshape(self.THETA, (2, 1)), sc.n_followers)[0]
+        assert block.first + block.av[-1] < sc.n_followers or mpr == 1.0
+        descent = _descent_terms(block, self.THETA, mode)[2]
         assert z.tobytes() == descent.tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -364,7 +365,114 @@ class TestSimulateWithSensitivity:
         assert len(failed.value.trace) == 0
 
 
+def seeded_block(sc, gains, last, end):
+    """The AV block's head, rows, leader table and prefix clamps from one
+    run of the platoon's followers 1..`last` with `gains` to step `end`
+    and one stage pass over its whole record."""
+    first = sc.av_indices[0] - 1
+    part = replace(sc, n_followers=last, t_f=end * sc.dt, metric_window=(0.0, end * sc.dt),
+                   init_spacing=sc.init_spacing and sc.init_spacing[:last])
+    mask = av_mask_for(sc.n_followers, sc.mpr)[:last]
+    raw = PlatoonEngine(part, *gains, av_mask=mask).run(record=("x", "v"))
+    x, v = (raw[name].reshape(end + 1, -1) for name in ("x", "v"))
+    lead = sc.lead.stage_speeds(sc.dt, sc.steps)
+    moved, clamps, later = [], 0, ([], [], [])
+    for _, _, stages, floored in PlatoonEngine(part, av_mask=mask[None]).stage_blocks(
+            lead, x, v[:, 1:]):
+        moved.append(floored[first:].any(axis=0))
+        for _, _, dv, _ in stages:
+            moved[-1] |= (dv[np.subtract(sc.av_indices, 1)] != 0).any(axis=0)
+        clamps += int(floored[:first].sum())
+        for out, (f, *_) in zip(later, stages[1:]):
+            out.append(f[first])
+    moved = np.concatenate(moved)
+    head = int(np.argmax(moved)) if moved.any() else end
+    if first:
+        lead = (v[:, first], *(np.concatenate(out) for out in later if out))
+    rows = {"t": raw["t"][: head + 1], "x": x[: head + 1, first:], "v": v[: head + 1, first:]}
+    return head, rows, lead, clamps
+
+
 class TestAvBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hv=st.sampled_from([IDM_1, IDM_2]),
+        # 0.1 and 0.2 leave an all-HV prefix (followers 1-4, and 1-2), the
+        # others none; 0.2 and 0.7 put HVs inside the block
+        mpr=st.sampled_from([0.1, 0.2, 0.5, 0.7, 1.0]),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        # a flat lead leaves every AV's dv at 0 (a head of the whole run);
+        # the stopping one floors speeds
+        lead=st.sampled_from([SHORT_LEAD, FLAT_LEAD, STOP_LEAD]),
+        theta=st.tuples(st.floats(0.0, 0.0642), st.floats(0.0, 2.0)),
+        lanes=st.booleans(),
+        to_last_av=st.booleans(),
+        end=st.none() | st.integers(1, 300),
+        # a follower that starts off its equilibrium spacing ends the head
+        # at once, by its dv if it is or leads an AV, and, close enough, by
+        # its clamped speed
+        perturbed=st.none() | st.tuples(st.integers(0, 9), st.sampled_from([0.01, 0.5, 2.0])),
+        # runs and stage passes of a few steps, of the default 128, or of
+        # the whole run
+        block=st.sampled_from([1, 7, 128, 1000]),
+    )
+    @example(hv=IDM_1, mpr=0.1, integrator="rk4", lead=FLAT_LEAD, theta=(0.05, 1.0),
+             lanes=False, to_last_av=True, end=None, perturbed=None, block=128)
+    @example(hv=IDM_2, mpr=0.5, integrator="euler", lead=STOP_LEAD, theta=(0.0642, 2.0),
+             lanes=True, to_last_av=False, end=150, perturbed=None, block=7)
+    @example(hv=IDM_1, mpr=0.1, integrator="rk4", lead=SHORT_LEAD, theta=(0.03, 0.5),
+             lanes=False, to_last_av=True, end=None, perturbed=(3, 0.5), block=128)
+    # behind a flat lead, follower 7 (behind the AV at 5) clamps at step 0
+    @example(hv=IDM_1, mpr=0.1, integrator="rk4", lead=FLAT_LEAD, theta=(0.03, 1.0),
+             lanes=True, to_last_av=False, end=None, perturbed=(6, 0.01), block=7)
+    def test_block_equals_the_one_a_whole_platoon_run_seeds(
+        self, hv, mpr, integrator, lead, theta, lanes, to_last_av, end, perturbed, block
+    ):
+        # `av_block` integrates the prefix and the block's head only; its
+        # head, rows, leader table and clamps are those of one run of the
+        # followers up to `last` and one stage pass over its record, bit
+        # for bit, and it fails only as that run does, before its head's end
+        spacing = None
+        if perturbed is not None:
+            follower, scale = perturbed
+            spacing = start_spacings(make_short_scenario(mpr=mpr, hv=hv), av_mask_for(10, mpr))
+            spacing = spacing.copy()
+            spacing[follower] *= scale
+            spacing = tuple(spacing.tolist())
+        sc = make_scenario(hv=hv, mpr=mpr, kind="ts-ops", beta=0.05, integrator=integrator,
+                           lead=lead, t_f=30.0, window=(0.0, 30.0), init_spacing=spacing)
+        last = sc.av_indices[-1] if to_last_av else sc.n_followers
+        gains = np.reshape(theta, (2, 1, 1) if lanes else (2, 1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                mock.patch.object(simulator, "_STAGE_BLOCK", block), \
+                mock.patch.object(avblock, "_STAGE_BLOCK", block):
+            try:
+                reference = seeded_block(sc, gains, last, end or sc.steps)
+            except NumericalBlowupError as err:
+                reference = err
+            try:
+                got = avblock.av_block(sc, *gains, last, end=end)
+            except NumericalBlowupError as err:
+                assert isinstance(reference, NumericalBlowupError)
+                assert (err.vehicle, err.time) == (reference.vehicle, reference.time)
+                return
+        block, raw, hits = got
+        if isinstance(reference, NumericalBlowupError):
+            # the platoon's run failed behind the prefix, past the head's end
+            assert reference.vehicle > block.first and reference.time > block.head * sc.dt
+            return
+        head, rows, lead_table, clamps = reference
+        assert block.head == head
+        if perturbed == (6, 0.01) and lead is FLAT_LEAD and mpr == 0.1 and not to_last_av:
+            assert head == 0 and block.run(*gains, 0, ("v",))[1].all()
+        assert block.first == sc.av_indices[0] - 1 and (raw is None) == (block.first == 0)
+        for name in ("t", "x", "v"):
+            assert block.rows[name].tobytes() == np.ascontiguousarray(rows[name]).tobytes()
+        assert len(block.lead) == len(lead_table)
+        for ours, theirs in zip(block.lead, lead_table):
+            assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+        assert int(np.sum(hits)) == clamps
+
     @settings(max_examples=25, deadline=None)
     @given(
         mpr=st.floats(0.1, 1.0),
@@ -516,9 +624,9 @@ class TestHead:
             with np.errstate(invalid="ignore"):
                 block = av_block(sc, thetas[0])
         except NumericalBlowupError:
-            # every run of this platoon fails: when the first AV is follower
-            # 1, the block's leader is the lead profile and a seeding lane of
-            # the first 15 s, which the head ends within, builds the block
+            # a run to the head's end fails: when the first AV is follower
+            # 1, the block's leader is the lead profile and runs of the first
+            # 15 s, which the head ends within, build the block
             assume(sc.av_indices[0] == 1)
             cut = 150
             block = av_block(sc, end=cut)
@@ -609,17 +717,18 @@ class TestHead:
         for follower, gap in gaps.items():
             spacing[follower - 1] = gap
         sc = replace(sc, init_spacing=tuple(spacing))
-        block, raw, hits = avblock.av_block(sc, 0.03, 1.0, sc.n_followers)
-        # a floored speed is 0 after its step
+        block, _, hits = avblock.av_block(sc, 0.03, 1.0, sc.n_followers)
+        # a floored speed is 0 after its step, here in the platoon's run
+        raw = PlatoonEngine(sc, beta=0.03).run(record=("v",))
         floored = (raw["v"][1:, block.first + 1 :] == 0).any(axis=1)
         assert block.head == step == np.argmax(floored)
         # each lane's clamps, resumed at the head's end, are those of its
-        # run from step 0
+        # run from step 0, all behind the prefix, which clamps none
         betas = np.array([[0.0], [0.03], [0.0642]])
         resumed = block.run(betas, np.ones((3, 1)), block.head, ("v",))[1]
         engine = PlatoonEngine(sc, beta=betas)
         engine.run(record=("v",))
-        assert hits > 0 and (engine.lane_floor_hits == resumed).all()
+        assert hits == 0 and resumed.all() and (engine.lane_floor_hits == resumed).all()
 
     def test_a_clamp_at_step_0_leaves_no_head(self, tmp_path, caplog):
         # scenario 1 under Euler at MPR 0.5, whose first AV is follower 1,
@@ -637,10 +746,11 @@ class TestHead:
         sc = build_scenario(cp)
         line = "speed floor at 0 m/s engaged {} times during the run".format
         with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
-            # the descent's seeding lane, at its first gains
-            block, _, hits = avblock.av_block(sc, 0.05, 1.0, sc.av_indices[-1])
-            assert (block.first, block.head, hits) == (0, 0, 86)
-            caplog.clear()
+            # the descent's block, at its first gains: no prefix lane, and the
+            # block's run to its head's end logs none of its clamps
+            block, raw, hits = avblock.av_block(sc, 0.05, 1.0, sc.av_indices[-1])
+            assert (block.first, block.head, raw, hits) == (0, 0, None, 0)
+            assert caplog.messages == []
             assert block.run(0.05, 1.0, block.head, ("x", "v"))[1] == 86
             assert caplog.messages == [line(86)]
             caplog.clear()
@@ -735,8 +845,8 @@ class TestClosedLoop:
         monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
-        # every run of this platoon blows up, so its block is built from a
-        # seeding lane of the first 15 s, which holds the gain-free head; the first
+        # every run of this platoon blows up, so its block is built from
+        # runs of the first 15 s, which hold the gain-free head; the first
         # AV is follower 1, so the block's leader is the lead profile itself
         block = av_block(sc, end=150)
         assert block.first == 0 and block.head < 150

@@ -613,9 +613,11 @@ class TestFloatLane:
         assert engine._floats and engine.floor_hits > 0
 
     def test_descent_at_mpr_01_steps_no_array_after_its_seeding_lane(self):
-        # every `AvBlock.run` of the default descent at MPR 0.1 is one AV
+        # every run of the default descent's AV block at MPR 0.1 is one AV
         # behind a tabulated leader, so every `advance` call after the
-        # seeding lane's steps a float lane, one per step of those runs
+        # seeding lane's, the all-HV prefix's, steps a float lane, one per
+        # step of those runs: the block's runs to its head's end, then one
+        # `AvBlock.run` per iteration
         sc = make_short_scenario(mpr=0.1)
         calls, runs, seeded = [], [], []
         advance, run, av_block = PlatoonEngine.advance, PlatoonEngine.run, optimizer.av_block
@@ -639,9 +641,12 @@ class TestFloatLane:
             _, trace = optimizer.optimize(sc, optimizer.OptimizerConfig(sc.beta_bound(), n_max=4))
         assert len(trace) == 4
         [(seed_calls, seed_runs)] = seeded
-        assert seed_calls and not any(calls[:seed_calls])
+        (prefix_floats, prefix_steps), *head_runs = runs[:seed_runs]
+        assert not prefix_floats and prefix_steps == sc.steps
+        assert not any(calls[:prefix_steps]) and all(calls[prefix_steps:seed_calls])
+        assert head_runs and all(floats for floats, _ in head_runs)
         block_runs = runs[seed_runs:]
-        assert len(block_runs) == 3 and all(floats for floats, _ in block_runs)
+        assert len(block_runs) == 4 and all(floats for floats, _ in block_runs)
         assert all(calls[seed_calls:])
         assert len(calls) - seed_calls == sum(steps for _, steps in block_runs)
 
@@ -1205,6 +1210,71 @@ class TestStep:
         with pytest.raises(NumericalBlowupError) as err:
             engine._check_finite(new, 0.1)
         assert (err.value.vehicle, err.value.lane) == (1, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        shape=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        complex_state=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_step_floors_and_fails_as_an_entrywise_check_does(
+        self, n, shape, complex_state, data
+    ):
+        # `advance` (its step drawn) then `_check_finite`, as the run loop
+        # calls them, on speeds that are NaN, +-inf, negative or so large
+        # that one reduction over them overflows, real and complex, in float
+        # and array lanes: the clamps, the clamped state and the failure
+        # are those of the entrywise rule each check states
+        sc = Scenario(n_followers=n, mpr=1.0 if n == 1 else 0.5, hv_model=IDM_1,
+                      av_model=OVRV_1, controller=ControllerConfig(kind="ts-ops", beta=0.05),
+                      t_f=1.0, metric_window=(0.0, 1.0))
+        dtype = complex if complex_state else float
+        engine = PlatoonEngine(sc, beta=np.full((*shape, 1), 0.05, dtype))
+        size = (2 * n + 1) * math.prod(shape)
+        special = [math.nan, math.inf, -math.inf, -0.5, -1e-300, 0.0, 1.7e308, -1.7e308]
+        value = st.one_of(st.floats(0.0, 30.0), st.sampled_from(special))
+        parts = [data.draw(st.lists(value, min_size=size, max_size=size)) for _ in range(2)]
+        y_new = np.zeros((2 * n + 1, *shape), dtype)
+        y_new.real = np.reshape(parts[0], y_new.shape)
+        if complex_state:
+            y_new.imag = np.reshape(parts[1], y_new.shape)
+        # the entrywise rules: a real part below 0 but -inf is clamped to 0
+        # and counted; the failure is the lowest vehicle of the first lane
+        # that holds a non-finite speed
+        v = y_new[n + 1 :]
+        floored = (v.real < 0) & (v.real != -math.inf)
+        expected = y_new.copy()
+        expected[n + 1 :][floored] = 0.0
+        finite = np.isfinite(expected[n + 1 :]).reshape(n, -1)
+        failure = None
+        if not finite.all():
+            lane = int(np.argmin(finite.all(axis=0)))
+            failure = int(np.argmin(finite[:, lane])) + 1, lane if shape else None
+
+        engine.step = lambda *args: tuple(y_new.tolist()) if engine._floats else y_new.copy()
+        assert engine._floats == (n == 1 and not shape and not complex_state)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = engine.advance(None, None, ())
+            try:
+                engine._check_finite(new, 0.1)
+                outcome = None
+            except NumericalBlowupError as err:
+                assert err.time == 0.1
+                outcome = err.vehicle, err.lane
+        assert np.array(new).tobytes() == expected.tobytes()
+        assert engine.lane_floor_hits.tobytes() == floored.sum(axis=0).tobytes()
+        assert outcome == failure
+
+    @pytest.mark.parametrize("complex_state", [False, True])
+    def test_finite_speeds_whose_sum_overflows_are_no_failure(self, complex_state):
+        # the one reduction overflows; the entrywise search finds nothing
+        dtype = complex if complex_state else float
+        engine = PlatoonEngine(one_av_scenario(), beta=np.full((3, 1), 0.05, dtype))
+        y = np.full((5, 3), 1.7e308, dtype)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(abs(y[3:].sum()))
+            engine._check_finite(y, 0.1)
 
     @settings(max_examples=100, deadline=None)
     @given(
