@@ -278,14 +278,13 @@ class Scenario:
 
 
 def start_spacings(scenario: Scenario, av_mask: np.ndarray) -> np.ndarray:
-    """Initial spacing of every follower, shaped like `av_mask`.
+    """Initial spacing of followers 1..`av_mask.shape[-1]`, shaped like the mask.
 
     `scenario.init_spacing` when given, else each follower's equilibrium
     spacing at the initial lead speed under its own model.
     """
     if scenario.init_spacing is not None:
-        spacing = np.asarray(scenario.init_spacing, dtype=float)
-        return np.broadcast_to(spacing, av_mask.shape)
+        return np.broadcast_to(scenario.init_spacing[: av_mask.shape[-1]], av_mask.shape)
     v0 = scenario.speeds_initial
     s_hv = equilibrium_spacing(scenario.hv_model, v0)
     s_av = equilibrium_spacing(scenario.av_model, v0)
@@ -366,7 +365,8 @@ class PlatoonEngine:
     `beta`, `gamma` and `av_mask` may be overridden with arrays that
     broadcast against the `(..., n)` follower axis, to give every follower
     its own gains or to integrate a whole family of runs at once (leading
-    batch axes; one gain per lane is shaped `(lanes, 1)`). Lanes are
+    batch axes; one gain per lane is shaped `(lanes, 1)`). The engine runs
+    the scenario's first n = `av_mask.shape[-1]` followers. Lanes are
     independent: each one equals its own unbatched run bit for bit. The AV
     law and the control input are evaluated at the AV entries (`_av_index`).
 
@@ -405,14 +405,16 @@ class PlatoonEngine:
         av_mask: np.ndarray | None = None,
     ):
         self.scenario = scenario
-        self.n = n = scenario.n_followers
         ctrl = scenario.controller
         self.kind = ctrl.kind
         self.kernel = get_kernel(ctrl.kernel)
 
         if av_mask is None:
-            av_mask = av_mask_for(self.n, scenario.mpr)
+            av_mask = av_mask_for(scenario.n_followers, scenario.mpr)
         self.av_mask = np.asarray(av_mask, dtype=bool)
+        self.n = n = self.av_mask.shape[-1]
+        if not 1 <= n <= scenario.n_followers:
+            raise DomainError(f"av_mask covers {n} of the platoon's {scenario.n_followers} followers")
 
         def _gain(value, default):
             # arrays broadcast as given against the (..., n) follower axis
@@ -654,26 +656,27 @@ class PlatoonEngine:
         lead: Sequence[np.ndarray] | None = None,
         initial: tuple[np.ndarray, np.ndarray] | None = None,
         start: int = 0,
+        end: int | None = None,
     ) -> dict | None:
-        """Integrate the scenario, recording the requested fields.
+        """Integrate steps `start`..`end`, recording the requested fields.
 
         Recorded arrays have a leading time axis; `x` and `v` include the
         leader column, `a`, `s`, `dv`, `u` cover the followers only. Without
-        `fold` the whole horizon is integrated and recorded. The loop
-        records `x`, `v` and `a`; `s`, `dv` and `u` are rebuilt from the
-        record of `x` and `v`, whose leader column is `rhs`'s `v_lead`,
-        after it or per fold block, by `rhs`'s own expressions, so with its
-        bits.
+        `fold` every step to `end` (by default the horizon's) is recorded,
+        clamped and checked as in a run to the horizon. The loop records
+        `x`, `v` and `a`; `s`, `dv` and `u` are rebuilt from the record of
+        `x` and `v`, whose leader column is `rhs`'s `v_lead`, after it or
+        per fold block, by `rhs`'s own expressions, so with its bits.
 
-        With `fold`, the run covers the scenario's metric window: only the
-        samples `window_slice` selects are kept, and the integration ends at
-        the window's last sample, so blow-ups and floor hits after t2 are
-        not seen. The samples go to a block buffer of at most
-        `_FOLD_VALUES` values (at least one sample), and
-        `fold(t_block, fields)` is called each time it fills and once more
-        with what is left at the end, possibly nothing; `fields` maps each
-        recorded name to a view of the buffer, valid only during the call.
-        Nothing is returned then.
+        With `fold`, the run covers the scenario's metric window, which
+        must end by step `end`: only the samples `window_slice` selects are
+        kept, and the integration ends at the window's last sample, so
+        blow-ups and floor hits after t2 are not seen. The samples go to a
+        block buffer of at most `_FOLD_VALUES` values (at least one
+        sample), and `fold(t_block, fields)` is called each time it fills
+        and once more with what is left at the end, possibly nothing;
+        `fields` maps each recorded name to a view of the buffer, valid
+        only during the call. Nothing is returned then.
 
         The leader follows `lead`, its four-stage speed table (stage 1 at
         every sample, then stages 2, 3 and 4 of every step; an Euler run
@@ -699,11 +702,12 @@ class PlatoonEngine:
         `lane_floor_hits` per lane themselves.
         """
         sc = self.scenario
-        dt = sc.dt
-        steps = sc.steps
-        t_grid = np.arange(steps + 1) * dt
+        end = sc.steps if end is None else end
+        if not start <= end <= sc.steps:
+            raise DomainError(f"run end {end} is outside steps {start}..{sc.steps}")
+        t_grid = np.arange(end + 1) * sc.dt
         if lead is None:
-            lead = sc.lead.stage_speeds(dt, steps)
+            lead = sc.lead.stage_speeds(sc.dt, end)
         lead_t = lead[0]
         # the leader's later stage speeds, one row per step, made as the
         # loop reaches them
@@ -729,8 +733,8 @@ class PlatoonEngine:
         widths = {name: self.n + (name in ("x", "v")) for name in stored + derived}
         # the samples kept, lo to hi, and the buffer's length in samples: a
         # folded run covers the metric window in bounded blocks, any other
-        # the rest of the horizon at once
-        lo, hi = start, steps + 1
+        # its steps at once
+        lo, hi = start, end + 1
         block = hi - lo
         if fold is not None:
             keep = window_slice(t_grid, sc.metric_window)
@@ -745,8 +749,8 @@ class PlatoonEngine:
         fields = [(views[name], *sources[name]) for name in stored]
         out = {name: bufs[name] for name in record}  # an unknown name fails here
 
-        def emit(end, rows):
-            # the buffer's first rows hold the samples up to `end`; s, dv and
+        def emit(stop, rows):
+            # the buffer's first rows hold the samples up to `stop`; s, dv and
             # u are rebuilt by `rhs`'s expressions, in blocks of rows
             for k0 in range(0, rows if derived else 0, _STAGE_BLOCK):
                 x, v = (views[name][k0 : min(k0 + _STAGE_BLOCK, rows)] for name in ("x", "v"))
@@ -760,7 +764,7 @@ class PlatoonEngine:
                 for name in derived:
                     views[name][k0 : k0 + len(x)] = parts[name]
             if fold is not None:
-                fold(t_grid[end - rows : end], {name: buf[:rows] for name, buf in out.items()})
+                fold(t_grid[stop - rows : stop], {name: buf[:rows] for name, buf in out.items()})
 
         def record_sample(k, parts):
             j = (k - lo) % block

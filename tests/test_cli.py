@@ -1136,7 +1136,7 @@ class TestGrid:
         assert "beta=0.05 gamma=1: speed floor engaged" in err
         sc = build_scenario(short_config(*overrides[len(SHORT_SETS):]))
         assert sc.av_indices == (5,)
-        prefix = simulator.PlatoonEngine(replace(sc, n_followers=4), av_mask=np.zeros(4, bool))
+        prefix = simulator.PlatoonEngine(sc, av_mask=np.zeros(4, bool))
         prefix.run(record=("v",))
         assert prefix.floor_hits > 0
 

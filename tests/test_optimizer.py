@@ -308,7 +308,7 @@ class TestSimulateWithSensitivity:
         if mode == "closed-loop":
             # complex lanes with 0 on the HVs; the HVs behind an AV still
             # respond to the gains through the loop, so only their gains are 0
-            gains = np.zeros((2, 2, block.scenario.n_followers), dtype=complex)
+            gains = np.zeros((2, 2, block.av_mask.size), dtype=complex)
             gains[..., np.subtract(block.av, 1)] = complex_gains((0.05, 1.0))
             v_c = PlatoonEngine(
                 block.scenario, beta=gains[0], gamma=gains[1], av_mask=block.av_mask
@@ -370,14 +370,12 @@ def seeded_block(sc, gains, last, end):
     run of the platoon's followers 1..`last` with `gains` to step `end`
     and one stage pass over its whole record."""
     first = sc.av_indices[0] - 1
-    part = replace(sc, n_followers=last, t_f=end * sc.dt, metric_window=(0.0, end * sc.dt),
-                   init_spacing=sc.init_spacing and sc.init_spacing[:last])
     mask = av_mask_for(sc.n_followers, sc.mpr)[:last]
-    raw = PlatoonEngine(part, *gains, av_mask=mask).run(record=("x", "v"))
+    raw = PlatoonEngine(sc, *gains, av_mask=mask).run(record=("x", "v"), end=end)
     x, v = (raw[name].reshape(end + 1, -1) for name in ("x", "v"))
     lead = sc.lead.stage_speeds(sc.dt, sc.steps)
     moved, clamps, later = [], 0, ([], [], [])
-    for _, _, stages, floored in PlatoonEngine(part, av_mask=mask[None]).stage_blocks(
+    for _, _, stages, floored in PlatoonEngine(sc, av_mask=mask[None]).stage_blocks(
             lead, x, v[:, 1:]):
         moved.append(floored[first:].any(axis=0))
         for _, _, dv, _ in stages:
@@ -472,6 +470,25 @@ class TestAvBlock:
         for ours, theirs in zip(block.lead, lead_table):
             assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
         assert int(np.sum(hits)) == clamps
+
+    def test_builds_no_scenario(self, monkeypatch):
+        # every engine of `av_block` runs the platoon's own scenario: mask
+        # slices choose its followers and `end` each run's last step. Both
+        # callers' calls, behind a prefix (followers 1-4) and spacings off
+        # the equilibrium: `tune`'s to the last AV and the horizon, and
+        # `grid`'s of every follower to the window's end (step 400 of 500)
+        sc = make_short_scenario(mpr=0.1, init_spacing=tuple(30.0 + i for i in range(10)))
+        built = []
+        post_init = simulator.Scenario.__post_init__
+        monkeypatch.setattr(simulator.Scenario, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        tune = np.array([0.03]), np.array([0.5]), sc.av_indices[-1]
+        grid = np.array([[0.03]]), np.array([[0.5]]), sc.n_followers, ("x", "v", "a"), 400
+        for args, end in ((tune, sc.steps), (grid, 400)):
+            block, raw, _ = avblock.av_block(sc, *args)
+            assert block.scenario is sc and block.first == 4
+            assert len(raw["t"]) == len(block.lead[0]) == end + 1
+        assert built == []
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -190,11 +190,8 @@ class TestEngine:
                 full_log = caplog.text
                 hits = 0
                 if start:
-                    t_start = start * sc.dt
-                    early = PlatoonEngine(
-                        replace(sc, t_f=t_start, metric_window=(0.0, t_start)), av_mask=mask
-                    )
-                    early.run(record=())
+                    early = PlatoonEngine(sc, av_mask=mask)
+                    early.run(record=(), end=start)
                     hits = early.lane_floor_hits
                 engine = PlatoonEngine(sc, av_mask=mask)
                 caplog.clear()
@@ -226,7 +223,7 @@ class TestEngine:
                            t_f=25.0, window=(0.0, 25.0))
         errors = []
         with np.errstate(invalid="ignore"):
-            early = PlatoonEngine(replace(sc, t_f=12.0, metric_window=(0.0, 12.0))).run()
+            early = PlatoonEngine(sc).run(end=120)
             for start in (0, 120):
                 with pytest.raises(NumericalBlowupError) as err:
                     PlatoonEngine(sc).run(
@@ -235,6 +232,99 @@ class TestEngine:
                 errors.append((err.value.vehicle, err.value.time, err.value.lane))
         assert errors[0] == errors[1]
         assert errors[0][:2] == (2, pytest.approx(19.4, abs=1e-9))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        hv=st.sampled_from([IDM_1, IDM_2]),
+        # one lane, or two lanes of their own masks
+        mprs=st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0, (0.1, 0.7)]),
+        m=st.integers(1, 10),
+        end=st.integers(0, 250),
+        integrator=st.sampled_from(["rk4", "euler"]),
+        lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
+        spacing=st.none() | st.lists(st.floats(20.0, 60.0), min_size=10, max_size=10).map(tuple),
+        # scenario 2's IDM under the unclamped law fails behind the stopping lead
+        unclamped=st.booleans(),
+    )
+    # a blow-up of follower 2 at step 194: seen by followers 1..3 to step
+    # 200, and by neither follower 1 nor the steps to 150
+    @example(hv=IDM_2, mprs=0.5, m=3, end=200, integrator="rk4", lead=STOP_LEAD, spacing=None,
+             unclamped=True)
+    @example(hv=IDM_2, mprs=0.5, m=1, end=150, integrator="rk4", lead=STOP_LEAD, spacing=None,
+             unclamped=True)
+    def test_mask_slice_and_end_cut_the_platoons_run(
+        self, hv, mprs, m, end, integrator, lead, spacing, unclamped
+    ):
+        # followers 1..m depend on no follower behind them, and steps 0..e
+        # on no later step: an engine of the mask slice mask[:m], run to
+        # step e, records those columns and rows of the whole platoon's run
+        # to the horizon bit for bit, counts their clamps (the floor mask of
+        # a stage pass over the whole run) and fails at their first
+        # non-finite speed, vehicle, time and lane
+        sc = make_scenario(hv=hv, mpr=mprs if np.ndim(mprs) == 0 else 0.5, kind="ts-ops",
+                           beta=0.05, lead=lead, t_f=25.0, window=(0.0, 25.0),
+                           integrator=integrator, init_spacing=spacing)
+        mask = av_mask_for(10, mprs)
+
+        def outcome(engine, **kw):
+            try:
+                return engine.run(**kw), None
+            except NumericalBlowupError as err:
+                return None, (err.vehicle, err.time, err.lane)
+
+        law = unclamped_idm if unclamped else idm_accel_arrays
+        # spacings of 20 m behind the stopping lead close to 0: overflows
+        with mock.patch.object(simulator, "idm_accel_arrays", law), np.errstate(all="ignore"):
+            whole = PlatoonEngine(sc, av_mask=mask)
+            full, failure = outcome(whole)
+            if failure is None:
+                # (vehicle, step, lane): the speeds each step floors, from
+                # one stage pass per lane
+                table = sc.lead.stage_speeds(sc.dt, sc.steps)
+                lanes = mask.reshape(-1, 10)
+                x, v = (full[name].reshape(sc.steps + 1, len(lanes), 11) for name in ("x", "v"))
+                floored = np.stack([np.concatenate([f for *_, f in PlatoonEngine(
+                    sc, av_mask=row[None]).stage_blocks(table, x[:, i], v[:, i, 1:])], axis=1)
+                    for i, row in enumerate(lanes)], axis=-1)
+                hits = floored.sum(axis=(0, 1)).reshape(whole.lane_floor_hits.shape)
+                assert hits.tobytes() == whole.lane_floor_hits.tobytes()
+            for width, e in ((m, None), (10, end), (m, end)):
+                engine = PlatoonEngine(sc, av_mask=mask[..., :width])
+                raw, error = outcome(engine, end=e)
+                last = sc.steps if e is None else e
+                if failure is None:
+                    assert error is None
+                    assert set(raw) == set(full)
+                    for name, arr in raw.items():
+                        ref = full[name][: last + 1]
+                        if name != "t":  # x and v hold the leader's column too
+                            ref = ref[..., : width + (name in ("x", "v"))]
+                        assert arr.tobytes() == ref.tobytes(), name
+                    hits = floored[:width, :last].sum(axis=(0, 1)).reshape(np.shape(hits))
+                    assert engine.lane_floor_hits.tobytes() == hits.tobytes()
+                    continue
+                vehicle, time = failure[:2]
+                if round(time / sc.dt) > last:
+                    assert error is None
+                elif vehicle <= width:
+                    assert error == failure
+                else:
+                    # followers 1..width stay finite until then at least
+                    assert error is None or error[1] >= time
+
+    def test_a_mask_wider_than_the_platoon_is_a_domain_error(self):
+        sc = make_short_scenario()
+        with pytest.raises(DomainError, match="av_mask covers 11 of the platoon's 10 followers"):
+            PlatoonEngine(sc, av_mask=np.zeros(11, bool))
+        with pytest.raises(DomainError, match="covers 12 of the platoon's 10"):
+            PlatoonEngine(sc, av_mask=av_mask_for(12, [0.1, 0.5]))
+
+    @pytest.mark.parametrize("start, end", [(0, 501), (5, 4), (0, -1)])
+    def test_a_run_end_outside_start_and_horizon_is_a_domain_error(self, start, end):
+        engine = PlatoonEngine(make_short_scenario())  # 500 steps
+        x, v = engine.initial_arrays()
+        with pytest.raises(DomainError, match=rf"run end {end} is outside steps {start}\.\.500"):
+            engine.run(initial=(x, v), start=start, end=end)
 
     @settings(max_examples=20, deadline=None)
     @given(
