@@ -49,10 +49,11 @@ class AvBlock:
 
     def run(self, beta, gamma, start: int, record, fold=None, end=None):
         """`PlatoonEngine.run` of the block with these gains over steps
-        `start`..`end`, `start` at most the head's end; errors number
-        platoon vehicles. Returns the record of `record`, led by the rows
-        before `start` broadcast over the run's lanes (None with `fold`),
-        and each lane's clamps, which no step before the head's end adds.
+        `start`..`end` (by default `lead`'s last), `start` at most the
+        head's end; errors number platoon vehicles. Returns the record of
+        `record`, led by the rows before `start` broadcast over the run's
+        lanes (None with `fold`), and the engine that ran it, whose
+        `lane_floor_hits` no step before the head's end adds to.
         """
         engine = PlatoonEngine(self.scenario, beta=beta, gamma=gamma, av_mask=self.av_mask)
         initial = self.rows["x"][start], self.rows["v"][start, 1:]
@@ -65,7 +66,7 @@ class AvBlock:
             # the run's lane axes sit between the time and vehicle axes
             rows = np.expand_dims(rows, tuple(range(1, arr.ndim - rows.ndim + 1)))
             raw[name] = np.concatenate([np.broadcast_to(rows, (start, *arr.shape[1:])), arr])
-        return raw, engine.lane_floor_hits
+        return raw, engine
 
 
 def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=None):
@@ -74,63 +75,61 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     the block, the prefix lane's record of `record` (with `x` and `v`; None
     when the first AV is follower 1, and there is no prefix) and its clamps.
 
-    Every engine runs `scenario`, its followers chosen by a mask slice.
-    The prefix, `mask[:first]`, runs as an all-HV lane to `end`; under RK4
-    one step-batched `stage_blocks` pass over its record gives its last
-    follower's speeds at stages 2, 3 and 4, the block leader's table. The
-    block, `mask[first:last]`, runs behind it with the gains `beta` and
-    `gamma`, `_STAGE_BLOCK` steps per `run`, each resumed where the last
-    ended and stage-passed, until the head ends: at the first step where
-    any AV has a nonzero dv at any stage, by exact comparison (a dv of 0
-    leaves u at 0 for every gain pair), or where a speed of the block is
-    floored, so a run resumed there counts every clamp. Those runs log no
-    clamps (past the head they are the gains'). The start, `mask[:last]`'s,
-    adds the spacings in order (`cumsum`), as the platoon's does, so its
-    positions are the platoon's bit for bit.
+    Every engine runs `scenario`, its followers chosen by a mask slice,
+    behind a table that ends at `end`. The prefix, `mask[:first]`, runs as
+    an all-HV lane; under RK4 its engine's `stage_blocks` pass over its
+    record gives its last follower's speeds at stages 2, 3 and 4, the
+    block leader's table. The block, `mask[first:last]`, runs behind it
+    with the gains `beta` and `gamma`, `_STAGE_BLOCK` steps per `run`, each
+    resumed where the last ended and stage-passed by its engine, until the
+    head ends: at the first step where any AV has a nonzero dv at any
+    stage, by exact comparison (a dv of 0 leaves u at 0 for every gain
+    pair), or where a speed of the block is floored, so a run resumed there
+    counts every clamp. Those runs log no clamps (past the head they are
+    the gains'). The start, `mask[:last]`'s, adds the spacings in order
+    (`cumsum`), as the platoon's does, so its positions are the platoon's
+    bit for bit.
     """
     av = scenario.av_indices
     first = av[0] - 1
     steps = scenario.steps if end is None else end
     mask = av_mask_for(scenario.n_followers, scenario.mpr)
     x, v = PlatoonEngine(scenario, av_mask=mask[:last]).initial_arrays()
-    lead = scenario.lead.stage_speeds(scenario.dt, scenario.steps)
+    lead = scenario.lead.stage_speeds(scenario.dt, steps)
     raw, hits = None, 0
     if first:
         engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=mask[:first])
         try:
-            raw = engine.run(record=record, end=end)
+            raw = engine.run(record=record, lead=lead)
         except NumericalBlowupError:
             # the prefix fails every run, the platoon's maybe earlier behind it
-            PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=mask[:last]).run((), end=end)
+            PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=mask[:last]).run((), lead=lead)
             raise
         hits = engine.lane_floor_hits
         # the prefix lane is one lane, batched or not
-        xp, vp = (raw[name].reshape(steps + 1, -1) for name in ("x", "v"))
+        one = {name: raw[name].reshape(steps + 1, -1) for name in ("x", "v")}
         later = [np.empty(steps) for _ in range(3)] if scenario.integrator == "rk4" else []
-        stage = PlatoonEngine(scenario, av_mask=mask[None, :first])
-        for k0, k1, stages, _ in stage.stage_blocks(lead, xp, vp[:, 1:]) if later else ():
+        stage = PlatoonEngine(scenario, av_mask=mask[:first])
+        for k0, k1, stages, _ in stage.stage_blocks(lead, one) if later else ():
             # the x rows of the later stages' rates are the speeds there
             for out, (f, *_) in zip(later, stages[1:]):
                 out[k0:k1] = f[first]
-        lead = (vp[:, first].copy(), *later)
+        lead = (one["v"][:, first].copy(), *later)
 
     # step 0's row; each run's record holds the rows to its end
     rows = {"t": np.zeros(1), "x": x[None, first:], "v": np.append(lead[0][0], v[first:])[None]}
     block = AvBlock(scenario, first, tuple(i - first for i in av), lead, mask[first:last],
                     steps, rows)
-    # the step index is the stage engine's batch axis; the runs take one
-    # unbatched lane of the gains, so their records are the block's rows
-    stage = PlatoonEngine(scenario, av_mask=mask[None, first:last])
+    # one unbatched lane of the gains: the runs' records are the block's rows
     pair = np.ravel(beta)[:1], np.ravel(gamma)[:1]
     quiet, logger.disabled = logger.disabled, True
     try:
         for k in range(0, steps, _STAGE_BLOCK):
-            block.rows = block.run(*pair, k, ("x", "v"), end=min(k + _STAGE_BLOCK, steps))[0]
-            x, v = block.rows["x"], block.rows["v"][:, 1:]
+            block.rows, engine = block.run(*pair, k, ("x", "v"), end=min(k + _STAGE_BLOCK, steps))
             # the run's steps that floor a speed or give an AV a dv, at any stage
             moved = np.concatenate([floored.any(axis=0) | np.any(
                 [dv[np.subtract(block.av, 1)] != 0 for _, _, dv, _ in stages], axis=(0, 1))
-                for _, _, stages, floored in stage.stage_blocks(lead, x, v, k)])
+                for _, _, stages, floored in engine.stage_blocks(lead, block.rows, k)])
             if moved.any():
                 block.head = k + int(np.argmax(moved))
                 break

@@ -333,12 +333,12 @@ def _grid_sums(scenario, coeffs, betas, gammas):
         prefix(raw["t"][rows], {name: raw[name][rows] for name in ("v", "a")})
     del raw  # the block's run holds the most memory; free the record first
     sums = WindowSums(scenario, coeffs)
-    hits = block.run(betas, gammas, min(block.head, keep.start), ("v", "a"), sums)[1]
+    engine = block.run(betas, gammas, min(block.head, keep.start), ("v", "a"), sums)[1]
     if first:
         sums.sums = np.concatenate([np.broadcast_to(prefix.sums, (2, len(betas), first)),
                                     sums.sums], axis=-1)
         sums.saturated += prefix.saturated
-    return sums, seed_hits + hits
+    return sums, seed_hits + engine.lane_floor_hits
 
 
 def cmd_grid(args) -> int:

@@ -194,36 +194,32 @@ def _tunable(scenario: Scenario) -> tuple[int, ...]:
     return av
 
 
-def _sensitivities(block: AvBlock, theta, raw: dict) -> np.ndarray:
+def _sensitivities(block: AvBlock, engine: PlatoonEngine, raw: dict) -> np.ndarray:
     """The exogenous AV gain sensitivities z = dv/d(beta, gamma) of a run.
 
-    `theta` is the (beta, gamma) pair every AV shares and `raw` a run's
-    record of the AV block's `x` and `v` over the whole horizon. z is
-    exactly 0 through the block's head; from its end, each block of
-    `PlatoonEngine.stage_blocks` steps rebuilds its states' stages in one
-    engine whose batch axis is the step index, then advances each AV's
-    zeta = z_beta + i*z_gamma step by step as one Python complex (cheaper
-    than arrays for so few entries): the RK4 of the linear rate
-    d*zeta + phi written out with `rk4_step`'s operations in its order,
-    which give both parts the bits of two real recurrences. Returns z with
-    shape (n_samples, n_av, 2), a view of the complex series, z(0) = 0; a
-    non-finite z raises NumericalBlowupError naming the lowest AV whose row
-    failed at the first such step.
+    `raw` is a record of the AV block's `x` and `v` from step 0, `engine`
+    the block's engine that ran it (`AvBlock.run`), whose gains are the
+    (beta, gamma) pair every AV shares. z is exactly 0 through the block's
+    head; from its end, each block of `PlatoonEngine.stage_blocks` steps
+    rebuilds its states' stages in one engine whose batch axis is the step
+    index, then advances each AV's zeta = z_beta + i*z_gamma step by step
+    as one Python complex (cheaper than arrays for so few entries): the
+    RK4 of the linear rate d*zeta + phi written out with `rk4_step`'s
+    operations in its order, which give both parts the bits of two real
+    recurrences. Returns z with shape (n_samples, n_av, 2), a view of the
+    complex series, z(0) = 0; a non-finite z raises NumericalBlowupError
+    naming the lowest AV whose row failed at the first such step.
     """
     scenario = block.scenario
     av = np.subtract(block.av, 1)
     rk4 = scenario.integrator == "rk4"
     half, full, sixth, two = step_coefficients(scenario.dt)
-    beta, gamma = np.reshape(theta, (2, 1))
     kernel = get_kernel(scenario.controller.kernel)
-    engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=block.av_mask[None])
-    z_series = np.zeros((scenario.steps + 1, len(av)), complex)
-
-    blocks = engine.stage_blocks(block.lead, raw["x"], raw["v"][:, 1:], block.head)
-    for k0, k1, stages, floored in blocks:
+    z_series = np.zeros((len(raw["t"]), len(av)), complex)
+    for k0, k1, stages, floored in engine.stage_blocks(block.lead, raw, block.head):
         # (stage, AV, step) spacings and relative speeds, rates and forcings
         s, dv = (np.stack([stage[i][av] for stage in stages]) for i in (1, 2))
-        d, phi = _z_terms(s, dv, beta, gamma, kernel, scenario.av_model)
+        d, phi = _z_terms(s, dv, engine.beta, engine.gamma, kernel, scenario.av_model)
         z_block = z_series[k0 + 1 : k1 + 1]
         for col, clamped in enumerate(floored[av].tolist()):
             z, out = z_series[k0, col].item(), []
@@ -296,7 +292,7 @@ def replayed_objective(
     """
     k = get_kernel(scenario.controller.kernel)
     t = traj.t
-    s_sig = traj.s[:, av_index]
+    s_sig = traj.s[:, av_index - 1]
     vp_sig = traj.v[:, av_index - 1]
     s_mid = 0.5 * (s_sig[:-1] + s_sig[1:])
     vp_mid = 0.5 * (vp_sig[:-1] + vp_sig[1:])
@@ -336,7 +332,7 @@ def _descent_terms(block: AvBlock, theta, mode: str):
     """
     # 1-element arrays, not floats: NumPy multiplies them faster
     gains = np.reshape(theta, (2, 1))
-    raw = block.run(*gains, block.head, ("x", "v"))[0]
+    raw, engine = block.run(*gains, block.head, ("x", "v"))
     t, v = raw["t"], raw["v"]
     j_val = _objective(t, v, block.av)
     if mode == "closed-loop":
@@ -345,7 +341,7 @@ def _descent_terms(block: AvBlock, theta, mode: str):
         v_c = block.run(*lanes, block.head, ("v",))[0]["v"]
         z_series = v_c[..., list(block.av)].imag.swapaxes(1, 2) / _H
         return j_val, _objective(t, v_c, block.av).imag / _H, z_series
-    z_series = _sensitivities(block, theta, raw)
+    z_series = _sensitivities(block, engine, raw)
     lam = np.stack(
         [_direction(t, v, z_series[:, row], i) for row, i in enumerate(block.av)]
     ).sum(axis=0)

@@ -293,11 +293,11 @@ def start_spacings(scenario: Scenario, av_mask: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed record of a platoon run.
+    """Time-indexed record of a platoon run, as `PlatoonEngine.run` records it.
 
-    All arrays have shape (n_samples, n_vehicles) with the leader in column
-    0; spacing and relative speed are NaN for the leader, control input is 0
-    for every uncontrolled vehicle.
+    `x`, `v` and `a` have shape (n_samples, n_vehicles), the leader in
+    column 0; `s`, `dv` and `u` cover the followers only, (n_samples,
+    n_followers). `u` is 0 for every uncontrolled follower.
     """
 
     t: np.ndarray
@@ -377,7 +377,7 @@ class PlatoonEngine:
     vehicles last: `__init__` moves the follower axis of the gains, the mask
     and `front_lengths` to the front once; `run` takes `initial` and returns
     or folds C-contiguous `(time, *batch, vehicle)` records; `stage_blocks`
-    copies each block of a record into the engine's layout.
+    copies each block of its run's record into a step-batched engine's layout.
 
     The engine knows nothing of gain sensitivities, but complex gains make
     the state, `rhs`'s derivative and the record complex, so a gain stepped
@@ -628,26 +628,33 @@ class PlatoonEngine:
         at = [(w.x, w.v, w) for w in sets]
         return SimpleNamespace(y=tuple(states), ys=ys, at=at[:2], stage=at[2])
 
-    def stage_blocks(self, lead, x, v, start: int = 0):
-        """Rebuild a recorded run's steps from `start` in blocks of `_STAGE_BLOCK`.
+    def stage_blocks(self, lead, raw, start: int = 0):
+        """Rebuild this engine's run's steps from `start` in blocks of `_STAGE_BLOCK`.
 
-        `x` and `v` are the record's states (`v` without the leader column),
-        `lead` the leader's four-stage table; this engine takes the step
-        index as its first batch axis, any lanes after it, behind the
-        vehicle axis. Yields each block's first and end step, the list of
-        `rhs`'s tuples at its steps' RK4 stages (stage 1 alone under Euler)
-        and each step's floor mask (`floored`), all in the engine's layout,
-        from one copy of the block's states in it.
+        `raw` is the run's record as `run` returns it (`x` and `v` with the
+        leader column), `lead` the leader's four-stage table. An engine of
+        this one's gains and AV mask, which its lanes must share (a
+        DomainError otherwise), takes the step index as its first batch
+        axis, any lanes after it, behind the vehicle axis. Yields each
+        block's first and end step, the list of `rhs`'s tuples at its steps'
+        RK4 stages (stage 1 alone under Euler) and each step's floor mask
+        (`floored`), all in that engine's layout, from one copy of the
+        block's states in it.
         """
+        mask = self.av_mask.reshape(-1, self.n)
+        if not (mask == mask[:1]).all():
+            raise DomainError(f"stage_blocks needs one av_mask for all lanes, got {mask.tolist()}")
+        engine = PlatoonEngine(self.scenario, self.beta[None], self.gamma[None], mask[:1])
+        x, v = raw["x"], raw["v"][..., 1:]
         end = len(x) - 1
         # the leader's speeds, one per step, against any lane axis
         shape = (-1,) + (1,) * (x.ndim - 2)
         for k0 in range(start, end, _STAGE_BLOCK):
             k1 = min(k0 + _STAGE_BLOCK, end)
             y = np.concatenate([np.moveaxis(arr[k0:k1], -1, 0) for arr in (x, v)])
-            stages = [self.rhs(lead[0][k0:k1].reshape(shape), y[self._x], y[self._v])]
+            stages = [engine.rhs(lead[0][k0:k1].reshape(shape), y[self._x], y[self._v])]
             lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
-            yield k0, k1, stages, self.floored(self.step(y, stages[0][0], lead_later, stages))
+            yield k0, k1, stages, engine.floored(engine.step(y, stages[0][0], lead_later, stages))
 
     def run(
         self,
@@ -662,11 +669,12 @@ class PlatoonEngine:
 
         Recorded arrays have a leading time axis; `x` and `v` include the
         leader column, `a`, `s`, `dv`, `u` cover the followers only. Without
-        `fold` every step to `end` (by default the horizon's) is recorded,
-        clamped and checked as in a run to the horizon. The loop records
-        `x`, `v` and `a`; `s`, `dv` and `u` are rebuilt from the record of
-        `x` and `v`, whose leader column is `rhs`'s `v_lead`, after it or
-        per fold block, by `rhs`'s own expressions, so with its bits.
+        `fold` every step to `end` (by default `lead`'s last, or the
+        horizon's) is recorded, clamped and checked as in a run to the
+        horizon. The loop records `x`, `v` and `a`; `s`, `dv` and `u` are
+        rebuilt from the record of `x` and `v`, whose leader column is
+        `rhs`'s `v_lead`, after it or per fold block, by `rhs`'s own
+        expressions, so with its bits.
 
         With `fold`, the run covers the scenario's metric window, which
         must end by step `end`: only the samples `window_slice` selects are
@@ -702,10 +710,11 @@ class PlatoonEngine:
         `lane_floor_hits` per lane themselves.
         """
         sc = self.scenario
-        end = sc.steps if end is None else end
+        if end is None:
+            end = sc.steps if lead is None else len(lead[0]) - 1
         if not start <= end <= sc.steps:
             raise DomainError(f"run end {end} is outside steps {start}..{sc.steps}")
-        t_grid = np.arange(end + 1) * sc.dt
+        t_grid = np.arange(sc.steps + 1) * sc.dt
         if lead is None:
             lead = sc.lead.stage_speeds(sc.dt, end)
         lead_t = lead[0]
@@ -738,6 +747,8 @@ class PlatoonEngine:
         block = hi - lo
         if fold is not None:
             keep = window_slice(t_grid, sc.metric_window)
+            if keep.stop > hi:
+                raise DomainError(f"metric window {sc.metric_window} ends after run end {end}")
             lo, hi = max(keep.start, start), max(keep.stop, start)
             block = max(1, _FOLD_VALUES // (math.prod(self.batch_shape) * sum(widths.values())))
         last = hi - 1  # the last sample the run reaches
@@ -789,19 +800,14 @@ class PlatoonEngine:
             emit(hi, (hi - lo) % block)
             return None
         emit(hi, hi - lo)
-        return {"t": t_grid[lo:], **out}
+        return {"t": t_grid[lo:hi], **out}
 
 
 def assemble_trajectory(scenario: Scenario, raw: dict) -> Trajectory:
     """Build a Trajectory from raw engine output of a single (unbatched) run."""
     t = raw["t"]
-    shape = (len(t), scenario.n_followers + 1)
-    a = np.empty(shape)
-    a[:, 0] = scenario.lead.slope(t)
-    s, dv, u = np.full(shape, np.nan), np.full(shape, np.nan), np.zeros(shape)
-    for arr, name in ((a, "a"), (s, "s"), (dv, "dv"), (u, "u")):
-        arr[:, 1:] = raw[name]
-    return Trajectory(t, raw["x"], raw["v"], a, s, dv, u, scenario.kinds)
+    a = np.column_stack([scenario.lead.slope(t), raw["a"]])
+    return Trajectory(t, raw["x"], raw["v"], a, raw["s"], raw["dv"], raw["u"], scenario.kinds)
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -811,9 +817,9 @@ def simulate(scenario: Scenario) -> Trajectory:
 
 def check_safety(traj: Trajectory, min_safe: float) -> list[SafetyViolation]:
     """Every (vehicle, time) sample whose spacing is below the safe minimum."""
-    rows, cols = np.nonzero(traj.s[:, 1:] < min_safe)
+    rows, cols = np.nonzero(traj.s < min_safe)
     return [
-        SafetyViolation(vehicle=i + 1, time=float(traj.t[k]), spacing=float(traj.s[k, i + 1]))
+        SafetyViolation(vehicle=i + 1, time=float(traj.t[k]), spacing=float(traj.s[k, i]))
         for k, i in zip(rows.tolist(), cols.tolist())
     ]
 
@@ -821,21 +827,19 @@ def check_safety(traj: Trajectory, min_safe: float) -> list[SafetyViolation]:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one row per (time, vehicle) with fixed 6-decimal formatting.
 
-    Rows end in csv's "\\r\\n". Each row is one %-format over its values
-    (t, x, v, a, s, dv, u), with the vehicle index and kind fixed in that
-    vehicle's format string.
+    Rows end in csv's "\\r\\n". A time sample's rows are one %-format over
+    the leader's (t, x, v, a), its s, dv and u fixed as `nan,nan,0.000000`,
+    and each follower's (t, x, v, a, s, dv, u), every index and kind fixed.
     """
     block = 32  # time samples formatted per write; keeps the row lists small
-    fmts = [
-        f"%.6f,{i},{kind}" + ",%.6f" * 6 + "\r\n"
-        for i, kind in enumerate(traj.kinds)
-    ]
-    t_col = np.broadcast_to(traj.t[:, None], traj.x.shape)
-    cols = (t_col, traj.x, traj.v, traj.a, traj.s, traj.dv, traj.u)
+    fmt = "%.6f,0,lead" + ",%.6f" * 3 + ",nan,nan,0.000000\r\n" + "".join(
+        f"%.6f,{i},{kind}" + ",%.6f" * 6 + "\r\n" for i, kind in enumerate(traj.kinds[1:], 1))
+    t_col = np.broadcast_to(traj.t[:, None], traj.s.shape)
+    cols = (t_col, traj.x[:, 1:], traj.v[:, 1:], traj.a[:, 1:], traj.s, traj.dv, traj.u)
     with open(path, "w", newline="") as fh:
         fh.write("t,vehicle,kind,x,v,a,s,dv,u\r\n")
         for k0 in range(0, len(traj.t), block):
-            rows = np.stack([c[k0 : k0 + block] for c in cols], axis=-1).tolist()
-            fh.write(
-                "".join(fmt % tuple(r) for row in rows for fmt, r in zip(fmts, row))
-            )
+            k = slice(k0, k0 + block)
+            lead = np.stack([traj.t[k], traj.x[k, 0], traj.v[k, 0], traj.a[k, 0]], axis=-1)
+            rest = np.stack([c[k] for c in cols], axis=-1).reshape(len(lead), -1)
+            fh.write("".join(fmt % tuple(r) for r in np.hstack([lead, rest]).tolist()))

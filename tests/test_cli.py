@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -541,6 +542,25 @@ class TestOutputBytes:
             "", "numerical failure: non-finite state for vehicle 2 at t=1.500 s\n")
 
 
+    # scenario 1 at MPR 0.7 under ts-trc, whose AV rows are positions, not a
+    # slice; scenario 2 at MPR 0.3; scenario 2 at full penetration behind a
+    # lead that stops, whose spacings fall below the safe minimum
+    @pytest.mark.parametrize("preset, sets, violations, digest", [
+        ("scenario1", ["scenario.mpr=0.7", "controller.kind=ts-trc"], 0,
+         "d0e599154a03a77c4b418838a7c7ffe8f89c23e43666b2fe4c000f99e8263531"),
+        ("scenario2", ["scenario.mpr=0.3"], 0,
+         "11b35462ea83e0ff714af6556ef7874cb029976e0563f72483a8b28562ddaf96"),
+        ("scenario2", ["scenario.mpr=1.0", "scenario.lead_profile=0:21 5:21 9:0"], 2899,
+         "f61f8d3e07f120515005790a69ea234226f59655f3023d457cfb097f79f63c33"),
+    ], ids=["ts-trc-positions", "ts-ops", "stop"])
+    def test_run_trajectory(self, tmp_path, capsys, preset, sets, violations, digest):
+        assert main(["run", "--scenario", preset, "--out", str(tmp_path), *SHORT,
+                     *(arg for item in sets for arg in ("--set", item))]) == 0
+        assert capsys.readouterr().out.endswith(f"safety violations: {violations}\n")
+        data = (tmp_path / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestWindowPolicy:
     def test_window_past_the_grid_fails_every_command(self, tmp_path, capsys):
         # dt 0.7 would end the 500 s grid at 499.8 s, short of the window's
@@ -1029,9 +1049,10 @@ SHORT_SETS = tuple(SHORT[1::2])
 # leads of `SHORT`'s length: a brake from 10 s, and a stop from 5 s, where
 # every follower's speed clamps at 0 m/s
 GRID_LEADS = {"brake": "0:21 10:21 20:18 30:18 40:21", "stop": "0:21 5:21 9:0"}
-# metric windows: from 0 s, before the head's end; from 40 s, after it.
+# metric windows: from 0 s, before the head's end; from 40 s, after it;
+# one that ends between two samples, where the AV block's runs end.
 # Sample 0 alone is rejected (`TestWindowPolicy`)
-GRID_WINDOWS = {"early": "0 50", "late": "40 50"}
+GRID_WINDOWS = {"early": "0 50", "late": "40 50", "off-grid": "40 45.05"}
 
 
 class TestGrid:
@@ -1257,6 +1278,8 @@ class TestGrid:
     # scenario 2 behind the stopping lead blows up
     @example(preset="scenario2", mpr="0.5", kernel="arctan", integrator="rk4",
              lead="stop", window="early", beta=[0.0, 0.0642])
+    @example(preset="scenario1", mpr="0.1", kernel="arctan", integrator="rk4",
+             lead="brake", window="off-grid", beta=[0.01, 0.05])
     def test_decomposed_grid_equals_engine_per_point(
         self, tmp_path_factory, preset, mpr, kernel, integrator, lead, window, beta
     ):

@@ -28,10 +28,10 @@ def speed_trajectory(t, v_profile_per_vehicle, a=None):
     t = np.asarray(t, dtype=float)
     v = np.column_stack(v_profile_per_vehicle)
     a_arr = np.zeros_like(v) if a is None else np.column_stack(a)
-    nans = np.full_like(v, np.nan)
+    nans = np.full_like(v[:, 1:], np.nan)
     return Trajectory(
         t=t, x=np.zeros_like(v), v=v, a=a_arr, s=nans, dv=nans,
-        u=np.zeros_like(v), kinds=("lead",) + ("hv",) * (v.shape[1] - 1),
+        u=np.zeros_like(nans), kinds=("lead",) + ("hv",) * (v.shape[1] - 1),
     )
 
 

@@ -53,9 +53,9 @@ def toy_trajectory(t, v_columns):
     t = np.asarray(t, dtype=float)
     v = np.column_stack([np.asarray(col, dtype=float) for col in v_columns])
     zeros = np.zeros_like(v)
-    nans = np.full_like(v, np.nan)
+    nans = np.full_like(v[:, 1:], np.nan)
     return Trajectory(
-        t=t, x=zeros, v=v, a=zeros, s=nans, dv=nans, u=zeros,
+        t=t, x=zeros, v=v, a=zeros, s=nans, dv=nans, u=zeros[:, 1:],
         kinds=("lead",) + ("av",) * (v.shape[1] - 1),
     )
 
@@ -317,10 +317,9 @@ class TestSimulateWithSensitivity:
             assert z.tobytes() == reference.tobytes()
             return
         # the co-integrated reference's HV rows, whose gains are 0, stay 0
-        raw = PlatoonEngine(block.scenario, av_mask=block.av_mask).run(
-            record=("x", "v"), lead=block.lead, initial=block_initial(block)
-        )
-        assert z.tobytes() == _sensitivities(block, [[0.05, 1.0]], raw).tobytes()
+        engine = PlatoonEngine(block.scenario, av_mask=block.av_mask)
+        raw = engine.run(record=("x", "v"), lead=block.lead, initial=block_initial(block))
+        assert z.tobytes() == _sensitivities(block, engine, raw).tobytes()
         reference = co_integrated_z(sc, per_follower_gains(sc, (0.05, 1.0)), "exogenous")
         av = np.subtract(sc.av_indices, 1)
         assert not np.delete(reference, av, axis=2).any()
@@ -373,10 +372,10 @@ def seeded_block(sc, gains, last, end):
     mask = av_mask_for(sc.n_followers, sc.mpr)[:last]
     raw = PlatoonEngine(sc, *gains, av_mask=mask).run(record=("x", "v"), end=end)
     x, v = (raw[name].reshape(end + 1, -1) for name in ("x", "v"))
-    lead = sc.lead.stage_speeds(sc.dt, sc.steps)
+    lead = sc.lead.stage_speeds(sc.dt, end)
     moved, clamps, later = [], 0, ([], [], [])
-    for _, _, stages, floored in PlatoonEngine(sc, av_mask=mask[None]).stage_blocks(
-            lead, x, v[:, 1:]):
+    for _, _, stages, floored in PlatoonEngine(sc, av_mask=mask).stage_blocks(
+            lead, {"x": x, "v": v}):
         moved.append(floored[first:].any(axis=0))
         for _, _, dv, _ in stages:
             moved[-1] |= (dv[np.subtract(sc.av_indices, 1)] != 0).any(axis=0)
@@ -462,7 +461,7 @@ class TestAvBlock:
         head, rows, lead_table, clamps = reference
         assert block.head == head
         if perturbed == (6, 0.01) and lead is FLAT_LEAD and mpr == 0.1 and not to_last_av:
-            assert head == 0 and block.run(*gains, 0, ("v",))[1].all()
+            assert head == 0 and block.run(*gains, 0, ("v",))[1].lane_floor_hits.all()
         assert block.first == sc.av_indices[0] - 1 and (raw is None) == (block.first == 0)
         for name in ("t", "x", "v"):
             assert block.rows[name].tobytes() == np.ascontiguousarray(rows[name]).tobytes()
@@ -489,6 +488,21 @@ class TestAvBlock:
             assert block.scenario is sc and block.first == 4
             assert len(raw["t"]) == len(block.lead[0]) == end + 1
         assert built == []
+
+    @pytest.mark.parametrize("mpr", [0.1, 0.5])
+    def test_a_block_built_to_an_end_runs_to_it(self, mpr):
+        # behind a prefix (followers 1-4 at MPR 0.1) and without one (MPR
+        # 0.5), a block built to step 300 of 500 runs to step 300 by default:
+        # its leader table ends there
+        sc = make_short_scenario(mpr=mpr)
+        block = av_block(sc, end=300)
+        gains = np.reshape((sc.controller.beta, sc.controller.gamma), (2, 1))
+        raw = block.run(*gains, block.head, ("x", "v"))[0]
+        whole = PlatoonEngine(sc).run(record=("x", "v"), end=300)
+        cols = slice(block.first, sc.av_indices[-1] + 1)
+        for name in ("x", "v"):
+            assert len(raw[name]) == 301
+            assert raw[name].tobytes() == np.ascontiguousarray(whole[name][:, cols]).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -643,10 +657,11 @@ class TestHead:
         except NumericalBlowupError:
             # a run to the head's end fails: when the first AV is follower
             # 1, the block's leader is the lead profile and runs of the first
-            # 15 s, which the head ends within, build the block
+            # 15 s, which the head ends within, build the block; the
+            # profile's table to the horizon runs it there
             assume(sc.av_indices[0] == 1)
             cut = 150
-            block = av_block(sc, end=cut)
+            block = replace(av_block(sc, end=cut), lead=sc.lead.stage_speeds(sc.dt, sc.steps))
         k = block.head
         assert k < cut or cut == sc.steps
 
@@ -742,7 +757,7 @@ class TestHead:
         # each lane's clamps, resumed at the head's end, are those of its
         # run from step 0, all behind the prefix, which clamps none
         betas = np.array([[0.0], [0.03], [0.0642]])
-        resumed = block.run(betas, np.ones((3, 1)), block.head, ("v",))[1]
+        resumed = block.run(betas, np.ones((3, 1)), block.head, ("v",))[1].lane_floor_hits
         engine = PlatoonEngine(sc, beta=betas)
         engine.run(record=("v",))
         assert hits == 0 and resumed.all() and (engine.lane_floor_hits == resumed).all()
@@ -768,7 +783,7 @@ class TestHead:
             block, raw, hits = avblock.av_block(sc, 0.05, 1.0, sc.av_indices[-1])
             assert (block.first, block.head, raw, hits) == (0, 0, None, 0)
             assert caplog.messages == []
-            assert block.run(0.05, 1.0, block.head, ("x", "v"))[1] == 86
+            assert block.run(0.05, 1.0, block.head, ("x", "v"))[1].lane_floor_hits == 86
             assert caplog.messages == [line(86)]
             caplog.clear()
             assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
@@ -864,8 +879,9 @@ class TestClosedLoop:
                            t_f=25.0, window=(0.0, 25.0))
         # every run of this platoon blows up, so its block is built from
         # runs of the first 15 s, which hold the gain-free head; the first
-        # AV is follower 1, so the block's leader is the lead profile itself
-        block = av_block(sc, end=150)
+        # AV is follower 1, so the block's leader is the lead profile
+        # itself, whose table to the horizon runs the block there
+        block = replace(av_block(sc, end=150), lead=sc.lead.stage_speeds(sc.dt, sc.steps))
         assert block.first == 0 and block.head < 150
         errors = []
         with np.errstate(invalid="ignore"):

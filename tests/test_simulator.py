@@ -284,7 +284,7 @@ class TestEngine:
                 lanes = mask.reshape(-1, 10)
                 x, v = (full[name].reshape(sc.steps + 1, len(lanes), 11) for name in ("x", "v"))
                 floored = np.stack([np.concatenate([f for *_, f in PlatoonEngine(
-                    sc, av_mask=row[None]).stage_blocks(table, x[:, i], v[:, i, 1:])], axis=1)
+                    sc, av_mask=row).stage_blocks(table, {"x": x[:, i], "v": v[:, i]})], axis=1)
                     for i, row in enumerate(lanes)], axis=-1)
                 hits = floored.sum(axis=(0, 1)).reshape(whole.lane_floor_hits.shape)
                 assert hits.tobytes() == whole.lane_floor_hits.tobytes()
@@ -401,6 +401,13 @@ class TestEngine:
         monkeypatch.setattr(engine, "advance", None)  # any step would fail
         with pytest.raises(DomainError, match="outside trajectory span"):
             engine.run(fold=lambda t, fields: None)
+
+    def test_window_after_the_run_end_fails_before_the_first_step(self, monkeypatch):
+        # a folded run must reach the window's last sample, step 2500 here
+        engine = PlatoonEngine(make_scenario())
+        monkeypatch.setattr(engine, "advance", None)  # any step would fail
+        with pytest.raises(DomainError, match=r"\(100.0, 250.0\) ends after run end 2499"):
+            engine.run(fold=lambda t, fields: None, end=2499)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -765,8 +772,8 @@ class TestStageRebuild:
     # engine whose first batch axis is the step index, in front of any
     # lanes; every stage's rhs tuple and the state after each step must keep
     # the bytes of the loop, which evaluates one step at a time, and each
-    # step's floor mask must be the one `advance` counts with. Its callers
-    # share one AV mask over their lanes.
+    # step's floor mask must be the one `advance` counts with. The lanes
+    # must share one AV mask.
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -793,11 +800,10 @@ class TestStageRebuild:
         raw = engine.run(record=("x", "v"))
         x, v = raw["x"], raw["v"][..., 1:]
         table = sc.lead.stage_speeds(sc.dt, sc.steps)
-        stepwise = PlatoonEngine(sc, beta=beta[None], gamma=gamma[None], av_mask=mask[None])
 
         clamps = 0
         with mock.patch.object(simulator, "_STAGE_BLOCK", block):
-            blocks = list(stepwise.stage_blocks(table, x, v))
+            blocks = list(engine.stage_blocks(table, raw))
         assert blocks[-1][1] == sc.steps  # no block starts at the last sample
         for k0, k1, stages, floored in blocks:
             for k in range(k0, k1):
@@ -818,6 +824,16 @@ class TestStageRebuild:
                     y_next[n + 1 :], 0.0)).tobytes()
             clamps = clamps + floored.sum(axis=(0, 1))
         assert np.array_equal(clamps, engine.lane_floor_hits)
+
+    def test_lanes_of_different_masks_are_refused(self):
+        # the step-batched engine has one mask for every lane, so a rebuild
+        # of lanes whose masks differ would give their AVs the IDM's law
+        sc = make_short_scenario(kind="ts-ops", t_f=15.0, window=(0.0, 15.0))
+        engine = PlatoonEngine(sc, av_mask=av_mask_for(10, (0.1, 0.7)))
+        raw = engine.run(record=("x", "v"))
+        table = sc.lead.stage_speeds(sc.dt, sc.steps)
+        with pytest.raises(DomainError, match=r"one av_mask for all lanes, got \[\[False, False"):
+            next(engine.stage_blocks(table, raw))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1458,7 +1474,8 @@ class TestSimulate:
         traj = s1_mpr0_traj
         lengths = np.array([5.0] * 10)
         s_check = traj.x[:, :-1] - traj.x[:, 1:] - lengths
-        assert np.allclose(traj.s[:, 1:], s_check, atol=1e-12)
+        assert traj.s.shape == s_check.shape
+        assert np.allclose(traj.s, s_check, atol=1e-12)
 
     def test_ordering_preserved_when_safe(self, s1_mpr0_traj):
         assert not check_safety(s1_mpr0_traj, 2.0)
@@ -1612,11 +1629,9 @@ class TestCheckSafety:
         t = np.array([0.0, 1.0])
         x = np.array([[0.0, -10.0, -16.0], [0.0, -10.0, -16.5]])
         v = np.zeros((2, 3))
-        empty = np.zeros((2, 3))
-        s = np.full((2, 3), np.nan)
-        s[:, 1:] = x[:, :-1] - x[:, 1:] - 5.0
+        s = x[:, :-1] - x[:, 1:] - 5.0
         traj = Trajectory(
-            t=t, x=x, v=v, a=empty, s=s, dv=np.full((2, 3), np.nan), u=empty,
+            t=t, x=x, v=v, a=np.zeros((2, 3)), s=s, dv=np.full((2, 2), np.nan), u=np.zeros((2, 2)),
             kinds=("lead", "hv", "hv"),
         )
         violations = check_safety(traj, min_safe=2.0)
