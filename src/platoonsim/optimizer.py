@@ -6,8 +6,8 @@ plain real engine run. Its gradient with respect to the gains (beta, gamma)
 has two modes. "exogenous" (the default) solves a linear sensitivity ODE per
 AV that treats the AV's spacing and its predecessor's speed as exogenous
 signals after the run: every integrator stage is rebuilt from its record in
-blocks of steps, and z follows by a recurrence over the stage values with
-the operations, in the order, of a co-integration in the engine's state.
+blocks of steps, and z follows by one affine map per step, which the
+integrator's step of the linear sensitivity rate gives from the stage values.
 "closed-loop" lets the engine differentiate itself: a second run in two
 complex lanes steps gain g by i*h in lane g, so z = Im v / h and Im J / h
 are the exact derivatives of the discrete closed loop (complex-step
@@ -202,42 +202,37 @@ def _sensitivities(block: AvBlock, engine: PlatoonEngine, raw: dict) -> np.ndarr
     (beta, gamma) pair every AV shares. z is exactly 0 through the block's
     head; from its end, each block of `PlatoonEngine.stage_blocks` steps
     rebuilds its states' stages in one engine whose batch axis is the step
-    index, then advances each AV's zeta = z_beta + i*z_gamma step by step
-    as one Python complex (cheaper than arrays for so few entries): the
-    RK4 of the linear rate d*zeta + phi written out with `rk4_step`'s
-    operations in its order, which give both parts the bits of two real
-    recurrences. Returns z with shape (n_samples, n_av, 2), a view of the
-    complex series, z(0) = 0; a non-finite z raises NumericalBlowupError
-    naming the lowest AV whose row failed at the first such step.
+    index. Each AV's zeta = z_beta + i*z_gamma has the linear rate
+    d*zeta + phi, so a step is an affine map zeta -> a*zeta + b (a real),
+    and one Python complex per AV (cheaper than arrays for so few entries)
+    takes its maps in turn, rounding otherwise than a step of the engine's
+    state. Returns z with shape (n_samples, n_av, 2), a view of the complex
+    series, z(0) = 0; a non-finite z raises NumericalBlowupError naming the
+    lowest AV whose row failed at the first such step.
     """
     scenario = block.scenario
     av = np.subtract(block.av, 1)
-    rk4 = scenario.integrator == "rk4"
-    half, full, sixth, two = step_coefficients(scenario.dt)
+    c = step_coefficients(scenario.dt)
     kernel = get_kernel(scenario.controller.kernel)
     z_series = np.zeros((len(raw["t"]), len(av)), complex)
     for k0, k1, stages, floored in engine.stage_blocks(block.lead, raw, block.head):
         # (stage, AV, step) spacings and relative speeds, rates and forcings
         s, dv = (np.stack([stage[i][av] for stage in stages]) for i in (1, 2))
         d, phi = _z_terms(s, dv, engine.beta, engine.gamma, kernel, scenario.av_model)
+        # each (AV, step)'s map: a steps 1 without the forcing, b steps 0
+        if scenario.integrator == "rk4":
+            a = rk4_step(1.0, c, d[0], lambda i, y: d[i] * y)
+            b = rk4_step(0.0, c, phi[0], lambda i, y: d[i] * y + phi[i])
+        else:
+            a, b = 1.0 + scenario.dt * d[0], scenario.dt * phi[0]
+        # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
+        a[floored[av]] = b[floored[av]] = 0.0
         z_block = z_series[k0 + 1 : k1 + 1]
-        for col, clamped in enumerate(floored[av].tolist()):
-            z, out = z_series[k0, col].item(), []
-            # per step: each stage's rate and forcing, the clamp
-            terms = zip(*d[:, col].tolist(), *phi[:, col].tolist(), clamped)
-            # d max(v, 0)/dv = 0: a clamped speed carries no sensitivity
-            if rk4:
-                for d1, d2, d3, d4, f1, f2, f3, f4, clamp in terms:
-                    p1 = d1 * z + f1
-                    p2 = d2 * (z + half * p1) + f2
-                    p3 = d3 * (z + half * p2) + f3
-                    p4 = d4 * (z + full * p3) + f4
-                    z = 0j if clamp else z + sixth * (p1 + two * p2 + two * p3 + p4)
-                    out.append(z)
-            else:
-                for d1, f1, clamp in terms:
-                    z = 0j if clamp else z + full * (d1 * z + f1)
-                    out.append(z)
+        for col, z in enumerate(z_series[k0].tolist()):
+            out = []
+            for a_k, b_k in zip(a[col].tolist(), b[col].tolist()):
+                z = a_k * z + b_k
+                out.append(z)
             z_block[:, col] = out
         finite = np.isfinite(z_block)
         if not finite.all():
