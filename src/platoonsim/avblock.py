@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBlowupError
-from .simulator import _STAGE_BLOCK, PlatoonEngine, Scenario, av_mask_for, logger
+from .simulator import _STAGE_BLOCK, PlatoonEngine, Scenario, av_mask_for
 
 
 @dataclass
@@ -73,7 +73,9 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     """The AV block of `scenario`, which has an AV, up to follower `last`,
     at least its last AV, to step `end` (by default the horizon's). Returns
     the block, the prefix lane's record of `record` (with `x` and `v`; None
-    when the first AV is follower 1, and there is no prefix) and its clamps.
+    when the first AV is follower 1, and there is no prefix) and its clamps
+    (`lane_floor_hits`; 0 without a prefix), which a caller adds to each
+    block run's own to count the platoon's.
 
     Every engine runs `scenario`, its followers chosen by a mask slice,
     behind a table that ends at `end`. The prefix, `mask[:first]`, runs as
@@ -86,10 +88,10 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     stage, by exact comparison (a dv of 0 leaves u at 0 for every gain
     pair), or where a speed of the block is floored, so a run resumed there
     counts every clamp, or at the start of a run that fails, which a run
-    resumed there meets. Those runs log no clamps (past the head they are
-    the gains'). The start, `mask[:last]`'s, adds the spacings in order
-    (`cumsum`), as the platoon's does, so its positions are the platoon's
-    bit for bit.
+    resumed there meets. Their clamps are not returned: past the head they
+    are the gains', which a run resumed there counts. The start,
+    `mask[:last]`'s, adds the spacings in order (`cumsum`), as the
+    platoon's does, so its positions are the platoon's bit for bit.
     """
     av = scenario.av_indices
     first = av[0] - 1
@@ -123,7 +125,6 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
                     steps, rows)
     # one unbatched lane of the gains: the runs' records are the block's rows
     engine = block.engine(np.ravel(beta)[:1], np.ravel(gamma)[:1])
-    quiet, logger.disabled = logger.disabled, True
     try:
         for k in range(0, steps, _STAGE_BLOCK):
             block.rows = block.run(engine, k, ("x", "v"), end=min(k + _STAGE_BLOCK, steps))
@@ -136,7 +137,5 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
                 break
     except NumericalBlowupError:  # a run resumed at the start of the failed one meets it
         block.head = k
-    finally:
-        logger.disabled = quiet
     block.rows = {name: arr[: block.head + 1] for name, arr in block.rows.items()}
     return block, raw, hits

@@ -7,6 +7,10 @@ directory once its inputs have passed their checks and before any run, so
 a config error leaves neither behind. Exit codes: 0 success, 1 config
 error, 2 numerical failure (`sweep` and `grid` first write a failed lane's
 row as NaN, unless all lanes share it), 3 safety violation under --strict-safety.
+Every command prints its runs' clamps at 0 m/s, fuel-rate saturations and
+failed lanes to stderr through `_report` alone, one `<label>: ...` line
+each, from the engine's per-lane counters; `main` runs it with NumPy's
+floating-point warnings off.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .metrics import WindowSums, summarize
 from .optimizer import _tunable, optimize
 from .simulator import (
     PlatoonEngine,
+    assemble_trajectory,
     av_mask_for,
     check_safety,
-    simulate,
     window_slice,
     write_trajectory_csv,
 )
@@ -132,11 +136,27 @@ def _make_out(args, cp) -> None:
     os.makedirs(args.out, exist_ok=True)
 
 
+def _report(labels, floor_hits, saturated=None, failures=(), notes=()) -> None:
+    """Print a command's run diagnostics to stderr, one line per fact, led by
+    its lane's label: the clamps at 0 m/s (`floor_hits`) and fuel-rate
+    saturations (`saturated`, None when no fuel is computed) of each lane
+    but those in `failures` (lane -> its error), then the `notes` lines and
+    each failure in lane order. Each count holds one entry per label."""
+    for lane, label in enumerate(labels):
+        for counts, fact in ((floor_hits, "speed floor engaged {} times"),
+                             (saturated, "fuel-rate saturation in {} samples")):
+            if lane not in failures and counts is not None and counts[lane]:
+                print(f"{label}: {fact.format(counts[lane])}", file=sys.stderr)
+    for line in [*notes, *(f"{labels[lane]}: {failures[lane]}" for lane in sorted(failures))]:
+        print(line, file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     cp, scenario = _prepare(args)
     coeffs = cfgmod.build_fuel_coefficients(cp)
     _make_out(args, cp)
-    traj = simulate(scenario)
+    engine = PlatoonEngine(scenario)
+    traj = assemble_trajectory(scenario, engine.run())
     violations = check_safety(traj, scenario.min_safe_spacing)
     report = summarize(traj, scenario, coeffs)
 
@@ -154,8 +174,7 @@ def cmd_run(args) -> int:
         f"platoon FC {report.platoon_fc:.2f} ml, "
         f"safety violations: {len(violations)}"
     )
-    if report.saturated:
-        print("warning: fuel-rate saturation encountered", file=sys.stderr)
+    _report(["platoon"], [engine.floor_hits], [report.saturated])
     if violations and args.strict_safety:
         return EXIT_SAFETY
     return EXIT_OK
@@ -173,13 +192,16 @@ def cmd_tune(args) -> int:
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
     _tunable(scenario)  # the descent acts only on a ts-ops platoon's AVs
     _make_out(args, cp)
+    failure = None
     try:
         theta, trace = optimize(scenario, ocfg)
     except OptimizeError as err:
-        # the completed iterations stay on disk; `main` reports the failure
-        _write_trace(args.out, err.trace)
-        raise
+        failure, trace = err, err.trace
+    # the completed iterations stay on disk and in their lines; `main` reports a failure
     _write_trace(args.out, trace)
+    _report([f"iter={k}" for k in range(1, len(trace) + 1)], trace.floor_hits)
+    if failure:
+        raise failure
     j_best = trace.objectives[trace.best_index]
     _write_csv(args.out, "theta_opt.csv", ["beta", "gamma", "J"],
                [[f"{theta.beta:.6g}", f"{theta.gamma:.6g}", f"{j_best:.6g}"]])
@@ -198,19 +220,13 @@ def _platoon_metrics_batch(scenario, raw, coeffs):
     return sums.platoon()
 
 
-def _lane_metrics(sums, floor_hits, labels, failed) -> np.ndarray:
-    """Platoon-mean ASV and FC per batch lane, NaN on the lanes in `failed`;
-    the other lanes' clamps at 0 m/s and at the fuel cap go to stderr."""
-    values = np.full((2, len(labels)), np.nan)
-    ok = [lane for lane in range(len(labels)) if lane not in failed]
+def _lane_metrics(sums, lanes, failed) -> np.ndarray:
+    """Platoon-mean ASV and FC of each of `lanes` batch lanes, NaN on the
+    lanes in `failed`."""
+    values = np.full((2, lanes), np.nan)
+    ok = [lane for lane in range(lanes) if lane not in failed]
     if ok:  # else the run may have folded nothing
         values[:, ok] = np.array(sums.platoon())[:, ok]
-    for lane in ok:
-        hits, saturated = floor_hits[lane].tolist(), sums.saturated[lane].tolist()
-        if hits:
-            print(f"{labels[lane]}: speed floor engaged {hits} times", file=sys.stderr)
-        if saturated:
-            print(f"{labels[lane]}: fuel-rate saturation in {saturated} samples", file=sys.stderr)
     return values
 
 
@@ -256,15 +272,14 @@ def cmd_sweep(args) -> int:
         engine.run(record=("v", "a"), fold=sums)
     if 0 in engine.lane_failures:  # a failed baseline fails the sweep
         raise engine.lane_failures[0]
-    errors = {**engine.lane_failures, **errors}
-    asv, fc = _lane_metrics(sums, engine.lane_floor_hits, labels, errors)
+    errors = {**engine.lane_failures, **errors}  # their rows are NaN
+    asv, fc = _lane_metrics(sums, len(labels), errors)
     asv0, fc0 = asv[0], fc[0]
+    notes = []
     if asv0 < 1e-9:  # m/s: round-off of a platoon at equilibrium, no base for a ratio
-        print(f"baseline ASV {asv0:.3g} m/s is below 1e-09 m/s: asv_impr not computed",
-              file=sys.stderr)
+        notes.append(f"baseline ASV {asv0:.3g} m/s is below 1e-09 m/s: asv_impr not computed")
         asv0 = math.nan
-    for lane in sorted(errors):  # its row is NaN
-        print(f"{labels[lane]}: {errors[lane]}", file=sys.stderr)
+    _report(labels, engine.lane_floor_hits, sums.saturated, errors, notes)
     asv_impr = 100.0 * (1.0 - asv / asv0)
     fc_impr = 100.0 * (1.0 - fc / fc0)
     rows = list(zip(mprs, asv[1:], fc[1:], asv_impr[1:], fc_impr[1:]))
@@ -348,9 +363,8 @@ def cmd_grid(args) -> int:
     except NumericalBlowupError as err:  # of the prefix: every point fails
         print(f"numerical failure: {labels[err.lane]}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    asv_vals, fc_vals = _lane_metrics(sums, floor_hits, labels, failures)
-    for lane in sorted(failures):
-        print(f"{labels[lane]}: {failures[lane]}", file=sys.stderr)
+    asv_vals, fc_vals = _lane_metrics(sums, len(labels), failures)
+    _report(labels, floor_hits, sums.saturated, failures)
 
     _write_csv(args.out, "grid.csv", ["beta", "gamma", "asv", "fc"], (
         [f"{b:.6g}", f"{g:.6g}", f"{a_val:.6f}", f"{f_val:.6f}"]
@@ -371,7 +385,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # a run's failures are `_report`'s or raised
+            return _COMMANDS[args.command](args)
     except (ConfigError, DomainError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

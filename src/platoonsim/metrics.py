@@ -216,13 +216,15 @@ class WindowSums:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Per-follower (shaped (n,)) and platoon-aggregated metrics over one window."""
+    """Per-follower (shaped (n,)) and platoon-aggregated metrics over one
+    window, and `saturated`, `WindowSums`' count of the follower samples
+    whose fuel rate was capped."""
 
     per_vehicle_asv: np.ndarray
     per_vehicle_fc: np.ndarray
     platoon_asv: float
     platoon_fc: float
-    saturated: bool = False
+    saturated: int = 0
 
 
 def summarize(traj: Trajectory, scenario: Scenario, coeffs: FuelCoefficients) -> MetricsReport:
@@ -240,6 +242,6 @@ def summarize(traj: Trajectory, scenario: Scenario, coeffs: FuelCoefficients) ->
         *sums.per_vehicle(),
         platoon_asv=float(asv_m),
         platoon_fc=float(fc_m),
-        saturated=bool(sums.saturated),
+        saturated=int(sums.saturated),
     )
 

@@ -90,12 +90,15 @@ class OptimizationTrace:
     """Per-iteration history of the descent.
 
     thetas and lambdas have shape (iterations, 2): the shared (beta, gamma)
-    pair and the descent direction summed over the AVs.
+    pair and the descent direction summed over the AVs. floor_hits holds
+    each iteration's speed-floor clamps up to the last AV, those of the
+    prefix lane ahead of the first AV plus those of the block's run.
     """
 
     thetas: np.ndarray
     objectives: np.ndarray
     lambdas: np.ndarray
+    floor_hits: np.ndarray
     reason: str
 
     def __len__(self) -> int:
@@ -315,9 +318,9 @@ def replayed_objective(
 
 
 def _descent_terms(block: AvBlock, theta, mode: str):
-    """J, the AV-summed direction and the AV sensitivities z at the shared
-    gains theta, from a `PlatoonEngine.run` of the AV block resumed at its
-    head's end and recording x and v.
+    """J, the AV-summed direction, the AV sensitivities z and the block's
+    clamps at the shared gains theta, from a `PlatoonEngine.run` of the AV
+    block resumed at its head's end and recording x and v.
 
     z comes from that record ("exogenous") or from a complex run after it,
     resumed at the same head's end, whose lane g steps gain g by i*h
@@ -336,12 +339,12 @@ def _descent_terms(block: AvBlock, theta, mode: str):
         lanes = (gains + 1j * _H * np.eye(2))[..., None]
         v_c = block.run(block.engine(*lanes), block.head, ("v",))["v"]
         z_series = v_c[..., list(block.av)].imag.swapaxes(1, 2) / _H
-        return j_val, _objective(t, v_c, block.av).imag / _H, z_series
+        return j_val, _objective(t, v_c, block.av).imag / _H, z_series, engine.floor_hits
     z_series = _sensitivities(block, engine, raw)
     lam = np.stack(
         [_direction(t, v, z_series[:, row], i) for row, i in enumerate(block.av)]
     ).sum(axis=0)
-    return j_val, lam, z_series
+    return j_val, lam, z_series, engine.floor_hits
 
 
 def optimize(
@@ -361,7 +364,7 @@ def optimize(
     """
     theta = np.array(astuple(project_feasible(cfg.theta0, cfg.beta_max)))
 
-    thetas, objectives, lambdas = [], [], []
+    thetas, objectives, lambdas, floor_hits = [], [], [], []
     reason = "max-iterations"
 
     def make_trace():
@@ -369,17 +372,19 @@ def optimize(
             thetas=np.array(thetas),
             objectives=np.array(objectives),
             lambdas=np.array(lambdas),
+            floor_hits=np.array(floor_hits, dtype=np.int64),
             reason=reason,
         )
 
     try:
         last = _tunable(scenario)[-1]
-        block = av_block(scenario, *np.reshape(theta, (2, 1)), last)[0]
+        block, _, prefix_hits = av_block(scenario, *np.reshape(theta, (2, 1)), last)
         for kappa in range(1, cfg.n_max + 1):
-            j_val, lam, _ = _descent_terms(block, theta, cfg.sensitivity)
+            j_val, lam, _, hits = _descent_terms(block, theta, cfg.sensitivity)
             thetas.append(theta)
             objectives.append(j_val)
             lambdas.append(lam)
+            floor_hits.append(prefix_hits + hits)
 
             if not lam.any() or (
                 kappa > 1 and abs(objectives[-1] - objectives[-2]) <= cfg.phi

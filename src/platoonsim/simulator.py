@@ -13,7 +13,6 @@ which keeps independent runs independent while vectorizing the work.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -49,8 +48,6 @@ __all__ = [
     "write_trajectory_csv",
     "PlatoonEngine",
 ]
-
-logger = logging.getLogger(__name__)
 
 CONTROLLER_KINDS = ("none", "ts-ops", "ts-trc")
 INTEGRATORS = ("rk4", "euler")
@@ -720,8 +717,9 @@ class PlatoonEngine:
         A lane fails alone: `lane_failures` maps it to its failure, and it is
         held at its last finite state (`_check_finite`). The run raises its
         earliest failure, in (time, lane) order, after its last fold, or when
-        no lane is left. Unbatched runs log their speed-floor hits; batched
-        callers report `lane_floor_hits` per lane.
+        no lane is left. The run reports nothing itself: `lane_floor_hits`
+        and `lane_failures` hold each lane's clamps and failure for its
+        caller (the CLI prints them).
         """
         self.lane_failures, self._held = {}, None  # this run's, whatever it raises
         sc = self.scenario
@@ -810,8 +808,6 @@ class PlatoonEngine:
             del lead, lead_later  # free the leader's table before the rebuild
             emit(hi, hi - lo if fold is None else (hi - lo) % block)
 
-        if self.floor_hits and not self.batch_shape:
-            logger.warning("speed floor at 0 m/s engaged %d times during the run", self.floor_hits)
         if self.lane_failures:  # the earliest, in (time, lane) order
             raise next(iter(self.lane_failures.values()))
         return None if fold is not None else {"t": t_grid[lo:hi], **out}

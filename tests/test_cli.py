@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -228,7 +229,7 @@ class TestUnreadableInputs:
         def fail(*args, **kw):
             raise AssertionError("integrated despite an unreadable input")
 
-        monkeypatch.setattr(cli, "simulate", fail)
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
 
     def run_with(self, tmp_path, capsys, *argv):
         code = main(["run", "--out", str(tmp_path / "out"), *argv])
@@ -401,7 +402,6 @@ class TestRun:
             raise AssertionError("work done before --out was created")
 
         monkeypatch.setattr(cli, "optimize", fail)
-        monkeypatch.setattr(cli, "simulate", fail)
         monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
         out = tmp_path / "taken"
         out.write_text("")
@@ -437,7 +437,6 @@ class TestRun:
             raise AssertionError("work done before the inputs were checked")
 
         monkeypatch.setattr(cli, "optimize", fail)
-        monkeypatch.setattr(cli, "simulate", fail)
         monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
         monkeypatch.chdir(tmp_path)
         out, dumped = tmp_path / "new" / "sub", tmp_path / "dumped.cfg"
@@ -589,7 +588,6 @@ class TestWindowPolicy:
 
         monkeypatch.setattr(cli, "optimize", fail)
         monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
-        monkeypatch.setattr(cli, "simulate", fail)
         window = ["--set", "scenario.dt=0.7", "--set", "scenario.metric_window=100 500"]
         commands = [
             ["run"],
@@ -627,7 +625,6 @@ class TestWindowPolicy:
 
         monkeypatch.setattr(cli, "optimize", fail)
         monkeypatch.setattr(simulator.PlatoonEngine, "run", fail)
-        monkeypatch.setattr(cli, "simulate", fail)
         commands = [
             ["run"],
             ["tune"],
@@ -660,11 +657,10 @@ class TestWindowEnd:
                      "--gamma-range", "1:1:1"]) == 0
         assert "speed floor" not in capsys.readouterr().err
 
-    def test_run_still_reports_the_clamp(self, tmp_path, caplog):
-        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
-            assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path),
-                         *self.LATE_STOP]) == 0
-        assert "speed floor at 0 m/s engaged" in caplog.text
+    def test_run_still_reports_the_clamp(self, tmp_path, capsys):
+        assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path),
+                     *self.LATE_STOP]) == 0
+        assert capsys.readouterr().err == "platoon: speed floor engaged 3 times\n"
 
 
 class TestTune:
@@ -1372,6 +1368,101 @@ class TestGrid:
         platoon = metr_rows[-1]
         assert asv_grid == pytest.approx(float(platoon[1]), abs=1e-6)
         assert fc_grid == pytest.approx(float(platoon[2]), abs=1e-6)
+
+
+# a lead that stops from 5 s: every follower's speed clamps at 0 m/s
+STOP_SETS = ("scenario.t_f=40", "scenario.metric_window=0 40",
+             "scenario.lead_profile=0:21 5:21 9:0")
+
+
+def sets_args(sets):
+    return [arg for item in sets for arg in ("--set", item)]
+
+
+class TestReport:
+    """Each command prints its runs' clamps, fuel-rate saturations and
+    failures to stderr, one line per lane or iteration, led by its label."""
+
+    @pytest.mark.parametrize("mode", ["exogenous", "closed-loop"])
+    @pytest.mark.parametrize("mpr", [0.1, 0.5], ids=["prefix", "no-prefix"])
+    def test_tune_prints_each_iteration_s_clamps(self, tmp_path, capsys, mpr, mode):
+        # an iteration's count is the clamps of a run of the platoon up to
+        # the last AV at its gains: the prefix lane's ahead of the first AV
+        # (at MPR 0.1; none at 0.5, whose first AV is follower 1) plus the
+        # AV block's
+        sets = (*STOP_SETS, f"scenario.mpr={mpr}", f"optimizer.sensitivity={mode}",
+                "optimizer.n_max=3")
+        assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
+                     *sets_args(sets)]) == 0
+        cp = load_config("scenario1")
+        apply_overrides(cp, list(sets))
+        sc = build_scenario(cp)
+        trace = optimize(sc, build_optimizer_config(cp, sc))[1]
+        mask = simulator.av_mask_for(sc.n_followers, mpr)[: sc.av_indices[-1]]
+        counts = []
+        for beta, gamma in trace.thetas.tolist():
+            engine = simulator.PlatoonEngine(sc, beta, gamma, av_mask=mask)
+            engine.run(record=())
+            counts.append(int(engine.lane_floor_hits))
+        assert trace.floor_hits.tolist() == counts and len(counts) == 3 and all(counts)
+        assert capsys.readouterr().err == "".join(
+            f"iter={k}: speed floor engaged {n} times\n" for k, n in enumerate(counts, start=1))
+
+    def test_a_failed_descent_prints_its_iterations_first(self, tmp_path, capsys, monkeypatch):
+        # the third iteration's run blows up: the two completed iterations'
+        # lines come before the failure's
+        terms, calls = optimizer._descent_terms, []
+
+        def failing_terms(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericalBlowupError(4, 12.3)
+            return terms(*args)
+
+        monkeypatch.setattr(optimizer, "_descent_terms", failing_terms)
+        assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
+                     *sets_args((*STOP_SETS, "scenario.mpr=0.5", "optimizer.n_max=5"))]) == 2
+        assert capsys.readouterr().err == (
+            "iter=1: speed floor engaged 944 times\n"
+            "iter=2: speed floor engaged 925 times\n"
+            "numerical failure: non-finite state for vehicle 4 at t=12.300 s\n")
+
+    def test_run_prints_its_saturation_count(self, tmp_path, capsys):
+        # window 10..50 s at dt 0.1: 401 samples of 10 followers
+        table = saturating_table(tmp_path / "coeffs.txt")
+        assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", f"metrics.fuel_coefficients={table}"]) == 0
+        assert capsys.readouterr().err == "platoon: fuel-rate saturation in 4010 samples\n"
+
+    def test_no_command_logs(self, tmp_path, capsys, caplog):
+        # every command that clamps says so on stderr alone, through no logger
+        stop = sets_args(STOP_SETS)
+        commands = [
+            ["run", *stop],
+            ["tune", *stop, "--set", "optimizer.n_max=2"],
+            ["sweep", *stop, "--mprs", "0.5", "--tune-first", "--set", "optimizer.n_max=2"],
+            ["grid", *stop, "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"],
+        ]
+        with caplog.at_level(logging.DEBUG):
+            for argv in commands:
+                assert main([*argv, "--scenario", "scenario1", "--out", str(tmp_path)]) == 0
+                assert "speed floor engaged" in capsys.readouterr().err, argv[0]
+        assert [rec for rec in caplog.records if rec.name.startswith("platoonsim")] == []
+
+    def test_a_failing_sweep_prints_no_numpy_warning(self, tmp_path, capsys):
+        # ts-trc with phi1 = 1e300 overflows in three lanes: stderr holds
+        # their lines alone, not NumPy's warnings with the package's paths
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                         "--set", "controller.kind=ts-trc", "--set", "controller.phi1=1e300",
+                         "--mprs", "0,0.5,0.2,1"])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "mpr=0.5: non-finite state for vehicle 1 at t=10.100 s\n"
+            "mpr=0.2: non-finite state for vehicle 3 at t=10.200 s\n"
+            "mpr=1.0: non-finite state for vehicle 1 at t=10.100 s\n")
 
 
 def fresh_env():

@@ -1,11 +1,10 @@
-import logging
 import math
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import avblock, optimizer, simulator
@@ -277,15 +276,22 @@ class TestSimulateWithSensitivity:
         reference = co_integrated_z(sc, per_follower_gains(sc, theta), "exogenous")
         assert_near_co_integration(z, sc, reference)
 
-    def test_speed_floor_counted_and_clamped_z_zeroed(self, caplog):
+    def test_speed_floor_counted_and_clamped_z_zeroed(self, monkeypatch):
         sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0),
                            kind="ts-ops", beta=0.05, mpr=0.5)
         plain = PlatoonEngine(sc)
         plain.run(record=())
         assert plain.floor_hits > 0
-        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
-            traj, z = simulate_with_sensitivity(sc, [0.05, 1.0])
-        assert f"speed floor at 0 m/s engaged {plain.floor_hits} times" in caplog.text
+        engines, run = [], PlatoonEngine.run
+
+        def spy_run(engine, *args, **kw):
+            engines.append(engine)
+            return run(engine, *args, **kw)
+
+        monkeypatch.setattr(PlatoonEngine, "run", spy_run)
+        traj, z = simulate_with_sensitivity(sc, [0.05, 1.0])
+        # its first run, the trajectory's, counts the plain run's clamps
+        assert engines[0].lane_floor_hits == plain.floor_hits
         # d max(v, 0)/dv = 0: a clamped AV speed carries no sensitivity
         clamped_any = False
         for row, i in enumerate(sc.av_indices):
@@ -565,7 +571,7 @@ class TestAvBlock:
             ).sum(axis=0)
         block = av_block(sc)
         assert block.first == av_indices[0] - 1
-        j_val, lam, _ = _descent_terms(block, np.array(theta), mode)
+        j_val, lam = _descent_terms(block, np.array(theta), mode)[:2]
         assert j_val == j_ref
         if mode == "closed-loop":
             assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0)
@@ -625,7 +631,7 @@ def descent_outcome(block, theta, mode):
     """J and lambda of `_descent_terms` as bytes, or the failure."""
     try:
         with np.errstate(invalid="ignore"):
-            j_val, lam, _ = _descent_terms(block, np.array(theta), mode)
+            j_val, lam = _descent_terms(block, np.array(theta), mode)[:2]
     except NumericalBlowupError as err:
         return "failed", err.vehicle, err.time, err.lane
     return "ran", j_val.tobytes(), lam.tobytes()
@@ -670,20 +676,9 @@ class TestHead:
         sc = make_scenario(hv=hv, mpr=mpr, kind="ts-ops", beta=0.05, integrator=integrator,
                            **self.SCENARIOS[lead])
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
-        cut = sc.steps
-        try:
-            with np.errstate(invalid="ignore"):
-                block = av_block(sc, thetas[0])
-        except NumericalBlowupError:
-            # a run to the head's end fails: when the first AV is follower
-            # 1, the block's leader is the lead profile and runs of the first
-            # 15 s, which the head ends within, build the block; the
-            # profile's table to the horizon runs it there
-            assume(sc.av_indices[0] == 1)
-            cut = 150
-            block = replace(av_block(sc, end=cut), lead=sc.lead.stage_speeds(sc.dt, sc.steps))
+        with np.errstate(invalid="ignore"):  # a failed run ends the head
+            block = av_block(sc, thetas[0])
         k = block.head
-        assert k < cut or cut == sc.steps
 
         # a resumed run equals the full run: every field from the head's end
         # on, the head's rows before it, the clamp counts, or the failure
@@ -784,11 +779,11 @@ class TestHead:
         engine.run(record=("v",))
         assert hits == 0 and resumed.all() and (engine.lane_floor_hits == resumed).all()
 
-    def test_a_clamp_at_step_0_leaves_no_head(self, tmp_path, caplog):
+    def test_a_clamp_at_step_0_leaves_no_head(self, tmp_path, capsys):
         # scenario 1 under Euler at MPR 0.5, whose first AV is follower 1,
         # with follower 4 starting 0.5 m behind follower 3: it clamps at
-        # step 0, so the head is empty and each run of the block counts and
-        # logs every clamp of its run from step 0
+        # step 0, so the head is empty and each run of the block counts
+        # every clamp of its run from step 0, which `tune` prints per iteration
         sets = ["scenario.t_f=40", "scenario.metric_window=0 40", "scenario.mpr=0.5",
                 "scenario.integrator=euler"]
         cp = load_config("scenario1")
@@ -798,22 +793,20 @@ class TestHead:
         sets.append("scenario.init_spacing=" + " ".join(map(repr, spacing)))
         apply_overrides(cp, sets[-1:])
         sc = build_scenario(cp)
-        line = "speed floor at 0 m/s engaged {} times during the run".format
-        with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
-            # the descent's block, at its first gains: no prefix lane, and the
-            # block's run to its head's end logs none of its clamps
-            block, raw, hits = avblock.av_block(sc, 0.05, 1.0, sc.av_indices[-1])
-            assert (block.first, block.head, raw, hits) == (0, 0, None, 0)
-            assert caplog.messages == []
-            engine = block.engine(0.05, 1.0)
-            block.run(engine, block.head, ("x", "v"))
-            assert engine.lane_floor_hits == 86
-            assert caplog.messages == [line(86)]
-            caplog.clear()
-            assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
-                         *(arg for item in sets for arg in ("--set", item)),
-                         "--set", "optimizer.n_max=3"]) == 0
-        assert caplog.messages == [line(86), line(83), line(79)]
+        # the descent's block, at its first gains: no prefix lane, so no
+        # clamps come with it
+        block, raw, hits = avblock.av_block(sc, 0.05, 1.0, sc.av_indices[-1])
+        assert (block.first, block.head, raw, hits) == (0, 0, None, 0)
+        engine = block.engine(0.05, 1.0)
+        block.run(engine, block.head, ("x", "v"))
+        assert engine.lane_floor_hits == 86
+        assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path),
+                     *(arg for item in sets for arg in ("--set", item)),
+                     "--set", "optimizer.n_max=3"]) == 0
+        assert capsys.readouterr().err == (
+            "iter=1: speed floor engaged 86 times\n"
+            "iter=2: speed floor engaged 83 times\n"
+            "iter=3: speed floor engaged 79 times\n")
 
     @pytest.mark.parametrize("mpr", [0.1, 0.5, 1.0])
     def test_head_is_empty_when_an_av_sees_dv_at_step_0(self, mpr):
@@ -901,11 +894,11 @@ class TestClosedLoop:
         monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
-        # every run of this platoon blows up, so its block is built from
-        # runs of the first 15 s, which hold the gain-free head; the first
-        # AV is follower 1, so the block's leader is the lead profile
-        # itself, whose table to the horizon runs the block there
-        block = replace(av_block(sc, end=150), lead=sc.lead.stage_speeds(sc.dt, sc.steps))
+        # every run of this platoon blows up, which ends the gain-free head
+        # first; the first AV is follower 1, so the block's leader is the
+        # lead profile itself
+        with np.errstate(invalid="ignore"):
+            block = av_block(sc)
         assert block.first == 0 and block.head < 150
         errors = []
         with np.errstate(invalid="ignore"):

@@ -1,5 +1,4 @@
 import csv
-import logging
 import math
 import warnings
 from dataclasses import replace
@@ -173,38 +172,35 @@ DIP_LEAD = LeadProfile((0.0, 4.0, 8.0), (21.0, 17.0, 21.0))
 class TestEngine:
     @pytest.mark.parametrize("integrator", ["rk4", "euler"])
     @pytest.mark.parametrize("start", [0, 1, 67, 250])
-    def test_resumed_run_equals_the_full_run(self, caplog, integrator, start):
+    def test_resumed_run_equals_the_full_run(self, integrator, start):
         # behind the stopping lead speeds clamp from about 9 s on; a run
         # resumed at step `start` from the state a run of the first `start`
         # steps reached records the full run's rows from there, and the two
         # runs' clamp counts add up to the full run's; before any clamp, the
-        # resumed run logs the full run's line. Three lanes (MPR 0, 0.5,
+        # resumed run counts all of the full run's. Three lanes (MPR 0, 0.5,
         # 1.0) and one unbatched run.
         sc = make_scenario(lead=STOP_LEAD, t_f=25.0, window=(0.0, 25.0), kind="ts-ops",
                            beta=0.05, mpr=0.5, integrator=integrator)
         for mask in (av_mask_for(10, [0.0, 0.5, 1.0]), None):
             full_engine = PlatoonEngine(sc, av_mask=mask)
-            with caplog.at_level(logging.WARNING, logger="platoonsim.simulator"):
-                caplog.clear()
-                full = full_engine.run()
-                full_log = caplog.text
-                hits = 0
-                if start:
-                    early = PlatoonEngine(sc, av_mask=mask)
-                    early.run(record=(), end=start)
-                    hits = early.lane_floor_hits
-                engine = PlatoonEngine(sc, av_mask=mask)
-                caplog.clear()
-                resumed = engine.run(
-                    initial=(full["x"][start], full["v"][start, ..., 1:]), start=start
-                )
+            full = full_engine.run()
+            hits = 0
+            if start:
+                early = PlatoonEngine(sc, av_mask=mask)
+                early.run(record=(), end=start)
+                hits = early.lane_floor_hits
+            engine = PlatoonEngine(sc, av_mask=mask)
+            resumed = engine.run(
+                initial=(full["x"][start], full["v"][start, ..., 1:]), start=start
+            )
             assert set(resumed) == set(full)
             for name, arr in resumed.items():
                 assert arr.tobytes() == full[name][start:].tobytes(), name
             counts = hits + engine.lane_floor_hits
             assert counts.tobytes() == full_engine.lane_floor_hits.tobytes()
             assert full_engine.floor_hits > 0
-            assert caplog.text == ("" if np.any(hits) and mask is None else full_log)
+            # before any clamp the resumed run counts them all; from step 250, none
+            assert np.any(engine.lane_floor_hits) != np.any(hits)
             assert np.any(hits) == (start == 250)
             # a fold of the window (10-20 s) sees its samples from `start` on
             seen = []
@@ -556,7 +552,7 @@ class TestEngine:
         initial = tuple(np.stack(col) for col in zip(*(init for _, init in singles)))
 
         def outcome(engine, table, initial):
-            raw, blocks, error, hits, _ = run_outcome(engine, table, initial, start,
+            raw, blocks, error, hits = run_outcome(engine, table, initial, start,
                                                       ALL_FIELDS, fold)
             assert error is None
             if fold:
@@ -621,11 +617,11 @@ class TestEngine:
             masks, betas, gammas = (np.array(col) for col in zip(*(lane[1:] for lane in lanes)))
             batched = PlatoonEngine(sc, beta=betas[:, None], gamma=gammas[:, None], av_mask=masks)
             initial = tuple(np.stack(col) for col in zip(*(init for _, init, _ in singles)))
-            raw, blocks, error, hits, _ = run_outcome(batched, table, initial, start,
+            raw, blocks, error, hits = run_outcome(batched, table, initial, start,
                                                       ALL_FIELDS, fold)
 
             failed = {}
-            for lane, (engine, init, (ref, ref_blocks, ref_error, ref_hits, _)) in enumerate(
+            for lane, (engine, init, (ref, ref_blocks, ref_error, ref_hits)) in enumerate(
                     singles):
                 assert hits[lane] == ref_hits
                 if ref_error is not None:
@@ -691,26 +687,25 @@ class TestEngine:
         assert single.value.vehicle == 5
 
 
-FLOOR_LINE = "speed floor at 0 m/s engaged %d times during the run"
 ALL_FIELDS = ("x", "v", "a", "s", "dv", "u")
 
 
 def run_outcome(engine, table, initial, start, record, fold):
     """What a run shows: its record (or its folds' blocks), its blow-up as
-    (vehicle, time, lane), its clamps and its `logger.warning` calls."""
+    (vehicle, time, lane) and its clamps."""
     raw, error, blocks = None, None, []
 
     def keep(t, fields):
         blocks.append((t.copy(), {name: arr.copy() for name, arr in fields.items()}))
 
     # the array path warns of the overflow of a blow-up start
-    with mock.patch.object(simulator.logger, "warning") as warn, np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         try:
             raw = engine.run(record=record, fold=keep if fold else None, lead=table,
                              initial=initial, start=start)
         except NumericalBlowupError as err:
             error = (err.vehicle, err.time, err.lane)
-    return raw, blocks, error, engine.lane_floor_hits, warn.call_args_list
+    return raw, blocks, error, engine.lane_floor_hits
 
 
 class TestFloatLane:
@@ -765,16 +760,15 @@ class TestFloatLane:
         engine = PlatoonEngine(sc, beta=np.full(shape, gains[0]), gamma=np.full(shape, gains[1]))
         assert engine._floats and not oracle._floats
         with mock.patch.object(simulator, "_FOLD_VALUES", 37):  # blocks of 4 samples at most
-            raw, blocks, error, hits, log = run_outcome(engine, table, initial, start, record, fold)
-            ref, ref_blocks, ref_error, ref_hits, _ = run_outcome(
+            raw, blocks, error, hits = run_outcome(engine, table, initial, start, record, fold)
+            ref, ref_blocks, ref_error, ref_hits = run_outcome(
                 oracle, table, initial, start, record, fold)
 
         assert error == (ref_error and ref_error[:2] + (None,))
         # a folded run ends at the window's last sample, maybe before a step
         if blowup and not fold:
             assert error[:2] == (1, pytest.approx(start * 0.1 + 0.1))
-        assert hits.shape == () and hits == ref_hits[0]
-        assert log == ([mock.call(FLOOR_LINE, int(hits))] if hits else [])
+        assert hits.shape == () and hits == ref_hits[0] == engine.floor_hits
         if fold:  # the blocks folded up to a blow-up too
             assert raw is ref is None and len(blocks) == len(ref_blocks)
             pairs = list(zip(blocks, ref_blocks))
