@@ -897,8 +897,7 @@ class TestClosedLoop:
         # every run of this platoon blows up, which ends the gain-free head
         # first; the first AV is follower 1, so the block's leader is the
         # lead profile itself
-        with np.errstate(invalid="ignore"):
-            block = av_block(sc)
+        block = av_block(sc)
         assert block.first == 0 and block.head < 150
         errors = []
         with np.errstate(invalid="ignore"):
