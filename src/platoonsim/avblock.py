@@ -79,12 +79,12 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
 
     Every engine runs `scenario`, its followers chosen by a mask slice,
     behind a table that ends at `end`. The prefix, `mask[:first]`, runs as
-    an all-HV lane; under RK4 its engine's `stage_blocks` pass over its
-    record gives its last follower's speeds at stages 2, 3 and 4, the
-    block leader's table. The block, `mask[first:last]`, runs behind it
-    with the gains `beta` and `gamma`, `_STAGE_BLOCK` steps per `run`, each
-    resumed where the last ended and stage-passed by its engine, until the
-    head ends: at the first step where any AV has a nonzero dv at any
+    one all-HV lane with no gains; under RK4 its engine's `stage_blocks`
+    pass over its record gives its last follower's speeds at stages 2, 3
+    and 4, the block leader's table. The block, `mask[first:last]`, runs
+    behind it with the gains `beta` and `gamma`, `_STAGE_BLOCK` steps per
+    `run`, each resumed where the last ended and stage-passed by its
+    engine, until the head ends: at the first step where any AV has a nonzero dv at any
     stage, by exact comparison (a dv of 0 leaves u at 0 for every gain
     pair), or where a speed of the block is floored, so a run resumed there
     counts every clamp, or at the start of a run that fails, which a run
@@ -101,7 +101,7 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     lead = scenario.lead.stage_speeds(scenario.dt, steps)
     raw, hits = None, 0
     if first:
-        engine = PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=mask[:first])
+        engine = PlatoonEngine(scenario, av_mask=mask[:first])
         try:
             raw = engine.run(record=record, lead=lead)
         except NumericalBlowupError:
@@ -109,15 +109,12 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
             PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=mask[:last]).run((), lead=lead)
             raise
         hits = engine.lane_floor_hits
-        # the prefix lane is one lane, batched or not
-        one = {name: raw[name].reshape(steps + 1, -1) for name in ("x", "v")}
         later = [np.empty(steps) for _ in range(3)] if scenario.integrator == "rk4" else []
-        stage = PlatoonEngine(scenario, av_mask=mask[:first])
-        for k0, k1, stages, _ in stage.stage_blocks(lead, one) if later else ():
+        for k0, k1, stages, _ in engine.stage_blocks(lead, raw) if later else ():
             # the x rows of the later stages' rates are the speeds there
             for out, (f, *_) in zip(later, stages[1:]):
                 out[k0:k1] = f[first]
-        lead = (one["v"][:, first].copy(), *later)
+        lead = (raw["v"][:, first].copy(), *later)
 
     # step 0's row; each run's record holds the rows to its end
     rows = {"t": np.zeros(1), "x": x[None, first:], "v": np.append(lead[0][0], v[first:])[None]}

@@ -10,7 +10,9 @@ row as NaN, unless all lanes share it), 3 safety violation under --strict-safety
 Every command prints its runs' clamps at 0 m/s, fuel-rate saturations and
 failed lanes to stderr through `_report` alone, one `<label>: ...` line
 each, from the engine's per-lane counters; `main` runs it with NumPy's
-floating-point warnings off.
+floating-point warnings off. A failure that ends a command (a `tune`
+descent's, `sweep`'s baseline's, `grid`'s all-HV prefix's) reaches `main`
+as the engine raised it, and `main` prints its `numerical failure:` line.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .avblock import av_block
-from .errors import ConfigError, DomainError, NumericalBlowupError, OptimizeError
+from .errors import ConfigError, DomainError, NumericalBlowupError
 from .metrics import WindowSums, summarize
 from .optimizer import _tunable, optimize
 from .simulator import (
@@ -189,19 +191,15 @@ def _write_trace(out, trace) -> None:
 
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
-    ocfg = cfgmod.build_optimizer_config(cp, scenario)
     _tunable(scenario)  # the descent acts only on a ts-ops platoon's AVs
+    ocfg = cfgmod.build_optimizer_config(cp, scenario)
     _make_out(args, cp)
-    failure = None
-    try:
-        theta, trace = optimize(scenario, ocfg)
-    except OptimizeError as err:
-        failure, trace = err, err.trace
+    theta, trace = optimize(scenario, ocfg)
     # the completed iterations stay on disk and in their lines; `main` reports a failure
     _write_trace(args.out, trace)
     _report([f"iter={k}" for k in range(1, len(trace) + 1)], trace.floor_hits)
-    if failure:
-        raise failure
+    if trace.failure:
+        raise trace.failure
     j_best = trace.objectives[trace.best_index]
     _write_csv(args.out, "theta_opt.csv", ["beta", "gamma", "J"],
                [[f"{theta.beta:.6g}", f"{theta.gamma:.6g}", f"{j_best:.6g}"]])
@@ -259,12 +257,11 @@ def cmd_sweep(args) -> int:
     labels = ["baseline"] + [f"mpr={mpr}" for mpr in mprs]
     errors: dict[int, Exception] = {}
     for lane, (point, ocfg) in descents.items():
-        try:
-            theta, _ = optimize(point, ocfg)
-        except OptimizeError as err:
-            errors[lane] = err
-            continue
-        betas[lane], gammas[lane] = theta.beta, theta.gamma
+        theta, trace = optimize(point, ocfg)
+        if trace.failure:
+            errors[lane] = trace.failure
+        else:
+            betas[lane], gammas[lane] = theta.beta, theta.gamma
 
     engine = PlatoonEngine(scenario, beta=betas[:, None], gamma=gammas[:, None], av_mask=masks)
     sums = WindowSums(scenario, coeffs)
@@ -312,12 +309,13 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     (`betas` and `gammas` shaped (lanes, 1)), each lane's clamps and failures.
 
     The scenario is a ts-ops platoon with an AV (`cmd_grid` checks).
-    `av_block`, at the first point's gains, runs the all-HV prefix to the
-    window's last sample; its record, with its lane axis, gives the
-    prefix's sums, and its AV block of every follower, in one batched run
-    resumed at the head's end or the window's start if earlier, gives each
-    lane's; a lane's clamps are the prefix's plus its block's. A failure of
-    the prefix, which every point shares, raises.
+    `av_block` runs the all-HV prefix, one lane with no gains, to the
+    window's last sample; its record gives the prefix's sums, which every
+    lane shares, and its AV block of every follower, in one batched run
+    resumed at the head's end (found at the first point's gains) or the
+    window's start if earlier, gives each lane's; a lane's clamps are the
+    prefix's plus its block's. A failure of the prefix, which every point
+    shares, raises.
     """
     seed, last = (betas[:1], gammas[:1]), scenario.n_followers
     keep = window_slice(np.arange(scenario.steps + 1) * scenario.dt, scenario.metric_window)
@@ -331,7 +329,7 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     with contextlib.suppress(NumericalBlowupError):  # the engine's table holds it
         block.run(engine, min(block.head, keep.start), ("v", "a"), sums)
     if first and sums.sums is not None:  # None: every lane failed before a fold
-        sums.sums = np.concatenate([np.broadcast_to(prefix.sums, (2, len(betas), first)),
+        sums.sums = np.concatenate([np.broadcast_to(prefix.sums[:, None], (2, len(betas), first)),
                                     sums.sums], axis=-1)
         sums.saturated += prefix.saturated
     return sums, seed_hits + engine.lane_floor_hits, engine.lane_failures
@@ -342,6 +340,7 @@ def cmd_grid(args) -> int:
     coeffs = cfgmod.build_fuel_coefficients(cp)
     betas = _parse_range(args.beta_range)
     gammas = _parse_range(args.gamma_range)
+    _tunable(scenario)  # gains act only on a ts-ops platoon's AVs
     bound = scenario.beta_bound()
     # small relative slack so ranges quoted at display precision (e.g. the
     # bound rounded to three significant figures) are not rejected
@@ -350,7 +349,6 @@ def cmd_grid(args) -> int:
             f"beta range [{betas.min()}, {betas.max()}] leaves the feasible "
             f"interval [0, {bound:.6g}]"
         )
-    _tunable(scenario)  # gains act only on a ts-ops platoon's AVs
     if gammas.min() < 0:
         raise ConfigError("gamma range must be non-negative")
     _make_out(args, cp)
@@ -358,11 +356,7 @@ def cmd_grid(args) -> int:
     bb, gg = np.meshgrid(betas, gammas, indexing="ij")
     flat_b, flat_g = bb.ravel(), gg.ravel()
     labels = [f"beta={b:.6g} gamma={g:.6g}" for b, g in zip(flat_b, flat_g)]
-    try:
-        sums, floor_hits, failures = _grid_sums(scenario, coeffs, flat_b[:, None], flat_g[:, None])
-    except NumericalBlowupError as err:  # of the prefix: every point fails
-        print(f"numerical failure: {labels[err.lane]}: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    sums, floor_hits, failures = _grid_sums(scenario, coeffs, flat_b[:, None], flat_g[:, None])
     asv_vals, fc_vals = _lane_metrics(sums, len(labels), failures)
     _report(labels, floor_hits, sums.saturated, failures)
 
@@ -393,7 +387,7 @@ def main(argv=None) -> int:
     except OSError as err:  # inputs are read as ConfigErrors; this is an output
         print(f"config error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalBlowupError, OptimizeError) as err:
+    except NumericalBlowupError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -30,10 +30,3 @@ class NumericalBlowupError(RuntimeError):
     def __str__(self):
         return f"non-finite state for vehicle {self.vehicle} at t={self.time:.3f} s"
 
-
-class OptimizeError(RuntimeError):
-    """Optimization aborted mid-run; `.trace` holds the iterations so far."""
-
-    def __init__(self, message: str, trace):
-        self.trace = trace
-        super().__init__(message)

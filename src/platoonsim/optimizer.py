@@ -33,7 +33,7 @@ import numpy as np
 from .avblock import AvBlock, av_block
 from .controller import ControllerParams, get_kernel
 from .dynamics import ovrv_accel_arrays
-from .errors import DomainError, NumericalBlowupError, OptimizeError
+from .errors import DomainError, NumericalBlowupError
 from .simulator import PlatoonEngine, Scenario, Trajectory, simulate
 from .stepping import rk4_step, step_coefficients
 
@@ -93,6 +93,8 @@ class OptimizationTrace:
     pair and the descent direction summed over the AVs. floor_hits holds
     each iteration's speed-floor clamps up to the last AV, those of the
     prefix lane ahead of the first AV plus those of the block's run.
+    failure is the error that ended a descent with reason "blow-up", the
+    object the engine or `_sensitivities` raised, and None otherwise.
     """
 
     thetas: np.ndarray
@@ -100,6 +102,7 @@ class OptimizationTrace:
     lambdas: np.ndarray
     floor_hits: np.ndarray
     reason: str
+    failure: NumericalBlowupError | None = None
 
     def __len__(self) -> int:
         return len(self.objectives)
@@ -349,7 +352,7 @@ def _descent_terms(block: AvBlock, theta, mode: str):
 
 def optimize(
     scenario: Scenario, cfg: OptimizerConfig
-) -> tuple[ControllerParams, OptimizationTrace]:
+) -> tuple[ControllerParams | None, OptimizationTrace]:
     """Projected descent on the (beta, gamma) pair shared by the AVs.
 
     Every step that the gains cannot change is integrated once per call.
@@ -360,22 +363,14 @@ def optimize(
     over the AVs, and updates the gains with a fixed step, projecting onto
     the feasible box. Stops when the objective change drops to the
     threshold, the direction vanishes, or the iteration cap is reached.
-    Returns the best-objective gains and the full trace.
+    Returns the best-objective gains and the full trace. A blow-up ends the
+    descent with reason "blow-up": the gains are then None, and the trace
+    holds the completed iterations and, as `failure`, the raised error.
     """
     theta = np.array(astuple(project_feasible(cfg.theta0, cfg.beta_max)))
 
     thetas, objectives, lambdas, floor_hits = [], [], [], []
-    reason = "max-iterations"
-
-    def make_trace():
-        return OptimizationTrace(
-            thetas=np.array(thetas),
-            objectives=np.array(objectives),
-            lambdas=np.array(lambdas),
-            floor_hits=np.array(floor_hits, dtype=np.int64),
-            reason=reason,
-        )
-
+    reason, failure = "max-iterations", None
     try:
         last = _tunable(scenario)[-1]
         block, _, prefix_hits = av_block(scenario, *np.reshape(theta, (2, 1)), last)
@@ -397,10 +392,17 @@ def optimize(
                 astuple(project_feasible(theta - cfg.epsilon * lam, cfg.beta_max))
             )
     except NumericalBlowupError as err:
-        reason = "blow-up"
-        raise OptimizeError(str(err), make_trace()) from err
+        reason, failure = "blow-up", err
 
-    trace = make_trace()
+    trace = OptimizationTrace(
+        thetas=np.array(thetas),
+        objectives=np.array(objectives),
+        lambdas=np.array(lambdas),
+        floor_hits=np.array(floor_hits, dtype=np.int64),
+        reason=reason,
+        failure=failure,
+    )
+    if failure:
+        return None, trace
     best = trace.thetas[trace.best_index]
     return ControllerParams(beta=float(best[0]), gamma=float(best[1])), trace
-

@@ -663,6 +663,28 @@ class TestWindowEnd:
         assert capsys.readouterr().err == "platoon: speed floor engaged 3 times\n"
 
 
+class LaneError(NumericalBlowupError):
+    """A failure with its own text, which shows that a line holds the
+    raised object's, not a copy's or a wrapper's."""
+
+    def __str__(self):
+        return f"lane error at vehicle {self.vehicle}"
+
+
+def failing_descent_terms(failing_call):
+    """`optimizer._descent_terms`, but its `failing_call`-th call raises a
+    `LaneError` for vehicle 4."""
+    terms, calls = optimizer._descent_terms, []
+
+    def failing_terms(*args):
+        calls.append(args)
+        if len(calls) == failing_call:
+            raise LaneError(4, 12.3)
+        return terms(*args)
+
+    return failing_terms
+
+
 class TestTune:
     def test_short_tune(self, tmp_path, capsys):
         code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
@@ -738,38 +760,30 @@ class TestTune:
         assert read_csv(tmp_path / "theta_opt.csv")[1][0] == "0.0641967"
 
     def test_no_av_without_envelope_exits_1(self, tmp_path, capsys):
-        # without controller.envelope_s0 the beta bound has no AV to read
+        # without controller.envelope_s0 the beta bound has no AV to read;
+        # `tune` and `grid` check for an AV first, so the error is the one a
+        # preset's envelope gives
         cp = load_config("scenario1")
         cp.remove_option("controller", "envelope_s0")
         config.dump_config(cp, tmp_path / "no_envelope.cfg")
-        code = main(["tune", "--scenario", str(tmp_path / "no_envelope.cfg"),
-                     "--out", str(tmp_path), "--set", "scenario.mpr=0"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "config error: scenario has no AV, so no control envelope exists\n"
-        )
-        assert not (tmp_path / "trace.csv").exists()
+        for command, ranges in (("tune", []),
+                                ("grid", ["--beta-range", "0:0.05:2", "--gamma-range", "1:1:1"])):
+            code = main([command, "--scenario", str(tmp_path / "no_envelope.cfg"),
+                         "--out", str(tmp_path / "out"), "--set", "scenario.mpr=0", *ranges])
+            assert code == 1
+            assert capsys.readouterr().err == "config error: scenario has no AV to tune\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("failing_call", [1, 3])
     def test_failed_descent_keeps_its_trace(self, tmp_path, capsys, monkeypatch, failing_call):
         # the descent's run blows up on its third (first) call: the two
-        # completed iterations (none) are written before the exit 2
-        terms = optimizer._descent_terms
-        calls = []
-
-        def failing_terms(*args):
-            calls.append(args)
-            if len(calls) == failing_call:
-                raise NumericalBlowupError(4, 12.3)
-            return terms(*args)
-
-        monkeypatch.setattr(optimizer, "_descent_terms", failing_terms)
+        # completed iterations (none) are written before the exit 2, and
+        # `main` prints the raised error's own text
+        monkeypatch.setattr(optimizer, "_descent_terms", failing_descent_terms(failing_call))
         code = main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
                      "--set", "optimizer.n_max=5", "--set", "optimizer.epsilon=1e-4"])
         assert code == 2
-        assert capsys.readouterr().err == (
-            "numerical failure: non-finite state for vehicle 4 at t=12.300 s\n"
-        )
+        assert capsys.readouterr().err == "numerical failure: lane error at vehicle 4\n"
         trace = read_csv(tmp_path / "trace.csv")
         assert trace[0] == ["iter", "beta", "gamma", "J", "lambda_beta", "lambda_gamma"]
         assert [row[0] for row in trace[1:]] == [str(k) for k in range(1, failing_call)]
@@ -894,6 +908,15 @@ class TestSweep:
             writer.writerow([f"{mpr:.3f}"] + [f"{val:.6f}" for val in vals])
         assert (tmp_path / "sweep.csv").read_bytes() == expected.getvalue().encode()
 
+    def test_tune_first_reports_a_failed_descent(self, tmp_path, capsys, monkeypatch):
+        # the MPR 0.5 lane's descent fails on its third run: the lane's line
+        # holds the raised error's text, its row is NaN and the sweep exits 2
+        monkeypatch.setattr(optimizer, "_descent_terms", failing_descent_terms(3))
+        assert main(["sweep", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "optimizer.n_max=5", "--mprs", "0,0.5", "--tune-first"]) == 2
+        assert capsys.readouterr().err == "mpr=0.5: lane error at vehicle 4\n"
+        assert read_csv(tmp_path / "sweep.csv")[2][1:3] == ["nan", "nan"]
+
     def test_tune_first_gains_per_lane(self, tmp_path, monkeypatch):
         built = []
 
@@ -1003,7 +1026,7 @@ def grid_per_point(preset, overrides, beta_range, gamma_range):
     from one engine per point. A point whose run fails gets a NaN row and a
     line that names it, after every other point's lines, and the grid exits
     2. A failure of the all-HV followers ahead of the first AV, which every
-    point shares, fails the grid: it names the first point's failure."""
+    point shares, fails the grid with the first point's failure."""
     cp = load_config(preset)
     apply_overrides(cp, list(overrides))
     sc = build_scenario(cp)
@@ -1019,7 +1042,7 @@ def grid_per_point(preset, overrides, beta_range, gamma_range):
         try:
             engine.run(record=("v", "a"), fold=sums)
         except NumericalBlowupError as err:
-            failures.append(f"{label}: {err}\n")
+            failures.append((label, err))
             writer.writerow([f"{b:.6g}", f"{g:.6g}", "nan", "nan"])
             continue
         asv_m, fc_m = sums.platoon()
@@ -1034,8 +1057,9 @@ def grid_per_point(preset, overrides, beta_range, gamma_range):
         if first:
             simulator.PlatoonEngine(sc, av_mask=np.zeros(first, bool)).run(record=(), end=end)
     except NumericalBlowupError:
-        return None, f"numerical failure: {failures[0]}", 2
-    return out.getvalue().encode(), "".join(lines + failures), 2 if failures else 0
+        return None, f"numerical failure: {failures[0][1]}\n", 2
+    lines += [f"{label}: {err}\n" for label, err in failures]
+    return out.getvalue().encode(), "".join(lines), 2 if failures else 0
 
 
 def check_grid(tmp_path, preset, overrides, beta_range, gamma_range):
@@ -1206,12 +1230,12 @@ class TestGrid:
 
         monkeypatch.setattr(simulator.PlatoonEngine, "run", spy_run)
         # 9 x 9 points, one lane each: the all-HV prefix lane (followers
-        # 1-4); unbatched runs of the AV block (followers 5-10) at the
+        # 1-4, unbatched, with no gains); unbatched runs of the AV block (followers 5-10) at the
         # first point's gains, `_STAGE_BLOCK` steps each, to the one that
         # holds its head's end (step 101, so one run); and one batched,
         # folded run of the block
         check_grid(tmp_path, "scenario1", SHORT_SETS, *ranges)
-        assert runs == [(4, (1,), False), (6, (), False), (6, (81,), True)]
+        assert runs == [(4, (), False), (6, (), False), (6, (81,), True)]
         block = max(1, simulator._FOLD_VALUES // (81 * 13))
         assert max(blocks) <= block and sum(blocks) == 401
         if budget is not None:
@@ -1223,7 +1247,7 @@ class TestGrid:
         # in every lane at the first step, so the grid fails
         ("scenario1", ("scenario.init_spacing=" + " ".join(["1e-200"] + ["30"] * 9),),
          "0:0.05:2", "0.5:1:2",
-         "numerical failure: beta=0 gamma=0.5: non-finite state for vehicle 1 at t=0.100 s\n"),
+         "numerical failure: non-finite state for vehicle 1 at t=0.100 s\n"),
         # the same for follower 6, right behind the AV at follower 5: the
         # block fails in every lane, so every point does
         ("scenario1", ("scenario.init_spacing=" + " ".join(["30"] * 5 + ["1e-200"] + ["30"] * 4),),

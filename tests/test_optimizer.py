@@ -11,7 +11,7 @@ from platoonsim import avblock, optimizer, simulator
 from platoonsim.cli import main
 from platoonsim.config import apply_overrides, build_scenario, load_config
 from platoonsim.controller import SIGMOID_KERNELS, ControllerParams
-from platoonsim.errors import DomainError, NumericalBlowupError, OptimizeError
+from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.optimizer import (
     OptimizerConfig,
     _descent_terms,
@@ -381,11 +381,11 @@ class TestSimulateWithSensitivity:
         # inside the descent it stops the run with reason "blow-up"
         calls.clear()
         cfg = OptimizerConfig(beta_max=0.0642, theta0=ControllerParams(0.03, 0.5))
-        with pytest.raises(OptimizeError) as failed:
-            optimize(sc, cfg)
-        assert str(failed.value) == str(err.value)
-        assert failed.value.trace.reason == "blow-up"
-        assert len(failed.value.trace) == 0
+        theta, trace = optimize(sc, cfg)
+        assert theta is None
+        assert str(trace.failure) == str(err.value)
+        assert trace.reason == "blow-up"
+        assert len(trace) == 0
 
 
 def seeded_block(sc, gains, last, end):
@@ -1062,6 +1062,31 @@ class TestOptimize:
         lam = sum(descent_direction(traj, z[:, row], i) for row, i in enumerate(sc.av_indices))
         assert trace.lambdas[0] == pytest.approx(lam, rel=1e-12)
         assert (theta.beta, theta.gamma) == tuple(trace.thetas[trace.best_index])
+
+    def test_blowup_returns_the_completed_trace_and_the_error(self, monkeypatch):
+        # the third iteration's run raises: the descent returns no gains and
+        # its two completed iterations, with the raised object itself
+        class LaneError(NumericalBlowupError):
+            pass
+
+        raised = LaneError(4, 12.3)
+        terms, calls = optimizer._descent_terms, []
+
+        def failing_terms(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise raised
+            return terms(*args)
+
+        monkeypatch.setattr(optimizer, "_descent_terms", failing_terms)
+        cfg = OptimizerConfig(beta_max=0.0642, theta0=ControllerParams(0.03, 1.0),
+                              epsilon=1e-4, n_max=5)
+        theta, trace = optimize(make_short_scenario(), cfg)
+        assert theta is None
+        assert len(trace) == 2 and trace.reason == "blow-up"
+        assert trace.failure is raised
+        assert trace.thetas.shape == trace.lambdas.shape == (2, 2)
+        assert optimize(make_short_scenario(), replace(cfg, n_max=2))[1].failure is None
 
     def test_closed_loop_sensitivity_mode_runs(self):
         sc = make_short_scenario(beta=0.03, gamma=0.5)
