@@ -4,12 +4,13 @@ No gains change the all-HV followers ahead of the first AV (the prefix) or
 the steps before any AV sees a nonzero relative speed (the head, which
 also ends where a speed of the block is floored), so a caller of many
 gain pairs over one AV mask integrates those once. `av_block` builds the
-block in one call, integrating only those: the prefix as an all-HV lane
-of its own, and the block behind it until its head ends. `AvBlock.run`
-resumes the block from a state and a step. `last`, the last follower the
-caller reads, ends the block: the last AV for `tune` and
-`simulate_with_sensitivity`, whose J and z read nothing behind it, and
-every follower for `grid`, which reads the prefix lane's record.
+block from the scenario alone, integrating only those: the prefix as an
+all-HV lane of its own, and the block behind it, with no control input,
+until its head ends. `AvBlock.run` resumes the block from a state and a
+step. `last`, the last follower the caller reads, ends the block: the last
+AV for `tune` and `simulate_with_sensitivity`, whose J and z read nothing
+behind it, and every follower for `grid`, which reads the prefix lane's
+record.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ class AvBlock:
     """The followers from the first AV to the last one read, as a platoon of
     their own, which runs as those columns of the platoon's run bit for bit.
 
-    `av_block` builds it. `scenario` is the platoon's, and `av_mask`, the
-    block's columns of its mask, chooses the followers; `first` is the
-    platoon index of its leader, the first AV's predecessor, whose
-    four-stage speed table is `lead`; `av` lists the AV followers,
-    block-relative. `head` is the gain-free head's length in steps
+    `av_block` builds it from the scenario alone. `scenario` is the
+    platoon's, and `av_mask`, the block's columns of its mask, chooses the
+    followers; `first` is the platoon index of its leader, the first AV's
+    predecessor, whose four-stage speed table is `lead`; `av` lists the AV
+    followers, block-relative. `head` is the gain-free head's length in steps
     (`av_block`: u = beta*k(gamma*s*0) = 0 and z = 0 through it, and no
     speed is floored), `rows` the record rows 0..head (`t`, and `x` and `v`
     with the leader column), whose first is the block's initial state. A
@@ -69,29 +70,31 @@ class AvBlock:
         return raw
 
 
-def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=None):
+def av_block(scenario: Scenario, last: int, record=("x", "v"), end=None):
     """The AV block of `scenario`, which has an AV, up to follower `last`,
     at least its last AV, to step `end` (by default the horizon's). Returns
     the block, the prefix lane's record of `record` (with `x` and `v`; None
     when the first AV is follower 1, and there is no prefix) and its clamps
     (`lane_floor_hits`; 0 without a prefix), which a caller adds to each
-    block run's own to count the platoon's.
+    block run's own to count the platoon's. A failure of the prefix, every
+    run's, is raised as met.
 
     Every engine runs `scenario`, its followers chosen by a mask slice,
     behind a table that ends at `end`. The prefix, `mask[:first]`, runs as
     one all-HV lane with no gains; under RK4 its engine's `stage_blocks`
-    pass over its record gives its last follower's speeds at stages 2, 3
-    and 4, the block leader's table. The block, `mask[first:last]`, runs
-    behind it with the gains `beta` and `gamma`, `_STAGE_BLOCK` steps per
-    `run`, each resumed where the last ended and stage-passed by its
-    engine, until the head ends: at the first step where any AV has a nonzero dv at any
-    stage, by exact comparison (a dv of 0 leaves u at 0 for every gain
-    pair), or where a speed of the block is floored, so a run resumed there
-    counts every clamp, or at the start of a run that fails, which a run
-    resumed there meets. Their clamps are not returned: past the head they
-    are the gains', which a run resumed there counts. The start,
-    `mask[:last]`'s, adds the spacings in order (`cumsum`), as the
-    platoon's does, so its positions are the platoon's bit for bit.
+    pass over its record gives its last follower's speeds at stages 2, 3 and
+    4, the block leader's table. The block, `mask[first:last]`, runs behind
+    it with no control input (gains 0), `_STAGE_BLOCK` steps per `run`, each
+    resumed where the last ended and stage-passed by its engine, until the
+    head ends: at the first step where any AV has a nonzero dv at any stage,
+    by exact comparison (a dv of 0 leaves u at 0 for every gain pair, so
+    every pair's rows are these), or where a speed of the block is floored,
+    so a run resumed there counts every clamp, or at the start of a run that
+    fails, whose steps past the head are the gains'. Their clamps are not
+    returned: past the head they are the gains', which a run resumed there
+    counts. The start, `mask[:last]`'s, adds the spacings in order
+    (`cumsum`), as the platoon's does, so its positions are the platoon's
+    bit for bit.
     """
     av = scenario.av_indices
     first = av[0] - 1
@@ -102,12 +105,7 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     raw, hits = None, 0
     if first:
         engine = PlatoonEngine(scenario, av_mask=mask[:first])
-        try:
-            raw = engine.run(record=record, lead=lead)
-        except NumericalBlowupError:
-            # the prefix fails every run, the platoon's maybe earlier behind it
-            PlatoonEngine(scenario, beta=beta, gamma=gamma, av_mask=mask[:last]).run((), lead=lead)
-            raise
+        raw = engine.run(record=record, lead=lead)  # its failure is every run's
         hits = engine.lane_floor_hits
         later = [np.empty(steps) for _ in range(3)] if scenario.integrator == "rk4" else []
         for k0, k1, stages, _ in engine.stage_blocks(lead, raw) if later else ():
@@ -120,8 +118,8 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
     rows = {"t": np.zeros(1), "x": x[None, first:], "v": np.append(lead[0][0], v[first:])[None]}
     block = AvBlock(scenario, first, tuple(i - first for i in av), lead, mask[first:last],
                     steps, rows)
-    # one unbatched lane of the gains: the runs' records are the block's rows
-    engine = block.engine(np.ravel(beta)[:1], np.ravel(gamma)[:1])
+    # one unbatched lane with no control input: the runs' records are the block's rows
+    engine = block.engine(0.0, 0.0)
     try:
         for k in range(0, steps, _STAGE_BLOCK):
             block.rows = block.run(engine, k, ("x", "v"), end=min(k + _STAGE_BLOCK, steps))
@@ -132,7 +130,7 @@ def av_block(scenario: Scenario, beta, gamma, last: int, record=("x", "v"), end=
             if moved.any():
                 block.head = k + int(np.argmax(moved))
                 break
-    except NumericalBlowupError:  # a run resumed at the start of the failed one meets it
+    except NumericalBlowupError:  # each gain pair's run resumes at the failed one's start
         block.head = k
     block.rows = {name: arr[: block.head + 1] for name, arr in block.rows.items()}
     return block, raw, hits

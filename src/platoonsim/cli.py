@@ -312,14 +312,12 @@ def _grid_sums(scenario, coeffs, betas, gammas):
     `av_block` runs the all-HV prefix, one lane with no gains, to the
     window's last sample; its record gives the prefix's sums, which every
     lane shares, and its AV block of every follower, in one batched run
-    resumed at the head's end (found at the first point's gains) or the
-    window's start if earlier, gives each lane's; a lane's clamps are the
-    prefix's plus its block's. A failure of the prefix, which every point
-    shares, raises.
+    resumed at the head's end or the window's start if earlier, gives each
+    lane's; a lane's clamps are the prefix's plus its block's. A failure of
+    the prefix, which every point shares, raises.
     """
-    seed, last = (betas[:1], gammas[:1]), scenario.n_followers
     keep = window_slice(np.arange(scenario.steps + 1) * scenario.dt, scenario.metric_window)
-    block, raw, seed_hits = av_block(scenario, *seed, last, ("x", "v", "a"), keep.stop - 1)
+    block, raw, hits = av_block(scenario, scenario.n_followers, ("x", "v", "a"), keep.stop - 1)
     first, rows = block.first, slice(keep.start, None)
     prefix = WindowSums(scenario, coeffs)
     if first:
@@ -332,7 +330,7 @@ def _grid_sums(scenario, coeffs, betas, gammas):
         sums.sums = np.concatenate([np.broadcast_to(prefix.sums[:, None], (2, len(betas), first)),
                                     sums.sums], axis=-1)
         sums.saturated += prefix.saturated
-    return sums, seed_hits + engine.lane_floor_hits, engine.lane_failures
+    return sums, hits + engine.lane_floor_hits, engine.lane_failures
 
 
 def cmd_grid(args) -> int:

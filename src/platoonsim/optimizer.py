@@ -273,7 +273,7 @@ def simulate_with_sensitivity(
     beta, gamma = theta.ravel().tolist()
     ctrl = replace(scenario.controller, beta=beta, gamma=gamma)
     traj = simulate(replace(scenario, controller=ctrl))
-    block = av_block(scenario, *np.reshape(theta, (2, 1)), last)[0]
+    block = av_block(scenario, last)[0]
     return traj, _descent_terms(block, theta, mode)[2]
 
 
@@ -373,7 +373,7 @@ def optimize(
     reason, failure = "max-iterations", None
     try:
         last = _tunable(scenario)[-1]
-        block, _, prefix_hits = av_block(scenario, *np.reshape(theta, (2, 1)), last)
+        block, _, prefix_hits = av_block(scenario, last)
         for kappa in range(1, cfg.n_max + 1):
             j_val, lam, _, hits = _descent_terms(block, theta, cfg.sensitivity)
             thetas.append(theta)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from platoonsim import cli, config, optimizer, simulator
+from platoonsim import avblock, cli, config, optimizer, simulator
 from platoonsim.cli import _platoon_metrics_batch, main
 from platoonsim.config import (
     apply_overrides,
@@ -1026,7 +1026,7 @@ def grid_per_point(preset, overrides, beta_range, gamma_range):
     from one engine per point. A point whose run fails gets a NaN row and a
     line that names it, after every other point's lines, and the grid exits
     2. A failure of the all-HV followers ahead of the first AV, which every
-    point shares, fails the grid with the first point's failure."""
+    point shares, fails the grid with their own run's failure."""
     cp = load_config(preset)
     apply_overrides(cp, list(overrides))
     sc = build_scenario(cp)
@@ -1056,8 +1056,8 @@ def grid_per_point(preset, overrides, beta_range, gamma_range):
     try:
         if first:
             simulator.PlatoonEngine(sc, av_mask=np.zeros(first, bool)).run(record=(), end=end)
-    except NumericalBlowupError:
-        return None, f"numerical failure: {failures[0][1]}\n", 2
+    except NumericalBlowupError as err:
+        return None, f"numerical failure: {err}\n", 2
     lines += [f"{label}: {err}\n" for label, err in failures]
     return out.getvalue().encode(), "".join(lines), 2 if failures else 0
 
@@ -1230,10 +1230,10 @@ class TestGrid:
 
         monkeypatch.setattr(simulator.PlatoonEngine, "run", spy_run)
         # 9 x 9 points, one lane each: the all-HV prefix lane (followers
-        # 1-4, unbatched, with no gains); unbatched runs of the AV block (followers 5-10) at the
-        # first point's gains, `_STAGE_BLOCK` steps each, to the one that
-        # holds its head's end (step 101, so one run); and one batched,
-        # folded run of the block
+        # 1-4, unbatched, with no gains); unbatched runs of the AV block
+        # (followers 5-10) with no control input, `_STAGE_BLOCK` steps each,
+        # to the one that holds its head's end (step 101, so one run); and
+        # one batched, folded run of the block
         check_grid(tmp_path, "scenario1", SHORT_SETS, *ranges)
         assert runs == [(4, (), False), (6, (), False), (6, (81,), True)]
         block = max(1, simulator._FOLD_VALUES // (81 * 13))
@@ -1279,6 +1279,47 @@ class TestGrid:
             rows = read_csv(tmp_path / "grid" / "grid.csv")[1:]
             nan_rows = [row for row in rows if row[2:] == ["nan", "nan"]]
             assert len(nan_rows) == message.count("non-finite")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failing_prefix_is_raised_as_met(self, tmp_path, capsys, monkeypatch):
+        # two faults in scenario 2 behind a lead that stops, under the
+        # unclamped law: a 1e-200 m spacing fails follower 5, in the AV
+        # block behind the AV at follower 3, at the first step, and the
+        # all-HV prefix (followers 1-2) fails at 13.4 s. The prefix's failure
+        # is every run's: `tune` and `grid` report it, from one run of the
+        # prefix alone, and `grid` writes no grid.csv
+        monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
+        sets = ["scenario.t_f=25", "scenario.metric_window=0 25", "scenario.mpr=0.2",
+                "scenario.lead_profile=0:21 5:21 9:0"]
+        cp = load_config("scenario2")
+        apply_overrides(cp, sets)
+        spacing = simulator.start_spacings(build_scenario(cp), simulator.av_mask_for(10, 0.2))
+        spacing = spacing.tolist()
+        spacing[4] = 1e-200
+        sets.append("scenario.init_spacing=" + " ".join(map(repr, spacing)))
+        apply_overrides(cp, sets[-1:])
+        sc = build_scenario(cp)
+        assert sc.av_indices == (3, 7)
+        grid = ["--beta-range", "0:0.05:2", "--gamma-range", "0.5:1:2"]
+        for command, ranges in (("tune", []), ("grid", grid)):
+            assert main([command, "--scenario", "scenario2", "--out", str(tmp_path / command),
+                         *sets_args(sets), *ranges]) == 2
+            assert capsys.readouterr().err == (
+                "numerical failure: non-finite state for vehicle 1 at t=13.400 s\n")
+        assert not (tmp_path / "grid" / "grid.csv").exists()
+
+        runs = []
+        run = simulator.PlatoonEngine.run
+
+        def spy_run(engine, *args, **kw):
+            runs.append(engine.n)
+            return run(engine, *args, **kw)
+
+        monkeypatch.setattr(simulator.PlatoonEngine, "run", spy_run)
+        with pytest.raises(NumericalBlowupError) as err:
+            avblock.av_block(sc, sc.av_indices[-1])
+        assert (err.value.vehicle, err.value.time) == (1, pytest.approx(13.4, abs=1e-9))
+        assert runs == [2]
 
     def test_failed_points_leave_the_other_rows(self, tmp_path, monkeypatch):
         # the grid's twin of `TestSweep::test_blowup_gives_nan_rows`: under

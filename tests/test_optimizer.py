@@ -120,12 +120,10 @@ class TestSensitivityRhs:
         assert zdot[1] - zdot[0] == pytest.approx([drdv, 2 * drdv], rel=1e-12)
 
 
-def av_block(sc, theta=None, end=None):
-    """The AV block of `sc` up to its last AV, as the descent builds it, its
-    runs to the head's end at `theta` (by default the scenario's own gains),
-    to step `end` (by default the horizon's)."""
-    theta = (sc.controller.beta, sc.controller.gamma) if theta is None else theta
-    return avblock.av_block(sc, *np.reshape(theta, (2, 1)), sc.av_indices[-1], end=end)[0]
+def av_block(sc, end=None):
+    """The AV block of `sc` up to its last AV, as the descent builds it, to
+    step `end` (by default the horizon's)."""
+    return avblock.av_block(sc, sc.av_indices[-1], end=end)[0]
 
 
 def block_initial(block):
@@ -239,7 +237,7 @@ class TestSimulateWithSensitivity:
         # nothing behind an AV reaches it
         sc = make_short_scenario(mpr=mpr, integrator=integrator)
         _, z = simulate_with_sensitivity(sc, self.THETA, mode)
-        block = avblock.av_block(sc, *np.reshape(self.THETA, (2, 1)), sc.n_followers)[0]
+        block = avblock.av_block(sc, sc.n_followers)[0]
         assert block.first + block.av[-1] < sc.n_followers or mpr == 1.0
         descent = _descent_terms(block, self.THETA, mode)[2]
         assert z.tobytes() == descent.tobytes()
@@ -449,10 +447,11 @@ class TestAvBlock:
     def test_block_equals_the_one_a_whole_platoon_run_seeds(
         self, hv, mpr, integrator, lead, theta, lanes, to_last_av, end, perturbed, block
     ):
-        # `av_block` integrates the prefix and the block's head only; its
-        # head, rows, leader table and clamps are those of one run of the
-        # followers up to `last` and one stage pass over its record, bit
-        # for bit, and it fails only as that run does, before its head's end
+        # `av_block` integrates the prefix and the block's head only, with
+        # no gains; its head, rows, leader table and clamps are those of one
+        # run of the followers up to `last` at any drawn gains and one stage
+        # pass over its record, bit for bit, and it fails only as its
+        # prefix's own run does
         spacing = None
         if perturbed is not None:
             follower, scale = perturbed
@@ -472,10 +471,15 @@ class TestAvBlock:
             except NumericalBlowupError as err:
                 reference = err
             try:
-                got = avblock.av_block(sc, *gains, last, end=end)
+                got = avblock.av_block(sc, last, end=end)
             except NumericalBlowupError as err:
+                # the prefix's own error, which the platoon's run meets no later
+                mask = av_mask_for(sc.n_followers, sc.mpr)[: sc.av_indices[0] - 1]
+                with pytest.raises(NumericalBlowupError) as prefix:
+                    PlatoonEngine(sc, av_mask=mask).run((), end=end)
+                assert (err.vehicle, err.time) == (prefix.value.vehicle, prefix.value.time)
                 assert isinstance(reference, NumericalBlowupError)
-                assert (err.vehicle, err.time) == (reference.vehicle, reference.time)
+                assert reference.time <= err.time
                 return
         block, raw, hits = got
         if isinstance(reference, NumericalBlowupError):
@@ -507,8 +511,8 @@ class TestAvBlock:
         post_init = simulator.Scenario.__post_init__
         monkeypatch.setattr(simulator.Scenario, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
-        tune = np.array([0.03]), np.array([0.5]), sc.av_indices[-1]
-        grid = np.array([[0.03]]), np.array([[0.5]]), sc.n_followers, ("x", "v", "a"), 400
+        tune = (sc.av_indices[-1],)
+        grid = sc.n_followers, ("x", "v", "a"), 400
         for args, end in ((tune, sc.steps), (grid, 400)):
             block, raw, _ = avblock.av_block(sc, *args)
             assert block.scenario is sc and block.first == 4
@@ -677,7 +681,7 @@ class TestHead:
                            **self.SCENARIOS[lead])
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
         with np.errstate(invalid="ignore"):  # a failed run ends the head
-            block = av_block(sc, thetas[0])
+            block = av_block(sc)
         k = block.head
 
         # a resumed run equals the full run: every field from the head's end
@@ -764,7 +768,7 @@ class TestHead:
         for follower, gap in gaps.items():
             spacing[follower - 1] = gap
         sc = replace(sc, init_spacing=tuple(spacing))
-        block, _, hits = avblock.av_block(sc, 0.03, 1.0, sc.n_followers)
+        block, _, hits = avblock.av_block(sc, sc.n_followers)
         # a floored speed is 0 after its step, here in the platoon's run
         raw = PlatoonEngine(sc, beta=0.03).run(record=("v",))
         floored = (raw["v"][1:, block.first + 1 :] == 0).any(axis=1)
@@ -793,9 +797,8 @@ class TestHead:
         sets.append("scenario.init_spacing=" + " ".join(map(repr, spacing)))
         apply_overrides(cp, sets[-1:])
         sc = build_scenario(cp)
-        # the descent's block, at its first gains: no prefix lane, so no
-        # clamps come with it
-        block, raw, hits = avblock.av_block(sc, 0.05, 1.0, sc.av_indices[-1])
+        # the descent's block: no prefix lane, so no clamps come with it
+        block, raw, hits = avblock.av_block(sc, sc.av_indices[-1])
         assert (block.first, block.head, raw, hits) == (0, 0, None, 0)
         engine = block.engine(0.05, 1.0)
         block.run(engine, block.head, ("x", "v"))
