@@ -4,9 +4,10 @@ Every command reads a scenario config (bundled preset name or file path),
 applies `--set section.key=value` overrides, and writes CSV artifacts into
 the output directory. A command writes `--dump-config` and creates that
 directory once its inputs have passed their checks and before any run, so
-a config error leaves neither behind. Exit codes: 0 success, 1 config
-error, 2 numerical failure (`sweep` and `grid` first write a failed lane's
-row as NaN, unless all lanes share it), 3 safety violation under --strict-safety.
+an input that fails its checks leaves neither behind. Exit codes: 0
+success, 1 config error, 2 numerical failure (`sweep` and `grid` first
+write a failed lane's row as NaN, unless all lanes share it), 3 safety
+violation under --strict-safety.
 Every command prints its runs' clamps at 0 m/s, fuel-rate saturations and
 failed lanes to stderr through `_report` alone, one `<label>: ...` line
 each, from the engine's per-lane counters; `main` runs it with NumPy's
@@ -31,7 +32,7 @@ from . import config as cfgmod
 from .avblock import av_block
 from .errors import ConfigError, DomainError, NumericalBlowupError
 from .metrics import WindowSums, summarize
-from .optimizer import _tunable, optimize
+from .optimizer import optimize
 from .simulator import (
     PlatoonEngine,
     assemble_trajectory,
@@ -191,7 +192,6 @@ def _write_trace(out, trace) -> None:
 
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
-    _tunable(scenario)  # the descent acts only on a ts-ops platoon's AVs
     ocfg = cfgmod.build_optimizer_config(cp, scenario)
     _make_out(args, cp)
     theta, trace = optimize(scenario, ocfg)
@@ -245,8 +245,6 @@ def cmd_sweep(args) -> int:
         lane: (point, cfgmod.build_optimizer_config(cp, point))
         for lane, point in points.items() if args.tune_first and point.av_indices
     }
-    for point, _ in descents.values():
-        _tunable(point)
     _make_out(args, cp)
 
     # lane 0 is the AV-free baseline, lane k the k-th MPR; all lanes are
@@ -338,8 +336,7 @@ def cmd_grid(args) -> int:
     coeffs = cfgmod.build_fuel_coefficients(cp)
     betas = _parse_range(args.beta_range)
     gammas = _parse_range(args.gamma_range)
-    _tunable(scenario)  # gains act only on a ts-ops platoon's AVs
-    bound = scenario.beta_bound()
+    bound = scenario.beta_bound()  # gains act only on a ts-ops platoon's AVs
     # small relative slack so ranges quoted at display precision (e.g. the
     # bound rounded to three significant figures) are not rejected
     if betas.min() < 0 or betas.max() > bound * (1 + 1e-4) + 1e-12:

@@ -186,11 +186,13 @@ def build_scenario(cp: configparser.ConfigParser) -> Scenario:
 def build_optimizer_config(
     cp: configparser.ConfigParser, scenario: Scenario
 ) -> OptimizerConfig:
-    """Optimizer settings; the ceiling on beta is the scenario's safety bound."""
+    """Optimizer settings, parsed once `Scenario.beta_bound()` has found
+    that the gains of `scenario` can act."""
+    scenario.beta_bound()
     fields = _fields(cp, "optimizer")
     try:
         theta0 = replace(OptimizerConfig.theta0, **fields[ControllerParams])
-        return OptimizerConfig(scenario.beta_bound(), theta0, **fields[OptimizerConfig])
+        return OptimizerConfig(theta0, **fields[OptimizerConfig])
     except ValueError as err:
         raise ConfigError(str(err)) from err
 

@@ -59,12 +59,11 @@ class OptimizerConfig:
 
     The descent tunes one (beta, gamma) pair shared by every AV. epsilon is
     the fixed step size; phi the convergence threshold on the change of the
-    objective between iterations; beta_max the feasibility ceiling on beta;
-    sensitivity the gradient's mode, "exogenous" or "closed-loop" (exact;
-    see the module docstring).
+    objective between iterations; sensitivity the gradient's mode,
+    "exogenous" or "closed-loop" (exact; see the module docstring). The
+    ceiling on beta is the scenario's, `Scenario.beta_bound()`.
     """
 
-    beta_max: float
     theta0: ControllerParams = ControllerParams(0.05, 1.0)
     epsilon: float = 1e-5
     phi: float = 1e-6
@@ -78,10 +77,6 @@ class OptimizerConfig:
             raise DomainError(f"phi must be positive and finite, got {self.phi}")
         if self.n_max < 1:
             raise DomainError(f"n_max must be at least 1, got {self.n_max}")
-        if not (math.isfinite(self.beta_max) and self.beta_max > 0):
-            raise DomainError(
-                f"beta_max must be positive and finite, got {self.beta_max}"
-            )
         _check_mode(self.sensitivity)
 
 
@@ -187,19 +182,6 @@ def _z_terms(s, dv, beta, gamma, kernel, p):
     return d, phi
 
 
-def _tunable(scenario: Scenario) -> tuple[int, ...]:
-    """The AVs of `scenario`; a DomainError unless a ts-ops platoon has one."""
-    av = scenario.av_indices
-    if not av:
-        raise DomainError("scenario has no AV to tune")
-    if scenario.controller.kind != "ts-ops":
-        raise DomainError(
-            f"only the 'ts-ops' controller is tunable, got "
-            f"{scenario.controller.kind!r}"
-        )
-    return av
-
-
 def _sensitivities(block: AvBlock, engine: PlatoonEngine, raw: dict) -> np.ndarray:
     """The exogenous AV gain sensitivities z = dv/d(beta, gamma) of a run.
 
@@ -269,11 +251,11 @@ def simulate_with_sensitivity(
     if theta.shape not in ((2,), (1, 2)):
         raise DomainError(f"theta_av must be one (beta, gamma) pair, not shape {theta.shape}")
     _check_mode(mode)
-    last = _tunable(scenario)[-1]
+    scenario.beta_bound()  # the gains act only on a ts-ops platoon's AVs
     beta, gamma = theta.ravel().tolist()
     ctrl = replace(scenario.controller, beta=beta, gamma=gamma)
     traj = simulate(replace(scenario, controller=ctrl))
-    block = av_block(scenario, last)[0]
+    block = av_block(scenario, scenario.av_indices[-1])[0]
     return traj, _descent_terms(block, theta, mode)[2]
 
 
@@ -367,13 +349,13 @@ def optimize(
     descent with reason "blow-up": the gains are then None, and the trace
     holds the completed iterations and, as `failure`, the raised error.
     """
-    theta = np.array(astuple(project_feasible(cfg.theta0, cfg.beta_max)))
+    bound = scenario.beta_bound()
+    theta = np.array(astuple(project_feasible(cfg.theta0, bound)))
 
     thetas, objectives, lambdas, floor_hits = [], [], [], []
     reason, failure = "max-iterations", None
     try:
-        last = _tunable(scenario)[-1]
-        block, _, prefix_hits = av_block(scenario, last)
+        block, _, prefix_hits = av_block(scenario, scenario.av_indices[-1])
         for kappa in range(1, cfg.n_max + 1):
             j_val, lam, _, hits = _descent_terms(block, theta, cfg.sensitivity)
             thetas.append(theta)
@@ -388,9 +370,7 @@ def optimize(
                 break
             if kappa == cfg.n_max:
                 break
-            theta = np.array(
-                astuple(project_feasible(theta - cfg.epsilon * lam, cfg.beta_max))
-            )
+            theta = np.array(astuple(project_feasible(theta - cfg.epsilon * lam, bound)))
     except NumericalBlowupError as err:
         reason, failure = "blow-up", err
 

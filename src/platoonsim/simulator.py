@@ -255,23 +255,24 @@ class Scenario:
     def speeds_initial(self) -> float:
         return float(self.lead.speeds[0])
 
-    def envelope_s0_effective(self) -> float:
-        """Initial AV spacing used for the safety bound on beta.
-
-        An explicit controller.envelope_s0 wins; otherwise the smallest
-        actual initial spacing among the AVs.
-        """
-        if self.controller.envelope_s0 is not None:
-            return self.controller.envelope_s0
-        mask = av_mask_for(self.n_followers, self.mpr)
-        if not mask.any():
-            raise DomainError("scenario has no AV, so no control envelope exists")
-        return float(start_spacings(self, mask)[mask].min())
-
     def beta_bound(self) -> float:
-        """The safety ceiling on beta (`beta_upper_bound`) of the envelope and kernel."""
-        sup = get_kernel(self.controller.kernel).sup
-        return beta_upper_bound(self.envelope_s0_effective(), self.min_safe_spacing, self.t_f, sup)
+        """The safety ceiling on beta (`beta_upper_bound`), and the one gate
+        of the gains: a DomainError unless a ts-ops platoon has an AV and a
+        ceiling above 0."""
+        mask, ctrl = av_mask_for(self.n_followers, self.mpr), self.controller
+        if not mask.any():
+            raise DomainError("scenario has no AV to tune")
+        if ctrl.kind != "ts-ops":
+            raise DomainError(f"only the 'ts-ops' controller is tunable, got {ctrl.kind!r}")
+        # a stated envelope_s0 is positive; else the smallest initial AV spacing
+        s0 = ctrl.envelope_s0 or float(start_spacings(self, mask)[mask].min())
+        bound = beta_upper_bound(s0, self.min_safe_spacing, self.t_f, get_kernel(ctrl.kernel).sup)
+        if not bound > 0:
+            raise DomainError(
+                f"control envelope s0 {s0} leaves no margin over min_safe_spacing "
+                f"{self.min_safe_spacing}: beta's ceiling is 0"
+            )
+        return bound
 
 
 def start_spacings(scenario: Scenario, av_mask: np.ndarray) -> np.ndarray:

@@ -49,13 +49,14 @@ def make_scenario(
     t_f=500.0,
     window=(100.0, 250.0),
     dt=0.1,
+    envelope_s0=52.42,
     **kw,
 ):
     controller = ControllerConfig(
         kind=kind,
         beta=beta,
         gamma=gamma,
-        envelope_s0=52.42,
+        envelope_s0=envelope_s0,
         phi2=0.1 if hv is IDM_1 else 0.04,
     )
     return Scenario(

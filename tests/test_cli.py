@@ -31,6 +31,7 @@ from platoonsim.config import (
     load_config,
 )
 from platoonsim.controller import beta_upper_bound
+from platoonsim.dynamics import equilibrium_spacing
 from platoonsim.errors import ConfigError, NumericalBlowupError
 from platoonsim.metrics import WindowSums, default_fuel_coefficients, load_fuel_coefficients
 from platoonsim.optimizer import OptimizerConfig, optimize
@@ -87,7 +88,7 @@ class TestConfig:
         cp = load_config("scenario1")
         sc = build_scenario(cp)
         ocfg = build_optimizer_config(cp, sc)
-        assert ocfg.beta_max == pytest.approx(0.0642, abs=5e-5)
+        assert sc.beta_bound() == pytest.approx(0.0642, abs=5e-5)
         assert ocfg.epsilon == 1e-5
         assert ocfg.n_max == 300
 
@@ -169,6 +170,25 @@ class TestConfig:
             "", f"config error: envelope_s0 must be positive and finite, got {shown}\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command", [
+        ["tune"], ["sweep", "--tune-first", "--mprs", "0,0.1"],
+        ["grid", "--beta-range", "0:0:1", "--gamma-range", "1:1:1"]])
+    def test_zero_authority_exits_1_naming_the_envelope(self, tmp_path, capsys, command):
+        # an envelope at min_safe_spacing leaves beta's ceiling at 0, so no
+        # gain can act: every command that reads the ceiling refuses it, by
+        # the envelope, before --out exists
+        code = main([command[0], "--scenario", "scenario1", "--out", str(tmp_path / "out"),
+                     "--dump-config", str(tmp_path / "dump.cfg"), *SHORT,
+                     "--set", "controller.envelope_s0=2", *command[1:]])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            "config error: control envelope s0 2.0 leaves no margin over min_safe_spacing "
+            "2.0: beta's ceiling is 0\n"))
+        assert os.listdir(tmp_path) == []
+        # `run` reads no ceiling
+        assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     "--set", "controller.envelope_s0=2"]) == 0
+
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         path = tmp_path / "no_hv.cfg"
         path.write_text("[av_model]\nk1 = 0.02\nk2 = 0.13\neta = 21.51\ntau = 1.71\nlength = 5\n")
@@ -183,10 +203,11 @@ class TestConfig:
         assert sc == Scenario(
             hv_model=sc.hv_model, av_model=sc.av_model, lead=LeadProfile((0.0,), (21.0,))
         )
-        point = replace(sc, mpr=0.1)
-        assert build_optimizer_config(cp, point) == OptimizerConfig(
-            beta_max=beta_upper_bound(point.envelope_s0_effective(), 2.0, 500.0, math.pi / 2)
-        )
+        # the gains of the default controller, "none", cannot act
+        point = replace(sc, mpr=0.1, controller=replace(sc.controller, kind="ts-ops"))
+        assert build_optimizer_config(cp, point) == OptimizerConfig()
+        assert point.beta_bound() == beta_upper_bound(
+            equilibrium_spacing(point.av_model, 21.0), 2.0, 500.0, math.pi / 2)
 
 
 class TestUsageErrors:
@@ -410,6 +431,19 @@ class TestRun:
             assert main([*argv, "--scenario", "scenario1", "--out", str(out), *SHORT]) == 1
             assert capsys.readouterr() == (
                 "", f"config error: cannot write {out}: File exists\n"), argv
+
+    def test_out_that_is_a_file_fails_after_the_dump(self, tmp_path, capsys):
+        # the inputs passed their checks, so --dump-config is written; the
+        # output path fails when it is reached and leaves the dump behind
+        out, dump = tmp_path / "taken", tmp_path / "dump.cfg"
+        out.write_text("")
+        assert main(["run", "--scenario", "scenario1", "--out", str(out),
+                     "--dump-config", str(dump), *SHORT]) == 1
+        assert capsys.readouterr() == ("", f"config error: cannot write {out}: File exists\n")
+        assert sorted(os.listdir(tmp_path)) == ["dump.cfg", "taken"]
+        assert out.read_text() == ""
+        config.dump_config(short_config(), tmp_path / "expected.cfg")
+        assert dump.read_text() == (tmp_path / "expected.cfg").read_text()
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--set", "controller.betta=1"], "unknown config key [controller] betta"),
@@ -942,6 +976,36 @@ class TestSweep:
         assert got == expected
         assert expected[2] != expected[3]
         assert np.array_equal(engine.av_mask, simulator.av_mask_for(10, [0, 0, 0.5, 1]))
+
+    def test_tune_first_projects_each_lane_onto_its_own_ceiling(self, tmp_path, monkeypatch):
+        # without a stated envelope each MPR's ceiling on beta follows its
+        # smallest AV spacing on a 30 ... 48 m ramp: 38 m at MPR 0.1, 34 m
+        # at 0.2, 30 m at 0.5; beta0 starts above the two smaller ceilings
+        built = []
+
+        class SpyEngine(simulator.PlatoonEngine):
+            def __init__(self, scenario, **kw):
+                super().__init__(scenario, **kw)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "PlatoonEngine", SpyEngine)
+        cp = short_config("scenario.init_spacing=30 32 34 36 38 40 42 44 46 48",
+                          "optimizer.beta0=0.36", "optimizer.n_max=2")
+        cp.remove_option("controller", "envelope_s0")
+        config.dump_config(cp, tmp_path / "ramp.cfg")
+        mprs = (0.1, 0.2, 0.5)
+        assert main(["sweep", "--scenario", str(tmp_path / "ramp.cfg"), "--out", str(tmp_path),
+                     "--mprs", ",".join(map(str, mprs)), "--tune-first"]) == 0
+        [engine] = built
+        sc = build_scenario(cp)
+        points = [replace(sc, mpr=mpr) for mpr in mprs]
+        ceilings = [point.beta_bound() for point in points]
+        assert ceilings[2] < ceilings[1] < 0.36 < ceilings[0]
+        got = list(zip(engine.beta[1:, 0].tolist(), engine.gamma[1:, 0].tolist()))
+        for (beta, gamma), point, ceiling in zip(got, points, ceilings):
+            theta, _ = optimize(point, build_optimizer_config(cp, point))
+            assert (beta, gamma) == (theta.beta, theta.gamma)
+            assert beta <= ceiling
 
     def test_blowup_gives_nan_rows(self, tmp_path, capsys, monkeypatch):
         # lanes whose first follower is an AV go non-finite (MPR 0.5 and 1);

@@ -150,7 +150,7 @@ class TestBetaUpperBound:
     @pytest.mark.parametrize("kernel", sorted(SIGMOID_KERNELS))
     def test_scenario_bound_reads_the_kernels_supremum(self, kernel):
         # tanh and erf are bounded by 1, so their bound is pi/2 times arctan's
-        sc = Scenario(t_f=500.0, controller=ControllerConfig(
+        sc = Scenario(t_f=500.0, mpr=0.1, controller=ControllerConfig(
             kind="ts-ops", kernel=kernel, envelope_s0=52.42))
         assert sc.beta_bound() == (52.42 - 2.0) / (SIGMOID_KERNELS[kernel].sup * 500.0)
 

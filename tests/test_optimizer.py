@@ -46,6 +46,11 @@ from conftest import (
     unclamped_idm,
 )
 
+# control envelopes whose beta ceilings over the short scenarios' 50 s are
+# the presets' 0.0642 (theirs over 500 s) and 0.05, so a descent can meet them
+S0_0642 = 2.0 + 50.42 / 10
+S0_05 = 2.0 + 0.05 * math.pi / 2 * 50.0
+
 
 def toy_trajectory(t, v_columns):
     """Minimal trajectory carrying only the time grid and speed columns."""
@@ -354,7 +359,7 @@ class TestSimulateWithSensitivity:
         # derivative is evaluated at the AV entries only, once over the four
         # RK4 stages of each 100-step block from the end of the gain-free
         # head, step 100
-        sc = make_short_scenario(mpr=0.5)
+        sc = make_short_scenario(mpr=0.5, envelope_s0=S0_0642)
         assert sc.av_indices == (1, 3, 5, 7, 9)
         assert av_block(sc).head == 100
         kernel = SIGMOID_KERNELS["arctan"]
@@ -378,7 +383,7 @@ class TestSimulateWithSensitivity:
 
         # inside the descent it stops the run with reason "blow-up"
         calls.clear()
-        cfg = OptimizerConfig(beta_max=0.0642, theta0=ControllerParams(0.03, 0.5))
+        cfg = OptimizerConfig(theta0=ControllerParams(0.03, 0.5))
         theta, trace = optimize(sc, cfg)
         assert theta is None
         assert str(trace.failure) == str(err.value)
@@ -719,7 +724,7 @@ class TestHead:
         # a closed-loop descent runs its complex lanes from the one real
         # head's end, with the head's row, and builds no complex
         # engine other than those lanes' (no step-batched rebuild of them)
-        sc = make_short_scenario(mpr=0.5, hv=hv)
+        sc = make_short_scenario(mpr=0.5, hv=hv, envelope_s0=S0_0642)
         blocks, built, runs = [], [], []
         build_block = optimizer.av_block
         init, run = PlatoonEngine.__init__, PlatoonEngine.run
@@ -739,7 +744,7 @@ class TestHead:
         monkeypatch.setattr(optimizer, "av_block", spy_block)
         monkeypatch.setattr(PlatoonEngine, "__init__", spy_init)
         monkeypatch.setattr(PlatoonEngine, "run", spy_run)
-        cfg = OptimizerConfig(beta_max=0.0642, n_max=4, sensitivity="closed-loop")
+        cfg = OptimizerConfig(n_max=4, sensitivity="closed-loop")
         _, trace = optimize(sc, cfg)
         [(block, _, _)] = blocks
         k = block.head
@@ -1012,8 +1017,8 @@ class TestGradientOracle:
 
 class TestOptimize:
     def test_flat_profile_is_stationary(self):
-        sc = make_short_scenario(lead=FLAT_LEAD, window=(10.0, 40.0))
-        cfg = OptimizerConfig(beta_max=0.0642, theta0=ControllerParams(0.03, 0.5))
+        sc = make_short_scenario(lead=FLAT_LEAD, window=(10.0, 40.0), envelope_s0=S0_0642)
+        cfg = OptimizerConfig(theta0=ControllerParams(0.03, 0.5))
         theta, trace = optimize(sc, cfg)
         assert len(trace) == 1
         assert trace.reason == "converged"
@@ -1021,42 +1026,34 @@ class TestOptimize:
         assert (theta.beta, theta.gamma) == (0.03, 0.5)
 
     def test_short_run_converges_and_stays_feasible(self):
-        sc = make_short_scenario(beta=0.03, gamma=1.0)
-        cfg = OptimizerConfig(
-            beta_max=0.05,
-            theta0=ControllerParams(0.03, 1.0),
-            epsilon=1e-4,
-            n_max=40,
-        )
+        sc = make_short_scenario(beta=0.03, gamma=1.0, envelope_s0=S0_05)
+        bound = sc.beta_bound()
+        assert bound == pytest.approx(0.05, rel=1e-15)
+        cfg = OptimizerConfig(theta0=ControllerParams(0.03, 1.0), epsilon=1e-4, n_max=40)
         theta, trace = optimize(sc, cfg)
         assert len(trace) <= 40
         assert (trace.thetas[:, 0] >= 0).all()
-        assert (trace.thetas[:, 0] <= 0.05 + 1e-15).all()
+        assert (trace.thetas[:, 0] <= bound).all()
         assert (trace.thetas[:, 1] >= 0).all()
         assert trace.objectives[-1] <= trace.objectives[0]
         # beta gradient pushes outward, so beta rises toward its cap
         assert theta.beta > 0.03
-        if theta.beta == pytest.approx(0.05):
+        if theta.beta == bound:
             # active bound: the descent direction keeps pointing outward
             assert trace.lambdas[-1][0] < 0
 
     def test_requires_av_and_tunable_controller(self):
-        cfg = OptimizerConfig(beta_max=0.0642)
-        with pytest.raises(DomainError):
-            optimize(make_short_scenario(mpr=0.0), cfg)
-        with pytest.raises(DomainError):
-            optimize(make_short_scenario(kind="ts-trc"), cfg)
+        # `Scenario.beta_bound()` refuses them before any run
+        with pytest.raises(DomainError, match="no AV to tune"):
+            optimize(make_short_scenario(mpr=0.0), OptimizerConfig())
+        with pytest.raises(DomainError, match="only the 'ts-ops' controller is tunable"):
+            optimize(make_short_scenario(kind="ts-trc"), OptimizerConfig())
 
     def test_several_avs_share_one_pair(self):
         # two AVs at mpr 0.2: one ControllerParams, one (beta, gamma) row and
         # one AV-summed direction per iteration
-        sc = make_short_scenario(mpr=0.2, beta=0.03, gamma=1.0)
-        cfg = OptimizerConfig(
-            beta_max=0.05,
-            theta0=ControllerParams(0.03, 1.0),
-            epsilon=1e-4,
-            n_max=5,
-        )
+        sc = make_short_scenario(mpr=0.2, beta=0.03, gamma=1.0, envelope_s0=S0_05)
+        cfg = OptimizerConfig(theta0=ControllerParams(0.03, 1.0), epsilon=1e-4, n_max=5)
         theta, trace = optimize(sc, cfg)
         assert len(sc.av_indices) == 2
         assert isinstance(theta, ControllerParams)
@@ -1082,14 +1079,14 @@ class TestOptimize:
             return terms(*args)
 
         monkeypatch.setattr(optimizer, "_descent_terms", failing_terms)
-        cfg = OptimizerConfig(beta_max=0.0642, theta0=ControllerParams(0.03, 1.0),
-                              epsilon=1e-4, n_max=5)
-        theta, trace = optimize(make_short_scenario(), cfg)
+        cfg = OptimizerConfig(theta0=ControllerParams(0.03, 1.0), epsilon=1e-4, n_max=5)
+        sc = make_short_scenario(envelope_s0=S0_0642)
+        theta, trace = optimize(sc, cfg)
         assert theta is None
         assert len(trace) == 2 and trace.reason == "blow-up"
         assert trace.failure is raised
         assert trace.thetas.shape == trace.lambdas.shape == (2, 2)
-        assert optimize(make_short_scenario(), replace(cfg, n_max=2))[1].failure is None
+        assert optimize(sc, replace(cfg, n_max=2))[1].failure is None
 
     def test_closed_loop_sensitivity_mode_runs(self):
         sc = make_short_scenario(beta=0.03, gamma=0.5)
@@ -1101,18 +1098,15 @@ class TestOptimize:
 class TestOptimizerConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
-            OptimizerConfig(beta_max=0.0642, epsilon=1.5)
+            OptimizerConfig(epsilon=1.5)
         with pytest.raises(DomainError):
-            OptimizerConfig(beta_max=0.0642, phi=0.0)
+            OptimizerConfig(phi=0.0)
         with pytest.raises(DomainError):
-            OptimizerConfig(beta_max=-1.0)
-        with pytest.raises(DomainError):
-            OptimizerConfig(beta_max=0.0642, sensitivity="adjoint")
+            OptimizerConfig(sensitivity="adjoint")
         # the hand-derived "coupled" mode is gone; its message names both modes
         with pytest.raises(DomainError, match="'exogenous' or 'closed-loop', got 'coupled'"):
-            OptimizerConfig(beta_max=0.0642, sensitivity="coupled")
+            OptimizerConfig(sensitivity="coupled")
         # NaN passes a `<= 0` test; with phi = NaN the descent never converges
-        for field in ("phi", "beta_max"):
-            for value in (math.nan, math.inf):
-                with pytest.raises(DomainError, match=field):
-                    OptimizerConfig(**{"beta_max": 0.0642, field: value})
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="phi"):
+                OptimizerConfig(phi=value)

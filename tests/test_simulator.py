@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from platoonsim import optimizer, simulator
-from platoonsim.controller import SIGMOID_KERNELS
+from platoonsim.controller import SIGMOID_KERNELS, beta_upper_bound
 from platoonsim.dynamics import (
     IdmParams,
     OvrvParams,
@@ -815,7 +815,7 @@ class TestFloatLane:
         with mock.patch.object(PlatoonEngine, "advance", spy_advance), \
                 mock.patch.object(PlatoonEngine, "run", spy_run), \
                 mock.patch.object(optimizer, "av_block", spy_block):
-            _, trace = optimizer.optimize(sc, optimizer.OptimizerConfig(sc.beta_bound(), n_max=4))
+            _, trace = optimizer.optimize(sc, optimizer.OptimizerConfig(n_max=4))
         assert len(trace) == 4
         [(seed_calls, seed_runs)] = seeded
         (prefix_floats, prefix_steps), *head_runs = runs[:seed_runs]
@@ -1677,18 +1677,43 @@ class TestScenarioValidation:
             make_scenario(init_spacing=(30.0, 30.0))
 
     def test_envelope_uses_the_engines_initial_spacing(self):
-        # the beta bound's s0 is the smallest AV entry of the spacings the
-        # engine starts from
+        # without controller.envelope_s0, the beta bound's s0 is the smallest
+        # AV entry of the spacings the engine starts from
         sc = replace(make_scenario(mpr=0.3), controller=ControllerConfig(kind="ts-ops"))
-        assert sc.envelope_s0_effective() == equilibrium_spacing(OVRV_1, 21.0)
+
+        def bound(s0):
+            return beta_upper_bound(s0, 2.0, sc.t_f, SIGMOID_KERNELS["arctan"].sup)
+
+        assert sc.beta_bound() == bound(equilibrium_spacing(OVRV_1, 21.0))
         x, _ = PlatoonEngine(sc).initial_arrays()
         gaps = x[:-1] - x[1:] - 5.0
         av_gaps = gaps[np.subtract(sc.av_indices, 1)]
-        assert sc.envelope_s0_effective() == pytest.approx(av_gaps.min())
+        assert sc.beta_bound() == pytest.approx(bound(av_gaps.min()))
         custom = replace(sc, init_spacing=tuple(float(k) for k in range(30, 40)))
-        assert custom.envelope_s0_effective() == 30.0 + min(custom.av_indices) - 1
+        assert custom.beta_bound() == bound(30.0 + min(custom.av_indices) - 1)
         with pytest.raises(DomainError):
-            replace(sc, mpr=0.0).envelope_s0_effective()
+            replace(sc, mpr=0.0).beta_bound()
+
+    def test_beta_bound_is_the_gate_of_the_gains(self):
+        # the ceiling, unless no AV, another controller or a ceiling of 0
+        # leaves the gains nothing to act on
+        sc = make_scenario(mpr=0.1, kind="ts-ops")
+        assert sc.beta_bound() == (52.42 - 2.0) / (math.pi / 2 * 500.0)
+        with pytest.raises(DomainError) as err:
+            replace(sc, mpr=0.0).beta_bound()
+        assert str(err.value) == "scenario has no AV to tune"
+        with pytest.raises(DomainError) as err:
+            make_scenario(mpr=0.1, kind="ts-trc").beta_bound()
+        assert str(err.value) == "only the 'ts-ops' controller is tunable, got 'ts-trc'"
+        # at the stated envelope, and at the AV's own spacing without one
+        for zero in (make_scenario(mpr=0.1, kind="ts-ops", envelope_s0=2.0),
+                     make_scenario(mpr=0.1, kind="ts-ops", envelope_s0=None,
+                                   init_spacing=(30.0,) * 4 + (2.0,) + (30.0,) * 5)):
+            with pytest.raises(DomainError) as err:
+                zero.beta_bound()
+            assert str(err.value) == (
+                "control envelope s0 2.0 leaves no margin over min_safe_spacing 2.0: "
+                "beta's ceiling is 0")
 
     def test_controller_config_validation(self):
         with pytest.raises(DomainError):
