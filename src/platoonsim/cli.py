@@ -192,7 +192,8 @@ def _write_trace(out, trace) -> None:
 
 def cmd_tune(args) -> int:
     cp, scenario = _prepare(args)
-    ocfg = cfgmod.build_optimizer_config(cp, scenario)
+    ocfg = cfgmod.parse_optimizer_config(cp)
+    scenario.beta_bound()  # the gains act only on a ts-ops platoon's AVs
     _make_out(args, cp)
     theta, trace = optimize(scenario, ocfg)
     # the completed iterations stay on disk and in their lines; `main` reports a failure
@@ -239,12 +240,13 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--mprs lists no penetration rate")
     if any(not 0.0 <= m <= 1.0 for m in mprs):
         raise ConfigError("--mprs values must lie in [0, 1]")
-    # --tune-first's descents, one per lane with an AV, checked before any runs
+    # --tune-first's settings, and its descents, one per lane with an AV,
+    # checked before any runs
+    ocfg = cfgmod.parse_optimizer_config(cp) if args.tune_first else None
     points = {lane: replace(scenario, mpr=mpr) for lane, mpr in enumerate(mprs, start=1)}
-    descents = {
-        lane: (point, cfgmod.build_optimizer_config(cp, point))
-        for lane, point in points.items() if args.tune_first and point.av_indices
-    }
+    descents = {k: p for k, p in points.items() if args.tune_first and p.av_indices}
+    for point in descents.values():
+        point.beta_bound()
     _make_out(args, cp)
 
     # lane 0 is the AV-free baseline, lane k the k-th MPR; all lanes are
@@ -254,7 +256,7 @@ def cmd_sweep(args) -> int:
     gammas = np.full(len(masks), scenario.controller.gamma)
     labels = ["baseline"] + [f"mpr={mpr}" for mpr in mprs]
     errors: dict[int, Exception] = {}
-    for lane, (point, ocfg) in descents.items():
+    for lane, point in descents.items():
         theta, trace = optimize(point, ocfg)
         if trace.failure:
             errors[lane] = trace.failure

@@ -186,9 +186,14 @@ def build_scenario(cp: configparser.ConfigParser) -> Scenario:
 def build_optimizer_config(
     cp: configparser.ConfigParser, scenario: Scenario
 ) -> OptimizerConfig:
-    """Optimizer settings, parsed once `Scenario.beta_bound()` has found
-    that the gains of `scenario` can act."""
+    """`parse_optimizer_config`, once `Scenario.beta_bound()` has found that
+    the gains of `scenario` can act."""
     scenario.beta_bound()
+    return parse_optimizer_config(cp)
+
+
+def parse_optimizer_config(cp: configparser.ConfigParser) -> OptimizerConfig:
+    """The `[optimizer]` settings, which hold no scenario's ceiling on beta."""
     fields = _fields(cp, "optimizer")
     try:
         theta0 = replace(OptimizerConfig.theta0, **fields[ControllerParams])

@@ -148,10 +148,9 @@ def project_feasible(theta, beta_max: float) -> ControllerParams:
     """Clamp beta into [0, beta_max] and gamma into [0, inf).
 
     Accepts ControllerParams or a raw (beta, gamma) pair, since tentative
-    descent updates may leave the feasible box before projection.
+    descent updates may leave the feasible box before projection. The
+    caller's `beta_max` is `Scenario.beta_bound()`, which is above 0.
     """
-    if not beta_max > 0:  # NaN too
-        raise DomainError(f"beta_max must be positive, got {beta_max}")
     if isinstance(theta, ControllerParams):
         b, g = theta.beta, theta.gamma
     else:

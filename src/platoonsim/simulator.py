@@ -31,7 +31,7 @@ from .dynamics import (
     ovrv_accel_arrays,
 )
 from .errors import DomainError, NumericalBlowupError
-from .stepping import rk4_slots, rk4_step, step_coefficients
+from .stepping import rk4_step, step_coefficients
 
 __all__ = [
     "LeadProfile",
@@ -51,12 +51,10 @@ __all__ = [
 
 CONTROLLER_KINDS = ("none", "ts-ops", "ts-trc")
 INTEGRATORS = ("rk4", "euler")
-# values a folded run's block buffer holds (see `PlatoonEngine.run`)
-_FOLD_VALUES = 1 << 16
-# rows per block of a rebuild (`PlatoonEngine.stage_blocks`, `run`'s record
-# of s, dv and u); bounds its arrays. Blocks change no bits: the rebuilt
-# values are elementwise per row, and their callers visit the blocks in order.
-_STAGE_BLOCK = 128
+_FOLD_VALUES = 1 << 16  # values a folded run's block buffer holds (see `PlatoonEngine.run`)
+# the least rows per block of a rebuild (`_block_rows`) and steps per run of `avblock`'s head
+# search; blocks change no bits: the rebuilt values are elementwise per row, visited in order
+_STAGE_BLOCK, _STAGE_VALUES = 128, 1536
 _NO_INPUT = np.array(0.0)  # the input of an engine without a controller
 _T_TOL = 1e-9  # s: how near a time must lie to count as on the grid or in a window
 
@@ -329,6 +327,12 @@ def window_slice(t: np.ndarray, window: tuple[float, float]) -> slice:
     return slice(int(lo), int(hi))
 
 
+def _block_rows(values: int) -> int:
+    """Rows per block of a rebuild (`PlatoonEngine.stage_blocks`, `run`'s of
+    s, dv and u) whose rows hold `values` values each; they bound its arrays."""
+    return max(_STAGE_BLOCK, _STAGE_VALUES // values)
+
+
 def _av_index(av_mask: np.ndarray, batch_shape: tuple[int, ...]):
     """Index of the AV entries of `(n, *batch_shape)` arrays, or None.
 
@@ -380,19 +384,16 @@ class PlatoonEngine:
     The engine knows nothing of gain sensitivities, but complex gains make
     the state, `rhs`'s derivative and the record complex, so a gain stepped
     by i*h gives each speed's derivative as Im v / h. `step` evaluates the
-    later stages of one step: `advance` calls it in the run loop, and
-    `stage_blocks` on a recorded run's states, with the step index as a
-    batch axis, to rebuild the stage values that the AV block's head and
-    the optimizer's sensitivities need. An array lane's stages write into
-    buffers and through views that `run` makes once per run (`_run_work`),
-    and `stage_blocks` once per stage and block (`work_set`). Every scalar
-    operand of a step (model parameters, controller constants, step
-    coefficients) is made here: a 0-d array of the state's dtype, which
-    NumPy applies faster than a float, but a Python float in a lane that
-    `run` steps as a tuple `(x_lead, x, v)` (`_floats`: one unbatched real
-    lane whose one follower is an AV), through the same `advance` and
-    `step`, with `_rates` as its derivative, `rk4_slots` as its RK4 step and
-    the Euler line and the floor clamp slot by slot.
+    later stages of one step, for `advance` in the run loop and for
+    `stage_blocks`, which rebuilds the stages of a recorded run, the step
+    index a batch axis, for the AV block's head and the sensitivities. An
+    array lane's stages write into buffers and views made once per run
+    (`_run_work`), or per stage and block (`work_set`). Every scalar operand
+    of a step (model parameters, controller constants, step coefficients)
+    is made here: a 0-d array of the state's dtype, which NumPy applies
+    faster than a float, but a Python float in a `_floats` lane (one
+    unbatched real lane whose one follower is an AV), which `run` steps on
+    floats in a loop of its own.
     """
 
     def __init__(
@@ -419,8 +420,7 @@ class PlatoonEngine:
             arr = np.asarray(default if value is None else value)
             return arr.astype(np.result_type(arr, float), copy=False)  # complex stays
 
-        self.beta = _gain(beta, ctrl.beta)
-        self.gamma = _gain(gamma, ctrl.gamma)
+        self.beta, self.gamma = _gain(beta, ctrl.beta), _gain(gamma, ctrl.gamma)
         self.dtype = np.result_type(self.beta, self.gamma)  # of the state and record
         self.batch_shape = np.broadcast_shapes(
             self.av_mask.shape, np.shape(self.beta), np.shape(self.gamma)
@@ -457,8 +457,7 @@ class PlatoonEngine:
             gain = vehicle_first(gain)
             return gain if self._all_av else np.broadcast_to(gain, (n, *self.batch_shape))[self._a]
 
-        self._beta_a = _at_av(self.beta)
-        self._gamma_a = _at_av(self.gamma)
+        self._beta_a, self._gamma_a = _at_av(self.beta), _at_av(self.gamma)
 
         # each follower's predecessor's length: the leader's, then the
         # followers' but the last, which follow the mask
@@ -470,8 +469,7 @@ class PlatoonEngine:
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
         self.lane_failures, self._held = {}, None  # see `_check_finite`
 
-        # the state's rows, dx/dt = [v_lead | v] in the x rows; they index a
-        # float lane's tuple too
+        # the state's rows, dx/dt = [v_lead | v] in the x rows
         self._x, self._v = slice(None, n + 1), slice(n + 1, 2 * n + 1)
         self.width = 2 * n + 1
 
@@ -488,10 +486,9 @@ class PlatoonEngine:
         return x, v
 
     def control_input(self, s, dv, v_prev):
-        """Control input `u` at the AV entries (`self._a`, or the whole
-        arrays when every follower is an AV), where `s`, `dv` and `v_prev`
-        are taken. Without a controller `u` is a 0-d 0.0.
-        """
+        """Control input `u` at the AV entries (`self._a`, or the whole arrays
+        when every follower is an AV), where `s`, `dv` and `v_prev` are
+        taken. Without a controller `u` is a 0-d 0.0."""
         if self.kind == "ts-ops":
             return self._beta_a * self.kernel.fn(self._gamma_a * s * dv)
         if self.kind == "ts-trc":
@@ -540,20 +537,10 @@ class PlatoonEngine:
             w.acc[a] = av
         return f, s, dv, u
 
-    def _rates(self, v_lead, y):
-        """`rhs`'s derivative, by its operations, of a `_floats` lane's y."""
-        v_lead, (x_lead, x, v) = float(v_lead), y
-        s = x_lead - x - self.hv.length
-        dv = v_lead - v
-        u = self.control_input(s, dv, v_lead)
-        return v_lead, v, float(ovrv_accel_arrays(s, dv, v, self.av) + u)
-
-    # records each lane of `advance`'s `y` that holds a non-finite speed at t,
-    # the step's end (`run`); `advance` holds the `_held` columns, unclamped,
-    # and a run is then silent in NumPy
+    # records each lane of `y` (`advance`'s state, or a float lane's tuple in
+    # `run`) that holds a non-finite speed at t, the step's end; `advance` holds
+    # the `_held` columns, unclamped, and a run is then silent in NumPy
     def _check_finite(self, y, t, in_run=False):
-        if self._floats and math.isfinite(y[2]):
-            return
         # one reduction, no temporary: finite speeds have a finite sum (and modulus);
         # a sum that is not (a speed that is not, or an overflow) is searched
         if math.isfinite(abs(add.reduce(y[self._v], axis=None))):
@@ -582,11 +569,7 @@ class PlatoonEngine:
         """
         out = work and work.y[y is work.y[0]]
         if self.scenario.integrator == "euler":
-            if self._floats:
-                return tuple(p + self._c[1] * a for p, a in zip(y, f1))
             return add(y, multiply(self._c[1], f1, out), out)
-        if self._floats:
-            return rk4_slots(y, self._c, f1, lambda i, y_i: self._rates(v_lead[i - 1], y_i))
 
         def rate(i, y_i):
             stage = self.rhs(v_lead[i - 1], *(work.stage if work else (y_i[self._x], y_i[self._v])))
@@ -604,11 +587,6 @@ class PlatoonEngine:
         """
         y_new = self.step(y, f1, v_lead, None, work)
         self._check_finite(y_new, t, work is not None)
-        if self._floats:
-            if -math.inf < y_new[2] < 0:
-                self.lane_floor_hits += 1
-                return y_new[0], y_new[1], 0.0
-            return y_new
         if self._held is not None:  # the failed lanes' state
             y_new[self._held] = y[self._held]
         # fmin skips NaN, as `v < 0` is False for it
@@ -638,17 +616,16 @@ class PlatoonEngine:
         return SimpleNamespace(y=tuple(states), ys=ys, at=at[:2], stage=at[2])
 
     def stage_blocks(self, lead, raw, start: int = 0):
-        """Rebuild this engine's run's steps from `start` in blocks of `_STAGE_BLOCK`.
+        """Rebuild this engine's run's steps from `start` in blocks of `_block_rows`.
 
         `raw` is the run's record as `run` returns it (`x` and `v` with the
         leader column), `lead` the leader's four-stage table. An engine of
         this one's gains and AV mask, which its lanes must share (a
         DomainError otherwise), takes the step index as its first batch
         axis, any lanes after it, behind the vehicle axis. Yields each
-        block's first and end step, the list of `rhs`'s tuples at its steps'
-        RK4 stages (stage 1 alone under Euler) and each step's floor mask
-        (`floored`), all in that engine's layout, from one copy of the
-        block's states in it.
+        block's first and end step, `rhs`'s tuples at its steps' RK4 stages
+        (stage 1 alone under Euler) and each step's floor mask (`floored`),
+        in that engine's layout, from one copy of the block's states in it.
         """
         mask = self.av_mask.reshape(-1, self.n)
         if not (mask == mask[:1]).all():
@@ -658,8 +635,9 @@ class PlatoonEngine:
         end = len(x) - 1
         # the leader's speeds, one per step, against any lane axis
         shape = (-1,) + (1,) * (x.ndim - 2)
-        for k0 in range(start, end, _STAGE_BLOCK):
-            k1 = min(k0 + _STAGE_BLOCK, end)
+        rows = _block_rows(self.width * math.prod(x.shape[1:-1]))
+        for k0 in range(start, end, rows):
+            k1 = min(k0 + rows, end)
             y = np.concatenate([np.moveaxis(arr[k0:k1], -1, 0) for arr in (x, v)])
             stages = [engine.rhs(lead[0][k0:k1].reshape(shape), y[self._x], y[self._v])]
             lead_later = [s[k0:k1].reshape(shape) for s in lead[1:]]
@@ -681,46 +659,44 @@ class PlatoonEngine:
         `fold` every step to `end` (by default `lead`'s last, or the
         horizon's) is recorded, clamped and checked as in a run to the
         horizon. The loop records `x`, `v` and `a`; `s`, `dv` and `u` are
-        rebuilt from the record of `x` and `v`, whose leader column is
-        `rhs`'s `v_lead`, after it or per fold block, by `rhs`'s own
-        expressions, so with its bits.
+        rebuilt after it, or per fold block, from the record of `x` and `v`
+        (whose leader column is `rhs`'s `v_lead`) by `rhs`'s own expressions.
+        A `_floats` lane has a loop of its own, which takes the operations of
+        `rhs`, `step` and `advance` in their order, so every output keeps the
+        bits of the same lane on arrays.
 
         With `fold`, the run covers the scenario's metric window, which
-        must end by step `end`: only the samples `window_slice` selects are
-        kept, and the integration ends at the window's last sample, so
-        blow-ups and floor hits after t2 are not seen. The samples go to a
-        block buffer of at most `_FOLD_VALUES` values (at least one
+        must end by step `end`, and ends at its last sample, so blow-ups and
+        floor hits after t2 are not seen. The samples `window_slice` keeps
+        go to a block buffer of at most `_FOLD_VALUES` values (at least one
         sample), and `fold(t_block, fields)` is called each time it fills
-        and once more with what is left at the end, possibly nothing;
-        `fields` maps each recorded name to a view of the buffer, valid
-        only during the call. Nothing is returned then.
+        and once more with what is left, possibly nothing; `fields` maps
+        each recorded name to a view of the buffer, valid only during the
+        call. Nothing is returned then.
 
         The leader follows `lead`, its four-stage speed table (stage 1 at
         every sample, then stages 2, 3 and 4 of every step; an Euler run
-        needs stage 1 only), by default the scenario's profile
+        needs stage 1 only), by default the scenario's profile's
         (`LeadProfile.stage_speeds`). Tables stacked along a last lane axis
         give each lane its own leader, and each lane then equals its own
-        unbatched run behind that profile bit for bit. A table rebuilt from
-        a recorded vehicle makes that vehicle the leader, so a run of the
-        followers behind it, started from `initial` (the `x` and `v`
-        columns of the whole platoon's `initial_arrays`; by default this
-        engine's own), equals those columns of the whole platoon's run bit
-        for bit.
+        unbatched run behind it bit for bit. A table rebuilt from a recorded
+        vehicle makes it the leader: a run of the followers behind it from
+        `initial` (those columns of the whole platoon's `initial_arrays`; by
+        default this engine's own) equals those columns of the platoon's run
+        bit for bit.
 
-        `start` resumes a run from a state at step `start`: `initial` is
-        then the state at t_start that a run from step 0 reached (the `x`
-        and `v` record rows at `start`, `v` without the leader column). The
-        loop steps from there, so the record, whose `t` and rows begin at
-        sample `start` (a fold sees the window's samples from there), and
-        every error equal those of a run from step 0. Clamps are counted
-        from `start`.
+        `start` resumes a run at step `start` from `initial`, then the `x`
+        and `v` record rows there of a run from step 0 (`v` without the
+        leader column): the record, whose `t` and rows begin at sample
+        `start` (a fold sees the window's samples from there), and every
+        error equal that run's. Clamps count from `start`.
 
         A lane fails alone: `lane_failures` maps it to its failure, and it is
         held at its last finite state (`_check_finite`). The run raises its
         earliest failure, in (time, lane) order, after its last fold, or when
-        no lane is left. The run reports nothing itself: `lane_floor_hits`
-        and `lane_failures` hold each lane's clamps and failure for its
-        caller (the CLI prints them).
+        no lane is left. It reports nothing itself: `lane_floor_hits` and
+        `lane_failures` hold each lane's clamps and failure for its caller
+        (the CLI prints them).
         """
         self.lane_failures, self._held = {}, None  # this run's, whatever it raises
         sc = self.scenario
@@ -731,22 +707,15 @@ class PlatoonEngine:
         t_grid = np.arange(sc.steps + 1) * sc.dt
         if lead is None:
             lead = sc.lead.stage_speeds(sc.dt, end)
-        lead_t = lead[0]
-        # the leader's later stage speeds, one row per step, made as the
-        # loop reaches them
-        lead_later = (
-            zip(*(s[start:] for s in lead[1:])) if len(lead) > 1 else itertools.repeat(())
-        )
+        # the leader's later stage speeds, one row per step, made as the loop reaches them
+        lead_t, later = lead[0], (s[start:] for s in lead[1:])
+        lead_later = zip(*later) if len(lead) > 1 else itertools.repeat(())
         work = self._run_work()
         y = work.y[0]
         rec = np.moveaxis(y, 0, -1)  # a view of y in the record's layout
         rec[..., self._x], rec[..., self._v] = self.initial_arrays() if initial is None else initial
         self.lane_floor_hits = np.zeros(self.batch_shape, dtype=np.int64)
-        advance = self.advance
-        if self._floats:  # the lane steps a tuple of Python floats
-            y, rate = tuple(y.tolist()), self._rates
-        else:
-            rate = lambda v_lead, y: self.rhs(v_lead, *work.at[y is work.y[1]])[0]  # noqa: E731
+        rate = lambda v_lead, y: self.rhs(v_lead, *work.at[y is work.y[1]])[0]  # noqa: E731
 
         # the loop records x, v and a, as (part, slice) of y and its
         # derivative f; s, dv and u are rebuilt from x and v, kept for them
@@ -754,11 +723,9 @@ class PlatoonEngine:
         derived = [name for name in ("s", "dv", "u") if name in record]
         stored = [name for name in sources if name in record or derived and name != "a"]
         widths = {name: self.n + (name in ("x", "v")) for name in stored + derived}
-        # the samples kept, lo to hi, and the buffer's length in samples: a
-        # folded run covers the metric window in bounded blocks, any other
-        # its steps at once
-        lo, hi = start, end + 1
-        block = hi - lo
+        # the samples kept, lo to hi, and the buffer's length in samples: a folded
+        # run covers the metric window in bounded blocks, any other its steps at once
+        lo, hi, block = start, end + 1, end + 1 - start
         if fold is not None:
             keep = window_slice(t_grid, sc.metric_window)
             if keep.stop > hi:
@@ -766,9 +733,8 @@ class PlatoonEngine:
             lo, hi = max(keep.start, start), max(keep.stop, start)
             block = max(1, _FOLD_VALUES // (math.prod(self.batch_shape) * sum(widths.values())))
         last = hi - 1  # the last sample the run reaches
-        # the record's buffers, and views of them in the engine's layout,
-        # (sample, vehicle, *batch), through which the loop and the rebuild
-        # write: the transposition rides on those copies
+        # the record's buffers, and views of them in the engine's layout, (sample, vehicle,
+        # *batch), through which the loop and the rebuild write: the transposition rides on them
         bufs = {name: np.empty((block, *self.batch_shape, w), self.dtype) for name, w in widths.items()}
         views = {name: np.moveaxis(buf, -1, 1) for name, buf in bufs.items()}
         fields = [(views[name], *sources[name]) for name in stored]
@@ -777,8 +743,9 @@ class PlatoonEngine:
         def emit(stop, rows):
             # the buffer's first rows hold the samples up to `stop`; s, dv and
             # u are rebuilt by `rhs`'s expressions, in blocks of rows
-            for k0 in range(0, rows if derived else 0, _STAGE_BLOCK):
-                x, v = (views[name][k0 : min(k0 + _STAGE_BLOCK, rows)] for name in ("x", "v"))
+            step = _block_rows(self.width * math.prod(self.batch_shape))
+            for k0 in range(0, rows if derived else 0, step):
+                x, v = (views[name][k0 : min(k0 + step, rows)] for name in ("x", "v"))
                 s = x[:, :-1] - x[:, 1:] - self.front_lengths
                 dv = v[:, :-1] - v[:, 1:]
                 u = np.zeros_like(s)  # +0.0 on every HV
@@ -791,21 +758,54 @@ class PlatoonEngine:
             if fold is not None:
                 fold(t_grid[stop - rows : stop], {name: buf[:rows] for name, buf in out.items()})
 
-        def record_sample(k, parts):
-            j = (k - lo) % block
-            for buf, part, idx in fields:
-                buf[j] = parts[part][idx]
-            if fold is not None and j == block - 1:
-                emit(k + 1, block)
-
         with np.errstate():  # which `_check_finite` may change
-            for k, v_lead in zip(range(start, last), lead_later):
-                f = rate(lead_t[k], y)
-                if k >= lo:
-                    record_sample(k, (y, f))
-                y = advance(y, f, v_lead, work, t_grid[k + 1])
-            if lo <= last:
-                record_sample(last, (y, rate(lead_t[last], y)))
+            if self._floats:  # `rhs`, `step` and `advance` by their operations on floats,
+                # (p, q, r) being (x_lead, x, v); a scratch buffer takes a field not recorded
+                (p, q, r), (half, full, sixth, two) = y.tolist(), self._c
+                rk4, front, law, av = sc.integrator == "rk4", self.hv.length, self.control_input, self.av
+                l1s, l2s, l3s, l4s = map(memoryview, lead if rk4 else lead[:1] * 4)
+                xs, vs, accs = (bufs.get(n, np.empty(2 * block)).reshape(-1).data for n in sources)
+
+                def acc(v_lead, p, q, r):
+                    s, dv = p - q - front, v_lead - r
+                    return float(ovrv_accel_arrays(s, dv, r, av) + law(s, dv, v_lead))
+
+                for k in range(start, last + 1):
+                    c1 = acc(l1 := l1s[k], p, q, r)
+                    if k >= lo:
+                        j = (k - lo) % block
+                        xs[2 * j], xs[2 * j + 1], vs[2 * j], vs[2 * j + 1], accs[j] = p, q, l1, r, c1
+                        if fold is not None and j == block - 1:
+                            emit(k + 1, block)
+                    if k == last:
+                        break
+                    if rk4:
+                        c2 = acc(l2 := l2s[k], p + half * l1, q + half * r, r2 := r + half * c1)
+                        c3 = acc(l3 := l3s[k], p + half * l2, q + half * r2, r3 := r + half * c2)
+                        c4 = acc(l4 := l4s[k], p + full * l3, q + full * r3, r4 := r + full * c3)
+                        p, q, r = (p + sixth * (l1 + two * l2 + two * l3 + l4),
+                                   q + sixth * (r + two * r2 + two * r3 + r4),
+                                   r + sixth * (c1 + two * c2 + two * c3 + c4))
+                    else:
+                        p, q, r = p + full * l1, q + full * r, r + full * c1
+                    if not math.isfinite(r):  # a blow-up, which the check records and raises
+                        self._check_finite((p, q, r), t_grid[k + 1])
+                    if r < 0:
+                        r = 0.0
+                        self.lane_floor_hits += 1
+                del l1s, l2s, l3s, l4s  # with the leader's table below
+            else:
+                for k in range(start, last + 1):
+                    f = rate(lead_t[k], y)
+                    if k >= lo:
+                        j = (k - lo) % block
+                        for buf, part, idx in fields:
+                            buf[j] = (y, f)[part][idx]
+                        if fold is not None and j == block - 1:
+                            emit(k + 1, block)
+                    if k == last:
+                        break
+                    y = self.advance(y, f, next(lead_later), work, t_grid[k + 1])
             del lead, lead_later  # free the leader's table before the rebuild
             emit(hi, hi - lo if fold is None else (hi - lo) % block)
 

@@ -455,6 +455,9 @@ class TestRun:
          "bad --mprs list: could not convert string to float: 'x'"),
         (["sweep", "--mprs", "0,0.1", "--tune-first", "--set", "optimizer.epsilon=2"],
          "epsilon must be in (0, 1), got 2.0"),
+        # no lane has an AV, so no descent runs, but the settings are read
+        (["sweep", "--mprs", "0", "--tune-first", "--set", "optimizer.epsilon=2"],
+         "epsilon must be in (0, 1), got 2.0"),
         (["grid", "--beta-range", "0:1", "--gamma-range", "1:1:1"],
          "bad range '0:1', expected LO:HI:N"),
         (["tune", "--set", "controller.kind=none"],
@@ -462,7 +465,8 @@ class TestRun:
         (["tune", "--set", "scenario.mpr=0"], "scenario has no AV to tune"),
         (["sweep", "--tune-first", "--mprs", "0.1", "--set", "controller.kind=ts-trc"],
          "only the 'ts-ops' controller is tunable, got 'ts-trc'"),
-    ], ids=["run", "run-fuel-table", "tune", "sweep", "sweep-tune-first", "grid",
+    ], ids=["run", "run-fuel-table", "tune", "sweep", "sweep-tune-first",
+            "sweep-tune-first-no-av", "grid",
             "tune-untunable-kind", "tune-no-av", "sweep-tune-first-untunable-kind"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, message):
         # --dump-config is written and --out created once the command's

@@ -270,14 +270,26 @@ class TestSimulateWithSensitivity:
             lead=lead, t_f=25.0, window=(0.0, 25.0), integrator=integrator,
         )
         sc = replace(sc, controller=replace(sc.controller, kernel=kernel))
-        with mock.patch.object(simulator, "_STAGE_BLOCK", block):
+        with mock.patch.object(simulator, "_block_rows", lambda values: block):
             _, z = simulate_with_sensitivity(sc, theta)
         # each step's map reads that step's stages only, so the block
         # length leaves z's bits alone
-        with mock.patch.object(simulator, "_STAGE_BLOCK", 128):
-            assert z.tobytes() == simulate_with_sensitivity(sc, theta)[1].tobytes()
+        assert z.tobytes() == simulate_with_sensitivity(sc, theta)[1].tobytes()
         reference = co_integrated_z(sc, per_follower_gains(sc, theta), "exogenous")
         assert_near_co_integration(z, sc, reference)
+
+    @pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
+    def test_one_av_block_rebuilds_alike_in_128_rows(self, preset):
+        # at the presets' MPR 0.1 the block is one AV, whose rebuild rows
+        # hold 3 values and come in blocks of more than 128 rows; over the
+        # whole horizon, blocks of 128 give z the same bits
+        sc = build_scenario(load_config(preset))
+        block = avblock.av_block(sc, sc.av_indices[-1])[0]
+        assert block.av == (1,) and simulator._block_rows(3) > 128
+        z = _descent_terms(block, [0.05, 1.0], "exogenous")[2]
+        with mock.patch.object(simulator, "_block_rows", lambda values: 128):
+            assert z.tobytes() == _descent_terms(block, [0.05, 1.0], "exogenous")[2].tobytes()
+        assert len(z) == sc.steps + 1 and z[-1].all()
 
     def test_speed_floor_counted_and_clamped_z_zeroed(self, monkeypatch):
         sc = make_scenario(lead=STOP_LEAD, t_f=40.0, window=(0.0, 40.0),
@@ -373,7 +385,7 @@ class TestSimulateWithSensitivity:
             return out
 
         monkeypatch.setitem(SIGMOID_KERNELS, "arctan", replace(kernel, deriv=deriv))
-        monkeypatch.setattr(simulator, "_STAGE_BLOCK", 100)
+        monkeypatch.setattr(simulator, "_block_rows", lambda values: 100)
         with pytest.raises(NumericalBlowupError) as err:
             simulate_with_sensitivity(sc, [0.03, 0.5])
         assert calls[0] == (4, 5, 100)
@@ -436,8 +448,8 @@ class TestAvBlock:
         # at once, by its dv if it is or leads an AV, and, close enough, by
         # its clamped speed
         perturbed=st.none() | st.tuples(st.integers(0, 9), st.sampled_from([0.01, 0.5, 2.0])),
-        # runs and stage passes of a few steps, of the default 128, or of
-        # the whole run
+        # runs and stage passes of a few steps, of the head search's 128,
+        # or of the whole run
         block=st.sampled_from([1, 7, 128, 1000]),
     )
     @example(hv=IDM_1, mpr=0.1, integrator="rk4", lead=FLAT_LEAD, theta=(0.05, 1.0),
@@ -469,7 +481,7 @@ class TestAvBlock:
         last = sc.av_indices[-1] if to_last_av else sc.n_followers
         gains = np.reshape(theta, (2, 1, 1) if lanes else (2, 1))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-                mock.patch.object(simulator, "_STAGE_BLOCK", block), \
+                mock.patch.object(simulator, "_block_rows", lambda values: block), \
                 mock.patch.object(avblock, "_STAGE_BLOCK", block):
             try:
                 reference = seeded_block(sc, gains, last, end or sc.steps)
@@ -604,8 +616,9 @@ class TestAvBlock:
         kernel = SIGMOID_KERNELS["arctan"]
         fn = simulator.ovrv_accel_arrays if where == "run" else kernel.deriv
         # the calls left clean: the run's first step's four stages, or the
-        # post-pass's first block, whose four stages are one call
+        # post-pass's first block of 128 steps, whose four stages are one call
         clean = 4 if where == "run" else 1
+        monkeypatch.setattr(simulator, "_block_rows", lambda values: 128)
         calls = []
 
         def poisoned(*args):
@@ -966,11 +979,14 @@ class TestProjectFeasible:
         p = ControllerParams(0.05, 2.0)
         assert project_feasible(p, beta_max=0.0642) == p
 
-    # NaN passes a `<= 0` test, and min(5.0, nan) is 5.0: nothing was clamped
+    # the box's ceiling is `Scenario.beta_bound()`'s, which refuses one that
+    # is not above 0: NaN passes a `<= 0` test, and min(5.0, nan) is 5.0, so
+    # nothing would be clamped
     @pytest.mark.parametrize("beta_max", [math.nan, 0.0, -1.0])
-    def test_rejects_a_bound_that_is_not_positive(self, beta_max):
-        with pytest.raises(DomainError, match="beta_max must be positive"):
-            project_feasible((5.0, 1.0), beta_max)
+    def test_rejects_a_bound_that_is_not_positive(self, beta_max, monkeypatch):
+        monkeypatch.setattr(simulator, "beta_upper_bound", lambda *args: beta_max)
+        with pytest.raises(DomainError, match="leaves no margin over min_safe_spacing"):
+            make_short_scenario(mpr=0.1).beta_bound()
 
 
 def short_scenario_with(kernel):

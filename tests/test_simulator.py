@@ -21,7 +21,7 @@ from platoonsim.dynamics import (
 from platoonsim.errors import DomainError, NumericalBlowupError
 from platoonsim.metrics import WindowSums
 from platoonsim.optimizer import _z_terms
-from platoonsim.stepping import rk4_slots, rk4_step, step_coefficients
+from platoonsim.stepping import rk4_step, step_coefficients
 from platoonsim.simulator import (
     ControllerConfig,
     LeadProfile,
@@ -791,10 +791,10 @@ class TestFloatLane:
 
     def test_descent_at_mpr_01_steps_no_array_after_its_seeding_lane(self):
         # every run of the default descent's AV block at MPR 0.1 is one AV
-        # behind a tabulated leader, so every `advance` call after the
-        # seeding lane's, the all-HV prefix's, steps a float lane, one per
-        # step of those runs: the block's runs to its head's end, then one
-        # `AvBlock.run` per iteration
+        # behind a tabulated leader, so it steps a float lane, in `run`'s own
+        # loop: the block's runs to its head's end, then one `AvBlock.run`
+        # per iteration. `advance` steps the seeding lane, the all-HV
+        # prefix, alone
         sc = make_short_scenario(mpr=0.1)
         calls, runs, seeded = [], [], []
         advance, run, av_block = PlatoonEngine.advance, PlatoonEngine.run, optimizer.av_block
@@ -820,12 +820,10 @@ class TestFloatLane:
         [(seed_calls, seed_runs)] = seeded
         (prefix_floats, prefix_steps), *head_runs = runs[:seed_runs]
         assert not prefix_floats and prefix_steps == sc.steps
-        assert not any(calls[:prefix_steps]) and all(calls[prefix_steps:seed_calls])
+        assert calls == [False] * prefix_steps and seed_calls == prefix_steps
         assert head_runs and all(floats for floats, _ in head_runs)
         block_runs = runs[seed_runs:]
         assert len(block_runs) == 4 and all(floats for floats, _ in block_runs)
-        assert all(calls[seed_calls:])
-        assert len(calls) - seed_calls == sum(steps for _, steps in block_runs)
 
 
 def vehicles_first(arr):
@@ -882,7 +880,7 @@ class TestStageRebuild:
         table = sc.lead.stage_speeds(sc.dt, sc.steps)
 
         clamps = 0
-        with mock.patch.object(simulator, "_STAGE_BLOCK", block):
+        with mock.patch.object(simulator, "_block_rows", lambda values: block):
             blocks = list(engine.stage_blocks(table, raw))
         assert blocks[-1][1] == sc.steps  # no block starts at the last sample
         for k0, k1, stages, floored in blocks:
@@ -954,7 +952,7 @@ class TestStageRebuild:
         def keep(t, fields):
             blocks.append((t.copy(), {name: arr.copy() for name, arr in fields.items()}))
 
-        with mock.patch.object(simulator, "_STAGE_BLOCK", block), \
+        with mock.patch.object(simulator, "_block_rows", lambda values: block), \
                 mock.patch.object(simulator, "_FOLD_VALUES", fold or simulator._FOLD_VALUES):
             raw = engine.run(record=ALL_FIELDS, fold=fold and keep, initial=initial, start=start)
         if fold:
@@ -1413,7 +1411,8 @@ class TestStep:
     ):
         # `advance` (its step drawn), which calls `_check_finite`, on speeds
         # that are NaN, +-inf, negative or so large that one reduction over
-        # them overflows, real and complex, in float and array lanes: the
+        # them overflows, real and complex, unbatched and batched (a float
+        # lane's own check is `run`'s loop, `TestFloatLane`'s): the
         # failures, the held lanes, the clamps and the clamped state are
         # those of the entrywise rule each check states
         sc = Scenario(n_followers=n, mpr=1.0 if n == 1 else 0.5, hv_model=IDM_1,
@@ -1444,8 +1443,7 @@ class TestStep:
         floored = (v.real < 0) & (v.real != -math.inf)
         expected[n + 1 :][floored] = 0.0
 
-        engine.step = lambda *args: tuple(y_new.tolist()) if engine._floats else y_new.copy()
-        assert engine._floats == (n == 1 and not shape and not complex_state)
+        engine.step = lambda *args: y_new.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 new = engine.advance(np.full_like(y_new, 7.0), None, (), None, 0.1)
@@ -1480,12 +1478,8 @@ class TestStep:
         shape=st.sampled_from([None, (3,), (4, 7)]),
         complex_state=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
-        # a float lane's slot: None draws a finite value from the seed
-        special=st.tuples(*[st.sampled_from([None] * 5 + [math.inf, -math.inf, math.nan])] * 3),
     )
-    def test_rk4_step_takes_float_or_0d_coefficients(
-        self, dt, shape, complex_state, seed, special
-    ):
+    def test_rk4_step_takes_float_or_0d_coefficients(self, dt, shape, complex_state, seed):
         # the engine passes `step_coefficients` as 0-d arrays and the
         # sensitivity post-pass as floats (on float states); both give the
         # bits of the classic step written out with dt
@@ -1506,26 +1500,6 @@ class TestStep:
         for c in (step_coefficients(dt), tuple(map(np.array, step_coefficients(dt)))):
             got = rk4_step(y, c, f1, rate)
             assert np.asarray(got).tobytes() == np.asarray(written).tobytes()
-
-        # `rk4_slots` on a float lane's tuple, against `rk4_step` on the
-        # (3,) array of its values, with the engine's 0-d coefficients; the
-        # rates mix the slots and read the stage. Finite slots of mixed
-        # magnitudes, 16 states an example, keep the increments' last bits
-        # in some sums
-        def slot_rates(i, p, q, r):
-            return d * q + g * i, e * r * r + p, d * p * q + e
-
-        finite = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-8, 1, size=(16, 3))
-        for row in finite.tolist():
-            slots = tuple(f if v is None else v for f, v in zip(row, special))
-            with np.errstate(all="ignore"):  # inf and nan slots
-                got = rk4_slots(slots, step_coefficients(dt), slot_rates(0, *slots),
-                                lambda i, y_i: slot_rates(i, *y_i))
-                ref = rk4_step(np.array(slots), tuple(map(np.array, step_coefficients(dt))),
-                               np.array(slot_rates(0, *slots)),
-                               lambda i, y_i: np.array(slot_rates(i, *y_i)))
-            assert type(got) is tuple and all(type(slot) is float for slot in got)
-            assert np.array(got).tobytes() == ref.tobytes()
 
     def test_state_rejects_overlap(self):
         # a follower placed on (or into) its predecessor is rejected before
