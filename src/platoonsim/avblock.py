@@ -11,6 +11,18 @@ step. `last`, the last follower the caller reads, ends the block: the last
 AV for `tune` and `simulate_with_sensitivity`, whose J and z read nothing
 behind it, and every follower for `grid`, which reads the prefix lane's
 record.
+
+It builds no `Scenario`: every engine runs the platoon's own, a slice of
+its mask chooses the followers (`mask[:first]` the prefix, `mask[:last]`
+the start state, `mask[first:last]` the block) and `end` each run's last
+step. The profile's table, and so the block leader's, ends at the block's
+`end`, where a run of the block ends by default. `AvBlock.engine(beta,
+gamma)` makes an engine of the block with those gains; its
+`lane_floor_hits` are each lane's clamps, its `lane_failures` each failed
+lane's failure, and its `stage_blocks` rebuilds the record's stages. Every
+run, real or complex, resumes from the block's rows; its failures, and the
+one it raises, name the platoon's vehicles. The README's "What the
+descent and the grid integrate" measures the head on the presets.
 """
 
 from __future__ import annotations

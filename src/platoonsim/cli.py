@@ -2,18 +2,27 @@
 
 Every command reads a scenario config (bundled preset name or file path),
 applies `--set section.key=value` overrides, and writes CSV artifacts into
-the output directory. A command writes `--dump-config` and creates that
-directory once its inputs have passed their checks and before any run, so
-an input that fails its checks leaves neither behind. Exit codes: 0
-success, 1 config error, 2 numerical failure (`sweep` and `grid` first
-write a failed lane's row as NaN, unless all lanes share it), 3 safety
-violation under --strict-safety.
+the output directory. Every command builds, and so checks, every section of
+the config in one order (`_prepare`: the scenario, the fuel table, the
+`[optimizer]` settings) before anything else, so a config is valid or
+invalid for all four alike; each then checks its own arguments and, where
+its gains act, `Scenario.beta_bound()`. A command writes `--dump-config`
+and creates that directory once its inputs have passed their checks and
+before any run, so an input that fails its checks leaves neither behind.
+Exit codes: 0 success, 1 config error, 2 numerical failure (`sweep` and
+`grid` first write a failed lane's row as NaN, unless all lanes share it),
+3 safety violation under --strict-safety.
 Every command prints its runs' clamps at 0 m/s, fuel-rate saturations and
 failed lanes to stderr through `_report` alone, one `<label>: ...` line
 each, from the engine's per-lane counters; `main` runs it with NumPy's
 floating-point warnings off. A failure that ends a command (a `tune`
 descent's, `sweep`'s baseline's, `grid`'s all-HV prefix's) reaches `main`
 as the engine raised it, and `main` prints its `numerical failure:` line.
+No module of the package logs or prints but this one. It writes every file
+a command leaves: `trajectory.csv` through `simulator.write_trajectory_csv`,
+the one writer whose speed matters, and every other CSV (`metrics.csv`,
+`safety.csv`, `trace.csv` with the completed rows of a failed descent too,
+`theta_opt.csv`, `sweep.csv`, `grid.csv`) through `_write_csv`.
 """
 
 from __future__ import annotations
@@ -126,9 +135,13 @@ def _write_csv(out, name, header, rows) -> None:
 
 
 def _prepare(args):
+    """The config of `args` with its `--set` overrides, and what it builds,
+    in the order every command checks it: the scenario, the fuel table and
+    the `[optimizer]` settings."""
     cp = cfgmod.load_config(args.scenario)
     cfgmod.apply_overrides(cp, args.overrides)
-    return cp, cfgmod.build_scenario(cp)
+    return (cp, cfgmod.build_scenario(cp), cfgmod.build_fuel_coefficients(cp),
+            cfgmod.parse_optimizer_config(cp))
 
 
 def _make_out(args, cp) -> None:
@@ -155,8 +168,7 @@ def _report(labels, floor_hits, saturated=None, failures=(), notes=()) -> None:
 
 
 def cmd_run(args) -> int:
-    cp, scenario = _prepare(args)
-    coeffs = cfgmod.build_fuel_coefficients(cp)
+    cp, scenario, coeffs, _ = _prepare(args)
     _make_out(args, cp)
     engine = PlatoonEngine(scenario)
     traj = assemble_trajectory(scenario, engine.run())
@@ -191,8 +203,7 @@ def _write_trace(out, trace) -> None:
 
 
 def cmd_tune(args) -> int:
-    cp, scenario = _prepare(args)
-    ocfg = cfgmod.parse_optimizer_config(cp)
+    cp, scenario, _, ocfg = _prepare(args)
     scenario.beta_bound()  # the gains act only on a ts-ops platoon's AVs
     _make_out(args, cp)
     theta, trace = optimize(scenario, ocfg)
@@ -230,8 +241,7 @@ def _lane_metrics(sums, lanes, failed) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    cp, scenario = _prepare(args)
-    coeffs = cfgmod.build_fuel_coefficients(cp)
+    cp, scenario, coeffs, ocfg = _prepare(args)
     try:
         mprs = [float(tok) for tok in args.mprs.split(",") if tok.strip()]
     except ValueError as err:
@@ -240,9 +250,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--mprs lists no penetration rate")
     if any(not 0.0 <= m <= 1.0 for m in mprs):
         raise ConfigError("--mprs values must lie in [0, 1]")
-    # --tune-first's settings, and its descents, one per lane with an AV,
-    # checked before any runs
-    ocfg = cfgmod.parse_optimizer_config(cp) if args.tune_first else None
+    # --tune-first's descents, one per lane with an AV, checked before any runs
     points = {lane: replace(scenario, mpr=mpr) for lane, mpr in enumerate(mprs, start=1)}
     descents = {k: p for k, p in points.items() if args.tune_first and p.av_indices}
     for point in descents.values():
@@ -334,8 +342,7 @@ def _grid_sums(scenario, coeffs, betas, gammas):
 
 
 def cmd_grid(args) -> int:
-    cp, scenario = _prepare(args)
-    coeffs = cfgmod.build_fuel_coefficients(cp)
+    cp, scenario, coeffs, _ = _prepare(args)
     betas = _parse_range(args.beta_range)
     gammas = _parse_range(args.gamma_range)
     bound = scenario.beta_bound()  # gains act only on a ts-ops platoon's AVs

@@ -186,10 +186,12 @@ def build_scenario(cp: configparser.ConfigParser) -> Scenario:
 def build_optimizer_config(
     cp: configparser.ConfigParser, scenario: Scenario
 ) -> OptimizerConfig:
-    """`parse_optimizer_config`, once `Scenario.beta_bound()` has found that
-    the gains of `scenario` can act."""
+    """`parse_optimizer_config`, then `Scenario.beta_bound()`'s check that
+    the gains of `scenario` can act: the CLI's order, so a config with both
+    faults names the same one here and there."""
+    ocfg = parse_optimizer_config(cp)
     scenario.beta_bound()
-    return parse_optimizer_config(cp)
+    return ocfg
 
 
 def parse_optimizer_config(cp: configparser.ConfigParser) -> OptimizerConfig:

@@ -7,6 +7,8 @@ beta times the sigmoid's supremum, which yields an explicit safety envelope
 on beta. The sigmoid is arctan by default; tanh and erf are built in too.
 The inputs themselves, this one and the baseline that additionally needs
 the equilibrium traffic speed, are evaluated by `PlatoonEngine.control_input`.
+`validate_controller_conditions` samples one fixed box whose `dv` axis
+holds 0 exactly; its detail lines name any failing point.
 """
 
 from __future__ import annotations

@@ -5,6 +5,18 @@ drivers) and a linear constant-time-gap law with relative-speed feedback
 (used for automated vehicles). Both map the local state (spacing, relative
 speed, own speed) to an acceleration and expose their equilibria and
 rational-driving sign properties for verification.
+
+Each law is one formula, vectorized over any array shape, that reads a
+parameter object's fields. `operands(p, dtype)` is the twin of a parameter
+set whose fields (and the IDM's `2*sqrt(a*b)`) are 0-d arrays of `dtype`,
+which NumPy applies faster than Python floats, with the same bits; a complex
+lane's twin is complex, so its ufuncs cast no operand.
+`idm_accel_arrays(..., out, tmp)` writes its result into `out` and its one
+intermediate into `tmp`, with the operations and bits of the call without
+them. `rdc_check(model)` audits one fixed box: 15 points per axis over `s`
+in [5, 100] m, `dv` in [-5, 5] m/s and `v` in [0, 30] m/s, each axis inset
+by the central-difference step 1e-4, with a slack of 1e-9 on each
+partial's sign.
 """
 
 from __future__ import annotations

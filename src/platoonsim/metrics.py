@@ -5,6 +5,11 @@ a reference speed over a time window. Fuel consumption uses a log-polynomial
 regression in instantaneous speed and acceleration with separate coefficient
 matrices for the acceleration and deceleration regimes; the coefficient table
 ships as a data file whose header declares its unit convention.
+
+Both are computed by one batched fold of the metric window, `WindowSums`,
+which `run` (through `summarize`), `sweep` and `grid` share; its
+`saturated` counts each lane's follower samples whose fuel exponent hit the
+cap. The module writes no file.
 """
 
 from __future__ import annotations

@@ -20,7 +20,24 @@ the last AV from the head's end; the closed-loop mode's complex lanes
 resume there too.
 `simulate_with_sensitivity` is `simulate` plus the descent's first
 iteration's z. A projected fixed-step descent clamps beta to its safety
-bound and gamma to non-negative values.
+bound and gamma to non-negative values. `optimize` returns the trace and
+writes no file.
+
+In the exogenous post-pass the engine returns each rebuilt stage's s, dv
+and u only; the optimizer forms the kernel's argument and value and every
+other term of the sensitivity rate itself, in one `_z_terms` call over a
+block's stages. Both gains share the rate d, so each AV carries one complex
+zeta = z_beta + i*z_gamma with zeta' = d*zeta + phi. `rk4_step` builds each
+step's map zeta -> a*zeta + b, a from 1 under d*y and b from 0 under
+d*y + phi, as arrays over a block's AVs and steps (Euler: 1 + dt*d and
+dt*phi), both 0 where the speed was clamped. One scalar recurrence per AV,
+on a Python complex, applies the maps under either integrator; a is real,
+so each part is a real recurrence. It rounds otherwise than a step of the
+engine's state, within about 3e-15 of each series' largest modulus (the
+tests allow 1e-12), and z is a float view of the complex series. In the
+closed-loop mode the engine's state takes the gains' complex dtype. One
+(beta, gamma) pair goes from `optimize` to the engines, as two 1-element
+arrays.
 """
 
 from __future__ import annotations

@@ -8,6 +8,53 @@ by default, with explicit Euler available for oracle tests.
 The stepping core is batch-aware: parameter studies (controller-gain grids,
 penetration sweeps) stack along a leading batch axis and integrate together,
 which keeps independent runs independent while vectorizing the work.
+
+A `Scenario` is the whole platoon, and a `PlatoonEngine` integrates its
+mask's followers: the first n = `av_mask.shape[-1]`, so the slice `mask[:m]`
+of the platoon's mask runs followers 1..m, and `start_spacings` (the one
+builder of initial spacings, which the beta bound shares) reads their
+`init_spacing` entries; a mask wider than the platoon is a DomainError. A
+run covers steps `start..end`, and an `end` below `start` or past the
+horizon is a DomainError. The module also holds the control inputs of both
+controllers (`PlatoonEngine.control_input`), the safety audit and the
+trajectory CSV export. A `Trajectory`'s `a` column of the leader is the
+profile's slope; the CSV writer formats the leader's row on its own.
+
+One rule sizes the blocks of every rebuild (`stage_blocks` and `run`'s of
+s, dv and u): `_block_rows(values)` gives a block whose rows hold `values`
+values (the state's width times its lanes) as many rows as keep it under
+`_STAGE_VALUES` (1536) values, but never fewer than `_STAGE_BLOCK` (128).
+A one-AV block's rows hold 3 values, so its post-pass takes blocks of 512
+rows; a platoon of 10 followers (21 values) keeps 128. Blocks change no
+bits, and the tests patch `_block_rows` to reach blocks of 1 row, partial
+blocks and a whole run in one. `stage_blocks` yields its tuples and masks
+in the engine's vehicle-first layout, so their readers index vehicle rows
+(`s[av]`, `dv[av]`, `f[first]`, `floored[av]`). The rebuilt `u` is
+`control_input`'s at the AV entries and +0.0 on every HV; no second engine
+is built. When every follower is an AV (`_all_av`), the IDM is skipped and
+the AV law reads its rows through the AV index, a slice of every row.
+
+A `_floats` lane steps in `run`'s loop of its own on local floats
+`(x_lead, x, v)`: per step it reads the leader's table and writes the
+record's buffers through flat memoryviews, with no NumPy indexing and no
+Python list. Each stage rate still calls `ovrv_accel_arrays` and
+`control_input`, so each law has one definition, and the kernel stays
+NumPy's ufunc on a float: `math.atan` and `math.pow` differ from NumPy's
+SIMD `arctan` and `power` in the last bit of some arguments. Its record,
+clamp count and blow-up equal the array path's bit for bit
+(`tests/test_simulator.py::TestFloatLane`). Python floats raise no NumPy
+RuntimeWarning: where an array run warns of an overflow or an invalid
+operation, such a lane runs on silently to the same values and blow-up.
+
+`PlatoonEngine.floored` is the one rule of which speeds a step floors at
+0. A speed of -inf is a blow-up, never a clamp. A complex lane's speed is
+floored by its real part, so it clamps and counts as its real run does:
+NumPy orders complex numbers by the real part first, and a speed of
+`0 - eps*j` is not below 0. A failed lane is held at its last finite state
+before the floor, so it adds no clamp, while the other lanes step on with
+their bits; NumPy is silent for the rest of that run, as a held lane's
+values may overflow. A run raises at once when no lane is left, so an
+unbatched run raises at its first non-finite step.
 """
 
 from __future__ import annotations

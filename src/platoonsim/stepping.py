@@ -1,6 +1,17 @@
 """Fixed-step integration shared by the engine and the optimizer: the RK4
 step of an array or scalar state (`rk4_step`) and its coefficients. A
-one-AV float lane takes the same operations in `PlatoonEngine.run`'s loop."""
+one-AV float lane takes the same operations in `PlatoonEngine.run`'s loop.
+
+Every array lane of the engine and the `replayed_objective` oracle take
+`rk4_step`, and so does the exogenous sensitivity post-pass, on arrays over
+a block's AVs and steps, to build each step's affine map. With `ys` and
+`out` (not `y`) it writes every stage state and partial sum into those two
+arrays and adds the rates in the formula's order as they come, so one
+buffer can hold the rates of stages 2 to 4; without them each operation
+makes a fresh array or scalar, as the oracle's floats need.
+`tests/test_simulator.py::TestStep::test_rk4_step_takes_float_or_0d_coefficients`
+pins its bits, with float and 0-d coefficients, to the classic step
+written out. The module knows nothing of the engine's layout."""
 
 from __future__ import annotations
 

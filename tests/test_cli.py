@@ -189,6 +189,18 @@ class TestConfig:
         assert main(["run", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
                      "--set", "controller.envelope_s0=2"]) == 0
 
+    def test_library_names_the_first_fault_as_tune_does(self, tmp_path, capsys):
+        # a bad [optimizer] value and an envelope that leaves beta no ceiling:
+        # the settings are parsed before the gate, in the library as in `tune`
+        faults = ["--set", "optimizer.n_max=0", "--set", "controller.envelope_s0=2"]
+        cp = short_config(*faults[1::2])
+        with pytest.raises(ConfigError) as exc:
+            build_optimizer_config(cp, build_scenario(cp))
+        assert main(["tune", "--scenario", "scenario1", "--out", str(tmp_path), *SHORT,
+                     *faults]) == 1
+        assert capsys.readouterr() == ("", f"config error: {exc.value}\n")
+        assert str(exc.value).startswith("n_max")
+
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         path = tmp_path / "no_hv.cfg"
         path.write_text("[av_model]\nk1 = 0.02\nk2 = 0.13\neta = 21.51\ntau = 1.71\nlength = 5\n")
@@ -465,9 +477,25 @@ class TestRun:
         (["tune", "--set", "scenario.mpr=0"], "scenario has no AV to tune"),
         (["sweep", "--tune-first", "--mprs", "0.1", "--set", "controller.kind=ts-trc"],
          "only the 'ts-ops' controller is tunable, got 'ts-trc'"),
+        # every command builds every section, whether or not it reads it
+        (["run", "--set", "optimizer.epsilon=2"], "epsilon must be in (0, 1), got 2.0"),
+        (["sweep", "--set", "optimizer.epsilon=2"], "epsilon must be in (0, 1), got 2.0"),
+        (["grid", "--beta-range", "0:0.05:2", "--gamma-range", "1:1:1",
+          "--set", "optimizer.epsilon=2"], "epsilon must be in (0, 1), got 2.0"),
+        (["tune", "--set", "metrics.fuel_coefficients=missing.txt"],
+         "cannot read fuel coefficients missing.txt: "
+         "[Errno 2] No such file or directory: 'missing.txt'"),
+        (["sweep", "--tune-first", "--set", "metrics.fuel_coefficients=missing.txt"],
+         "cannot read fuel coefficients missing.txt: "
+         "[Errno 2] No such file or directory: 'missing.txt'"),
+        # the config's sections are checked before the command's arguments
+        (["sweep", "--mprs", "0.1,x", "--set", "optimizer.epsilon=2"],
+         "epsilon must be in (0, 1), got 2.0"),
     ], ids=["run", "run-fuel-table", "tune", "sweep", "sweep-tune-first",
             "sweep-tune-first-no-av", "grid",
-            "tune-untunable-kind", "tune-no-av", "sweep-tune-first-untunable-kind"])
+            "tune-untunable-kind", "tune-no-av", "sweep-tune-first-untunable-kind",
+            "run-optimizer", "sweep-optimizer", "grid-optimizer", "tune-fuel-table",
+            "sweep-tune-first-fuel-table", "sweep-optimizer-before-mprs"])
     def test_config_error_leaves_no_out_dir(self, tmp_path, capsys, monkeypatch, argv, message):
         # --dump-config is written and --out created once the command's
         # inputs have passed their checks, so a config error leaves neither
