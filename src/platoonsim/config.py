@@ -164,11 +164,11 @@ def build_scenario(cp: configparser.ConfigParser) -> Scenario:
     so a misspelt or retired key cannot be silently ignored.
     """
     for section in cp.sections():
-        for key in cp.options(section):
-            if key not in _KEYS.get(section, ()):
-                raise ConfigError(f"unknown config key [{section}] {key}")
         if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
+        for key in cp.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown config key [{section}] {key}")
     try:
         hv = IdmParams(**_fields(cp, "hv_model", required=True)[IdmParams])
         av = OvrvParams(**_fields(cp, "av_model", required=True)[OvrvParams])

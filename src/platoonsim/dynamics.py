@@ -13,10 +13,11 @@ which NumPy applies faster than Python floats, with the same bits; a complex
 lane's twin is complex, so its ufuncs cast no operand.
 `idm_accel_arrays(..., out, tmp)` writes its result into `out` and its one
 intermediate into `tmp`, with the operations and bits of the call without
-them. `rdc_check(model)` audits one fixed box: 15 points per axis over `s`
-in [5, 100] m, `dv` in [-5, 5] m/s and `v` in [0, 30] m/s, each axis inset
-by the central-difference step 1e-4, with a slack of 1e-9 on each
-partial's sign.
+them; `idm_accel_floats(p)` is its twin on Python floats, for a float lane
+(`simulator.PlatoonEngine`), with its bits too. `rdc_check(model)` audits
+one fixed box: 15 points per axis over `s` in [5, 100] m, `dv` in [-5, 5]
+m/s and `v` in [0, 30] m/s, each axis inset by the central-difference step
+1e-4, with a slack of 1e-9 on each partial's sign.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 from numpy import add, divide, maximum, multiply, power, subtract
@@ -130,6 +131,27 @@ def idm_accel_arrays(s, dv, v, p: IdmParams, out=None, tmp=None):
     ratio = divide(add(p.s0, gap, out), s, out)  # sstar / s
     ratio **= 2  # NumPy's square on arrays, the power of `** 2` on scalars
     return multiply(p.a, subtract(free, ratio, out), out)
+
+
+def idm_accel_floats(p: IdmParams) -> Callable[[float, float, float], float]:
+    """`idm_accel_arrays` of the parameters `p` on Python floats: a law
+    `accel(s, dv, v)` that takes its operations in their order, with its
+    bits. The clamps keep `maximum`'s NaN and its second operand at a tie,
+    the power is NumPy's, and `p`'s fields are bound once, as locals."""
+    T, v0, s0, a, two_sqrt_ab = p.T, p.v0, p.s0, p.a, p.two_sqrt_ab
+    delta = np.array(p.delta, float)  # NumPy's power takes a 0-d exponent faster than a float
+
+    def accel(s: float, dv: float, v: float) -> float:
+        gap = v * T - v * dv / two_sqrt_ab
+        free = 1.0 - float(power((0.0 if v <= 0.0 else v) / v0, delta))
+        sstar = s0 + (0.0 if gap < 0.0 else gap)
+        try:
+            ratio = sstar / s
+        except ZeroDivisionError:  # NumPy's inf or NaN
+            ratio = float(divide(sstar, s))
+        return a * (free - ratio * ratio)
+
+    return accel
 
 
 def ovrv_accel_arrays(s, dv, v, p: OvrvParams):

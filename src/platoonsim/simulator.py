@@ -34,17 +34,25 @@ in the engine's vehicle-first layout, so their readers index vehicle rows
 is built. When every follower is an AV (`_all_av`), the IDM is skipped and
 the AV law reads its rows through the AV index, a slice of every row.
 
-A `_floats` lane steps in `run`'s loop of its own on local floats
-`(x_lead, x, v)`: per step it reads the leader's table and writes the
-record's buffers through flat memoryviews, with no NumPy indexing and no
-Python list. Each stage rate still calls `ovrv_accel_arrays` and
-`control_input`, so each law has one definition, and the kernel stays
-NumPy's ufunc on a float: `math.atan` and `math.pow` differ from NumPy's
-SIMD `arctan` and `power` in the last bit of some arguments. Its record,
-clamp count and blow-up equal the array path's bit for bit
-(`tests/test_simulator.py::TestFloatLane`). Python floats raise no NumPy
-RuntimeWarning: where an array run warns of an overflow or an invalid
-operation, such a lane runs on silently to the same values and blow-up.
+The float rule: every unbatched real lane of at most `_FLOAT_FOLLOWERS`
+(6) followers whose AVs share one gain pair is a `_floats` lane, which
+`_float_run` steps on local floats as a cascade of one-follower runs:
+follower 1 behind the leader's four-stage table, each later one behind the
+table its predecessor's run wrote, so every spacing of such a lane is taken
+in that one loop. It reads the tables and writes the record's buffers
+through memoryviews, with no NumPy indexing and no per-step Python list.
+An AV's rate calls `ovrv_accel_arrays` and `control_input`, an HV's
+`idm_accel_floats`, the array law's float twin, and the kernels and the
+power stay NumPy's ufuncs on floats: `math.atan` and `math.pow` differ from
+NumPy's SIMD `arctan` and `power` in the last bit of some arguments. Its
+record, clamp count and earliest blow-up equal the array path's bit for bit
+(`tests/test_simulator.py::TestFloatLane`). Batched and complex lanes, and
+lanes of 7 followers or more (`run` on the presets), step arrays: the
+float loop's cost grows with the followers and NumPy's dispatch does not,
+so past 6 the gain is small, and at 10 all-HV followers a loss.
+Python floats raise few NumPy RuntimeWarnings: where an array run warns of
+an overflow or an invalid operation, such a lane may run on silently to the
+same values and blow-up.
 
 `PlatoonEngine.floored` is the one rule of which speeds a step floors at
 0. A speed of -inf is a blow-up, never a clamp. A complex lane's speed is
@@ -74,6 +82,7 @@ from .dynamics import (
     OvrvParams,
     equilibrium_spacing,
     idm_accel_arrays,
+    idm_accel_floats,
     operands,
     ovrv_accel_arrays,
 )
@@ -103,6 +112,11 @@ _FOLD_VALUES = 1 << 16  # values a folded run's block buffer holds (see `Platoon
 # search; blocks change no bits: the rebuilt values are elementwise per row, visited in order
 _STAGE_BLOCK, _STAGE_VALUES = 128, 1536
 _NO_INPUT = np.array(0.0)  # the input of an engine without a controller
+# the most followers of a `_floats` lane. Its time over an array lane's, for all-HV lanes
+# of 4, 5, 6, 7, 8 and 10 followers on both presets (5000 steps, 2-CPU Xeon VM): 0.47-0.48,
+# 0.59-0.61, 0.72-0.73, 0.82-0.83, 0.96 and 1.15-1.18; the HV's ufunc `power` takes about
+# half of each float rate. Lanes with AVs gain more: 0.34 for MPR 0.2's block (5 followers)
+_FLOAT_FOLLOWERS = 6
 _T_TOL = 1e-9  # s: how near a time must lie to count as on the grid or in a window
 
 
@@ -438,9 +452,10 @@ class PlatoonEngine:
     (`_run_work`), or per stage and block (`work_set`). Every scalar operand
     of a step (model parameters, controller constants, step coefficients)
     is made here: a 0-d array of the state's dtype, which NumPy applies
-    faster than a float, but a Python float in a `_floats` lane (one
-    unbatched real lane whose one follower is an AV), which `run` steps on
-    floats in a loop of its own.
+    faster than a float, but a Python float in a `_floats` lane (an
+    unbatched real lane of at most 6 followers whose AVs share one gain
+    pair), which `run` steps on floats, one follower after another
+    (`_float_run`).
     """
 
     def __init__(
@@ -486,7 +501,8 @@ class PlatoonEngine:
         # whether every follower of every lane is an AV; then the IDM is
         # skipped, as the AV law overwrites every entry
         self._all_av = bool(self.av_mask.all())
-        self._floats = not self.batch_shape and n == 1 and self._all_av and self.dtype == float
+        self._floats = (not self.batch_shape and n <= _FLOAT_FOLLOWERS and self.dtype == float
+                        and self.beta.size == self.gamma.size == 1)
         # of the state's dtype: a complex lane's ufuncs then cast no operand
         scalar = float if self._floats else lambda value: np.array(value, self.dtype)
         models = scenario.hv_model, scenario.av_model
@@ -584,8 +600,8 @@ class PlatoonEngine:
             w.acc[a] = av
         return f, s, dv, u
 
-    # records each lane of `y` (`advance`'s state, or a float lane's tuple in
-    # `run`) that holds a non-finite speed at t, the step's end; `advance` holds
+    # records each lane of `y`, `advance`'s state, that holds a non-finite
+    # speed at t, the step's end (`_float_run` records its own); `advance` holds
     # the `_held` columns, unclamped, and a run is then silent in NumPy
     def _check_finite(self, y, t, in_run=False):
         # one reduction, no temporary: finite speeds have a finite sum (and modulus);
@@ -662,6 +678,68 @@ class PlatoonEngine:
         at = [(w.x, w.v, w) for w in sets]
         return SimpleNamespace(y=tuple(states), ys=ys, at=at[:2], stage=at[2])
 
+    def _float_run(self, lead, y, start, last, bufs, t_grid):
+        """`run`'s loop of a `_floats` lane from the state `y` at step `start`
+        to sample `last`: one run on local floats `(p, q, r)` = (the
+        predecessor's x, x, v) per follower, in turn. Follower 1 runs behind
+        `lead`; each later one behind the table its predecessor's run wrote
+        (stage 1 its recorded speeds, stages 2-4 its unclamped stage speeds),
+        whose positions it integrates as that run did. Each takes the
+        operations of `rhs`, `step` and `advance` in their order, so it
+        equals its column of the lane on arrays bit for bit. Row m of `bufs`
+        takes sample `start + m`, through memoryviews of its columns. A
+        follower runs up to the earliest failure found so far, which
+        `lane_failures` then holds, and clamps count up to it. Returns the
+        last sample reached."""
+        rk4, (half, full, sixth, two) = self.scenario.integrator == "rk4", self._c
+        idm, av, law = idm_accel_floats(self.hv), self.av, self.control_input
+        x0, v0 = y[self._x].tolist(), y[self._v].tolist()
+        stop = last - start  # the last row reached
+        # the speeds are each run's stage 1 and the next one's table; a field
+        # not recorded writes one scratch column
+        scratch, v = np.empty(stop + 1), bufs.get("v", np.empty((stop + 1, self.n + 1)))
+        v[: stop + 1, 0] = lead[0][start : last + 1]
+        xs, vs, accs = (list(map(memoryview, [scratch] * (self.n + 1) if buf is None else buf.T))
+                        for buf in (bufs.get("x"), v, bufs.get("a")))
+        tab = [memoryview(row) for row in np.empty((3, stop + 1 if rk4 else 0))]  # a run's, in place
+        later = [memoryview(s[start:]) for s in lead[1:]] if rk4 else tab  # the leader's stages 2-4
+        clamps = bytearray(stop + 1)  # per row, at most one per follower
+        for i, (av_i, front) in enumerate(zip(self.av_mask.tolist(), self.front_lengths.tolist())):
+            if av_i:
+                def acc(l, p, q, r, front=front):
+                    s, dv = p - q - front, l - r
+                    return float(ovrv_accel_arrays(s, dv, r, av) + law(s, dv, l))
+            else:
+                def acc(l, p, q, r, front=front):
+                    return idm(p - q - front, l - r, r)
+            xp, xq, l1s, vq, ac = xs[i], xs[i + 1], vs[i], vs[i + 1], accs[i]
+            (l2s, l3s, l4s), (t2, t3, t4), (p, q, r) = later, tab, (x0[i], x0[i + 1], v0[i])
+            for m in range(stop + 1):
+                c1 = acc(l1 := l1s[m], p, q, r)
+                xp[m], xq[m], vq[m], ac[m] = p, q, r, c1
+                if m == stop:
+                    break
+                if rk4:
+                    c2 = acc(l2 := l2s[m], p + half * l1, q + half * r, r2 := r + half * c1)
+                    c3 = acc(l3 := l3s[m], p + half * l2, q + half * r2, r3 := r + half * c2)
+                    c4 = acc(l4 := l4s[m], p + full * l3, q + full * r3, r4 := r + full * c3)
+                    t2[m], t3[m], t4[m] = r2, r3, r4
+                    p, q, r = (p + sixth * (l1 + two * l2 + two * l3 + l4),
+                               q + sixth * (r + two * r2 + two * r3 + r4),
+                               r + sixth * (c1 + two * c2 + two * c3 + c4))
+                else:
+                    p, q, r = p + full * l1, q + full * r, r + full * c1
+                if not math.isfinite(r):  # `_check_finite`'s failure; later runs stop before it
+                    self.lane_failures[0] = NumericalBlowupError(i + 1, t_grid[start + m + 1], None)
+                    stop = m
+                    break
+                if r < 0:
+                    r = 0.0
+                    clamps[m + 1] += 1
+            later = tab
+        self.lane_floor_hits += sum(clamps[: stop + 1])
+        return start + stop
+
     def stage_blocks(self, lead, raw, start: int = 0):
         """Rebuild this engine's run's steps from `start` in blocks of `_block_rows`.
 
@@ -708,9 +786,10 @@ class PlatoonEngine:
         horizon. The loop records `x`, `v` and `a`; `s`, `dv` and `u` are
         rebuilt after it, or per fold block, from the record of `x` and `v`
         (whose leader column is `rhs`'s `v_lead`) by `rhs`'s own expressions.
-        A `_floats` lane has a loop of its own, which takes the operations of
-        `rhs`, `step` and `advance` in their order, so every output keeps the
-        bits of the same lane on arrays.
+        A `_floats` lane has a loop of its own (`_float_run`), which takes the
+        operations of `rhs`, `step` and `advance` in their order, so every
+        output keeps the bits of the same lane on arrays; its buffers span
+        the run, which a fold then takes in the same blocks.
 
         With `fold`, the run covers the scenario's metric window, which
         must end by step `end`, and ends at its last sample, so blow-ups and
@@ -780,19 +859,23 @@ class PlatoonEngine:
             lo, hi = max(keep.start, start), max(keep.stop, start)
             block = max(1, _FOLD_VALUES // (math.prod(self.batch_shape) * sum(widths.values())))
         last = hi - 1  # the last sample the run reaches
+        # the sample in the buffer's first row and its length: a float lane's
+        # spans its run from `start`, an array lane's takes `lo` on in turn
+        base, cap = (start, max(1, hi - start)) if self._floats else (lo, block)
         # the record's buffers, and views of them in the engine's layout, (sample, vehicle,
         # *batch), through which the loop and the rebuild write: the transposition rides on them
-        bufs = {name: np.empty((block, *self.batch_shape, w), self.dtype) for name, w in widths.items()}
+        bufs = {name: np.empty((cap, *self.batch_shape, w), self.dtype) for name, w in widths.items()}
         views = {name: np.moveaxis(buf, -1, 1) for name, buf in bufs.items()}
         fields = [(views[name], *sources[name]) for name in stored]
         out = {name: bufs[name] for name in record}  # an unknown name fails here
 
         def emit(stop, rows):
-            # the buffer's first rows hold the samples up to `stop`; s, dv and
-            # u are rebuilt by `rhs`'s expressions, in blocks of rows
+            # the buffer's rows from `at` hold the samples up to `stop`; s, dv
+            # and u are rebuilt by `rhs`'s expressions, in blocks of rows
+            at = (stop - rows - base) % cap
             step = _block_rows(self.width * math.prod(self.batch_shape))
-            for k0 in range(0, rows if derived else 0, step):
-                x, v = (views[name][k0 : min(k0 + step, rows)] for name in ("x", "v"))
+            for k0 in range(at, at + rows if derived else at, step):
+                x, v = (views[name][k0 : min(k0 + step, at + rows)] for name in ("x", "v"))
                 s = x[:, :-1] - x[:, 1:] - self.front_lengths
                 dv = v[:, :-1] - v[:, 1:]
                 u = np.zeros_like(s)  # +0.0 on every HV
@@ -803,44 +886,15 @@ class PlatoonEngine:
                 for name in derived:
                     views[name][k0 : k0 + len(x)] = parts[name]
             if fold is not None:
-                fold(t_grid[stop - rows : stop], {name: buf[:rows] for name, buf in out.items()})
+                fold(t_grid[stop - rows : stop], {n: buf[at : at + rows] for n, buf in out.items()})
 
         with np.errstate():  # which `_check_finite` may change
-            if self._floats:  # `rhs`, `step` and `advance` by their operations on floats,
-                # (p, q, r) being (x_lead, x, v); a scratch buffer takes a field not recorded
-                (p, q, r), (half, full, sixth, two) = y.tolist(), self._c
-                rk4, front, law, av = sc.integrator == "rk4", self.hv.length, self.control_input, self.av
-                l1s, l2s, l3s, l4s = map(memoryview, lead if rk4 else lead[:1] * 4)
-                xs, vs, accs = (bufs.get(n, np.empty(2 * block)).reshape(-1).data for n in sources)
-
-                def acc(v_lead, p, q, r):
-                    s, dv = p - q - front, v_lead - r
-                    return float(ovrv_accel_arrays(s, dv, r, av) + law(s, dv, v_lead))
-
-                for k in range(start, last + 1):
-                    c1 = acc(l1 := l1s[k], p, q, r)
-                    if k >= lo:
-                        j = (k - lo) % block
-                        xs[2 * j], xs[2 * j + 1], vs[2 * j], vs[2 * j + 1], accs[j] = p, q, l1, r, c1
-                        if fold is not None and j == block - 1:
-                            emit(k + 1, block)
-                    if k == last:
-                        break
-                    if rk4:
-                        c2 = acc(l2 := l2s[k], p + half * l1, q + half * r, r2 := r + half * c1)
-                        c3 = acc(l3 := l3s[k], p + half * l2, q + half * r2, r3 := r + half * c2)
-                        c4 = acc(l4 := l4s[k], p + full * l3, q + full * r3, r4 := r + full * c3)
-                        p, q, r = (p + sixth * (l1 + two * l2 + two * l3 + l4),
-                                   q + sixth * (r + two * r2 + two * r3 + r4),
-                                   r + sixth * (c1 + two * c2 + two * c3 + c4))
-                    else:
-                        p, q, r = p + full * l1, q + full * r, r + full * c1
-                    if not math.isfinite(r):  # a blow-up, which the check records and raises
-                        self._check_finite((p, q, r), t_grid[k + 1])
-                    if r < 0:
-                        r = 0.0
-                        self.lane_floor_hits += 1
-                del l1s, l2s, l3s, l4s  # with the leader's table below
+            if self._floats:
+                stop = self._float_run(lead, y, start, last, bufs, t_grid)
+                for k in range(lo + block, stop + 2, block) if fold is not None else ():
+                    emit(k, block)  # the blocks that its samples fill
+                if self.lane_failures:  # raised as an unbatched array lane raises it
+                    raise self.lane_failures[0]
             else:
                 for k in range(start, last + 1):
                     f = rate(lead_t[k], y)

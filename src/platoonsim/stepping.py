@@ -1,6 +1,6 @@
 """Fixed-step integration shared by the engine and the optimizer: the RK4
 step of an array or scalar state (`rk4_step`) and its coefficients. A
-one-AV float lane takes the same operations in `PlatoonEngine.run`'s loop.
+float lane takes the same operations in `PlatoonEngine._float_run`.
 
 Every array lane of the engine and the `replayed_objective` oracle take
 `rk4_step`, and so does the exogenous sensitivity post-pass, on arrays over

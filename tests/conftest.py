@@ -33,6 +33,18 @@ def unclamped_idm(s, dv, v, p, out=None, tmp=None):
     return np.multiply(p.a, 1.0 - np.power(v / p.v0, p.delta) - (sstar / s) ** 2, out)
 
 
+def unclamped_idm_floats(p):
+    """`unclamped_idm` on Python floats, as `idm_accel_floats(p)` is the
+    law's: the double of a float lane, with the bits of `unclamped_idm`."""
+    def accel(s, dv, v):
+        gap = v * p.T - v * dv / p.two_sqrt_ab
+        sstar = p.s0 + (0.0 if gap < 0.0 else gap)  # np.maximum(0.0, gap), which keeps NaN
+        ratio = float(np.divide(sstar, s))  # NumPy's: a spacing of 0 gives inf
+        return p.a * (1.0 - float(np.power(v / p.v0, p.delta)) - ratio * ratio)
+
+    return accel
+
+
 def window_mask(t, window):
     """The metric-window rule as a boolean mask: samples within 1e-9 s of
     [t1, t2]. The independent reference for `window_slice`."""

@@ -37,7 +37,7 @@ from platoonsim.metrics import WindowSums, default_fuel_coefficients, load_fuel_
 from platoonsim.optimizer import OptimizerConfig, optimize
 from platoonsim.simulator import LeadProfile, Scenario, window_slice
 
-from conftest import unclamped_idm
+from conftest import unclamped_idm, unclamped_idm_floats
 
 
 def short_config(*overrides):
@@ -130,8 +130,8 @@ class TestConfig:
             ("controller.betta=0.5", r"\[controller\] betta"),
             ("optimizer.per_av=true", r"\[optimizer\] per_av"),
             ("scenario.Metric_Windows=1 2", r"\[scenario\] metric_windows"),
-            ("solver.dt=0.1", r"\[solver\] dt"),
-            # an unknown section without keys
+            # an unknown section is named before its keys, and one without keys
+            ("solver.dt=0.1", r"\[solver\]$"),
             ("solver", r"\[solver\]$"),
         ],
     )
@@ -139,10 +139,9 @@ class TestConfig:
         cp = load_config("scenario1")
         if "=" in override:
             apply_overrides(cp, [override])
-            named = "key " + named
         else:
             cp.add_section(override)
-            named = "section " + named
+        named = ("key " if override.split(".")[0] in config._KEYS else "section ") + named
         with pytest.raises(ConfigError, match="unknown config " + named):
             build_scenario(cp)
 
@@ -459,6 +458,8 @@ class TestRun:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--set", "controller.betta=1"], "unknown config key [controller] betta"),
+        # a misspelt section is named as such, not by its first key
+        (["run", "--set", "controler.beta=0.05"], "unknown config section [controler]"),
         (["run", "--set", "metrics.fuel_coefficients=missing.txt"],
          "cannot read fuel coefficients missing.txt: "
          "[Errno 2] No such file or directory: 'missing.txt'"),
@@ -491,7 +492,7 @@ class TestRun:
         # the config's sections are checked before the command's arguments
         (["sweep", "--mprs", "0.1,x", "--set", "optimizer.epsilon=2"],
          "epsilon must be in (0, 1), got 2.0"),
-    ], ids=["run", "run-fuel-table", "tune", "sweep", "sweep-tune-first",
+    ], ids=["run", "run-misspelt-section", "run-fuel-table", "tune", "sweep", "sweep-tune-first",
             "sweep-tune-first-no-av", "grid",
             "tune-untunable-kind", "tune-no-av", "sweep-tune-first-untunable-kind",
             "run-optimizer", "sweep-optimizer", "grid-optimizer", "tune-fuel-table",
@@ -1370,6 +1371,7 @@ class TestGrid:
         # negative one, so it moves only the third case's blow-up. A point
         # that fails gets a NaN row; one of the prefix fails the grid
         monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
+        monkeypatch.setattr(simulator, "idm_accel_floats", unclamped_idm_floats)
         assert check_grid(tmp_path, preset, overrides, betas, gammas) == message
         if not message.startswith("numerical failure"):
             rows = read_csv(tmp_path / "grid" / "grid.csv")[1:]
@@ -1385,6 +1387,7 @@ class TestGrid:
         # is every run's: `tune` and `grid` report it, from one run of the
         # prefix alone, and `grid` writes no grid.csv
         monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
+        monkeypatch.setattr(simulator, "idm_accel_floats", unclamped_idm_floats)
         sets = ["scenario.t_f=25", "scenario.metric_window=0 25", "scenario.mpr=0.2",
                 "scenario.lead_profile=0:21 5:21 9:0"]
         cp = load_config("scenario2")
@@ -1437,6 +1440,7 @@ class TestGrid:
         assert main(args + ["--out", str(tmp_path / "clean")]) == 0
         clean_runs, runs[:] = runs[:], []
         monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
+        monkeypatch.setattr(simulator, "idm_accel_floats", unclamped_idm_floats)
         with np.errstate(invalid="ignore"):
             assert main(args + ["--out", str(tmp_path / "bad")]) == 2
         assert runs == clean_runs and runs[-1] == (8, (8,))

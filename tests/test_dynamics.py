@@ -12,6 +12,7 @@ from platoonsim.dynamics import (
     RdcViolation,
     equilibrium_spacing,
     idm_accel_arrays,
+    idm_accel_floats,
     operands,
     ovrv_accel_arrays,
     rdc_check,
@@ -224,6 +225,19 @@ class TestOperands:
             got = ovrv_accel_arrays(s, dv, v, params)
             assert np.asarray(got).dtype == np.asarray(written).dtype
             assert np.asarray(got).tobytes() == np.asarray(written).tobytes()
+
+    # a float lane's IDM (`idm_accel_floats`) must give the bits of the array
+    # law at any state: negative stage speeds, negative and zero spacings,
+    # NaN of either sign and +-inf, where the clamps must keep NaN
+    @settings(max_examples=300, deadline=None)
+    @given(p=IDM_PARAMS, state=st.tuples(*[
+        st.floats(-100.0, 100.0) | st.floats(allow_nan=False)
+        | st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])] * 3))
+    def test_idm_float_twin_keeps_the_bits(self, p, state):
+        with np.errstate(all="ignore"):
+            ref = idm_accel_arrays(*(np.array([x]) for x in state), operands(p))
+            got = idm_accel_floats(p)(*state)
+        assert type(got) is float and np.array([got]).tobytes() == ref.tobytes()
 
     def test_twin_holds_every_field_as_a_0d_float64(self):
         for p in (IDM_1, OVRV_1):

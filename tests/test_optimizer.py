@@ -44,6 +44,7 @@ from conftest import (
     make_scenario,
     make_short_scenario,
     unclamped_idm,
+    unclamped_idm_floats,
 )
 
 # control envelopes whose beta ceilings over the short scenarios' 50 s are
@@ -913,6 +914,7 @@ class TestClosedLoop:
         # scenario 2 behind the stopping lead: RK4 stage speeds go negative,
         # where the unclamped law's (v/v0)**delta is NaN in real arithmetic
         monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
+        monkeypatch.setattr(simulator, "idm_accel_floats", unclamped_idm_floats)
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
         # every run of this platoon blows up, which ends the gain-free head

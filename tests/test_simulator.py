@@ -16,6 +16,7 @@ from platoonsim.dynamics import (
     OvrvParams,
     equilibrium_spacing,
     idm_accel_arrays,
+    idm_accel_floats,
     ovrv_accel_arrays,
 )
 from platoonsim.errors import DomainError, NumericalBlowupError
@@ -47,6 +48,7 @@ from conftest import (
     make_scenario,
     make_short_scenario,
     unclamped_idm,
+    unclamped_idm_floats,
     window_mask,
 )
 
@@ -215,6 +217,7 @@ class TestEngine:
         # law: NaN at a negative RK4 stage speed, the same vehicle and time
         # from any start before it
         monkeypatch.setattr(simulator, "idm_accel_arrays", unclamped_idm)
+        monkeypatch.setattr(simulator, "idm_accel_floats", unclamped_idm_floats)
         sc = make_scenario(hv=IDM_2, mpr=0.5, kind="ts-ops", beta=0.03, lead=STOP_LEAD,
                            t_f=25.0, window=(0.0, 25.0))
         errors = []
@@ -268,9 +271,12 @@ class TestEngine:
             except NumericalBlowupError as err:
                 return None, (err.vehicle, err.time, err.lane)
 
-        law = unclamped_idm if unclamped else idm_accel_arrays
+        laws = (unclamped_idm, unclamped_idm_floats) if unclamped else (
+            idm_accel_arrays, idm_accel_floats)
         # spacings of 20 m behind the stopping lead close to 0: overflows
-        with mock.patch.object(simulator, "idm_accel_arrays", law), np.errstate(all="ignore"):
+        with mock.patch.object(simulator, "idm_accel_arrays", laws[0]), \
+                mock.patch.object(simulator, "idm_accel_floats", laws[1]), \
+                np.errstate(all="ignore"):
             whole = PlatoonEngine(sc, av_mask=mask)
             full, failure = outcome(whole)
             if failure is None:
@@ -604,6 +610,7 @@ class TestEngine:
         sc = make_short_scenario(hv=IDM_2, t_f=25.0, window=(3.0, 24.0), integrator=integrator)
         singles = []
         with mock.patch.object(simulator, "idm_accel_arrays", unclamped_idm), \
+                mock.patch.object(simulator, "idm_accel_floats", unclamped_idm_floats), \
                 mock.patch.object(simulator, "_FOLD_VALUES", 2000):
             for lead, mask, beta, gamma in lanes:
                 engine = PlatoonEngine(replace(sc, lead=lead), beta=beta, gamma=gamma,
@@ -709,41 +716,56 @@ def run_outcome(engine, table, initial, start, record, fold):
 
 
 class TestFloatLane:
-    # one unbatched real lane whose one follower is an AV steps on Python
-    # floats; the same run with gains shaped (1, 1) is batched, so it steps
-    # its arrays, and its lane equals its unbatched run bit for bit
+    # an unbatched real lane of at most 6 followers steps on Python floats,
+    # one follower after another; the same run with gains shaped (1, 1) is
+    # batched, so it steps its arrays, and its lane equals its unbatched run
+    # bit for bit: its record, folds, clamps and earliest failure
     @settings(max_examples=60, deadline=None)
     @given(
         kind=st.sampled_from(["ts-ops", "ts-trc", "none"]),
         kernel=st.sampled_from(["arctan", "tanh", "erf"]),
         integrator=st.sampled_from(["rk4", "euler"]),
         lead=st.sampled_from([SHORT_LEAD, STOP_LEAD]),
+        hv=st.sampled_from([IDM_1, IDM_2]),
+        mask=st.lists(st.booleans(), min_size=1, max_size=6),
         gains=st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 3.0)),
         shape=st.sampled_from([(), (1,)]),
         start=st.integers(0, 150),
         window=st.tuples(st.integers(0, 100), st.integers(1, 100)),
         record=st.sampled_from([ALL_FIELDS, ("x", "v"), ("v", "a", "u")]),
         fold=st.booleans(),
-        blowup=st.booleans(),
+        blowup=st.integers(0, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    # behind the stopping lead the AV clamps from about 9 s on
-    @example(kind="ts-ops", kernel="arctan", integrator="rk4", lead=STOP_LEAD,
-             gains=(0.1, 1.0), shape=(1,), start=0, window=(0, 100), record=ALL_FIELDS,
-             fold=False, blowup=False, seed=0)
-    @example(kind="none", kernel="arctan", integrator="euler", lead=STOP_LEAD,
-             gains=(0.0, 1.0), shape=(), start=95, window=(60, 40), record=("v", "a", "u"),
-             fold=True, blowup=False, seed=1)
-    @example(kind="ts-trc", kernel="tanh", integrator="rk4", lead=SHORT_LEAD,
-             gains=(0.05, 1.0), shape=(), start=30, window=(0, 100), record=ALL_FIELDS,
-             fold=False, blowup=True, seed=2)
+    # behind the stopping lead the followers clamp from about 9 s on
+    @example(kind="ts-ops", kernel="arctan", integrator="rk4", lead=STOP_LEAD, hv=IDM_1,
+             mask=[True], gains=(0.1, 1.0), shape=(1,), start=0, window=(0, 100),
+             record=ALL_FIELDS, fold=False, blowup=0, seed=0)
+    @example(kind="none", kernel="arctan", integrator="euler", lead=STOP_LEAD, hv=IDM_2,
+             mask=[False, True, False], gains=(0.0, 1.0), shape=(), start=95, window=(60, 40),
+             record=("v", "a", "u"), fold=True, blowup=0, seed=1)
+    # an AV behind two HVs, each follower behind its predecessor's table
+    @example(kind="ts-trc", kernel="arctan", integrator="rk4", lead=SHORT_LEAD, hv=IDM_2,
+             mask=[False, False, True], gains=(0.0, 1.0), shape=(), start=10, window=(0, 100),
+             record=ALL_FIELDS, fold=False, blowup=0, seed=4)
+    # the first follower overflows at the first step
+    @example(kind="ts-trc", kernel="tanh", integrator="rk4", lead=SHORT_LEAD, hv=IDM_1,
+             mask=[True], gains=(0.05, 1.0), shape=(), start=30, window=(0, 100),
+             record=ALL_FIELDS, fold=False, blowup=1, seed=2)
+    # the HV at follower 5 fails at the first step, after followers 1-4
+    # stepped on to the end and clamped; none of their clamps counts
+    @example(kind="ts-ops", kernel="arctan", integrator="rk4", lead=STOP_LEAD, hv=IDM_2,
+             mask=[False, True, False, False, False, True], gains=(0.05, 1.0), shape=(),
+             start=40, window=(0, 100), record=ALL_FIELDS, fold=False, blowup=5, seed=3)
     def test_float_lane_equals_its_array_lane(
-        self, kind, kernel, integrator, lead, gains, shape, start, window, record, fold,
-        blowup, seed,
+        self, kind, kernel, integrator, lead, hv, mask, gains, shape, start, window, record,
+        fold, blowup, seed,
     ):
         t1, samples = window
+        mask = np.array(mask)
+        n = len(mask)
         sc = Scenario(
-            n_followers=1, mpr=1.0, hv_model=IDM_1, av_model=OVRV_1,
+            n_followers=n, mpr=1.0, hv_model=hv, av_model=OVRV_1,
             controller=ControllerConfig(kind=kind, beta=gains[0], gamma=gains[1], kernel=kernel),
             lead=lead, t_f=20.0, dt=0.1, integrator=integrator,
             metric_window=(t1 * 0.1, min(t1 + samples, 200) * 0.1),
@@ -752,22 +774,26 @@ class TestFloatLane:
         # rebuilt from a recorded vehicle (`avblock`)
         table = list(sc.lead.stage_speeds(sc.dt, sc.steps))
         table[2] = table[2] + np.random.default_rng(seed).uniform(-0.5, 0.5, sc.steps)
-        oracle = PlatoonEngine(sc, beta=np.full((1, 1), gains[0]), gamma=np.full((1, 1), gains[1]))
-        full = oracle.run(record=("x", "v"), lead=table)
-        initial = full["x"][start, 0], full["v"][start, 0, 1:]
-        if blowup:  # a spacing that overflows at the first rate
-            initial = np.array([1e308, -1e308]), initial[1]
-        engine = PlatoonEngine(sc, beta=np.full(shape, gains[0]), gamma=np.full(shape, gains[1]))
+        oracle = PlatoonEngine(sc, np.full((1, 1), gains[0]), np.full((1, 1), gains[1]), mask)
+        with np.errstate(all="ignore"):
+            full = oracle.run(record=("x", "v"), lead=table)
+        initial = full["x"][start, 0].copy(), full["v"][start, 0, 1:]
+        if blowup == 1:  # a spacing that overflows at the first rate: an AV fails
+            initial[0][:2] = 1e308, -1e308
+        elif 1 < blowup <= n:  # a spacing of 1e-200 m, which rounds to 0: an HV fails
+            initial[0][blowup] = initial[0][blowup - 1] - hv.length - 1e-200
+        fails = mask[0] if blowup == 1 else 1 < blowup <= n and not mask[blowup - 1]
+        engine = PlatoonEngine(sc, np.full(shape, gains[0]), np.full(shape, gains[1]), mask)
         assert engine._floats and not oracle._floats
-        with mock.patch.object(simulator, "_FOLD_VALUES", 37):  # blocks of 4 samples at most
+        with mock.patch.object(simulator, "_FOLD_VALUES", 37 * n):  # blocks of a few samples
             raw, blocks, error, hits = run_outcome(engine, table, initial, start, record, fold)
             ref, ref_blocks, ref_error, ref_hits = run_outcome(
                 oracle, table, initial, start, record, fold)
 
         assert error == (ref_error and ref_error[:2] + (None,))
         # a folded run ends at the window's last sample, maybe before a step
-        if blowup and not fold:
-            assert error[:2] == (1, pytest.approx(start * 0.1 + 0.1))
+        if fails and not fold:
+            assert error[:2] == (blowup, pytest.approx(start * 0.1 + 0.1))
         assert hits.shape == () and hits == ref_hits[0] == engine.floor_hits
         if fold:  # the blocks folded up to a blow-up too
             assert raw is ref is None and len(blocks) == len(ref_blocks)
@@ -780,6 +806,15 @@ class TestFloatLane:
             for name in record:
                 assert fields[name].tobytes() == fields_ref[name][:, 0].tobytes(), name
 
+    def test_lanes_of_up_to_six_followers_step_on_floats(self):
+        # but no batched or complex lane, and none of 7 followers or more
+        sc = make_short_scenario(mpr=0.5)
+        mask = av_mask_for(10, 0.5)
+        assert PlatoonEngine(sc, av_mask=mask[:6])._floats
+        assert not PlatoonEngine(sc, av_mask=mask[:7])._floats
+        assert not PlatoonEngine(sc, beta=np.full((1, 1), 0.03), av_mask=mask[:6])._floats
+        assert not PlatoonEngine(sc, beta=np.array(0.03 + 0j), av_mask=mask[:6])._floats
+
     def test_the_stopping_lead_clamps_the_lane(self):
         # so the first example above checks the clamp and its count
         sc = Scenario(n_followers=1, mpr=1.0, hv_model=IDM_1, av_model=OVRV_1,
@@ -790,11 +825,10 @@ class TestFloatLane:
         assert engine._floats and engine.floor_hits > 0
 
     def test_descent_at_mpr_01_steps_no_array_after_its_seeding_lane(self):
-        # every run of the default descent's AV block at MPR 0.1 is one AV
-        # behind a tabulated leader, so it steps a float lane, in `run`'s own
-        # loop: the block's runs to its head's end, then one `AvBlock.run`
-        # per iteration. `advance` steps the seeding lane, the all-HV
-        # prefix, alone
+        # every run of the default descent at MPR 0.1 steps a float lane, in
+        # `run`'s own loop: the all-HV prefix (followers 1-4), the AV
+        # block's runs to its head's end, one AV behind a tabulated leader,
+        # then one `AvBlock.run` per iteration. `advance` steps no lane
         sc = make_short_scenario(mpr=0.1)
         calls, runs, seeded = [], [], []
         advance, run, av_block = PlatoonEngine.advance, PlatoonEngine.run, optimizer.av_block
@@ -804,26 +838,25 @@ class TestFloatLane:
             return advance(self, *args)
 
         def spy_run(self, *args, start=0, **kw):
-            runs.append((self._floats, self.scenario.steps - start))
+            runs.append((self._floats, self.n, self.scenario.steps - start))
             return run(self, *args, start=start, **kw)
 
         def spy_block(*args, **kw):
             out = av_block(*args, **kw)
-            seeded.append((len(calls), len(runs)))
+            seeded.append(len(runs))
             return out
 
         with mock.patch.object(PlatoonEngine, "advance", spy_advance), \
                 mock.patch.object(PlatoonEngine, "run", spy_run), \
                 mock.patch.object(optimizer, "av_block", spy_block):
             _, trace = optimizer.optimize(sc, optimizer.OptimizerConfig(n_max=4))
-        assert len(trace) == 4
-        [(seed_calls, seed_runs)] = seeded
-        (prefix_floats, prefix_steps), *head_runs = runs[:seed_runs]
-        assert not prefix_floats and prefix_steps == sc.steps
-        assert calls == [False] * prefix_steps and seed_calls == prefix_steps
-        assert head_runs and all(floats for floats, _ in head_runs)
+        assert len(trace) == 4 and calls == []
+        [seed_runs] = seeded
+        prefix, *head_runs = runs[:seed_runs]
+        assert prefix == (True, 4, sc.steps)
+        assert head_runs and all(floats and n == 1 for floats, n, _ in head_runs)
         block_runs = runs[seed_runs:]
-        assert len(block_runs) == 4 and all(floats for floats, _ in block_runs)
+        assert len(block_runs) == 4 and all(floats and n == 1 for floats, n, _ in block_runs)
 
 
 def vehicles_first(arr):
